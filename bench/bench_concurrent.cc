@@ -135,8 +135,12 @@ struct RunResult {
   double wall_ms = 0;
   size_t fsyncs = 0;
   size_t log_bytes = 0;
-  service::CommitQueue::Stats queue;
-  service::SnapshotManager::Stats snaps;  ///< version-chain counters
+  // Engine registry counters and gauges (group commit, version chain).
+  size_t cohorts = 0, combined = 0, max_cohort = 0;
+  size_t parallel_cohorts = 0, parallel_applies = 0;
+  size_t versions_live = 0, versions_gced = 0;
+  size_t snapshot_rebuilds = 0, snapshot_rebuild_rows = 0;
+  size_t snapshot_refreshes = 0;
   size_t sessions_built = 0;
   size_t sessions_refreshed = 0;
   relstore::CostSnapshot cost;  ///< engine aggregate over all sessions
@@ -229,8 +233,23 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   res.ops = res.commits * txn_len;
   res.fsyncs = db->cost().Fsyncs() - fsyncs0;
   res.log_bytes = db->cost().LogBytes() - log0;
-  res.queue = engine.commit_queue().stats();
-  res.snaps = engine.snapshot_stats();
+  obs::Registry& reg = engine.metrics();
+  auto count = [&reg](const char* name) {
+    return static_cast<size_t>(reg.GetCounter(name, "")->Value());
+  };
+  auto level = [&reg](const char* name) {
+    return static_cast<size_t>(reg.GetGauge(name, "")->Value());
+  };
+  res.cohorts = count("cpdb_cohorts_total");
+  res.combined = count("cpdb_combined_total");
+  res.max_cohort = level("cpdb_max_cohort");
+  res.parallel_cohorts = count("cpdb_parallel_cohorts_total");
+  res.parallel_applies = count("cpdb_parallel_applies_total");
+  res.versions_live = level("cpdb_versions_live");
+  res.versions_gced = count("cpdb_versions_gced_total");
+  res.snapshot_rebuilds = count("cpdb_snapshot_rebuilds_total");
+  res.snapshot_rebuild_rows = count("cpdb_snapshot_rebuild_rows_total");
+  res.snapshot_refreshes = count("cpdb_snapshot_refreshes_total");
   res.sessions_built = pool.built();
   res.sessions_refreshed = pool.refreshed();
   res.cost = engine.cost_totals().Snap();
@@ -345,7 +364,7 @@ int main(int argc, char** argv) {
       std::printf(
           "%-8zu %-8zu %9zu %10.0f %8zu %10.3f %9zu %10.1f %10.1f %10.1f\n",
           threads, txn_len, r.commits, commits_per_sec, r.fsyncs,
-          fsyncs_per_commit, static_cast<size_t>(r.queue.max_cohort),
+          fsyncs_per_commit, r.max_cohort,
           r.commit_us.p50, r.commit_us.p99, r.commit_us.p999);
       JsonDict& row = report.AddRow();
       row.Set("threads", threads)
@@ -359,9 +378,9 @@ int main(int argc, char** argv) {
           .Set("fsyncs", r.fsyncs)
           .Set("fsyncs_per_commit", fsyncs_per_commit)
           .Set("log_bytes", r.log_bytes)
-          .Set("cohorts", static_cast<size_t>(r.queue.cohorts))
-          .Set("combined_commits", static_cast<size_t>(r.queue.combined))
-          .Set("max_cohort", static_cast<size_t>(r.queue.max_cohort))
+          .Set("cohorts", r.cohorts)
+          .Set("combined_commits", r.combined)
+          .Set("max_cohort", r.max_cohort)
           .Set("p50_commit_us", r.commit_us.p50)
           .Set("p99_commit_us", r.commit_us.p99)
           .Set("p999_commit_us", r.commit_us.p999)
@@ -369,16 +388,13 @@ int main(int argc, char** argv) {
           .Set("rows_moved", r.cost.rows)
           .Set("write_round_trips", r.cost.write_calls)
           .Set("write_rows", r.cost.write_rows)
-          .Set("parallel_cohorts", static_cast<size_t>(r.queue.parallel_cohorts))
-          .Set("parallel_applies", static_cast<size_t>(r.queue.parallel_applies))
-          .Set("versions_live", r.snaps.versions_live)
-          .Set("versions_gced", static_cast<size_t>(r.snaps.versions_gced))
-          .Set("snapshot_rebuilds",
-               static_cast<size_t>(r.snaps.snapshot_rebuilds))
-          .Set("snapshot_rebuild_rows",
-               static_cast<size_t>(r.snaps.snapshot_rebuild_rows))
-          .Set("snapshot_refreshes",
-               static_cast<size_t>(r.snaps.snapshot_refreshes))
+          .Set("parallel_cohorts", r.parallel_cohorts)
+          .Set("parallel_applies", r.parallel_applies)
+          .Set("versions_live", r.versions_live)
+          .Set("versions_gced", r.versions_gced)
+          .Set("snapshot_rebuilds", r.snapshot_rebuilds)
+          .Set("snapshot_rebuild_rows", r.snapshot_rebuild_rows)
+          .Set("snapshot_refreshes", r.snapshot_refreshes)
           .Set("sessions_built", r.sessions_built)
           .Set("sessions_refreshed", r.sessions_refreshed);
       // Engine-side stage breakdown (obs registry histograms): where the

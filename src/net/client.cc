@@ -232,12 +232,6 @@ Result<std::string> Client::Metrics() {
   return std::move(resp.body);
 }
 
-Result<std::string> Client::SlowLog() {
-  CPDB_ASSIGN_OR_RETURN(Response resp, Call(Request::SlowLog()));
-  CPDB_RETURN_IF_ERROR(ToStatus(resp));
-  return std::move(resp.body);
-}
-
 Result<std::string> Client::Traces() {
   CPDB_ASSIGN_OR_RETURN(Response resp, Call(Request::Traces()));
   CPDB_RETURN_IF_ERROR(ToStatus(resp));

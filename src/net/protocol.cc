@@ -132,14 +132,18 @@ const char* ReqTypeName(ReqType t) {
       return "DRAIN";
     case ReqType::kMetrics:
       return "METRICS";
-    case ReqType::kSlowLog:
-      return "SLOWLOG";
     case ReqType::kTraces:
       return "TRACES";
     case ReqType::kExplain:
       return "EXPLAIN";
   }
   return "?";
+}
+
+bool IsReqType(uint64_t tag) {
+  return tag >= static_cast<uint64_t>(ReqType::kPing) &&
+         tag <= static_cast<uint64_t>(ReqType::kExplain) &&
+         tag != kRetiredTag;
 }
 
 const char* RespCodeName(RespCode c) {
@@ -195,8 +199,7 @@ Result<Request> DecodeRequest(const std::string& in) {
   }
   const bool has_trace = (tag & kTraceFlag) != 0;
   const uint64_t type = tag & ~kTraceFlag;
-  if (type < static_cast<uint64_t>(ReqType::kPing) ||
-      type > static_cast<uint64_t>(ReqType::kExplain)) {
+  if (!IsReqType(type)) {
     return Status::InvalidArgument("request: unknown type " +
                                    std::to_string(type));
   }

@@ -25,7 +25,7 @@ namespace cpdb::net {
 //   body     ::= APPLY update | GETMOD path | TRACEBACK path | GET path
 //              | EXPLAIN verb:varint lp(path)
 //              | COMMIT | ABORT | PING | STATS | CHECKPOINT | DRAIN
-//              | METRICS | SLOWLOG | TRACES
+//              | METRICS | TRACES
 //   update   ::= kind:varint lp(target) lp(label) value lp(source)
 //   value    ::= 0 | 1 | 2 zigzag | 3 f64le | 4 lp(bytes)
 //   response ::= code:varint lp(body)
@@ -33,7 +33,8 @@ namespace cpdb::net {
 // The trace context is optional on EVERY verb (the 0x80 tag bit): a
 // sampling client stamps it on the requests it wants traced, the server
 // opens a span tree under that trace id (obs::SpanCollector), and the
-// TRACES/EXPLAIN verbs read the assembled trees back. trace_id must be
+// TRACES/EXPLAIN verbs read the assembled trees back — slow commits and
+// slow queries included, in TRACES' "slow" array. trace_id must be
 // nonzero (zero means "absent" everywhere else in the tracing layer).
 //
 // Transactions are per connection and implicit: the first APPLY after a
@@ -51,10 +52,21 @@ enum class ReqType : uint8_t {
   kCheckpoint = 9,  ///< admin: checkpoint the store under the latch
   kDrain = 10,      ///< admin: begin graceful drain (like SIGTERM)
   kMetrics = 11,    ///< admin: full registry, Prometheus text exposition
-  kSlowLog = 12,    ///< admin: recent slow-commit spans as JSON
+  // 12 is retired (see kRetiredTag).
   kTraces = 13,     ///< admin: assembled trace trees as JSON
   kExplain = 14,    ///< run a GETMOD/TRACEBACK/GET, return its span tree
 };
+
+/// Tag 12 once named a slow-commit verb whose records now live in
+/// TRACES. It stays unassigned, and the decoder rejects it like any
+/// unknown tag, so an old client's request fails with a typed error
+/// instead of meaning something else.
+constexpr uint64_t kRetiredTag = 12;
+
+/// True for the tags of live request types: kPing..kExplain minus the
+/// retired tag. The decoder's admission test, and the server's per-verb
+/// metric loop.
+bool IsReqType(uint64_t tag);
 
 const char* ReqTypeName(ReqType t);
 
@@ -114,7 +126,6 @@ struct Request {
   static Request Checkpoint() { return Of(ReqType::kCheckpoint); }
   static Request Drain() { return Of(ReqType::kDrain); }
   static Request Metrics() { return Of(ReqType::kMetrics); }
-  static Request SlowLog() { return Of(ReqType::kSlowLog); }
   static Request Traces() { return Of(ReqType::kTraces); }
   static Request Explain(ReqType verb, tree::Path p) {
     Request req = Of(ReqType::kExplain);

@@ -165,33 +165,35 @@ void Server::Stop() {
   Wait();
 }
 
-Server::Stats Server::stats() const {
-  MutexLock l(mu_);
-  return stats_;
-}
-
 void Server::RegisterMetrics() {
   obs::Registry& reg = engine_->metrics();
+  auto counter = [&reg](const char* name, const char* help,
+                        const char* json_key) {
+    return reg.GetCounter(name, help, "", json_key);
+  };
   auto cb = [&reg](const char* name, const char* help, bool monotonic,
                    std::function<double()> fn, const char* json_key) {
     reg.SetCallback(name, help, monotonic, std::move(fn), "", json_key);
   };
   cb("cpdb_server_draining", "1 while a graceful drain is in progress",
      false, [this] { return draining() ? 1.0 : 0.0; }, "draining");
-  cb("cpdb_connections_accepted_total", "Connections accepted", true,
-     [this] { return static_cast<double>(stats().accepted); }, "accepted");
-  cb("cpdb_connections_closed_total", "Connections closed", true,
-     [this] { return static_cast<double>(stats().closed); }, "closed");
-  cb("cpdb_requests_total", "Requests executed (all verbs)", true,
-     [this] { return static_cast<double>(stats().requests); }, "requests");
-  cb("cpdb_retries_total", "Transactions shed with RETRY", true,
-     [this] { return static_cast<double>(stats().retries); }, "retries");
-  cb("cpdb_bad_frames_total", "Framing violations (CRC/length/varint)",
-     true, [this] { return static_cast<double>(stats().bad_frames); },
-     "bad_frames");
-  cb("cpdb_bad_requests_total", "Well-framed but undecodable requests",
-     true, [this] { return static_cast<double>(stats().bad_requests); },
-     "bad_requests");
+  accepted_ = counter("cpdb_connections_accepted_total",
+                      "Connections accepted", "accepted");
+  closed_ = counter("cpdb_connections_closed_total", "Connections closed",
+                    "closed");
+  requests_ = counter("cpdb_requests_total", "Requests executed (all verbs)",
+                      "requests");
+  retries_ = counter("cpdb_retries_total", "Transactions shed with RETRY",
+                     "retries");
+  bad_frames_ = counter("cpdb_bad_frames_total",
+                        "Framing violations (CRC/length/varint)",
+                        "bad_frames");
+  bad_requests_ = counter("cpdb_bad_requests_total",
+                          "Well-framed but undecodable requests",
+                          "bad_requests");
+  // Registered by the engine (their STATS position); bumped here.
+  slow_commits_ = reg.GetCounter("cpdb_slow_commits_total", "");
+  slow_queries_ = reg.GetCounter("cpdb_slow_queries_total", "");
   cb("cpdb_inflight_bytes", "Parsed-but-unanswered request bytes held",
      false,
      [this] {
@@ -212,9 +214,11 @@ void Server::RegisterMetrics() {
   // Per-verb request latency: one labelled series, decode-to-flush
   // timing recorded in WorkerLoop. Data verbs also land in the flat
   // JSON (the admin verbs would be scrape-measuring-the-scraper noise
-  // there, but are still separable in Prometheus).
+  // there, but are still separable in Prometheus). The retired tag gets
+  // no series.
   for (uint8_t t = static_cast<uint8_t>(ReqType::kPing);
        t <= static_cast<uint8_t>(ReqType::kExplain); ++t) {
+    if (!IsReqType(t)) continue;
     ReqType type = static_cast<ReqType>(t);
     std::string verb = ReqTypeName(type);
     std::string json_key;
@@ -271,7 +275,7 @@ void Server::ParseFrames(Conn* conn) {
       // Framing violation: typed error, then close. The error rides the
       // pending queue as a pre-encoded response so it is answered after
       // the requests that preceded it, in pipeline order.
-      ++stats_.bad_frames;
+      bad_frames_->Inc();
       const char* what = ev == FrameReader::Event::kBadCrc ? "frame CRC mismatch"
                          : ev == FrameReader::Event::kTooLarge
                              ? "frame exceeds size limit"
@@ -336,13 +340,11 @@ void Server::EventLoop() {
         MutexLock l(mu_);
         bool idle = !c->busy && c->pending.empty() && c->done.empty();
         bool flushed = c->out_off >= c->out.size();
-        if (idle && (flushed || c->eof) &&
-            (c->closing || c->eof || drain_now)) {
-          close_now = true;
-          ++stats_.closed;
-        }
+        close_now = idle && (flushed || c->eof) &&
+                    (c->closing || c->eof || drain_now);
       }
       if (close_now) {
+        closed_->Inc();
         std::unique_ptr<service::Session> session;
         {
           MutexLock l(mu_);
@@ -405,8 +407,7 @@ void Server::EventLoop() {
           auto conn = std::make_unique<Conn>();
           conn->fd = cfd;
           conns_[cfd] = std::move(conn);
-          MutexLock l(mu_);
-          ++stats_.accepted;
+          accepted_->Inc();
         }
         continue;
       }
@@ -488,8 +489,7 @@ void Server::WorkerLoop() {
         if (!decoded.ok()) {
           resp = Response::Error(decoded.status().ToString());
           close_after = true;
-          MutexLock l(mu_);
-          ++stats_.bad_requests;
+          bad_requests_->Inc();
         } else {
           // Decoder guarantees the type is in range, so the verb index
           // is safe. Measured span: execute only (decode/encode/frame
@@ -499,9 +499,8 @@ void Server::WorkerLoop() {
           resp = ExecuteTraced(c, *decoded, &session);
           obs::Histogram* h = verb_us_[static_cast<size_t>(decoded->type)];
           if (h != nullptr) h->Record(obs::NowMicros() - start_us);
-          MutexLock l(mu_);
-          ++stats_.requests;
-          if (resp.code == RespCode::kRetry) ++stats_.retries;
+          requests_->Inc();
+          if (resp.code == RespCode::kRetry) retries_->Inc();
         }
         std::string payload;
         EncodeResponse(resp, &payload);
@@ -521,12 +520,15 @@ void Server::WorkerLoop() {
 Response Server::ExecuteTraced(Conn* conn, const Request& req,
                                std::unique_ptr<service::Session>* session) {
   // Collect when the client asked (sampled trace context), when the verb
-  // itself is a collection request (EXPLAIN), or when the slow-query
-  // watch is armed and this is a verb it covers. Everything else takes
-  // the zero-overhead path: Execute with a null tracer.
+  // itself is a collection request (EXPLAIN), or when the slow-request
+  // watch is armed and this is a verb it covers: the writes and the
+  // reads. Everything else takes the zero-overhead path: one lock-free
+  // threshold load, then Execute with a null tracer.
+  const bool write =
+      req.type == ReqType::kApply || req.type == ReqType::kCommit;
   const bool slow_watched =
-      (req.type == ReqType::kGetMod || req.type == ReqType::kTraceBack ||
-       req.type == ReqType::kGet) &&
+      (write || req.type == ReqType::kGetMod ||
+       req.type == ReqType::kTraceBack || req.type == ReqType::kGet) &&
       engine_->spans().SlowThresholdUs() > 0;
   const bool explain = req.type == ReqType::kExplain;
   if (!req.trace.sampled && !explain && !slow_watched) {
@@ -535,7 +537,7 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
 
   obs::TraceContext ctx = req.trace;
   if (!ctx.valid()) {
-    // Server-initiated collection (slow-query watch, un-traced EXPLAIN):
+    // Server-initiated collection (slow-request watch, un-traced EXPLAIN):
     // mint an id so the tree is still assembled and retrievable.
     ctx.trace_id = engine_->MintTraceId();
     ctx.parent_span_id = 0;
@@ -545,6 +547,7 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
       std::string("server.") + ReqTypeName(req.type), ctx.parent_span_id,
       explain ? ReqTypeName(req.explain_verb) : "");
   Response resp = Execute(conn, req, session, &tracer);
+  if (*session != nullptr) (*session)->set_trace(nullptr, 0);
   tracer.Close(root);
   std::vector<obs::Span> spans = tracer.Take();
   if (explain && resp.code == RespCode::kOk) {
@@ -552,7 +555,9 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
     // discarded (run the plain verb for it).
     resp.body = obs::SpanStore::TreeJson(spans);
   }
-  engine_->spans().Record(std::move(spans), ctx.sampled || explain);
+  if (engine_->spans().Record(std::move(spans), ctx.sampled || explain)) {
+    (write ? slow_commits_ : slow_queries_)->Inc();
+  }
   return resp;
 }
 
@@ -566,8 +571,6 @@ Response Server::Execute(Conn* conn, const Request& req,
       return Response::Ok(StatsJson());
     case ReqType::kMetrics:
       return Response::Ok(engine_->metrics().RenderPrometheus());
-    case ReqType::kSlowLog:
-      return Response::Ok(engine_->trace().SlowLogJson());
     case ReqType::kTraces:
       return Response::Ok(engine_->spans().TracesJson());
     case ReqType::kCheckpoint: {
@@ -620,6 +623,10 @@ Response Server::Execute(Conn* conn, const Request& req,
     *session = std::move(*acquired);
   }
   service::Session* s = session->get();
+  // Whatever commit unit this request runs (COMMIT for T/HT, APPLY for
+  // N/H) opens its commit.execute span under the root; ExecuteTraced
+  // detaches the collector again.
+  if (tracer != nullptr) s->set_trace(tracer, tracer->root_span_id());
 
   switch (req.type) {
     case ReqType::kApply: {
@@ -629,19 +636,7 @@ Response Server::Execute(Conn* conn, const Request& req,
     }
     case ReqType::kCommit: {
       conn->in_txn = false;
-      uint64_t commit_span = 0;
-      if (tracer != nullptr) {
-        // The session appends the queue/apply/seal/wake stage spans under
-        // this one (Session::CommitTraced), so a committed transaction's
-        // trace shows its whole path through the group-commit queue.
-        commit_span = tracer->Open("commit.execute", tracer->root_span_id());
-        s->set_trace(tracer, commit_span);
-      }
       Status st = s->Commit();
-      if (tracer != nullptr) {
-        s->set_trace(nullptr, 0);
-        tracer->Close(commit_span);
-      }
       return st.ok() ? Response::Ok() : Response::Error(st.ToString());
     }
     case ReqType::kAbort: {

@@ -98,16 +98,6 @@ class Server {
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
-  struct Stats {
-    uint64_t accepted = 0;      ///< connections accepted
-    uint64_t closed = 0;        ///< connections closed
-    uint64_t requests = 0;      ///< requests executed (all types)
-    uint64_t retries = 0;       ///< APPLY/COMMIT shed with RETRY
-    uint64_t bad_frames = 0;    ///< framing violations (CRC/length/varint)
-    uint64_t bad_requests = 0;  ///< well-framed but undecodable requests
-  };
-  Stats stats() const CPDB_EXCLUDES(mu_);
-
  private:
   struct Conn;
 
@@ -117,12 +107,13 @@ class Server {
   /// The tracing choke point every request goes through (the OBS-TRACE
   /// lint rule pins WorkerLoop to it): decides whether this request is
   /// collected — the client sampled it, it is an EXPLAIN, or the
-  /// slow-query watch is armed for a read verb — and if so wraps
-  /// Execute() in a root span ("server.<VERB>") under the request's
-  /// TraceContext (minting a server-side trace id when the client sent
-  /// none), then records the assembled span tree into the engine's
-  /// SpanStore. EXPLAIN answers with the tree inline. Runs on a worker
-  /// thread, no server mutex held.
+  /// slow-request watch (--slow-ms) is armed for a write or read verb —
+  /// and if so wraps Execute() in a root span ("server.<VERB>") under
+  /// the request's TraceContext (minting a server-side trace id when the
+  /// client sent none), then records the assembled span tree into the
+  /// engine's SpanStore, counting a slow tree as a slow commit
+  /// (APPLY/COMMIT) or a slow query. EXPLAIN answers with the tree
+  /// inline. Runs on a worker thread, no server mutex held.
   Response ExecuteTraced(Conn* conn, const Request& req,
                          std::unique_ptr<service::Session>* session);
 
@@ -151,12 +142,13 @@ class Server {
   /// Wakes the event loop (one byte down the self-pipe).
   void WakeLoop();
 
-  /// Registers the server's scrape-time callbacks (connection/request
-  /// totals, pool counters, in-flight bytes) and the per-verb latency
-  /// histograms into the ENGINE's registry — one registry per engine is
-  /// the whole point, so `STATS`, `METRICS`, and `/metrics` all read the
-  /// same objects. Runs in Start(), before any worker exists; callbacks
-  /// re-registered by a later Server replace this one's.
+  /// Registers the server's counters (connection/request totals, protocol
+  /// violations), scrape-time callbacks (pool counters, in-flight bytes)
+  /// and the per-verb latency histograms into the ENGINE's registry —
+  /// one registry per engine is the whole point, so `STATS`, `METRICS`,
+  /// and `/metrics` all read the same objects. Runs in Start(), before
+  /// any worker exists; callbacks re-registered by a later Server
+  /// replace this one's, counters carry on.
   void RegisterMetrics();
 
   /// Renders the flat stats object from the engine registry. The field
@@ -178,10 +170,19 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
 
-  /// Per-verb request latency sinks, indexed by raw ReqType. Filled in
-  /// RegisterMetrics() before the workers start; read-only after.
+  /// Per-verb request latency sinks, indexed by raw ReqType, and the
+  /// server's registry counters. Filled in RegisterMetrics() before the
+  /// loop and workers start; read-only after.
   std::array<obs::Histogram*, static_cast<size_t>(ReqType::kExplain) + 1>
       verb_us_{};
+  obs::Counter* accepted_ = nullptr;      ///< connections accepted
+  obs::Counter* closed_ = nullptr;        ///< connections closed
+  obs::Counter* requests_ = nullptr;      ///< requests executed (all types)
+  obs::Counter* retries_ = nullptr;       ///< APPLY/COMMIT shed with RETRY
+  obs::Counter* bad_frames_ = nullptr;    ///< CRC/length/varint violations
+  obs::Counter* bad_requests_ = nullptr;  ///< well-framed, undecodable
+  obs::Counter* slow_commits_ = nullptr;  ///< slow APPLY/COMMIT trees
+  obs::Counter* slow_queries_ = nullptr;  ///< slow read trees
 
   mutable Mutex mu_;
   CondVar work_cv_;
@@ -189,7 +190,6 @@ class Server {
   std::deque<Conn*> work_ CPDB_GUARDED_BY(mu_);
   bool stop_workers_ CPDB_GUARDED_BY(mu_) = false;
   size_t inflight_bytes_ CPDB_GUARDED_BY(mu_) = 0;
-  Stats stats_ CPDB_GUARDED_BY(mu_);
 
   /// fd -> connection; owned and touched only by the event loop thread
   /// (workers reach connections exclusively through work_).

@@ -8,34 +8,9 @@ namespace cpdb::obs {
 
 namespace {
 
-void RingPush(std::vector<CommitSpan>* ring, size_t cap, size_t* next,
-              CommitSpan span) {
-  if (ring->size() < cap) {
-    ring->push_back(std::move(span));
-  } else {
-    (*ring)[*next] = std::move(span);
-  }
-  *next = (*next + 1) % cap;
-}
-
-/// Most-recent-first copy-out of a ring whose `next` is the oldest slot
-/// (once full) or the append position (while filling).
-std::vector<CommitSpan> RingRecent(const std::vector<CommitSpan>& ring,
-                                   size_t next, size_t max) {
-  std::vector<CommitSpan> out;
-  size_t n = ring.size() < max ? ring.size() : max;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Newest element sits just behind `next`, wrapping.
-    size_t idx = (next + ring.size() - 1 - i) % ring.size();
-    out.push_back(ring[idx]);
-  }
-  return out;
-}
-
-/// JSON string escape shared by span kinds/details and commit claims:
-/// the payloads are paths and verb names, so dropping the rare byte that
-/// would break the JSON string beats a full escaper.
+/// JSON string escape for span kinds and details: the payloads are paths
+/// and verb names, so dropping the rare byte that would break the JSON
+/// string beats a full escaper.
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
   for (char c : s) {
@@ -83,8 +58,7 @@ void SpanCollector::CloseWithCost(uint64_t id, uint64_t rows,
 }
 
 uint64_t SpanCollector::AppendTimed(const std::string& kind, uint64_t parent,
-                                    double start_us, double dur_us,
-                                    int64_t tid) {
+                                    double start_us, double dur_us) {
   if (!active()) return 0;
   if (spans_.size() >= kMaxSpans) {
     ++dropped_;
@@ -97,7 +71,6 @@ uint64_t SpanCollector::AppendTimed(const std::string& kind, uint64_t parent,
   s.kind = kind;
   s.start_us = start_us;
   s.dur_us = dur_us;
-  s.tid = tid;
   spans_.push_back(std::move(s));
   return spans_.back().span_id;
 }
@@ -120,20 +93,18 @@ void SpanStore::RingPushTrace(Ring* ring, size_t cap,
   ring->next = (ring->next + 1) % cap;
 }
 
-void SpanStore::Record(std::vector<Span> spans, bool sampled) {
-  if (spans.empty()) return;
-  bool dump = false;
-  std::vector<Span> slow_copy;
+bool SpanStore::Record(std::vector<Span> spans, bool sampled) {
+  if (spans.empty()) return false;
+  const double threshold = SlowThresholdUs();
+  const bool slow = threshold > 0 && spans.front().dur_us >= threshold;
+  if (!sampled && !slow) return false;
+  std::string line;
+  if (slow) line = "cpdb slow-request: " + TreeJson(spans) + "\n";
   {
     MutexLock l(mu_);
-    const bool slow = slow_threshold_us_ > 0 &&
-                      spans.front().dur_us >= slow_threshold_us_;
-    if (!sampled && !slow) return;
     if (slow) {
       ++slow_recorded_;
-      slow_copy = spans;
       RingPushTrace(&slow_, slow_cap_, spans);
-      dump = true;
     }
     if (sampled) {
       ++recorded_;
@@ -143,14 +114,10 @@ void SpanStore::Record(std::vector<Span> spans, bool sampled) {
       RingPushTrace(ring, cap_, std::move(spans));
     }
   }
-  if (dump) {
-    // Outside the lock, symmetric with the slow-commit dump: a server
-    // where every query is slow SHOULD be loud.
-    std::string line = "cpdb slow-query: ";
-    line += TreeJson(slow_copy);
-    line.push_back('\n');
-    std::fputs(line.c_str(), stderr);
-  }
+  // Rendered and written outside the lock, rate-unlimited: a server
+  // where every request is slow SHOULD be loud.
+  if (slow) std::fputs(line.c_str(), stderr);
+  return slow;
 }
 
 std::string SpanStore::SpanJson(const Span& span) {
@@ -227,7 +194,7 @@ std::string SpanStore::TracesJson(size_t max_per_kind) const {
   std::vector<std::vector<Span>> slow;
   {
     MutexLock l(mu_);
-    threshold = slow_threshold_us_;
+    threshold = SlowThresholdUs();
     total = recorded_;
     slow_total = slow_recorded_;
     for (const auto& [kind, ring] : recent_) {
@@ -264,101 +231,6 @@ std::string SpanStore::TracesJson(size_t max_per_kind) const {
   for (size_t i = 0; i < slow.size(); ++i) {
     if (i) out.push_back(',');
     out.append(TreeJson(slow[i]));
-  }
-  out.append("]}");
-  return out;
-}
-
-void TraceBuffer::Record(CommitSpan span) {
-  bool dump = false;
-  CommitSpan slow_copy;
-  {
-    MutexLock l(mu_);
-    ++recorded_;
-    bool slow = slow_threshold_us_ > 0 && span.total_us >= slow_threshold_us_;
-    if (slow) {
-      ++slow_recorded_;
-      slow_copy = span;
-      RingPush(&slow_, slow_cap_, &slow_next_, span);
-      dump = true;
-    }
-    RingPush(&ring_, cap_, &next_, std::move(span));
-  }
-  if (dump) {
-    std::string line = "cpdb slow-commit: ";
-    line += SpanJson(slow_copy);
-    line.push_back('\n');
-    std::fputs(line.c_str(), stderr);
-  }
-}
-
-std::vector<CommitSpan> TraceBuffer::Recent(size_t max) const {
-  MutexLock l(mu_);
-  return RingRecent(ring_, next_, max);
-}
-
-std::vector<CommitSpan> TraceBuffer::Slow(size_t max) const {
-  MutexLock l(mu_);
-  return RingRecent(slow_, slow_next_, max);
-}
-
-std::string TraceBuffer::SpanJson(const CommitSpan& span) {
-  std::string out = "{\"tid\":";
-  AppendJsonNumber(&out, static_cast<double>(span.tid));
-  out.append(",\"cohort\":");
-  AppendJsonNumber(&out, static_cast<double>(span.cohort));
-  out.append(",\"cohort_size\":");
-  AppendJsonNumber(&out, static_cast<double>(span.cohort_size));
-  out.append(",\"leader\":");
-  out.append(span.leader ? "true" : "false");
-  out.append(",\"parallel\":");
-  out.append(span.parallel ? "true" : "false");
-  out.append(",\"queue_us\":");
-  AppendJsonNumber(&out, span.queue_us);
-  out.append(",\"apply_us\":");
-  AppendJsonNumber(&out, span.apply_us);
-  out.append(",\"seal_us\":");
-  AppendJsonNumber(&out, span.seal_us);
-  out.append(",\"wake_us\":");
-  AppendJsonNumber(&out, span.wake_us);
-  out.append(",\"total_us\":");
-  AppendJsonNumber(&out, span.total_us);
-  out.append(",\"claims\":[");
-  for (size_t i = 0; i < span.claims.size(); ++i) {
-    if (i) out.push_back(',');
-    out.push_back('"');
-    // Claims are tree paths — no quotes/backslashes to escape, but stay
-    // defensive: drop any byte that would break the JSON string.
-    for (char c : span.claims[i]) {
-      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-        continue;
-      }
-      out.push_back(c);
-    }
-    out.push_back('"');
-  }
-  out.append("]}");
-  return out;
-}
-
-std::string TraceBuffer::SlowLogJson(size_t max) const {
-  double threshold;
-  uint64_t total;
-  std::vector<CommitSpan> spans;
-  {
-    MutexLock l(mu_);
-    threshold = slow_threshold_us_;
-    total = slow_recorded_;
-    spans = RingRecent(slow_, slow_next_, max);
-  }
-  std::string out = "{\"slow_threshold_us\":";
-  AppendJsonNumber(&out, threshold);
-  out.append(",\"slow_recorded\":");
-  AppendJsonNumber(&out, static_cast<double>(total));
-  out.append(",\"slow\":[");
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i) out.push_back(',');
-    out.append(SpanJson(spans[i]));
   }
   out.append("]}");
   return out;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -11,7 +12,7 @@
 namespace cpdb::obs {
 
 /// Wire-propagated trace identity: minted by a sampling client (or by the
-/// server for its own slow-query/EXPLAIN collection), carried as an
+/// server for its own slow-request/EXPLAIN collection), carried as an
 /// optional field of every net/protocol request, and stamped onto every
 /// span a request produces. trace_id 0 means "no context".
 struct TraceContext {
@@ -21,7 +22,7 @@ struct TraceContext {
   /// assembler can hang the server tree under the client span.
   uint64_t parent_span_id = 0;
   /// Sampled requests are stored in the trace store's recent rings;
-  /// unsampled ones are collected only for the slow-query log.
+  /// unsampled ones are collected only for the slow-request log.
   bool sampled = false;
 
   bool valid() const { return trace_id != 0; }
@@ -45,7 +46,7 @@ struct Span {
   uint64_t rows = 0;
   uint64_t round_trips = 0;
   double cost_us = 0;  ///< modelled interaction cost charged in the span
-  int64_t tid = -1;    ///< commit linkage (-1 for non-commit spans)
+  int64_t tid = -1;    ///< committed tid on commit.execute (-1 elsewhere)
 };
 
 /// Per-request scratch pad for the spans of ONE trace. Single-threaded by
@@ -86,10 +87,10 @@ class SpanCollector {
                      double cost_us);
 
   /// Appends an already-measured span (caller supplies start/duration —
-  /// e.g. the commit queue's stage timeline re-based into this trace).
-  /// Returns its id, or 0 when inactive or full.
+  /// e.g. the commit queue's stage stamps). Returns its id, or 0 when
+  /// inactive or full.
   uint64_t AppendTimed(const std::string& kind, uint64_t parent,
-                       double start_us, double dur_us, int64_t tid = -1);
+                       double start_us, double dur_us);
 
   Span* Find(uint64_t id);
 
@@ -109,33 +110,34 @@ class SpanCollector {
   std::vector<Span> spans_;
 };
 
-/// Engine-level store of assembled traces: per-root-kind recent rings for
-/// sampled requests plus one ring of slow offenders — TraceBuffer's
-/// commit flight recorder generalized to whole request trees. Backs the
-/// TRACES verb, the EXPLAIN verb's inline render, and the slow-query
-/// stderr log (--slow-query-ms), symmetric with the slow-commit log.
+/// Engine-level store of assembled traces — the ONE trace store: a slow
+/// commit and a slow query are both a span tree here. Per-root-kind
+/// recent rings hold sampled requests, one more ring holds slow
+/// offenders. Backs the TRACES verb, the EXPLAIN verb's inline render,
+/// and the slow-request stderr log (--slow-ms).
 class SpanStore {
  public:
   explicit SpanStore(size_t capacity = 64, size_t slow_capacity = 64)
       : cap_(capacity == 0 ? 1 : capacity),
         slow_cap_(slow_capacity == 0 ? 1 : slow_capacity) {}
 
-  /// <= 0 disables the slow-query log (the default).
-  void SetSlowThresholdUs(double us) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    slow_threshold_us_ = us;
+  /// <= 0 disables the slow-request log (the default).
+  void SetSlowThresholdUs(double us) {
+    slow_threshold_us_.store(us, std::memory_order_relaxed);
   }
-  double SlowThresholdUs() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_threshold_us_;
+  /// Lock-free: the server reads it on every request to decide whether
+  /// to collect at all.
+  double SlowThresholdUs() const {
+    return slow_threshold_us_.load(std::memory_order_relaxed);
   }
 
   /// Records one request's spans (spans[0] must be the root). Sampled
   /// traces land in the recent ring of the root's kind; a root past the
   /// slow threshold is also copied into the slow ring and dumped to
-  /// stderr as one "cpdb slow-query:" JSON line. Unsampled + fast
+  /// stderr as one "cpdb slow-request:" JSON line. Unsampled + fast
   /// records nothing (the caller should not even collect in that case).
-  void Record(std::vector<Span> spans, bool sampled) CPDB_EXCLUDES(mu_);
+  /// Returns true when the tree was captured as slow.
+  bool Record(std::vector<Span> spans, bool sampled) CPDB_EXCLUDES(mu_);
 
   /// Sampled traces stored so far (slow-only captures not included).
   uint64_t recorded() const CPDB_EXCLUDES(mu_) {
@@ -179,92 +181,7 @@ class SpanStore {
   Ring slow_ CPDB_GUARDED_BY(mu_);
   uint64_t recorded_ CPDB_GUARDED_BY(mu_) = 0;
   uint64_t slow_recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  double slow_threshold_us_ CPDB_GUARDED_BY(mu_) = 0;  ///< 0 = disabled
-};
-
-/// One committed transaction's timeline through the group-commit
-/// pipeline, stamped by the session that drove it. Durations are
-/// microseconds; stages are the commit queue's own phases:
-///
-///   queue_us  enqueue -> a leader picked the request up (cohort formed)
-///   apply_us  the cohort's in-order (or parallel) apply of closures
-///   seal_us   the single Database::Sync that made the cohort durable
-///   wake_us   seal -> this committer observed its done flag
-///   total_us  enqueue -> done, the latency the client paid
-struct CommitSpan {
-  int64_t tid = -1;
-  uint64_t cohort = 0;       ///< leader-assigned cohort sequence number
-  uint32_t cohort_size = 0;  ///< members sealed by the same fsync
-  bool parallel = false;     ///< apply ran on the disjoint-subtree pool
-  bool leader = false;       ///< this request led the cohort
-  double queue_us = 0;
-  double apply_us = 0;
-  double seal_us = 0;
-  double wake_us = 0;
-  double total_us = 0;
-  /// Staged write claims, pre-rendered ("/db/t/r" style) — the trace is
-  /// for a human reading SLOWLOG, not for re-running conflict checks.
-  std::vector<std::string> claims;
-};
-
-/// Ring buffer of recent commit timelines plus a second ring of the
-/// slowest offenders — the flight recorder behind the SLOWLOG verb.
-///
-/// Record() is called once per committed transaction by its session
-/// thread; a span past `slow_threshold_us` is copied into the slow ring
-/// and dumped to stderr (rate-unlimited: a server where every commit is
-/// slow SHOULD be loud). Lock-held work is O(span); the stderr write
-/// happens outside the lock.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(size_t capacity = 256, size_t slow_capacity = 64)
-      : cap_(capacity == 0 ? 1 : capacity),
-        slow_cap_(slow_capacity == 0 ? 1 : slow_capacity) {}
-
-  /// <= 0 disables the slow log entirely.
-  void SetSlowThresholdUs(double us) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    slow_threshold_us_ = us;
-  }
-  double SlowThresholdUs() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_threshold_us_;
-  }
-
-  void Record(CommitSpan span) CPDB_EXCLUDES(mu_);
-
-  /// Most-recent-first copies (SLOWLOG answers with these).
-  std::vector<CommitSpan> Recent(size_t max = 64) const CPDB_EXCLUDES(mu_);
-  std::vector<CommitSpan> Slow(size_t max = 64) const CPDB_EXCLUDES(mu_);
-
-  uint64_t recorded() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return recorded_;
-  }
-  uint64_t slow_recorded() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return slow_recorded_;
-  }
-
-  /// One span as a JSON object — shared by SLOWLOG and the stderr dump
-  /// so a slow line can be pasted into any JSON tooling.
-  static std::string SpanJson(const CommitSpan& span);
-
-  /// JSON array, most recent first: {"slow_threshold_us":...,
-  /// "recorded":N,"slow":[span,...]}.
-  std::string SlowLogJson(size_t max = 64) const CPDB_EXCLUDES(mu_);
-
- private:
-  const size_t cap_;
-  const size_t slow_cap_;
-  mutable Mutex mu_;
-  std::vector<CommitSpan> ring_ CPDB_GUARDED_BY(mu_);
-  std::vector<CommitSpan> slow_ CPDB_GUARDED_BY(mu_);
-  size_t next_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t slow_next_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t slow_recorded_ CPDB_GUARDED_BY(mu_) = 0;
-  double slow_threshold_us_ CPDB_GUARDED_BY(mu_) = 0;  ///< 0 = disabled
+  std::atomic<double> slow_threshold_us_{0};  ///< 0 = disabled
 };
 
 }  // namespace cpdb::obs

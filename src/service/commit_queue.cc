@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 namespace cpdb::service {
@@ -43,7 +44,7 @@ void CommitQueue::EnableParallelApply(size_t workers) {
 
 Status CommitQueue::Commit(std::function<Status()> apply,
                            std::vector<tree::Path> claims,
-                           Timeline* timeline) {
+                           obs::SpanCollector* trace, uint64_t parent) {
   Request req;
   req.apply = std::move(apply);
   req.claims = std::move(claims);
@@ -68,24 +69,30 @@ Status CommitQueue::Commit(std::function<Status()> apply,
   }
   // Post-done: the leader's stamps on `req` are ordered by the mu_
   // handshake. The member records its own stage durations — commits are
-  // the unit the percentiles answer for, see StageMetrics.
+  // the unit the percentiles answer for, see Metrics.
   const double done_us = obs::NowMicros();
-  Timeline t;
-  t.cohort = req.cohort_id;
-  t.cohort_size = req.cohort_size;
-  t.parallel = req.parallel;
-  t.leader = led;
-  t.queue_us = req.lead_us - req.enqueue_us;
-  t.apply_us = req.applied_us - req.lead_us;
-  t.seal_us = req.sealed_us - req.applied_us;
-  t.wake_us = done_us - req.sealed_us;
-  t.total_us = done_us - req.enqueue_us;
-  if (metrics_.queue_us) metrics_.queue_us->Record(t.queue_us);
-  if (metrics_.apply_us) metrics_.apply_us->Record(t.apply_us);
-  if (metrics_.seal_us) metrics_.seal_us->Record(t.seal_us);
-  if (metrics_.wake_us) metrics_.wake_us->Record(t.wake_us);
-  if (metrics_.total_us) metrics_.total_us->Record(t.total_us);
-  if (timeline != nullptr) *timeline = t;
+  const double stamps[] = {req.enqueue_us, req.lead_us, req.applied_us,
+                           req.sealed_us, done_us};
+  obs::Histogram* const sinks[] = {metrics_.queue_us, metrics_.apply_us,
+                                   metrics_.seal_us, metrics_.wake_us};
+  static const char* const kStages[] = {"commit.queue", "commit.apply",
+                                        "commit.seal", "commit.wake"};
+  const bool traced = trace != nullptr && trace->active();
+  for (size_t i = 0; i < 4; ++i) {
+    const double dur = stamps[i + 1] - stamps[i];
+    if (sinks[i]) sinks[i]->Record(dur);
+    if (traced) trace->AppendTimed(kStages[i], parent, stamps[i], dur);
+  }
+  if (metrics_.total_us) metrics_.total_us->Record(done_us - req.enqueue_us);
+  if (obs::Span* span = traced ? trace->Find(parent) : nullptr) {
+    span->detail = "cohort_size=" + std::to_string(req.cohort_size) +
+                   " leader=" + (led ? "1" : "0") +
+                   " parallel=" + (req.parallel ? "1" : "0") + " claims=";
+    for (size_t i = 0; i < req.claims.size(); ++i) {
+      if (i) span->detail.push_back(',');
+      span->detail += req.claims[i].ToString();
+    }
+  }
   return req.result;
 }
 
@@ -99,7 +106,6 @@ void CommitQueue::RunCohort() {
   std::vector<Request*> cohort(queue_.begin(), queue_.end());
   queue_.clear();
   TestHooks hooks = hooks_;  // per-cohort snapshot; hooks_ stays under mu_
-  const uint64_t cohort_id = ++cohort_seq_;
   mu_.Unlock();
 
   // One leader-side stamp per stage boundary, shared by every member:
@@ -132,18 +138,25 @@ void CommitQueue::RunCohort() {
     metrics_.cohort_size->Record(static_cast<double>(cohort.size()));
   }
 
+  // Counted before any member is marked done: a committer that returned
+  // (and a client that got OK) sees its own commit in the next scrape.
+  // Cohorts are serialized by the exclusive grant, so the max_cohort
+  // read-then-set cannot race another leader.
+  if (metrics_.commits) metrics_.commits->Inc(cohort.size());
+  if (metrics_.cohorts) metrics_.cohorts->Inc();
+  if (metrics_.combined) metrics_.combined->Inc(cohort.size() - 1);
+  if (metrics_.max_cohort &&
+      static_cast<int64_t>(cohort.size()) > metrics_.max_cohort->Value()) {
+    metrics_.max_cohort->Set(static_cast<int64_t>(cohort.size()));
+  }
+
   mu_.Lock();
-  stats_.commits += cohort.size();
-  stats_.cohorts += 1;
-  stats_.combined += cohort.size() - 1;
-  if (cohort.size() > stats_.max_cohort) stats_.max_cohort = cohort.size();
   for (Request* r : cohort) {
     if (!sealed.ok() && r->result.ok()) r->result = sealed;
     r->lead_us = lead_us;
     r->applied_us = applied_us;
     r->sealed_us = sealed_us;
-    r->cohort_id = cohort_id;
-    r->cohort_size = static_cast<uint32_t>(cohort.size());
+    r->cohort_size = cohort.size();
     r->done = true;
     r->cv.NotifyOne();
   }
@@ -158,8 +171,6 @@ void CommitQueue::RunCohort() {
 }
 
 void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
-  uint64_t parallel_cohorts = 0;
-  uint64_t parallel_applies = 0;
   size_t i = 0;
   while (i < cohort.size()) {
     // Grow a maximal run of consecutive members with declared writesets
@@ -191,8 +202,10 @@ void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
                                   cohort.begin() + static_cast<long>(end));
       for (Request* r : batch) r->parallel = true;
       RunParallelBatch(batch);
-      ++parallel_cohorts;
-      parallel_applies += batch.size();
+      if (metrics_.parallel_cohorts) metrics_.parallel_cohorts->Inc();
+      if (metrics_.parallel_applies) {
+        metrics_.parallel_applies->Inc(batch.size());
+      }
       if (metrics_.parallel_batch) {
         metrics_.parallel_batch->Record(static_cast<double>(batch.size()));
       }
@@ -202,11 +215,6 @@ void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
       }
     }
     i = end;
-  }
-  if (parallel_cohorts > 0) {
-    MutexLock l(mu_);
-    stats_.parallel_cohorts += parallel_cohorts;
-    stats_.parallel_applies += parallel_applies;
   }
 }
 
@@ -251,11 +259,6 @@ void CommitQueue::WorkerLoop() {
 size_t CommitQueue::Pending() const {
   MutexLock l(mu_);
   return queue_.size();
-}
-
-CommitQueue::Stats CommitQueue::stats() const {
-  MutexLock l(mu_);
-  return stats_;
 }
 
 }  // namespace cpdb::service

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/latch.h"
 #include "tree/path.h"
 #include "util/mutex.h"
@@ -68,27 +69,6 @@ class CommitQueue {
   CommitQueue(const CommitQueue&) = delete;
   CommitQueue& operator=(const CommitQueue&) = delete;
 
-  /// One committed transaction's walk through the pipeline, reported back
-  /// to its committer. Stage boundaries are the leader's own timestamps:
-  ///
-  ///   queue_us  enqueue -> this cohort's leader drained the queue
-  ///   apply_us  the cohort's apply phase (shared by every member — the
-  ///             member blocks for the whole phase either way)
-  ///   seal_us   the cohort's single durability barrier
-  ///   wake_us   seal -> this member observed completion
-  ///   total_us  enqueue -> done (what the committer's caller paid)
-  struct Timeline {
-    uint64_t cohort = 0;       ///< cohort sequence number (1-based)
-    uint32_t cohort_size = 0;  ///< members sealed by the same barrier
-    bool parallel = false;     ///< this member applied on the worker pool
-    bool leader = false;       ///< this member led its cohort
-    double queue_us = 0;
-    double apply_us = 0;
-    double seal_us = 0;
-    double wake_us = 0;
-    double total_us = 0;
-  };
-
   /// Commits one transaction: enqueues `apply`, combines with whatever
   /// else is committing, and returns once this transaction is applied and
   /// sealed (or failed). `apply` runs under the exclusive latch, possibly
@@ -96,12 +76,21 @@ class CommitQueue {
   /// transaction's writeset — the target-relative subtree roots its apply
   /// writes — or empty when unknown (always safe: empty claims pin the
   /// member to in-order apply). The caller must hold neither the latch
-  /// nor a read grant (see SharedLatch's reentrancy rule). `timeline`,
-  /// when non-null, receives this transaction's stage breakdown (sessions
-  /// forward it into the engine's trace buffer).
+  /// nor a read grant (see SharedLatch's reentrancy rule).
+  ///
+  /// When `trace` is active, the transaction's walk through the pipeline
+  /// is appended under `parent` as four abutting spans cut at the
+  /// leader's own stamps — commit.queue (enqueue -> the leader drained
+  /// the queue), commit.apply (the cohort's apply phase), commit.seal
+  /// (its one durability barrier), commit.wake (seal -> this member saw
+  /// done) — and `parent`'s detail is set to the cohort size, this
+  /// member's leader/parallel flags, and its claims. Both happen on the
+  /// calling thread after its wait, so the collector stays
+  /// single-threaded.
   Status Commit(std::function<Status()> apply,
                 std::vector<tree::Path> claims = {},
-                Timeline* timeline = nullptr) CPDB_EXCLUDES(mu_, *latch_);
+                obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
+      CPDB_EXCLUDES(mu_, *latch_);
 
   /// Spins up `workers` pool threads for disjoint-subtree parallel apply.
   /// Call once, before committers start; 0 keeps the serial path. The
@@ -129,15 +118,18 @@ class CommitQueue {
     sync_probe_ = std::move(probe);
   }
 
-  /// Stage-latency sinks, commit-weighted: each committed transaction
-  /// records its own queue/apply/seal/wake/total durations, so a
-  /// 16-member cohort counts 16 observations of the one seal it shared —
-  /// percentiles then answer "what did a COMMIT experience", matching the
-  /// benches' client-side latency. `cohort_size` and `parallel_batch` are
-  /// cohort-weighted (one observation per cohort / per parallel run).
-  /// Any pointer may be null. Set before committers start, like the
-  /// publish/seal hooks: the fields are written once single-threaded.
-  struct StageMetrics {
+  /// The queue's registry sinks. Stage latencies are commit-weighted:
+  /// each committed transaction records its own queue/apply/seal/wake/
+  /// total durations, so a 16-member cohort counts 16 observations of the
+  /// one seal it shared — percentiles then answer "what did a COMMIT
+  /// experience", matching the benches' client-side latency.
+  /// `cohort_size` and `parallel_batch` are cohort-weighted (one
+  /// observation per cohort / per parallel run). The leader bumps the
+  /// counters before it marks the cohort done, so a committer that
+  /// returned sees its own commit counted. Any pointer may be null. Set
+  /// before committers start, like the publish/seal hooks: the fields
+  /// are written once single-threaded.
+  struct Metrics {
     obs::Histogram* queue_us = nullptr;
     obs::Histogram* apply_us = nullptr;
     obs::Histogram* seal_us = nullptr;
@@ -145,21 +137,17 @@ class CommitQueue {
     obs::Histogram* total_us = nullptr;
     obs::Histogram* cohort_size = nullptr;
     obs::Histogram* parallel_batch = nullptr;  ///< members per parallel run
+    obs::Counter* commits = nullptr;   ///< transactions committed
+    obs::Counter* cohorts = nullptr;   ///< exclusive grants (= seal calls)
+    obs::Counter* combined = nullptr;  ///< commits that rode another's seal
+    obs::Gauge* max_cohort = nullptr;
+    obs::Counter* parallel_cohorts = nullptr;  ///< disjoint batches
+    obs::Counter* parallel_applies = nullptr;  ///< commits on the pool
   };
-  void set_metrics(const StageMetrics& m) { metrics_ = m; }
+  void set_metrics(const Metrics& m) { metrics_ = m; }
 
   /// Committers currently enqueued and not yet applied.
   size_t Pending() const CPDB_EXCLUDES(mu_);
-
-  struct Stats {
-    uint64_t commits = 0;   ///< transactions committed
-    uint64_t cohorts = 0;   ///< exclusive grants (= seal calls)
-    uint64_t combined = 0;  ///< commits that rode another leader's seal
-    uint64_t max_cohort = 0;
-    uint64_t parallel_cohorts = 0;  ///< disjoint batches applied in parallel
-    uint64_t parallel_applies = 0;  ///< commits applied on the pool
-  };
-  Stats stats() const CPDB_EXCLUDES(mu_);
 
   /// Test-only crash injection around the seal (service_test's
   /// crash-during-group-commit coverage). Called on the leader thread,
@@ -182,15 +170,14 @@ class CommitQueue {
     bool done = false;    ///< guarded by mu_ (cross-thread handshake)
     bool leader = false;  ///< promoted: wake up and run the next cohort
     CondVar cv;           ///< this member's targeted wakeup (no herd)
-    // Trace plumbing. `enqueue_us` is the committer's own stamp; the rest
-    // are written by the leader before the done handshake (the mu_
+    // Stage stamps. `enqueue_us` is the committer's own; the rest are
+    // written by the leader before the done handshake (the mu_
     // release/acquire pair orders them for the member's post-wait reads).
     double enqueue_us = 0;
     double lead_us = 0;     ///< leader drained the queue (cohort formed)
     double applied_us = 0;  ///< cohort apply phase finished
     double sealed_us = 0;   ///< cohort seal returned
-    uint64_t cohort_id = 0;
-    uint32_t cohort_size = 0;
+    size_t cohort_size = 0;
     bool parallel = false;  ///< this member rode the worker pool
   };
 
@@ -217,14 +204,12 @@ class CommitQueue {
   std::function<void()> publish_;
   std::function<bool(const std::vector<tree::Path>&)> prepare_parallel_;
   std::function<uint64_t()> sync_probe_;
-  StageMetrics metrics_;  ///< set once before committers start
+  Metrics metrics_;  ///< set once before committers start
 
   mutable Mutex mu_;
   std::deque<Request*> queue_ CPDB_GUARDED_BY(mu_);
   TestHooks hooks_ CPDB_GUARDED_BY(mu_);
   bool leader_active_ CPDB_GUARDED_BY(mu_) = false;
-  Stats stats_ CPDB_GUARDED_BY(mu_);
-  uint64_t cohort_seq_ CPDB_GUARDED_BY(mu_) = 0;
 
   // ----- Apply pool (disjoint-subtree parallel apply) ----------------------
   Mutex pool_mu_;

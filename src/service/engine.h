@@ -111,12 +111,13 @@ class Engine {
   /// transaction; the cohort seals with one SyncShared(). `claims` — the
   /// transaction's target-relative writeset — lets the leader batch it
   /// with disjoint cohort-mates on the apply pool; empty claims always
-  /// fall back to in-order apply.
+  /// fall back to in-order apply. An active `trace` receives the
+  /// commit's stage spans under `parent` (see CommitQueue::Commit).
   Status Commit(std::function<Status()> apply,
                 std::vector<tree::Path> claims = {},
-                CommitQueue::Timeline* timeline = nullptr)
+                obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
       CPDB_EXCLUDES(latch_) {
-    return queue_.Commit(std::move(apply), std::move(claims), timeline);
+    return queue_.Commit(std::move(apply), std::move(claims), trace, parent);
   }
 
   /// Spins up the disjoint-subtree apply pool (see CommitQueue). Call
@@ -166,36 +167,24 @@ class Engine {
   /// folded in explicitly). Thread-safe.
   relstore::CostAggregate& cost_totals() { return cost_totals_; }
 
-  /// Snapshot/version counters for STATS and the benches.
-  SnapshotManager::Stats snapshot_stats() const { return snapshots_.stats(); }
-
-  /// The engine's metrics registry — every commit-pipeline series
-  /// (WAL/fsync latency, queue stage timings, latch waits, snapshot and
-  /// cohort distributions) is registered here at construction, and the
-  /// server/pool/tools layers add theirs on top. One registry renders
-  /// both export surfaces: Prometheus (`METRICS`, `/metrics`) and the
-  /// flat STATS/bench JSON.
+  /// The engine's metrics registry — the storage of every counter the
+  /// service keeps (commits, cohorts, versions, rebuilds, ...) and of
+  /// every commit-pipeline series (WAL/fsync latency, queue stage
+  /// timings, latch waits, snapshot and cohort distributions). All are
+  /// registered here at construction, and the server/pool/tools layers
+  /// add theirs on top. Readers look a counter up by name:
+  /// `metrics().GetCounter("cpdb_commits_total", "")->Value()`. One
+  /// registry renders both export surfaces: Prometheus (`METRICS`,
+  /// `/metrics`) and the flat STATS/bench JSON.
   obs::Registry& metrics() { return metrics_; }
 
-  /// Flight recorder of recent commit timelines (SLOWLOG's backing ring).
-  obs::TraceBuffer& trace() { return trace_; }
-
-  /// Commits slower than `us` end-to-end are copied into the slow ring
-  /// and dumped to stderr; <= 0 disables (the default).
-  void SetSlowCommitThresholdUs(double us) { trace_.SetSlowThresholdUs(us); }
-
-  /// Store of assembled request trace trees — the read-side counterpart
-  /// of trace(): the network server records every sampled request's span
-  /// tree here, and the TRACES verb renders it back.
+  /// The one store of assembled trace trees: the network server records
+  /// every sampled or slow request's span tree here — a slow COMMIT and
+  /// a slow GETMOD alike — and the TRACES verb renders it back. Its
+  /// SetSlowThresholdUs arms the slow-request watch (--slow-ms).
   obs::SpanStore& spans() { return spans_; }
 
-  /// Read requests whose root span exceeds `us` are copied into the
-  /// trace store's slow ring and dumped to stderr as one JSON line
-  /// (--slow-query-ms, symmetric with the slow-commit log); <= 0
-  /// disables (the default).
-  void SetSlowQueryThresholdUs(double us) { spans_.SetSlowThresholdUs(us); }
-
-  /// Mints a trace id for server-initiated collection (slow-query
+  /// Mints a trace id for server-initiated collection (slow-request
   /// watch, EXPLAIN). The high bit marks it server-minted so it can
   /// never collide with a client's id space. Thread-safe.
   uint64_t MintTraceId() {
@@ -227,7 +216,6 @@ class Engine {
   /// Declared (so destroyed) outside the machinery that records into
   /// them: the queue's worker threads must die before their sinks.
   obs::Registry metrics_;
-  obs::TraceBuffer trace_;
   obs::SpanStore spans_;
   std::atomic<uint64_t> trace_id_seq_{1};
   int64_t base_tid_;  ///< initialized before next_tid_ (declaration order)

@@ -37,58 +37,18 @@ Status Session::Commit() {
 
 Status Session::CommitTraced(std::function<Status()> apply,
                              std::vector<tree::Path> claims) {
-  // Render the claim set for the trace before the queue consumes it —
-  // SLOWLOG shows a human the writeset, so strings beat live Paths.
-  std::vector<std::string> claim_strs;
-  claim_strs.reserve(claims.size());
-  for (const tree::Path& p : claims) claim_strs.push_back(p.ToString());
-
-  CommitQueue::Timeline tl;
-  Status st = engine_->Commit(std::move(apply), std::move(claims), &tl);
-  if (!st.ok()) return st;
-  AdvanceReadWatermark();
-
-  obs::CommitSpan span;
-  span.tid = LastCommittedTid();
-  span.cohort = tl.cohort;
-  span.cohort_size = tl.cohort_size;
-  span.parallel = tl.parallel;
-  span.leader = tl.leader;
-  span.queue_us = tl.queue_us;
-  span.apply_us = tl.apply_us;
-  span.seal_us = tl.seal_us;
-  span.wake_us = tl.wake_us;
-  span.total_us = tl.total_us;
-  span.claims = std::move(claim_strs);
-
-  if (trace_sink_ != nullptr && trace_sink_->active()) {
-    // Link the commit into the request's trace: one child span per queue
-    // stage, start times synthesized backwards from the stage durations
-    // (the Timeline records durations, not wall-clock stamps). Anchor on
-    // the parent span's start when it is in this collector, else on now
-    // minus the total.
-    double base;
-    if (const obs::Span* parent = trace_sink_->Find(trace_parent_)) {
-      base = parent->start_us;
-    } else {
-      base = obs::NowMicros() - tl.total_us;
-    }
-    const int64_t tid = span.tid;
-    double at = base;
-    const struct {
-      const char* kind;
-      double dur;
-    } stages[] = {{"commit.queue", tl.queue_us},
-                  {"commit.apply", tl.apply_us},
-                  {"commit.seal", tl.seal_us},
-                  {"commit.wake", tl.wake_us}};
-    for (const auto& stage : stages) {
-      trace_sink_->AppendTimed(stage.kind, trace_parent_, at, stage.dur, tid);
-      at += stage.dur;
-    }
+  // Untraced commits (the common case) open no span and render nothing.
+  obs::SpanCollector* trace = trace_sink_;
+  const uint64_t span =
+      trace != nullptr ? trace->Open("commit.execute", trace_parent_) : 0;
+  Status st = engine_->Commit(std::move(apply), std::move(claims), trace, span);
+  if (st.ok()) AdvanceReadWatermark();
+  if (obs::Span* s = trace != nullptr ? trace->Find(span) : nullptr) {
+    // The queue filled in the stage children and the cohort detail; the
+    // tid is the session's to know (minted inside the apply closure).
+    if (st.ok()) s->tid = LastCommittedTid();
+    trace->Close(span);
   }
-
-  engine_->trace().Record(std::move(span));
   return st;
 }
 

@@ -105,11 +105,13 @@ class Session {
   Engine* engine() { return engine_; }
 
   /// Attaches a per-request span collector for the duration of one traced
-  /// commit: CommitTraced appends the transaction's queue/apply/seal/wake
-  /// stages as child spans under `parent_span`, so a committed write's
-  /// trace shows its path through the group-commit queue. Pass nullptr to
-  /// detach. Single-threaded, like the CostModel: set by the one thread
-  /// driving the session, before the commit call, cleared after.
+  /// request: every commit unit it runs (COMMIT for T/HT, APPLY for N/H)
+  /// opens a "commit.execute" span under `parent_span` carrying the
+  /// committed tid, with the queue/apply/seal/wake stages as children, so
+  /// a committed write's trace shows its path through the group-commit
+  /// queue. Pass nullptr to detach. Single-threaded, like the CostModel:
+  /// set by the one thread driving the session, before the call, cleared
+  /// after.
   void set_trace(obs::SpanCollector* sink, uint64_t parent_span) {
     trace_sink_ = sink;
     trace_parent_ = parent_span;
@@ -124,10 +126,9 @@ class Session {
   void AdvanceReadWatermark();
 
   /// The shared tail of every commit unit: ships `apply` through the
-  /// engine's group-commit queue, advances the read watermark, and
-  /// records the transaction's stage timeline (tid, cohort, claims) into
-  /// the engine's trace buffer — where SLOWLOG and the slow-commit log
-  /// read it back.
+  /// engine's group-commit queue and advances the read watermark. With a
+  /// collector attached (set_trace), the unit is also one commit.execute
+  /// span tree.
   Status CommitTraced(std::function<Status()> apply,
                       std::vector<tree::Path> claims);
 
@@ -157,7 +158,7 @@ class Session {
 /// the newest version too; only when the version chain cannot serve —
 /// bootstrap, or a target without cheap snapshots — does it materialize
 /// the target with a full scan, and that scan is counted
-/// (SnapshotManager::Stats::snapshot_rebuilds). A warm pool under write
+/// (cpdb_snapshot_rebuilds_total). A warm pool under write
 /// traffic therefore copies nothing and scans nothing. Release() folds
 /// the session's CostModel into the engine's totals and pools the session
 /// for reuse. Thread-safe; building is serialized on the pool's mutex.

@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 
+#include "obs/metrics.h"
 #include "tree/tree.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -26,12 +27,11 @@ namespace cpdb::service {
 /// versions share structure, dropping a version frees exactly the nodes
 /// that were copy-on-write-superseded since — the per-version delta.
 ///
-/// Counters feed Engine stats, the server STATS verb, and the benches:
-///   versions_live     versions currently in the chain
-///   versions_gced     versions dropped so far
-///   snapshot_rebuilds full materializations (TargetDb::TreeFromDb scans)
-///                     — the O(database) path this chain exists to avoid;
-///                     a warm pool under write traffic must not add any.
+/// The chain's registry sinks (see Metrics) feed STATS, METRICS, and the
+/// benches; the one to watch is snapshot_rebuilds — full
+/// materializations (TargetDb::TreeFromDb scans), the O(database) path
+/// this chain exists to avoid. A warm pool under write traffic must not
+/// add any.
 class SnapshotManager {
  public:
   /// A pinned version: `root` is valid until Unpin(seq). seq == 0 means
@@ -42,15 +42,17 @@ class SnapshotManager {
     std::shared_ptr<const tree::Tree> root;
   };
 
-  struct Stats {
-    uint64_t versions_published = 0;
-    uint64_t versions_gced = 0;
-    uint64_t snapshot_rebuilds = 0;
-    uint64_t snapshot_rebuild_rows = 0;
-    uint64_t snapshot_refreshes = 0;  ///< O(1) session re-pins
-    size_t versions_live = 0;
-    int64_t latest_tid = -1;
+  /// Registry sinks; any pointer may be null. Set once, before the
+  /// chain is shared (Engine::WireMetrics).
+  struct Metrics {
+    obs::Gauge* versions_live = nullptr;  ///< versions in the chain
+    obs::Counter* versions_published = nullptr;
+    obs::Counter* versions_gced = nullptr;
+    obs::Counter* snapshot_rebuilds = nullptr;
+    obs::Counter* snapshot_rebuild_rows = nullptr;
+    obs::Counter* snapshot_refreshes = nullptr;  ///< O(1) session re-pins
   };
+  void set_metrics(const Metrics& m) { metrics_ = m; }
 
   /// Publishes the committed state at `watermark_tid`. Called by the
   /// commit queue's leader with the exclusive latch held (state is
@@ -64,7 +66,7 @@ class SnapshotManager {
     v.seq = ++last_seq_;
     v.root = std::make_shared<const tree::Tree>(std::move(root));
     chain_.push_back(std::move(v));
-    ++published_;
+    if (metrics_.versions_published) metrics_.versions_published->Inc();
     latest_tid_.store(watermark_tid, std::memory_order_release);
     CollectLocked();
   }
@@ -100,29 +102,16 @@ class SnapshotManager {
 
   /// Accounting for the slow path: a full TreeFromDb materialization of
   /// `rows` nodes (chain bootstrap, or a target without cheap snapshots).
-  void NoteRebuild(size_t rows) CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    ++rebuilds_;
-    rebuild_rows_ += rows;
+  void NoteRebuild(size_t rows) {
+    if (metrics_.snapshot_rebuilds) metrics_.snapshot_rebuilds->Inc();
+    if (metrics_.snapshot_rebuild_rows) {
+      metrics_.snapshot_rebuild_rows->Inc(rows);
+    }
   }
 
   /// Accounting for the fast path: an O(1) re-pin of a pooled session.
-  void NoteRefresh() CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    ++refreshes_;
-  }
-
-  Stats stats() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    Stats s;
-    s.versions_published = published_;
-    s.versions_gced = gced_;
-    s.snapshot_rebuilds = rebuilds_;
-    s.snapshot_rebuild_rows = rebuild_rows_;
-    s.snapshot_refreshes = refreshes_;
-    s.versions_live = chain_.size();
-    s.latest_tid = latest_tid_.load(std::memory_order_relaxed);
-    return s;
+  void NoteRefresh() {
+    if (metrics_.snapshot_refreshes) metrics_.snapshot_refreshes->Inc();
   }
 
  private:
@@ -135,22 +124,22 @@ class SnapshotManager {
 
   /// Drops unpinned versions older than the oldest pin. The newest
   /// version is never dropped: it is the current committed state and the
-  /// next session acquire pins it.
+  /// next session acquire pins it. Every chain change ends here, so this
+  /// is where the live-versions gauge follows the chain.
   void CollectLocked() CPDB_REQUIRES(mu_) {
     while (chain_.size() > 1 && chain_.front().pins == 0) {
       chain_.pop_front();
-      ++gced_;
+      if (metrics_.versions_gced) metrics_.versions_gced->Inc();
+    }
+    if (metrics_.versions_live) {
+      metrics_.versions_live->Set(static_cast<int64_t>(chain_.size()));
     }
   }
 
-  mutable Mutex mu_;
+  Metrics metrics_;  ///< set once before the chain is shared
+  Mutex mu_;
   std::deque<Version> chain_ CPDB_GUARDED_BY(mu_);
   uint64_t last_seq_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t published_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t gced_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t rebuilds_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t rebuild_rows_ CPDB_GUARDED_BY(mu_) = 0;
-  uint64_t refreshes_ CPDB_GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> latest_tid_{-1};
 };
 

@@ -188,6 +188,33 @@ TEST(ProtocolTest, DecodersAreStrict) {
   EXPECT_FALSE(net::DecodeResponse("\x09").ok());  // out-of-range code
 }
 
+TEST(ProtocolTest, RetiredTagIsRejectedLikeAnUnknownOne) {
+  // Tag 12 named a verb whose records now live in TRACES. It decodes to
+  // the same typed error as an out-of-range tag, bare or with a trace
+  // context, so it can never reach the server's verb dispatch.
+  EXPECT_FALSE(net::IsReqType(net::kRetiredTag));
+  auto unknown = net::DecodeRequest("\x7f");
+  ASSERT_FALSE(unknown.ok());
+  std::string bare(1, static_cast<char>(net::kRetiredTag));
+  std::string traced;
+  PutVarint64(&traced, net::kRetiredTag | 0x80);
+  traced += std::string("\x05\x00\x01", 3);  // trace 5, parent 0, sampled
+  for (const std::string& wire : {bare, traced}) {
+    auto retired = net::DecodeRequest(wire);
+    ASSERT_FALSE(retired.ok());
+    EXPECT_EQ(retired.status().code(), unknown.status().code());
+    EXPECT_NE(retired.status().ToString().find("unknown type 12"),
+              std::string::npos)
+        << retired.status().ToString();
+  }
+  // Its neighbours are live verbs.
+  for (Request req : {Request::Metrics(), Request::Traces()}) {
+    std::string wire;
+    net::EncodeRequest(req, &wire);
+    EXPECT_TRUE(net::DecodeRequest(wire).ok()) << net::ReqTypeName(req.type);
+  }
+}
+
 TEST(ProtocolTest, TraceContextRoundTrip) {
   // The 0x80 tag bit carries an optional trace context on ANY verb.
   for (Request req :
@@ -328,6 +355,11 @@ struct NetRig {
   std::unique_ptr<Server> server;
 };
 
+/// A server or engine counter, read from the registry that stores it.
+uint64_t Count(const NetRig& rig, const char* name) {
+  return rig.engine->metrics().GetCounter(name, "")->Value();
+}
+
 /// Raw TCP connect for the fault-injection tests (all actual byte
 /// movement still goes through net/frame.h helpers).
 int RawConnect(int port) {
@@ -454,7 +486,7 @@ void ExpectErrorThenClose(NetRig* rig, const std::string& bytes) {
 TEST(NetRobustnessTest, GarbageBytesGetTypedErrorAndClose) {
   NetRig rig;
   ExpectErrorThenClose(&rig, std::string(64, '\xff'));
-  EXPECT_GE(rig.server->stats().bad_frames, 1u);
+  EXPECT_GE(Count(rig, "cpdb_bad_frames_total"), 1u);
 }
 
 TEST(NetRobustnessTest, OversizedFrameGetsTypedErrorAndClose) {
@@ -478,7 +510,10 @@ TEST(NetRobustnessTest, UndecodableRequestGetsErrorAndClose) {
   // Perfectly framed, meaningless payload: decoder (not framing) rejects.
   NetRig rig;
   ExpectErrorThenClose(&rig, Framed("\x7f not a request"));
-  EXPECT_GE(rig.server->stats().bad_requests, 1u);
+  EXPECT_GE(Count(rig, "cpdb_bad_requests_total"), 1u);
+  // The retired tag 12 is just as undecodable over the wire.
+  ExpectErrorThenClose(&rig, Framed(std::string(1, '\x0c')));
+  EXPECT_GE(Count(rig, "cpdb_bad_requests_total"), 2u);
 }
 
 TEST(NetRobustnessTest, ViolationMidPipelineNeverPartiallyApplies) {
@@ -612,7 +647,7 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
     }
   }
   rig.engine->commit_queue().set_test_hooks({});
-  EXPECT_GE(rig.server->stats().retries, 3u);
+  EXPECT_GE(Count(rig, "cpdb_retries_total"), 3u);
 
   // The shed transaction left no trace; the next one on C commits fine.
   ASSERT_TRUE(c.Apply(Update::Insert(table, "c2")).ok());
@@ -732,6 +767,8 @@ TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {
             std::string::npos)
       << m;
   EXPECT_NE(m.find("cpdb_requests_total"), std::string::npos);
+  // Every per-verb series names a live verb: the retired tag has none.
+  EXPECT_EQ(m.find("verb=\"?\""), std::string::npos) << m;
   // In-memory rig: the durability series must be ABSENT, not zero.
   EXPECT_EQ(m.find("cpdb_fsyncs_total"), std::string::npos);
   EXPECT_NE(m.find("cpdb_durable 0\n"), std::string::npos);
@@ -768,36 +805,76 @@ TEST(NetObservabilityTest, DurableServerExposesWalSeries) {
   EXPECT_NE(stats->find("\"wal_fsync_us_count\":"), std::string::npos);
 }
 
-TEST(NetObservabilityTest, SlowCommitLandsInSlowLog) {
-  NetRig rig;
-  rig.engine->SetSlowCommitThresholdUs(1000);  // 1ms
-  service::CommitQueue::TestHooks hooks;
-  hooks.before_seal = [](size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+/// The keys of a flat STATS object, in render order (every STATS value
+/// is a number, so every quoted token is a key).
+std::vector<std::string> StatsKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  for (size_t at = json.find('"'); at != std::string::npos;
+       at = json.find('"', at)) {
+    size_t end = json.find('"', at + 1);
+    keys.push_back(json.substr(at + 1, end - at - 1));
+    at = end + 1;
+  }
+  return keys;
+}
+
+/// The OPERATOR_GUIDE STATS contract: every key, in order. Histogram `k`
+/// renders as k_count, k_p50_us, k_p99_us, k_p999_us, k_mean_us.
+std::vector<std::string> StatsContract(bool durable) {
+  std::vector<std::string> keys;
+  auto hist = [&keys](const std::string& k) {
+    for (const char* suffix :
+         {"_count", "_p50_us", "_p99_us", "_p999_us", "_mean_us"}) {
+      keys.push_back(k + suffix);
+    }
   };
-  rig.engine->commit_queue().set_test_hooks(hooks);
+  for (const char* h :
+       {"latch_excl_wait_us", "latch_shared_wait_us", "commit_queue_us",
+        "commit_apply_us", "commit_seal_us", "commit_wake_us",
+        "commit_total_us", "cohort_size", "parallel_batch_size"}) {
+    hist(h);
+  }
+  if (durable) {
+    hist("wal_fsync_us");
+    hist("wal_append_us");
+  }
+  keys.insert(keys.end(),
+              {"queue_depth", "commits", "cohorts", "combined", "max_cohort",
+               "parallel_cohorts", "parallel_applies", "last_tid",
+               "committed_tid", "epoch", "versions_live",
+               "versions_published", "versions_gced", "snapshot_rebuilds",
+               "snapshot_rebuild_rows", "snapshot_refreshes", "slow_commits",
+               "traces_recorded", "slow_queries", "durable"});
+  if (durable) {
+    keys.insert(keys.end(), {"fsyncs", "log_bytes", "replayed_commits"});
+  }
+  keys.insert(keys.end(),
+              {"draining", "accepted", "closed", "requests", "retries",
+               "bad_frames", "bad_requests", "inflight_bytes",
+               "sessions_built", "sessions_reused", "sessions_refreshed"});
+  for (const char* verb :
+       {"apply", "commit", "abort", "getmod", "traceback", "get"}) {
+    hist(std::string("req_") + verb + "_us");
+  }
+  return keys;
+}
 
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
-  ASSERT_TRUE(
-      client.Apply(Update::Insert(Path::MustParse("T/data"), "slow")).ok());
-  ASSERT_TRUE(client.Commit().ok());
-
-  auto slowlog = client.SlowLog();
-  ASSERT_TRUE(slowlog.ok()) << slowlog.status().ToString();
-  EXPECT_NE(slowlog->find("\"slow_recorded\":1"), std::string::npos)
-      << *slowlog;
-  EXPECT_NE(slowlog->find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(slowlog->find("\"seal_us\":"), std::string::npos);
-  // Claims are target-relative (the conflict-check granularity): the
-  // write under T/data claims the "data" subtree.
-  EXPECT_NE(slowlog->find("\"claims\":[\"data\"]"), std::string::npos)
-      << *slowlog;
-  // The slow-commit counter rides the metrics surface too.
-  auto metrics = client.Metrics();
-  ASSERT_TRUE(metrics.ok());
-  EXPECT_NE(metrics->find("cpdb_slow_commits_total 1\n"), std::string::npos)
-      << *metrics;
+TEST(NetObservabilityTest, StatsKeysAreTheOperatorGuideContract) {
+  for (bool durable : {true, false}) {
+    SCOPED_TRACE(durable ? "durable" : "in-memory");
+    TempDir dir("net_stats_contract");
+    NetRig rig(durable ? dir.path() : "");
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+    ASSERT_TRUE(
+        client.Apply(Update::Insert(Path::MustParse("T/data"), "g1")).ok());
+    ASSERT_TRUE(client.Commit().ok());
+    auto stats = client.Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    // Exact list, so the durable keys are also pinned ABSENT in memory.
+    EXPECT_EQ(StatsKeys(*stats), StatsContract(durable)) << *stats;
+    EXPECT_NE(stats->find("\"commits\":1,"), std::string::npos) << *stats;
+  }
 }
 
 TEST(NetObservabilityTest, HttpMetricsEndpointAnswersScrapers) {
@@ -845,16 +922,145 @@ TEST(NetObservabilityTest, HttpMetricsEndpointAnswersScrapers) {
 
 // ----- End-to-end request tracing --------------------------------------------
 
-/// Extracts the integer value of `field` (e.g. "\"rows\":") from the
-/// first span object of `kind` inside a TRACES/EXPLAIN JSON dump.
-/// Returns -1 when the kind or field is missing.
-int64_t SpanField(const std::string& json, const std::string& kind,
-                  const std::string& field) {
+/// The span's own fields (its children excluded) of the first span of
+/// `kind` inside a TRACES/EXPLAIN JSON dump; "" when there is none.
+std::string SpanText(const std::string& json, const std::string& kind) {
   size_t at = json.find("\"kind\":\"" + kind + "\"");
+  if (at == std::string::npos) return "";
+  size_t begin = json.rfind("{\"span_id\":", at);
+  return json.substr(begin, json.find(",\"children\":", at) - begin);
+}
+
+/// Extracts the numeric value of `field` (e.g. "\"rows\":",
+/// "\"start_us\":") from the first span object of `kind`. Returns -1
+/// when the kind or field is missing.
+double SpanField(const std::string& json, const std::string& kind,
+                 const std::string& field) {
+  std::string span = SpanText(json, kind);
+  size_t at = span.find(field);
   if (at == std::string::npos) return -1;
-  at = json.find(field, at);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(json.c_str() + at + field.size(), nullptr, 10);
+  return std::strtod(span.c_str() + at + field.size(), nullptr);
+}
+
+/// The detail string of the first span of `kind`; "" when absent.
+std::string SpanDetail(const std::string& json, const std::string& kind) {
+  const std::string key = "\"detail\":\"";
+  std::string span = SpanText(json, kind);
+  size_t at = span.find(key);
+  if (at == std::string::npos) return "";
+  at += key.size();
+  return span.substr(at, span.find('"', at) - at);
+}
+
+/// The first commit tree in `json`: commit.execute's four stage children
+/// abut — each starts where the previous one ended — and fit inside it,
+/// to within 1 us (the JSON renders micros to three decimals).
+void ExpectCommitStagesAbut(const std::string& json) {
+  const double exec_start =
+      SpanField(json, "commit.execute", "\"start_us\":");
+  const double exec_end =
+      exec_start + SpanField(json, "commit.execute", "\"dur_us\":");
+  ASSERT_GT(exec_start, 0) << json;
+  double prev_end = exec_start;
+  for (const char* kind :
+       {"commit.queue", "commit.apply", "commit.seal", "commit.wake"}) {
+    SCOPED_TRACE(kind);
+    const double start = SpanField(json, kind, "\"start_us\":");
+    const double dur = SpanField(json, kind, "\"dur_us\":");
+    ASSERT_GE(dur, 0) << json;
+    if (std::string(kind) == "commit.queue") {
+      EXPECT_GE(start + 1.0, exec_start) << json;  // enqueued after open
+    } else {
+      EXPECT_NEAR(start, prev_end, 1.0) << json;
+    }
+    prev_end = start + dur;
+  }
+  EXPECT_LE(prev_end, exec_end + 1.0) << json;
+}
+
+/// The TRACES dump from its "slow" array on; "" when that array is empty.
+std::string SlowArray(const std::string& traces) {
+  size_t at = traces.find("\"slow\":[{");
+  return at == std::string::npos ? "" : traces.substr(at);
+}
+
+TEST(NetObservabilityTest, SlowCommitLandsInTracesSlowArray) {
+  NetRig rig;
+  service::CommitQueue::TestHooks hooks;
+  hooks.before_seal = [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  rig.engine->commit_queue().set_test_hooks(hooks);
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+  ASSERT_TRUE(
+      client.Apply(Update::Insert(Path::MustParse("T/data"), "slow")).ok());
+  // Armed after the APPLY, so the COMMIT is the one watched request.
+  rig.engine->spans().SetSlowThresholdUs(1000);  // 1ms
+  ASSERT_TRUE(client.Commit().ok());
+
+  auto traces = client.Traces();
+  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+  EXPECT_NE(traces->find("\"slow_recorded\":1"), std::string::npos)
+      << *traces;
+  // The slow commit is a span tree in the one store, captured unsampled:
+  // the slow array's one root is the COMMIT.
+  const std::string slow = SlowArray(*traces);
+  ASSERT_NE(slow, "") << *traces;
+  EXPECT_EQ(slow.find("\"kind\":\"server."),
+            slow.find("\"kind\":\"server.COMMIT\""))
+      << *traces;
+  EXPECT_NE(slow.find("\"kind\":\"commit.seal\""), std::string::npos);
+  EXPECT_EQ(SpanField(slow, "commit.execute", "\"tid\":"), 1) << slow;
+  // Claims are target-relative (the conflict-check granularity): the
+  // write under T/data claims the "data" subtree.
+  EXPECT_NE(SpanDetail(slow, "commit.execute").find("claims=data"),
+            std::string::npos)
+      << slow;
+  ExpectCommitStagesAbut(slow);
+  // The slow-commit counter rides the metrics surface too.
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->find("cpdb_slow_commits_total 1\n"), std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("cpdb_slow_queries_total 0\n"), std::string::npos);
+}
+
+TEST(NetObservabilityTest, SlowStrategyHApplyLandsInTracesSlowArray) {
+  // Per-op strategies commit inside APPLY: the same commit.execute tree
+  // hangs under server.APPLY.
+  service::SessionOptions sopts;
+  sopts.strategy = provenance::Strategy::kHierarchical;
+  NetRig rig("", {}, sopts);
+  service::CommitQueue::TestHooks hooks;
+  hooks.before_seal = [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  rig.engine->commit_queue().set_test_hooks(hooks);
+  rig.engine->spans().SetSlowThresholdUs(1000);  // 1ms
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+  ASSERT_TRUE(
+      client.Apply(Update::Insert(Path::MustParse("T/data"), "h1")).ok());
+
+  auto traces = client.Traces();
+  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+  const std::string slow = SlowArray(*traces);
+  ASSERT_NE(slow, "") << *traces;
+  EXPECT_EQ(slow.find("\"kind\":\"server."),
+            slow.find("\"kind\":\"server.APPLY\""))
+      << *traces;
+  EXPECT_EQ(SpanField(slow, "commit.execute", "\"tid\":"), 1) << slow;
+  EXPECT_EQ(SpanDetail(slow, "commit.execute").rfind("cohort_size=1 ", 0), 0u)
+      << slow;
+  ExpectCommitStagesAbut(slow);
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->find("cpdb_slow_commits_total 1\n"), std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("cpdb_slow_queries_total 0\n"), std::string::npos);
 }
 
 TEST(NetTracingTest, SampledGetModProducesFullTraceTree) {
@@ -966,10 +1172,10 @@ TEST(NetTracingTest, ExplainMatchesSessionCostModelAcrossStrategies) {
         << *explained;
     EXPECT_NE(explained->find("\"detail\":\"GETMOD\""), std::string::npos);
     EXPECT_EQ(SpanField(*explained, "query.execute", "\"rows\":"),
-              static_cast<int64_t>(want_rows))
+              static_cast<double>(want_rows))
         << *explained;
     EXPECT_EQ(SpanField(*explained, "query.execute", "\"round_trips\":"),
-              static_cast<int64_t>(want_calls))
+              static_cast<double>(want_calls))
         << *explained;
   }
 }
@@ -979,7 +1185,7 @@ TEST(NetTracingTest, SlowQueryLandsInSlowRing) {
   // Sub-microsecond threshold: every query is an offender. The capture
   // must work WITHOUT client-side sampling — that is the whole point of
   // the server-side slow watch.
-  rig.engine->SetSlowQueryThresholdUs(0.001);
+  rig.engine->spans().SetSlowThresholdUs(0.001);
   Path table = Path::MustParse("T/data");
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
@@ -1017,7 +1223,7 @@ TEST(NetTracingTest, SampledCommitLinksQueueStageSpans) {
   auto traces = client.Traces();
   ASSERT_TRUE(traces.ok());
   // The commit trace carries its path through the group-commit pipeline:
-  // the session re-bases the queue's stage timeline into the trace.
+  // the queue appends its stage spans under the session's commit.execute.
   for (const char* kind :
        {"server.COMMIT", "commit.execute", "commit.queue", "commit.apply",
         "commit.seal", "commit.wake"}) {
@@ -1025,8 +1231,50 @@ TEST(NetTracingTest, SampledCommitLinksQueueStageSpans) {
               std::string::npos)
         << kind << " missing in " << *traces;
   }
-  // Stage spans carry the committed tid for SLOWLOG cross-reference.
-  EXPECT_EQ(SpanField(*traces, "commit.queue", "\"tid\":"), 1);
+  // commit.execute carries the committed tid and the cohort detail.
+  EXPECT_EQ(SpanField(*traces, "commit.execute", "\"tid\":"), 1);
+  EXPECT_EQ(SpanDetail(*traces, "commit.execute"),
+            "cohort_size=1 leader=1 parallel=0 claims=data");
+}
+
+TEST(NetTracingTest, CommitStagesAbutInsideCommitExecute) {
+  // Two sampled connections commit concurrently, so the traces include
+  // whatever cohort shapes the race produces; every commit tree's stages
+  // are cut at the leader's shared stamps and abut regardless.
+  NetRig rig;
+  Path table = Path::MustParse("T/data");
+  constexpr int kTxns = 4;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+      client.set_trace_sampling(1, /*seed=*/11 + w);
+      for (int i = 0; i < kTxns; ++i) {
+        ASSERT_TRUE(client
+                        .Apply(Update::Insert(
+                            table, "w" + std::to_string(w) + "_" +
+                                       std::to_string(i)))
+                        .ok());
+        ASSERT_TRUE(client.Commit().ok());
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+
+  Client reader;
+  ASSERT_TRUE(reader.Connect("127.0.0.1", rig.port()).ok());
+  auto traces = reader.Traces();
+  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+  const std::string root = "\"kind\":\"server.COMMIT\"";
+  int trees = 0;
+  for (size_t at = traces->find(root); at != std::string::npos;
+       at = traces->find(root, at + 1)) {
+    SCOPED_TRACE(trees);
+    ExpectCommitStagesAbut(traces->substr(at));
+    ++trees;
+  }
+  EXPECT_EQ(trees, 2 * kTxns);
 }
 
 // ----- Client retry/backoff --------------------------------------------------

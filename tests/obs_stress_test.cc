@@ -1,10 +1,10 @@
 // Concurrency stress for the metrics primitives (runs under the `tsan`
 // preset via the `concurrency` label): many threads hammer one
-// histogram/counter/gauge and the trace ring while a scraper thread
-// renders the registry in a loop. The assertions are conservation laws —
-// every recorded sample must be visible in the final snapshot — and the
-// real check is ThreadSanitizer finding no race in the relaxed-atomic
-// record paths or the render path.
+// histogram/counter/gauge, or the span store, while a scraper thread
+// renders the registry (or TRACES) in a loop. The assertions are
+// conservation laws — every recorded sample must be visible in the final
+// snapshot — and the real check is ThreadSanitizer finding no race in
+// the record paths or the render path.
 
 #include <atomic>
 #include <string>
@@ -81,34 +81,50 @@ TEST(ObsStressTest, ConcurrentRegistrationIsIdempotent) {
   EXPECT_EQ(seen[0]->Value(), kThreads * 500u);
 }
 
-TEST(ObsStressTest, TraceRingUnderConcurrentRecordAndRead) {
-  TraceBuffer buf(64, 16);
-  buf.SetSlowThresholdUs(1e9);  // nothing qualifies: no stderr noise
+TEST(ObsStressTest, SpanStoreUnderConcurrentRecordAndRender) {
+  // The one trace store carries commit traffic: every sampled or slow
+  // write and read of a server lands here from its worker threads while
+  // TRACES renders the rings.
+  constexpr size_t kWriters = 4;
+  constexpr size_t kTraces = 2000;
+  constexpr size_t kSlowEvery = 100;  // slow trees also print to stderr
+  SpanStore store(/*capacity=*/16, /*slow_capacity=*/8);
+  store.SetSlowThresholdUs(1000);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      std::vector<CommitSpan> recent = buf.Recent(32);
-      for (const CommitSpan& s : recent) EXPECT_GE(s.tid, 0);
-      (void)buf.SlowLogJson(8);
+      std::string json = store.TracesJson(4);
+      EXPECT_EQ(json.rfind("{\"slow_threshold_us\":1000,", 0), 0u) << json;
+      EXPECT_EQ(json.back(), '}');
     }
   });
   std::vector<std::thread> writers;
-  for (size_t t = 0; t < 4; ++t) {
+  std::atomic<size_t> slow_seen{0};
+  for (size_t t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
-      for (size_t i = 0; i < 5000; ++i) {
-        CommitSpan span;
-        span.tid = static_cast<int64_t>(t * 5000 + i);
-        span.total_us = 25.0;
-        span.claims = {"T/t" + std::to_string(t)};
-        buf.Record(std::move(span));
+      for (size_t i = 0; i < kTraces; ++i) {
+        const bool slow = i % kSlowEvery == 0;
+        SpanCollector col(TraceContext{t * kTraces + i + 1, 0, true});
+        const uint64_t root =
+            col.Open(t % 2 == 0 ? "server.COMMIT" : "server.GETMOD", 0);
+        col.AppendTimed("commit.seal", root, 0, 1);
+        col.Close(root);
+        std::vector<Span> spans = col.Take();
+        spans[0].dur_us = slow ? 5000 : 10;
+        if (store.Record(std::move(spans), /*sampled=*/!slow)) {
+          slow_seen.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
   for (auto& th : writers) th.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(buf.recorded(), 4u * 5000u);
-  EXPECT_EQ(buf.slow_recorded(), 0u);
+  // Conservation: every fast tree was sampled, every slow one captured.
+  const size_t slow_total = kWriters * (kTraces / kSlowEvery);
+  EXPECT_EQ(store.recorded(), kWriters * kTraces - slow_total);
+  EXPECT_EQ(store.slow_recorded(), slow_total);
+  EXPECT_EQ(slow_seen.load(), slow_total);
 }
 
 }  // namespace

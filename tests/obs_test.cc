@@ -1,7 +1,7 @@
 // The observability layer (src/obs/): histogram bucketing and snapshot
 // algebra, registry rendering on both export surfaces (Prometheus text
 // exposition and the flat STATS JSON), the windowed Reporter, and the
-// commit-trace ring with its slow-commit capture.
+// span collector and store with its slow-request capture.
 //
 // The contract under test: the SAME registry objects back every export
 // path, Prometheus output parses (HELP/TYPE blocks, cumulative buckets,
@@ -226,55 +226,6 @@ TEST(ReporterTest, FoldsWindowsAndFinalPartialWindow) {
   rep.Stop();
 }
 
-// ----- Trace ring ------------------------------------------------------------
-
-CommitSpan MakeSpan(int64_t tid, double total_us) {
-  CommitSpan s;
-  s.tid = tid;
-  s.cohort = 1;
-  s.cohort_size = 2;
-  s.queue_us = 1;
-  s.apply_us = 2;
-  s.seal_us = 3;
-  s.wake_us = 4;
-  s.total_us = total_us;
-  s.claims = {"T/data/k" + std::to_string(tid)};
-  return s;
-}
-
-TEST(TraceBufferTest, RingKeepsMostRecentSpans) {
-  TraceBuffer buf(4, 4);
-  for (int64_t i = 1; i <= 10; ++i) buf.Record(MakeSpan(i, 100));
-  EXPECT_EQ(buf.recorded(), 10u);
-  std::vector<CommitSpan> recent = buf.Recent();
-  ASSERT_EQ(recent.size(), 4u);
-  EXPECT_EQ(recent[0].tid, 10);  // most recent first
-  EXPECT_EQ(recent[3].tid, 7);
-  EXPECT_EQ(buf.slow_recorded(), 0u);  // threshold disabled by default
-}
-
-TEST(TraceBufferTest, SlowThresholdCapturesAndRenders) {
-  TraceBuffer buf(8, 8);
-  buf.SetSlowThresholdUs(1000);
-  buf.Record(MakeSpan(1, 10));     // fast: not captured
-  buf.Record(MakeSpan(2, 5000));   // slow: captured (also logs to stderr)
-  EXPECT_EQ(buf.slow_recorded(), 1u);
-  std::vector<CommitSpan> slow = buf.Slow();
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].tid, 2);
-
-  std::string json = buf.SlowLogJson();
-  EXPECT_NE(json.find("\"slow_threshold_us\":1000"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"slow_recorded\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
-  EXPECT_NE(json.find("T/data/k2"), std::string::npos);
-  // Disabling stops capture without clearing history.
-  buf.SetSlowThresholdUs(0);
-  buf.Record(MakeSpan(3, 9000));
-  EXPECT_EQ(buf.slow_recorded(), 1u);
-}
-
 // ----- SpanCollector / SpanStore (request tracing) ---------------------------
 
 TEST(SpanCollectorTest, InactiveCollectorIsANoOp) {
@@ -392,8 +343,9 @@ TEST(SpanStoreTest, SlowThresholdCapturesEvenUnsampledTraces) {
   SpanStore store(4, 4);
   store.SetSlowThresholdUs(1000);
   EXPECT_EQ(store.SlowThresholdUs(), 1000);
-  store.Record(MakeTrace(1, 10), /*sampled=*/false);    // fast: dropped
-  store.Record(MakeTrace(2, 5000), /*sampled=*/false);  // slow: captured
+  // Record reports a slow capture, so the caller can count it by class.
+  EXPECT_FALSE(store.Record(MakeTrace(1, 10), /*sampled=*/false));  // fast
+  EXPECT_TRUE(store.Record(MakeTrace(2, 5000), /*sampled=*/false));  // slow
   EXPECT_EQ(store.recorded(), 0u);  // slow-only capture is not "sampled"
   EXPECT_EQ(store.slow_recorded(), 1u);
   std::string json = store.TracesJson();
@@ -405,8 +357,12 @@ TEST(SpanStoreTest, SlowThresholdCapturesEvenUnsampledTraces) {
   EXPECT_NE(json.find("\"trace_id\":2", slow_at), std::string::npos);
 
   // A sampled AND slow trace lands in both surfaces.
-  store.Record(MakeTrace(3, 9000), /*sampled=*/true);
+  EXPECT_TRUE(store.Record(MakeTrace(3, 9000), /*sampled=*/true));
   EXPECT_EQ(store.recorded(), 1u);
+  EXPECT_EQ(store.slow_recorded(), 2u);
+  // Disabling stops slow capture without clearing history.
+  store.SetSlowThresholdUs(0);
+  EXPECT_FALSE(store.Record(MakeTrace(4, 9000), /*sampled=*/false));
   EXPECT_EQ(store.slow_recorded(), 2u);
 }
 

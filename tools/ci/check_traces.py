@@ -14,9 +14,11 @@ Checks, in order:
 2. Every trace tree is well-formed: a nonzero trace_id, a root span
    whose span_id resolves, every child's parent present in the tree,
    spans counted correctly, and no span with a kind missing or empty.
-3. Stage timings are sane: dur_us >= 0 everywhere, every child's
-   start_us >= the root's start_us, and every child's dur_us <= the
-   root's dur_us (children nest inside the request).
+3. Stage timings are sane: dur_us >= 0 everywhere, and every child
+   span starts at or after its parent's start and ends by its parent's
+   end (1 us slack), at every level of the tree — a commit.seal must
+   fit inside its commit.execute just as the commit.execute fits inside
+   its server.COMMIT root.
 4. --require-kind: at least one recorded trace's root has that kind.
 5. --require-child: every trace whose root kind matches --require-kind
    contains a child span of that kind (e.g. a traced server.GETMOD
@@ -73,18 +75,22 @@ def check_tree(tree, where):
         for counter in ("rows", "round_trips"):
             if counter in s and s[counter] < 0:
                 fail(f"{where}: span {s['span_id']} negative {counter}")
-    for s in spans:
-        if s is root:
-            continue
-        # Monotonic stage timings: children start at or after the root
-        # and fit inside it (floating-point micros; allow 1us slack).
-        if s["start_us"] + 1.0 < root["start_us"]:
-            fail(f"{where}: span {s['span_id']} ({s['kind']}) starts before "
-                 "the root span")
-        if s["dur_us"] > root["dur_us"] + 1.0:
-            fail(f"{where}: span {s['span_id']} ({s['kind']}) outlasts the "
-                 "root span")
+    check_nesting(root, where)
     return root, spans
+
+
+def check_nesting(parent, where):
+    """Every child starts at or after its parent's start and ends by its
+    parent's end (floating-point micros; allow 1us slack), recursively."""
+    end = parent["start_us"] + parent["dur_us"]
+    for child in parent.get("children", []):
+        what = (f"{where}: span {child['span_id']} ({child['kind']}) "
+                f"{{}} its parent {parent['span_id']} ({parent['kind']})")
+        if child["start_us"] + 1.0 < parent["start_us"]:
+            fail(what.format("starts before"))
+        if child["start_us"] + child["dur_us"] > end + 1.0:
+            fail(what.format("ends after"))
+        check_nesting(child, where)
 
 
 def main():

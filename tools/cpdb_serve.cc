@@ -25,13 +25,11 @@
 //                          GET /metrics on this port (0 = ephemeral;
 //                          default -1 = off). The METRICS wire verb
 //                          returns the same render without this flag.
-//   --slow-commit-ms=X     commits slower than X ms are captured in the
-//                          slow-commit ring (SLOWLOG verb) and logged to
-//                          stderr (default 0 = off)
-//   --slow-query-ms=X      read requests slower than X ms have their span
-//                          tree captured in the trace store's slow ring
-//                          (TRACES verb) and logged to stderr as one JSON
-//                          line (default 0 = off)
+//   --slow-ms=X            APPLY/COMMIT and GETMOD/TRACEBACK/GET requests
+//                          slower than X ms have their span tree captured
+//                          in the trace store's slow ring (TRACES verb,
+//                          "slow" array) and logged to stderr as one
+//                          "cpdb slow-request:" JSON line (default 0 = off)
 //   --metrics-json=PATH    sample the registry every --metrics-interval-ms
 //                          (default 1000) and, at drain, write the window
 //                          deltas to PATH in the bench harness --json
@@ -132,12 +130,8 @@ int main(int argc, char** argv) {
   wrap::RelationalTargetDb target("T", db.get(),
                                   std::vector<std::string>{"data"});
   service::Engine engine(&backend, &target);
-  const double slow_ms = flags.GetDouble("slow-commit-ms", 0);
-  if (slow_ms > 0) engine.SetSlowCommitThresholdUs(slow_ms * 1000.0);
-  const double slow_query_ms = flags.GetDouble("slow-query-ms", 0);
-  if (slow_query_ms > 0) {
-    engine.SetSlowQueryThresholdUs(slow_query_ms * 1000.0);
-  }
+  const double slow_ms = flags.GetDouble("slow-ms", 0);
+  if (slow_ms > 0) engine.spans().SetSlowThresholdUs(slow_ms * 1000.0);
   service::SessionOptions sopts;
   sopts.strategy = ParseStrategy(flags.GetString("strategy", "HT"));
   service::SessionPool pool(&engine, sopts);
@@ -229,13 +223,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  net::Server::Stats s = server.stats();
+  auto count = [&engine](const char* name) {
+    return static_cast<unsigned long long>(
+        engine.metrics().GetCounter(name, "")->Value());
+  };
   std::printf("cpdb_serve: drained (conns=%llu requests=%llu retries=%llu "
               "bad_frames=%llu last_tid=%lld)\n",
-              static_cast<unsigned long long>(s.accepted),
-              static_cast<unsigned long long>(s.requests),
-              static_cast<unsigned long long>(s.retries),
-              static_cast<unsigned long long>(s.bad_frames),
+              count("cpdb_connections_accepted_total"),
+              count("cpdb_requests_total"), count("cpdb_retries_total"),
+              count("cpdb_bad_frames_total"),
               static_cast<long long>(engine.LastAllocatedTid()));
 
   // The drain already checkpointed; Close releases the flock so a

@@ -64,19 +64,24 @@ OBS-METRICS
     members that are NOT metrics — engine tid allocation and seal
     probes, the latch's epoch, the snapshot chain's watermark, and the
     server's lifecycle flags — each of which is load-bearing
-    synchronization state with its own reader, not telemetry.
+    synchronization state with its own reader, not telemetry. The same
+    layers may not declare a `struct Stats` either: a private counter
+    block under the component's mutex, re-exported to the registry by a
+    scrape callback, is the second copy of every counter this rule
+    exists to prevent — components bump registry counters handed in
+    through set_metrics instead.
 
 OBS-TRACE
     Every protocol verb the server executes must pass through the ONE
     tracing choke point, Server::ExecuteTraced (src/net/server.cc):
-    that is where the sampled/EXPLAIN/slow-query decision is made, the
+    that is where the sampled/EXPLAIN/slow-request decision is made, the
     root span ("server.<VERB>") is opened, and the assembled tree is
     recorded into the engine's SpanStore. Concretely: WorkerLoop must
     dispatch via ExecuteTraced (never Execute directly), Execute may be
     called only from ExecuteTraced (plus its own definition), and
     ExecuteTraced must open the "server."-prefixed root span. A verb
     handler that bypasses the choke point is invisible to TRACES,
-    EXPLAIN, and the slow-query log all at once.
+    EXPLAIN, and the slow-request log all at once.
 """
 
 import argparse
@@ -221,6 +226,7 @@ def check_net_framing(root):
 
 
 ATOMIC_DECL_RE = re.compile(r"std::atomic(?:<|_)")
+STATS_STRUCT_RE = re.compile(r"\bstruct\s+Stats\b")
 # Synchronization state, not telemetry: each entry is (file, member) for a
 # std::atomic whose readers are correctness logic rather than a scrape.
 OBS_METRICS_ALLOWED = {
@@ -243,6 +249,13 @@ def check_obs_metrics(root):
             rel = path.relative_to(root)
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 code = strip_comments(line)
+                if STATS_STRUCT_RE.search(code):
+                    finding("OBS-METRICS", rel, lineno,
+                            "struct Stats in an instrumented layer; keep "
+                            "counters in the obs::Registry (bump "
+                            "obs::Counter sinks passed in via set_metrics) "
+                            "instead of a private copy re-exported by a "
+                            "scrape callback")
                 if not ATOMIC_DECL_RE.search(code):
                     continue
                 m = member_re.search(code)
