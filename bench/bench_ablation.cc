@@ -71,22 +71,25 @@ void AblationDedupe(JsonReport* report) {
     tree::Tree universe;
     (void)universe.AddChild("S", workload::GenOrganelleLike(2000, 3));
     (void)universe.AddChild("T", tree::Tree());
+    // Applies one copy to the universe and tracks it as a batch of one.
+    auto apply_and_track = [&](const update::Update& u) {
+      std::vector<provenance::TrackedOp> op(1);
+      op[0].kind = update::OpKind::kCopy;
+      (void)update::Apply(&universe, u, &op[0].effect);
+      (void)store.TrackBatch(op);
+    };
     Stopwatch wall;
     for (int i = 0; i < 2000; ++i) {
       std::string entry = "o" + std::to_string(1 + i % 2000);
       update::Update copy_all = update::Update::Copy(
           tree::Path::MustParse("S/" + entry),
           tree::Path::MustParse("T/c" + std::to_string(i)));
-      update::ApplyEffect e1;
-      (void)update::Apply(&universe, copy_all, &e1);
-      (void)store.TrackCopy(e1);
+      apply_and_track(copy_all);
       // Redundant: re-copy the aligned child from the same source.
       update::Update copy_child = update::Update::Copy(
           tree::Path::MustParse("S/" + entry + "/protein"),
           tree::Path::MustParse("T/c" + std::to_string(i) + "/protein"));
-      update::ApplyEffect e2;
-      (void)update::Apply(&universe, copy_child, &e2);
-      (void)store.TrackCopy(e2);
+      apply_and_track(copy_child);
       if (i % 5 == 4) (void)store.Commit();
     }
     (void)store.Commit();

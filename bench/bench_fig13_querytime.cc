@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
     });
 
     // What the pre-redesign (per-descendant) read path would have paid
-    // for the same getMod workload: one GetUnder, one GetAtLoc per
-    // distinct location found under p, and (hierarchical strategies) one
+    // for the same getMod workload: one subtree scan, one per-location
+    // scan per distinct location found under p, and (hierarchical) one
     // point query per ancestor level — O(n) round trips where the cursor
     // path issues O(depth + 1).
     provenance::ProvBackend* backend = st.editor->store()->backend();

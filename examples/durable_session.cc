@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "cpdb/cpdb.h"
 #include "util/flags.h"
@@ -107,10 +108,12 @@ int Verify(const std::string& dir) {
               stats.replayed_commits,
               static_cast<unsigned long long>(stats.last_seq));
 
-  auto all = s.backend->GetAll();
-  if (!all.ok()) return 1;
+  std::vector<provenance::ProvRecord> all;
+  provenance::ProvCursor scan = s.backend->ScanAll();
+  for (provenance::ProvRecord rec; scan.Next(&rec);) all.push_back(rec);
+  if (!scan.status().ok()) return 1;
   std::printf("\nProvenance table after restart:\n%s\n",
-              provenance::RecordsToTable(*all).c_str());
+              provenance::RecordsToTable(all).c_str());
 
   // The data came back...
   const tree::Tree* name =

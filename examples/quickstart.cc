@@ -4,6 +4,7 @@
 //   $ ./examples/example_quickstart
 
 #include <cstdio>
+#include <vector>
 
 #include "cpdb/cpdb.h"
 
@@ -61,9 +62,12 @@ int main() {
 
   std::printf("\nProvenance store (%zu records):\n",
               ed.store()->RecordCount());
-  auto records = ed.store()->backend()->GetAll();
-  if (records.ok()) {
-    std::printf("%s", provenance::RecordsToTable(records.value()).c_str());
+  // The whole table in (Tid, Loc) order, one streamed batch at a time.
+  std::vector<provenance::ProvRecord> records;
+  provenance::ProvCursor scan = ed.store()->backend()->ScanAll();
+  for (provenance::ProvRecord rec; scan.Next(&rec);) records.push_back(rec);
+  if (scan.status().ok()) {
+    std::printf("%s", provenance::RecordsToTable(records).c_str());
   }
   return 0;
 }

@@ -15,18 +15,26 @@ VersionArchive::VersionArchive(int64_t base_version, tree::Tree initial,
   checkpoints_.emplace(base_version, std::move(initial));
 }
 
-Status VersionArchive::Record(int64_t tid, update::Script script,
+Status VersionArchive::Record(int64_t first_tid,
+                              std::vector<update::Script> scripts,
                               const tree::Tree& post) {
-  if (tid != last_version_ + 1) {
+  if (first_tid != last_version_ + 1) {
     return Status::InvalidArgument(
-        "non-consecutive version " + std::to_string(tid) + " after " +
+        "non-consecutive version " + std::to_string(first_tid) + " after " +
         std::to_string(last_version_));
   }
-  scripts_.emplace(tid, std::move(script));
-  last_version_ = tid;
-  if (static_cast<size_t>(tid - base_version_) % options_.checkpoint_every ==
-      0) {
-    checkpoints_.emplace(tid, post.Clone());
+  if (scripts.empty()) {
+    return Status::InvalidArgument("empty run of versions");
+  }
+  for (update::Script& script : scripts) {
+    scripts_.emplace(++last_version_, std::move(script));
+  }
+  // Only the run's post-state is known, so a checkpoint due inside the
+  // run lands on its last version; one-version runs checkpoint every
+  // `checkpoint_every` versions exactly.
+  if (static_cast<size_t>(last_version_ - checkpoints_.rbegin()->first) >=
+      options_.checkpoint_every) {
+    checkpoints_.emplace(last_version_, post.Clone());
   }
   return Status::OK();
 }

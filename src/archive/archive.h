@@ -36,10 +36,15 @@ class VersionArchive {
   VersionArchive(int64_t base_version, tree::Tree initial)
       : VersionArchive(base_version, std::move(initial), Options{}) {}
 
-  /// Records that transaction `tid` applied `script` (must be called with
-  /// consecutive tids). `post` is the universe after the transaction and
-  /// is snapshotted at checkpoint boundaries.
-  Status Record(int64_t tid, update::Script script, const tree::Tree& post);
+  /// Records a run of consecutive versions: transaction `first_tid + i`
+  /// applied `scripts[i]`. The run must start right after the last
+  /// recorded version and hold at least one script. `post` is the
+  /// universe after the run's last transaction; it is snapshotted as that
+  /// version's checkpoint once `checkpoint_every` versions have passed
+  /// since the previous checkpoint. A T/HT commit records a run of one;
+  /// an N/H script, committed one tid per op, records its ops as one run.
+  Status Record(int64_t first_tid, std::vector<update::Script> scripts,
+                const tree::Tree& post);
 
   /// Reconstructs the universe as of (the end of) version `tid`.
   Result<tree::Tree> GetVersion(int64_t tid) const;

@@ -26,27 +26,29 @@
 ///   while (scan.Next(&batch, 512) > 0) { ...consume batch... }
 ///
 /// Each fetch is one modelled round trip; a result that fits one batch
-/// costs exactly one. Ordering guarantees: ScanAll/GetAll stream the
-/// table key order (Tid, Loc); ScanForTid orders by Loc; the Loc-side
-/// scans (ScanAtLoc, ScanUnder, ScanAtLocOrAncestors) order by
-/// (Loc, Tid). Consistency: a cursor borrows a position inside the
-/// store's indexes and is invalidated by any provenance write — drain
-/// cursors before the next tracked operation (the editor is the only
-/// writer, so reads between transactions are stable). Batched point
-/// lookups go through ProvBackend::LookupMany(tid, locs), one round trip
-/// for the whole batch.
+/// costs exactly one, and Next(&batch, ProvCursor::kNoLimit) drains a
+/// whole scan in one. Ordering guarantees: ScanAll streams the table key
+/// order (Tid, Loc); ScanForTid orders by Loc; the Loc-side scans
+/// (ScanAtLoc, ScanUnder, ScanAtLocOrAncestors) order by (Loc, Tid).
+/// Consistency: a cursor borrows a position inside the store's indexes
+/// and is invalidated by any provenance write — drain cursors before the
+/// next tracked operation (the editor is the only writer, so reads
+/// between transactions are stable). Point lookups go through
+/// ProvBackend::LookupMany(tid, locs), one round trip for the whole
+/// batch.
 ///
-/// Migration note: ProvStore's vector-returning read methods
-/// (RecordsUnder, RecordsAtAncestors, RecordsForTid, AllRecords) were
-/// removed with the cursor redesign; their one-shot equivalents live on
-/// ProvBackend (GetUnder, GetAtLocOrAncestors, GetForTid, GetAll), each
-/// costing exactly one round trip.
+/// Migration note (reads): ProvStore's vector-returning read methods
+/// (RecordsUnder, RecordsAtAncestors, RecordsForTid, AllRecords) and the
+/// one-shot vector shims that later stood in for them on ProvBackend are
+/// gone. Read through the cursors — ScanUnder, ScanAtLocOrAncestors,
+/// ScanForTid, ScanAtLoc, ScanAll — or LookupMany for (tid, loc) points.
 ///
 /// Writes are batched and group-committed, symmetric with the reads
 /// (README "Write path"):
 ///
 ///   editor->ApplyScriptText(script);   // N/H: ONE WriteRecords +
 ///                                      // ONE target ApplyBatch flush
+///   editor->ApplyUpdate(u);            // N/H: the same flush, batch of 1
 ///   editor->Commit();                  // T/HT: same, per transaction
 ///
 /// relstore::WriteBatch + Table::ApplyBatch is the storage statement
@@ -56,14 +58,16 @@
 /// ProvStore::TrackBatch group-commits a staged script with per-op
 /// semantics (tids, records, and H's per-insert probe) unchanged.
 ///
-/// Migration note (write path): TargetDb implementations may override
-/// ApplyBatch to charge one call per transaction — the default delegates
-/// to per-op ApplyNative, so existing wrappers compile and behave as
-/// before, just without the batching win. ProvBackend::WriteRecords is
-/// now atomic: a duplicate {Tid, Loc} rejects the whole batch instead of
-/// leaving a partial insert prefix. Write round trips are counted on
-/// CostModel's write-side counters (WriteCalls/WriteRows, also in
-/// CostSnapshot), which ChargeWrite bumps alongside the totals.
+/// Migration note (writes): ProvStore::TrackBatch is the only tracking
+/// call and TargetDb::ApplyBatch the only native write call; both are
+/// pure virtual. The per-op tracking calls (one per update kind) and the
+/// per-op native write are gone — track or mirror a single op as a batch
+/// of one, which costs what the per-op call did.
+/// ProvBackend::WriteRecords is atomic: a duplicate {Tid, Loc} rejects
+/// the whole batch instead of leaving a partial insert prefix. Write
+/// round trips are counted on CostModel's write-side counters
+/// (WriteCalls/WriteRows, also in CostSnapshot), which ChargeWrite bumps
+/// alongside the totals.
 ///
 /// Durability (README "Durability"; storage/):
 ///

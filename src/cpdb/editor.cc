@@ -158,11 +158,6 @@ Result<wrap::NativeOp> Editor::MakeNativeOp(const Update& u,
   return op;
 }
 
-Status Editor::PushNative(const Update& u, const tree::Tree* pasted) {
-  CPDB_ASSIGN_OR_RETURN(wrap::NativeOp op, MakeNativeOp(u, pasted));
-  return target_->ApplyNative(op.update, op.pasted);
-}
-
 Status Editor::SyncDurable() {
   // Deferred mode: the service layer's group commit owns the barrier and
   // seals a whole cohort of transactions with one Sync.
@@ -202,30 +197,23 @@ Status Editor::ApplyUpdate(const Update& u) {
 
   update::ApplyEffect effect;
   CPDB_RETURN_IF_ERROR(undo_.ApplyTracked(&universe_, u, &effect));
+  batch_ops_.push_back({u.kind, std::move(effect)});
 
-  if (batching_) {
-    // Per-op strategy inside ApplyScript/BulkCopy: stage the effect and
-    // the native replay payload; FlushBatch ships them as one group
-    // commit. The undo log keeps accumulating so a failed flush can
-    // unwind the whole staged batch.
+  if (PerOpStrategy()) {
+    // N/H: stage the native replay payload too, exactly as a script does.
+    // Inside ApplyScript/BulkCopy the flush waits for the script's end;
+    // otherwise the op flushes now as a batch of one — its own
+    // transaction. The undo log keeps accumulating until the flush, so a
+    // failed flush can unwind the whole staged batch.
     StagePasted(u, &batch_pasted_);
     batch_script_.push_back(u);
-    batch_ops_.push_back({u.kind, std::move(effect)});
-    return Status::OK();
+    return batching_ ? Status::OK() : FlushBatch();
   }
 
-  Status tracked;
-  switch (u.kind) {
-    case OpKind::kInsert:
-      tracked = store_->TrackInsert(effect);
-      break;
-    case OpKind::kDelete:
-      tracked = store_->TrackDelete(effect);
-      break;
-    case OpKind::kCopy:
-      tracked = store_->TrackCopy(effect);
-      break;
-  }
+  // T/HT: the staged op joins the open transaction's provlist at once, as
+  // a batch of one; its provenance and native writes wait for Commit().
+  Status tracked = store_->TrackBatch(batch_ops_);
+  batch_ops_.clear();
   if (!tracked.ok()) {
     // Keep target and provenance consistent: roll the update back.
     Status revert = undo_.RevertAll(&universe_);
@@ -233,31 +221,8 @@ Status Editor::ApplyUpdate(const Update& u) {
   }
   txn_script_.push_back(u);
   ++total_ops_;
-
-  if (PerOpStrategy()) {
-    // Per-operation transaction: push native and seal the version now
-    // (one fsync per op — each op is its own transaction). The subtree
-    // at the paste destination is still exactly what the op produced, so
-    // the universe can serve as the paste payload.
-    CPDB_RETURN_IF_ERROR(FinishCommitted([&]() -> Status {
-      const tree::Tree* pasted =
-          u.kind == OpKind::kCopy ? std::as_const(universe_).Find(u.target)
-                                  : nullptr;
-      CPDB_RETURN_IF_ERROR(PushNative(u, pasted));
-      int64_t tid = store_->LastCommittedTid();
-      if (archive_ != nullptr) {
-        CPDB_RETURN_IF_ERROR(
-            archive_->Record(tid, std::move(txn_script_), universe_));
-      }
-      CPDB_RETURN_IF_ERROR(RecordMetaIfEnabled(tid, u.ToString()));
-      txn_script_.clear();
-      undo_.Clear();
-      return Status::OK();
-    }));
-  } else {
-    // Deferred native push at Commit() needs the op-time paste payload.
-    StagePasted(u, &txn_pasted_);
-  }
+  // Deferred native push at Commit() needs the op-time paste payload.
+  StagePasted(u, &txn_pasted_);
   return Status::OK();
 }
 
@@ -274,7 +239,7 @@ Status Editor::CopyPaste(const tree::Path& src, const tree::Path& dst) {
   return ApplyUpdate(Update::Copy(src, dst));
 }
 
-Status Editor::FlushBatch(size_t* flushed) {
+Status Editor::FlushBatch(size_t* flushed, std::vector<int64_t>* tids_out) {
   if (flushed != nullptr) *flushed = 0;
   std::vector<provenance::TrackedOp> ops = std::move(batch_ops_);
   update::Script script = std::move(batch_script_);
@@ -302,6 +267,7 @@ Status Editor::FlushBatch(size_t* flushed) {
   undo_.Clear();
   total_ops_ += ops.size();
   if (flushed != nullptr) *flushed = ops.size();
+  if (tids_out != nullptr) *tids_out = tids;
   // A failure from here on is a native replay of already-committed
   // updates going wrong: like a failed commit replay, the native store
   // then needs a reload (universe and provenance remain consistent). The
@@ -311,6 +277,14 @@ Status Editor::FlushBatch(size_t* flushed) {
     CPDB_ASSIGN_OR_RETURN(std::vector<wrap::NativeOp> native,
                           BuildNativeOps(script, pasted));
     CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
+    if (archive_ != nullptr) {
+      // One version per op, the batch's post-state closing the run.
+      std::vector<update::Script> versions;
+      versions.reserve(script.size());
+      for (const Update& u : script) versions.push_back(update::Script{u});
+      CPDB_RETURN_IF_ERROR(
+          archive_->Record(tids.front(), std::move(versions), universe_));
+    }
     if (options_.record_txn_meta) {
       for (size_t i = 0; i < script.size() && i < tids.size(); ++i) {
         CPDB_RETURN_IF_ERROR(
@@ -322,39 +296,31 @@ Status Editor::FlushBatch(size_t* flushed) {
 }
 
 Status Editor::ApplyScript(const update::Script& script, size_t* applied) {
-  size_t n = 0;
-  // The archive needs every version's post-state, which group commit does
-  // not materialize per op; archived per-op sessions keep the per-op path.
-  const bool batch = PerOpStrategy() && !options_.enable_archive;
-  if (!batch) {
-    for (const Update& u : script) {
-      Status st = ApplyUpdate(u);
-      if (!st.ok()) {
-        if (applied != nullptr) *applied = n;
-        return st;
-      }
-      ++n;
-    }
-    if (applied != nullptr) *applied = n;
-    return Status::OK();
-  }
+  return ApplyStaged(script, applied, nullptr);
+}
 
-  batching_ = true;
+Status Editor::ApplyStaged(const update::Script& script, size_t* applied,
+                           std::vector<int64_t>* tids) {
+  size_t n = 0;
   Status op_status = Status::OK();
+  batching_ = true;
   for (const Update& u : script) {
     op_status = ApplyUpdate(u);
     if (!op_status.ok()) break;
     ++n;
   }
   batching_ = false;
-  // Per-op transactions: a later op's failure does not unwind committed
-  // predecessors, so the applied prefix still flushes. `flushed` is 0
-  // only when tracking failed and the batch was unwound; a native-replay
-  // failure reports its error with the ops still applied.
-  size_t flushed = 0;
-  Status flush_status = FlushBatch(&flushed);
-  if (applied != nullptr) *applied = flushed < n ? flushed : n;
-  if (!flush_status.ok()) return flush_status;
+  if (PerOpStrategy()) {
+    // Per-op transactions: a later op's failure does not unwind committed
+    // predecessors, so the applied prefix still flushes. `flushed` is 0
+    // only when tracking failed and the batch was unwound; a
+    // native-replay failure reports its error with the ops still applied.
+    size_t flushed = 0;
+    Status flush_status = FlushBatch(&flushed, tids);
+    if (flushed < n) n = flushed;
+    if (!flush_status.ok()) op_status = flush_status;
+  }
+  if (applied != nullptr) *applied = n;
   return op_status;
 }
 
@@ -370,10 +336,14 @@ Result<size_t> Editor::BulkCopy(const update::BulkCopySpec& spec) {
   for (const Update& u : script) {
     CPDB_RETURN_IF_ERROR(ValidateUpdate(u));
   }
-  CPDB_RETURN_IF_ERROR(ApplyScript(script));
+  std::vector<int64_t> tids;
+  CPDB_RETURN_IF_ERROR(ApplyStaged(script, nullptr, &tids));
   if (approx_ != nullptr) {
     query::ApproxRecord rec;
-    rec.tid = store_->CurrentTid();
+    // N/H committed one tid per copy; T/HT's open transaction commits the
+    // whole bulk under the one tid it is about to take.
+    rec.tid = tids.empty() ? store_->CurrentTid() : tids.front();
+    rec.last_tid = tids.empty() ? rec.tid : tids.back();
     rec.op = provenance::ProvOp::kCopy;
     rec.loc = spec.dst;
     rec.src = spec.src;
@@ -397,9 +367,8 @@ Status Editor::Commit() {
                             BuildNativeOps(script, pasted));
       CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
       int64_t tid = store_->LastCommittedTid();
-      if (archive_ != nullptr && started_) {
-        CPDB_RETURN_IF_ERROR(archive_->Record(tid, std::move(script),
-                                              universe_));
+      if (archive_ != nullptr) {
+        CPDB_RETURN_IF_ERROR(archive_->Record(tid, {script}, universe_));
       }
       CPDB_RETURN_IF_ERROR(RecordMetaIfEnabled(
           tid, std::to_string(script.size()) + " ops"));

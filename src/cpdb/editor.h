@@ -118,7 +118,9 @@ class Editor {
   /// copy src into dst (src anywhere in the universe, dst under T).
   Status CopyPaste(const tree::Path& src, const tree::Path& dst);
 
-  /// Applies any atomic update (validated like the specific verbs).
+  /// Applies any atomic update (validated like the specific verbs). Under
+  /// N/H the update commits at once through the same group-commit flush
+  /// as a script, as a batch of one.
   Status ApplyUpdate(const update::Update& u);
 
   /// Applies a whole script; stops at the first failure and returns the
@@ -129,14 +131,13 @@ class Editor {
   /// TrackBatch (a single WriteRecords round trip; H's per-insert probes
   /// excepted) and one TargetDb::ApplyBatch (a single native round trip)
   /// — while per-op semantics (one tid per op, identical records) are
-  /// preserved. A mid-script failure flushes the applied prefix, matching
-  /// the per-op contract; a tracking failure in the flush itself unwinds
-  /// the whole staged batch from the universe (nothing was written) and
+  /// preserved; an archived session records the script's versions as one
+  /// run. A mid-script failure flushes the applied prefix, matching the
+  /// per-op contract; a tracking failure in the flush itself unwinds the
+  /// whole staged batch from the universe (nothing was written) and
   /// reports 0 applied, while a native-replay failure after a successful
-  /// flush reports its error with `applied` ops committed. Sessions with
-  /// the archive enabled fall back to per-op application (the archive
-  /// needs each version's post-state). For T/HT the ops stage in the
-  /// transaction as always and batch at Commit().
+  /// flush reports its error with `applied` ops committed. For T/HT the
+  /// ops stage in the transaction as always and batch at Commit().
   Status ApplyScript(const update::Script& script, size_t* applied = nullptr);
 
   /// Parses and applies a script in the paper's concrete syntax
@@ -228,16 +229,21 @@ class Editor {
   /// surfaces only when the tail succeeded.
   Status FinishCommitted(const std::function<Status()>& tail);
 
-  /// Pushes one update into the native target store (paths rebased).
-  Status PushNative(const update::Update& u, const tree::Tree* pasted);
+  /// ApplyScript that also reports, via `tids`, the tid each N/H op
+  /// committed under (left empty for T/HT, which commit at Commit()).
+  Status ApplyStaged(const update::Script& script, size_t* applied,
+                     std::vector<int64_t>* tids);
 
-  /// Flushes the staged per-op-strategy batch: one TrackBatch, one native
-  /// ApplyBatch. On a tracking failure the whole staged batch is unwound
+  /// Flushes the staged per-op-strategy batch — a whole script, or a
+  /// single op outside one: one TrackBatch, one native ApplyBatch, one
+  /// archive run. On a tracking failure the whole staged batch is unwound
   /// from the universe (nothing was written) and `flushed` is 0; once
-  /// tracking succeeds the batch is committed (`flushed` = batch size)
-  /// and a native-replay failure is reported without unwinding, like a
-  /// failed commit replay. Resets the staging state.
-  Status FlushBatch(size_t* flushed = nullptr);
+  /// tracking succeeds the batch is committed (`flushed` = batch size,
+  /// `tids` = the ops' tids) and a native-replay failure is reported
+  /// without unwinding, like a failed commit replay. Resets the staging
+  /// state.
+  Status FlushBatch(size_t* flushed = nullptr,
+                    std::vector<int64_t>* tids = nullptr);
 
   Status RecordMetaIfEnabled(int64_t tid, const std::string& note);
 
@@ -259,10 +265,12 @@ class Editor {
   /// must paste what the op pasted, not the end-of-transaction state.
   std::vector<std::optional<tree::Tree>> txn_pasted_;
 
-  /// Script staging for the per-op strategies (N, H): while `batching_`,
-  /// ApplyUpdate defers tracking and native pushes into these, and
-  /// FlushBatch ships them as one group commit. Always empty outside
-  /// ApplyScript/BulkCopy.
+  /// Staging for the per-op strategies (N, H): ApplyUpdate stages every
+  /// op's tracking and native push into these, and FlushBatch ships them
+  /// as one group commit — at once outside a script, at the script's end
+  /// while `batching_` (inside ApplyScript/BulkCopy). T/HT stage each op
+  /// in batch_ops_ only to hand it to TrackBatch at once. Always empty
+  /// between calls.
   bool batching_ = false;
   std::vector<provenance::TrackedOp> batch_ops_;
   update::Script batch_script_;

@@ -350,41 +350,6 @@ Result<std::vector<ProvRecord>> ProvBackend::LookupMany(
   return out;
 }
 
-// ----- One-shot shims ------------------------------------------------------
-
-Result<std::vector<ProvRecord>> ProvBackend::Drain(ProvCursor cursor) {
-  std::vector<ProvRecord> out;
-  cursor.Next(&out, ProvCursor::kNoLimit);
-  CPDB_RETURN_IF_ERROR(cursor.status());
-  return out;
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetExact(int64_t tid,
-                                                      const tree::Path& loc) {
-  return LookupMany(tid, {loc});
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetAtLoc(const tree::Path& loc) {
-  return Drain(ScanAtLoc(loc));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetUnder(const tree::Path& loc) {
-  return Drain(ScanUnder(loc));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetAtLocOrAncestors(
-    const tree::Path& loc) {
-  return Drain(ScanAtLocOrAncestors(loc, /*include_self=*/true));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetForTid(int64_t tid) {
-  return Drain(ScanForTid(tid));
-}
-
-Result<std::vector<ProvRecord>> ProvBackend::GetAll() {
-  return Drain(ScanAll());
-}
-
 size_t ProvBackend::RowCount() const { return prov_->RowCount(); }
 
 size_t ProvBackend::PhysicalBytes() const { return prov_->PhysicalBytes(); }

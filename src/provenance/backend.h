@@ -26,7 +26,7 @@ class ProvBackend;
 /// (plus, in unindexed mode, the server-side full-table scan on the first
 /// fetch — the paper's "worst-case behavior" setup). Draining a scan
 /// whose result fits in one batch therefore costs exactly one round trip,
-/// like the one-shot queries this API replaced; a large result streamed
+/// like the one-shot queries cursors replaced; a large result streamed
 /// in k batches costs k. The single-record Next(ProvRecord*) refills an
 /// internal buffer in kDefaultBatch chunks and adds no extra trips.
 ///
@@ -44,7 +44,7 @@ class ProvBackend;
 class ProvCursor {
  public:
   static constexpr size_t kDefaultBatch = 256;
-  /// Drain-everything fetch size used by the one-shot shims.
+  /// Fetch size that drains the whole scan in one round trip.
   static constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
   /// An exhausted cursor; live ones come from ProvBackend.
@@ -96,13 +96,14 @@ class ProvCursor {
 /// table plus a TxnMeta table inside a relstore Database — the stand-in
 /// for the MySQL provenance store of the paper's CPDB.
 ///
-/// Reads are cursor- and batch-oriented: the Scan* factories stream
-/// ordered ranges off the B+-tree leaf chain, and LookupMany resolves a
-/// whole batch of (tid, loc) points in one round trip. The vector-
-/// returning Get* methods are retained as one-shot shims (each drains a
-/// cursor in a single fetch, so its cost is exactly one round trip, as
-/// before). When `use_indexes` is false, the first fetch of every
-/// statement is charged as a full table scan, reproducing the paper's
+/// Reads are cursor- and batch-oriented, with one API: the Scan*
+/// factories stream ordered ranges off the B+-tree leaf chain, and
+/// LookupMany resolves a whole batch of (tid, loc) points — a single
+/// point is a batch of one — in one round trip. A caller that wants the
+/// whole result at once drains a cursor with Next(&batch,
+/// ProvCursor::kNoLimit), which is still one round trip. When
+/// `use_indexes` is false, the first fetch of every statement is
+/// charged as a full table scan, reproducing the paper's
 /// query-time experiment setup ("No indexing was performed on the
 /// provenance relation, so these query times represent worst-case
 /// behavior", Section 4.1); results are identical either way.
@@ -123,7 +124,7 @@ class ProvCursor {
 ///    construction, and their provenance writes interleave safely here
 ///    (whole batches serialize; {Tid, Loc} keys never collide across
 ///    transactions, so order between batches is immaterial);
-///  * every Scan*/Get*/Lookup* factory and the cursors it returns must
+///  * every Scan*/LookupMany call and the cursors it returns must
 ///    run inside a shared grant, drained before the grant is released;
 ///  * cost charges land on `cost_sink()`, which the service layer points
 ///    at a session-private CostModel precisely so concurrent readers
@@ -207,29 +208,6 @@ class ProvBackend {
   Result<std::vector<ProvRecord>> LookupMany(
       int64_t tid, const std::vector<tree::Path>& locs);
 
-  // ----- One-shot shims (exactly one round trip each) ---------------------
-
-  /// The record with exactly this (tid, loc), if any.
-  Result<std::vector<ProvRecord>> GetExact(int64_t tid,
-                                           const tree::Path& loc);
-
-  /// All records at this loc across transactions, ordered by Tid.
-  Result<std::vector<ProvRecord>> GetAtLoc(const tree::Path& loc);
-
-  /// All records whose Loc equals `loc` or lies strictly below it,
-  /// ordered by (Loc, Tid).
-  Result<std::vector<ProvRecord>> GetUnder(const tree::Path& loc);
-
-  /// All records whose Loc is `loc` or any of its ancestors, ordered by
-  /// (Loc, Tid) — one client call (see ScanAtLocOrAncestors).
-  Result<std::vector<ProvRecord>> GetAtLocOrAncestors(const tree::Path& loc);
-
-  /// All records of one transaction, ordered by Loc.
-  Result<std::vector<ProvRecord>> GetForTid(int64_t tid);
-
-  /// Everything, ordered by (tid, loc). (Used by tests and expansion.)
-  Result<std::vector<ProvRecord>> GetAll();
-
   // ----- Stats (no cost charged; out-of-band instrumentation) -------------
 
   size_t RowCount() const;
@@ -274,7 +252,6 @@ class ProvBackend {
     }
     return spec;
   }
-  static Result<std::vector<ProvRecord>> Drain(ProvCursor cursor);
   static Result<ProvRecord> FromRow(const relstore::Row& row);
   static relstore::Row ToRow(const ProvRecord& rec);
   static size_t ApproxBytes(const ProvRecord& rec);

@@ -39,7 +39,7 @@ Status HierStore::AppendRecord(int64_t tid, update::OpKind kind,
       // cursor read redesign and the batched write path.
       if (!p.IsRoot()) {
         CPDB_ASSIGN_OR_RETURN(auto existing,
-                              backend_->GetExact(tid, p.Parent()));
+                              backend_->LookupMany(tid, {p.Parent()}));
         if (!existing.empty() && existing.front().op == ProvOp::kInsert) {
           return Status::OK();  // inferable from the parent's insert
         }
@@ -59,31 +59,6 @@ Status HierStore::AppendRecord(int64_t tid, update::OpKind kind,
     }
   }
   return Status::Internal("unknown update kind");
-}
-
-Status HierStore::TrackInsert(const update::ApplyEffect& effect) {
-  CPDB_RETURN_IF_ERROR(CheckEffect(update::OpKind::kInsert, effect));
-  std::vector<ProvRecord> records;
-  CPDB_RETURN_IF_ERROR(
-      AppendRecord(BumpTid(), update::OpKind::kInsert, effect, &records));
-  if (records.empty()) return Status::OK();  // inferable: nothing to write
-  return backend_->WriteRecords(records);
-}
-
-Status HierStore::TrackDelete(const update::ApplyEffect& effect) {
-  CPDB_RETURN_IF_ERROR(CheckEffect(update::OpKind::kDelete, effect));
-  std::vector<ProvRecord> records;
-  CPDB_RETURN_IF_ERROR(
-      AppendRecord(BumpTid(), update::OpKind::kDelete, effect, &records));
-  return backend_->WriteRecords(records);
-}
-
-Status HierStore::TrackCopy(const update::ApplyEffect& effect) {
-  CPDB_RETURN_IF_ERROR(CheckEffect(update::OpKind::kCopy, effect));
-  std::vector<ProvRecord> records;
-  CPDB_RETURN_IF_ERROR(
-      AppendRecord(BumpTid(), update::OpKind::kCopy, effect, &records));
-  return backend_->WriteRecords(records);
 }
 
 Status HierStore::TrackBatch(const std::vector<TrackedOp>& ops,

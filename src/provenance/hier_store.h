@@ -21,14 +21,10 @@ class HierStore : public ProvStore {
 
   Strategy strategy() const override { return Strategy::kHierarchical; }
 
-  Status TrackInsert(const update::ApplyEffect& effect) override;
-  Status TrackDelete(const update::ApplyEffect& effect) override;
-  Status TrackCopy(const update::ApplyEffect& effect) override;
-
-  /// Group commit: per-op tids and records identical to the Track*
-  /// calls — including the per-insert existence probe, which remains one
-  /// real provenance-store round trip per insert (the Figure 10 cost) —
-  /// but all surviving records flush in one WriteRecords round trip.
+  /// One tid and at most one record for every op — including the
+  /// per-insert existence probe, which remains one real provenance-store
+  /// round trip per insert (the Figure 10 cost) — while all surviving
+  /// records flush in one WriteRecords round trip.
   Status TrackBatch(const std::vector<TrackedOp>& ops,
                     std::vector<int64_t>* tids = nullptr) override;
 

@@ -25,30 +25,6 @@ Status NaiveStore::AppendRecords(int64_t tid, update::OpKind kind,
   return Status::Internal("unknown update kind");
 }
 
-Status NaiveStore::TrackInsert(const update::ApplyEffect& effect) {
-  std::vector<ProvRecord> records;
-  records.reserve(effect.inserted.size());
-  CPDB_RETURN_IF_ERROR(
-      AppendRecords(BumpTid(), update::OpKind::kInsert, effect, &records));
-  return backend_->WriteRecords(records);
-}
-
-Status NaiveStore::TrackDelete(const update::ApplyEffect& effect) {
-  std::vector<ProvRecord> records;
-  records.reserve(effect.deleted.size());
-  CPDB_RETURN_IF_ERROR(
-      AppendRecords(BumpTid(), update::OpKind::kDelete, effect, &records));
-  return backend_->WriteRecords(records);
-}
-
-Status NaiveStore::TrackCopy(const update::ApplyEffect& effect) {
-  std::vector<ProvRecord> records;
-  records.reserve(effect.copied.size());
-  CPDB_RETURN_IF_ERROR(
-      AppendRecords(BumpTid(), update::OpKind::kCopy, effect, &records));
-  return backend_->WriteRecords(records);
-}
-
 Status NaiveStore::TrackBatch(const std::vector<TrackedOp>& ops,
                               std::vector<int64_t>* tids) {
   if (ops.empty()) return Status::OK();

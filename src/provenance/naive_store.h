@@ -15,13 +15,9 @@ class NaiveStore : public ProvStore {
 
   Strategy strategy() const override { return Strategy::kNaive; }
 
-  Status TrackInsert(const update::ApplyEffect& effect) override;
-  Status TrackDelete(const update::ApplyEffect& effect) override;
-  Status TrackCopy(const update::ApplyEffect& effect) override;
-
-  /// Group commit: same per-op records and per-op tids as the Track*
-  /// calls, but the whole batch reaches the backend in one WriteRecords
-  /// round trip. A failed batch writes nothing.
+  /// One tid and one record per touched node for every op; the whole
+  /// batch reaches the backend in one WriteRecords round trip. A failed
+  /// batch writes nothing.
   Status TrackBatch(const std::vector<TrackedOp>& ops,
                     std::vector<int64_t>* tids = nullptr) override;
 

@@ -34,32 +34,10 @@ const char* StrategyShortName(Strategy s) {
   return "?";
 }
 
-Status ProvStore::TrackBatch(const std::vector<TrackedOp>& ops,
-                             std::vector<int64_t>* tids) {
-  // Default: dispatch per op. For T/HT this IS group commit — every
-  // record lands in the in-memory provlist and the backend sees one
-  // WriteRecords at Commit(); the tid is assigned there, so report 0.
-  for (const TrackedOp& op : ops) {
-    switch (op.kind) {
-      case update::OpKind::kInsert:
-        CPDB_RETURN_IF_ERROR(TrackInsert(op.effect));
-        break;
-      case update::OpKind::kDelete:
-        CPDB_RETURN_IF_ERROR(TrackDelete(op.effect));
-        break;
-      case update::OpKind::kCopy:
-        CPDB_RETURN_IF_ERROR(TrackCopy(op.effect));
-        break;
-    }
-    if (tids != nullptr) tids->push_back(0);
-  }
-  return Status::OK();
-}
-
 Result<std::optional<ProvRecord>> ProvStore::Lookup(int64_t tid,
                                                     const tree::Path& loc) {
   if (!IsHierarchical()) {
-    CPDB_ASSIGN_OR_RETURN(auto exact, backend_->GetExact(tid, loc));
+    CPDB_ASSIGN_OR_RETURN(auto exact, backend_->LookupMany(tid, {loc}));
     if (exact.empty()) return std::optional<ProvRecord>();
     return std::optional<ProvRecord>(exact.front());
   }

@@ -30,38 +30,38 @@ const char* StrategyShortName(Strategy s);  // "N", "H", "T", "HT"
 /// counter — the service layer's engine-wide monotonic allocation, which
 /// keeps concurrent sessions over one shared backend from minting the
 /// same tid (each session's private counter would otherwise start from
-/// the same MaxTid). Called only inside Track*/Commit, i.e. on the thread
-/// applying the transaction.
+/// the same MaxTid). Called only inside TrackBatch/Commit, i.e. on the
+/// thread applying the transaction.
 using TidAllocator = std::function<int64_t()>;
 
 /// One tracked operation of a staged batch: the update's kind plus the
 /// effect it had on the universe. The editor collects these while
-/// applying a script or bulk copy and hands the whole sequence to
-/// ProvStore::TrackBatch.
+/// applying a script, bulk copy or single update and hands the whole
+/// sequence to ProvStore::TrackBatch.
 struct TrackedOp {
   update::OpKind kind;
   update::ApplyEffect effect;
 };
 
-/// Abstract provenance store: tracking calls invoked by the
+/// Abstract provenance store: the tracking call invoked by the
 /// provenance-aware editor, transaction control, and the read interface
 /// used by provenance queries.
 ///
-/// Tracking contract: the editor applies an update to the target database,
-/// obtains its ApplyEffect, and calls exactly one Track* method — or, for
-/// a whole script/bulk copy, one TrackBatch covering every operation. For
-/// the per-operation strategies (N, H) each operation is its own
-/// transaction; Commit() is a no-op for them. For the transactional
-/// strategies (T, HT) records accumulate in an in-memory provlist until
-/// Commit().
+/// Tracking contract: the editor applies updates to the target database,
+/// obtains each one's ApplyEffect, and hands them to TrackBatch — a whole
+/// script or bulk copy in one call, a single update outside a script as
+/// a batch of one. TrackBatch is the only tracking call. For the
+/// per-operation strategies (N, H) each operation is its own transaction;
+/// Commit() is a no-op for them. For the transactional strategies (T, HT)
+/// records accumulate in an in-memory provlist until Commit().
 ///
-/// Group commit: TrackBatch preserves per-operation semantics exactly —
-/// N/H still consume one tid per operation and produce the same records —
-/// but moves the flush boundary so the whole batch reaches the backend in
-/// ONE WriteRecords round trip instead of one per op (the paper's
-/// "reduced number of round-trips" win, applied to the per-op
-/// strategies' bulk paths). T/HT's provlist commit already rides one
-/// flush per transaction; their TrackBatch just feeds the provlist.
+/// Group commit: N/H consume one tid per operation and produce per-op
+/// records, but the whole batch reaches the backend in ONE WriteRecords
+/// round trip (the paper's "reduced number of round-trips" win, applied
+/// to the per-op strategies' scripts). A batch of one therefore costs
+/// exactly what one per-op transaction costs. T/HT's provlist commit
+/// already rides one flush per transaction; their TrackBatch only feeds
+/// the provlist.
 ///
 /// Transaction numbering: sequential tids double as version numbers of the
 /// target database, so Trace's "t-1" step (Section 2.2) is tid arithmetic.
@@ -75,30 +75,18 @@ class ProvStore {
 
   // ----- Tracking (editor-facing) -----------------------------------------
 
-  /// Called after a successful insert; `effect.inserted` has the new path.
-  virtual Status TrackInsert(const update::ApplyEffect& effect) = 0;
-
-  /// Called after a successful delete; `effect.deleted` lists the removed
-  /// subtree's nodes in preorder (root first).
-  virtual Status TrackDelete(const update::ApplyEffect& effect) = 0;
-
-  /// Called after a successful copy-paste; `effect.copied` lists
-  /// (target, source) pairs in preorder (root first) and
-  /// `effect.overwritten` the displaced nodes.
-  virtual Status TrackCopy(const update::ApplyEffect& effect) = 0;
-
-  /// Tracks a whole staged batch (script / bulk copy) with group commit.
-  /// Per-op semantics (record contents, per-op tids for N/H, the
-  /// {Tid, Loc} key) are identical to calling Track* once per op; only
-  /// the flush boundary moves — N/H override this to issue ONE
-  /// WriteRecords for the batch (plus H's per-insert existence probes,
-  /// which stay individual round trips by design). The default loops
-  /// Track*, which is exactly right for T/HT: records land in the
-  /// provlist and flush once at Commit(). If `tids` is non-null it
-  /// receives the tid each op committed under (0 for T/HT, whose tid is
-  /// assigned at Commit). A failure writes nothing to the backend.
+  /// Tracks a staged batch of applied updates, in order. Each op's effect
+  /// carries the touched nodes: `inserted` for an insert, `deleted` in
+  /// preorder (root first) for a delete, and `copied` (target, source)
+  /// pairs in preorder plus the displaced `overwritten` nodes for a copy.
+  /// N/H commit each op under its own tid and flush the batch's records
+  /// in one WriteRecords (plus H's per-insert existence probes, which
+  /// stay individual round trips by design); a failure writes nothing to
+  /// the backend. T/HT add the ops to the provlist, which flushes at
+  /// Commit(). If `tids` is non-null it receives the tid each op
+  /// committed under (0 for T/HT, whose tid is assigned at Commit).
   virtual Status TrackBatch(const std::vector<TrackedOp>& ops,
-                            std::vector<int64_t>* tids = nullptr);
+                            std::vector<int64_t>* tids = nullptr) = 0;
 
   /// Ends the current transaction. For N/H this is implicit per op and
   /// calling it explicitly is a harmless no-op.
@@ -119,9 +107,10 @@ class ProvStore {
   //
   // Migration note: the vector-returning RecordsUnder / RecordsAtAncestors
   // / RecordsForTid / AllRecords methods were removed with the cursor
-  // redesign; their one-shot equivalents live on ProvBackend (GetUnder,
-  // GetAtLocOrAncestors, GetForTid, GetAll), each costing exactly one
-  // round trip.
+  // redesign, and so were ProvBackend's one-shot Get* shims that stood in
+  // for them. Read through the cursors: ScanUnder, ScanAtLocOrAncestors,
+  // ScanForTid and ScanAll (one round trip per batch fetched), or
+  // LookupMany for a point.
 
   /// Effective provenance of `loc` in transaction `tid`, applying the
   /// hierarchical inference rules where the strategy requires it

@@ -25,7 +25,7 @@ bool TxnStore::InsertInferable(const tree::Path& p) const {
   return false;
 }
 
-Status TxnStore::TrackInsert(const update::ApplyEffect& effect) {
+Status TxnStore::AddInsert(const update::ApplyEffect& effect) {
   if (effect.inserted.empty()) {
     return Status::InvalidArgument("insert effect with no inserted node");
   }
@@ -46,7 +46,7 @@ Status TxnStore::TrackInsert(const update::ApplyEffect& effect) {
   return Status::OK();
 }
 
-Status TxnStore::TrackDelete(const update::ApplyEffect& effect) {
+Status TxnStore::AddDelete(const update::ApplyEffect& effect) {
   if (effect.deleted.empty()) {
     return Status::InvalidArgument("delete effect with no deleted nodes");
   }
@@ -69,7 +69,7 @@ Status TxnStore::TrackDelete(const update::ApplyEffect& effect) {
   return Status::OK();
 }
 
-Status TxnStore::TrackCopy(const update::ApplyEffect& effect) {
+Status TxnStore::AddCopy(const update::ApplyEffect& effect) {
   if (effect.copied.empty()) {
     return Status::InvalidArgument("copy effect with no copied nodes");
   }
@@ -102,6 +102,25 @@ Status TxnStore::TrackCopy(const update::ApplyEffect& effect) {
     if (!existed_at_start) created_.insert(loc);
     if (options_.hierarchical && loc != root) continue;
     provlist_.emplace(loc, ProvRecord::Copy(0, loc, src));
+  }
+  return Status::OK();
+}
+
+Status TxnStore::TrackBatch(const std::vector<TrackedOp>& ops,
+                            std::vector<int64_t>* tids) {
+  for (const TrackedOp& op : ops) {
+    switch (op.kind) {
+      case update::OpKind::kInsert:
+        CPDB_RETURN_IF_ERROR(AddInsert(op.effect));
+        break;
+      case update::OpKind::kDelete:
+        CPDB_RETURN_IF_ERROR(AddDelete(op.effect));
+        break;
+      case update::OpKind::kCopy:
+        CPDB_RETURN_IF_ERROR(AddCopy(op.effect));
+        break;
+    }
+    if (tids != nullptr) tids->push_back(0);
   }
   return Status::OK();
 }

@@ -37,10 +37,10 @@ struct TxnStoreOptions {
 /// Temporary data created and destroyed within the transaction leaves no
 /// trace, and {Tid, Loc} remains a key of the committed table.
 ///
-/// TrackBatch rides the base-class default: batched tracking feeds the
-/// provlist exactly like per-op tracking (no backend traffic either way),
-/// and the single WriteRecords at Commit() is the group-commit flush the
-/// per-op strategies emulate per batch.
+/// TrackBatch only feeds the provlist (no backend traffic), whether the
+/// editor hands it a whole script or a single op; the single WriteRecords
+/// at Commit() is the group-commit flush the per-op strategies emulate
+/// per batch.
 ///
 /// With options.hierarchical, the provlist holds hierarchical records
 /// (subtree roots only) and Lookup() applies closest-ancestor inference.
@@ -55,9 +55,10 @@ class TxnStore : public ProvStore {
                                  : Strategy::kTransactional;
   }
 
-  Status TrackInsert(const update::ApplyEffect& effect) override;
-  Status TrackDelete(const update::ApplyEffect& effect) override;
-  Status TrackCopy(const update::ApplyEffect& effect) override;
+  /// Adds each op's net effect to the provlist, in order; reports tid 0
+  /// per op (the transaction's tid is assigned at Commit).
+  Status TrackBatch(const std::vector<TrackedOp>& ops,
+                    std::vector<int64_t>* tids = nullptr) override;
 
   /// Writes the provlist in a single round trip and starts a new
   /// transaction. A transaction with no net changes still consumes a tid
@@ -73,6 +74,12 @@ class TxnStore : public ProvStore {
   size_t PendingCount() const { return provlist_.size(); }
 
  private:
+  /// Provlist upkeep for one op of each kind (see ProvStore::TrackBatch
+  /// for what each effect carries).
+  Status AddInsert(const update::ApplyEffect& effect);
+  Status AddDelete(const update::ApplyEffect& effect);
+  Status AddCopy(const update::ApplyEffect& effect);
+
   /// Removes provlist entries at or under `root`.
   void PruneUnder(const tree::Path& root);
 

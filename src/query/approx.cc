@@ -16,6 +16,7 @@ const char* MayAnswerName(MayAnswer a) {
 
 std::string ApproxRecord::ToString() const {
   std::string out = std::to_string(tid);
+  if (last_tid > tid) out += "-" + std::to_string(last_tid);
   out += ' ';
   out += provenance::ProvOpChar(op);
   out += ' ';
@@ -38,7 +39,7 @@ MayAnswer ApproxProvStore::MayComeFrom(int64_t tid, const tree::Path& loc,
                                        const tree::Path& src) const {
   MayAnswer best = MayAnswer::kNo;
   for (const ApproxRecord& r : records_) {
-    if (r.tid != tid || r.op != provenance::ProvOp::kCopy) continue;
+    if (!r.CoversTid(tid) || r.op != provenance::ProvOp::kCopy) continue;
     // The loc and src globs bind their wildcards jointly: T/a/*/b from
     // S/a/*/b relates T/a/x/b only to S/a/x/b. Check binding consistency
     // when arities match; otherwise fall back to independent matching.

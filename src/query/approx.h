@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,11 +24,21 @@ const char* MayAnswerName(MayAnswer a);
 /// One approximate provenance record, e.g.
 /// Prov(t, C, T/a/*/b, S/a/*/b): transaction t may have copied data from
 /// source paths matching the src glob to target paths matching loc.
+///
+/// A bulk statement spans the tids [tid, last_tid]: under N/H each of its
+/// atomic copies commits as its own transaction, while under T/HT the
+/// whole bulk is one transaction and last_tid equals tid. A last_tid
+/// below tid means the record covers tid alone.
 struct ApproxRecord {
   int64_t tid = 0;
+  int64_t last_tid = 0;
   provenance::ProvOp op = provenance::ProvOp::kCopy;
   tree::PathGlob loc;
   tree::PathGlob src;
+
+  bool CoversTid(int64_t t) const {
+    return t >= tid && t <= std::max(tid, last_tid);
+  }
 
   std::string ToString() const;
 };
@@ -45,6 +56,7 @@ class ApproxProvStore {
   std::vector<ApproxRecord> MayAffect(const tree::Path& loc) const;
 
   /// Could the data at `loc` have come from `src` in transaction `tid`?
+  /// Only records whose tid range covers `tid` can answer yes or maybe.
   MayAnswer MayComeFrom(int64_t tid, const tree::Path& loc,
                         const tree::Path& src) const;
 

@@ -36,8 +36,8 @@ struct CostParams {
 /// differencing: `calls` is the modelled round-trip count (the paper's
 /// unit of query cost), `rows` the transferred-row count. `write_calls`
 /// and `write_rows` are the write-side subset — round trips issued by
-/// ChargeWrite (WriteRecords, target ApplyBatch/ApplyNative) — so benches
-/// can difference write round trips the same way reads do.
+/// ChargeWrite (WriteRecords, target ApplyBatch) — so benches can
+/// difference write round trips the same way reads do.
 struct CostSnapshot {
   double micros = 0;
   size_t calls = 0;

@@ -68,12 +68,6 @@ Result<Datum> RelationalTargetDb::ValueToDatum(const tree::Value& v,
                                  "' does not fit column type");
 }
 
-Status RelationalTargetDb::ApplyNative(const update::Update& u,
-                                       const tree::Tree* copied_subtree) {
-  cost().ChargeWrite(1);
-  return ApplyOne(u, copied_subtree);
-}
-
 Status RelationalTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
   if (ops.empty()) return Status::OK();
   cost().ChargeWrite(ops.size());

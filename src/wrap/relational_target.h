@@ -35,9 +35,6 @@ class RelationalTargetDb : public TargetDb {
 
   Result<tree::Tree> TreeFromDb() override;
 
-  Status ApplyNative(const update::Update& u,
-                     const tree::Tree* copied_subtree) override;
-
   /// One modelled SQL batch statement for the whole transaction: each
   /// op's SQL mechanics run in order, one round trip charged in total.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;

@@ -33,14 +33,6 @@ Status TreeTargetDb::ApplyOne(const update::Update& u,
   return Status::Internal("unknown update kind");
 }
 
-Status TreeTargetDb::ApplyNative(const update::Update& u,
-                                 const tree::Tree* copied_subtree) {
-  size_t rows = 0;
-  CPDB_RETURN_IF_ERROR(ApplyOne(u, copied_subtree, &rows));
-  cost_.ChargeWrite(rows);
-  return Status::OK();
-}
-
 Status TreeTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
   size_t total_rows = 0;
   for (const NativeOp& op : ops) {

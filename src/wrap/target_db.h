@@ -25,20 +25,18 @@ struct NativeOp {
 
 /// Wrapper a target database must implement (paper Figure 6): initial
 /// tree view plus the update methods addNode / deleteNode / pasteNode,
-/// here unified as ApplyNative(update) since the three update verbs map
-/// 1:1 onto the atomic update language.
+/// here unified as ApplyBatch over update-language ops since the three
+/// update verbs map 1:1 onto the atomic update language.
 ///
-/// The editor keeps the authoritative universe tree; ApplyNative pushes
-/// each applied update through to the native store so it stays in sync,
-/// and charges the target's interaction cost (the dominant "dataset
-/// update" time of Figure 9 — Timber-over-SOAP in the paper).
-///
-/// Batched write path: a committed transaction's (or applied script's)
-/// updates arrive together via ApplyBatch, which concrete wrappers charge
-/// as ONE modelled client call carrying all the rows — the write-side
-/// analogue of the cursor read API's one-round-trip-per-batch contract.
-/// The base implementation falls back to per-op ApplyNative calls (and
-/// their per-op cost), so third-party wrappers stay correct unmodified.
+/// The editor keeps the authoritative universe tree; ApplyBatch mirrors
+/// each committed transaction's updates into the native store so it
+/// stays in sync, and charges the target's interaction cost (the
+/// dominant "dataset update" time of Figure 9 — Timber-over-SOAP in the
+/// paper). It is the only native write call: a T/HT transaction arrives
+/// as one batch at Commit(), an N/H script as one batch, and a single
+/// N/H update as a batch of one. Wrappers charge each call as ONE
+/// modelled client call carrying all its rows — the write-side analogue
+/// of the cursor read API's one-round-trip-per-batch contract.
 class TargetDb {
  public:
   virtual ~TargetDb() = default;
@@ -49,24 +47,14 @@ class TargetDb {
   /// Initial content (fully-keyed tree view).
   virtual Result<tree::Tree> TreeFromDb() = 0;
 
-  /// Mirrors one applied update into the native store. `u`'s paths are
-  /// relative to this database's root (the mount label stripped).
-  /// For copies the already-materialised subtree is supplied, because the
-  /// native store cannot see the editor's universe.
-  virtual Status ApplyNative(const update::Update& u,
-                             const tree::Tree* copied_subtree) = 0;
-
   /// Mirrors a whole transaction's updates, in order, in one modelled
-  /// round trip (overrides; the default delegates per op). `ops` must be
-  /// a replay of updates already validated against the editor's universe;
-  /// a mid-batch failure aborts the remainder and is reported — like a
-  /// failed commit replay today, the native store then needs a reload.
-  virtual Status ApplyBatch(const std::vector<NativeOp>& ops) {
-    for (const NativeOp& op : ops) {
-      CPDB_RETURN_IF_ERROR(ApplyNative(op.update, op.pasted));
-    }
-    return Status::OK();
-  }
+  /// round trip. Each op's paths are relative to this database's root
+  /// (the mount label stripped), and a copy carries its materialised
+  /// subtree. `ops` must be a replay of updates already validated
+  /// against the editor's universe; a mid-batch failure aborts the
+  /// remainder and is reported — like a failed commit replay, the native
+  /// store then needs a reload.
+  virtual Status ApplyBatch(const std::vector<NativeOp>& ops) = 0;
 
   /// Durability barrier, called by the editor once per committed
   /// transaction after the transaction's native writes. Wrappers over a
@@ -98,8 +86,8 @@ class TargetDb {
 };
 
 /// A native tree/XML target database — the stand-in for MiMI-on-Timber.
-/// Content mirrors the editor's universe; ApplyNative re-applies the
-/// update locally and charges one round trip per update plus per-node
+/// Content mirrors the editor's universe; ApplyBatch re-applies the
+/// updates locally and charges one round trip per batch plus per-node
 /// costs for pastes.
 class TreeTargetDb : public TargetDb {
  public:
@@ -124,8 +112,6 @@ class TreeTargetDb : public TargetDb {
   /// (tree::Tree structural sharing), so snapshotting never copies data.
   Result<tree::Tree> TreeFromDb() override { return content_.Clone(); }
   bool CheapSnapshots() const override { return true; }
-  Status ApplyNative(const update::Update& u,
-                     const tree::Tree* copied_subtree) override;
   /// Applies every update, charging one round trip for the whole batch
   /// (rows = total nodes moved) instead of one per op.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;
@@ -140,7 +126,7 @@ class TreeTargetDb : public TargetDb {
   const tree::Tree& content() const { return content_; }
 
  private:
-  /// The shared update mechanics, with no cost charged.
+  /// One update's mechanics, with no cost charged.
   Status ApplyOne(const update::Update& u, const tree::Tree* copied_subtree,
                   size_t* rows);
 

@@ -76,6 +76,48 @@ TEST(BulkTest, EditorBulkCopyTracksFullAndApproxProvenance) {
   EXPECT_LT(ed.approx()->ApproxBytes(), 64u);
 }
 
+TEST(BulkTest, PerOpBulkCopyApproxRecordCoversEveryTidItUsed) {
+  // Under N/H each atomic copy of a bulk commits as its own transaction,
+  // so the glob record must answer for the bulk's first through last
+  // tid — and not for the next, unrelated one.
+  for (provenance::Strategy strategy :
+       {provenance::Strategy::kNaive, provenance::Strategy::kHierarchical}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    relstore::Database prov_db("provdb");
+    provenance::ProvBackend backend(&prov_db);
+    EditorOptions opts;
+    opts.strategy = strategy;
+    opts.first_tid = 10;
+    opts.enable_approx = true;
+    wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+    wrap::TreeSourceDb s1("S1", testutil::Figure4SourceS1());
+    auto editor = Editor::Create(&target, &backend, opts);
+    ASSERT_TRUE(editor.ok());
+    Editor& ed = **editor;
+    ASSERT_TRUE(ed.MountSource(&s1).ok());
+
+    update::BulkCopySpec spec;
+    spec.src = PathGlob::MustParse("S1/*");
+    spec.dst = PathGlob::MustParse("T/*");
+    auto n = ed.BulkCopy(spec);
+    ASSERT_TRUE(n.ok()) << n.status();
+    ASSERT_EQ(*n, 3u);  // a1, a2, a3 commit as tids 10, 11, 12
+    EXPECT_EQ(ed.store()->LastCommittedTid(), 12);
+    ASSERT_EQ(ed.approx()->RecordCount(), 1u);
+
+    const query::ApproxProvStore& approx = *ed.approx();
+    EXPECT_NE(approx.MayComeFrom(10, Path::MustParse("T/a1"),
+                                 Path::MustParse("S1/a1")),
+              MayAnswer::kNo);
+    EXPECT_NE(approx.MayComeFrom(12, Path::MustParse("T/a3"),
+                                 Path::MustParse("S1/a3")),
+              MayAnswer::kNo);
+    EXPECT_EQ(approx.MayComeFrom(13, Path::MustParse("T/a3"),
+                                 Path::MustParse("S1/a3")),
+              MayAnswer::kNo);
+  }
+}
+
 TEST(ApproxTest, MayAffect) {
   ApproxProvStore store;
   ApproxRecord rec;

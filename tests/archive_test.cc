@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tree/diff.h"
 #include "tree/serialize.h"
 #include "update/semantics.h"
@@ -17,11 +19,11 @@ tree::Tree T(const std::string& lit) {
 
 tree::Path P(const std::string& s) { return tree::Path::MustParse(s); }
 
-/// Applies a script to a working tree and records it.
+/// Applies a script to a working tree and records it as a one-version run.
 Status Step(VersionArchive* arch, tree::Tree* work, int64_t tid,
             update::Script script) {
   CPDB_RETURN_IF_ERROR(update::ApplySequence(work, script));
-  return arch->Record(tid, std::move(script), *work);
+  return arch->Record(tid, {std::move(script)}, *work);
 }
 
 TEST(ArchiveTest, ReconstructsAllVersions) {
@@ -57,7 +59,8 @@ TEST(ArchiveTest, ReconstructsAllVersions) {
 TEST(ArchiveTest, NonConsecutiveVersionsRejected) {
   VersionArchive arch(0, tree::Tree());
   tree::Tree work;
-  EXPECT_TRUE(arch.Record(2, {}, work).IsInvalidArgument());
+  EXPECT_TRUE(arch.Record(2, {update::Script{}}, work).IsInvalidArgument());
+  EXPECT_TRUE(arch.Record(1, {}, work).IsInvalidArgument());  // empty run
 }
 
 TEST(ArchiveTest, CheckpointCadence) {
@@ -80,12 +83,50 @@ TEST(ArchiveTest, CheckpointCadence) {
   EXPECT_FALSE(v7->Contains(P("T/n8")));
 }
 
+TEST(ArchiveTest, RunRecordedInOneCallCheckpointsAtItsLastVersion) {
+  // An N/H script commits one version per op but only its post-state is
+  // known, so a checkpoint due inside the run lands on its last version.
+  VersionArchive::Options opts;
+  opts.checkpoint_every = 4;
+  tree::Tree work = T("{T: {}}");
+  VersionArchive arch(0, work.Clone(), opts);
+  std::vector<tree::Tree> expected;
+  expected.push_back(work.Clone());
+  std::vector<update::Script> run;
+  for (int64_t tid = 1; tid <= 5; ++tid) {
+    update::Script script = {
+        update::Update::Insert(P("T"), "n" + std::to_string(tid))};
+    ASSERT_TRUE(update::ApplySequence(&work, script).ok());
+    expected.push_back(work.Clone());
+    run.push_back(std::move(script));
+  }
+  ASSERT_TRUE(arch.Record(1, std::move(run), work).ok());
+  EXPECT_EQ(arch.last_version(), 5);
+  EXPECT_EQ(arch.CheckpointCount(), 2u);  // the base and version 5
+  for (int64_t v = 0; v <= 5; ++v) {
+    auto got = arch.GetVersion(v);
+    ASSERT_TRUE(got.ok()) << v;
+    EXPECT_TRUE(got->Equals(expected[static_cast<size_t>(v)])) << v;
+  }
+  ASSERT_TRUE(arch.GetScript(3).ok());
+  EXPECT_EQ((**arch.GetScript(3))[0].label, "n3");
+  // The cadence restarts from version 5: versions 6-8 add no checkpoint,
+  // version 9 does.
+  for (int64_t tid = 6; tid <= 9; ++tid) {
+    ASSERT_TRUE(Step(&arch, &work, tid,
+                     {update::Update::Insert(
+                         P("T"), "n" + std::to_string(tid))})
+                    .ok());
+    EXPECT_EQ(arch.CheckpointCount(), tid < 9 ? 2u : 3u) << tid;
+  }
+}
+
 TEST(ArchiveTest, GetScript) {
   tree::Tree work = T("{T: {}}");
   VersionArchive arch(0, work.Clone());
   update::Script script = {update::Update::Insert(P("T"), "x")};
   ASSERT_TRUE(update::ApplySequence(&work, script).ok());
-  ASSERT_TRUE(arch.Record(1, script, work).ok());
+  ASSERT_TRUE(arch.Record(1, {script}, work).ok());
   auto got = arch.GetScript(1);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(**got, script);

@@ -120,7 +120,7 @@ std::vector<Capture> RunGolden(Strategy strategy, const std::string& dir,
     if (commits == captures.size()) return;   // nothing new sealed
     Capture cap;
     cap.wal_bytes = ReadFile(Durability::WalPath(dir));
-    auto all = backend.GetAll();
+    auto all = testutil::DrainAll(backend.ScanAll());
     ASSERT_TRUE(all.ok());
     cap.prov = std::move(all).value();
     cap.prot_rows = SortedProtRows(db.get());
@@ -173,7 +173,7 @@ std::vector<Capture> RunGolden(Strategy strategy, const std::string& dir,
 void ExpectStateEquals(Database* db, const Capture& expected,
                        Strategy strategy) {
   provenance::ProvBackend backend(db);
-  auto prov = backend.GetAll();
+  auto prov = testutil::DrainAll(backend.ScanAll());
   ASSERT_TRUE(prov.ok());
   EXPECT_EQ(*prov, expected.prov);
   EXPECT_EQ(SortedProtRows(db), expected.prot_rows);

@@ -377,7 +377,7 @@ std::vector<ProvRecord> RunFigure3Durable(Strategy strategy,
   EXPECT_TRUE((*editor)->MountSource(&s2).ok());
   EXPECT_TRUE((*editor)->ApplyScriptText(testutil::Figure3ScriptText()).ok());
   EXPECT_TRUE((*editor)->Commit().ok());
-  auto all = backend.GetAll();
+  auto all = testutil::DrainAll(backend.ScanAll());
   EXPECT_TRUE(all.ok());
   *table_text = provenance::RecordsToTable(*all);
   // Simulated crash on return: editor, backend, and database are dropped
@@ -400,7 +400,7 @@ TEST(DurableEditorTest, Figure5TableSurvivesCrashBitForBit) {
     ASSERT_TRUE(db.ok()) << db.status();
     provenance::ProvBackend backend(db->get());
     EXPECT_EQ(backend.MaxTid(), expected.back().tid);
-    auto recovered = backend.GetAll();
+    auto recovered = testutil::DrainAll(backend.ScanAll());
     ASSERT_TRUE(recovered.ok());
     EXPECT_EQ(*recovered, expected);
     EXPECT_EQ(provenance::RecordsToTable(*recovered), expected_table);
@@ -427,7 +427,7 @@ TEST(DurableEditorTest, SessionContinuesAcrossReopenWithContiguousTids) {
   ASSERT_TRUE(editor.ok());
   ASSERT_TRUE(
       (*editor)->Insert(tree::Path::MustParse("T"), "c9").ok());
-  auto all = backend.GetAll();
+  auto all = testutil::DrainAll(backend.ScanAll());
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), first.size() + 1);
   EXPECT_EQ(all->back().tid, last_tid + 1);

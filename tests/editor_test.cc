@@ -102,7 +102,7 @@ TEST(EditorTest, CommitBoundariesControlTransactionGranularity) {
   ASSERT_TRUE(s->editor->Insert(Path::MustParse("T"), "b").ok());
   ASSERT_TRUE(s->editor->Insert(Path::MustParse("T"), "c").ok());
   ASSERT_TRUE(s->editor->Commit().ok());
-  auto records = s->editor->store()->backend()->GetAll();
+  auto records = testutil::DrainAll(s->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 3u);
   EXPECT_EQ((*records)[0].tid, 1);
@@ -135,7 +135,7 @@ TEST(EditorTest, CopyThenRecopyKeepsNetProvenance) {
                               Path::MustParse("T/e"))
                   .ok());
   ASSERT_TRUE(s->editor->Commit().ok());
-  auto records = s->editor->store()->backend()->GetAll();
+  auto records = testutil::DrainAll(s->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   for (const auto& r : *records) {
     EXPECT_EQ(r.src.At(0), "S2") << r.ToString();

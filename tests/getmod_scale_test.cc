@@ -103,7 +103,7 @@ void CheckStrategy(Strategy strategy) {
   ASSERT_NE(s, nullptr);
   ASSERT_GT(s->editor->store()->RecordCount(), 100u);
 
-  auto stored = s->backend->GetAll();
+  auto stored = testutil::DrainAll(s->backend->ScanAll());
   ASSERT_TRUE(stored.ok());
   auto versions = s->editor->archive()->MakeVersionFn();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cpdb/cpdb.h"
+#include "test_util.h"
 
 namespace cpdb {
 namespace {
@@ -127,7 +128,8 @@ TEST(OwnTest, PartialReconstructionOfLostSource) {
   // "S disappears": reconstruct what we can from T1+T2 provenance.
   tree::Tree reconstructed;
   for (Db* db : {t1.get(), t2.get()}) {
-    auto records = db->editor->store()->backend()->GetAll();
+    auto records =
+        testutil::DrainAll(db->editor->store()->backend()->ScanAll());
     ASSERT_TRUE(records.ok());
     for (const auto& r : *records) {
       if (r.op != provenance::ProvOp::kCopy) continue;

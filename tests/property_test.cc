@@ -97,8 +97,10 @@ TEST_P(RandomWorkloadTest, HierarchicalExpandsToNaive) {
   auto h = RunPattern(Strategy::kHierarchical, pattern, seed, 100, 5);
   ASSERT_EQ(n.applied, h.applied);
 
-  auto naive_records = n.session->editor->store()->backend()->GetAll();
-  auto hier_records = h.session->editor->store()->backend()->GetAll();
+  auto naive_records =
+      testutil::DrainAll(n.session->editor->store()->backend()->ScanAll());
+  auto hier_records =
+      testutil::DrainAll(h.session->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(naive_records.ok());
   ASSERT_TRUE(hier_records.ok());
 
@@ -239,7 +241,7 @@ TEST(RecoverabilityTest, NaiveRecordsRecoverScriptShape) {
   auto s = MakeFigureSession(Strategy::kNaive);
   ASSERT_NE(s, nullptr);
   ASSERT_TRUE(s->editor->ApplyScriptText(testutil::Figure3ScriptText()).ok());
-  auto records = s->editor->store()->backend()->GetAll();
+  auto records = testutil::DrainAll(s->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(records.ok());
 
   // Reconstruct per-tid ops: the root record of each tid gives the op.

@@ -25,7 +25,7 @@ std::vector<ProvRecord> RunFigure3(Strategy strategy, bool one_txn) {
     st = s->editor->Commit();
     EXPECT_TRUE(st.ok()) << st;
   }
-  auto records = s->editor->store()->backend()->GetAll();
+  auto records = testutil::DrainAll(s->editor->store()->backend()->ScanAll());
   EXPECT_TRUE(records.ok());
   auto out = std::move(records).value();
   std::sort(out.begin(), out.end());
@@ -173,7 +173,7 @@ TEST(Figure5, HierarchicalExpandsToNaive) {
   auto s = MakeFigureSession(Strategy::kHierarchical);
   ASSERT_NE(s, nullptr);
   ASSERT_TRUE(s->editor->ApplyScriptText(testutil::Figure3ScriptText()).ok());
-  auto hier = s->editor->store()->backend()->GetAll();
+  auto hier = testutil::DrainAll(s->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(hier.ok());
   auto versions = s->editor->archive()->MakeVersionFn();
   auto expanded = provenance::ExpandToFull(hier.value(), versions);

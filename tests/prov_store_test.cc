@@ -8,6 +8,7 @@
 #include "provenance/naive_store.h"
 #include "provenance/txn_store.h"
 #include "relstore/database.h"
+#include "test_util.h"
 
 namespace cpdb::provenance {
 namespace {
@@ -17,25 +18,28 @@ using update::ApplyEffect;
 
 Path P(const std::string& s) { return Path::MustParse(s); }
 
-ApplyEffect InsertEffect(const std::string& p) {
+// One-op batches for TrackBatch, built from hand-made effects.
+
+std::vector<TrackedOp> InsertOp(const std::string& p) {
   ApplyEffect e;
   e.inserted.push_back(P(p));
-  return e;
+  return {{update::OpKind::kInsert, std::move(e)}};
 }
 
-ApplyEffect DeleteEffect(std::vector<std::string> paths) {
+std::vector<TrackedOp> DeleteOp(std::vector<std::string> paths) {
   ApplyEffect e;
   for (const auto& p : paths) e.deleted.push_back(P(p));
-  return e;
+  return {{update::OpKind::kDelete, std::move(e)}};
 }
 
-ApplyEffect CopyEffect(std::vector<std::pair<std::string, std::string>> c,
-                       std::vector<std::string> overwritten = {}) {
+std::vector<TrackedOp> CopyOp(
+    std::vector<std::pair<std::string, std::string>> c,
+    std::vector<std::string> overwritten = {}) {
   ApplyEffect e;
   for (const auto& [loc, src] : c) e.copied.emplace_back(P(loc), P(src));
   for (const auto& o : overwritten) e.overwritten.push_back(P(o));
   e.overwrote = !e.overwritten.empty();
-  return e;
+  return {{update::OpKind::kCopy, std::move(e)}};
 }
 
 struct Fixture {
@@ -46,9 +50,9 @@ struct Fixture {
 TEST(TxnStoreTest, InsertThenDeleteCancels) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
   EXPECT_EQ(store.PendingCount(), 1u);
-  ASSERT_TRUE(store.TrackDelete(DeleteEffect({"T/a"})).ok());
+  ASSERT_TRUE(store.TrackBatch(DeleteOp({"T/a"})).ok());
   EXPECT_EQ(store.PendingCount(), 0u);
   ASSERT_TRUE(store.Commit().ok());
   EXPECT_EQ(store.RecordCount(), 0u);
@@ -59,10 +63,10 @@ TEST(TxnStoreTest, DeleteThenReinsertBecomesInsert) {
   // record, and the net effect is recorded as I.
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
-  ASSERT_TRUE(store.TrackDelete(DeleteEffect({"T/a"})).ok());
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(DeleteOp({"T/a"})).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
   ASSERT_TRUE(store.Commit().ok());
-  auto records = store.backend()->GetAll();
+  auto records = testutil::DrainAll(store.backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].op, ProvOp::kInsert);
@@ -73,10 +77,10 @@ TEST(TxnStoreTest, DeleteOfPreexistingChildrenSurvivesReinsertOfRoot) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
   // Delete a pre-existing subtree {a, a/x}; re-insert only the root.
-  ASSERT_TRUE(store.TrackDelete(DeleteEffect({"T/a", "T/a/x"})).ok());
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(DeleteOp({"T/a", "T/a/x"})).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
   ASSERT_TRUE(store.Commit().ok());
-  auto records = store.backend()->GetAll();
+  auto records = testutil::DrainAll(store.backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
   // a: net replaced (I); a/x: net deleted (D).
@@ -90,18 +94,18 @@ TEST(TxnStoreTest, CopyOverwriteDropsOverwrittenLinks) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
   ASSERT_TRUE(store
-                  .TrackCopy(CopyEffect(
+                  .TrackBatch(CopyOp(
                       {{"T/e", "S1/a"}, {"T/e/x", "S1/a/x"}}))
                   .ok());
   EXPECT_EQ(store.PendingCount(), 2u);
   // Overwrite with a copy from S2 whose shape differs.
   ASSERT_TRUE(store
-                  .TrackCopy(CopyEffect({{"T/e", "S2/b"},
-                                         {"T/e/y", "S2/b/y"}},
-                                        {"T/e", "T/e/x"}))
+                  .TrackBatch(CopyOp({{"T/e", "S2/b"},
+                                      {"T/e/y", "S2/b/y"}},
+                                     {"T/e", "T/e/x"}))
                   .ok());
   ASSERT_TRUE(store.Commit().ok());
-  auto records = store.backend()->GetAll();
+  auto records = testutil::DrainAll(store.backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
   for (const auto& r : *records) {
@@ -113,10 +117,10 @@ TEST(TxnStoreTest, CopyDataThenDeleteWithinTxnLeavesNothing) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
   ASSERT_TRUE(store
-                  .TrackCopy(CopyEffect(
+                  .TrackBatch(CopyOp(
                       {{"T/e", "S1/a"}, {"T/e/x", "S1/a/x"}}))
                   .ok());
-  ASSERT_TRUE(store.TrackDelete(DeleteEffect({"T/e", "T/e/x"})).ok());
+  ASSERT_TRUE(store.TrackBatch(DeleteOp({"T/e", "T/e/x"})).ok());
   ASSERT_TRUE(store.Commit().ok());
   EXPECT_EQ(store.RecordCount(), 0u);
 }
@@ -134,7 +138,7 @@ TEST(TxnStoreTest, EmptyCommitAdvancesTidWithoutRoundTrip) {
 TEST(TxnStoreTest, AbortDiscardsPending) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
   EXPECT_TRUE(store.HasPending());
   store.AbortPending();
   EXPECT_FALSE(store.HasPending());
@@ -147,16 +151,16 @@ TEST(HtStoreTest, InsertUnderSameTxnInsertIsInferable) {
   TxnStoreOptions opts;
   opts.hierarchical = true;
   TxnStore store(&fx.backend, opts);
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a/b")).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a/b")).ok());
   // b is inferable from a's insert; only one record pending.
   EXPECT_EQ(store.PendingCount(), 1u);
   // But an insert under a *copied* node is NOT inferable (Fig 5(d)'s
   // "121 I T/c4/y").
   ASSERT_TRUE(store
-                  .TrackCopy(CopyEffect({{"T/c", "S1/a"}}))
+                  .TrackBatch(CopyOp({{"T/c", "S1/a"}}))
                   .ok());
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/c/y")).ok());
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/c/y")).ok());
   EXPECT_EQ(store.PendingCount(), 3u);
 }
 
@@ -166,9 +170,9 @@ TEST(HtStoreTest, HierarchicalDeleteStoresOnlyRoot) {
   opts.hierarchical = true;
   TxnStore store(&fx.backend, opts);
   ASSERT_TRUE(
-      store.TrackDelete(DeleteEffect({"T/a", "T/a/x", "T/a/y"})).ok());
+      store.TrackBatch(DeleteOp({"T/a", "T/a/x", "T/a/y"})).ok());
   ASSERT_TRUE(store.Commit().ok());
-  auto records = store.backend()->GetAll();
+  auto records = testutil::DrainAll(store.backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].op, ProvOp::kDelete);
@@ -178,9 +182,9 @@ TEST(HtStoreTest, HierarchicalDeleteStoresOnlyRoot) {
 TEST(NaiveStoreTest, PerOpTransactionNumbers) {
   Fixture fx;
   NaiveStore store(&fx.backend, /*first_tid=*/121);
-  ASSERT_TRUE(store.TrackInsert(InsertEffect("T/a")).ok());
-  ASSERT_TRUE(store.TrackDelete(DeleteEffect({"T/b", "T/b/x"})).ok());
-  auto records = store.backend()->GetAll();
+  ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
+  ASSERT_TRUE(store.TrackBatch(DeleteOp({"T/b", "T/b/x"})).ok());
+  auto records = testutil::DrainAll(store.backend()->ScanAll());
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 3u);
   EXPECT_EQ((*records)[0].tid, 121);
@@ -193,14 +197,14 @@ TEST(HierStoreTest, InsertProbeCostsARoundTrip) {
   Fixture fx;
   HierStore hier(&fx.backend);
   size_t calls0 = fx.db.cost().Calls();
-  ASSERT_TRUE(hier.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(hier.TrackBatch(InsertOp("T/a")).ok());
   size_t insert_calls = fx.db.cost().Calls() - calls0;
 
   relstore::Database db2("provdb2");
   ProvBackend backend2(&db2);
   NaiveStore naive(&backend2);
   size_t calls1 = db2.cost().Calls();
-  ASSERT_TRUE(naive.TrackInsert(InsertEffect("T/a")).ok());
+  ASSERT_TRUE(naive.TrackBatch(InsertOp("T/a")).ok());
   size_t naive_calls = db2.cost().Calls() - calls1;
 
   // The hierarchical insert issues the existence probe + the write; the
@@ -228,7 +232,7 @@ TEST(BackendTest, GetUnderIsPathAware) {
                                  ProvRecord::Insert(3, P("T/c10")),
                                  ProvRecord::Insert(4, P("T/c2"))})
                   .ok());
-  auto under = fx.backend.GetUnder(P("T/c1"));
+  auto under = testutil::DrainAll(fx.backend.ScanUnder(P("T/c1")));
   ASSERT_TRUE(under.ok());
   ASSERT_EQ(under->size(), 2u);  // c1 and c1/x, NOT c10
   EXPECT_EQ((*under)[0].loc, P("T/c1"));
@@ -243,15 +247,16 @@ TEST(BackendTest, GetAtLocOrAncestorsWalksUp) {
                                  ProvRecord::Insert(3, P("T/zz"))})
                   .ok());
   size_t calls0 = fx.db.cost().Calls();
-  auto recs = fx.backend.GetAtLocOrAncestors(P("T/a/b/c"));
+  auto recs = testutil::DrainAll(
+      fx.backend.ScanAtLocOrAncestors(P("T/a/b/c"), /*include_self=*/true));
   ASSERT_TRUE(recs.ok());
   EXPECT_EQ(fx.db.cost().Calls() - calls0, 1u);  // ONE client call
   ASSERT_EQ(recs->size(), 2u);  // T/a and T/a/b/c, not T/zz
 }
 
-// Regression for the documented ordering contract: GetAll yields
-// (tid, loc) order, and the streaming cursors guarantee the same orders
-// as their one-shot shims.
+// Regression for the documented ordering contract: ScanAll yields
+// (tid, loc) order whether drained in one fetch or streamed record by
+// record, and the Loc-side cursors yield (loc, tid) order.
 TEST(BackendTest, GetAllIsTidLocOrderedAndCursorsAgree) {
   Fixture fx;
   // Written deliberately out of (tid, loc) order.
@@ -263,7 +268,7 @@ TEST(BackendTest, GetAllIsTidLocOrderedAndCursorsAgree) {
                                  ProvRecord::Insert(2, P("T/a")),
                                  ProvRecord::Insert(3, P("T/a/x"))})
                   .ok());
-  auto all = fx.backend.GetAll();
+  auto all = testutil::DrainAll(fx.backend.ScanAll());
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), 6u);
   for (size_t i = 0; i + 1 < all->size(); ++i) {
@@ -297,7 +302,7 @@ TEST(BackendTest, CursorChargesOneRoundTripPerBatchFetched) {
   }
   ASSERT_TRUE(fx.backend.WriteRecords(recs).ok());
 
-  // Drained in one big fetch: one round trip, like the old one-shot read.
+  // Drained in one big fetch: one round trip.
   size_t calls0 = fx.db.cost().Calls();
   ProvCursor one = fx.backend.ScanAll();
   std::vector<ProvRecord> batch;

@@ -175,7 +175,7 @@ TEST(ServiceTidTest, InterleavedSessionsNeverReuseATid) {
   EXPECT_EQ(std::max(t1, t2), rig.engine->base_tid() + 2);
 
   // The store sees both transactions under their own numbers.
-  auto all = rig.backend->GetAll();
+  auto all = testutil::DrainAll(rig.backend->ScanAll());
   ASSERT_TRUE(all.ok());
   std::set<int64_t> tids;
   for (const ProvRecord& r : *all) tids.insert(r.tid);
@@ -304,7 +304,7 @@ TEST(ServiceCrashTest, GroupCommitCohortIsAtomicAcrossACrash) {
     ASSERT_TRUE(reopened.ok());
     provenance::ProvBackend recovered(reopened.value().get());
     EXPECT_EQ(recovered.MaxTid(), base_tid);
-    auto all = recovered.GetAll();
+    auto all = testutil::DrainAll(recovered.ScanAll());
     ASSERT_TRUE(all.ok());
     for (const ProvRecord& r : *all) EXPECT_LE(r.tid, base_tid);
   }
@@ -317,7 +317,7 @@ TEST(ServiceCrashTest, GroupCommitCohortIsAtomicAcrossACrash) {
     ASSERT_TRUE(reopened.ok());
     provenance::ProvBackend recovered(reopened.value().get());
     EXPECT_EQ(recovered.MaxTid(), base_tid + 3);
-    auto all = recovered.GetAll();
+    auto all = testutil::DrainAll(recovered.ScanAll());
     ASSERT_TRUE(all.ok());
     std::set<int64_t> tids;
     for (const ProvRecord& r : *all) tids.insert(r.tid);
@@ -429,10 +429,10 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
     // Provenance reads through the session's view stop at the
     // watermark: the shared table holds every writer's rows, but the
     // bounded scan must return exactly the oracle's table.
-    auto want = oracle_backend.GetAll();
+    auto want = testutil::DrainAll(oracle_backend.ScanAll());
     ASSERT_TRUE(want.ok());
     auto guard = reader->ReadLock();
-    auto got = reader->backend()->GetAll();
+    auto got = testutil::DrainAll(reader->backend()->ScanAll());
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(got->size(), want->size())
         << "row count diverged at watermark " << watermark;
@@ -542,7 +542,7 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   // The recovered rows are all visible through the session's view.
   {
     auto guard = (*s)->ReadLock();
-    auto all = (*s)->backend()->GetAll();
+    auto all = testutil::DrainAll((*s)->backend()->ScanAll());
     ASSERT_TRUE(all.ok());
     EXPECT_EQ(all->size(), 4u);
     for (const ProvRecord& r : *all) EXPECT_LE(r.tid, final_tid);
@@ -754,7 +754,8 @@ TEST_P(ServiceOracleTest, WritersAndReadersMatchSingleThreadedReplay) {
             }
           }
           ASSERT_TRUE(scan.status().ok());
-          auto under = session->backend()->GetUnder(Path::MustParse("T/w0"));
+          auto under = testutil::DrainAll(
+              session->backend()->ScanUnder(Path::MustParse("T/w0")));
           ASSERT_TRUE(under.ok());
         }
         rig.pool->Release(std::move(session));
@@ -802,8 +803,8 @@ TEST_P(ServiceOracleTest, WritersAndReadersMatchSingleThreadedReplay) {
   }
 
   // Provenance tables are bit-identical, in (Tid, Loc) order.
-  auto got = rig.backend->GetAll();
-  auto want = oracle_backend.GetAll();
+  auto got = testutil::DrainAll(rig.backend->ScanAll());
+  auto want = testutil::DrainAll(oracle_backend.ScanAll());
   ASSERT_TRUE(got.ok() && want.ok());
   ASSERT_EQ(got->size(), want->size());
   for (size_t i = 0; i < got->size(); ++i) {
@@ -943,7 +944,7 @@ TEST(ServiceCostTest, SessionChargesLandOnPrivateModelsAndAggregate) {
   ASSERT_TRUE((*s)->Commit().ok());
   {
     auto guard = (*s)->ReadLock();
-    ASSERT_TRUE((*s)->backend()->GetAll().ok());
+    ASSERT_TRUE(testutil::DrainAll((*s)->backend()->ScanAll()).ok());
   }
   relstore::CostSnapshot session_cost = (*s)->cost().Snap();
   EXPECT_GT(session_cost.calls, 0u);
@@ -964,7 +965,7 @@ TEST(ServiceCostTest, SessionChargesLandOnPrivateModelsAndAggregate) {
   ASSERT_TRUE(s2.ok());
   {
     auto guard = (*s2)->ReadLock();
-    ASSERT_TRUE((*s2)->backend()->GetAll().ok());
+    ASSERT_TRUE(testutil::DrainAll((*s2)->backend()->ScanAll()).ok());
   }
   relstore::CostSnapshot second = (*s2)->cost().Snap();
   rig.pool->Release(std::move(*s2));

@@ -64,7 +64,8 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
           // Reader round: a batch of queries under one shared grant,
           // drained before the grant drops (the session contract).
           auto g = (*session)->ReadLock();
-          auto rows = (*session)->backend()->GetUnder(Path::MustParse("T"));
+          auto rows = testutil::DrainAll(
+              (*session)->backend()->ScanUnder(Path::MustParse("T")));
           if (!rows.ok()) ++failures;
         }
         pool.Release(std::move(*session));

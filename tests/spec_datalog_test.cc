@@ -24,7 +24,8 @@ std::unique_ptr<SpecFixture> BuildFigure3Spec(Strategy strategy) {
   Status st =
       fx->session->editor->ApplyScriptText(testutil::Figure3ScriptText());
   EXPECT_TRUE(st.ok()) << st;
-  auto records = fx->session->editor->store()->backend()->GetAll();
+  auto records =
+      testutil::DrainAll(fx->session->editor->store()->backend()->ScanAll());
   EXPECT_TRUE(records.ok());
   auto* store = fx->session->editor->store();
   auto versions = fx->session->editor->archive()->MakeVersionFn();
@@ -53,7 +54,8 @@ TEST(SpecTest, DatalogProvExpansionMatchesNaiveStore) {
   ASSERT_TRUE(naive_session->editor
                   ->ApplyScriptText(testutil::Figure3ScriptText())
                   .ok());
-  auto naive = naive_session->editor->store()->backend()->GetAll();
+  auto naive =
+      testutil::DrainAll(naive_session->editor->store()->backend()->ScanAll());
   ASSERT_TRUE(naive.ok());
 
   const auto& prov = hier->eval.Get("Prov");

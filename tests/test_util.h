@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cpdb/cpdb.h"
 
@@ -35,6 +36,16 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Drains a provenance cursor in a single fetch — exactly one modelled
+/// round trip — for tests that compare whole scans at once.
+inline Result<std::vector<provenance::ProvRecord>> DrainAll(
+    provenance::ProvCursor cursor) {
+  std::vector<provenance::ProvRecord> out;
+  cursor.Next(&out, provenance::ProvCursor::kNoLimit);
+  CPDB_RETURN_IF_ERROR(cursor.status());
+  return out;
+}
 
 /// The source and target trees of the paper's Figure 4 (leaf values are
 /// chosen to be pairwise distinguishable; the provenance tables of

@@ -8,6 +8,13 @@ namespace {
 using relstore::ColumnType;
 using relstore::Datum;
 using tree::Path;
+using update::Update;
+
+/// Mirrors one update into the native store as a batch of one.
+Status Push(TargetDb* target, Update u,
+            const tree::Tree* pasted = nullptr) {
+  return target->ApplyBatch({NativeOp{std::move(u), pasted}});
+}
 
 relstore::Database MakeSourceDb() {
   relstore::Database db("organelledb");
@@ -69,32 +76,21 @@ TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
   RelationalTargetDb target("T", &db, {"prot"});
 
   // ins {p1 : {}} into prot  -> fresh tuple.
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Insert(
-                                   Path::MustParse("prot"), "p1"),
-                               nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      Push(&target, Update::Insert(Path::MustParse("prot"), "p1")).ok());
   // ins {name : "ABC1"} into prot/p1 -> set the NULL field.
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Insert(
-                                   Path::MustParse("prot/p1"), "name",
-                                   tree::Value("ABC1")),
-                               nullptr)
+  ASSERT_TRUE(Push(&target, Update::Insert(Path::MustParse("prot/p1"), "name",
+                                           tree::Value("ABC1")))
                   .ok());
   // Setting it again must fail (duplicate edge in tree terms).
-  EXPECT_TRUE(target
-                  .ApplyNative(update::Update::Insert(
-                                   Path::MustParse("prot/p1"), "name",
-                                   tree::Value("X")),
-                               nullptr)
+  EXPECT_TRUE(Push(&target, Update::Insert(Path::MustParse("prot/p1"), "name",
+                                           tree::Value("X")))
                   .IsAlreadyExists());
   // copy into prot/p1/loc -> field update from a pasted leaf.
   tree::Tree leaf{tree::Value("membrane")};
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Copy(
-                                   Path(), Path::MustParse("prot/p1/loc")),
-                               &leaf)
-                  .ok());
+  ASSERT_TRUE(
+      Push(&target, Update::Copy(Path(), Path::MustParse("prot/p1/loc")), &leaf)
+          .ok());
   // Read back through the tree view.
   auto view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
@@ -104,21 +100,15 @@ TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
             "membrane");
   // del name from prot/p1 -> NULLed field disappears from the view? No:
   // NULL fields render as null leaves; the tuple keeps its arity.
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Delete(
-                                   Path::MustParse("prot/p1"), "name"),
-                               nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("prot/p1"), "name")).ok());
   view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(
       view->Find(Path::MustParse("prot/p1/name"))->value().is_null());
   // del p1 from prot -> tuple gone.
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Delete(
-                                   Path::MustParse("prot"), "p1"),
-                               nullptr)
-                  .ok());
+  ASSERT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("prot"), "p1")).ok());
   view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->Find(Path::MustParse("prot/p1")), nullptr);
@@ -133,10 +123,8 @@ TEST(RelationalTargetDbTest, WholeTupleUpsertFromPaste) {
   RelationalTargetDb target("T", &db, {"prot"});
 
   auto tuple = tree::ParseTree("{name: CRP, loc: plasma}");
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Copy(
-                                   Path(), Path::MustParse("prot/p7")),
-                               &tuple.value())
+  ASSERT_TRUE(Push(&target, Update::Copy(Path(), Path::MustParse("prot/p7")),
+                   &tuple.value())
                   .ok());
   auto view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
@@ -151,28 +139,17 @@ TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
   ASSERT_TRUE(db.CreateTable("prot", schema).ok());
   RelationalTargetDb target("T", &db, {"prot"});
   // Unknown table.
-  EXPECT_FALSE(target
-                   .ApplyNative(update::Update::Insert(
-                                    Path::MustParse("genes"), "g1"),
-                                nullptr)
-                   .ok());
+  EXPECT_FALSE(
+      Push(&target, Update::Insert(Path::MustParse("genes"), "g1")).ok());
   // Too-deep nesting.
-  EXPECT_FALSE(target
-                   .ApplyNative(update::Update::Insert(
-                                    Path::MustParse("prot/p1/name"), "sub"),
-                                nullptr)
-                   .ok());
+  EXPECT_FALSE(
+      Push(&target, Update::Insert(Path::MustParse("prot/p1/name"), "sub"))
+          .ok());
   // Unknown column.
-  ASSERT_TRUE(target
-                  .ApplyNative(update::Update::Insert(
-                                   Path::MustParse("prot"), "p1"),
-                               nullptr)
-                  .ok());
-  EXPECT_FALSE(target
-                   .ApplyNative(update::Update::Insert(
-                                    Path::MustParse("prot/p1"), "color",
-                                    tree::Value("red")),
-                                nullptr)
+  ASSERT_TRUE(
+      Push(&target, Update::Insert(Path::MustParse("prot"), "p1")).ok());
+  EXPECT_FALSE(Push(&target, Update::Insert(Path::MustParse("prot/p1"), "color",
+                                            tree::Value("red")))
                    .ok());
 }
 

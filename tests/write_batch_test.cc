@@ -165,7 +165,8 @@ struct WorkloadSession {
 };
 
 std::unique_ptr<WorkloadSession> MakeWorkloadSession(Strategy strategy,
-                                                     uint64_t seed) {
+                                                     uint64_t seed,
+                                                     bool archive) {
   auto s = std::make_unique<WorkloadSession>();
   s->prov_db = std::make_unique<relstore::Database>("provdb");
   s->backend = std::make_unique<provenance::ProvBackend>(s->prov_db.get());
@@ -175,7 +176,8 @@ std::unique_ptr<WorkloadSession> MakeWorkloadSession(Strategy strategy,
       "S1", workload::GenOrganelleLike(240, seed * 31 + 2));
   EditorOptions opts;
   opts.strategy = strategy;
-  opts.enable_archive = false;  // group commit requires no archive
+  opts.enable_archive = archive;
+  opts.archive_checkpoint_every = 3;
   auto editor = Editor::Create(s->target.get(), s->backend.get(), opts);
   EXPECT_TRUE(editor.ok());
   s->editor = std::move(editor).value();
@@ -217,52 +219,81 @@ update::Script DriveRandomPerOp(WorkloadSession* a, uint64_t seed,
   return script;
 }
 
+/// Drives twin sessions through the same random workload, A one
+/// ApplyUpdate at a time and B as one ApplyScript, and checks that they
+/// end in the same state at no more write cost.
+void ExpectPerOpAndBatchedAgree(Strategy strategy, uint64_t seed,
+                                bool archive) {
+  auto a = MakeWorkloadSession(strategy, seed, archive);
+  auto b = MakeWorkloadSession(strategy, seed, archive);
+
+  update::Script script = DriveRandomPerOp(a.get(), seed, 200);
+  ASSERT_GT(script.size(), 20u);
+  ASSERT_TRUE(a->editor->Commit().ok());
+  relstore::CostSnapshot a_prov = a->prov_db->cost().Snap();
+  relstore::CostSnapshot a_tgt = a->target->cost().Snap();
+
+  size_t applied = 0;
+  ASSERT_TRUE(b->editor->ApplyScript(script, &applied).ok());
+  EXPECT_EQ(applied, script.size());
+  ASSERT_TRUE(b->editor->Commit().ok());
+  relstore::CostSnapshot b_prov = b->prov_db->cost().Snap();
+  relstore::CostSnapshot b_tgt = b->target->cost().Snap();
+
+  // Identical universe trees, native target contents, and tids.
+  EXPECT_TRUE(a->editor->universe().Equals(b->editor->universe()));
+  EXPECT_TRUE(a->target->content().Equals(b->target->content()));
+  EXPECT_EQ(a->editor->store()->LastCommittedTid(),
+            b->editor->store()->LastCommittedTid());
+
+  // Identical provenance tables, row for row.
+  auto a_recs = testutil::DrainAll(a->backend->ScanAll());
+  auto b_recs = testutil::DrainAll(b->backend->ScanAll());
+  ASSERT_TRUE(a_recs.ok());
+  ASSERT_TRUE(b_recs.ok());
+  EXPECT_EQ(a_recs.value(), b_recs.value());
+
+  // Group commit can only reduce write round trips.
+  EXPECT_LE(b_prov.write_calls, a_prov.write_calls);
+  EXPECT_LE(b_tgt.write_calls, a_tgt.write_calls);
+  // The batched path flushes per script/commit, not per op — archived
+  // sessions included.
+  EXPECT_LE(b_prov.write_calls, 1u);
+  EXPECT_LE(b_tgt.write_calls, 1u);
+  // Same rows move either way.
+  EXPECT_EQ(b_prov.write_rows, a_prov.write_rows);
+
+  if (!archive) return;
+  // Every archived version reconstructs to the per-op twin's tree, though
+  // the batched twin recorded the whole script as one run.
+  const archive::VersionArchive* av = a->editor->archive();
+  const archive::VersionArchive* bv = b->editor->archive();
+  ASSERT_NE(av, nullptr);
+  ASSERT_NE(bv, nullptr);
+  ASSERT_EQ(av->base_version(), bv->base_version());
+  ASSERT_EQ(av->last_version(), bv->last_version());
+  for (int64_t t = av->base_version(); t <= av->last_version(); ++t) {
+    auto va = av->GetVersion(t);
+    auto vb = bv->GetVersion(t);
+    ASSERT_TRUE(va.ok()) << t;
+    ASSERT_TRUE(vb.ok()) << t;
+    EXPECT_TRUE(va->Equals(*vb)) << "version " << t;
+  }
+}
+
 TEST(WriteBatchEquivalenceTest, PerOpAndBatchedPathsAgreeAcrossStrategies) {
   constexpr Strategy kStrategies[] = {
       Strategy::kNaive, Strategy::kHierarchical, Strategy::kTransactional,
       Strategy::kHierarchicalTransactional};
   for (Strategy strategy : kStrategies) {
     for (uint64_t seed : {uint64_t{3}, uint64_t{17}}) {
-      SCOPED_TRACE(std::string("strategy=") +
-                   provenance::StrategyShortName(strategy) +
-                   " seed=" + std::to_string(seed));
-      auto a = MakeWorkloadSession(strategy, seed);
-      auto b = MakeWorkloadSession(strategy, seed);
-
-      update::Script script = DriveRandomPerOp(a.get(), seed, 200);
-      ASSERT_GT(script.size(), 20u);
-      ASSERT_TRUE(a->editor->Commit().ok());
-      relstore::CostSnapshot a_prov = a->prov_db->cost().Snap();
-      relstore::CostSnapshot a_tgt = a->target->cost().Snap();
-
-      size_t applied = 0;
-      ASSERT_TRUE(b->editor->ApplyScript(script, &applied).ok());
-      EXPECT_EQ(applied, script.size());
-      ASSERT_TRUE(b->editor->Commit().ok());
-      relstore::CostSnapshot b_prov = b->prov_db->cost().Snap();
-      relstore::CostSnapshot b_tgt = b->target->cost().Snap();
-
-      // Identical universe trees, native target contents, and tids.
-      EXPECT_TRUE(a->editor->universe().Equals(b->editor->universe()));
-      EXPECT_TRUE(a->target->content().Equals(b->target->content()));
-      EXPECT_EQ(a->editor->store()->LastCommittedTid(),
-                b->editor->store()->LastCommittedTid());
-
-      // Identical provenance tables, row for row.
-      auto a_recs = a->backend->GetAll();
-      auto b_recs = b->backend->GetAll();
-      ASSERT_TRUE(a_recs.ok());
-      ASSERT_TRUE(b_recs.ok());
-      EXPECT_EQ(a_recs.value(), b_recs.value());
-
-      // Group commit can only reduce write round trips.
-      EXPECT_LE(b_prov.write_calls, a_prov.write_calls);
-      EXPECT_LE(b_tgt.write_calls, a_tgt.write_calls);
-      // The batched path flushes per script/commit, not per op.
-      EXPECT_LE(b_prov.write_calls, 1u);
-      EXPECT_LE(b_tgt.write_calls, 1u);
-      // Same rows move either way.
-      EXPECT_EQ(b_prov.write_rows, a_prov.write_rows);
+      for (bool archive : {false, true}) {
+        SCOPED_TRACE(std::string("strategy=") +
+                     provenance::StrategyShortName(strategy) +
+                     " seed=" + std::to_string(seed) +
+                     (archive ? " archived" : ""));
+        ExpectPerOpAndBatchedAgree(strategy, seed, archive);
+      }
     }
   }
 }
@@ -290,21 +321,62 @@ TEST(WriteBatchRoundTripTest, CommittedHtTransactionFlushesInOneCallEach) {
 
 TEST(WriteBatchRoundTripTest, PerOpScriptGroupCommitsInOneCallEach) {
   for (Strategy strategy : {Strategy::kNaive, Strategy::kHierarchical}) {
-    SCOPED_TRACE(provenance::StrategyShortName(strategy));
-    auto s = testutil::MakeFigureSession(strategy, 1,
-                                         /*enable_archive=*/false);
-    ASSERT_NE(s, nullptr);
-    relstore::CostSnapshot prov0 = s->prov_db->cost().Snap();
-    relstore::CostSnapshot tgt0 = s->target->cost().Snap();
-    ASSERT_TRUE(
-        s->editor->ApplyScriptText(testutil::Figure3ScriptText()).ok());
-    relstore::CostSnapshot prov1 = s->prov_db->cost().Snap();
-    relstore::CostSnapshot tgt1 = s->target->cost().Snap();
-    // One group-commit WriteRecords and one target ApplyBatch for the
-    // whole 10-op script, even though each op kept its own tid.
-    EXPECT_EQ(prov1.write_calls - prov0.write_calls, 1u);
-    EXPECT_EQ(tgt1.write_calls - tgt0.write_calls, 1u);
-    EXPECT_EQ(s->editor->store()->LastCommittedTid(), 10);
+    for (bool archive : {false, true}) {
+      SCOPED_TRACE(std::string(provenance::StrategyShortName(strategy)) +
+                   (archive ? " archived" : ""));
+      auto s = testutil::MakeFigureSession(strategy, 1, archive);
+      ASSERT_NE(s, nullptr);
+      relstore::CostSnapshot prov0 = s->prov_db->cost().Snap();
+      relstore::CostSnapshot tgt0 = s->target->cost().Snap();
+      ASSERT_TRUE(
+          s->editor->ApplyScriptText(testutil::Figure3ScriptText()).ok());
+      relstore::CostSnapshot prov1 = s->prov_db->cost().Snap();
+      relstore::CostSnapshot tgt1 = s->target->cost().Snap();
+      // One group-commit WriteRecords and one target ApplyBatch for the
+      // whole 10-op script, even though each op kept its own tid (and,
+      // archived, its own version).
+      EXPECT_EQ(prov1.write_calls - prov0.write_calls, 1u);
+      EXPECT_EQ(tgt1.write_calls - tgt0.write_calls, 1u);
+      EXPECT_EQ(s->editor->store()->LastCommittedTid(), 10);
+      if (archive) {
+        ASSERT_NE(s->editor->archive(), nullptr);
+        EXPECT_EQ(s->editor->archive()->last_version(), 10);
+      }
+    }
+  }
+}
+
+TEST(WriteBatchRoundTripTest, PerOpApplyUpdateCostsOneWriteCallEach) {
+  // The per-op flush shape Figures 9-10 rest on: outside a script every
+  // N/H op is its own transaction, so it costs one provenance write, one
+  // target write and one tid; H's inserts add their existence probe.
+  auto script = update::ParseScript(testutil::Figure3ScriptText());
+  ASSERT_TRUE(script.ok());
+  for (Strategy strategy : {Strategy::kNaive, Strategy::kHierarchical}) {
+    for (bool archive : {false, true}) {
+      SCOPED_TRACE(std::string(provenance::StrategyShortName(strategy)) +
+                   (archive ? " archived" : ""));
+      auto s = testutil::MakeFigureSession(strategy, 1, archive);
+      ASSERT_NE(s, nullptr);
+      size_t probes = 0;
+      for (const update::Update& u : *script) {
+        SCOPED_TRACE(u.ToString());
+        relstore::CostSnapshot prov0 = s->prov_db->cost().Snap();
+        relstore::CostSnapshot tgt0 = s->target->cost().Snap();
+        int64_t tid0 = s->editor->store()->LastCommittedTid();
+        ASSERT_TRUE(s->editor->ApplyUpdate(u).ok());
+        relstore::CostSnapshot prov1 = s->prov_db->cost().Snap();
+        relstore::CostSnapshot tgt1 = s->target->cost().Snap();
+        const bool probe = strategy == Strategy::kHierarchical &&
+                           u.kind == update::OpKind::kInsert;
+        probes += probe ? 1 : 0;
+        EXPECT_EQ(prov1.write_calls - prov0.write_calls, 1u);
+        EXPECT_EQ(tgt1.write_calls - tgt0.write_calls, 1u);
+        EXPECT_EQ(prov1.calls - prov0.calls, probe ? 2u : 1u);
+        EXPECT_EQ(s->editor->store()->LastCommittedTid(), tid0 + 1);
+      }
+      EXPECT_EQ(probes, strategy == Strategy::kHierarchical ? 4u : 0u);
+    }
   }
 }
 
@@ -326,7 +398,7 @@ TEST(WriteBatchAbortTest, AbortDiscardsStagedBatchAtomically) {
 
     std::string universe_before = s->editor->universe().ToString();
     std::string target_before = s->target->content().ToString();
-    auto recs_before = s->backend->GetAll();
+    auto recs_before = testutil::DrainAll(s->backend->ScanAll());
     ASSERT_TRUE(recs_before.ok());
     relstore::CostSnapshot prov_before = s->prov_db->cost().Snap();
     relstore::CostSnapshot tgt_before = s->target->cost().Snap();
@@ -347,7 +419,7 @@ TEST(WriteBatchAbortTest, AbortDiscardsStagedBatchAtomically) {
     // store, and no write round trip was charged.
     EXPECT_EQ(s->editor->universe().ToString(), universe_before);
     EXPECT_EQ(s->target->content().ToString(), target_before);
-    auto recs_after = s->backend->GetAll();
+    auto recs_after = testutil::DrainAll(s->backend->ScanAll());
     ASSERT_TRUE(recs_after.ok());
     EXPECT_EQ(recs_after.value(), recs_before.value());
     EXPECT_EQ(s->prov_db->cost().Snap().write_calls,

@@ -34,6 +34,19 @@ PROV-TABLE-WRITES
     contract enforceable). Production code and benches must go through
     the backend; tests/ may read the tables to assert on them.
 
+EDITOR-WRITE-PATH
+    The provenance-aware editor is the only writer of the provenance
+    record: "it is essential that the target database and provenance
+    record are writable only via high-level interfaces that track
+    provenance" (paper Section 1.3). In src/ and tools/, the provenance
+    write calls — ProvStore::TrackBatch, ProvBackend::WriteRecords and
+    ProvBackend::WriteTxnMeta — may be called only under
+    src/provenance/ (the stores and the backend themselves) and from
+    src/cpdb/editor.cc. Everything else — the service layer, the
+    network server, the tools — writes by driving an Editor. Tests and
+    benches exercise the stores directly and are exempt. Together with
+    PROV-TABLE-WRITES this pins every provenance write to one path.
+
 BENCH-JSON
     Every figure bench in bench/*.cc must emit the harness JSON schema
     ({"bench":..., "config":..., "rows":[...]}) behind a --json flag,
@@ -179,6 +192,27 @@ def check_prov_table_writes(root):
                             "direct Prov/TxnMeta table access outside "
                             "ProvBackend; writes must funnel through "
                             "WriteRecords/WriteTxnMeta")
+
+
+EDITOR_WRITE_RE = re.compile(r"\b(TrackBatch|WriteRecords|WriteTxnMeta)\s*\(")
+EDITOR_WRITE_ALLOWED = {pathlib.PurePath("src/cpdb/editor.cc")}
+
+
+def check_editor_write_path(root):
+    for subdir in ("src", "tools"):
+        for path in iter_source(root, subdir):
+            rel = path.relative_to(root)
+            if rel.parts[:2] == ("src", "provenance"):
+                continue
+            if pathlib.PurePath(rel) in EDITOR_WRITE_ALLOWED:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                m = EDITOR_WRITE_RE.search(strip_comments(line))
+                if m:
+                    finding("EDITOR-WRITE-PATH", rel, lineno,
+                            f"{m.group(1)}() outside the editor; provenance "
+                            "is written only by cpdb::Editor (through "
+                            "ProvStore::TrackBatch) and src/provenance/")
 
 
 BENCH_EXEMPT = {"bench_micro.cc"}  # google-benchmark's own reporter
@@ -337,6 +371,7 @@ def main():
     check_fsync(root)
     check_annotated_mutex(root)
     check_prov_table_writes(root)
+    check_editor_write_path(root)
     check_bench_json(root)
     check_net_framing(root)
     check_obs_metrics(root)
