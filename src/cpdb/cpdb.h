@@ -69,6 +69,19 @@
 /// (WriteCalls/WriteRows, also in CostSnapshot), which ChargeWrite bumps
 /// alongside the totals.
 ///
+/// Migration note (one seal): every strategy stages into one unit that
+/// either seals or unwinds as a whole (README "Write path").
+/// ProvStore's pending-provlist probe and TxnStore's override of it are
+/// gone: Editor::PendingOps() alone says whether anything is staged. A
+/// T/HT Commit() whose provenance write fails now unwinds its
+/// transaction, as Abort() would, instead of keeping it for the next
+/// Commit() to publish. A bulk copy's glob record is stamped at the seal
+/// with the tids its unit committed under, so an aborted T/HT bulk leaves
+/// none. Editor::TotalOps() counts committed ops for T/HT too, as it did
+/// for N/H; it used to count staged ones, aborted ones included.
+/// service::SessionOptions lost record_txn_meta and user, which nothing
+/// set; pool-built editors keep the EditorOptions defaults.
+///
 /// Durability (README "Durability"; storage/):
 ///
 ///   auto db = relstore::Database::Open("curated", dir).value();

@@ -39,7 +39,7 @@ Result<std::unique_ptr<Editor>> Editor::CreateWithSnapshot(
 }
 
 Status Editor::ResetTargetSnapshot(tree::Tree snapshot) {
-  if (!txn_script_.empty() || batching_ || store_->HasPending()) {
+  if (PendingOps() > 0) {
     return Status::FailedPrecondition(
         "cannot refresh the target snapshot with a transaction staged");
   }
@@ -51,8 +51,8 @@ Status Editor::ResetTargetSnapshot(tree::Tree snapshot) {
 
 std::vector<tree::Path> Editor::StagedWriteClaims() const {
   std::vector<tree::Path> claims;
-  claims.reserve(txn_script_.size());
-  for (const Update& u : txn_script_) {
+  claims.reserve(unit_.script.size());
+  for (const Update& u : unit_.script) {
     // The node whose child map the native replay mutates: the insert/
     // delete target itself, the destination's parent for a paste
     // (TreeTargetDb::ApplyOne writes via PutChild on the parent).
@@ -115,47 +115,25 @@ Status Editor::ValidateUpdate(const Update& u) const {
   return Status::OK();
 }
 
-void Editor::StagePasted(
-    const Update& u, std::vector<std::optional<tree::Tree>>* out) const {
-  if (u.kind == OpKind::kCopy) {
-    const tree::Tree* pasted = universe_.Find(u.target);
-    out->emplace_back(pasted == nullptr
-                          ? std::optional<tree::Tree>()
-                          : std::optional<tree::Tree>(pasted->Clone()));
-  } else {
-    out->emplace_back(std::nullopt);
-  }
-}
-
-Result<std::vector<wrap::NativeOp>> Editor::BuildNativeOps(
-    const update::Script& script,
-    const std::vector<std::optional<tree::Tree>>& pasted) const {
+Result<std::vector<wrap::NativeOp>> Editor::BuildNativeOps() const {
   std::vector<wrap::NativeOp> native;
-  native.reserve(script.size());
-  for (size_t i = 0; i < script.size(); ++i) {
-    const tree::Tree* payload =
-        i < pasted.size() && pasted[i].has_value() ? &*pasted[i] : nullptr;
-    CPDB_ASSIGN_OR_RETURN(wrap::NativeOp op,
-                          MakeNativeOp(script[i], payload));
+  native.reserve(unit_.script.size());
+  for (size_t i = 0; i < unit_.script.size(); ++i) {
+    const Update& u = unit_.script[i];
+    // Rebase universe-absolute paths to target-relative ones.
+    wrap::NativeOp op;
+    op.update = u;
+    CPDB_ASSIGN_OR_RETURN(op.update.target, u.target.RelativeTo(target_root_));
+    if (u.kind == OpKind::kCopy) {
+      if (!unit_.pasted[i].has_value()) {
+        return Status::Internal("pasted subtree missing for native replay");
+      }
+      op.update.source = tree::Path();  // native stores only receive the data
+      op.pasted = &*unit_.pasted[i];
+    }
     native.push_back(std::move(op));
   }
   return native;
-}
-
-Result<wrap::NativeOp> Editor::MakeNativeOp(const Update& u,
-                                            const tree::Tree* pasted) const {
-  // Rebase universe-absolute paths to target-relative ones.
-  wrap::NativeOp op;
-  op.update = u;
-  CPDB_ASSIGN_OR_RETURN(op.update.target, u.target.RelativeTo(target_root_));
-  if (u.kind == OpKind::kCopy) {
-    if (pasted == nullptr) {
-      return Status::Internal("pasted subtree missing for native push");
-    }
-    op.update.source = tree::Path();  // native stores only receive the data
-    op.pasted = pasted;
-  }
-  return op;
 }
 
 Status Editor::SyncDurable() {
@@ -166,24 +144,7 @@ Status Editor::SyncDurable() {
   return target_->Sync();
 }
 
-Status Editor::FinishCommitted(const std::function<Status()>& tail) {
-  Status rest = tail();
-  Status synced = SyncDurable();
-  if (!rest.ok()) return rest;
-  return synced;
-}
-
-Status Editor::RecordMetaIfEnabled(int64_t tid, const std::string& note) {
-  if (!options_.record_txn_meta) return Status::OK();
-  provenance::TxnMeta meta;
-  meta.tid = tid;
-  meta.user = options_.user;
-  meta.commit_seq = tid;
-  meta.note = note;
-  return store_->backend()->WriteTxnMeta(meta);
-}
-
-Status Editor::ApplyUpdate(const Update& u) {
+Status Editor::Stage(const Update& u) {
   CPDB_RETURN_IF_ERROR(ValidateUpdate(u));
   if (!started_) {
     started_ = true;
@@ -197,33 +158,95 @@ Status Editor::ApplyUpdate(const Update& u) {
 
   update::ApplyEffect effect;
   CPDB_RETURN_IF_ERROR(undo_.ApplyTracked(&universe_, u, &effect));
-  batch_ops_.push_back({u.kind, std::move(effect)});
+  unit_.ops.push_back({u.kind, std::move(effect)});
+  unit_.script.push_back(u);
+  // The paste payload is cloned now, while the universe still shows
+  // exactly what the op pasted.
+  const tree::Tree* pasted =
+      u.kind == OpKind::kCopy ? universe_.Find(u.target) : nullptr;
+  unit_.pasted.emplace_back(pasted == nullptr
+                                ? std::optional<tree::Tree>()
+                                : std::optional<tree::Tree>(pasted->Clone()));
+  if (PerOpStrategy()) return Status::OK();
 
-  if (PerOpStrategy()) {
-    // N/H: stage the native replay payload too, exactly as a script does.
-    // Inside ApplyScript/BulkCopy the flush waits for the script's end;
-    // otherwise the op flushes now as a batch of one — its own
-    // transaction. The undo log keeps accumulating until the flush, so a
-    // failed flush can unwind the whole staged batch.
-    StagePasted(u, &batch_pasted_);
-    batch_script_.push_back(u);
-    return batching_ ? Status::OK() : FlushBatch();
-  }
+  // T/HT: the op joins the open transaction's provlist at once, as a
+  // batch of one; its provenance and native writes wait for the seal.
+  Status tracked = store_->TrackBatch(unit_.ops);
+  unit_.ops.clear();
+  return tracked.ok() ? tracked : Unwind(tracked);
+}
 
-  // T/HT: the staged op joins the open transaction's provlist at once, as
-  // a batch of one; its provenance and native writes wait for Commit().
-  Status tracked = store_->TrackBatch(batch_ops_);
-  batch_ops_.clear();
-  if (!tracked.ok()) {
-    // Keep target and provenance consistent: roll the update back.
-    Status revert = undo_.RevertAll(&universe_);
-    return revert.ok() ? tracked : revert;
+Status Editor::Seal() {
+  const bool per_op = PerOpStrategy();
+  if (per_op && unit_.script.empty()) {
+    unit_.Clear();
+    return Status::OK();
   }
-  txn_script_.push_back(u);
-  ++total_ops_;
-  // Deferred native push at Commit() needs the op-time paste payload.
-  StagePasted(u, &txn_pasted_);
-  return Status::OK();
+  // Group commit: the whole unit reaches the provenance backend in one
+  // WriteRecords — N/H's TrackBatch with per-op tids and records, T/HT's
+  // provlist flush — and a failure there writes nothing.
+  Status tracked = per_op ? store_->TrackBatch(unit_.ops, &unit_.tids)
+                          : store_->Commit();
+  if (!tracked.ok()) return Unwind(tracked);
+  if (!per_op) unit_.tids.push_back(store_->LastCommittedTid());
+
+  // The unit is committed in the provenance store: from here on it must
+  // never be unwound from the universe, so retire its undo entries now.
+  undo_.Clear();
+  total_ops_ += unit_.script.size();
+  for (query::ApproxRecord& glob : unit_.globs) {
+    glob.tid = unit_.tids.front();
+    glob.last_tid = unit_.tids.back();
+    approx_->Track(std::move(glob));
+  }
+  // A failure from here on is a native replay of committed updates going
+  // wrong: the native store then needs a reload (universe and provenance
+  // remain consistent). The whole unit rides one fsync either way.
+  Status tail = [&]() -> Status {
+    CPDB_ASSIGN_OR_RETURN(std::vector<wrap::NativeOp> native,
+                          BuildNativeOps());
+    CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
+    if (archive_ != nullptr) {
+      // One version per tid, the unit's post-state closing the run.
+      std::vector<update::Script> versions;
+      if (per_op) {
+        versions.reserve(unit_.script.size());
+        for (const Update& u : unit_.script) {
+          versions.push_back(update::Script{u});
+        }
+      } else {
+        versions.push_back(unit_.script);
+      }
+      CPDB_RETURN_IF_ERROR(
+          archive_->Record(unit_.tids.front(), std::move(versions), universe_));
+    }
+    if (!options_.record_txn_meta) return Status::OK();
+    for (size_t i = 0; i < unit_.tids.size(); ++i) {
+      provenance::TxnMeta meta;
+      meta.tid = unit_.tids[i];
+      meta.user = options_.user;
+      meta.commit_seq = unit_.tids[i];
+      meta.note = per_op ? unit_.script[i].ToString()
+                         : std::to_string(unit_.script.size()) + " ops";
+      CPDB_RETURN_IF_ERROR(store_->backend()->WriteTxnMeta(meta));
+    }
+    return Status::OK();
+  }();
+  Status synced = SyncDurable();
+  unit_.Clear();
+  return tail.ok() ? synced : tail;
+}
+
+Status Editor::Unwind(Status cause) {
+  store_->AbortPending();
+  Status reverted = undo_.RevertAll(&universe_);
+  unit_.Clear();
+  return reverted.ok() ? cause : reverted;
+}
+
+Status Editor::ApplyUpdate(const Update& u) {
+  CPDB_RETURN_IF_ERROR(Stage(u));
+  return PerOpStrategy() ? Seal() : Status::OK();
 }
 
 Status Editor::Insert(const tree::Path& at, const std::string& label,
@@ -239,89 +262,26 @@ Status Editor::CopyPaste(const tree::Path& src, const tree::Path& dst) {
   return ApplyUpdate(Update::Copy(src, dst));
 }
 
-Status Editor::FlushBatch(size_t* flushed, std::vector<int64_t>* tids_out) {
-  if (flushed != nullptr) *flushed = 0;
-  std::vector<provenance::TrackedOp> ops = std::move(batch_ops_);
-  update::Script script = std::move(batch_script_);
-  std::vector<std::optional<tree::Tree>> pasted = std::move(batch_pasted_);
-  batch_ops_.clear();
-  batch_script_.clear();
-  batch_pasted_.clear();
-  if (ops.empty()) return Status::OK();
-
-  // Group commit: the whole staged batch reaches the provenance backend
-  // in one WriteRecords (via TrackBatch) and the target in one native
-  // ApplyBatch. Per-op tids/records are preserved by the store.
-  std::vector<int64_t> tids;
-  Status tracked = store_->TrackBatch(ops, &tids);
-  if (!tracked.ok()) {
-    // Nothing was written (TrackBatch is atomic on the backend); unwind
-    // the staged updates so universe and stores stay consistent.
-    Status revert = undo_.RevertAll(&universe_);
-    return revert.ok() ? tracked : revert;
-  }
-  // The batch is committed in the provenance store: from here on it must
-  // never be unwound from the universe, so retire the undo entries now —
-  // a later single-op tracking failure would otherwise RevertAll straight
-  // through this committed batch.
-  undo_.Clear();
-  total_ops_ += ops.size();
-  if (flushed != nullptr) *flushed = ops.size();
-  if (tids_out != nullptr) *tids_out = tids;
-  // A failure from here on is a native replay of already-committed
-  // updates going wrong: like a failed commit replay, the native store
-  // then needs a reload (universe and provenance remain consistent). The
-  // whole group-committed batch rides one fsync — the durability win of
-  // the staged write path.
-  return FinishCommitted([&]() -> Status {
-    CPDB_ASSIGN_OR_RETURN(std::vector<wrap::NativeOp> native,
-                          BuildNativeOps(script, pasted));
-    CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
-    if (archive_ != nullptr) {
-      // One version per op, the batch's post-state closing the run.
-      std::vector<update::Script> versions;
-      versions.reserve(script.size());
-      for (const Update& u : script) versions.push_back(update::Script{u});
-      CPDB_RETURN_IF_ERROR(
-          archive_->Record(tids.front(), std::move(versions), universe_));
-    }
-    if (options_.record_txn_meta) {
-      for (size_t i = 0; i < script.size() && i < tids.size(); ++i) {
-        CPDB_RETURN_IF_ERROR(
-            RecordMetaIfEnabled(tids[i], script[i].ToString()));
-      }
-    }
-    return Status::OK();
-  });
-}
-
 Status Editor::ApplyScript(const update::Script& script, size_t* applied) {
-  return ApplyStaged(script, applied, nullptr);
-}
-
-Status Editor::ApplyStaged(const update::Script& script, size_t* applied,
-                           std::vector<int64_t>* tids) {
-  size_t n = 0;
-  Status op_status = Status::OK();
-  batching_ = true;
+  // This script's ops still in effect at the end are the growth of
+  // committed plus staged ops; an unwound unit leaves none.
+  const size_t before = TotalOps() + PendingOps();
+  Status st = Status::OK();
   for (const Update& u : script) {
-    op_status = ApplyUpdate(u);
-    if (!op_status.ok()) break;
-    ++n;
+    st = Stage(u);
+    if (!st.ok()) break;
   }
-  batching_ = false;
   if (PerOpStrategy()) {
-    // Per-op transactions: a later op's failure does not unwind committed
-    // predecessors, so the applied prefix still flushes. `flushed` is 0
-    // only when tracking failed and the batch was unwound; a
-    // native-replay failure reports its error with the ops still applied.
-    size_t flushed = 0;
-    Status flush_status = FlushBatch(&flushed, tids);
-    if (flushed < n) n = flushed;
-    if (!flush_status.ok()) op_status = flush_status;
+    // Per-op transactions: a later op's failure does not undo committed
+    // predecessors, so the applied prefix still seals; its error wins.
+    Status sealed = Seal();
+    if (!sealed.ok()) st = sealed;
   }
-  if (applied != nullptr) *applied = n;
-  return op_status;
+  if (applied != nullptr) {
+    const size_t after = TotalOps() + PendingOps();
+    *applied = after > before ? after - before : 0;
+  }
+  return st;
 }
 
 Status Editor::ApplyScriptText(const std::string& text) {
@@ -336,47 +296,22 @@ Result<size_t> Editor::BulkCopy(const update::BulkCopySpec& spec) {
   for (const Update& u : script) {
     CPDB_RETURN_IF_ERROR(ValidateUpdate(u));
   }
-  std::vector<int64_t> tids;
-  CPDB_RETURN_IF_ERROR(ApplyStaged(script, nullptr, &tids));
-  if (approx_ != nullptr) {
+  if (approx_ != nullptr && !script.empty()) {
+    // One glob record for the statement, in the same unit as its copies:
+    // the seal stamps it with the tids they commit under.
     query::ApproxRecord rec;
-    // N/H committed one tid per copy; T/HT's open transaction commits the
-    // whole bulk under the one tid it is about to take.
-    rec.tid = tids.empty() ? store_->CurrentTid() : tids.front();
-    rec.last_tid = tids.empty() ? rec.tid : tids.back();
     rec.op = provenance::ProvOp::kCopy;
     rec.loc = spec.dst;
     rec.src = spec.src;
-    approx_->Track(std::move(rec));
+    unit_.globs.push_back(std::move(rec));
   }
+  CPDB_RETURN_IF_ERROR(ApplyScript(script));
   return script.size();
 }
 
 Status Editor::Commit() {
-  update::Script script = std::move(txn_script_);
-  txn_script_.clear();
-  std::vector<std::optional<tree::Tree>> pasted = std::move(txn_pasted_);
-  txn_pasted_.clear();
-  CPDB_RETURN_IF_ERROR(store_->Commit());
-  if (!PerOpStrategy()) {
-    // The committed transaction's native writes ride one modelled client
-    // call, matching the provenance store's one-WriteRecords commit, and
-    // the whole transaction seals under one fsync whatever its length.
-    CPDB_RETURN_IF_ERROR(FinishCommitted([&]() -> Status {
-      CPDB_ASSIGN_OR_RETURN(std::vector<wrap::NativeOp> native,
-                            BuildNativeOps(script, pasted));
-      CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
-      int64_t tid = store_->LastCommittedTid();
-      if (archive_ != nullptr) {
-        CPDB_RETURN_IF_ERROR(archive_->Record(tid, {script}, universe_));
-      }
-      CPDB_RETURN_IF_ERROR(RecordMetaIfEnabled(
-          tid, std::to_string(script.size()) + " ops"));
-      undo_.Clear();
-      return Status::OK();
-    }));
-  }
-  return Status::OK();
+  // N/H sealed every unit before returning; T/HT seal the transaction.
+  return PerOpStrategy() ? Status::OK() : Seal();
 }
 
 Status Editor::Abort() {
@@ -384,10 +319,7 @@ Status Editor::Abort() {
     return Status::FailedPrecondition(
         "per-operation strategies auto-commit; nothing to abort");
   }
-  store_->AbortPending();
-  txn_script_.clear();
-  txn_pasted_.clear();
-  return undo_.RevertAll(&universe_);
+  return Unwind(Status::OK());
 }
 
 }  // namespace cpdb

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -74,6 +73,14 @@ struct EditorOptions {
 /// until Commit() (T, HT); native target writes follow the same boundary,
 /// matching the paper's observation that transactional operations need
 /// "no interaction with the target database or provenance store".
+///
+/// Every strategy writes through one staged unit: updates are staged into
+/// it, and the unit either seals — one provenance flush, one native
+/// ApplyBatch, one durability barrier — or unwinds as a whole. N/H seal
+/// the unit before each update, script or bulk copy returns; T/HT seal it
+/// at Commit(). A provenance write that fails unwinds the whole unit, so
+/// the universe, the provenance store and the native target never
+/// disagree about what committed.
 class Editor {
  public:
   /// Builds a session around a target database and a provenance backend.
@@ -119,47 +126,49 @@ class Editor {
   Status CopyPaste(const tree::Path& src, const tree::Path& dst);
 
   /// Applies any atomic update (validated like the specific verbs). Under
-  /// N/H the update commits at once through the same group-commit flush
-  /// as a script, as a batch of one.
+  /// N/H the update commits at once as a unit of one; under T/HT it joins
+  /// the open transaction.
   Status ApplyUpdate(const update::Update& u);
 
   /// Applies a whole script; stops at the first failure and returns the
   /// number of operations applied via `applied`.
   ///
   /// Batched write path: for the per-operation strategies (N, H) the
-  /// script's effects are *staged* and flushed as one group commit — one
-  /// TrackBatch (a single WriteRecords round trip; H's per-insert probes
-  /// excepted) and one TargetDb::ApplyBatch (a single native round trip)
-  /// — while per-op semantics (one tid per op, identical records) are
-  /// preserved; an archived session records the script's versions as one
-  /// run. A mid-script failure flushes the applied prefix, matching the
-  /// per-op contract; a tracking failure in the flush itself unwinds the
-  /// whole staged batch from the universe (nothing was written) and
-  /// reports 0 applied, while a native-replay failure after a successful
-  /// flush reports its error with `applied` ops committed. For T/HT the
-  /// ops stage in the transaction as always and batch at Commit().
+  /// script is one unit, sealed as one group commit — one TrackBatch (a
+  /// single WriteRecords round trip; H's per-insert probes excepted) and
+  /// one TargetDb::ApplyBatch (a single native round trip) — while
+  /// per-op semantics (one tid per op, identical records) are preserved;
+  /// an archived session records the script's versions as one run. A
+  /// mid-script failure seals the applied prefix, matching the per-op
+  /// contract. For T/HT the ops join the open transaction and seal at
+  /// Commit(). A failed provenance write unwinds the whole unit and
+  /// reports 0 applied; a native-replay failure after the provenance
+  /// committed reports its error with the committed ops applied.
   Status ApplyScript(const update::Script& script, size_t* applied = nullptr);
 
   /// Parses and applies a script in the paper's concrete syntax
   /// (batched like ApplyScript).
   Status ApplyScriptText(const std::string& text);
 
-  /// Expands and applies a bulk copy (batched like ApplyScript); records
-  /// one approximate glob record if the approximate store is enabled.
-  /// Returns the number of atomic copies performed.
+  /// Expands and applies a bulk copy (batched like ApplyScript). With
+  /// the approximate store enabled, a non-empty bulk stages one glob
+  /// record, which the seal stamps with the tids its unit committed
+  /// under (each copy's for N/H, the transaction's for T/HT) and an
+  /// unwind discards. Returns the number of atomic copies performed.
   Result<size_t> BulkCopy(const update::BulkCopySpec& spec);
 
-  /// Ends the current transaction (meaningful for T/HT; harmless no-op
-  /// transaction boundary for N/H). A committed transaction's provenance
-  /// flushes in one WriteRecords and its native target writes in one
-  /// TargetDb::ApplyBatch call, whatever its length.
+  /// Seals the open transaction (T/HT): its provenance flushes in one
+  /// WriteRecords and its native target writes in one TargetDb::ApplyBatch
+  /// call, whatever its length. If the provenance write fails, the
+  /// transaction unwinds as Abort() would and the error is returned.
+  /// A harmless no-op for N/H, which seal every unit at once.
   Status Commit();
 
-  /// Reverts all uncommitted operations (universe + provlist) atomically:
-  /// nothing of the discarded transaction is observable in the target
-  /// database or the provenance store afterwards (staged batches never
-  /// touch either before their flush). Fails for per-operation
-  /// strategies, which have nothing pending.
+  /// Reverts all uncommitted operations (universe + provlist + staged
+  /// glob records) atomically: nothing of the discarded transaction is
+  /// observable in the target database or the provenance store
+  /// afterwards (a staged unit touches neither before its seal). Fails
+  /// for per-operation strategies, which have nothing pending.
   Status Abort();
 
   // ----- Introspection ------------------------------------------------------
@@ -177,10 +186,12 @@ class Editor {
   query::ApproxProvStore* approx() { return approx_.get(); }
   wrap::TargetDb* target() { return target_; }
 
-  /// Number of operations applied in the current (uncommitted) txn.
-  size_t PendingOps() const { return txn_script_.size(); }
+  /// Number of operations staged and not yet sealed: the open T/HT
+  /// transaction's length, and always 0 for N/H between calls. Zero means
+  /// nothing at all is staged.
+  size_t PendingOps() const { return unit_.script.size(); }
 
-  /// Totals across the session.
+  /// Operations committed across the session.
   size_t TotalOps() const { return total_ops_; }
 
  private:
@@ -195,57 +206,40 @@ class Editor {
   /// Checks the target-only write restriction.
   Status ValidateUpdate(const update::Update& u) const;
 
-  /// Appends the op-time paste payload for `u` to `out` (a clone of the
-  /// current subtree at the destination for copies, nullopt otherwise).
-  /// Must run right after the op is applied, while the universe still
-  /// shows exactly what the op pasted.
-  void StagePasted(const update::Update& u,
-                   std::vector<std::optional<tree::Tree>>* out) const;
+  /// Stages `u` into the unit: validates it, applies it to the universe
+  /// under the undo log, and keeps its effect and op-time paste payload
+  /// for the seal. T/HT add it to the open transaction's provlist at once,
+  /// as a one-op TrackBatch. A rejected update stages nothing; a tracking
+  /// failure unwinds the whole unit.
+  Status Stage(const update::Update& u);
 
-  /// Rebases `u` onto the target's root and attaches the paste payload
-  /// (which must be the subtree as of the op's application, and outlive
-  /// the returned value).
-  Result<wrap::NativeOp> MakeNativeOp(const update::Update& u,
-                                      const tree::Tree* pasted) const;
+  /// Commits the staged unit. N/H track it in one TrackBatch (one tid per
+  /// op); T/HT commit the provlist under the transaction's one tid. If
+  /// that provenance write fails nothing was written and the unit
+  /// unwinds. Otherwise the unit is committed and never unwound: its
+  /// native writes go out in one ApplyBatch, an archived session records
+  /// one version per tid, TxnMeta (when enabled) gets one row per tid,
+  /// and the unit's glob records are stamped with its [first, last] tid.
+  /// The durability barrier then ALWAYS runs — even when that tail fails,
+  /// because the unit is committed in the provenance store and must seal
+  /// into its own log record, not fuse into a later unit's. The tail's
+  /// error wins over the barrier's. An empty N/H unit commits nothing.
+  Status Seal();
 
-  /// Builds the native replay of a whole staged script (payloads borrowed
-  /// from `pasted`, which must outlive the result).
-  Result<std::vector<wrap::NativeOp>> BuildNativeOps(
-      const update::Script& script,
-      const std::vector<std::optional<tree::Tree>>& pasted) const;
+  /// Discards the staged unit: drops the provlist, reverts the universe
+  /// and clears the unit. Returns `cause` unless the revert fails.
+  Status Unwind(Status cause);
 
-  /// Durability barrier closing one committed transaction: ONE group
-  /// commit (log append + fsync) on the provenance store's database and
-  /// one on the target. Both are no-ops for in-memory stores, so the
-  /// default sessions are untouched; when target and provenance share a
-  /// durable Database the first Sync covers both and the second is free.
+  /// Builds the unit's native replay: paths rebased onto the target's
+  /// root, paste payloads borrowed from the unit.
+  Result<std::vector<wrap::NativeOp>> BuildNativeOps() const;
+
+  /// Durability barrier closing one committed unit: ONE group commit
+  /// (log append + fsync) on the provenance store's database and one on
+  /// the target. Both are no-ops for in-memory stores, so the default
+  /// sessions are untouched; when target and provenance share a durable
+  /// Database the first Sync covers both and the second is free.
   Status SyncDurable();
-
-  /// Runs the tail of an already-committed transaction (native replay,
-  /// archive, meta), then ALWAYS runs the durability barrier — even when
-  /// the tail fails, because the transaction is committed in the
-  /// provenance store and must seal into its own log record, not fuse
-  /// into a later transaction's. The tail's error wins; a sync failure
-  /// surfaces only when the tail succeeded.
-  Status FinishCommitted(const std::function<Status()>& tail);
-
-  /// ApplyScript that also reports, via `tids`, the tid each N/H op
-  /// committed under (left empty for T/HT, which commit at Commit()).
-  Status ApplyStaged(const update::Script& script, size_t* applied,
-                     std::vector<int64_t>* tids);
-
-  /// Flushes the staged per-op-strategy batch — a whole script, or a
-  /// single op outside one: one TrackBatch, one native ApplyBatch, one
-  /// archive run. On a tracking failure the whole staged batch is unwound
-  /// from the universe (nothing was written) and `flushed` is 0; once
-  /// tracking succeeds the batch is committed (`flushed` = batch size,
-  /// `tids` = the ops' tids) and a native-replay failure is reported
-  /// without unwinding, like a failed commit replay. Resets the staging
-  /// state.
-  Status FlushBatch(size_t* flushed = nullptr,
-                    std::vector<int64_t>* tids = nullptr);
-
-  Status RecordMetaIfEnabled(int64_t tid, const std::string& note);
 
   EditorOptions options_;
   wrap::TargetDb* target_;
@@ -258,23 +252,36 @@ class Editor {
   std::unique_ptr<archive::VersionArchive> archive_;
   std::unique_ptr<query::ApproxProvStore> approx_;
 
+  /// Reverts the staged unit's updates; emptied when the unit seals.
   update::UndoLog undo_;
-  update::Script txn_script_;
-  /// Op-time snapshots of pasted subtrees, parallel to txn_script_
-  /// (nullopt for non-copies). Needed because commit-time native replay
-  /// must paste what the op pasted, not the end-of-transaction state.
-  std::vector<std::optional<tree::Tree>> txn_pasted_;
 
-  /// Staging for the per-op strategies (N, H): ApplyUpdate stages every
-  /// op's tracking and native push into these, and FlushBatch ships them
-  /// as one group commit — at once outside a script, at the script's end
-  /// while `batching_` (inside ApplyScript/BulkCopy). T/HT stage each op
-  /// in batch_ops_ only to hand it to TrackBatch at once. Always empty
-  /// between calls.
-  bool batching_ = false;
-  std::vector<provenance::TrackedOp> batch_ops_;
-  update::Script batch_script_;
-  std::vector<std::optional<tree::Tree>> batch_pasted_;
+  /// The staged unit: every op applied since the last seal or unwind, and
+  /// what its seal needs. Its vectors are cleared, not freed, between
+  /// units, so a unit of one reuses their buffers.
+  struct Unit {
+    /// Effects awaiting TrackBatch: the whole unit for N/H, only the op
+    /// being staged for T/HT.
+    std::vector<provenance::TrackedOp> ops;
+    update::Script script;
+    /// Op-time snapshots of pasted subtrees, parallel to `script`
+    /// (nullopt for non-copies): the native replay must paste what the
+    /// op pasted, not the unit's end state.
+    std::vector<std::optional<tree::Tree>> pasted;
+    /// Bulk copies' glob records, stamped with the unit's tids at seal.
+    std::vector<query::ApproxRecord> globs;
+    /// The tids the unit committed under (one per op for N/H, the
+    /// transaction's for T/HT); filled by the seal.
+    std::vector<int64_t> tids;
+
+    void Clear() {
+      ops.clear();
+      script.clear();
+      pasted.clear();
+      globs.clear();
+      tids.clear();
+    }
+  };
+  Unit unit_;
 
   size_t total_ops_ = 0;
   bool started_ = false;

@@ -64,11 +64,9 @@ void Reporter::Loop() {
     Sample cur = registry_->TakeSample();
     double now_us = NowMicros();
     double window_ms = (now_us - prev_us) / 1000.0;
-    // On stop, fold whatever partial window accumulated — unless nothing
-    // did (back-to-back stop) where an empty row is just noise.
-    if (!stopping || window_ms >= 1.0) {
-      FoldWindow(prev, cur, seq++, window_ms);
-    }
+    // On stop this is the final partial window, folded however short:
+    // ticks recorded just before Stop() belong to it.
+    FoldWindow(prev, cur, seq++, window_ms);
     if (stopping) return;
     prev = std::move(cur);
     prev_us = now_us;

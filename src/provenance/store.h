@@ -92,9 +92,6 @@ class ProvStore {
   /// calling it explicitly is a harmless no-op.
   virtual Status Commit() = 0;
 
-  /// True if uncommitted provlist entries exist (T/HT only).
-  virtual bool HasPending() const { return false; }
-
   /// Discards uncommitted provlist entries (editor abort).
   virtual void AbortPending() {}
 

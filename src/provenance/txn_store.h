@@ -65,7 +65,6 @@ class TxnStore : public ProvStore {
   /// (the version sequence advances) but costs no round trip.
   Status Commit() override;
 
-  bool HasPending() const override { return !provlist_.empty(); }
   void AbortPending() override;
 
   bool IsHierarchical() const override { return options_.hierarchical; }

@@ -213,8 +213,6 @@ Result<std::unique_ptr<Session>> SessionPool::Build() {
   EditorOptions opts;
   opts.strategy = options_.strategy;
   opts.first_tid = s->snapshot_tid_ + 1;
-  opts.record_txn_meta = options_.record_txn_meta;
-  opts.user = options_.user;
   opts.tid_allocator = [engine = engine_] { return engine->NextTid(); };
   opts.defer_sync = true;  // the engine's cohort seal owns the barrier
   CPDB_ASSIGN_OR_RETURN(
@@ -231,10 +229,7 @@ Result<std::unique_ptr<Session>> SessionPool::Build() {
 
 void SessionPool::Release(std::unique_ptr<Session> session) {
   if (session == nullptr) return;
-  if (session->editor_->PendingOps() > 0 ||
-      session->editor_->store()->HasPending()) {
-    (void)session->Abort();
-  }
+  if (session->editor_->PendingOps() > 0) (void)session->Abort();
   engine_->cost_totals().Add(session->cost_.Snap());
   session->cost_.Reset();
   // A pooled session is not a live reader: drop its pin entirely so idle

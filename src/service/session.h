@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cpdb/editor.h"
@@ -17,8 +16,6 @@ struct SessionOptions {
       provenance::Strategy::kHierarchicalTransactional;
   /// Read-only sources every session mounts (borrowed; outlive the pool).
   std::vector<wrap::SourceDb*> sources;
-  bool record_txn_meta = false;
-  std::string user = "curator";
 };
 
 /// One curator's session against a shared Engine: an Editor over a

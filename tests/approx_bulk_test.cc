@@ -118,6 +118,43 @@ TEST(BulkTest, PerOpBulkCopyApproxRecordCoversEveryTidItUsed) {
   }
 }
 
+TEST(BulkTest, AbortedTxnBulkCopyLeavesNoGlobRecord) {
+  // Under T/HT a bulk's glob record belongs to the open transaction: an
+  // abort discards it with the copies, so it never answers for the
+  // unrelated transaction that later commits under the same tid.
+  for (provenance::Strategy strategy :
+       {provenance::Strategy::kTransactional,
+        provenance::Strategy::kHierarchicalTransactional}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    relstore::Database prov_db("provdb");
+    provenance::ProvBackend backend(&prov_db);
+    EditorOptions opts;
+    opts.strategy = strategy;
+    opts.first_tid = 10;
+    opts.enable_approx = true;
+    wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+    wrap::TreeSourceDb s1("S1", testutil::Figure4SourceS1());
+    auto editor = Editor::Create(&target, &backend, opts);
+    ASSERT_TRUE(editor.ok());
+    Editor& ed = **editor;
+    ASSERT_TRUE(ed.MountSource(&s1).ok());
+
+    update::BulkCopySpec spec;
+    spec.src = PathGlob::MustParse("S1/*");
+    spec.dst = PathGlob::MustParse("T/*");
+    ASSERT_TRUE(ed.BulkCopy(spec).ok());
+    ASSERT_TRUE(ed.Abort().ok());
+    ASSERT_TRUE(ed.Insert(Path::MustParse("T"), "unrelated").ok());
+    ASSERT_TRUE(ed.Commit().ok());
+    ASSERT_EQ(ed.store()->LastCommittedTid(), 10);
+
+    EXPECT_EQ(ed.approx()->RecordCount(), 0u);
+    EXPECT_EQ(ed.approx()->MayComeFrom(10, Path::MustParse("T/a1"),
+                                       Path::MustParse("S1/a1")),
+              MayAnswer::kNo);
+  }
+}
+
 TEST(ApproxTest, MayAffect) {
   ApproxProvStore store;
   ApproxRecord rec;

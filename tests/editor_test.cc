@@ -87,6 +87,35 @@ TEST(EditorTest, AbortRevertsUniverseAndProvlist) {
   EXPECT_TRUE(s->target->content().Equals(*s->editor->TargetView()));
 }
 
+TEST(EditorTest, FailedTxnCommitUnwindsTheTransaction) {
+  // A T/HT commit whose provenance write fails leaves nothing of its
+  // transaction behind: not in the universe, and not in the provlist,
+  // from which the next commit would publish records for data the
+  // target never received.
+  for (Strategy strategy :
+       {Strategy::kTransactional, Strategy::kHierarchicalTransactional}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    auto s = MakeFigureSession(strategy, /*first_tid=*/1,
+                               /*enable_archive=*/false);
+    ASSERT_NE(s, nullptr);
+    const Path x = Path::MustParse("T/x");
+    // A planted {1, T/x} row makes the commit's WriteRecords collide on
+    // the {Tid, Loc} key.
+    ASSERT_TRUE(
+        s->backend->WriteRecords({provenance::ProvRecord::Insert(1, x)}).ok());
+    ASSERT_TRUE(s->editor->Insert(Path::MustParse("T"), "x").ok());
+    EXPECT_FALSE(s->editor->Commit().ok());
+    EXPECT_TRUE(s->target->content().Equals(*s->editor->TargetView()));
+    EXPECT_EQ(s->editor->PendingOps(), 0u);
+
+    ASSERT_TRUE(s->editor->Commit().ok());
+    auto at_x = testutil::DrainAll(s->backend->ScanAtLoc(x));
+    ASSERT_TRUE(at_x.ok());
+    ASSERT_EQ(at_x->size(), 1u);  // the planted row alone
+    EXPECT_EQ((*at_x)[0].tid, 1);
+  }
+}
+
 TEST(EditorTest, AbortFailsForPerOpStrategies) {
   auto s = MakeFigureSession(Strategy::kNaive);
   ASSERT_NE(s, nullptr);

@@ -565,6 +565,49 @@ TEST(NetRobustnessTest, TornFrameThenEofJustCloses) {
 
 // ----- Admission control -----------------------------------------------------
 
+/// Parks the group-commit leader inside its seal until Release(), so
+/// later committers queue behind it. WaitStalled() reports once a leader
+/// is parked: a follower must be sent only after that, because RunCohort
+/// drops the queue mutex to take the exclusive latch before it drains the
+/// queue, and a follower that arrives in that window joins the leader's
+/// cohort instead of queueing. The destructor releases the leader, so
+/// even an early ASSERT cannot leave the rig's teardown waiting on it.
+class LeaderStall {
+ public:
+  explicit LeaderStall(NetRig* rig) {
+    service::CommitQueue::TestHooks hooks;
+    hooks.before_seal = [this](size_t) {
+      MutexLock l(mu_);
+      stalled_ = true;
+      cv_.NotifyAll();
+      while (!released_) cv_.Wait(mu_);
+    };
+    rig->engine->commit_queue().set_test_hooks(hooks);
+  }
+  ~LeaderStall() { Release(); }
+  LeaderStall(const LeaderStall&) = delete;
+  LeaderStall& operator=(const LeaderStall&) = delete;
+
+  /// True once a leader is parked in its seal; gives up after ~5 s.
+  bool WaitStalled() {
+    MutexLock l(mu_);
+    for (int i = 0; i < 500 && !stalled_; ++i) cv_.WaitFor(mu_, 10);
+    return stalled_;
+  }
+
+  void Release() {
+    MutexLock l(mu_);
+    released_ = true;
+    cv_.NotifyAll();
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool stalled_ = false;
+  bool released_ = false;
+};
+
 TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
   ServerOptions opts;
   opts.max_queue_depth = 0;  // any waiting committer triggers shedding
@@ -587,31 +630,12 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
   }
 
   // Stall the group-commit leader inside the seal so followers pile up.
-  Mutex mu;
-  CondVar cv;
-  bool release = false;
-  service::CommitQueue::TestHooks hooks;
-  hooks.before_seal = [&](size_t) {
-    MutexLock l(mu);
-    while (!release) cv.Wait(mu);
-  };
-  rig.engine->commit_queue().set_test_hooks(hooks);
-  // Whatever happens below (including an early ASSERT), the leader must
-  // be released before the rig's destructor drains, or teardown hangs.
-  struct Releaser {
-    Mutex* mu;
-    CondVar* cv;
-    bool* release;
-    ~Releaser() {
-      MutexLock l(*mu);
-      *release = true;
-      cv->NotifyAll();
-    }
-  } releaser{&mu, &cv, &release};
+  LeaderStall stall(&rig);
 
   // A: commits and becomes the (stalled) leader.
   ASSERT_TRUE(a.Send(Request::Apply(Update::Insert(table, "a1"))).ok());
   ASSERT_TRUE(a.Send(Request::Commit()).ok());
+  ASSERT_TRUE(stall.WaitStalled());
   // B: enqueues behind the stalled leader -> queue depth 1.
   ASSERT_TRUE(b.Send(Request::Apply(Update::Insert(table, "b1"))).ok());
   ASSERT_TRUE(b.Send(Request::Commit()).ok());
@@ -634,11 +658,7 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
     EXPECT_EQ(resp->code, RespCode::kRetry) << i << ": " << resp->body;
   }
 
-  {
-    MutexLock l(mu);
-    release = true;
-    cv.NotifyAll();
-  }
+  stall.Release();
   for (Client* stalled : {&a, &b}) {
     for (int i = 0; i < 2; ++i) {
       auto resp = stalled->Recv();
@@ -1325,25 +1345,7 @@ TEST(NetRetryTest, CallRetryingGivesUpAfterMaxAttemptsOnShed) {
     ASSERT_TRUE(warm->Abort().ok());
   }
 
-  Mutex mu;
-  CondVar cv;
-  bool release = false;
-  service::CommitQueue::TestHooks hooks;
-  hooks.before_seal = [&](size_t) {
-    MutexLock l(mu);
-    while (!release) cv.Wait(mu);
-  };
-  rig.engine->commit_queue().set_test_hooks(hooks);
-  struct Releaser {
-    Mutex* mu;
-    CondVar* cv;
-    bool* release;
-    ~Releaser() {
-      MutexLock l(*mu);
-      *release = true;
-      cv->NotifyAll();
-    }
-  } releaser{&mu, &cv, &release};
+  LeaderStall stall(&rig);
 
   // A commits and stalls as the leader; B enqueues behind it, keeping
   // the queue over its (zero) bound for as long as we hold the stall, so
@@ -1351,6 +1353,7 @@ TEST(NetRetryTest, CallRetryingGivesUpAfterMaxAttemptsOnShed) {
   // the loop and return the RETRY.
   ASSERT_TRUE(a.Send(Request::Apply(Update::Insert(table, "a1"))).ok());
   ASSERT_TRUE(a.Send(Request::Commit()).ok());
+  ASSERT_TRUE(stall.WaitStalled());
   ASSERT_TRUE(b.Send(Request::Apply(Update::Insert(table, "b1"))).ok());
   ASSERT_TRUE(b.Send(Request::Commit()).ok());
   for (int i = 0; i < 500 && rig.engine->CommitQueueDepth() == 0; ++i) {
@@ -1369,11 +1372,7 @@ TEST(NetRetryTest, CallRetryingGivesUpAfterMaxAttemptsOnShed) {
   EXPECT_EQ(resp->code, RespCode::kRetry) << resp->body;
   EXPECT_EQ(retries, policy.max_attempts - 1);
 
-  {
-    MutexLock l(mu);
-    release = true;
-    cv.NotifyAll();
-  }
+  stall.Release();
   for (Client* stalled : {&a, &b}) {
     for (int i = 0; i < 2; ++i) {
       auto done = stalled->Recv();

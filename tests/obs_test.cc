@@ -198,6 +198,19 @@ TEST(RegistryTest, DeltaJsonDifferencesCountersButNotGauges) {
 
 // ----- Reporter --------------------------------------------------------------
 
+/// Sum of the "ticks" field over every reporter row.
+uint64_t SumTicks(const std::vector<std::string>& rows) {
+  uint64_t total = 0;
+  for (const std::string& row : rows) {
+    size_t at = row.find("\"ticks\":");
+    EXPECT_NE(at, std::string::npos) << row;
+    if (at == std::string::npos) continue;
+    total += std::strtoull(row.c_str() + at + std::strlen("\"ticks\":"),
+                           nullptr, 10);
+  }
+  return total;
+}
+
 TEST(ReporterTest, FoldsWindowsAndFinalPartialWindow) {
   Registry reg;
   Counter* c = reg.GetCounter("cpdb_ticks_total", "h", "", "ticks");
@@ -210,20 +223,27 @@ TEST(ReporterTest, FoldsWindowsAndFinalPartialWindow) {
 
   std::vector<std::string> rows = rep.Rows();
   ASSERT_FALSE(rows.empty());
-  uint64_t total = 0;
   for (const std::string& row : rows) {
     EXPECT_NE(row.find("\"interval_seq\":"), std::string::npos) << row;
     EXPECT_NE(row.find("\"interval_ms\":"), std::string::npos);
-    size_t at = row.find("\"ticks\":");
-    ASSERT_NE(at, std::string::npos) << row;
-    total += std::strtoull(row.c_str() + at + std::strlen("\"ticks\":"),
-                           nullptr, 10);
   }
   // Windowed deltas partition the counter: no tick lost, none double
   // counted, including across the final partial window.
-  EXPECT_EQ(total, 5u);
+  EXPECT_EQ(SumTicks(rows), 5u);
   // Stop() is idempotent and Start/Stop cycles do not crash.
   rep.Stop();
+}
+
+TEST(ReporterTest, StopRightAfterStartKeepsItsTicks) {
+  // The final window folds however short it is: ticks recorded just
+  // before Stop() must reach the rows.
+  Registry reg;
+  Counter* c = reg.GetCounter("cpdb_ticks_total", "h", "", "ticks");
+  Reporter rep(&reg, 10);
+  rep.Start();
+  c->Inc(2);
+  rep.Stop();
+  EXPECT_EQ(SumTicks(rep.Rows()), 2u);
 }
 
 // ----- SpanCollector / SpanStore (request tracing) ---------------------------

@@ -139,9 +139,9 @@ TEST(TxnStoreTest, AbortDiscardsPending) {
   Fixture fx;
   TxnStore store(&fx.backend, TxnStoreOptions{});
   ASSERT_TRUE(store.TrackBatch(InsertOp("T/a")).ok());
-  EXPECT_TRUE(store.HasPending());
+  EXPECT_EQ(store.PendingCount(), 1u);
   store.AbortPending();
-  EXPECT_FALSE(store.HasPending());
+  EXPECT_EQ(store.PendingCount(), 0u);
   ASSERT_TRUE(store.Commit().ok());
   EXPECT_EQ(store.RecordCount(), 0u);
 }

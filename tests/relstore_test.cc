@@ -2,7 +2,6 @@
 
 #include "relstore/database.h"
 #include "relstore/datum.h"
-#include "relstore/exec.h"
 #include "relstore/heap_file.h"
 #include "relstore/page.h"
 #include "relstore/schema.h"
@@ -442,56 +441,6 @@ TEST(DatabaseTest, CatalogOperations) {
   EXPECT_TRUE(db.GetTable("zz").status().IsNotFound());
   ASSERT_TRUE(db.DropTable("Prov").ok());
   EXPECT_TRUE(db.GetTable("Prov").status().IsNotFound());
-}
-
-TEST(ExecTest, FilterProjectPipeline) {
-  Table t("Prov", ProvSchema());
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(t.Insert({Datum(int64_t{i}), Datum(i < 5 ? "I" : "C"),
-                          Datum("T/n" + std::to_string(i)), Datum()})
-                    .ok());
-  }
-  auto it = MakeProject(
-      MakeFilter(MakeSeqScan(&t),
-                 [](const Row& r) { return r[1].AsString() == "C"; }),
-      {0, 2});
-  auto rows = it->Collect();
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows[0].size(), 2u);
-}
-
-TEST(ExecTest, HashJoin) {
-  // Prov join TxnMeta on Tid.
-  Table prov("Prov", ProvSchema());
-  ASSERT_TRUE(prov.Insert({Datum(int64_t{1}), Datum("I"), Datum("T/a"),
-                           Datum()})
-                  .ok());
-  ASSERT_TRUE(prov.Insert({Datum(int64_t{2}), Datum("C"), Datum("T/b"),
-                           Datum("S/x")})
-                  .ok());
-  ASSERT_TRUE(prov.Insert({Datum(int64_t{2}), Datum("C"), Datum("T/c"),
-                           Datum("S/y")})
-                  .ok());
-  std::vector<Row> meta = {{Datum(int64_t{2}), Datum("alice")},
-                           {Datum(int64_t{3}), Datum("bob")}};
-  auto joined = MakeHashJoin(MakeSeqScan(&prov), {0},
-                             MakeValues(meta), {0})
-                    ->Collect();
-  ASSERT_EQ(joined.size(), 2u);  // only tid 2 matches
-  for (const Row& r : joined) {
-    EXPECT_EQ(r.size(), 6u);
-    EXPECT_EQ(r[5].AsString(), "alice");
-  }
-}
-
-TEST(ExecTest, SortDistinctLimit) {
-  std::vector<Row> rows = {{Datum(int64_t{3})}, {Datum(int64_t{1})},
-                           {Datum(int64_t{3})}, {Datum(int64_t{2})}};
-  auto out = MakeLimit(MakeSort(MakeDistinct(MakeValues(rows)), {0}), 2)
-                 ->Collect();
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0][0].AsInt(), 1);
-  EXPECT_EQ(out[1][0].AsInt(), 2);
 }
 
 // ----- Cursor scans / batched lookups ---------------------------------------

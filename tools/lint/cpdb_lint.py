@@ -47,6 +47,17 @@ EDITOR-WRITE-PATH
     benches exercise the stores directly and are exempt. Together with
     PROV-TABLE-WRITES this pins every provenance write to one path.
 
+EDITOR-ONE-SEAL
+    Every strategy commits through one seal: src/cpdb/editor.cc stages
+    updates into one unit and Editor::Seal is the only place that ships
+    it. So each of the seal's steps — the native replay
+    (`target_->ApplyBatch(`), the archive run (`archive_->Record(`), the
+    TxnMeta rows (`WriteTxnMeta(`) and the durability barrier
+    (`SyncDurable()`) — must have exactly one call site in that file;
+    definitions and comments do not count. A second commit tail would
+    let strategies drift apart again in what they write and in how they
+    fail.
+
 BENCH-JSON
     Every figure bench in bench/*.cc must emit the harness JSON schema
     ({"bench":..., "config":..., "rows":[...]}) behind a --json flag,
@@ -215,6 +226,34 @@ def check_editor_write_path(root):
                             "ProvStore::TrackBatch) and src/provenance/")
 
 
+ONE_SEAL_PATH = pathlib.PurePath("src/cpdb/editor.cc")
+ONE_SEAL_CALLS = ("target_->ApplyBatch", "archive_->Record", "WriteTxnMeta",
+                  "SyncDurable")
+# `(?<!::)` skips definitions such as `Status Editor::SyncDurable() {`.
+ONE_SEAL_RE = re.compile(r"(?<!::)\b(" +
+                         "|".join(map(re.escape, ONE_SEAL_CALLS)) +
+                         r")\s*\(")
+
+
+def check_editor_one_seal(root):
+    path = root / ONE_SEAL_PATH
+    if not path.is_file():
+        return
+    sites = {call: [] for call in ONE_SEAL_CALLS}
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for m in ONE_SEAL_RE.finditer(strip_comments(line)):
+            sites[m.group(1)].append(lineno)
+    for call, lines in sites.items():
+        if not lines:
+            finding("EDITOR-ONE-SEAL", ONE_SEAL_PATH, 1,
+                    f"no {call}() call; the seal must run every step")
+        for lineno in lines[1:]:
+            finding("EDITOR-ONE-SEAL", ONE_SEAL_PATH, lineno,
+                    f"second {call}() call site (first at line "
+                    f"{lines[0]}); every strategy commits through "
+                    "Editor::Seal alone")
+
+
 BENCH_EXEMPT = {"bench_micro.cc"}  # google-benchmark's own reporter
 
 
@@ -372,6 +411,7 @@ def main():
     check_annotated_mutex(root)
     check_prov_table_writes(root)
     check_editor_write_path(root)
+    check_editor_one_seal(root)
     check_bench_json(root)
     check_net_framing(root)
     check_obs_metrics(root)
