@@ -137,7 +137,6 @@ struct RunResult {
   size_t log_bytes = 0;
   // Engine registry counters and gauges (group commit, version chain).
   size_t cohorts = 0, combined = 0, max_cohort = 0;
-  size_t parallel_cohorts = 0, parallel_applies = 0;
   size_t versions_live = 0, versions_gced = 0;
   size_t snapshot_rebuilds = 0, snapshot_rebuild_rows = 0;
   size_t snapshot_refreshes = 0;
@@ -153,7 +152,7 @@ struct RunResult {
 RunResult RunOnce(provenance::Strategy strategy, size_t threads,
                   size_t txn_len, size_t txns_per_thread,
                   const std::string& durable_dir, KeyDist dist, double theta,
-                  uint64_t keys, size_t apply_workers) {
+                  uint64_t keys) {
   RunResult res;
   std::unique_ptr<relstore::Database> db;
   if (durable_dir.empty()) {
@@ -172,7 +171,6 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   provenance::ProvBackend backend(db.get());
   wrap::TreeTargetDb target("T", workload::GenMimiLike(200, 7));
   service::Engine engine(&backend, &target);
-  if (apply_workers > 0) engine.EnableParallelApply(apply_workers);
   service::SessionOptions opts;
   opts.strategy = strategy;
   service::SessionPool pool(&engine, opts);
@@ -243,15 +241,13 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   res.cohorts = count("cpdb_cohorts_total");
   res.combined = count("cpdb_combined_total");
   res.max_cohort = level("cpdb_max_cohort");
-  res.parallel_cohorts = count("cpdb_parallel_cohorts_total");
-  res.parallel_applies = count("cpdb_parallel_applies_total");
   res.versions_live = level("cpdb_versions_live");
   res.versions_gced = count("cpdb_versions_gced_total");
   res.snapshot_rebuilds = count("cpdb_snapshot_rebuilds_total");
   res.snapshot_rebuild_rows = count("cpdb_snapshot_rebuild_rows_total");
   res.snapshot_refreshes = count("cpdb_snapshot_refreshes_total");
-  res.sessions_built = pool.built();
-  res.sessions_refreshed = pool.refreshed();
+  res.sessions_built = count("cpdb_sessions_built_total");
+  res.sessions_refreshed = count("cpdb_sessions_refreshed_total");
   res.cost = engine.cost_totals().Snap();
 
   std::vector<double> all;
@@ -316,21 +312,14 @@ int main(int argc, char** argv) {
   double theta = flags.GetDouble("theta", 0.99);
   uint64_t keys =
       static_cast<uint64_t>(std::max<int64_t>(1, flags.GetInt("keys", 1000)));
-  // Default 2: the disjoint-subtree apply pool is the shipped service
-  // configuration (threads' T/t<i> writesets are disjoint, so cohorts
-  // batch onto the pool); --apply-workers=0 measures the serial path.
-  size_t apply_workers = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt("apply-workers", 2)));
 
   JsonReport report("concurrent");
   report.config()
       .Set("strategy", provenance::StrategyShortName(strategy))
       .Set("txns_per_thread", txns)
       .Set("durable", !durable_dir.empty());
-  if (apply_workers > 0) report.config().Set("apply_workers", apply_workers);
-  // The default (seq) config and rows stay byte-compatible with every
-  // earlier BENCH_concurrent.json; the distribution knobs only appear
-  // when they are in play.
+  // The distribution knobs appear in the config only when they are in
+  // play, so a default (seq) run's config names no distribution.
   if (dist != KeyDist::kSeq) {
     report.config().Set("dist", dist_name).Set("keys", keys);
     if (dist == KeyDist::kZipf) report.config().Set("theta", theta);
@@ -356,7 +345,7 @@ int main(int argc, char** argv) {
   for (size_t threads : thread_counts) {
     for (size_t txn_len : txn_lens) {
       RunResult r = RunOnce(strategy, threads, txn_len, txns, durable_dir,
-                            dist, theta, keys, apply_workers);
+                            dist, theta, keys);
       double commits_per_sec =
           r.wall_ms <= 0 ? 0 : r.commits / (r.wall_ms / 1000.0);
       double fsyncs_per_commit =
@@ -388,8 +377,6 @@ int main(int argc, char** argv) {
           .Set("rows_moved", r.cost.rows)
           .Set("write_round_trips", r.cost.write_calls)
           .Set("write_rows", r.cost.write_rows)
-          .Set("parallel_cohorts", r.parallel_cohorts)
-          .Set("parallel_applies", r.parallel_applies)
           .Set("versions_live", r.versions_live)
           .Set("versions_gced", r.versions_gced)
           .Set("snapshot_rebuilds", r.snapshot_rebuilds)

@@ -80,7 +80,11 @@
 /// none. Editor::TotalOps() counts committed ops for T/HT too, as it did
 /// for N/H; it used to count staged ones, aborted ones included.
 /// service::SessionOptions lost record_txn_meta and user, which nothing
-/// set; pool-built editors keep the EditorOptions defaults.
+/// set; pool-built editors keep the EditorOptions defaults. A seal that
+/// fails hands its tids back: LastCommittedTid() and CurrentTid() return
+/// to where they were, so the next unit commits under the same tid and
+/// an archived session's versions stay consecutive (engine sessions
+/// still burn the allocator's tid; gaps are allowed there).
 ///
 /// Durability (README "Durability"; storage/):
 ///
@@ -123,11 +127,26 @@
 /// leader/follower group commit: concurrent committers form a cohort
 /// that seals under ONE WAL record + ONE fsync (crash-atomic as a unit),
 /// and every transaction number comes from the engine's atomic allocator
-/// so sessions never mint the same tid. When the cohort's staged
-/// writesets claim pairwise-disjoint target subtrees, the leader applies
-/// them in parallel across Engine::EnableParallelApply's worker pool —
-/// same single grant, same single fsync. Reads (queries, cursor scans)
-/// run concurrently under shared grants; never commit while holding one.
+/// so sessions never mint the same tid. The leader applies the cohort's
+/// members one after another on its own thread, in enqueue order, so tid
+/// order, apply order and commit order coincide. Reads (queries, cursor
+/// scans) run concurrently under shared grants; never commit while
+/// holding one.
+///
+/// Migration note (one apply order): the disjoint-subtree apply pool is
+/// gone, and every cohort applies in enqueue order on the leader's
+/// thread. Removed with it: the Engine/CommitQueue call that enabled the
+/// pool and the queue's parallel-prepare hook; the writeset (`claims`)
+/// argument of Engine::Commit, CommitQueue::Commit and the Session
+/// commit path; Editor's staged-writeset probe and the parallel-apply
+/// preparation hook of TargetDb and TreeTargetDb; the cpdb_parallel_*
+/// counters, the parallel batch-size histogram, and their STATS keys;
+/// bench_concurrent's apply-worker flag and its two pool columns. The
+/// commit.execute span detail lost its `parallel=` and `claims=` fields
+/// and reads `cohort_size=N leader=0|1`. SessionPool's built(),
+/// reused() and refreshed() getters are gone as well: read
+/// cpdb_sessions_{built,reused,refreshed}_total from the engine's
+/// registry (same STATS keys, which now come before the server's).
 ///
 /// Snapshots are versioned, not copied (MVCC-lite): the committed state
 /// carries a commit-ordered tid watermark (Engine::CommittedTid), and a
@@ -139,7 +158,7 @@
 /// stamped with the latch epoch. Staleness is a tid comparison —
 /// snapshot_tid() < Engine::CommittedTid() — and a stale pooled session
 /// is refreshed in place by re-pinning, not torn down and rebuilt, so
-/// SessionPool::built() stays flat under churn. SharedLatch::Epoch()
+/// cpdb_sessions_built_total stays flat under churn. SharedLatch::Epoch()
 /// still advances per exclusive release (the latch's own bookkeeping)
 /// but no session-visible semantics hang off it anymore; code that
 /// compared epochs to detect "committed state moved" should compare tid

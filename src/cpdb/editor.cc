@@ -49,37 +49,6 @@ Status Editor::ResetTargetSnapshot(tree::Tree snapshot) {
   return universe_.ReplaceAt(target_root_, std::move(snapshot));
 }
 
-std::vector<tree::Path> Editor::StagedWriteClaims() const {
-  std::vector<tree::Path> claims;
-  claims.reserve(unit_.script.size());
-  for (const Update& u : unit_.script) {
-    // The node whose child map the native replay mutates: the insert/
-    // delete target itself, the destination's parent for a paste
-    // (TreeTargetDb::ApplyOne writes via PutChild on the parent).
-    const tree::Path& p =
-        u.kind == OpKind::kCopy ? u.target.Parent() : u.target;
-    auto rel = p.RelativeTo(target_root_);
-    if (!rel.ok()) return {};  // not rebasable: never parallelize
-    claims.push_back(*std::move(rel));
-  }
-  // Normalize to a prefix-free set: drop duplicates and claims already
-  // covered by an ancestor claim.
-  std::vector<tree::Path> minimal;
-  for (size_t i = 0; i < claims.size(); ++i) {
-    bool covered = false;
-    for (size_t j = 0; j < claims.size() && !covered; ++j) {
-      if (i == j) continue;
-      if (claims[j] == claims[i]) {
-        covered = j < i;  // keep the first occurrence only
-      } else {
-        covered = claims[j].IsPrefixOf(claims[i]);
-      }
-    }
-    if (!covered) minimal.push_back(claims[i]);
-  }
-  return minimal;
-}
-
 Status Editor::MountSource(wrap::SourceDb* source) {
   if (started_) {
     return Status::FailedPrecondition(

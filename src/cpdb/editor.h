@@ -103,13 +103,6 @@ class Editor {
   /// anything is staged.
   Status ResetTargetSnapshot(tree::Tree snapshot);
 
-  /// The staged transaction's writeset: target-relative roots of every
-  /// subtree its commit-time native replay writes (for T/HT, the child
-  /// maps its inserts/deletes/pastes mutate). The commit queue batches
-  /// transactions with pairwise-disjoint writesets onto the apply pool.
-  /// Empty when any op cannot be rebased (never parallelized).
-  std::vector<tree::Path> StagedWriteClaims() const;
-
   /// Mounts a read-only source database; must precede the first update.
   Status MountSource(wrap::SourceDb* source);
 

@@ -201,21 +201,12 @@ void Server::RegisterMetrics() {
        return static_cast<double>(inflight_bytes_);
      },
      "inflight_bytes");
-  cb("cpdb_sessions_built_total", "Sessions built from scratch", true,
-     [this] { return static_cast<double>(pool_->built()); },
-     "sessions_built");
-  cb("cpdb_sessions_reused_total", "Pooled sessions handed back out", true,
-     [this] { return static_cast<double>(pool_->reused()); },
-     "sessions_reused");
-  cb("cpdb_sessions_refreshed_total", "Stale pooled sessions re-pinned O(1)",
-     true, [this] { return static_cast<double>(pool_->refreshed()); },
-     "sessions_refreshed");
 
-  // Per-verb request latency: one labelled series, decode-to-flush
-  // timing recorded in WorkerLoop. Data verbs also land in the flat
-  // JSON (the admin verbs would be scrape-measuring-the-scraper noise
-  // there, but are still separable in Prometheus). The retired tag gets
-  // no series.
+  // Per-verb request latency: one labelled series timing ExecuteTraced
+  // alone, recorded in WorkerLoop (decode, encode and the flush are not
+  // in it). Data verbs also land in the flat JSON (the admin verbs would
+  // be scrape-measuring-the-scraper noise there, but are still separable
+  // in Prometheus). The retired tag gets no series.
   for (uint8_t t = static_cast<uint8_t>(ReqType::kPing);
        t <= static_cast<uint8_t>(ReqType::kExplain); ++t) {
     if (!IsReqType(t)) continue;

@@ -143,10 +143,10 @@ class Server {
   void WakeLoop();
 
   /// Registers the server's counters (connection/request totals, protocol
-  /// violations), scrape-time callbacks (pool counters, in-flight bytes)
-  /// and the per-verb latency histograms into the ENGINE's registry —
-  /// one registry per engine is the whole point, so `STATS`, `METRICS`,
-  /// and `/metrics` all read the same objects. Runs in Start(), before
+  /// violations), the in-flight-bytes callback and the per-verb latency
+  /// histograms into the ENGINE's registry — one registry per engine is
+  /// the whole point, so `STATS`, `METRICS`, and `/metrics` all read the
+  /// same objects. Runs in Start(), before
   /// any worker exists; callbacks re-registered by a later Server
   /// replace this one's, counters carry on.
   void RegisterMetrics();

@@ -116,14 +116,11 @@ class ProvCursor {
 ///
 ///  * WriteRecords / WriteTxnMeta mutate the shared tables and must run
 ///    inside the engine's exclusive grant (commit closures do — they
-///    execute on the CommitQueue leader or its apply pool, which hold the
-///    latch). Within that grant the backend adds its own serialization: a
-///    write mutex shared by the owning handle and every View(), so the
-///    disjoint-subtree parallel apply can run commit closures of SEVERAL
-///    transactions concurrently — their target writes are disjoint by
-///    construction, and their provenance writes interleave safely here
-///    (whole batches serialize; {Tid, Loc} keys never collide across
-///    transactions, so order between batches is immaterial);
+///    execute on the CommitQueue leader, which holds the latch). Within
+///    that grant the backend adds its own serialization: a write mutex
+///    shared by the owning handle and every View(), so whole batches
+///    serialize even for a caller that writes outside the engine's
+///    latch;
 ///  * every Scan*/LookupMany call and the cursors it returns must
 ///    run inside a shared grant, drained before the grant is released;
 ///  * cost charges land on `cost_sink()`, which the service layer points
@@ -133,7 +130,7 @@ class ProvCursor {
 ///
 /// These rules cross an ownership boundary the thread-safety analysis
 /// cannot see through (the latch lives in the engine, not here), so they
-/// are enforced one level down — the latch, queue, and pool internals are
+/// are enforced one level down — the latch and queue internals are
 /// GUARDED_BY-annotated — and by tools/lint/cpdb_lint.py, which rejects
 /// direct Prov/TxnMeta table writes outside WriteRecords/WriteTxnMeta.
 class ProvBackend {
@@ -263,7 +260,7 @@ class ProvBackend {
   relstore::CostModel* sink_ = nullptr;  ///< defaults to &db_->cost()
   int64_t read_watermark_ = -1;  ///< per-handle snapshot bound; -1 = all
   /// Serializes table mutations across this handle and all its Views —
-  /// the parallel-apply write gate (see the thread-safety contract above).
+  /// the backend's own write gate (see the thread-safety contract above).
   /// shared_ptr so View-copies share the owner's mutex; null only on a
   /// detached handle.
   std::shared_ptr<Mutex> write_mu_;

@@ -69,15 +69,17 @@ Status HierStore::TrackBatch(const std::vector<TrackedOp>& ops,
   for (const TrackedOp& op : ops) {
     CPDB_RETURN_IF_ERROR(CheckEffect(op.kind, op.effect));
   }
-  std::vector<ProvRecord> records;
-  records.reserve(ops.size());
-  for (const TrackedOp& op : ops) {
-    int64_t tid = BumpTid();  // each op is still its own transaction
-    CPDB_RETURN_IF_ERROR(AppendRecord(tid, op.kind, op.effect, &records));
-    if (tids != nullptr) tids->push_back(tid);
-  }
-  if (records.empty()) return Status::OK();
-  return backend_->WriteRecords(records);
+  return SealOrHandBackTids([&]() -> Status {
+    std::vector<ProvRecord> records;
+    records.reserve(ops.size());
+    for (const TrackedOp& op : ops) {
+      int64_t tid = BumpTid();  // each op is still its own transaction
+      CPDB_RETURN_IF_ERROR(AppendRecord(tid, op.kind, op.effect, &records));
+      if (tids != nullptr) tids->push_back(tid);
+    }
+    if (records.empty()) return Status::OK();
+    return backend_->WriteRecords(records);
+  });
 }
 
 }  // namespace cpdb::provenance

@@ -28,13 +28,15 @@ Status NaiveStore::AppendRecords(int64_t tid, update::OpKind kind,
 Status NaiveStore::TrackBatch(const std::vector<TrackedOp>& ops,
                               std::vector<int64_t>* tids) {
   if (ops.empty()) return Status::OK();
-  std::vector<ProvRecord> records;
-  for (const TrackedOp& op : ops) {
-    int64_t tid = BumpTid();  // each op is still its own transaction
-    CPDB_RETURN_IF_ERROR(AppendRecords(tid, op.kind, op.effect, &records));
-    if (tids != nullptr) tids->push_back(tid);
-  }
-  return backend_->WriteRecords(records);
+  return SealOrHandBackTids([&]() -> Status {
+    std::vector<ProvRecord> records;
+    for (const TrackedOp& op : ops) {
+      int64_t tid = BumpTid();  // each op is still its own transaction
+      CPDB_RETURN_IF_ERROR(AppendRecords(tid, op.kind, op.effect, &records));
+      if (tids != nullptr) tids->push_back(tid);
+    }
+    return backend_->WriteRecords(records);
+  });
 }
 
 }  // namespace cpdb::provenance

@@ -152,6 +152,25 @@ class ProvStore {
     return tid;
   }
 
+  /// Runs `seal`, which takes its tids with BumpTid, and hands them all
+  /// back if it fails: the counters return to where they were, so the
+  /// failed unit consumes no version number and the next one commits
+  /// under the tid this one would have had. An allocator's tids stay
+  /// taken (service sessions, where gaps are allowed).
+  template <typename Seal>
+  Status SealOrHandBackTids(Seal&& seal) {
+    const int64_t next = next_tid_;
+    const int64_t last = last_tid_;
+    const int64_t first = first_tid_committed_;
+    Status st = seal();
+    if (!st.ok()) {
+      next_tid_ = next;
+      last_tid_ = last;
+      first_tid_committed_ = first;
+    }
+    return st;
+  }
+
   ProvBackend* backend_;
   int64_t next_tid_;
   int64_t last_tid_;

@@ -126,7 +126,10 @@ Status TxnStore::TrackBatch(const std::vector<TrackedOp>& ops,
 }
 
 Status TxnStore::Commit() {
-  int64_t tid = BumpTid();
+  return SealOrHandBackTids([this] { return CommitAs(BumpTid()); });
+}
+
+Status TxnStore::CommitAs(int64_t tid) {
   if (provlist_.empty()) {
     created_.clear();
     removed_.clear();

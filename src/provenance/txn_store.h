@@ -62,7 +62,8 @@ class TxnStore : public ProvStore {
 
   /// Writes the provlist in a single round trip and starts a new
   /// transaction. A transaction with no net changes still consumes a tid
-  /// (the version sequence advances) but costs no round trip.
+  /// (the version sequence advances) but costs no round trip; a failed
+  /// write hands its tid back.
   Status Commit() override;
 
   void AbortPending() override;
@@ -78,6 +79,9 @@ class TxnStore : public ProvStore {
   Status AddInsert(const update::ApplyEffect& effect);
   Status AddDelete(const update::ApplyEffect& effect);
   Status AddCopy(const update::ApplyEffect& effect);
+
+  /// Commit's body: publishes the provlist under `tid`.
+  Status CommitAs(int64_t tid);
 
   /// Removes provlist entries at or under `root`.
   void PruneUnder(const tree::Path& root);

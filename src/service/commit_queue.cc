@@ -4,50 +4,14 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace cpdb::service {
 
-namespace {
-
-/// Writeset conflict = one claim is a prefix of (or equal to) another:
-/// mutating a node's child map while another member descends through or
-/// mutates inside that subtree. Disjoint (prefix-free) claims touch
-/// disjoint node sets — see TreeTargetDb::PrepareParallelApply for why
-/// the shared ancestors above the claims stay read-only.
-bool Conflicts(const std::vector<tree::Path>& a,
-               const std::vector<tree::Path>& b) {
-  for (const tree::Path& pa : a) {
-    for (const tree::Path& pb : b) {
-      if (pa.IsPrefixOf(pb) || pb.IsPrefixOf(pa)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-CommitQueue::~CommitQueue() {
-  {
-    MutexLock l(pool_mu_);
-    pool_stop_ = true;
-    pool_work_.NotifyAll();
-  }
-  for (std::thread& w : workers_) w.join();
-}
-
-void CommitQueue::EnableParallelApply(size_t workers) {
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
 Status CommitQueue::Commit(std::function<Status()> apply,
-                           std::vector<tree::Path> claims,
                            obs::SpanCollector* trace, uint64_t parent) {
   Request req;
   req.apply = std::move(apply);
-  req.claims = std::move(claims);
   req.enqueue_us = obs::NowMicros();
 
   bool led = false;
@@ -86,12 +50,7 @@ Status CommitQueue::Commit(std::function<Status()> apply,
   if (metrics_.total_us) metrics_.total_us->Record(done_us - req.enqueue_us);
   if (obs::Span* span = traced ? trace->Find(parent) : nullptr) {
     span->detail = "cohort_size=" + std::to_string(req.cohort_size) +
-                   " leader=" + (led ? "1" : "0") +
-                   " parallel=" + (req.parallel ? "1" : "0") + " claims=";
-    for (size_t i = 0; i < req.claims.size(); ++i) {
-      if (i) span->detail.push_back(',');
-      span->detail += req.claims[i].ToString();
-    }
+                   " leader=" + (led ? "1" : "0");
   }
   return req.result;
 }
@@ -112,7 +71,9 @@ void CommitQueue::RunCohort() {
   // the cohort moves through the pipeline as a unit.
   const double lead_us = obs::NowMicros();
   uint64_t syncs_before = sync_probe_ ? sync_probe_() : 0;
-  ApplyCohort(cohort);
+  // In enqueue order, on this thread: tids are minted inside the
+  // closures, so tid order and apply order coincide.
+  for (Request* r : cohort) r->result = r->apply();
   const double applied_us = obs::NowMicros();
   if (hooks.before_seal) hooks.before_seal(cohort.size());
   Status sealed = seal_(cohort.size());
@@ -122,7 +83,7 @@ void CommitQueue::RunCohort() {
     // The ONE-seal contract is load-bearing for both durability (cohort =
     // one WAL record) and the perf model (fsyncs_per_commit = 1/cohort);
     // a member's apply closure running its own barrier silently breaks
-    // crash atomicity, so this is a fail-stop, parallel apply or not.
+    // crash atomicity, so this is a fail-stop.
     std::fprintf(stderr,
                  "CommitQueue: cohort of %zu sealed with %llu barriers, "
                  "expected exactly 1\n",
@@ -168,92 +129,6 @@ void CommitQueue::RunCohort() {
   } else {
     leader_active_ = false;
   }
-}
-
-void CommitQueue::ApplyCohort(const std::vector<Request*>& cohort) {
-  size_t i = 0;
-  while (i < cohort.size()) {
-    // Grow a maximal run of consecutive members with declared writesets
-    // that are pairwise disjoint. Members without claims, or the first
-    // conflicting member, end the run (and apply in enqueue order, which
-    // preserves their relative order with everything they overlap).
-    size_t end = i + 1;
-    if (!workers_.empty() && prepare_parallel_ && !cohort[i]->claims.empty()) {
-      while (end < cohort.size() && !cohort[end]->claims.empty()) {
-        bool disjoint = true;
-        for (size_t k = i; k < end && disjoint; ++k) {
-          disjoint = !Conflicts(cohort[k]->claims, cohort[end]->claims);
-        }
-        if (!disjoint) break;
-        ++end;
-      }
-    }
-    bool parallel = end - i >= 2;
-    if (parallel) {
-      std::vector<tree::Path> all_claims;
-      for (size_t k = i; k < end; ++k) {
-        all_claims.insert(all_claims.end(), cohort[k]->claims.begin(),
-                          cohort[k]->claims.end());
-      }
-      parallel = prepare_parallel_(all_claims);
-    }
-    if (parallel) {
-      std::vector<Request*> batch(cohort.begin() + static_cast<long>(i),
-                                  cohort.begin() + static_cast<long>(end));
-      for (Request* r : batch) r->parallel = true;
-      RunParallelBatch(batch);
-      if (metrics_.parallel_cohorts) metrics_.parallel_cohorts->Inc();
-      if (metrics_.parallel_applies) {
-        metrics_.parallel_applies->Inc(batch.size());
-      }
-      if (metrics_.parallel_batch) {
-        metrics_.parallel_batch->Record(static_cast<double>(batch.size()));
-      }
-    } else {
-      for (size_t k = i; k < end; ++k) {
-        cohort[k]->result = cohort[k]->apply();
-      }
-    }
-    i = end;
-  }
-}
-
-void CommitQueue::RunParallelBatch(const std::vector<Request*>& batch) {
-  pool_mu_.Lock();
-  batch_ = &batch;
-  batch_next_ = 0;
-  batch_pending_ = batch.size();
-  pool_work_.NotifyAll();
-  // The leader applies too — with N workers, N+1 appliers drain the
-  // batch, and on a loaded pool the leader never just waits.
-  while (batch_next_ < batch_->size()) {
-    size_t idx = batch_next_++;
-    Request* r = (*batch_)[idx];
-    pool_mu_.Unlock();
-    r->result = r->apply();
-    pool_mu_.Lock();
-    if (--batch_pending_ == 0) pool_done_.NotifyAll();
-  }
-  while (batch_pending_ > 0) pool_done_.Wait(pool_mu_);
-  batch_ = nullptr;
-  pool_mu_.Unlock();
-}
-
-void CommitQueue::WorkerLoop() {
-  pool_mu_.Lock();
-  while (!pool_stop_) {
-    if (batch_ == nullptr || batch_next_ >= batch_->size()) {
-      pool_work_.Wait(pool_mu_);
-      continue;
-    }
-    size_t idx = batch_next_++;
-    Request* r = (*batch_)[idx];
-    pool_mu_.Unlock();
-    r->result = r->apply();
-    pool_mu_.Lock();
-    if (--batch_pending_ == 0) pool_done_.NotifyAll();
-  }
-  pool_mu_.Unlock();
 }
 
 size_t CommitQueue::Pending() const {

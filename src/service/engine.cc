@@ -34,10 +34,6 @@ void Engine::WireMetrics() {
   qm.cohort_size = metrics_.GetHistogram(
       "cpdb_commit_cohort_size", "Members per group-commit cohort", "",
       "cohort_size");
-  qm.parallel_batch = metrics_.GetHistogram(
-      "cpdb_commit_parallel_batch_size",
-      "Members per disjoint-subtree parallel apply run", "",
-      "parallel_batch_size");
 
   if (backend_->db()->durable()) {
     backend_->db()->durability()->SetMetricSinks(
@@ -78,13 +74,6 @@ void Engine::WireMetrics() {
                         "Commits that rode another leader's seal", "combined");
   qm.max_cohort = gauge("cpdb_max_cohort", "Largest cohort sealed so far",
                         "max_cohort");
-  qm.parallel_cohorts =
-      counter("cpdb_parallel_cohorts_total",
-              "Disjoint-subtree batches applied in parallel",
-              "parallel_cohorts");
-  qm.parallel_applies = counter("cpdb_parallel_applies_total",
-                                "Commits applied on the worker pool",
-                                "parallel_applies");
   queue_.set_metrics(qm);
   cb("cpdb_last_tid", "Largest transaction id allocated", false,
      [this] { return static_cast<double>(LastAllocatedTid()); }, "last_tid");

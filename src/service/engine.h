@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,8 +28,8 @@ namespace cpdb::service {
 ///  * the SharedLatch — read-only sessions hold shared grants; committed
 ///    transactions apply under the commit queue's exclusive grant;
 ///  * the CommitQueue — leader/follower group commit, ONE WAL record and
-///    ONE fsync per cohort via SyncShared(), with optional
-///    disjoint-subtree parallel apply (EnableParallelApply);
+///    ONE fsync per cohort via SyncShared(), every member applied in
+///    enqueue order on the leader's thread;
 ///  * the SnapshotManager — the version chain of committed target states.
 ///    Cohorts advance the committed tid watermark; the session pool
 ///    publishes the tree at that watermark lazily, on the first acquire
@@ -66,9 +65,6 @@ class Engine {
         committed_tid_(base_tid_),
         queue_(&latch_, [this](size_t) { return SyncShared(); }) {
     queue_.set_publish([this] { PublishSnapshot(); });
-    queue_.set_prepare_parallel([this](const std::vector<tree::Path>& c) {
-      return target_->PrepareParallelApply(c);
-    });
     queue_.set_sync_probe(
         [this] { return sync_calls_.load(std::memory_order_relaxed); });
     WireMetrics();
@@ -108,21 +104,14 @@ class Engine {
   /// Commits one transaction through the group-commit queue. `apply`
   /// runs under the exclusive latch (possibly on another committer's
   /// thread) and must contain every shared-state write of the
-  /// transaction; the cohort seals with one SyncShared(). `claims` — the
-  /// transaction's target-relative writeset — lets the leader batch it
-  /// with disjoint cohort-mates on the apply pool; empty claims always
-  /// fall back to in-order apply. An active `trace` receives the
-  /// commit's stage spans under `parent` (see CommitQueue::Commit).
+  /// transaction; the cohort seals with one SyncShared(). An active
+  /// `trace` receives the commit's stage spans under `parent` (see
+  /// CommitQueue::Commit).
   Status Commit(std::function<Status()> apply,
-                std::vector<tree::Path> claims = {},
                 obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
       CPDB_EXCLUDES(latch_) {
-    return queue_.Commit(std::move(apply), std::move(claims), trace, parent);
+    return queue_.Commit(std::move(apply), trace, parent);
   }
-
-  /// Spins up the disjoint-subtree apply pool (see CommitQueue). Call
-  /// once, before sessions start committing.
-  void EnableParallelApply(size_t workers) { queue_.EnableParallelApply(workers); }
 
   /// Committers currently enqueued behind the leader — the admission
   /// signal the network front end sheds on (net::Server answers RETRY
@@ -213,8 +202,8 @@ class Engine {
 
   provenance::ProvBackend* backend_;
   wrap::TargetDb* target_;
-  /// Declared (so destroyed) outside the machinery that records into
-  /// them: the queue's worker threads must die before their sinks.
+  /// Declared before (so destroyed after) the latch, the version chain
+  /// and the queue, which hold raw pointers to its sinks.
   obs::Registry metrics_;
   obs::SpanStore spans_;
   std::atomic<uint64_t> trace_id_seq_{1};

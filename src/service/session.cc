@@ -12,7 +12,7 @@ Status Session::Apply(const update::Update& u) {
   if (per_op_) {
     // One op = one transaction (N/H): apply under the exclusive grant and
     // ride the cohort's single fsync.
-    return CommitTraced([&] { return editor_->ApplyUpdate(u); }, {});
+    return CommitTraced([&] { return editor_->ApplyUpdate(u); });
   }
   return editor_->ApplyUpdate(u);
 }
@@ -21,27 +21,23 @@ Status Session::ApplyScript(const update::Script& script, size_t* applied) {
   if (per_op_) {
     // The whole staged batch (one tid per op, one WriteRecords, one
     // native ApplyBatch) is one commit unit.
-    return CommitTraced([&] { return editor_->ApplyScript(script, applied); },
-                        {});
+    return CommitTraced(
+        [&] { return editor_->ApplyScript(script, applied); });
   }
   return editor_->ApplyScript(script, applied);
 }
 
 Status Session::Commit() {
   if (per_op_) return editor_->Commit();  // store-level no-op, latch-free
-  // Declare the staged writeset before enqueueing: disjoint cohort-mates
-  // go to the apply pool together (empty claims = in-order apply).
-  return CommitTraced([&] { return editor_->Commit(); },
-                      editor_->StagedWriteClaims());
+  return CommitTraced([&] { return editor_->Commit(); });
 }
 
-Status Session::CommitTraced(std::function<Status()> apply,
-                             std::vector<tree::Path> claims) {
+Status Session::CommitTraced(std::function<Status()> apply) {
   // Untraced commits (the common case) open no span and render nothing.
   obs::SpanCollector* trace = trace_sink_;
   const uint64_t span =
       trace != nullptr ? trace->Open("commit.execute", trace_parent_) : 0;
-  Status st = engine_->Commit(std::move(apply), std::move(claims), trace, span);
+  Status st = engine_->Commit(std::move(apply), trace, span);
   if (st.ok()) AdvanceReadWatermark();
   if (obs::Span* s = trace != nullptr ? trace->Find(span) : nullptr) {
     // The queue filled in the stage children and the cohort detail; the
@@ -73,6 +69,19 @@ void Session::AdvanceReadWatermark() {
 
 Status Session::Abort() { return editor_->Abort(); }
 
+SessionPool::SessionPool(Engine* engine, SessionOptions options)
+    : engine_(engine),
+      options_(std::move(options)),
+      built_(engine->metrics().GetCounter("cpdb_sessions_built_total",
+                                          "Sessions built from scratch", "",
+                                          "sessions_built")),
+      reused_(engine->metrics().GetCounter("cpdb_sessions_reused_total",
+                                           "Pooled sessions handed back out",
+                                           "", "sessions_reused")),
+      refreshed_(engine->metrics().GetCounter(
+          "cpdb_sessions_refreshed_total",
+          "Stale pooled sessions re-pinned O(1)", "", "sessions_refreshed")) {}
+
 Result<std::unique_ptr<Session>> SessionPool::Acquire() {
   for (;;) {
     std::unique_ptr<Session> s;
@@ -92,8 +101,7 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire() {
       if (EnsureLatestPinned(&pin)) {
         if (pin.tid == s->snapshot_tid_) {
           s->pin_ = std::move(pin);
-          MutexLock l(mu_);
-          ++reused_;
+          reused_->Inc();
           return s;
         }
         engine_->snapshots().Unpin(pin);
@@ -105,9 +113,8 @@ Result<std::unique_ptr<Session>> SessionPool::Acquire() {
     // mu_: a lazy publish takes a read grant, and the pool must not stall
     // behind an in-flight cohort.
     if (Refresh(s.get())) {
-      MutexLock l(mu_);
-      ++reused_;
-      ++refreshed_;
+      reused_->Inc();
+      refreshed_->Inc();
       return s;
     }
     // The chain could not serve (target without cheap snapshots, or a
@@ -222,8 +229,7 @@ Result<std::unique_ptr<Session>> SessionPool::Build() {
   for (wrap::SourceDb* src : options_.sources) {
     CPDB_RETURN_IF_ERROR(s->editor_->MountSource(src));
   }
-  MutexLock l(mu_);
-  ++built_;
+  built_->Inc();
   return s;
 }
 
@@ -242,21 +248,6 @@ void SessionPool::Release(std::unique_ptr<Session> session) {
   session->pin_ = SnapshotManager::Pin{};
   MutexLock l(mu_);
   free_.push_back(std::move(session));
-}
-
-size_t SessionPool::built() const {
-  MutexLock l(mu_);
-  return built_;
-}
-
-size_t SessionPool::reused() const {
-  MutexLock l(mu_);
-  return reused_;
-}
-
-size_t SessionPool::refreshed() const {
-  MutexLock l(mu_);
-  return refreshed_;
 }
 
 }  // namespace cpdb::service

@@ -63,9 +63,7 @@ class Session {
   Status ApplyScript(const update::Script& script, size_t* applied = nullptr);
 
   /// Commits the staged transaction through the engine's group-commit
-  /// queue (T/HT; blocks until the cohort's seal), declaring the staged
-  /// writeset so disjoint cohort-mates can apply in parallel. No-op for
-  /// N/H.
+  /// queue (T/HT; blocks until the cohort's seal). No-op for N/H.
   Status Commit();
 
   /// Reverts the uncommitted transaction (T/HT; local, latch-free).
@@ -126,8 +124,7 @@ class Session {
   /// engine's group-commit queue and advances the read watermark. With a
   /// collector attached (set_trace), the unit is also one commit.execute
   /// span tree.
-  Status CommitTraced(std::function<Status()> apply,
-                      std::vector<tree::Path> claims);
+  Status CommitTraced(std::function<Status()> apply);
 
   bool per_op_ = false;
   Engine* engine_ = nullptr;
@@ -159,10 +156,14 @@ class Session {
 /// traffic therefore copies nothing and scans nothing. Release() folds
 /// the session's CostModel into the engine's totals and pools the session
 /// for reuse. Thread-safe; building is serialized on the pool's mutex.
+///
+/// The pool counts its work in the engine's registry:
+/// cpdb_sessions_built_total, cpdb_sessions_reused_total and
+/// cpdb_sessions_refreshed_total (a refresh also counts as a reuse).
+/// Pools sharing one engine share the counters.
 class SessionPool {
  public:
-  SessionPool(Engine* engine, SessionOptions options)
-      : engine_(engine), options_(std::move(options)) {}
+  SessionPool(Engine* engine, SessionOptions options);
 
   /// A session over the current committed state.
   Result<std::unique_ptr<Session>> Acquire() CPDB_EXCLUDES(mu_, build_mu_);
@@ -171,11 +172,6 @@ class SessionPool {
   /// transaction (Commit or Abort first); a pending one is aborted here,
   /// matching a curator closing their editor mid-edit.
   void Release(std::unique_ptr<Session> session) CPDB_EXCLUDES(mu_);
-
-  size_t built() const CPDB_EXCLUDES(mu_);
-  size_t reused() const CPDB_EXCLUDES(mu_);
-  /// Stale pooled sessions refreshed O(1) (counted inside reused()).
-  size_t refreshed() const CPDB_EXCLUDES(mu_);
 
  private:
   Result<std::unique_ptr<Session>> Build() CPDB_EXCLUDES(mu_, build_mu_);
@@ -199,13 +195,14 @@ class SessionPool {
 
   Engine* engine_;
   SessionOptions options_;
-  mutable Mutex mu_;  ///< freelist + counters
+  Mutex mu_;  ///< guards the freelist
   /// Serializes Build (see session.cc); always taken before mu_.
   Mutex build_mu_ CPDB_ACQUIRED_BEFORE(mu_);
   std::vector<std::unique_ptr<Session>> free_ CPDB_GUARDED_BY(mu_);
-  size_t built_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t reused_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t refreshed_ CPDB_GUARDED_BY(mu_) = 0;
+  /// The pool's counters, stored in the engine's registry.
+  obs::Counter* built_;
+  obs::Counter* reused_;
+  obs::Counter* refreshed_;
 };
 
 }  // namespace cpdb::service

@@ -57,11 +57,10 @@ struct DurabilityStats {
 /// internal mutex (compiler-checked under -Wthread-safety), and Sync
 /// holds it across seal-append-fsync so a commit record can never
 /// interleave with another committer's notes. The service layer's
-/// exclusive latch already serializes callers today; the internal lock is
-/// the defense line the MVCC refactor (parallel disjoint-subtree commits)
-/// will lean on. Note: the caller still owns transaction boundaries — a
-/// multi-call mutation sequence is made atomic by the engine's latch, not
-/// by this mutex.
+/// exclusive latch already serializes callers; the internal lock keeps
+/// the engine correct without relying on that. Note: the caller still
+/// owns transaction boundaries — a multi-call mutation sequence is made
+/// atomic by the engine's latch, not by this mutex.
 class Durability : public relstore::Journal {
  public:
   /// Creates `dir` if needed, recovers its contents into `db` (which must

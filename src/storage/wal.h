@@ -27,9 +27,8 @@ namespace cpdb::storage {
 /// Thread safety: internally synchronized. Every mutating entry point
 /// serializes on an internal mutex (GUARDED_BY-checked under
 /// -Wthread-safety), so concurrent appenders cannot interleave a frame —
-/// today the Durability engine is the only caller and already serializes,
-/// but the invariant is load-bearing for the planned MVCC write path
-/// where disjoint-subtree committers log in parallel.
+/// the Durability engine is the only caller and already serializes, and
+/// the lock keeps the log correct without relying on that.
 class Wal {
  public:
   /// Opens (creating if needed) the log at `path` for appending.

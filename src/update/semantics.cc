@@ -50,8 +50,7 @@ Status ApplyDelete(tree::Tree* universe, const Update& u,
 
 Status ApplyCopy(tree::Tree* universe, const Update& u, ApplyEffect* effect) {
   // Const lookup: a copy READS its source; privatizing the source path
-  // here would defeat structural sharing (and, under parallel apply, write
-  // outside the transaction's claimed subtree).
+  // here would defeat structural sharing.
   const tree::Tree* src = std::as_const(*universe).Find(u.source);
   if (src == nullptr) {
     return Status::NotFound("copy source '" + u.source.ToString() +

@@ -47,17 +47,4 @@ Status TreeTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
   return Status::OK();
 }
 
-bool TreeTargetDb::PrepareParallelApply(const std::vector<tree::Path>& claims) {
-  // The mutable Find privatizes (copy-on-write) every shared node from
-  // the root down to each claim, single-threaded, so the concurrent
-  // ApplyBatch descents that follow only READ those path nodes — their
-  // own claimed subtrees are the only nodes they clone or mutate. A
-  // claim that does not (fully) exist is fine: the member's apply will
-  // fail exactly as it would serially.
-  for (const tree::Path& claim : claims) {
-    (void)content_.Find(claim);
-  }
-  return true;
-}
-
 }  // namespace cpdb::wrap

@@ -70,17 +70,6 @@ class TargetDb {
   /// demand and the engine counts each scan as a snapshot rebuild.
   virtual bool CheapSnapshots() const { return false; }
 
-  /// Prepares the native store for a batch of CONCURRENT ApplyBatch calls
-  /// whose writes are confined to the given disjoint subtrees (paths
-  /// relative to this database's root). Returns false when the wrapper
-  /// cannot support concurrent application (the caller must fall back to
-  /// serial apply). Called with the engine's exclusive latch held, before
-  /// the concurrent calls start.
-  virtual bool PrepareParallelApply(const std::vector<tree::Path>& claims) {
-    (void)claims;
-    return false;
-  }
-
   /// Accumulated simulated interaction cost.
   virtual relstore::CostModel& cost() = 0;
 };
@@ -115,12 +104,6 @@ class TreeTargetDb : public TargetDb {
   /// Applies every update, charging one round trip for the whole batch
   /// (rows = total nodes moved) instead of one per op.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;
-  /// Privatizes the copy-on-write path down to each claimed subtree root,
-  /// so concurrent ApplyBatch calls confined to those subtrees never
-  /// clone (= write) a node outside their claim. The cost model is the
-  /// one piece of state the claims cannot partition; ApplyBatch guards it
-  /// with cost_mu_.
-  bool PrepareParallelApply(const std::vector<tree::Path>& claims) override;
   relstore::CostModel& cost() override { return cost_; }
 
   const tree::Tree& content() const { return content_; }
@@ -133,8 +116,9 @@ class TreeTargetDb : public TargetDb {
   std::string name_;
   tree::Tree content_;
   relstore::CostModel cost_;
-  /// Serializes cost charges from concurrent ApplyBatch calls (parallel
-  /// cohort apply); the tree itself is partitioned by the claims.
+  /// Serializes cost charges across ApplyBatch callers. The engine's
+  /// exclusive latch already runs them one at a time; the lock keeps the
+  /// (not thread-safe) CostModel safe without relying on that.
   Mutex cost_mu_;
 };
 

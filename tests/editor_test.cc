@@ -116,6 +116,39 @@ TEST(EditorTest, FailedTxnCommitUnwindsTheTransaction) {
   }
 }
 
+TEST(EditorTest, FailedSealHandsBackItsTid) {
+  // A seal whose provenance write fails consumes no version number: the
+  // next unit commits under the tid the failed one would have had, and
+  // the archive (which takes versions consecutively) records it.
+  for (Strategy strategy :
+       {Strategy::kNaive, Strategy::kHierarchical, Strategy::kTransactional,
+        Strategy::kHierarchicalTransactional}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    auto s = MakeFigureSession(strategy, /*first_tid=*/1);
+    ASSERT_NE(s, nullptr);
+    const bool txn = strategy == Strategy::kTransactional ||
+                     strategy == Strategy::kHierarchicalTransactional;
+    auto insert = [&](const std::string& label) {
+      Status st = s->editor->Insert(Path::MustParse("T"), label);
+      return st.ok() && txn ? s->editor->Commit() : st;
+    };
+    // A planted {1, T/x} row makes the seal's WriteRecords collide on the
+    // {Tid, Loc} key.
+    ASSERT_TRUE(s->backend
+                    ->WriteRecords({provenance::ProvRecord::Insert(
+                        1, Path::MustParse("T/x"))})
+                    .ok());
+    EXPECT_FALSE(insert("x").ok());
+    EXPECT_EQ(s->editor->store()->LastCommittedTid(), 0);
+
+    Status next = insert("y");
+    ASSERT_TRUE(next.ok()) << next.ToString();
+    EXPECT_EQ(s->editor->store()->LastCommittedTid(), 1);
+    ASSERT_NE(s->editor->archive(), nullptr);
+    EXPECT_TRUE(s->editor->archive()->GetVersion(1).ok());
+  }
+}
+
 TEST(EditorTest, AbortFailsForPerOpStrategies) {
   auto s = MakeFigureSession(Strategy::kNaive);
   ASSERT_NE(s, nullptr);

@@ -400,11 +400,10 @@ TEST(NetServerTest, PingApplyCommitQuery) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"last_tid\":1"), std::string::npos) << *stats;
-  // The MVCC surface is visible to operators: the committed watermark,
-  // the version chain, and the parallel-apply counters all ride STATS.
+  // The MVCC surface is visible to operators: the committed watermark
+  // and the version chain ride STATS.
   EXPECT_NE(stats->find("\"committed_tid\":1"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"versions_live\":"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"parallel_cohorts\":"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"snapshot_rebuilds\":"), std::string::npos)
       << *stats;
 
@@ -851,7 +850,7 @@ std::vector<std::string> StatsContract(bool durable) {
   for (const char* h :
        {"latch_excl_wait_us", "latch_shared_wait_us", "commit_queue_us",
         "commit_apply_us", "commit_seal_us", "commit_wake_us",
-        "commit_total_us", "cohort_size", "parallel_batch_size"}) {
+        "commit_total_us", "cohort_size"}) {
     hist(h);
   }
   if (durable) {
@@ -860,8 +859,7 @@ std::vector<std::string> StatsContract(bool durable) {
   }
   keys.insert(keys.end(),
               {"queue_depth", "commits", "cohorts", "combined", "max_cohort",
-               "parallel_cohorts", "parallel_applies", "last_tid",
-               "committed_tid", "epoch", "versions_live",
+               "last_tid", "committed_tid", "epoch", "versions_live",
                "versions_published", "versions_gced", "snapshot_rebuilds",
                "snapshot_rebuild_rows", "snapshot_refreshes", "slow_commits",
                "traces_recorded", "slow_queries", "durable"});
@@ -869,9 +867,9 @@ std::vector<std::string> StatsContract(bool durable) {
     keys.insert(keys.end(), {"fsyncs", "log_bytes", "replayed_commits"});
   }
   keys.insert(keys.end(),
-              {"draining", "accepted", "closed", "requests", "retries",
-               "bad_frames", "bad_requests", "inflight_bytes",
-               "sessions_built", "sessions_reused", "sessions_refreshed"});
+              {"sessions_built", "sessions_reused", "sessions_refreshed",
+               "draining", "accepted", "closed", "requests", "retries",
+               "bad_frames", "bad_requests", "inflight_bytes"});
   for (const char* verb :
        {"apply", "commit", "abort", "getmod", "traceback", "get"}) {
     hist(std::string("req_") + verb + "_us");
@@ -1033,10 +1031,8 @@ TEST(NetObservabilityTest, SlowCommitLandsInTracesSlowArray) {
       << *traces;
   EXPECT_NE(slow.find("\"kind\":\"commit.seal\""), std::string::npos);
   EXPECT_EQ(SpanField(slow, "commit.execute", "\"tid\":"), 1) << slow;
-  // Claims are target-relative (the conflict-check granularity): the
-  // write under T/data claims the "data" subtree.
-  EXPECT_NE(SpanDetail(slow, "commit.execute").find("claims=data"),
-            std::string::npos)
+  // The one COMMIT formed a cohort of one and led it.
+  EXPECT_EQ(SpanDetail(slow, "commit.execute"), "cohort_size=1 leader=1")
       << slow;
   ExpectCommitStagesAbut(slow);
   // The slow-commit counter rides the metrics surface too.
@@ -1253,8 +1249,7 @@ TEST(NetTracingTest, SampledCommitLinksQueueStageSpans) {
   }
   // commit.execute carries the committed tid and the cohort detail.
   EXPECT_EQ(SpanField(*traces, "commit.execute", "\"tid\":"), 1);
-  EXPECT_EQ(SpanDetail(*traces, "commit.execute"),
-            "cohort_size=1 leader=1 parallel=0 claims=data");
+  EXPECT_EQ(SpanDetail(*traces, "commit.execute"), "cohort_size=1 leader=1");
 }
 
 TEST(NetTracingTest, CommitStagesAbutInsideCommitExecute) {

@@ -185,7 +185,68 @@ TEST(ServiceTidTest, InterleavedSessionsNeverReuseATid) {
 // ----- Group commit --------------------------------------------------------
 
 TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
-  TempDir dir("svc_cohort");
+  for (Strategy strategy :
+       {Strategy::kTransactional, Strategy::kHierarchicalTransactional}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    TempDir dir("svc_cohort");
+    auto opened = relstore::Database::Open("provdb", dir.path());
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<relstore::Database> db = std::move(opened).value();
+    provenance::ProvBackend backend(db.get());
+    wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+    Engine engine(&backend, &target);
+    service::SessionOptions opts;
+    opts.strategy = strategy;
+    SessionPool pool(&engine, opts);
+
+    size_t fsyncs_before = db->cost().Fsyncs();
+
+    // Stage three sessions up front (staging is latch-free for T/HT), then
+    // pin the engine in a read grant so the first committer (the leader)
+    // blocks on the exclusive latch while the other two pile onto the
+    // queue: a guaranteed cohort of three. (Acquiring inside the pinned
+    // window would deadlock: session building takes a shared grant, which
+    // queues behind the waiting leader.)
+    std::vector<std::unique_ptr<Session>> sessions;
+    for (int i = 0; i < 3; ++i) {
+      auto s = pool.Acquire();
+      ASSERT_TRUE(s.ok());
+      ASSERT_TRUE((*s)
+                      ->Apply(Update::Insert(Path::MustParse("T"),
+                                             "c" + std::to_string(100 + i)))
+                      .ok());
+      sessions.push_back(std::move(*s));
+    }
+    std::vector<std::thread> committers;
+    {
+      auto guard = engine.Read();
+      for (int i = 0; i < 3; ++i) {
+        committers.emplace_back(
+            [&, i] { ASSERT_TRUE(sessions[i]->Commit().ok()); });
+      }
+      while (engine.commit_queue().Pending() < 3) {
+        std::this_thread::yield();
+      }
+    }  // release the read grant: the leader drains all three
+    for (auto& th : committers) th.join();
+    for (auto& s : sessions) pool.Release(std::move(s));
+
+    EXPECT_EQ(Count(engine, "cpdb_commits_total"), 3u);
+    EXPECT_EQ(Count(engine, "cpdb_cohorts_total"), 1u);
+    EXPECT_EQ(Level(engine, "cpdb_max_cohort"), 3);
+    EXPECT_EQ(Count(engine, "cpdb_combined_total"), 2u);
+    // The whole cohort sealed under ONE fsync barrier.
+    EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
+    // One exclusive grant -> one epoch advance.
+    EXPECT_EQ(engine.latch().Epoch(), 1u);
+    EXPECT_EQ(backend.RowCount(), 3u);
+  }
+}
+
+// A cohort applies its members in queue order on the leader's thread, so
+// a later member sees every earlier member's writes.
+TEST(ServiceCommitQueueTest, CohortAppliesMembersInQueueOrder) {
+  TempDir dir("svc_order");
   auto opened = relstore::Database::Open("provdb", dir.path());
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<relstore::Database> db = std::move(opened).value();
@@ -193,50 +254,50 @@ TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
   wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
   Engine engine(&backend, &target);
   service::SessionOptions opts;
-  opts.strategy = Strategy::kTransactional;
+  opts.strategy = Strategy::kHierarchicalTransactional;
   SessionPool pool(&engine, opts);
 
-  size_t fsyncs_before = db->cost().Fsyncs();
-
-  // Stage three sessions up front (staging is latch-free for T), then pin
-  // the engine in a read grant so the first committer (the leader) blocks
-  // on the exclusive latch while the other two pile onto the queue: a
-  // guaranteed cohort of three. (Acquiring inside the pinned window would
-  // deadlock: session building takes a shared grant, which queues behind
-  // the waiting leader.)
-  std::vector<std::unique_ptr<Session>> sessions;
-  for (int i = 0; i < 3; ++i) {
+  // Setup: T/p0/c exists.
+  {
     auto s = pool.Acquire();
     ASSERT_TRUE(s.ok());
-    ASSERT_TRUE((*s)
-                    ->Apply(Update::Insert(Path::MustParse("T"),
-                                           "c" + std::to_string(100 + i)))
-                    .ok());
-    sessions.push_back(std::move(*s));
+    ASSERT_TRUE((*s)->Apply(Update::Insert(Path::MustParse("T"), "p0")).ok());
+    ASSERT_TRUE(
+        (*s)->Apply(Update::Insert(Path::MustParse("T/p0"), "c")).ok());
+    ASSERT_TRUE((*s)->Commit().ok());
+    pool.Release(std::move(*s));
   }
-  std::vector<std::thread> committers;
+
+  // Session A writes INSIDE T/p0/c; session B deletes c itself. Queued A
+  // first, then B, the cohort must apply A's insert before B's delete.
+  auto sa = pool.Acquire();
+  auto sb = pool.Acquire();
+  ASSERT_TRUE(sa.ok() && sb.ok());
+  ASSERT_TRUE(
+      (*sa)->Apply(Update::Insert(Path::MustParse("T/p0/c"), "k")).ok());
+  ASSERT_TRUE((*sb)->Apply(Update::Delete(Path::MustParse("T/p0"), "c")).ok());
+
+  const uint64_t commits0 = Count(engine, "cpdb_commits_total");
+  const uint64_t cohorts0 = Count(engine, "cpdb_cohorts_total");
+  std::thread ta, tb;
   {
     auto guard = engine.Read();
-    for (int i = 0; i < 3; ++i) {
-      committers.emplace_back(
-          [&, i] { ASSERT_TRUE(sessions[i]->Commit().ok()); });
-    }
-    while (engine.commit_queue().Pending() < 3) {
-      std::this_thread::yield();
-    }
-  }  // release the read grant: the leader drains all three
-  for (auto& th : committers) th.join();
-  for (auto& s : sessions) pool.Release(std::move(s));
+    ta = std::thread([&] { ASSERT_TRUE((*sa)->Commit().ok()); });
+    while (engine.commit_queue().Pending() < 1) std::this_thread::yield();
+    tb = std::thread([&] { ASSERT_TRUE((*sb)->Commit().ok()); });
+    while (engine.commit_queue().Pending() < 2) std::this_thread::yield();
+  }  // release: A (the leader) drains both, in order
+  ta.join();
+  tb.join();
+  pool.Release(std::move(*sa));
+  pool.Release(std::move(*sb));
 
-  EXPECT_EQ(Count(engine, "cpdb_commits_total"), 3u);
-  EXPECT_EQ(Count(engine, "cpdb_cohorts_total"), 1u);
-  EXPECT_EQ(Level(engine, "cpdb_max_cohort"), 3);
-  EXPECT_EQ(Count(engine, "cpdb_combined_total"), 2u);
-  // The whole cohort sealed under ONE fsync barrier.
-  EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
-  // One exclusive grant -> one epoch advance.
-  EXPECT_EQ(engine.latch().Epoch(), 1u);
-  EXPECT_EQ(backend.RowCount(), 3u);
+  EXPECT_EQ(Count(engine, "cpdb_commits_total") - commits0, 2u);
+  EXPECT_EQ(Count(engine, "cpdb_cohorts_total") - cohorts0, 1u);
+  // In-order semantics: the insert landed inside c, then the delete took
+  // the whole subtree out.
+  const tree::Tree& final_content = target.content();
+  EXPECT_EQ(final_content.Find(Path::MustParse("p0/c")), nullptr);
 }
 
 TEST(ServiceCrashTest, GroupCommitCohortIsAtomicAcrossACrash) {
@@ -555,145 +616,6 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   pool.Release(std::move(*s));
 }
 
-// ----- Disjoint-subtree parallel apply -------------------------------------
-
-TEST(ServiceParallelApplyTest, DisjointCohortAppliesOnThePoolUnderOneFsync) {
-  TempDir dir("svc_parallel");
-  auto opened = relstore::Database::Open("provdb", dir.path());
-  ASSERT_TRUE(opened.ok());
-  std::unique_ptr<relstore::Database> db = std::move(opened).value();
-  provenance::ProvBackend backend(db.get());
-  wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
-  Engine engine(&backend, &target);
-  engine.EnableParallelApply(2);
-  service::SessionOptions opts;
-  opts.strategy = Strategy::kHierarchicalTransactional;
-  SessionPool pool(&engine, opts);
-
-  // Carve out one subtree per committer so the staged claims (the child
-  // maps the native replay mutates) are pairwise disjoint.
-  {
-    auto s = pool.Acquire();
-    ASSERT_TRUE(s.ok());
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*s)
-                      ->Apply(Update::Insert(Path::MustParse("T"),
-                                             "p" + std::to_string(i)))
-                      .ok());
-    }
-    ASSERT_TRUE((*s)->Commit().ok());
-    pool.Release(std::move(*s));
-  }
-
-  const uint64_t commits0 = Count(engine, "cpdb_commits_total");
-  const uint64_t cohorts0 = Count(engine, "cpdb_cohorts_total");
-  const uint64_t pcohorts0 = Count(engine, "cpdb_parallel_cohorts_total");
-  const uint64_t papplies0 = Count(engine, "cpdb_parallel_applies_total");
-  size_t fsyncs_before = db->cost().Fsyncs();
-
-  // Stage three disjoint writers, then pin the engine in a read grant so
-  // all three pile onto the queue: a guaranteed cohort.
-  std::vector<std::unique_ptr<Session>> sessions;
-  for (int i = 0; i < 3; ++i) {
-    auto s = pool.Acquire();
-    ASSERT_TRUE(s.ok());
-    Path base = Path::MustParse("T/p" + std::to_string(i));
-    ASSERT_TRUE((*s)->Apply(Update::Insert(base, "x", tree::Value(int64_t{i})))
-                    .ok());
-    sessions.push_back(std::move(*s));
-  }
-  std::vector<std::thread> committers;
-  {
-    auto guard = engine.Read();
-    for (int i = 0; i < 3; ++i) {
-      committers.emplace_back(
-          [&, i] { ASSERT_TRUE(sessions[i]->Commit().ok()); });
-    }
-    while (engine.commit_queue().Pending() < 3) {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& th : committers) th.join();
-  for (auto& s : sessions) pool.Release(std::move(s));
-
-  EXPECT_EQ(Count(engine, "cpdb_commits_total") - commits0, 3u);
-  EXPECT_EQ(Count(engine, "cpdb_cohorts_total") - cohorts0, 1u);
-  // The disjoint batch went to the apply pool...
-  EXPECT_EQ(Count(engine, "cpdb_parallel_cohorts_total") - pcohorts0, 1u);
-  EXPECT_EQ(Count(engine, "cpdb_parallel_applies_total") - papplies0, 3u);
-  // ...and still sealed under exactly ONE fsync barrier (the commit
-  // queue aborts the process if a parallel cohort ever syncs twice).
-  EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
-
-  for (int i = 0; i < 3; ++i) {
-    const tree::Tree* node = target.content().Find(
-        Path::MustParse("p" + std::to_string(i) + "/x"));
-    ASSERT_NE(node, nullptr) << "p" << i << "/x missing";
-  }
-  EXPECT_EQ(backend.RowCount(), 3u + 3u);  // setup + cohort
-}
-
-TEST(ServiceParallelApplyTest, OverlappingClaimsFallBackToInOrderApply) {
-  TempDir dir("svc_overlap");
-  auto opened = relstore::Database::Open("provdb", dir.path());
-  ASSERT_TRUE(opened.ok());
-  std::unique_ptr<relstore::Database> db = std::move(opened).value();
-  provenance::ProvBackend backend(db.get());
-  wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
-  Engine engine(&backend, &target);
-  engine.EnableParallelApply(2);
-  service::SessionOptions opts;
-  opts.strategy = Strategy::kHierarchicalTransactional;
-  SessionPool pool(&engine, opts);
-
-  // Setup: T/p0/c exists.
-  {
-    auto s = pool.Acquire();
-    ASSERT_TRUE(s.ok());
-    ASSERT_TRUE((*s)->Apply(Update::Insert(Path::MustParse("T"), "p0")).ok());
-    ASSERT_TRUE(
-        (*s)->Apply(Update::Insert(Path::MustParse("T/p0"), "c")).ok());
-    ASSERT_TRUE((*s)->Commit().ok());
-    pool.Release(std::move(*s));
-  }
-
-  // Session A writes INSIDE T/p0/c (claim p0/c); session B deletes c
-  // itself (claim p0). The claims are prefix-related, so the cohort must
-  // apply in queue order — A first, then B — never on the pool.
-  auto sa = pool.Acquire();
-  auto sb = pool.Acquire();
-  ASSERT_TRUE(sa.ok() && sb.ok());
-  ASSERT_TRUE(
-      (*sa)->Apply(Update::Insert(Path::MustParse("T/p0/c"), "k")).ok());
-  ASSERT_TRUE((*sb)->Apply(Update::Delete(Path::MustParse("T/p0"), "c")).ok());
-
-  const uint64_t commits0 = Count(engine, "cpdb_commits_total");
-  const uint64_t cohorts0 = Count(engine, "cpdb_cohorts_total");
-  const uint64_t pcohorts0 = Count(engine, "cpdb_parallel_cohorts_total");
-  const uint64_t papplies0 = Count(engine, "cpdb_parallel_applies_total");
-  std::thread ta, tb;
-  {
-    auto guard = engine.Read();
-    ta = std::thread([&] { ASSERT_TRUE((*sa)->Commit().ok()); });
-    while (engine.commit_queue().Pending() < 1) std::this_thread::yield();
-    tb = std::thread([&] { ASSERT_TRUE((*sb)->Commit().ok()); });
-    while (engine.commit_queue().Pending() < 2) std::this_thread::yield();
-  }  // release: A (the leader) drains both, in order
-  ta.join();
-  tb.join();
-  pool.Release(std::move(*sa));
-  pool.Release(std::move(*sb));
-
-  EXPECT_EQ(Count(engine, "cpdb_commits_total") - commits0, 2u);
-  EXPECT_EQ(Count(engine, "cpdb_cohorts_total") - cohorts0, 1u);
-  EXPECT_EQ(Count(engine, "cpdb_parallel_cohorts_total") - pcohorts0, 0u);
-  EXPECT_EQ(Count(engine, "cpdb_parallel_applies_total") - papplies0, 0u);
-  // In-order semantics: the insert landed inside c, then the delete took
-  // the whole subtree out.
-  const tree::Tree& final_content = target.content();
-  EXPECT_EQ(final_content.Find(Path::MustParse("p0/c")), nullptr);
-}
-
 // ----- Oracle equivalence --------------------------------------------------
 
 class ServiceOracleTest : public ::testing::TestWithParam<Strategy> {};
@@ -842,18 +764,19 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, ServiceOracleTest,
 
 TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   Rig rig(Strategy::kHierarchicalTransactional);
+  Engine& engine = *rig.engine;
   auto s = rig.pool->Acquire();
   ASSERT_TRUE(s.ok());
   rig.pool->Release(std::move(*s));
-  EXPECT_EQ(rig.pool->built(), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 1u);
 
   // No commits in between: the pinned version is still the committed
   // state and the session is handed back out untouched.
   auto again = rig.pool->Acquire();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(rig.pool->reused(), 1u);
-  EXPECT_EQ(rig.pool->built(), 1u);
-  EXPECT_EQ(rig.pool->refreshed(), 0u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_reused_total"), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_refreshed_total"), 0u);
 
   // A commit advances the watermark; the pooled session is stale, but the
   // pool refreshes it in place — re-pin the newest version, swap the
@@ -865,9 +788,9 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   rig.pool->Release(std::move(*again));
   auto refreshed = rig.pool->Acquire();
   ASSERT_TRUE(refreshed.ok());
-  EXPECT_EQ(rig.pool->built(), 1u);
-  EXPECT_EQ(rig.pool->reused(), 2u);
-  EXPECT_EQ(rig.pool->refreshed(), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_reused_total"), 2u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_refreshed_total"), 1u);
   EXPECT_EQ((*refreshed)->snapshot_tid(), committed);
   // The refreshed snapshot sees the committed edit.
   EXPECT_NE(
@@ -875,9 +798,9 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
       nullptr);
   // And the refresh was a version swap, not a materialization: a
   // cheap-snapshot target never pays a full scan, bootstrap included.
-  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_rebuilds_total"), 0u);
-  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
-  EXPECT_EQ(Count(*rig.engine, "cpdb_snapshot_refreshes_total"), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_refreshes_total"), 1u);
   rig.pool->Release(std::move(*refreshed));
 }
 
@@ -887,6 +810,7 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
 // an O(1) re-pin + subtree swap.
 TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
   Rig rig(Strategy::kHierarchicalTransactional);
+  Engine& engine = *rig.engine;
   constexpr int kThreads = 4;
   constexpr int kTxnsPerThread = 10;
 
@@ -900,7 +824,8 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
     }
     for (auto& s : warm) rig.pool->Release(std::move(s));
   }
-  ASSERT_EQ(rig.pool->built(), static_cast<size_t>(kThreads));
+  ASSERT_EQ(Count(engine, "cpdb_sessions_built_total"),
+            static_cast<uint64_t>(kThreads));
 
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
@@ -917,13 +842,13 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
   for (auto& th : workers) th.join();
 
   // Every acquire after the warm-up reused pooled inventory...
-  EXPECT_EQ(rig.pool->built(), static_cast<size_t>(kThreads));
-  EXPECT_EQ(rig.pool->reused(),
-            static_cast<size_t>(kThreads * kTxnsPerThread));
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"),
+            static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(Count(engine, "cpdb_sessions_reused_total"),
+            static_cast<uint64_t>(kThreads * kTxnsPerThread));
   // ...and no acquire, refresh, or commit scanned the target: the chain
   // served every snapshot. This is the number the whole subsystem exists
   // to hold at zero.
-  Engine& engine = *rig.engine;
   EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
   EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
   EXPECT_GT(Count(engine, "cpdb_snapshot_refreshes_total"), 0u);
@@ -932,8 +857,8 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
       << "published=" << Count(engine, "cpdb_versions_published_total")
       << " gced=" << Count(engine, "cpdb_versions_gced_total")
       << " refreshes=" << Count(engine, "cpdb_snapshot_refreshes_total")
-      << " reused=" << rig.pool->reused()
-      << " refreshed=" << rig.pool->refreshed();
+      << " reused=" << Count(engine, "cpdb_sessions_reused_total")
+      << " refreshed=" << Count(engine, "cpdb_sessions_refreshed_total");
 }
 
 TEST(ServiceCostTest, SessionChargesLandOnPrivateModelsAndAggregate) {

@@ -76,9 +76,13 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
 
   EXPECT_EQ(failures.load(), 0u);
   // Conservation: every Acquire was exactly one reuse or one build.
-  EXPECT_EQ(pool.built() + pool.reused(),
-            static_cast<size_t>(kThreads) * kRounds);
-  EXPECT_GE(pool.built(), 1u);
+  auto count = [&engine](const char* name) {
+    return engine.metrics().GetCounter(name, "")->Value();
+  };
+  const uint64_t built = count("cpdb_sessions_built_total");
+  EXPECT_EQ(built + count("cpdb_sessions_reused_total"),
+            static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_GE(built, 1u);
   // The committed inserts all landed in the shared state.
   auto final_session = pool.Acquire();
   ASSERT_TRUE(final_session.ok());

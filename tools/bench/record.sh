@@ -8,7 +8,7 @@
 #   * BENCH_concurrent.json — bench_concurrent thread sweep 1..16
 #                             (in-process closed loop, per thread count;
 #                             the scaling claim for the MVCC snapshot +
-#                             parallel-apply service layer lives here)
+#                             group-commit service layer lives here)
 #
 #   tools/bench/record.sh [repeats]          (default 3)
 #
@@ -22,9 +22,12 @@
 # The scenarios are deliberately fixed — QD sweep: strategy HT, durable
 # WAL, 2 connections, zipf(0.99) over 1000 keys, txn-len 4, QD 1..32;
 # thread sweep: strategy HT, durable WAL, threads 1,2,4,8,16, txn-len 8,
-# 100 txns/thread, default apply workers — because the point of the
-# checked-in files is comparability ACROSS PRs, not tunability. Change a
-# scenario and you reset its trajectory.
+# 100 txns/thread, every cohort applied in enqueue order on its leader's
+# thread — because the point of the checked-in files is comparability
+# ACROSS PRs, not tunability. Change a scenario and you reset its
+# trajectory. The thread sweep's trajectory did reset once: rows recorded
+# before the apply pool was deleted ran that pool (two extra appliers),
+# so compare later rows with them only as a different scenario.
 
 set -euo pipefail
 
@@ -88,8 +91,8 @@ done
 
 # Thread sweep: in-process closed loop, one WAL dir per repeat so every
 # repeat recovers from a cold store. txn-len 8 is the contended shape
-# (8 staged ops per commit); bench_concurrent's apply-workers default
-# (the shipped service configuration) applies.
+# (8 staged ops per commit); like cpdb_serve, bench_concurrent applies
+# each cohort serially on its leader's thread.
 for i in $(seq 1 "$REPEATS"); do
   "$CONC" --threads=1,2,4,8,16 --txn-lens=8 --txns=100 \
     --durable="$WORK/conc-wal-$i" \

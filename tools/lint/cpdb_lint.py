@@ -26,6 +26,14 @@ ANNOTATED-MUTEX
     concurrency core must stay fully analyzed (zero suppressions).
     util/mutex.h itself is the one sanctioned wrapper site.
 
+SERVICE-NO-THREADS
+    src/service/ starts no threads: no std::thread (or std::jthread)
+    there. The commit queue runs every cohort on the thread of the
+    committer that leads it, in enqueue order, so tid order, apply
+    order and commit order coincide with no exception. Threads belong
+    to the callers — curator sessions, the network server's workers —
+    never to the engine.
+
 PROV-TABLE-WRITES
     The Prov/TxnMeta tables may be touched by name only inside
     provenance/backend.cc: all writes funnel through
@@ -179,6 +187,21 @@ def check_annotated_mutex(root):
                             "thread-safety suppression in a concurrency "
                             "layer; src/service and src/storage must stay "
                             "fully analyzed")
+
+
+SERVICE_THREAD_RE = re.compile(r"\bstd::j?thread\b")
+
+
+def check_service_no_threads(root):
+    for path in iter_source(root, "src/service"):
+        rel = path.relative_to(root)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = SERVICE_THREAD_RE.search(strip_comments(line))
+            if m:
+                finding("SERVICE-NO-THREADS", rel, lineno,
+                        f"{m.group(0)} in the service layer; cohorts apply "
+                        "in enqueue order on the leader's thread, and "
+                        "threads belong to the engine's callers")
 
 
 PROV_TABLE_RE = re.compile(
@@ -409,6 +432,7 @@ def main():
 
     check_fsync(root)
     check_annotated_mutex(root)
+    check_service_no_threads(root)
     check_prov_table_writes(root)
     check_editor_write_path(root)
     check_editor_one_seal(root)
