@@ -53,7 +53,12 @@ bool OpenSession(const std::string& dir, Session* s) {
         {{"id", relstore::ColumnType::kString, false},
          {"name", relstore::ColumnType::kString, true},
          {"loc", relstore::ColumnType::kString, true}});
-    if (!s->db->CreateTable("prot", schema).ok()) return false;
+    auto table = s->db->CreateTable("prot", schema);
+    // The key index: the target finds each tuple it replays through it.
+    if (!table.ok() ||
+        !wrap::RelationalTargetDb::CreateKeyIndex(*table).ok()) {
+      return false;
+    }
   }
   s->backend = std::make_unique<provenance::ProvBackend>(s->db.get());
   s->target = std::make_unique<wrap::RelationalTargetDb>(

@@ -89,6 +89,10 @@
 /// Durability (README "Durability"; storage/):
 ///
 ///   auto db = relstore::Database::Open("curated", dir).value();
+///   if (!db->GetTable("prot").ok()) {              // first open
+///     auto prot = db->CreateTable("prot", schema).value();
+///     wrap::RelationalTargetDb::CreateKeyIndex(prot);  // the key index
+///   }
 ///   provenance::ProvBackend backend(db.get());     // adopts recovered
 ///   wrap::RelationalTargetDb target("T", db.get(), {"prot"});
 ///   EditorOptions opts;
@@ -110,6 +114,21 @@
 /// per-commit barrier costs one null check. ProvBackend's constructor
 /// now ADOPTS existing Prov/TxnMeta tables (recovered databases) instead
 /// of failing; fresh databases are created as before.
+///
+/// Migration note (keyed target tables): every table a
+/// wrap::RelationalTargetDb wraps needs its key index, a unique B-tree
+/// index on the identifier column (column 0), created with the table
+/// through RelationalTargetDb::CreateKeyIndex as above. The target finds
+/// each tuple it replays through that index and no longer scans the
+/// table. RelationalTargetDb::TreeFromDb, and with it Editor::Create and
+/// SessionPool::Build, rejects a wrapped table without the index with
+/// FailedPrecondition naming the table; CheckKeyIndexes() runs the same
+/// check up front. Stores written by an older cpdb_serve have an
+/// unindexed `data` table, which the server now refuses at startup:
+/// re-create them (an index can only be added to an empty table). A
+/// racing duplicate tuple insert now fails the second COMMIT with
+/// AlreadyExists, where both used to commit and leave the table with two
+/// rows for one identifier.
 ///
 /// Concurrency (README "Service layer"; src/service/): N curator
 /// sessions over ONE shared engine —

@@ -1,5 +1,7 @@
 #include "wrap/relational_target.h"
 
+#include <optional>
+
 #include "util/str.h"
 #include "wrap/relational_source.h"
 
@@ -11,10 +13,68 @@ using relstore::Rid;
 using relstore::Row;
 using relstore::Table;
 
+namespace {
+
+/// The name of `table`'s key index: a unique B-tree index on exactly
+/// column 0.
+Result<std::string> KeyIndex(const Table& table) {
+  for (const relstore::IndexDef& def : table.IndexDefs()) {
+    if (def.unique && def.kind == relstore::IndexKind::kBTree &&
+        def.columns == std::vector<int>{0}) {
+      return def.name;
+    }
+  }
+  return Status::FailedPrecondition(
+      "table '" + table.name() +
+      "' has no key index (a unique B-tree index on its identifier "
+      "column, column 0)");
+}
+
+/// The identifier a tuple label names: the label parsed by the type of
+/// `table`'s identifier column. Tuples are created under it and found by
+/// it.
+Result<Datum> LabelKey(const Table& table, const std::string& label) {
+  const ColumnType type = table.schema().column(0).type;
+  switch (type) {
+    case ColumnType::kInt64: {
+      int64_t v;
+      if (ParseInt64(label, &v)) return Datum(v);
+      break;
+    }
+    case ColumnType::kDouble: {
+      double v;
+      if (ParseDouble(label, &v)) return Datum(v);
+      break;
+    }
+    case ColumnType::kString:
+      return Datum(label);
+  }
+  return Status::InvalidArgument("tuple id '" + label +
+                                 "' is not a valid " +
+                                 relstore::ColumnTypeName(type) +
+                                 " identifier");
+}
+
+}  // namespace
+
 Result<tree::Tree> RelationalTargetDb::TreeFromDb() {
+  CPDB_RETURN_IF_ERROR(CheckKeyIndexes());
   // The read side is identical to the source wrapper's keyed view.
   RelationalSourceDb reader(name_, db_, tables_);
   return reader.TreeFromDb();
+}
+
+Status RelationalTargetDb::CheckKeyIndexes() const {
+  for (const std::string& t : tables_) {
+    CPDB_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(t));
+    CPDB_RETURN_IF_ERROR(KeyIndex(*table).status());
+  }
+  return Status::OK();
+}
+
+Status RelationalTargetDb::CreateKeyIndex(Table* table) {
+  return table->CreateIndex("pk_id", {0}, relstore::IndexKind::kBTree,
+                            /*unique=*/true);
 }
 
 Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {
@@ -25,23 +85,24 @@ Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {
                           name_);
 }
 
-Result<Rid> RelationalTargetDb::FindRow(Table* table,
-                                        const std::string& tid_label) {
-  Rid found{0, 0};
-  bool ok = false;
-  table->Scan([&](const Rid& rid, const Row& row) {
-    if (!row.empty() && row[0].ToString() == tid_label) {
-      found = rid;
-      ok = true;
-      return false;
-    }
-    return true;
-  });
-  if (!ok) {
-    return Status::NotFound("no tuple '" + tid_label + "' in table " +
-                            table->name());
+Result<RelationalTargetDb::Tuple> RelationalTargetDb::FindRow(
+    const Table& table, const std::string& tid_label) {
+  CPDB_ASSIGN_OR_RETURN(std::string index, KeyIndex(table));
+  std::optional<Tuple> found;
+  if (Result<Datum> key = LabelKey(table, tid_label); key.ok()) {
+    CPDB_RETURN_IF_ERROR(table.LookupEq(
+        index, {std::move(key).value()}, [&](const Rid& rid, const Row& row) {
+          // A parsed label can render differently ("042" parses to 42);
+          // it names the tuple only as the identifier's own rendering.
+          if (row[0].ToString() == tid_label) found = Tuple{rid, row};
+          return false;  // a unique index holds one match at most
+        }));
   }
-  return found;
+  if (!found.has_value()) {
+    return Status::NotFound("no tuple '" + tid_label + "' in table " +
+                            table.name());
+  }
+  return std::move(*found);
 }
 
 Status RelationalTargetDb::RewriteRow(Table* table, const Rid& rid,
@@ -91,15 +152,7 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
               "a tuple node cannot carry a data value");
         }
         Row row(table->schema().NumColumns());
-        row[0] = Datum(u.label);
-        if (table->schema().column(0).type == ColumnType::kInt64) {
-          int64_t key;
-          if (!ParseInt64(u.label, &key)) {
-            return Status::InvalidArgument("tuple id '" + u.label +
-                                           "' is not an integer key");
-          }
-          row[0] = Datum(key);
-        }
+        CPDB_ASSIGN_OR_RETURN(row[0], LabelKey(*table, u.label));
         return table->Insert(row).status();
       }
       if (p.Depth() == 2) {
@@ -110,18 +163,17 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + u.label +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        if (!row[static_cast<size_t>(col)].is_null()) {
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
+        if (!t.row[static_cast<size_t>(col)].is_null()) {
           return Status::AlreadyExists("field '" + u.label +
                                        "' already set");
         }
         tree::Value v = u.value.value_or(tree::Value());
         CPDB_ASSIGN_OR_RETURN(
-            row[static_cast<size_t>(col)],
+            t.row[static_cast<size_t>(col)],
             ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
                                 .type));
-        return RewriteRow(table, rid, std::move(row));
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid insert depths");
@@ -131,8 +183,8 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
       if (p.Depth() == 1) {
         // del tid from R.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, u.label));
-        return table->Delete(rid);
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, u.label));
+        return table->Delete(t.rid);
       }
       if (p.Depth() == 2) {
         // del F from R/tid: NULL out the field.
@@ -142,10 +194,9 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + u.label +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        row[static_cast<size_t>(col)] = Datum();
-        return RewriteRow(table, rid, std::move(row));
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
+        t.row[static_cast<size_t>(col)] = Datum();
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid delete depths");
@@ -159,22 +210,15 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
         // copy ... into R/tid: upsert the whole tuple from the subtree's
         // leaf children.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        auto existing = FindRow(table, p.At(1));
+        Result<Tuple> existing = FindRow(*table, p.At(1));
+        if (!existing.ok() && !existing.status().IsNotFound()) {
+          return existing.status();
+        }
         Row row(table->schema().NumColumns());
         if (existing.ok()) {
-          CPDB_ASSIGN_OR_RETURN(row, table->Get(existing.value()));
+          row = std::move(existing->row);
         } else {
-          row[0] = table->schema().column(0).type == ColumnType::kInt64
-                       ? Datum()
-                       : Datum(p.At(1));
-          if (table->schema().column(0).type == ColumnType::kInt64) {
-            int64_t key;
-            if (!ParseInt64(p.At(1), &key)) {
-              return Status::InvalidArgument("tuple id '" + p.At(1) +
-                                             "' is not an integer key");
-            }
-            row[0] = Datum(key);
-          }
+          CPDB_ASSIGN_OR_RETURN(row[0], LabelKey(*table, p.At(1)));
         }
         for (const auto& [label, child] : copied_subtree->children()) {
           int col = table->schema().IndexOf(label);
@@ -191,7 +235,7 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
                                   .type));
         }
         if (existing.ok()) {
-          return RewriteRow(table, existing.value(), std::move(row));
+          return RewriteRow(table, existing->rid, std::move(row));
         }
         return table->Insert(row).status();
       }
@@ -203,15 +247,14 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
           return Status::NotSupported("no column '" + p.At(2) +
                                       "' in table " + p.At(0));
         }
-        CPDB_ASSIGN_OR_RETURN(Rid rid, FindRow(table, p.At(1)));
-        CPDB_ASSIGN_OR_RETURN(Row row, table->Get(rid));
+        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
         tree::Value v = copied_subtree->HasValue() ? copied_subtree->value()
                                                    : tree::Value();
         CPDB_ASSIGN_OR_RETURN(
-            row[static_cast<size_t>(col)],
+            t.row[static_cast<size_t>(col)],
             ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
                                 .type));
-        return RewriteRow(table, rid, std::move(row));
+        return RewriteRow(table, t.rid, std::move(t.row));
       }
       return Status::NotSupported(
           "relational target supports pastes at R/tid and R/tid/F only");

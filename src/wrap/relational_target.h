@@ -23,17 +23,36 @@ namespace cpdb::wrap {
 /// Updates that do not fit the relational schema (new tables, extra
 /// nesting, unknown fields) fail with NotSupported/InvalidArgument —
 /// mirroring a real wrapper's schema mapping limits.
+///
+/// Every wrapped table carries its *key index*: a unique B-tree index on
+/// exactly column 0, created together with the table. Replay finds the
+/// tuple `tid` with one descent of it: the label is parsed by the
+/// identifier's column type and names the tuple whose identifier renders
+/// to exactly that label, so an int64 `042` names no tuple. A racing
+/// duplicate tuple insert fails with AlreadyExists instead of storing a
+/// second row with the same identifier.
 class RelationalTargetDb : public TargetDb {
  public:
   /// Exposes `tables` of `db`; first column of each table is the tuple
-  /// identifier (as in RelationalSourceDb).
+  /// identifier (as in RelationalSourceDb) and must carry the key index.
   RelationalTargetDb(std::string name, relstore::Database* db,
                      std::vector<std::string> tables)
       : name_(std::move(name)), db_(db), tables_(std::move(tables)) {}
 
   const std::string& name() const override { return name_; }
 
+  /// The keyed view, after CheckKeyIndexes: Editor::Create and
+  /// SessionPool::Build run this before any write, so no commit reaches a
+  /// replay that cannot find its tuple.
   Result<tree::Tree> TreeFromDb() override;
+
+  /// OK when every wrapped table exists and carries its key index;
+  /// FailedPrecondition naming the first table that lacks it.
+  Status CheckKeyIndexes() const;
+
+  /// Creates the key index on `table`, which must still be empty: call it
+  /// right after creating a table this target will wrap.
+  static Status CreateKeyIndex(relstore::Table* table);
 
   /// One modelled SQL batch statement for the whole transaction: each
   /// op's SQL mechanics run in order, one round trip charged in total.
@@ -53,9 +72,15 @@ class RelationalTargetDb : public TargetDb {
 
   Result<relstore::Table*> TableFor(const std::string& name);
 
-  /// Finds the row with identifier `tid_label` (first-column rendering).
-  Result<relstore::Rid> FindRow(relstore::Table* table,
-                                const std::string& tid_label);
+  /// A located tuple: where it lives and its decoded row.
+  struct Tuple {
+    relstore::Rid rid;
+    relstore::Row row;
+  };
+
+  /// Finds the tuple labelled `tid_label` through the key index.
+  static Result<Tuple> FindRow(const relstore::Table& table,
+                               const std::string& tid_label);
 
   /// Replaces a row in place (delete + insert).
   Status RewriteRow(relstore::Table* table, const relstore::Rid& rid,

@@ -55,7 +55,7 @@ void EnsureProtTable(Database* db) {
       {{"id", relstore::ColumnType::kString, false},
        {"name", relstore::ColumnType::kString, true},
        {"loc", relstore::ColumnType::kString, true}});
-  ASSERT_TRUE(db->CreateTable("prot", schema).ok());
+  ASSERT_TRUE(testutil::CreateKeyedTable(db, "prot", schema).ok());
 }
 
 std::vector<Row> SortedProtRows(Database* db) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cpdb/cpdb.h"
+#include "test_util.h"
 
 namespace cpdb {
 namespace {
@@ -108,7 +109,7 @@ TEST(IntegrationTest, RelationalTargetEndToEnd) {
                             true},
                            {"species", relstore::ColumnType::kString,
                             true}});
-  ASSERT_TRUE(target_db.CreateTable("catalog", schema).ok());
+  ASSERT_TRUE(testutil::CreateKeyedTable(&target_db, "catalog", schema).ok());
   wrap::RelationalTargetDb target("T", &target_db, {"catalog"});
 
   wrap::TreeSourceDb source("S1", workload::GenOrganelleLike(10, 23));

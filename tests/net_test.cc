@@ -323,7 +323,7 @@ struct NetRig {
           {{"id", relstore::ColumnType::kString, false},
            {"f1", relstore::ColumnType::kString, true},
            {"f2", relstore::ColumnType::kString, true}});
-      EXPECT_TRUE(db->CreateTable("data", schema).ok());
+      EXPECT_TRUE(testutil::CreateKeyedTable(db.get(), "data", schema).ok());
     }
     backend = std::make_unique<provenance::ProvBackend>(db.get());
     target = std::make_unique<wrap::RelationalTargetDb>(

@@ -909,5 +909,42 @@ TEST(ServicePoolTest, ReleaseAbortsAStagedTransaction) {
   EXPECT_EQ(rig.engine->LastAllocatedTid(), rig.engine->base_tid());
 }
 
+// ----- Relational target ---------------------------------------------------
+
+TEST(ServiceRelationalTargetTest, RacingDuplicateTupleInsertFailsSecondCommit) {
+  relstore::Database db("curated");
+  relstore::Schema schema({{"id", relstore::ColumnType::kString, false},
+                           {"f1", relstore::ColumnType::kString, true}});
+  auto table = testutil::CreateKeyedTable(&db, "data", schema);
+  ASSERT_TRUE(table.ok());
+  provenance::ProvBackend backend(&db);
+  wrap::RelationalTargetDb target("T", &db, {"data"});
+  Engine engine(&backend, &target);
+  SessionPool pool(&engine, service::SessionOptions{});  // HT
+
+  // Both sessions snapshot the empty table, so both stage the insert.
+  auto first = pool.Acquire();
+  auto second = pool.Acquire();
+  ASSERT_TRUE(first.ok() && second.ok());
+  const Update insert_k = Update::Insert(Path::MustParse("T/data"), "k");
+  ASSERT_TRUE((*first)->Apply(insert_k).ok());
+  ASSERT_TRUE((*second)->Apply(insert_k).ok());
+  ASSERT_TRUE((*first)->Commit().ok());
+  Status lost = (*second)->Commit();
+  EXPECT_TRUE(lost.IsAlreadyExists()) << lost;
+  EXPECT_EQ((*table)->RowCount(), 1u);
+  pool.Release(std::move(*first));
+  pool.Release(std::move(*second));
+
+  // The committed state still has one tuple per identifier, so sessions
+  // keep building. (The losing commit's provenance rows stay behind:
+  // first-committer-wins validation before the seal is not done yet.)
+  auto later = pool.Acquire();
+  ASSERT_TRUE(later.ok()) << later.status();
+  EXPECT_TRUE((*later)->editor()->universe().Contains(
+      Path::MustParse("T/data/k")));
+  pool.Release(std::move(*later));
+}
+
 }  // namespace
 }  // namespace cpdb

@@ -37,6 +37,17 @@ class TempDir {
   std::string path_;
 };
 
+/// Creates a table for a wrap::RelationalTargetDb to wrap: `schema` plus
+/// the key index the target requires.
+inline Result<relstore::Table*> CreateKeyedTable(relstore::Database* db,
+                                                 const std::string& name,
+                                                 relstore::Schema schema) {
+  CPDB_ASSIGN_OR_RETURN(relstore::Table * table,
+                        db->CreateTable(name, std::move(schema)));
+  CPDB_RETURN_IF_ERROR(wrap::RelationalTargetDb::CreateKeyIndex(table));
+  return table;
+}
+
 /// Drains a provenance cursor in a single fetch — exactly one modelled
 /// round trip — for tests that compare whole scans at once.
 inline Result<std::vector<provenance::ProvRecord>> DrainAll(

@@ -1,6 +1,9 @@
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "cpdb/cpdb.h"
+#include "test_util.h"
 
 namespace cpdb::wrap {
 namespace {
@@ -72,7 +75,7 @@ TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, true},
                            {"loc", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "prot", schema).ok());
   RelationalTargetDb target("T", &db, {"prot"});
 
   // ins {p1 : {}} into prot  -> fresh tuple.
@@ -119,7 +122,7 @@ TEST(RelationalTargetDbTest, WholeTupleUpsertFromPaste) {
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, true},
                            {"loc", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "prot", schema).ok());
   RelationalTargetDb target("T", &db, {"prot"});
 
   auto tuple = tree::ParseTree("{name: CRP, loc: plasma}");
@@ -136,7 +139,7 @@ TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
   relstore::Database db("targetdb");
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, true}});
-  ASSERT_TRUE(db.CreateTable("prot", schema).ok());
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "prot", schema).ok());
   RelationalTargetDb target("T", &db, {"prot"});
   // Unknown table.
   EXPECT_FALSE(
@@ -151,6 +154,106 @@ TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
   EXPECT_FALSE(Push(&target, Update::Insert(Path::MustParse("prot/p1"), "color",
                                             tree::Value("red")))
                    .ok());
+}
+
+TEST(RelationalTargetDbTest, IntKeyedTupleIsAddressedByItsRendering) {
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kInt64, false},
+                           {"name", ColumnType::kString, true},
+                           {"loc", ColumnType::kString, true}});
+  auto table = testutil::CreateKeyedTable(&db, "gene", schema);
+  ASSERT_TRUE(table.ok());
+  RelationalTargetDb target("T", &db, {"gene"});
+  auto row42 = [&]() -> relstore::Row {
+    relstore::Row found;
+    EXPECT_TRUE((*table)
+                    ->LookupEq("pk_id", {Datum(int64_t{42})},
+                               [&](const relstore::Rid&,
+                                   const relstore::Row& row) {
+                                 found = row;
+                                 return false;
+                               })
+                    .ok());
+    return found;
+  };
+
+  ASSERT_TRUE(
+      Push(&target, Update::Insert(Path::MustParse("gene"), "42")).ok());
+  ASSERT_EQ(row42().size(), 3u);
+  EXPECT_EQ(row42()[0], Datum(int64_t{42}));
+  // A label that parses to 42 but is not its rendering names no tuple.
+  EXPECT_TRUE(Push(&target, Update::Insert(Path::MustParse("gene/042"),
+                                           "name", tree::Value("X")))
+                  .IsNotFound());
+  ASSERT_TRUE(Push(&target, Update::Insert(Path::MustParse("gene/42"), "name",
+                                           tree::Value("ABC1")))
+                  .ok());
+  tree::Tree leaf{tree::Value("membrane")};
+  EXPECT_TRUE(
+      Push(&target, Update::Copy(Path(), Path::MustParse("gene/042/loc")),
+           &leaf)
+          .IsNotFound());
+  ASSERT_TRUE(
+      Push(&target, Update::Copy(Path(), Path::MustParse("gene/42/loc")),
+           &leaf)
+          .ok());
+  EXPECT_EQ(row42()[1], Datum("ABC1"));
+  EXPECT_EQ(row42()[2], Datum("membrane"));
+  EXPECT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("gene/042"), "name"))
+          .IsNotFound());
+  ASSERT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("gene/42"), "name")).ok());
+  EXPECT_TRUE(row42()[1].is_null());
+  auto view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->Find(Path::MustParse("gene/42/loc"))->value().AsString(),
+            "membrane");
+  EXPECT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("gene"), "042"))
+          .IsNotFound());
+  ASSERT_TRUE(
+      Push(&target, Update::Delete(Path::MustParse("gene"), "42")).ok());
+  EXPECT_EQ((*table)->RowCount(), 0u);
+}
+
+TEST(RelationalTargetDbTest, WrappedTableWithoutKeyIndexIsRejected) {
+  relstore::Schema schema({{"id", ColumnType::kString, false},
+                           {"name", ColumnType::kString, true}});
+  // No index at all, and three near misses: an index that is not unique,
+  // one that is not a B-tree, and one whose key is more than column 0.
+  const std::vector<std::function<Status(relstore::Table*)>> near_misses = {
+      [](relstore::Table*) { return Status::OK(); },
+      [](relstore::Table* t) {
+        return t->CreateIndex("by_id", {0}, relstore::IndexKind::kBTree);
+      },
+      [](relstore::Table* t) {
+        return t->CreateIndex("by_id", {0}, relstore::IndexKind::kHash,
+                              /*unique=*/true);
+      },
+      [](relstore::Table* t) {
+        return t->CreateIndex("by_id", {0, 1}, relstore::IndexKind::kBTree,
+                              /*unique=*/true);
+      },
+  };
+  for (size_t i = 0; i < near_misses.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    relstore::Database db("targetdb");
+    auto table = db.CreateTable("prot", schema);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(near_misses[i](*table).ok());
+    RelationalTargetDb target("T", &db, {"prot"});
+    Status checked = target.CheckKeyIndexes();
+    EXPECT_TRUE(checked.IsFailedPrecondition()) << checked;
+    EXPECT_NE(checked.message().find("'prot'"), std::string::npos)
+        << checked;
+    EXPECT_TRUE(target.TreeFromDb().status().IsFailedPrecondition());
+    relstore::Database prov_db("provdb");
+    provenance::ProvBackend backend(&prov_db);
+    EXPECT_TRUE(Editor::Create(&target, &backend, EditorOptions{})
+                    .status()
+                    .IsFailedPrecondition());
+  }
 }
 
 TEST(EndToEndTest, RelationalSourceFeedsTreeTarget) {

@@ -4,6 +4,8 @@
 // target and the provenance backend over the SAME Database (so data and
 // provenance recover together), attaches the multi-session engine, and
 // serves the length-prefixed binary protocol of src/net/ on a TCP port.
+// A store whose `data` table lacks its key index (one written by an older
+// cpdb_serve) is refused at startup with exit status 1.
 //
 //   cpdb_serve --dir=serve-db --port=7170 --strategy=HT --workers=4
 //
@@ -73,7 +75,8 @@ provenance::Strategy ParseStrategy(const std::string& s) {
 /// plus four nullable string fields, so clients can exercise tuple
 /// insert/update/delete through tree-shaped updates (ins {k:{}} into
 /// T/data; ins {f1:v} into T/data/k; del ...). Must match what
-/// cpdb_bench_client generates.
+/// cpdb_bench_client generates. Created with its key index, the unique
+/// B-tree index on `id` through which replay finds each tuple.
 relstore::Schema DataSchema() {
   return relstore::Schema({{"id", relstore::ColumnType::kString, false},
                            {"f1", relstore::ColumnType::kString, true},
@@ -116,9 +119,12 @@ int main(int argc, char** argv) {
   }
   if (!db->GetTable("data").ok()) {
     auto created = db->CreateTable("data", DataSchema());
-    if (!created.ok()) {
+    Status indexed =
+        created.ok() ? wrap::RelationalTargetDb::CreateKeyIndex(*created)
+                     : created.status();
+    if (!indexed.ok()) {
       std::fprintf(stderr, "cpdb_serve: create table: %s\n",
-                   created.status().ToString().c_str());
+                   indexed.ToString().c_str());
       return 1;
     }
     // Persist the DDL now: a server killed before its first commit must
@@ -129,6 +135,14 @@ int main(int argc, char** argv) {
   provenance::ProvBackend backend(db.get());
   wrap::RelationalTargetDb target("T", db.get(),
                                   std::vector<std::string>{"data"});
+  // A store written before tables carried their key index cannot serve:
+  // refuse it at startup rather than at the first session.
+  Status keyed = target.CheckKeyIndexes();
+  if (!keyed.ok()) {
+    std::fprintf(stderr, "cpdb_serve: %s: %s\n", dir.c_str(),
+                 keyed.ToString().c_str());
+    return 1;
+  }
   service::Engine engine(&backend, &target);
   const double slow_ms = flags.GetDouble("slow-ms", 0);
   if (slow_ms > 0) engine.spans().SetSlowThresholdUs(slow_ms * 1000.0);

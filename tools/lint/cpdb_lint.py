@@ -66,6 +66,16 @@ EDITOR-ONE-SEAL
     let strategies drift apart again in what they write and in how they
     fail.
 
+WRAP-KEYED-LOOKUP
+    src/wrap/relational_target.cc calls no scan: no `Scan(` call,
+    ignoring comments, and none of the scan-named Table calls either
+    (`OpenScan(`, `ScanIndex(`, `ScanPrefix(`). The relational target's
+    write path finds each tuple it replays with one descent of the
+    wrapped table's key index (a unique B-tree index on the identifier
+    column), and its TreeFromDb delegates to RelationalSourceDb. A scan
+    there puts a whole-table walk back under every replayed update, and
+    commit cost grows with the table behind it.
+
 BENCH-JSON
     Every figure bench in bench/*.cc must emit the harness JSON schema
     ({"bench":..., "config":..., "rows":[...]}) behind a --json flag,
@@ -277,6 +287,23 @@ def check_editor_one_seal(root):
                     "Editor::Seal alone")
 
 
+WRAP_TARGET_PATH = pathlib.PurePath("src/wrap/relational_target.cc")
+WRAP_SCAN_RE = re.compile(r"\b(?:Scan|OpenScan|ScanIndex|ScanPrefix)\s*\(")
+
+
+def check_wrap_keyed_lookup(root):
+    path = root / WRAP_TARGET_PATH
+    if not path.is_file():
+        return
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        m = WRAP_SCAN_RE.search(strip_comments(line))
+        if m:
+            finding("WRAP-KEYED-LOOKUP", WRAP_TARGET_PATH, lineno,
+                    f"{m.group(0).rstrip('( ')}() in the relational "
+                    "target; replay finds tuples through the key index "
+                    "(Table::LookupEq), never by scanning the table")
+
+
 BENCH_EXEMPT = {"bench_micro.cc"}  # google-benchmark's own reporter
 
 
@@ -436,6 +463,7 @@ def main():
     check_prov_table_writes(root)
     check_editor_write_path(root)
     check_editor_one_seal(root)
+    check_wrap_keyed_lookup(root)
     check_bench_json(root)
     check_net_framing(root)
     check_obs_metrics(root)
