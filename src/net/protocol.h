@@ -73,7 +73,7 @@ const char* ReqTypeName(ReqType t);
 /// Response status. kRetry and kDraining are *typed overload answers*:
 /// the request was not executed and the client should back off and retry
 /// (kRetry) or move to another endpoint (kDraining) — the server sheds
-/// load instead of stalling the event loop.
+/// load instead of parking its workers behind a saturated commit queue.
 enum class RespCode : uint8_t {
   kOk = 0,
   kError = 1,     ///< request executed or parsed with an error; body = status text

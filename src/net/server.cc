@@ -7,10 +7,10 @@
 #include <cstring>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,12 +21,8 @@ namespace cpdb::net {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl: ") + std::strerror(errno));
-  }
-  return Status::OK();
+Status Errno(const char* what) {
+  return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
 
 // GET renders trees canonically: children carrying an explicit null are
@@ -49,37 +45,50 @@ std::string RenderCanonical(const tree::Tree* t) {
   return out;
 }
 
+/// The typed error a framing violation is answered with.
+const char* FramingError(FrameReader::Event ev) {
+  switch (ev) {
+    case FrameReader::Event::kBadCrc:
+      return "frame CRC mismatch";
+    case FrameReader::Event::kTooLarge:
+      return "frame exceeds size limit";
+    default:
+      return "malformed frame length";
+  }
+}
+
+// epoll tags of the two descriptors that are not connections (a
+// connection's tag is its Conn*).
+char wake_tag;
+char listen_tag;
+
+/// Adds (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) `fd` for one event.
+/// False (logged) when the kernel refuses, and `fd` is then not armed.
+bool Arm(int epoll_fd, int op, int fd, uint32_t events, void* tag) {
+  epoll_event ev{};
+  ev.events = events | EPOLLONESHOT;
+  ev.data.ptr = tag;
+  if (::epoll_ctl(epoll_fd, op, fd, &ev) == 0) return true;
+  std::fprintf(stderr, "cpdb_serve: epoll_ctl: %s\n", std::strerror(errno));
+  return false;
+}
+
 }  // namespace
 
-/// One TCP connection's state. Field ownership is split by thread:
-/// `reader`/`out`/`out_off`/`eof` belong to the event loop alone; the
-/// queues and flags below the marker are shared and guarded by the
-/// server's mu_ (handed between the loop and the one worker that set
-/// `busy`); `session` is stored under mu_ and moved out by the busy
-/// worker for the duration of its run.
+/// One TCP connection. It is touched only by the worker holding its
+/// readiness event (EPOLLONESHOT hands it to one worker at a time), and
+/// that worker holds `mu` while it serves, re-arm included. The mutex is
+/// all but uncontended: it exists because the hand-over between workers
+/// goes through an EPOLL_CTL_MOD re-arm, which ThreadSanitizer does not
+/// model as synchronization, while the unlock/lock pair is.
 struct Server::Conn {
   int fd = -1;
-
-  // Event-loop-thread only.
+  Mutex mu;
   FrameReader reader;
-  std::string out;
-  size_t out_off = 0;
-  bool eof = false;
-
-  // Guarded by Server::mu_.
-  struct Pending {
-    std::string payload;      ///< request payload (when !is_error)
-    std::string error_frame;  ///< pre-encoded response (when is_error)
-    bool is_error = false;
-  };
-  std::deque<Pending> pending;
-  std::deque<std::string> done;  ///< encoded response frames, in order
-  bool busy = false;
-  bool closing = false;
   std::unique_ptr<service::Session> session;
-
-  // Touched only by the worker currently holding `busy` (requests of one
-  // connection never run concurrently), like the leased session itself.
+  std::string out;        ///< encoded responses not yet sent
+  size_t out_off = 0;     ///< bytes of `out` already sent
+  bool closing = false;   ///< answered a violation; flush, then close
   bool in_txn = false;    ///< an APPLY has been accepted since last C/A
   bool shed_txn = false;  ///< this transaction was shed; RETRY until C/A
 };
@@ -90,71 +99,72 @@ Server::Server(service::Engine* engine, service::SessionPool* pool,
 
 Server::~Server() {
   if (started_.load(std::memory_order_acquire)) Stop();
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 Status Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
+  epoll_fd_ = ::epoll_create1(0);
+  if (epoll_fd_ < 0) return Errno("epoll_create1");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  if (wake_fd_ < 0) return Errno("eventfd");
+  epoll_event wake{};
+  wake.events = EPOLLIN;  // level-triggered: a pending drain wakes everyone
+  wake.data.ptr = &wake_tag;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake) < 0) {
+    return Errno("epoll_ctl");
   }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen address " + options_.host);
+  {
+    MutexLock l(mu_);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (listen_fd_ < 0) return Errno("socket");
+    int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
+      return Status::InvalidArgument("bad listen address " + options_.host);
+    }
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
+        0) {
+      return Errno("bind");
+    }
+    if (::listen(listen_fd_, 256) < 0) return Errno("listen");
+    socklen_t len = sizeof addr;
+    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
+        0) {
+      return Errno("getsockname");
+    }
+    port_ = ntohs(addr.sin_port);
+    if (!Arm(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN, &listen_tag)) {
+      return Status::Internal("epoll_ctl: cannot arm the listener");
+    }
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-      0) {
-    return Status::Internal(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 256) < 0) {
-    return Status::Internal(std::string("listen: ") + std::strerror(errno));
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    return Status::Internal(std::string("getsockname: ") +
-                            std::strerror(errno));
-  }
-  port_ = ntohs(addr.sin_port);
-  CPDB_RETURN_IF_ERROR(SetNonBlocking(listen_fd_));
-
-  int pipefd[2];
-  if (::pipe(pipefd) < 0) {
-    return Status::Internal(std::string("pipe: ") + std::strerror(errno));
-  }
-  wake_rd_ = pipefd[0];
-  wake_wr_ = pipefd[1];
-  CPDB_RETURN_IF_ERROR(SetNonBlocking(wake_rd_));
-  CPDB_RETURN_IF_ERROR(SetNonBlocking(wake_wr_));
 
   RegisterMetrics();
   started_.store(true, std::memory_order_release);
-  loop_ = std::thread([this] { EventLoop(); });
   size_t n = options_.workers == 0 ? 1 : options_.workers;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  // A drain begun before the eventfd existed (a signal during start-up)
+  // wrote nothing; deliver it now.
+  if (draining()) BeginDrain();
   return Status::OK();
 }
 
 void Server::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-  if (wake_wr_ >= 0) {
-    // Async-signal-safe: one write, EAGAIN (pipe full) is fine — the
-    // loop polls with a timeout and rereads draining_ anyway.
-    char b = 'D';
-    [[maybe_unused]] ssize_t n = ::write(wake_wr_, &b, 1);
+  if (wake_fd_ >= 0) {
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
   }
 }
 
 void Server::Wait() {
-  if (loop_.joinable()) loop_.join();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -194,17 +204,13 @@ void Server::RegisterMetrics() {
   // Registered by the engine (their STATS position); bumped here.
   slow_commits_ = reg.GetCounter("cpdb_slow_commits_total", "");
   slow_queries_ = reg.GetCounter("cpdb_slow_queries_total", "");
-  cb("cpdb_inflight_bytes", "Parsed-but-unanswered request bytes held",
-     false,
-     [this] {
-       MutexLock l(mu_);
-       return static_cast<double>(inflight_bytes_);
-     },
-     "inflight_bytes");
+  inflight_bytes_ = reg.GetGauge("cpdb_inflight_bytes",
+                                 "Request bytes being executed", "",
+                                 "inflight_bytes");
 
   // Per-verb request latency: one labelled series timing ExecuteTraced
-  // alone, recorded in WorkerLoop (decode, encode and the flush are not
-  // in it). Data verbs also land in the flat JSON (the admin verbs would
+  // alone, recorded in Serve (decode, encode and the send are not in
+  // it). Data verbs also land in the flat JSON (the admin verbs would
   // be scrape-measuring-the-scraper noise there, but are still separable
   // in Prometheus). The retired tag gets no series.
   for (uint8_t t = static_cast<uint8_t>(ReqType::kPing);
@@ -237,279 +243,176 @@ void Server::RegisterMetrics() {
   }
 }
 
-void Server::WakeLoop() {
-  char b = 'w';
-  [[maybe_unused]] ssize_t n = ::write(wake_wr_, &b, 1);
+void Server::WorkerLoop() {
+  for (;;) {
+    // One event per wait, so each ready connection goes to its own worker.
+    epoll_event ev{};
+    int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno != EINTR) {
+      std::fprintf(stderr, "cpdb_serve: epoll_wait: %s\n",
+                   std::strerror(errno));
+      return;
+    }
+    if (n <= 0) continue;
+    if (ev.data.ptr == &wake_tag) {
+      if (OnWake()) return;
+    } else if (ev.data.ptr == &listen_tag) {
+      Accept();
+    } else {
+      Serve(static_cast<Conn*>(ev.data.ptr), ev.events);
+    }
+  }
 }
 
-bool Server::WantRead(const Conn& conn) const {
-  if (conn.closing) return false;
-  if (conn.pending.size() >= options_.max_conn_pending) return false;
-  if (inflight_bytes_ >= options_.max_inflight_bytes) return false;
-  if (conn.out.size() - conn.out_off >= options_.max_conn_outbuf) {
-    return false;
+void Server::Accept() {
+  MutexLock l(mu_);
+  if (listen_fd_ < 0) return;  // the drain closed the listener
+  for (;;) {
+    int cfd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+    if (cfd < 0) break;  // EAGAIN: the backlog is empty
+    int one = 1;
+    ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    auto conn = std::make_unique<Conn>();
+    conn->fd = cfd;
+    Conn* c = conn.get();
+    conns_[cfd] = std::move(conn);
+    accepted_->Inc();
+    if (!Arm(epoll_fd_, EPOLL_CTL_ADD, cfd, EPOLLIN, c)) {
+      conns_.erase(cfd);
+      ::close(cfd);
+      closed_->Inc();
+    }
   }
+  Arm(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, EPOLLIN, &listen_tag);
+}
+
+void Server::Serve(Conn* c, uint32_t events) {
+  const int fd = c->fd;
+  {
+    MutexLock l(c->mu);
+    bool gone = false;  // the peer closed or reset; nobody reads answers
+    if (!draining() && !c->closing && (events & (EPOLLIN | EPOLLERR))) {
+      size_t n = 0;
+      bool eof = false;
+      gone = !ReadAvailable(fd, &c->reader, &n, &eof).ok() || eof;
+    }
+    auto flush = [&] {
+      gone = !WriteAvailable(fd, c->out, &c->out_off).ok() || gone;
+      if (c->out_off * 2 >= c->out.size()) {  // drop the sent prefix
+        c->out.erase(0, c->out_off);
+        c->out_off = 0;
+      }
+    };
+    std::string payload;
+    while (!gone && !c->closing) {
+      FrameReader::Event ev = c->reader.Next(&payload);
+      if (ev == FrameReader::Event::kNeedMore) break;
+      Response resp;
+      if (ev != FrameReader::Event::kFrame) {
+        // Framing violation: a typed error after the answers to the
+        // requests before it, then close (the reader is poisoned).
+        bad_frames_->Inc();
+        resp = Response::Error(std::string("protocol: ") + FramingError(ev));
+        c->closing = true;
+      } else if (auto req = DecodeRequest(payload); !req.ok()) {
+        resp = Response::Error(req.status().ToString());
+        bad_requests_->Inc();
+        c->closing = true;
+      } else {
+        // The decoder guarantees the type is in range, so the verb index
+        // is safe. Measured span: execute only (decode, encode and the
+        // send are per-connection constants; queueing shows up in the
+        // commit-stage histograms instead).
+        const auto bytes = static_cast<int64_t>(payload.size());
+        inflight_bytes_->Add(bytes);
+        const double start_us = obs::NowMicros();
+        resp = ExecuteTraced(c, *req);
+        obs::Histogram* h = verb_us_[static_cast<size_t>(req->type)];
+        if (h != nullptr) h->Record(obs::NowMicros() - start_us);
+        inflight_bytes_->Add(-bytes);
+        requests_->Inc();
+        if (resp.code == RespCode::kRetry) retries_->Inc();
+      }
+      std::string encoded;
+      EncodeResponse(resp, &encoded);
+      EncodeFrame(encoded, &c->out);
+      flush();
+    }
+    if (!gone && c->out_off < c->out.size()) flush();  // the EPOLLOUT case
+    if (!gone) {
+      // While closing or draining, only flush what is owed, then close.
+      const size_t backlog = c->out.size() - c->out_off;
+      uint32_t rearm = 0;
+      if (backlog > 0) rearm |= EPOLLOUT;
+      if (!c->closing && !draining() && backlog < options_.max_conn_outbuf) {
+        rearm |= EPOLLIN;
+      }
+      // Re-armed still under mu: the next owner locks it before anything
+      // else, so this unlock, not the re-arm, orders what the two touch.
+      // After it another worker may own (or free) the connection.
+      if (rearm != 0 && Arm(epoll_fd_, EPOLL_CTL_MOD, fd, rearm, c)) return;
+    }
+  }
+  Close(c);
+}
+
+void Server::Close(Conn* c) {
+  if (c->session != nullptr) pool_->Release(std::move(c->session));
+  std::unique_ptr<Conn> owned;
+  bool finish = false;
+  {
+    MutexLock l(mu_);
+    auto it = conns_.find(c->fd);
+    owned = std::move(it->second);
+    conns_.erase(it);
+    ::close(c->fd);  // also leaves the epoll set
+    finish = drain_walked_ && conns_.empty();
+  }
+  closed_->Inc();
+  if (finish) FinishDrain();
+}
+
+bool Server::OnWake() {
+  {
+    MutexLock l(mu_);
+    if (stopped_) return true;
+    // Consume the wakeup (EAGAIN if another worker already did), so idle
+    // workers block again while the connections drain.
+    uint64_t count = 0;
+    [[maybe_unused]] ssize_t n = ::read(wake_fd_, &count, sizeof count);
+    if (drain_walked_) return false;
+    drain_walked_ = true;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    // Shutting a connection for reading makes it readable: an idle one is
+    // handed to a worker now, a busy one when its worker re-arms it, and
+    // either way that worker sees draining_, flushes and closes it.
+    for (const auto& entry : conns_) ::shutdown(entry.first, SHUT_RD);
+    if (!conns_.empty()) return false;
+  }
+  FinishDrain();
   return true;
 }
 
-void Server::ParseFrames(Conn* conn) {
-  for (;;) {
-    std::string payload;
-    FrameReader::Event ev = conn->reader.Next(&payload);
-    if (ev == FrameReader::Event::kNeedMore) return;
-    if (ev == FrameReader::Event::kFrame) {
-      inflight_bytes_ += payload.size();
-      Conn::Pending item;
-      item.payload = std::move(payload);
-      conn->pending.push_back(std::move(item));
-    } else {
-      // Framing violation: typed error, then close. The error rides the
-      // pending queue as a pre-encoded response so it is answered after
-      // the requests that preceded it, in pipeline order.
-      bad_frames_->Inc();
-      const char* what = ev == FrameReader::Event::kBadCrc ? "frame CRC mismatch"
-                         : ev == FrameReader::Event::kTooLarge
-                             ? "frame exceeds size limit"
-                             : "malformed frame length";
-      std::string resp_payload;
-      EncodeResponse(Response::Error(std::string("protocol: ") + what),
-                     &resp_payload);
-      Conn::Pending item;
-      item.is_error = true;
-      EncodeFrame(resp_payload, &item.error_frame);
-      conn->pending.push_back(std::move(item));
-      conn->closing = true;
-    }
-    if (!conn->busy && !conn->pending.empty()) {
-      conn->busy = true;
-      work_.push_back(conn);
-      work_cv_.NotifyOne();
-    }
-    if (conn->closing) return;  // reader is poisoned; stop parsing
-  }
-}
-
-void Server::EventLoop() {
-  std::vector<pollfd> pfds;
-  std::vector<int> pfd_conn;  // parallel: fd of the conn at that index
-  bool listen_closed = false;
-  for (;;) {
-    bool drain_now = draining_.load(std::memory_order_acquire);
-    if (drain_now && !listen_closed) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      listen_closed = true;
-    }
-
-    // Move finished responses into the loop-owned output buffers.
-    {
-      MutexLock l(mu_);
-      for (auto& [fd, c] : conns_) {
-        (void)fd;
-        while (!c->done.empty()) {
-          c->out += c->done.front();
-          c->done.pop_front();
-        }
-      }
-    }
-
-    // Flush what we can and reap closable connections.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      Conn* c = it->second.get();
-      if (c->out_off < c->out.size() && !c->eof) {
-        Status st = WriteAvailable(c->fd, c->out, &c->out_off);
-        if (!st.ok()) {
-          c->eof = true;  // peer gone; stop trying to flush
-        }
-        if (c->out_off == c->out.size()) {
-          c->out.clear();
-          c->out_off = 0;
-        }
-      }
-      bool close_now = false;
-      {
-        MutexLock l(mu_);
-        bool idle = !c->busy && c->pending.empty() && c->done.empty();
-        bool flushed = c->out_off >= c->out.size();
-        close_now = idle && (flushed || c->eof) &&
-                    (c->closing || c->eof || drain_now);
-      }
-      if (close_now) {
-        closed_->Inc();
-        std::unique_ptr<service::Session> session;
-        {
-          MutexLock l(mu_);
-          session = std::move(c->session);
-        }
-        if (session != nullptr) pool_->Release(std::move(session));
-        ::close(c->fd);
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    if (drain_now && conns_.empty()) break;
-
-    pfds.clear();
-    pfd_conn.clear();
-    pfds.push_back({wake_rd_, POLLIN, 0});
-    pfd_conn.push_back(-1);
-    if (listen_fd_ >= 0) {
-      pfds.push_back({listen_fd_, POLLIN, 0});
-      pfd_conn.push_back(-2);
-    }
-    {
-      MutexLock l(mu_);
-      for (auto& [fd, c] : conns_) {
-        short events = 0;
-        if (!c->eof && !drain_now && WantRead(*c)) events |= POLLIN;
-        if (c->out_off < c->out.size() && !c->eof) events |= POLLOUT;
-        pfds.push_back({fd, events, 0});
-        pfd_conn.push_back(fd);
-      }
-    }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-    if (rc < 0 && errno != EINTR) {
-      std::fprintf(stderr, "cpdb_serve: poll: %s\n", std::strerror(errno));
-      break;
-    }
-
-    for (size_t i = 0; i < pfds.size(); ++i) {
-      short re = pfds[i].revents;
-      if (re == 0) continue;
-      if (pfd_conn[i] == -1) {
-        char buf[256];
-        while (::read(wake_rd_, buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
-      if (pfd_conn[i] == -2) {
-        for (;;) {
-          int cfd = ::accept(listen_fd_, nullptr, nullptr);
-          if (cfd < 0) break;
-          if (!SetNonBlocking(cfd).ok()) {
-            ::close(cfd);
-            continue;
-          }
-          int one = 1;
-          ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-          auto conn = std::make_unique<Conn>();
-          conn->fd = cfd;
-          conns_[cfd] = std::move(conn);
-          accepted_->Inc();
-        }
-        continue;
-      }
-      auto it = conns_.find(pfd_conn[i]);
-      if (it == conns_.end()) continue;
-      Conn* c = it->second.get();
-      if (re & (POLLERR | POLLHUP | POLLNVAL)) {
-        c->eof = true;
-        MutexLock l(mu_);
-        c->closing = true;
-        continue;
-      }
-      if (re & POLLIN) {
-        size_t n = 0;
-        bool eof = false;
-        Status st = ReadAvailable(c->fd, &c->reader, &n, &eof);
-        if (!st.ok() || eof) {
-          c->eof = c->eof || eof || !st.ok();
-          MutexLock l(mu_);
-          c->closing = true;
-        }
-        if (n > 0) {
-          MutexLock l(mu_);
-          ParseFrames(c);
-        }
-      }
-      // POLLOUT is handled by the flush pass at the top of the loop.
-    }
-  }
-
-  // Drained: no connections, no queued work. Stop the workers, then
-  // checkpoint so recovery after this clean shutdown replays no log.
-  {
-    MutexLock l(mu_);
-    stop_workers_ = true;
-  }
-  work_cv_.NotifyAll();
+void Server::FinishDrain() {
+  // Drained: no connections, no request running. Checkpoint so recovery
+  // after this clean shutdown replays no log.
   Status cp = engine_->Checkpoint();
   if (!cp.ok()) {
     std::fprintf(stderr, "cpdb_serve: checkpoint on drain: %s\n",
                  cp.ToString().c_str());
   }
-}
-
-void Server::WorkerLoop() {
-  for (;;) {
-    Conn* c = nullptr;
-    {
-      MutexLock l(mu_);
-      while (work_.empty() && !stop_workers_) work_cv_.Wait(mu_);
-      if (work_.empty()) return;  // stop_workers_ set and queue dry
-      c = work_.front();
-      work_.pop_front();
-    }
-    std::unique_ptr<service::Session> session;
-    {
-      MutexLock l(mu_);
-      session = std::move(c->session);
-    }
-    for (;;) {
-      Conn::Pending item;
-      {
-        MutexLock l(mu_);
-        if (c->pending.empty()) {
-          c->session = std::move(session);
-          c->busy = false;
-          break;
-        }
-        item = std::move(c->pending.front());
-        c->pending.pop_front();
-      }
-      std::string frame;
-      bool close_after = false;
-      if (item.is_error) {
-        frame = std::move(item.error_frame);
-      } else {
-        Response resp;
-        auto decoded = DecodeRequest(item.payload);
-        if (!decoded.ok()) {
-          resp = Response::Error(decoded.status().ToString());
-          close_after = true;
-          bad_requests_->Inc();
-        } else {
-          // Decoder guarantees the type is in range, so the verb index
-          // is safe. Measured span: execute only (decode/encode/frame
-          // are per-connection constants; queueing shows up in the
-          // commit-stage histograms instead).
-          const double start_us = obs::NowMicros();
-          resp = ExecuteTraced(c, *decoded, &session);
-          obs::Histogram* h = verb_us_[static_cast<size_t>(decoded->type)];
-          if (h != nullptr) h->Record(obs::NowMicros() - start_us);
-          requests_->Inc();
-          if (resp.code == RespCode::kRetry) retries_->Inc();
-        }
-        std::string payload;
-        EncodeResponse(resp, &payload);
-        EncodeFrame(payload, &frame);
-      }
-      {
-        MutexLock l(mu_);
-        if (!item.is_error) inflight_bytes_ -= item.payload.size();
-        c->done.push_back(std::move(frame));
-        if (close_after) c->closing = true;
-      }
-      WakeLoop();
-    }
+  {
+    MutexLock l(mu_);
+    stopped_ = true;
   }
+  // Left unread: the level-triggered wakeup reaches every worker.
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
-Response Server::ExecuteTraced(Conn* conn, const Request& req,
-                               std::unique_ptr<service::Session>* session) {
+Response Server::ExecuteTraced(Conn* conn, const Request& req) {
   // Collect when the client asked (sampled trace context), when the verb
   // itself is a collection request (EXPLAIN), or when the slow-request
   // watch is armed and this is a verb it covers: the writes and the
@@ -523,7 +426,7 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
       engine_->spans().SlowThresholdUs() > 0;
   const bool explain = req.type == ReqType::kExplain;
   if (!req.trace.sampled && !explain && !slow_watched) {
-    return Execute(conn, req, session, nullptr);
+    return Execute(conn, req, nullptr);
   }
 
   obs::TraceContext ctx = req.trace;
@@ -537,8 +440,8 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
   const uint64_t root = tracer.Open(
       std::string("server.") + ReqTypeName(req.type), ctx.parent_span_id,
       explain ? ReqTypeName(req.explain_verb) : "");
-  Response resp = Execute(conn, req, session, &tracer);
-  if (*session != nullptr) (*session)->set_trace(nullptr, 0);
+  Response resp = Execute(conn, req, &tracer);
+  if (conn->session != nullptr) conn->session->set_trace(nullptr, 0);
   tracer.Close(root);
   std::vector<obs::Span> spans = tracer.Take();
   if (explain && resp.code == RespCode::kOk) {
@@ -553,7 +456,6 @@ Response Server::ExecuteTraced(Conn* conn, const Request& req,
 }
 
 Response Server::Execute(Conn* conn, const Request& req,
-                         std::unique_ptr<service::Session>* session,
                          obs::SpanCollector* tracer) {
   switch (req.type) {
     case ReqType::kPing:
@@ -596,12 +498,12 @@ Response Server::Execute(Conn* conn, const Request& req,
     conn->in_txn = false;
     // Nothing of THIS transaction was staged (it was shed from its first
     // APPLY); the abort is defensive for any pre-shed leftovers.
-    if (*session != nullptr) (void)(*session)->Abort();
+    if (conn->session != nullptr) (void)conn->session->Abort();
     return Response::Retry("transaction shed");
   }
 
   // Everything below runs against the connection's session.
-  if (*session == nullptr) {
+  if (conn->session == nullptr) {
     const uint64_t acquire_span =
         tracer != nullptr
             ? tracer->Open("session.acquire", tracer->root_span_id())
@@ -611,9 +513,9 @@ Response Server::Execute(Conn* conn, const Request& req,
     if (!acquired.ok()) {
       return Response::Error("session: " + acquired.status().ToString());
     }
-    *session = std::move(*acquired);
+    conn->session = std::move(*acquired);
   }
-  service::Session* s = session->get();
+  service::Session* s = conn->session.get();
   // Whatever commit unit this request runs (COMMIT for T/HT, APPLY for
   // N/H) opens its commit.execute span under the root; ExecuteTraced
   // detaches the collector again.

@@ -58,8 +58,13 @@ Result<std::optional<ProvRecord>> QueryEngine::NewestApplicable(
 Result<TraceResult> QueryEngine::TraceBack(const tree::Path& p) {
   TraceResult out;
   tree::Path cur = p;
-  int64_t t = store_->LastCommittedTid();
-  while (t >= store_->FirstTid()) {
+  // Walk from the newest tid this view sees down to tid 1, whichever
+  // session committed each step: a service session's read watermark
+  // covers other sessions' commits, which its own LastCommittedTid and
+  // FirstTid do not.
+  const int64_t watermark = store_->backend()->read_watermark();
+  int64_t t = watermark >= 0 ? watermark : store_->LastCommittedTid();
+  while (t >= 1) {
     CPDB_ASSIGN_OR_RETURN(auto rec, NewestApplicable(cur, t));
     if (!rec.has_value()) break;  // unchanged all the way back
     switch (rec->op) {

@@ -53,7 +53,9 @@ class QueryEngine {
         target_root_(std::move(target_root)),
         universe_(universe) {}
 
-  /// Full backwards walk from the data currently at `p`.
+  /// Full backwards walk from the data currently at `p`, as of the newest
+  /// transaction this view sees: the backend's read watermark when one is
+  /// set (a service session's snapshot), else the last committed tid.
   ///
   /// Implementation follows the paper's stored procedures (Section 3.3):
   /// per chain location one streaming store statement (a ProvCursor)

@@ -681,6 +681,232 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
   EXPECT_NE(got->find("b1"), std::string::npos);
 }
 
+// ----- Leader/followers: each request runs on the worker that reads it -------
+
+/// One request's frame, as a client puts it on the wire.
+std::string FramedRequest(const Request& req) {
+  std::string payload;
+  net::EncodeRequest(req, &payload);
+  return Framed(payload);
+}
+
+/// Reads one response frame off a raw socket.
+Response ReadResponse(int fd, FrameReader* reader) {
+  std::string payload;
+  Status st = net::ReadFrame(fd, reader, &payload);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  auto resp = net::DecodeResponse(payload);
+  EXPECT_TRUE(resp.ok());
+  return resp.ok() ? *resp : Response::Error("undecodable");
+}
+
+TEST(NetServerTest, BurstLargerThanOneReadIsAnsweredInOrder) {
+  // 2,000 APPLYs and a COMMIT in one write: the server reads 16 KiB at a
+  // time, so frames straddle reads and several workers may take turns on
+  // the connection; every request must still run, once, in order.
+  NetRig rig;
+  Path table = Path::MustParse("T/data");
+  constexpr int kRows = 1000;
+  // The field insert fails unless its row insert ran before it, so each
+  // OK also proves the order.
+  std::string wire;
+  for (int i = 0; i < kRows; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const Path row = table.Child(key);
+    const Value value("v" + key);
+    wire += FramedRequest(Request::Apply(Update::Insert(table, key)));
+    wire += FramedRequest(Request::Apply(Update::Insert(row, "f1", value)));
+  }
+  wire += FramedRequest(Request::Commit());
+  wire += FramedRequest(Request::Get(table.Child("k999")));
+  ASSERT_GT(wire.size(), 3u * 16384);
+
+  int fd = RawConnect(rig.port());
+  ASSERT_TRUE(net::WriteRaw(fd, wire).ok());
+  FrameReader reader;
+  for (int i = 0; i < 2 * kRows + 1; ++i) {
+    Response resp = ReadResponse(fd, &reader);
+    ASSERT_EQ(resp.code, RespCode::kOk) << i << ": " << resp.body;
+  }
+  Response got = ReadResponse(fd, &reader);
+  EXPECT_EQ(got.code, RespCode::kOk);
+  EXPECT_NE(got.body.find("vk999"), std::string::npos) << got.body;
+  ::close(fd);
+  EXPECT_EQ(Count(rig, "cpdb_requests_total"),
+            static_cast<uint64_t>(2 * kRows + 2));
+}
+
+TEST(NetServerTest, SlowReaderGetsEveryResponseOnceItReads) {
+  // Pipelined GETs whose answers far exceed the socket buffers and the
+  // connection's backlog cap: the server parks the connection on
+  // EPOLLOUT (and stops reading it) until the client reads, then resumes.
+  ServerOptions opts;
+  opts.max_conn_outbuf = 256u << 10;
+  NetRig rig("", opts);
+  Path table = Path::MustParse("T/data");
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+  const Value filler(std::string(200, 'x'));
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "row" + std::to_string(i);
+    ASSERT_TRUE(client.Apply(Update::Insert(table, key)).ok());
+    const Path row = table.Child(key);
+    ASSERT_TRUE(client.Apply(Update::Insert(row, "f1", filler)).ok());
+  }
+  ASSERT_TRUE(client.Commit().ok());
+  auto expected = client.Get(table);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected->size(), 40000u);
+
+  constexpr int kGets = 200;  // ~8 MB of answers
+  for (int i = 0; i < kGets; ++i) {
+    ASSERT_TRUE(client.Send(Request::Get(table)).ok());
+  }
+  // Let the server fill the socket buffers and park on them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  for (int i = 0; i < kGets; ++i) {
+    auto resp = client.Recv();
+    ASSERT_TRUE(resp.ok()) << i << ": " << resp.status().ToString();
+    ASSERT_EQ(resp->code, RespCode::kOk) << i;
+    ASSERT_EQ(resp->body, *expected) << i;
+  }
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(NetServerTest, PingIsAnsweredWhileALeaderIsParkedInItsSeal) {
+  NetRig rig;
+  Path table = Path::MustParse("T/data");
+  Client a, b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", rig.port()).ok());
+  ASSERT_TRUE(b.Connect("127.0.0.1", rig.port()).ok());
+  LeaderStall stall(&rig);
+  ASSERT_TRUE(a.Send(Request::Apply(Update::Insert(table, "a1"))).ok());
+  ASSERT_TRUE(a.Send(Request::Commit()).ok());
+  ASSERT_TRUE(stall.WaitStalled());
+  // A's commit occupies one worker; the others keep serving. (Only verbs
+  // that take no latch: the parked leader holds it exclusively.)
+  EXPECT_TRUE(b.Ping().ok());
+  EXPECT_TRUE(b.Stats().ok());
+  stall.Release();
+  for (int i = 0; i < 2; ++i) {
+    auto resp = a.Recv();
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->code, RespCode::kOk) << resp->body;
+  }
+  rig.engine->commit_queue().set_test_hooks({});
+}
+
+TEST(NetServerTest, OneWorkerServesInterleavedTransactions) {
+  ServerOptions opts;
+  opts.workers = 1;
+  NetRig rig("", opts);
+  Path table = Path::MustParse("T/data");
+  Client clients[3];
+  for (Client& c : clients) {
+    ASSERT_TRUE(c.Connect("127.0.0.1", rig.port()).ok());
+  }
+  // Interleave three transactions request by request, each connection
+  // pipelining its own, then collect every answer.
+  std::vector<Request> txns[3];
+  for (int i = 0; i < 3; ++i) {
+    const std::string key = "c" + std::to_string(i);
+    const Update field = Update::Insert(table.Child(key), "f1", Value(key));
+    txns[i].push_back(Request::Apply(Update::Insert(table, key)));
+    txns[i].push_back(Request::Apply(field));
+    txns[i].push_back(Request::Commit());
+  }
+  for (int step = 0; step < 3; ++step) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(clients[i].Send(txns[i][step]).ok());
+    }
+  }
+  for (Client& c : clients) {
+    for (int step = 0; step < 3; ++step) {
+      auto resp = c.Recv();
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->code, RespCode::kOk) << step << ": " << resp->body;
+    }
+  }
+  EXPECT_EQ(Count(rig, "cpdb_commits_total"), 3u);
+  Client probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", rig.port()).ok());
+  for (const char* key : {"c0", "c1", "c2"}) {
+    auto got = probe.Get(table.Child(key));
+    ASSERT_TRUE(got.ok());
+    EXPECT_NE(got->find(key), std::string::npos) << *got;
+  }
+}
+
+TEST(NetServerTest, PooledSessionTracesRowsCommittedByOthers) {
+  // A session returned to the pool comes back refreshed past other
+  // connections' commits; TRACEBACK through it must see them.
+  NetRig rig;
+  Path row = Path::MustParse("T/data/k1");
+  Client writer, publisher;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", rig.port()).ok());
+  {
+    Client idle;
+    ASSERT_TRUE(idle.Connect("127.0.0.1", rig.port()).ok());
+    ASSERT_TRUE(writer.Get(row).ok());  // both lease a session
+    ASSERT_TRUE(idle.Get(row).ok());
+    ASSERT_TRUE(
+        writer.Apply(Update::Insert(Path::MustParse("T/data"), "k1")).ok());
+    ASSERT_TRUE(writer.Commit().ok());
+    // A session built now publishes the committed version, which is what
+    // lets the pool refresh a stale session instead of rebuilding it.
+    ASSERT_TRUE(publisher.Connect("127.0.0.1", rig.port()).ok());
+    ASSERT_TRUE(publisher.Get(row).ok());
+  }  // idle closes; its session goes back to the pool
+  auto closed = [&] { return Count(rig, "cpdb_connections_closed_total"); };
+  for (int i = 0; i < 500 && closed() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(closed(), 1u);
+
+  Client third;
+  ASSERT_TRUE(third.Connect("127.0.0.1", rig.port()).ok());
+  auto got = third.Get(row);
+  ASSERT_TRUE(got.ok());
+  EXPECT_NE(*got, "<absent>");
+  // The idle connection's session, refreshed, not a new one.
+  EXPECT_EQ(Count(rig, "cpdb_sessions_built_total"), 3u);
+  EXPECT_EQ(Count(rig, "cpdb_sessions_refreshed_total"), 1u);
+  auto trace = third.TraceBack(row);
+  ASSERT_TRUE(trace.ok());
+  EXPECT_NE(trace->find("tid=1 op=I"), std::string::npos) << *trace;
+}
+
+TEST(NetServerTest, DrainAnswersTheCommitAlreadyRunning) {
+  // A drain that starts while a commit is parked in its seal closes the
+  // idle connection at once, but answers the running transaction before
+  // closing its connection, and only then checkpoints and returns.
+  TempDir dir("net_drain_running");
+  NetRig rig(dir.path());
+  Path table = Path::MustParse("T/data");
+  Client a, idle;
+  ASSERT_TRUE(a.Connect("127.0.0.1", rig.port()).ok());
+  ASSERT_TRUE(idle.Connect("127.0.0.1", rig.port()).ok());
+  ASSERT_TRUE(idle.Ping().ok());
+  LeaderStall stall(&rig);
+  ASSERT_TRUE(a.Send(Request::Apply(Update::Insert(table, "a1"))).ok());
+  ASSERT_TRUE(a.Send(Request::Commit()).ok());
+  ASSERT_TRUE(stall.WaitStalled());
+
+  rig.server->BeginDrain();
+  EXPECT_FALSE(idle.Ping().ok());  // closed, not answered
+  stall.Release();
+  for (int i = 0; i < 2; ++i) {
+    auto resp = a.Recv();
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->code, RespCode::kOk) << resp->body;
+  }
+  EXPECT_FALSE(a.Ping().ok());
+  rig.server->Wait();
+  rig.engine->commit_queue().set_test_hooks({});
+  EXPECT_EQ(Count(rig, "cpdb_commits_total"), 1u);
+  EXPECT_GT(rig.db->durability()->stats().checkpoints, 0u);
+}
+
 // ----- Graceful drain + reopen -----------------------------------------------
 
 std::string DigestVia(Client* client) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -754,6 +755,77 @@ TEST_P(ServiceOracleTest, WritersAndReadersMatchSingleThreadedReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ServiceOracleTest,
+                         ::testing::ValuesIn(kStrategies),
+                         [](const auto& param_info) {
+                           return std::string(
+                               provenance::StrategyShortName(param_info.param));
+                         });
+
+// ----- TraceBack through pooled sessions -----------------------------------
+
+/// TraceBack answers from what a session's view sees: its snapshot and
+/// everything committed below it, whoever committed it.
+class ServiceTraceBackTest : public ::testing::TestWithParam<Strategy> {};
+
+TEST_P(ServiceTraceBackTest, RefreshedSessionTracesOtherSessionsCommits) {
+  Rig rig(GetParam());
+  auto writer = rig.pool->Acquire();
+  auto reader = rig.pool->Acquire();
+  ASSERT_TRUE(writer.ok() && reader.ok());
+  const Path row = Path::MustParse("T/r");
+  ASSERT_TRUE((*writer)->Apply(Update::Insert(Path::MustParse("T"), "r")).ok());
+  ASSERT_TRUE((*writer)->Commit().ok());
+  const int64_t inserted = (*writer)->LastCommittedTid();
+  ASSERT_TRUE(
+      (*writer)->Apply(Update::Insert(row, "v", tree::Value(int64_t{1}))).ok());
+  ASSERT_TRUE((*writer)->Commit().ok());
+
+  // The reader never committed; the pool hands it back refreshed past
+  // the writer's commits, so its GET shows the row and TRACEBACK must
+  // find where it came from.
+  rig.pool->Release(std::move(*reader));
+  auto refreshed = rig.pool->Acquire();
+  ASSERT_TRUE(refreshed.ok());
+  ASSERT_EQ((*refreshed)->snapshot_tid(), rig.engine->CommittedTid());
+  ASSERT_NE((*refreshed)->editor()->universe().Find(row), nullptr);
+  auto guard = (*refreshed)->ReadLock();
+  auto traced = (*refreshed)->query()->TraceBack(row);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  ASSERT_EQ(traced->steps.size(), 1u);
+  EXPECT_EQ(traced->steps[0].op, provenance::ProvOp::kInsert);
+  EXPECT_EQ(traced->origin_tid, std::optional<int64_t>(inserted));
+}
+
+TEST_P(ServiceTraceBackTest, ChainContinuesBelowTheSessionsFirstCommit) {
+  Rig rig(GetParam());
+  auto writer = rig.pool->Acquire();
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->Apply(Update::Insert(Path::MustParse("T"), "r")).ok());
+  ASSERT_TRUE((*writer)->Commit().ok());
+  const int64_t inserted = (*writer)->LastCommittedTid();
+
+  // A second session's first commit copies the row: the chain runs
+  // through the copy into the writer's older insert.
+  auto copier = rig.pool->Acquire();
+  ASSERT_TRUE(copier.ok());
+  const Path row = Path::MustParse("T/r");
+  const Path copy = Path::MustParse("T/s");
+  ASSERT_TRUE((*copier)->Apply(Update::Copy(row, copy)).ok());
+  ASSERT_TRUE((*copier)->Commit().ok());
+  const int64_t copied = (*copier)->LastCommittedTid();
+  ASSERT_GT(copied, inserted);
+
+  auto guard = (*copier)->ReadLock();
+  auto traced = (*copier)->query()->TraceBack(copy);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  ASSERT_EQ(traced->steps.size(), 2u);
+  EXPECT_EQ(traced->steps[0].op, provenance::ProvOp::kCopy);
+  EXPECT_EQ(traced->steps[0].tid, copied);
+  EXPECT_EQ(traced->steps[1].op, provenance::ProvOp::kInsert);
+  EXPECT_EQ(traced->origin_tid, std::optional<int64_t>(inserted));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, ServiceTraceBackTest,
                          ::testing::ValuesIn(kStrategies),
                          [](const auto& param_info) {
                            return std::string(

@@ -18,8 +18,6 @@
 //   --workers=N            request worker threads  (default 4)
 //   --max-queue-depth=N    admission bound: RETRY writes while more than
 //                          N committers wait in the commit queue
-//   --max-inflight-mb=N    global parsed-request byte budget before the
-//                          event loop stops reading (TCP backpressure)
 //   --wipe                 remove --dir before opening (fresh start)
 //
 // Observability flags (README "Observability", OPERATOR_GUIDE.md):
@@ -88,7 +86,7 @@ relstore::Schema DataSchema() {
 net::Server* g_server = nullptr;  ///< for the signal handler only
 
 extern "C" void HandleSignal(int) {
-  // BeginDrain is async-signal-safe: one atomic store + one pipe write.
+  // BeginDrain is async-signal-safe: one atomic store + one eventfd write.
   if (g_server != nullptr) g_server->BeginDrain();
 }
 
@@ -156,8 +154,6 @@ int main(int argc, char** argv) {
   nopts.workers = static_cast<size_t>(flags.GetInt("workers", 4));
   nopts.max_queue_depth =
       static_cast<size_t>(flags.GetInt("max-queue-depth", 64));
-  nopts.max_inflight_bytes =
-      static_cast<size_t>(flags.GetInt("max-inflight-mb", 8)) << 20;
   net::Server server(&engine, &pool, nopts);
 
   g_server = &server;

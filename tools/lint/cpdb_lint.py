@@ -118,12 +118,21 @@ OBS-TRACE
     tracing choke point, Server::ExecuteTraced (src/net/server.cc):
     that is where the sampled/EXPLAIN/slow-request decision is made, the
     root span ("server.<VERB>") is opened, and the assembled tree is
-    recorded into the engine's SpanStore. Concretely: WorkerLoop must
-    dispatch via ExecuteTraced (never Execute directly), Execute may be
-    called only from ExecuteTraced (plus its own definition), and
-    ExecuteTraced must open the "server."-prefixed root span. A verb
-    handler that bypasses the choke point is invisible to TRACES,
-    EXPLAIN, and the slow-request log all at once.
+    recorded into the engine's SpanStore. Concretely: Serve (the worker's
+    per-connection loop that runs each request it reads) must dispatch
+    via ExecuteTraced (never Execute directly), Execute may be called
+    only from ExecuteTraced (plus its own definition), and ExecuteTraced
+    must open the "server."-prefixed root span. A verb handler that
+    bypasses the choke point is invisible to TRACES, EXPLAIN, and the
+    slow-request log all at once.
+
+NET-NO-HANDOFF
+    src/net/server.h and src/net/server.cc declare and use no CondVar.
+    The server is leader/followers over one epoll set: the worker that
+    receives a connection's readiness runs its requests and sends the
+    answers itself, and an idle worker waits only in epoll_wait. A
+    condition variable there means a queue between threads is back, and
+    with it the wake-ups and handoffs this design removed.
 """
 
 import argparse
@@ -398,7 +407,7 @@ def check_obs_trace(root):
 
     Line-oriented, like the other rules: finds the function each line
     belongs to by tracking `Server::<name>(` definition headers, then
-    enforces (a) WorkerLoop dispatches via ExecuteTraced, (b) Execute is
+    enforces (a) Serve dispatches via ExecuteTraced, (b) Execute is
     invoked only from ExecuteTraced, (c) ExecuteTraced opens the
     "server." root span and records into the span store.
     """
@@ -409,7 +418,7 @@ def check_obs_trace(root):
     defn_re = re.compile(r"\bServer::(\w+)\s*\(")
     execute_call_re = re.compile(r"(?<![\w:])Execute\s*\(")
     current_fn = None
-    workerloop_dispatches = False
+    serve_dispatches = False
     execute_calls = []  # (lineno, enclosing function)
     traced_opens_root = False
     traced_records = False
@@ -419,8 +428,8 @@ def check_obs_trace(root):
         if m:
             current_fn = m.group(1)
             continue  # the definition header itself is not a call
-        if current_fn == "WorkerLoop" and "ExecuteTraced(" in code:
-            workerloop_dispatches = True
+        if current_fn == "Serve" and "ExecuteTraced(" in code:
+            serve_dispatches = True
         if execute_call_re.search(code) and "ExecuteTraced" not in code:
             execute_calls.append((lineno, current_fn))
         if current_fn == "ExecuteTraced":
@@ -428,9 +437,9 @@ def check_obs_trace(root):
                 traced_opens_root = True
             if "spans().Record(" in code:
                 traced_records = True
-    if not workerloop_dispatches:
+    if not serve_dispatches:
         finding("OBS-TRACE", rel, 1,
-                "WorkerLoop does not dispatch through ExecuteTraced; "
+                "Serve does not dispatch through ExecuteTraced; "
                 "every verb must pass the tracing choke point")
     for lineno, fn in execute_calls:
         if fn != "ExecuteTraced":
@@ -445,6 +454,23 @@ def check_obs_trace(root):
         finding("OBS-TRACE", rel, 1,
                 "ExecuteTraced does not record into the engine SpanStore "
                 "(spans().Record)")
+
+
+NET_SERVER_FILES = ("src/net/server.h", "src/net/server.cc")
+CONDVAR_RE = re.compile(r"\bCondVar\b")
+
+
+def check_net_no_handoff(root):
+    for name in NET_SERVER_FILES:
+        path = root / name
+        if not path.is_file():
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if CONDVAR_RE.search(strip_comments(line)):
+                finding("NET-NO-HANDOFF", name, lineno,
+                        "CondVar in the server; a worker waits only in "
+                        "epoll_wait and runs what it reads to completion, "
+                        "with no queue or handoff between threads")
 
 
 def main():
@@ -468,6 +494,7 @@ def main():
     check_net_framing(root)
     check_obs_metrics(root)
     check_obs_trace(root)
+    check_net_no_handoff(root)
 
     for f in FINDINGS:
         print(f)
