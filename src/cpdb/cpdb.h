@@ -30,6 +30,8 @@
 /// whole scan in one. Ordering guarantees: ScanAll streams the table key
 /// order (Tid, Loc); ScanForTid orders by Loc; the Loc-side scans
 /// (ScanAtLoc, ScanUnder, ScanAtLocOrAncestors) order by (Loc, Tid).
+/// ScanUnder and ScanAtLocOrAncestors also take ProvFields::kTid, which
+/// fills only each record's tid straight from the (Loc, Tid) index key.
 /// Consistency: a cursor borrows a position inside the store's indexes
 /// and is invalidated by any provenance write — drain cursors before the
 /// next tracked operation (the editor is the only writer, so reads

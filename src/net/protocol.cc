@@ -314,6 +314,11 @@ Result<std::vector<int64_t>> DecodeTids(const std::string& in) {
   if (!GetVarint64(in, &pos, &n)) {
     return Status::InvalidArgument("tids: truncated count");
   }
+  // Every tid encodes to at least one byte: a larger count is hostile,
+  // and reserving it would abort the process.
+  if (n > in.size() - pos) {
+    return Status::InvalidArgument("tids: count exceeds body");
+  }
   std::vector<int64_t> tids;
   tids.reserve(n);
   int64_t prev = 0;

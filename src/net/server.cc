@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -574,11 +573,8 @@ Response Server::ExecuteQuery(ReqType verb, const tree::Path& path,
         resp = Response::Error(mods.status().ToString());
         break;
       }
-      std::vector<int64_t> tids = std::move(*mods);
-      std::sort(tids.begin(), tids.end());
-      tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
       std::string body;
-      EncodeTids(tids, &body);
+      EncodeTids(*mods, &body);  // GetMod answers ascending and distinct
       resp = Response::Ok(std::move(body));
       break;
     }

@@ -18,6 +18,10 @@ using relstore::Schema;
 
 namespace {
 
+/// Where a kTid cursor finds the tid: it scans only idx_loc_tid, whose
+/// keys are (Loc, Tid).
+constexpr size_t kTidInLocKey = 1;
+
 /// True if the table carries an index matching `want` exactly — name,
 /// columns, kind, and uniqueness. Name alone is not enough: a foreign
 /// index merely NAMED pk_tid_loc would silently break the unique-key and
@@ -158,6 +162,7 @@ size_t ProvBackend::ApproxBytes(const ProvRecord& rec) {
 // ----- ProvCursor ----------------------------------------------------------
 
 void ProvCursor::AddSegment(relstore::ScanSpec spec) {
+  spec.keys_only = fields_ == ProvFields::kTid;
   auto cur = prov_->OpenScan(std::move(spec));
   if (!cur.ok()) {
     status_ = cur.status();
@@ -178,6 +183,10 @@ size_t ProvCursor::Next(std::vector<ProvRecord>* batch, size_t max) {
         break;
       }
       ++seg_;  // segment drained; the statement continues with the next
+      continue;
+    }
+    if (fields_ == ProvFields::kTid) {
+      batch->emplace_back().tid = row[kTidInLocKey].AsInt();
       continue;
     }
     auto rec = ProvBackend::FromRow(row);
@@ -270,8 +279,8 @@ ProvCursor ProvBackend::ScanAtLoc(const tree::Path& loc) {
   return cur;
 }
 
-ProvCursor ProvBackend::ScanUnder(const tree::Path& loc) {
-  ProvCursor cur = MakeCursor();
+ProvCursor ProvBackend::ScanUnder(const tree::Path& loc, ProvFields fields) {
+  ProvCursor cur = MakeCursor(fields);
   if (loc.IsRoot()) {
     // Everything is under the universe root.
     ScanSpec spec;
@@ -295,7 +304,8 @@ ProvCursor ProvBackend::ScanUnder(const tree::Path& loc) {
 }
 
 ProvCursor ProvBackend::ScanAtLocOrAncestors(const tree::Path& loc,
-                                             bool include_self) {
+                                             bool include_self,
+                                             ProvFields fields) {
   std::vector<tree::Path> targets;
   if (include_self) targets.push_back(loc);
   tree::Path a = loc;
@@ -306,7 +316,7 @@ ProvCursor ProvBackend::ScanAtLocOrAncestors(const tree::Path& loc,
   // Shallowest first, so the merged stream is (Loc, Tid)-ordered (an
   // ancestor's rendering is a string prefix of its descendants').
   std::sort(targets.begin(), targets.end());
-  ProvCursor cur = MakeCursor();
+  ProvCursor cur = MakeCursor(fields);
   for (const tree::Path& t : targets) {
     ScanSpec spec;
     spec.index = "idx_loc_tid";

@@ -17,6 +17,13 @@ namespace cpdb::provenance {
 
 class ProvBackend;
 
+/// Which fields of each record a ProvCursor delivers. kRecord decodes the
+/// whole record; kTid fills only ProvRecord::tid (op, loc and src stay
+/// default) and reads it from the (Loc, Tid) index key, so no heap row is
+/// fetched, decoded or path-parsed. Only the Loc-side scans that GetMod
+/// drains offer kTid.
+enum class ProvFields { kRecord, kTid };
+
 /// Streaming read cursor over the provenance table — the client side of a
 /// server-held scan, fed straight from the B+-tree leaf chain with no
 /// materialized result set.
@@ -28,7 +35,10 @@ class ProvBackend;
 /// whose result fits in one batch therefore costs exactly one round trip,
 /// like the one-shot queries cursors replaced; a large result streamed
 /// in k batches costs k. The single-record Next(ProvRecord*) refills an
-/// internal buffer in kDefaultBatch chunks and adds no extra trips.
+/// internal buffer in kDefaultBatch chunks and adds no extra trips. A
+/// kTid cursor moves the same rows in the same fetches and is charged
+/// exactly like a kRecord one: the field selector changes what the client
+/// decodes, not what the modelled statement returns.
 ///
 /// Ordering: every cursor yields records in its index-key order —
 /// ScanAll/ScanForTid by (Tid, Loc), the Loc-side scans by (Loc, Tid) —
@@ -70,17 +80,19 @@ class ProvCursor {
  private:
   friend class ProvBackend;
   ProvCursor(relstore::CostModel* sink, const relstore::Table* prov,
-             bool use_indexes)
+             bool use_indexes, ProvFields fields)
       : sink_(sink), prov_(prov), use_indexes_(use_indexes),
-        exhausted_(false) {}
+        fields_(fields), exhausted_(false) {}
 
   /// Appends one contiguous index range to the scan; segments are drained
   /// in the order added (a multi-range statement is still one statement).
+  /// A kTid cursor opens every segment keys-only.
   void AddSegment(relstore::ScanSpec spec);
 
   relstore::CostModel* sink_ = nullptr;
   const relstore::Table* prov_ = nullptr;
   bool use_indexes_ = true;
+  ProvFields fields_ = ProvFields::kRecord;
   bool first_fetch_ = true;
   bool exhausted_ = true;
   Status status_;
@@ -185,8 +197,10 @@ class ProvBackend {
   ProvCursor ScanAtLoc(const tree::Path& loc);
 
   /// Records whose Loc equals `loc` or lies strictly below it, ordered by
-  /// (Loc, Tid) — the subtree range scan behind getMod.
-  ProvCursor ScanUnder(const tree::Path& loc);
+  /// (Loc, Tid) — the subtree range scan behind getMod. `fields` selects
+  /// whole records or tids only (see ProvFields).
+  ProvCursor ScanUnder(const tree::Path& loc,
+                       ProvFields fields = ProvFields::kRecord);
 
   /// The canonical ancestor fetch: records at `loc` (when `include_self`)
   /// and at every proper ancestor that can carry provenance (depth >= 2;
@@ -194,8 +208,9 @@ class ProvBackend {
   /// and database roots never appear as a record's Loc). One multi-range
   /// statement ordered by (Loc, Tid) — i.e. shallowest ancestor first —
   /// so the whole ancestor chain costs one round trip per batch, not one
-  /// per level.
-  ProvCursor ScanAtLocOrAncestors(const tree::Path& loc, bool include_self);
+  /// per level. `fields` as for ScanUnder.
+  ProvCursor ScanAtLocOrAncestors(const tree::Path& loc, bool include_self,
+                                  ProvFields fields = ProvFields::kRecord);
 
   // ----- Batched point lookups (one round trip) ---------------------------
 
@@ -237,11 +252,13 @@ class ProvBackend {
  private:
   friend class ProvCursor;
 
-  ProvCursor MakeCursor() { return ProvCursor(sink_, prov_, use_indexes_); }
+  ProvCursor MakeCursor(ProvFields fields = ProvFields::kRecord) {
+    return ProvCursor(sink_, prov_, use_indexes_, fields);
+  }
 
   /// Applies this handle's read watermark to a scan about to be issued
-  /// (Tid is column 0 of the Prov table; visibility is evaluated on the
-  /// fetched row, so the bound works under either index order).
+  /// (Tid is column 0 of the Prov table and part of both index keys, so
+  /// relstore evaluates the bound on the key before any heap read).
   relstore::ScanSpec Bounded(relstore::ScanSpec spec) const {
     if (read_watermark_ >= 0) {
       spec.visible_col = 0;

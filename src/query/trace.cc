@@ -127,7 +127,8 @@ Result<std::vector<int64_t>> QueryEngine::GetMod(
       tracer_ != nullptr
           ? tracer_->Open("query.subtree_scan", tracer_parent_, p.ToString())
           : 0;
-  provenance::ProvCursor under = store_->backend()->ScanUnder(p);
+  provenance::ProvCursor under =
+      store_->backend()->ScanUnder(p, provenance::ProvFields::kTid);
   ProvRecord r;
   uint64_t scan_rows = 0;
   while (under.Next(&r)) {
@@ -143,14 +144,17 @@ Result<std::vector<int64_t>> QueryEngine::GetMod(
     // Modifications recorded at an ancestor a of p (subtree copy, insert,
     // or delete at a) touch p's subtree without leaving records under p.
     // The whole ancestor chain is one batched statement (shallowest
-    // first) instead of one point query per level.
+    // first) instead of one point query per level. Only the version
+    // check reads a record's op; without it the tids suffice.
     const uint64_t anc_span =
         tracer_ != nullptr
             ? tracer_->Open("query.ancestor_batch", tracer_parent_,
                             p.ToString())
             : 0;
-    provenance::ProvCursor above =
-        store_->backend()->ScanAtLocOrAncestors(p, /*include_self=*/false);
+    provenance::ProvCursor above = store_->backend()->ScanAtLocOrAncestors(
+        p, /*include_self=*/false,
+        versions != nullptr ? provenance::ProvFields::kRecord
+                            : provenance::ProvFields::kTid);
     uint64_t anc_rows = 0;
     while (above.Next(&r)) {
       ++anc_rows;

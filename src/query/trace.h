@@ -87,7 +87,11 @@ class QueryEngine {
   /// provided, ancestor records are checked against the version trees for
   /// exact answers; without it the result may over-approximate
   /// (may-semantics), which is also what a store-only implementation can
-  /// honestly deliver.
+  /// honestly deliver. Both statements read tids only
+  /// (provenance::ProvFields::kTid), straight off the (Loc, Tid) index
+  /// keys, except the ancestor statement under `versions`, whose check
+  /// needs each record's op. The modelled charge is the same either way.
+  /// Returns the tids ascending and distinct.
   Result<std::vector<int64_t>> GetMod(
       const tree::Path& p,
       const provenance::VersionFn& versions = nullptr);

@@ -157,6 +157,7 @@ void EncodeRow(const Row& row, std::string* out) {
 bool DecodeRow(const std::string& in, size_t* pos, Row* out) {
   uint32_t n;
   if (!GetU32(in, pos, &n)) return false;
+  if (n > in.size() - *pos) return false;  // every datum is >= 1 byte
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -480,6 +480,19 @@ Result<Table::Cursor> Table::OpenScan(ScanSpec spec) const {
   }
   Cursor cur;
   cur.table_ = this;
+  if (spec.visible_col >= 0) {
+    auto vis = std::find(idx->columns.begin(), idx->columns.end(),
+                         spec.visible_col);
+    if (vis == idx->columns.end()) {
+      return Status::InvalidArgument("scan of '" + spec.index +
+                                     "' bounds a column outside its key");
+    }
+    cur.visible_key_pos_ = static_cast<int>(vis - idx->columns.begin());
+  }
+  if (spec.keys_only && spec.predicate != nullptr) {
+    return Status::InvalidArgument("keys-only scan of '" + spec.index +
+                                   "' cannot take a row predicate");
+  }
   // Derive the start position: an explicit lower bound wins; otherwise an
   // equality prefix or string prefix names the first possible key. A
   // partial-arity bound compares as a prefix row, which sorts before
@@ -503,13 +516,11 @@ Result<Table::Cursor> Table::OpenScan(ScanSpec spec) const {
 
 bool Table::Cursor::Next(Row* row, Rid* rid) {
   if (done_) return false;
-  while (pos_.Valid()) {
+  for (; pos_.Valid(); pos_.Advance()) {
     const Row& key = pos_.key();
     if (spec_.limit > 0 && produced_ >= spec_.limit) break;
-    if (!spec_.eq.empty()) {
-      Row head(key.begin(),
-               key.begin() + static_cast<ptrdiff_t>(spec_.eq.size()));
-      if (head != spec_.eq) break;  // ordered: past the eq range
+    if (!std::equal(spec_.eq.begin(), spec_.eq.end(), key.begin())) {
+      break;  // ordered: past the eq range
     }
     if (!spec_.prefix.empty()) {
       if (key.empty() || !key[0].is_string() ||
@@ -517,27 +528,27 @@ bool Table::Cursor::Next(Row* row, Rid* rid) {
         break;  // ordered: past the prefix range
       }
     }
-    auto fetched = table_->Get(pos_.rid());
-    if (!fetched.ok()) {
-      status_ = fetched.status();
-      done_ = true;
-      return false;
-    }
-    if (spec_.visible_col >= 0) {
-      const Row& r = fetched.value();
-      size_t col = static_cast<size_t>(spec_.visible_col);
-      if (col < r.size() && r[col].is_int() &&
-          r[col].AsInt() > spec_.visible_max) {
-        pos_.Advance();  // younger than the reader's snapshot
-        continue;
+    if (visible_key_pos_ >= 0) {
+      const Datum& bound = key[static_cast<size_t>(visible_key_pos_)];
+      if (bound.is_int() && bound.AsInt() > spec_.visible_max) {
+        continue;  // younger than the reader's snapshot; no heap read
       }
     }
-    if (spec_.predicate != nullptr && !spec_.predicate(fetched.value())) {
-      pos_.Advance();
-      continue;
+    if (spec_.keys_only) {
+      *row = key;
+    } else {
+      auto fetched = table_->Get(pos_.rid());
+      if (!fetched.ok()) {
+        status_ = fetched.status();
+        done_ = true;
+        return false;
+      }
+      if (spec_.predicate != nullptr && !spec_.predicate(fetched.value())) {
+        continue;
+      }
+      *row = std::move(fetched).value();
     }
     if (rid != nullptr) *rid = pos_.rid();
-    *row = std::move(fetched).value();
     pos_.Advance();
     ++produced_;
     return true;

@@ -47,8 +47,15 @@ struct ScanSpec {
   /// at a commit watermark never sees younger versions. Filtered at the
   /// read path like `predicate` (never surfaced, never charged as
   /// transferred). Non-int values in the bound column stay visible.
+  /// `visible_col` must be one of the index's columns: the bound is
+  /// decided on the index key, before any heap read.
   int visible_col = -1;
   int64_t visible_max = 0;
+  /// Index-only scan: the cursor yields each entry's index key (the
+  /// index columns, in index order) in place of its row and never reads
+  /// the heap. OpenScan rejects a keys-only spec that carries a
+  /// `predicate`, which would need the row.
+  bool keys_only = false;
 };
 
 /// A heap-backed table with optional unique constraint and secondary
@@ -135,7 +142,8 @@ class Table {
   ///
   /// Consistency: the cursor borrows a position inside the index; any
   /// mutation of the table invalidates it (same single-writer contract as
-  /// BTree::Cursor). Rows are produced in index-key order.
+  /// BTree::Cursor). Rows are produced in index-key order; a keys-only
+  /// scan produces the index keys themselves.
   class Cursor {
    public:
     /// An exhausted cursor; OpenScan returns a live one.
@@ -160,6 +168,8 @@ class Table {
     friend class Table;
     const Table* table_ = nullptr;
     ScanSpec spec_;
+    /// Position of spec_.visible_col within the index key; -1 = unbounded.
+    int visible_key_pos_ = -1;
     BTree::Cursor pos_;
     size_t produced_ = 0;
     bool done_ = true;
@@ -167,7 +177,9 @@ class Table {
   };
 
   /// Opens a streaming scan. Fails if the named index is missing, is not
-  /// a B+-tree, or the spec's bounds exceed the index key arity.
+  /// a B+-tree, the spec's bounds exceed the index key arity, its
+  /// `visible_col` is not a key column, or a keys-only spec carries a
+  /// `predicate`.
   Result<Cursor> OpenScan(ScanSpec spec) const;
 
   /// Batched point lookups: one logical client call resolving every key

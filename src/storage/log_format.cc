@@ -21,6 +21,7 @@ void EncodeSchema(const Schema& schema, std::string* out) {
 bool DecodeSchema(const std::string& in, size_t* pos, Schema* out) {
   uint64_t n;
   if (!GetVarint64(in, pos, &n)) return false;
+  if (n > in.size() - *pos) return false;  // every column is >= 1 byte
   std::vector<Column> columns;
   columns.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -51,6 +52,7 @@ bool DecodeIndexDef(const std::string& in, size_t* pos,
   if (!GetLengthPrefixed(in, pos, &out->name)) return false;
   uint64_t n;
   if (!GetVarint64(in, pos, &n)) return false;
+  if (n > in.size() - *pos) return false;  // every column is >= 1 byte
   out->columns.clear();
   out->columns.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

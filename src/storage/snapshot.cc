@@ -127,6 +127,7 @@ Result<uint64_t> LoadSnapshot(relstore::Database* db,
     }
     uint64_t n_rows;
     if (!GetVarint64(body, &pos, &n_rows)) return corrupt();
+    if (n_rows > body.size() - pos) return corrupt();  // rows are >= 1 byte
     std::vector<relstore::Row> rows;
     rows.reserve(n_rows);
     for (uint64_t r = 0; r < n_rows; ++r) {

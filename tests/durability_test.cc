@@ -5,6 +5,7 @@
 // sweeps (kill at every byte offset, torn records, bit flips at scale)
 // live in crash_recovery_test.cc.
 
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 namespace cpdb {
 namespace {
@@ -203,7 +205,75 @@ TEST(SnapshotTest, ChecksumMismatchIsRejected) {
   EXPECT_TRUE(restored.TableNames().empty());
 }
 
+TEST(SnapshotTest, RowCountPastBodyIsCorrupt) {
+  // A checksum-valid checkpoint of one table whose row count no body of
+  // this size can hold: refused as malformed, never reserved.
+  std::string body(1, '\x01');  // format version
+  PutVarint64(&body, 5);         // seq
+  PutVarint64(&body, 1);         // one table
+  PutLengthPrefixed(&body, "t");
+  storage::EncodeSchema(Schema({{"k", ColumnType::kInt64, false}}), &body);
+  PutVarint64(&body, 0);  // no indexes
+  PutVarint64(&body, uint64_t{1} << 60);
+  std::string file = "CPDBCKPT" + body;
+  const uint32_t crc = Crc32(body);
+  char crc_buf[4];
+  std::memcpy(crc_buf, &crc, 4);
+  file.append(crc_buf, 4);
+
+  TempDir dir("snap_hostile_rows");
+  const std::string path = dir.path() + "/CHECKPOINT";
+  WriteFile(path, file);
+  Database restored("snapdb");
+  auto seq = storage::LoadSnapshot(&restored, path);
+  ASSERT_FALSE(seq.ok());
+  EXPECT_NE(seq.status().ToString().find("malformed"), std::string::npos)
+      << seq.status();
+}
+
+// ----- Log record codecs ---------------------------------------------------
+
+TEST(LogFormatTest, SchemaColumnCountPastInputIsRejected) {
+  std::string in;
+  PutVarint64(&in, uint64_t{1} << 60);
+  size_t pos = 0;
+  Schema schema;
+  EXPECT_FALSE(storage::DecodeSchema(in, &pos, &schema));
+}
+
+TEST(LogFormatTest, IndexDefColumnCountPastInputIsRejected) {
+  std::string in;
+  PutLengthPrefixed(&in, "idx");
+  PutVarint64(&in, uint64_t{1} << 60);
+  size_t pos = 0;
+  relstore::IndexDef def;
+  EXPECT_FALSE(storage::DecodeIndexDef(in, &pos, &def));
+}
+
 // ----- Database Open/Sync/Checkpoint/Close ---------------------------------
+
+TEST(DurableDatabaseTest, WalRowWithHostileColumnCountIsUndecodable) {
+  // A CRC-valid commit record inserting a row image that claims
+  // 0xFFFFFFFF columns: recovery refuses the record with a typed error.
+  std::string payload;
+  PutVarint64(&payload, 1);  // seq
+  PutVarint64(&payload, 1);  // one write
+  payload.push_back(static_cast<char>(storage::LogOp::kInsert));
+  PutLengthPrefixed(&payload, "t");
+  payload.append(4, '\xff');
+  TempDir dir("db_hostile_row");
+  {
+    auto wal = Wal::Open(Durability::WalPath(dir.path()));
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(payload).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  auto db = Database::Open("d", dir.path());
+  ASSERT_FALSE(db.ok());
+  EXPECT_NE(db.status().ToString().find("undecodable commit record"),
+            std::string::npos)
+      << db.status();
+}
 
 TEST(DurableDatabaseTest, SyncedWritesSurviveReopenUnsyncedAreLost) {
   TempDir dir("db_reopen");

@@ -16,6 +16,13 @@
 //    issue O(depth + 1) backend round trips — one batched ancestor
 //    statement plus ceil(rows/batch) fetches of ONE subtree scan — and
 //    never the per-descendant O(n) of the pre-cursor path.
+//
+// A second leg probes GetMod without version trees, the call the server
+// and the benches make, which reads tids straight off the (Loc, Tid)
+// index keys: its answers must equal the tids of the stored records at or
+// under p (plus, for the hierarchical strategies, at p's ancestors), and
+// its CostModel charge must equal whole-record reads of the same two
+// statements.
 
 #include <gtest/gtest.h>
 
@@ -152,6 +159,40 @@ void CheckStrategy(Strategy strategy) {
     if (locs_under.size() > 8) {
       EXPECT_LT(calls, 1 + locs_under.size());
     }
+
+    // ----- versions-free GetMod: tid-only reads -----
+    relstore::CostSnapshot bare_before = s->prov_db->cost().Snap();
+    auto bare = s->editor->query()->GetMod(p);
+    relstore::CostSnapshot bare_after = s->prov_db->cost().Snap();
+    ASSERT_TRUE(bare.ok()) << bare.status();
+    std::set<int64_t> want;
+    for (const ProvRecord& r : *stored) {
+      bool proper_ancestor =
+          r.loc.IsPrefixOf(p) && r.loc != p && r.loc.Depth() >= 2;
+      if (p.IsPrefixOf(r.loc) || (hierarchical && proper_ancestor)) {
+        want.insert(r.tid);
+      }
+    }
+    EXPECT_EQ(*bare, std::vector<int64_t>(want.begin(), want.end()));
+
+    relstore::CostSnapshot drain_before = s->prov_db->cost().Snap();
+    ProvRecord rec;
+    ProvCursor under = s->backend->ScanUnder(p);
+    while (under.Next(&rec)) {
+    }
+    ASSERT_TRUE(under.status().ok()) << under.status();
+    if (hierarchical) {
+      ProvCursor above =
+          s->backend->ScanAtLocOrAncestors(p, /*include_self=*/false);
+      while (above.Next(&rec)) {
+      }
+      ASSERT_TRUE(above.status().ok()) << above.status();
+    }
+    relstore::CostSnapshot drain_after = s->prov_db->cost().Snap();
+    EXPECT_EQ(bare_after.calls - bare_before.calls,
+              drain_after.calls - drain_before.calls);
+    EXPECT_EQ(bare_after.rows - bare_before.rows,
+              drain_after.rows - drain_before.rows);
   }
 }
 

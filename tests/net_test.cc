@@ -304,6 +304,18 @@ TEST(ProtocolTest, TidsDeltaCoding) {
   EXPECT_FALSE(net::DecodeTids("\x05").ok());  // count without payload
 }
 
+TEST(ProtocolTest, TidsCountPastBodyIsInvalidArgument) {
+  // A GETMOD answer body holding only a huge count: every tid takes at
+  // least one byte, so the count is refused before anything is reserved.
+  for (uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 60}) {
+    std::string wire;
+    PutVarint64(&wire, count);
+    auto back = net::DecodeTids(wire);
+    ASSERT_FALSE(back.ok()) << count;
+    EXPECT_TRUE(back.status().IsInvalidArgument()) << back.status();
+  }
+}
+
 // ----- End-to-end over real sockets ------------------------------------------
 
 /// A live server over one (in-memory or durable) store with the same

@@ -46,6 +46,15 @@ TEST(DatumTest, DecodeRejectsTruncation) {
   }
 }
 
+TEST(DatumTest, DecodeRejectsColumnCountPastInput) {
+  // A 4-byte row image claiming 0xFFFFFFFF columns: every datum takes at
+  // least one byte, so the count is refused before anything is reserved.
+  const std::string image(4, '\xff');
+  Row back;
+  size_t pos = 0;
+  EXPECT_FALSE(DecodeRow(image, &pos, &back));
+}
+
 TEST(DatumTest, HashConsistency) {
   EXPECT_EQ(Datum("x").Hash(), Datum("x").Hash());
   EXPECT_NE(Datum("x").Hash(), Datum("y").Hash());
@@ -550,6 +559,103 @@ TEST(TableCursorTest, RejectsBadSpecs) {
   fat.index = "pk";
   fat.eq = {Datum(int64_t{1}), Datum("T/a"), Datum("x")};
   EXPECT_FALSE(t.OpenScan(std::move(fat)).ok());
+}
+
+/// Drains a keys-only scan of `spec`, checking every key has the index's
+/// arity.
+std::vector<Row> DrainKeys(const Table& t, ScanSpec spec) {
+  spec.keys_only = true;
+  auto cur = t.OpenScan(std::move(spec));
+  EXPECT_TRUE(cur.ok()) << cur.status();
+  std::vector<Row> keys;
+  if (!cur.ok()) return keys;
+  Row key;
+  while (cur->Next(&key)) {
+    EXPECT_EQ(key.size(), 2u);
+    keys.push_back(key);
+  }
+  EXPECT_TRUE(cur->status().ok());
+  return keys;
+}
+
+TEST(TableCursorTest, KeysOnlyYieldsIndexKeysInOrder) {
+  Table t = MakeScanTable();
+  ScanSpec eq;
+  eq.index = "loc_tid";
+  eq.eq = {Datum("T/a")};
+  EXPECT_EQ(DrainKeys(t, eq),
+            (std::vector<Row>{{Datum("T/a"), Datum(int64_t{1})},
+                              {Datum("T/a"), Datum(int64_t{2})},
+                              {Datum("T/a"), Datum(int64_t{3})}}));
+
+  ScanSpec prefix;
+  prefix.index = "loc_tid";
+  prefix.prefix = "T/a/";
+  std::vector<Row> want;
+  for (const char* loc : {"T/a/x", "T/a/y"}) {
+    for (int64_t tid = 1; tid <= 3; ++tid) {
+      want.push_back({Datum(loc), Datum(tid)});
+    }
+  }
+  EXPECT_EQ(DrainKeys(t, prefix), want);
+
+  // The primary index yields (Tid, Loc) keys; limit cuts the stream.
+  ScanSpec limited;
+  limited.index = "pk";
+  limited.limit = 2;
+  EXPECT_EQ(DrainKeys(t, limited),
+            (std::vector<Row>{{Datum(int64_t{1}), Datum("T/a")},
+                              {Datum(int64_t{1}), Datum("T/a/x")}}));
+}
+
+TEST(TableCursorTest, KeysOnlyWatermarkSkipsYoungerEntriesFromTheKey) {
+  Table t = MakeScanTable();
+  ScanSpec spec;
+  spec.index = "loc_tid";
+  spec.prefix = "T/a";
+  spec.visible_col = 0;  // Tid: column 0 of the table, 1 of the key
+  spec.visible_max = 2;
+  // A keys-only scan never reads a row, so the bound is decided on the
+  // key: tid 3 is skipped at each of T/a, T/a/x, T/a/y and T/ab.
+  std::vector<Row> want;
+  for (const char* loc : {"T/a", "T/a/x", "T/a/y", "T/ab"}) {
+    for (int64_t tid = 1; tid <= 2; ++tid) {
+      want.push_back({Datum(loc), Datum(tid)});
+    }
+  }
+  EXPECT_EQ(DrainKeys(t, spec), want);
+}
+
+TEST(TableCursorTest, KeysOnlyRejectsFiltersOutsideTheKey) {
+  Table t = MakeScanTable();
+  ScanSpec pred;
+  pred.index = "loc_tid";
+  pred.keys_only = true;
+  pred.predicate = [](const Row&) { return true; };
+  auto with_pred = t.OpenScan(std::move(pred));
+  ASSERT_FALSE(with_pred.ok());
+  EXPECT_TRUE(with_pred.status().IsInvalidArgument()) << with_pred.status();
+
+  ScanSpec non_key;
+  non_key.index = "loc_tid";
+  non_key.keys_only = true;
+  non_key.visible_col = 1;  // Op: not part of (Loc, Tid)
+  auto off_key = t.OpenScan(std::move(non_key));
+  ASSERT_FALSE(off_key.ok());
+  EXPECT_TRUE(off_key.status().IsInvalidArgument()) << off_key.status();
+
+  // A row scan may filter rows, but its bound is still decided on the
+  // key, so it too must name a key column.
+  ScanSpec row_pred;
+  row_pred.index = "loc_tid";
+  row_pred.predicate = [](const Row&) { return true; };
+  EXPECT_TRUE(t.OpenScan(std::move(row_pred)).ok());
+  ScanSpec row_bound;
+  row_bound.index = "loc_tid";
+  row_bound.visible_col = 1;
+  auto row_off_key = t.OpenScan(std::move(row_bound));
+  ASSERT_FALSE(row_off_key.ok());
+  EXPECT_TRUE(row_off_key.status().IsInvalidArgument());
 }
 
 TEST(TableMultiGetTest, ResolvesBatchGroupedByKeyOrder) {

@@ -502,6 +502,18 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
       EXPECT_TRUE((*got)[i] == (*want)[i])
           << "record " << i << " diverged at watermark " << watermark;
     }
+
+    // GetMod reads tids off the index keys, so the watermark is decided
+    // on the key: rows committed after the pin must still be skipped.
+    for (const char* at : {"T", "T/w0", "T/w1", "T/w2"}) {
+      const Path p = Path::MustParse(at);
+      auto got_mod = reader->query()->GetMod(p);
+      auto want_mod = (*oracle_ed)->query()->GetMod(p);
+      ASSERT_TRUE(got_mod.ok()) << got_mod.status();
+      ASSERT_TRUE(want_mod.ok()) << want_mod.status();
+      EXPECT_EQ(*got_mod, *want_mod)
+          << "GetMod(" << at << ") diverged at watermark " << watermark;
+    }
   }
   for (auto& reader : pinned) rig.pool->Release(std::move(reader));
 }
