@@ -6,7 +6,8 @@
 // well under 5s) and, under the asan preset, as the memory-safety probe.
 //
 // Flags: --n=<keys> (default 1000000), --mode=forward|reverse|random,
-//        --bulk (build via BulkLoad instead of per-key Insert),
+//        --bulk (build with one BulkUpsert into the empty tree instead
+//        of per-key Insert),
 //        --seed=<seed> (random mode shuffle),
 //        --json=<path> (machine-readable report, harness schema).
 
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < n; ++i) {
       items.emplace_back(Row{Datum(static_cast<int64_t>(i))}, Rid{0, 0});
     }
-    bt.BulkLoad(std::move(items));
+    bt.BulkUpsert(std::move(items));
   } else {
     for (size_t i = 0; i < n; ++i) {
       bt.Insert({Datum(static_cast<int64_t>(i))}, Rid{0, 0});

@@ -60,6 +60,7 @@ void BM_BTreeInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeInsert);
 
+// Bulk load: one BulkUpsert into an empty tree packs it into full leaves.
 void BM_BTreeBulkLoad(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<std::pair<relstore::Row, relstore::Rid>> items;
@@ -72,10 +73,10 @@ void BM_BTreeBulkLoad(benchmark::State& state) {
   }
   for (auto _ : state) {
     state.PauseTiming();
-    auto batch = items;  // BulkLoad consumes its argument
+    auto batch = items;  // BulkUpsert consumes its argument
     auto bt = std::make_unique<relstore::BTree>();
     state.ResumeTiming();
-    bt->BulkLoad(std::move(batch));
+    bt->BulkUpsert(std::move(batch));
     benchmark::DoNotOptimize(bt->size());
     state.PauseTiming();
     bt.reset();  // teardown untimed
@@ -112,9 +113,9 @@ void BM_TableInsertIndexed(benchmark::State& state) {
                            {"Loc", relstore::ColumnType::kString, false},
                            {"Src", relstore::ColumnType::kString, true}});
   relstore::Table table("Prov", schema);
-  (void)table.CreateIndex("pk", {0, 2}, relstore::IndexKind::kBTree, true);
-  (void)table.CreateIndex("loc", {2}, relstore::IndexKind::kBTree);
-  (void)table.CreateIndex("tid", {0}, relstore::IndexKind::kHash);
+  // ProvBackend's two indexes.
+  (void)table.CreateIndex("pk_tid_loc", {0, 2}, /*unique=*/true);
+  (void)table.CreateIndex("idx_loc_tid", {2, 0});
   int64_t i = 0;
   for (auto _ : state) {
     (void)table.Insert({relstore::Datum(i), relstore::Datum("C"),

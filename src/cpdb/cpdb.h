@@ -53,12 +53,12 @@
 ///   editor->ApplyUpdate(u);            // N/H: the same flush, batch of 1
 ///   editor->Commit();                  // T/HT: same, per transaction
 ///
-/// relstore::WriteBatch + Table::ApplyBatch is the storage statement
-/// (validated up front, indexes fed one sorted run per batch via
-/// BTree::BulkUpsert); wrap::TargetDb::ApplyBatch ships a committed
-/// transaction's native writes in one modelled call; provenance::
-/// ProvStore::TrackBatch group-commits a staged script with per-op
-/// semantics (tids, records, and H's per-insert probe) unchanged.
+/// relstore::Table::InsertBatch is the storage statement (insert-only,
+/// as provenance is append-only; validated up front, indexes fed one
+/// sorted run per batch via BTree::BulkUpsert); wrap::TargetDb::ApplyBatch
+/// ships a committed transaction's native writes in one modelled call;
+/// provenance::ProvStore::TrackBatch group-commits a staged script with
+/// per-op semantics (tids, records, and H's per-insert probe) unchanged.
 ///
 /// Migration note (writes): ProvStore::TrackBatch is the only tracking
 /// call and TargetDb::ApplyBatch the only native write call; both are

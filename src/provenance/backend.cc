@@ -23,15 +23,14 @@ namespace {
 constexpr size_t kTidInLocKey = 1;
 
 /// True if the table carries an index matching `want` exactly — name,
-/// columns, kind, and uniqueness. Name alone is not enough: a foreign
-/// index merely NAMED pk_tid_loc would silently break the unique-key and
+/// columns, and uniqueness. Name alone is not enough: a foreign index
+/// merely NAMED pk_tid_loc would silently break the unique-key and
 /// cursor-ordering contracts.
 bool HasIndex(const relstore::Table& table,
               const relstore::IndexDef& want) {
   for (const relstore::IndexDef& def : table.IndexDefs()) {
     if (def.name == want.name) {
-      return def.columns == want.columns && def.kind == want.kind &&
-             def.unique == want.unique;
+      return def.columns == want.columns && def.unique == want.unique;
     }
   }
   return false;
@@ -81,16 +80,11 @@ ProvBackend::ProvBackend(relstore::Database* db, bool use_indexes)
   if (existing_prov.ok()) {
     prov_ = existing_prov.value();
     CheckAdopted(prov_->schema() == prov_schema, "Prov schema mismatch");
-    CheckAdopted(HasIndex(*prov_, {"pk_tid_loc",
-                                   {0, 2},
-                                   relstore::IndexKind::kBTree,
-                                   /*unique=*/true}),
+    CheckAdopted(HasIndex(*prov_, {"pk_tid_loc", {0, 2}, /*unique=*/true}),
                  "Prov pk_tid_loc missing or mismatched");
-    CheckAdopted(HasIndex(*prov_, {"idx_loc_tid",
-                                   {2, 0},
-                                   relstore::IndexKind::kBTree,
-                                   /*unique=*/false}),
-                 "Prov idx_loc_tid missing or mismatched");
+    CheckAdopted(
+        HasIndex(*prov_, {"idx_loc_tid", {2, 0}, /*unique=*/false}),
+        "Prov idx_loc_tid missing or mismatched");
   } else {
     auto prov = db_->CreateTable(kProvTable, std::move(prov_schema));
     assert(prov.ok());
@@ -99,12 +93,9 @@ ProvBackend::ProvBackend(relstore::Database* db, bool use_indexes)
     // the "natural candidates for indexing" the paper names. Both indexes
     // carry the full key so every cursor's ordering is deterministic: the
     // primary yields (Tid, Loc), the secondary (Loc, Tid).
-    Status st = prov_->CreateIndex("pk_tid_loc", {0, 2},
-                                   relstore::IndexKind::kBTree,
-                                   /*unique=*/true);
+    Status st = prov_->CreateIndex("pk_tid_loc", {0, 2}, /*unique=*/true);
     assert(st.ok());
-    st = prov_->CreateIndex("idx_loc_tid", {2, 0},
-                            relstore::IndexKind::kBTree);
+    st = prov_->CreateIndex("idx_loc_tid", {2, 0});
     assert(st.ok());
     (void)st;
   }
@@ -117,17 +108,13 @@ ProvBackend::ProvBackend(relstore::Database* db, bool use_indexes)
   if (existing_meta.ok()) {
     meta_ = existing_meta.value();
     CheckAdopted(meta_->schema() == meta_schema, "TxnMeta schema mismatch");
-    CheckAdopted(
-        HasIndex(*meta_,
-                 {"pk_tid", {0}, relstore::IndexKind::kBTree, true}),
-        "TxnMeta pk_tid missing or mismatched");
+    CheckAdopted(HasIndex(*meta_, {"pk_tid", {0}, /*unique=*/true}),
+                 "TxnMeta pk_tid missing or mismatched");
   } else {
     auto meta = db_->CreateTable(kMetaTable, std::move(meta_schema));
     assert(meta.ok());
     meta_ = meta.value();
-    Status st = meta_->CreateIndex("pk_tid", {0},
-                                   relstore::IndexKind::kBTree,
-                                   /*unique=*/true);
+    Status st = meta_->CreateIndex("pk_tid", {0}, /*unique=*/true);
     assert(st.ok());
     (void)st;
   }
@@ -226,16 +213,17 @@ bool ProvCursor::Next(ProvRecord* rec) {
 
 Status ProvBackend::WriteRecords(const std::vector<ProvRecord>& records) {
   MutexLock write_gate(*write_mu_);
-  relstore::WriteBatch batch;
+  std::vector<Row> rows;
+  rows.reserve(records.size());
   size_t bytes = 0;
   for (const ProvRecord& rec : records) {
-    batch.Insert(ToRow(rec));
+    rows.push_back(ToRow(rec));
     bytes += ApproxBytes(rec);
   }
   // One statement, validated up front: a duplicate {Tid, Loc} rejects the
-  // whole batch with nothing written (the pre-batch path left a partial
-  // insert prefix behind). Each index absorbs the batch as one sorted run.
-  CPDB_RETURN_IF_ERROR(prov_->ApplyBatch(batch).status());
+  // whole batch with nothing written. Each index absorbs the batch as one
+  // sorted run.
+  CPDB_RETURN_IF_ERROR(prov_->InsertBatch(rows));
   sink_->ChargeWrite(records.size(), bytes);
   return Status::OK();
 }
@@ -338,24 +326,22 @@ Result<std::vector<ProvRecord>> ProvBackend::LookupMany(
     // session knows its watermark), so no round trip is issued.
     return out;
   }
-  std::vector<Row> keys;
-  keys.reserve(locs.size());
-  for (const tree::Path& loc : locs) {
-    keys.push_back(Row{Datum(tid), Datum(loc.ToString())});
-  }
+  // One statement: every point lookup rides the single charge below.
   Status inner = Status::OK();
-  CPDB_RETURN_IF_ERROR(prov_->MultiGet(
-      "pk_tid_loc", keys,
-      [&](size_t, const relstore::Rid&, const Row& row) {
-        auto rec = FromRow(row);
-        if (!rec.ok()) {
-          inner = rec.status();
-          return false;
-        }
-        out.push_back(std::move(rec).value());
-        return true;
-      }));
-  CPDB_RETURN_IF_ERROR(inner);
+  auto collect = [&](const relstore::Rid&, const Row& row) {
+    auto rec = FromRow(row);
+    if (!rec.ok()) {
+      inner = rec.status();
+      return false;
+    }
+    out.push_back(std::move(rec).value());
+    return true;
+  };
+  for (const tree::Path& loc : locs) {
+    CPDB_RETURN_IF_ERROR(prov_->LookupEq(
+        "pk_tid_loc", Row{Datum(tid), Datum(loc.ToString())}, collect));
+    CPDB_RETURN_IF_ERROR(inner);
+  }
   sink_->ChargeCall(use_indexes_ ? out.size() : prov_->RowCount());
   return out;
 }

@@ -174,7 +174,7 @@ class ProvBackend {
   // ----- Writes (one round trip each) -------------------------------------
 
   /// Appends records in one client call — a single batched statement
-  /// (Table::ApplyBatch) whose rows ride one modelled write round trip,
+  /// (Table::InsertBatch) whose rows ride one modelled write round trip,
   /// charged on the write-side counters. Fails atomically if any
   /// {Tid, Loc} repeats: nothing is written. Group commit (ProvStore::
   /// TrackBatch, TxnStore::Commit) funnels a whole transaction's or

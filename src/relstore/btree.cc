@@ -246,17 +246,6 @@ void BTree::MergeChildren(Node* parent, size_t left_idx) {
   parent->children.erase(parent->children.begin() + left_idx + 1);
 }
 
-void BTree::BulkLoad(std::vector<std::pair<Row, Rid>> items) {
-  Check(size_ == 0, "BulkLoad requires an empty tree");
-  std::vector<Entry> entries;
-  entries.reserve(items.size());
-  for (auto& [key, rid] : items) entries.push_back(Entry{std::move(key), rid});
-  std::sort(entries.begin(), entries.end(), EntryLess);
-  entries.erase(std::unique(entries.begin(), entries.end(), EntryEq),
-                entries.end());
-  BuildFromSorted(std::move(entries));
-}
-
 size_t BTree::BulkUpsert(std::vector<std::pair<Row, Rid>> items) {
   std::vector<Entry> run;
   run.reserve(items.size());
@@ -282,15 +271,14 @@ size_t BTree::BulkUpsert(std::vector<std::pair<Row, Rid>> items) {
     return added;
   }
   // Large run: one linear merge of the leaf chain with the sorted run,
-  // rebuilt through the BulkLoad packer — O(n + k) instead of k descents.
+  // rebuilt through the packer — O(n + k) instead of k descents.
   std::vector<Entry> merged;
   merged.reserve(size_ + run.size());
   std::vector<Entry> existing;
   existing.reserve(size_);
-  ScanAll([&](const Row& key, const Rid& rid) {
-    existing.push_back(Entry{key, rid});
-    return true;
-  });
+  for (Cursor cur = SeekFirst(); cur.Valid(); cur.Advance()) {
+    existing.push_back(Entry{cur.key(), cur.rid()});
+  }
   size_t before = existing.size();
   std::merge(std::make_move_iterator(existing.begin()),
              std::make_move_iterator(existing.end()),
@@ -426,30 +414,6 @@ BTree::Cursor BTree::Seek(const Row& lo) const {
     cur.idx_ = 0;
   }
   return cur;
-}
-
-void BTree::LookupEq(
-    const Row& key,
-    const std::function<bool(const Row&, const Rid&)>& fn) const {
-  ScanFrom(key, [&](const Row& k, const Rid& rid) {
-    if (RowLess(key, k)) return false;  // past the key
-    return fn(k, rid);
-  });
-}
-
-void BTree::ScanFrom(
-    const Row& lo,
-    const std::function<bool(const Row&, const Rid&)>& fn) const {
-  for (Cursor cur = Seek(lo); cur.Valid(); cur.Advance()) {
-    if (!fn(cur.key(), cur.rid())) return;
-  }
-}
-
-void BTree::ScanAll(
-    const std::function<bool(const Row&, const Rid&)>& fn) const {
-  for (Cursor cur = SeekFirst(); cur.Valid(); cur.Advance()) {
-    if (!fn(cur.key(), cur.rid())) return;
-  }
 }
 
 size_t BTree::Height() const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -41,18 +40,13 @@ class BTree {
   /// Removes (key, rid); returns false if not present.
   bool Erase(const Row& key, const Rid& rid);
 
-  /// Builds the tree from `items` in one pass, replacing incremental
-  /// insertion for initial loads (workload generators, storage benches).
-  /// The tree must be empty. Input need not be sorted; exact duplicate
-  /// (key, rid) pairs are dropped, matching Insert semantics. Leaves are
-  /// packed full, so the result is the minimum-height tree for the data.
-  void BulkLoad(std::vector<std::pair<Row, Rid>> items);
-
   /// Sorted-run bulk insert into a possibly non-empty tree; (key, rid)
   /// pairs already present are ignored (Insert semantics). Returns the
   /// number of entries actually added. Input need not be sorted. The
-  /// batched write path (Table::ApplyBatch) feeds each index exactly one
-  /// run per batch: small runs take ordered per-key descents, runs large
+  /// batched write path (Table::InsertBatch) feeds each index exactly one
+  /// run per batch: into an empty tree the run is packed into full leaves
+  /// (the minimum-height tree for the data — initial loads and checkpoint
+  /// restores), small runs take ordered per-key descents, and runs large
   /// relative to the tree take a single leaf-chain merge + rebuild
   /// (O(n + k) instead of k descents). Invalidates all cursors.
   size_t BulkUpsert(std::vector<std::pair<Row, Rid>> items);
@@ -62,7 +56,7 @@ class BTree {
   /// full traversal touches each leaf exactly once with no re-descent.
   ///
   /// Consistency contract: a cursor is a borrowed position inside the
-  /// tree. Any mutation (Insert, Erase, BulkLoad) invalidates every
+  /// tree. Any mutation (Insert, Erase, BulkUpsert) invalidates every
   /// outstanding cursor; advancing or dereferencing one afterwards is
   /// undefined. Scans in this codebase never interleave with writes to
   /// the same index (single-writer, read-then-write phases), which is the
@@ -94,20 +88,9 @@ class BTree {
   Cursor SeekLast() const;
 
   /// Cursor on the first entry with key >= `lo` (ties resolved to the
-  /// smallest rid); invalid if no such entry exists.
+  /// smallest rid); invalid if no such entry exists. The entries equal to
+  /// a full-arity `lo` are the run from here while !RowLess(lo, key()).
   Cursor Seek(const Row& lo) const;
-
-  /// Calls `fn(key, rid)` for all entries with key == `key`.
-  void LookupEq(const Row& key,
-                const std::function<bool(const Row&, const Rid&)>& fn) const;
-
-  /// Calls `fn` for all entries with lo <= key, in order, until `fn`
-  /// returns false. With `lo` empty, scans from the smallest key.
-  void ScanFrom(const Row& lo,
-                const std::function<bool(const Row&, const Rid&)>& fn) const;
-
-  /// Calls `fn` for all entries, in key order, until `fn` returns false.
-  void ScanAll(const std::function<bool(const Row&, const Rid&)>& fn) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

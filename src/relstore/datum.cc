@@ -136,15 +136,6 @@ std::string RowToString(const Row& row) {
   return out;
 }
 
-size_t HashRow(const Row& row) {
-  size_t h = 14695981039346656037ULL;
-  for (const Datum& d : row) {
-    h ^= d.Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 bool RowLess(const Row& a, const Row& b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }

@@ -44,7 +44,7 @@ class Datum {
   bool operator<(const Datum& o) const { return v_ < o.v_; }
   bool operator<=(const Datum& o) const { return !(o < *this); }
 
-  /// FNV-1a hash for hash indexes / hash joins.
+  /// FNV-1a hash of the typed value.
   size_t Hash() const;
 
   /// Appends a length-prefixed binary encoding to `out`.
@@ -64,7 +64,6 @@ std::ostream& operator<<(std::ostream& os, const Datum& d);
 using Row = std::vector<Datum>;
 
 std::string RowToString(const Row& row);
-size_t HashRow(const Row& row);
 
 /// Lexicographic row comparison.
 bool RowLess(const Row& a, const Row& b);

@@ -8,17 +8,14 @@
 
 namespace cpdb::relstore {
 
-/// Index implementation selector. Lives here (not table.h) so the journal
-/// interface below can describe index DDL without depending on Table.
-enum class IndexKind { kBTree, kHash };
-
-/// Declarative description of one secondary index — what Table::CreateIndex
-/// takes apart, and what checkpoints and the write-ahead log persist so a
-/// recovered table rebuilds the same access paths.
+/// Declarative description of one secondary index (always a B+-tree) —
+/// what Table::CreateIndex takes apart, and what checkpoints and the
+/// write-ahead log persist so a recovered table rebuilds the same access
+/// paths. Lives here (not table.h) so the journal interface below can
+/// describe index DDL without depending on Table.
 struct IndexDef {
   std::string name;
   std::vector<int> columns;  ///< key columns, by schema position
-  IndexKind kind = IndexKind::kBTree;
   bool unique = false;
 };
 
@@ -30,9 +27,10 @@ struct IndexDef {
 /// log record on Database::Sync() (group commit).
 ///
 /// Deletes are journalled by full row image, not Rid: checkpoints restore
-/// tables via BulkLoad, which repacks the heap, so Rids are not stable
-/// across recovery. Replaying "delete one row equal to R" reproduces the
-/// logical state exactly (identical rows are interchangeable).
+/// each table with one InsertBatch into the empty table, which repacks the
+/// heap, so Rids are not stable across recovery. Replaying "delete one row
+/// equal to R" reproduces the logical state exactly (identical rows are
+/// interchangeable).
 ///
 /// Note* must not fail and must not re-enter the table; implementations
 /// only buffer. In-memory databases have no journal attached and pay a

@@ -40,7 +40,7 @@ Status Durability::ApplyWrite(const LogWrite& w) {
       CPDB_ASSIGN_OR_RETURN(relstore::Table * table,
                             db_->GetTable(w.table));
       return table->CreateIndex(w.index.name, w.index.columns,
-                                w.index.kind, w.index.unique);
+                                w.index.unique);
     }
     case LogOp::kInsert: {
       CPDB_ASSIGN_OR_RETURN(relstore::Table * table,

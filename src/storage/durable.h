@@ -42,15 +42,15 @@ struct DurabilityStats {
 /// the buffer into ONE CommitRecord (seq = ++last_seq), appends it as one
 /// framed log record, and fsyncs — one fsync per committed transaction
 /// regardless of how many tables or rows it touched, the write-side twin
-/// of the batched WriteBatch/TrackBatch path it rides on.
+/// of the batched InsertBatch/TrackBatch path it rides on.
 ///
-/// Recovery (inside Attach): load CHECKPOINT if present (tables rebuilt
-/// via BulkLoad), then replay wal.log in order, skipping records whose
-/// seq <= the checkpoint's (the crash window between writing a checkpoint
-/// and truncating the log) and truncating any torn or corrupt tail back
-/// to the last committed transaction. Because data tables and provenance
-/// tables share the Database — and therefore the log — both recover to
-/// the same committed transaction, always.
+/// Recovery (inside Attach): load CHECKPOINT if present (each table
+/// rebuilt by one InsertBatch), then replay wal.log in order, skipping
+/// records whose seq <= the checkpoint's (the crash window between
+/// writing a checkpoint and truncating the log) and truncating any torn
+/// or corrupt tail back to the last committed transaction. Because data
+/// tables and provenance tables share the Database — and therefore the
+/// log — both recover to the same committed transaction, always.
 ///
 /// Thread safety: internally synchronized. The pending-note buffer, the
 /// sticky failure, the stats, and the log handle are all GUARDED_BY one

@@ -1,5 +1,7 @@
 #include "storage/log_format.h"
 
+#include <limits>
+
 #include "util/crc32.h"
 
 namespace cpdb::storage {
@@ -43,7 +45,7 @@ void EncodeIndexDef(const relstore::IndexDef& def, std::string* out) {
   PutLengthPrefixed(out, def.name);
   PutVarint64(out, def.columns.size());
   for (int c : def.columns) PutVarint64(out, static_cast<uint64_t>(c));
-  out->push_back(def.kind == relstore::IndexKind::kBTree ? 0 : 1);
+  out->push_back(0);  // kind: B+-tree
   out->push_back(def.unique ? 1 : 0);
 }
 
@@ -58,11 +60,13 @@ bool DecodeIndexDef(const std::string& in, size_t* pos,
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t c;
     if (!GetVarint64(in, pos, &c)) return false;
+    if (c > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return false;
+    }
     out->columns.push_back(static_cast<int>(c));
   }
   if (*pos + 2 > in.size()) return false;
-  out->kind = in[*pos] == 0 ? relstore::IndexKind::kBTree
-                            : relstore::IndexKind::kHash;
+  if (static_cast<uint8_t>(in[*pos]) > 1) return false;  // 0 btree, 1 hash
   out->unique = in[*pos + 1] != 0;
   *pos += 2;
   return true;

@@ -53,6 +53,11 @@ struct CommitRecord {
 void EncodeSchema(const relstore::Schema& schema, std::string* out);
 bool DecodeSchema(const std::string& in, size_t* pos,
                   relstore::Schema* out);
+/// An index definition is name(lp) | n_columns | columns | kind | unique.
+/// The kind byte is always written as 0 (B+-tree); stores from before
+/// every index was a B+-tree may carry 1 (hash), which decodes as a
+/// B+-tree too. Any other kind byte, or a column past the int range, is
+/// malformed.
 void EncodeIndexDef(const relstore::IndexDef& def, std::string* out);
 bool DecodeIndexDef(const std::string& in, size_t* pos,
                     relstore::IndexDef* out);

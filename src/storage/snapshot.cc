@@ -123,7 +123,7 @@ Result<uint64_t> LoadSnapshot(relstore::Database* db,
       relstore::IndexDef def;
       if (!DecodeIndexDef(body, &pos, &def)) return corrupt();
       CPDB_RETURN_IF_ERROR(
-          table->CreateIndex(def.name, def.columns, def.kind, def.unique));
+          table->CreateIndex(def.name, def.columns, def.unique));
     }
     uint64_t n_rows;
     if (!GetVarint64(body, &pos, &n_rows)) return corrupt();
@@ -135,7 +135,7 @@ Result<uint64_t> LoadSnapshot(relstore::Database* db,
       if (!relstore::DecodeRow(body, &pos, &row)) return corrupt();
       rows.push_back(std::move(row));
     }
-    CPDB_RETURN_IF_ERROR(table->BulkLoad(rows).status());
+    CPDB_RETURN_IF_ERROR(table->InsertBatch(rows));
   }
   if (pos != body.size()) return corrupt();
   return seq;

@@ -21,8 +21,8 @@ namespace cpdb::storage {
 /// `path`, so a crash mid-checkpoint leaves the previous checkpoint
 /// intact (rename is atomic on POSIX). LoadSnapshot verifies the CRC
 /// before touching the database and restores each table with one
-/// Table::BulkLoad (B+-trees built by sorted bulk load, not per-row
-/// inserts).
+/// Table::InsertBatch into the empty table (B+-trees packed from one
+/// sorted run, not per-row inserts).
 Status WriteSnapshot(const relstore::Database& db, uint64_t seq,
                      const std::string& path);
 

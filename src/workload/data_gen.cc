@@ -85,8 +85,7 @@ Result<std::string> FillOrganelleRelational(relstore::Database* db,
                            {"species", ColumnType::kString, false}});
   CPDB_ASSIGN_OR_RETURN(relstore::Table * table,
                         db->CreateTable("organelle", schema));
-  CPDB_RETURN_IF_ERROR(table->CreateIndex(
-      "pk_id", {0}, relstore::IndexKind::kBTree, /*unique=*/true));
+  CPDB_RETURN_IF_ERROR(table->CreateIndex("pk_id", {0}, /*unique=*/true));
   std::vector<relstore::Row> batch;
   batch.reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
@@ -95,7 +94,7 @@ Result<std::string> FillOrganelleRelational(relstore::Database* db,
                      Datum(std::string(kOrganelles[rng.NextBelow(10)])),
                      Datum(std::string(kSpecies[rng.NextBelow(6)]))});
   }
-  CPDB_RETURN_IF_ERROR(table->BulkLoad(batch).status());
+  CPDB_RETURN_IF_ERROR(table->InsertBatch(batch));
   return std::string("organelle");
 }
 

@@ -15,19 +15,15 @@ using relstore::Table;
 
 namespace {
 
-/// The name of `table`'s key index: a unique B-tree index on exactly
-/// column 0.
+/// The name of `table`'s key index: a unique index on exactly column 0.
 Result<std::string> KeyIndex(const Table& table) {
   for (const relstore::IndexDef& def : table.IndexDefs()) {
-    if (def.unique && def.kind == relstore::IndexKind::kBTree &&
-        def.columns == std::vector<int>{0}) {
-      return def.name;
-    }
+    if (def.unique && def.columns == std::vector<int>{0}) return def.name;
   }
   return Status::FailedPrecondition(
       "table '" + table.name() +
-      "' has no key index (a unique B-tree index on its identifier "
-      "column, column 0)");
+      "' has no key index (a unique index on its identifier column, "
+      "column 0)");
 }
 
 /// The identifier a tuple label names: the label parsed by the type of
@@ -73,8 +69,7 @@ Status RelationalTargetDb::CheckKeyIndexes() const {
 }
 
 Status RelationalTargetDb::CreateKeyIndex(Table* table) {
-  return table->CreateIndex("pk_id", {0}, relstore::IndexKind::kBTree,
-                            /*unique=*/true);
+  return table->CreateIndex("pk_id", {0}, /*unique=*/true);
 }
 
 Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {

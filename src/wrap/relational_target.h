@@ -24,8 +24,8 @@ namespace cpdb::wrap {
 /// nesting, unknown fields) fail with NotSupported/InvalidArgument —
 /// mirroring a real wrapper's schema mapping limits.
 ///
-/// Every wrapped table carries its *key index*: a unique B-tree index on
-/// exactly column 0, created together with the table. Replay finds the
+/// Every wrapped table carries its *key index*: a unique index on exactly
+/// column 0, created together with the table. Replay finds the
 /// tuple `tid` with one descent of it: the label is parsed by the
 /// identifier's column type and names the tuple whose identifier renders
 /// to exactly that label, so an int64 `042` names no tuple. A racing

@@ -16,16 +16,39 @@ namespace {
 Row K(const std::string& s) { return Row{Datum(s)}; }
 Row K(int64_t i) { return Row{Datum(i)}; }
 
+/// Every entry in (key, rid) order, walked with a cursor.
+std::vector<std::pair<Row, Rid>> Entries(const BTree& bt) {
+  std::vector<std::pair<Row, Rid>> out;
+  for (BTree::Cursor cur = bt.SeekFirst(); cur.Valid(); cur.Advance()) {
+    out.emplace_back(cur.key(), cur.rid());
+  }
+  return out;
+}
+
+/// (int key, rid slot) of every entry, in order.
+std::vector<std::pair<int64_t, uint16_t>> IntEntries(const BTree& bt) {
+  std::vector<std::pair<int64_t, uint16_t>> out;
+  for (const auto& [key, rid] : Entries(bt)) {
+    out.emplace_back(key[0].AsInt(), rid.slot);
+  }
+  return out;
+}
+
+/// Rids of the entries whose key equals `key`, in rid order.
+std::vector<Rid> Lookup(const BTree& bt, const Row& key) {
+  std::vector<Rid> out;
+  for (BTree::Cursor cur = bt.Seek(key);
+       cur.Valid() && !RowLess(key, cur.key()); cur.Advance()) {
+    out.push_back(cur.rid());
+  }
+  return out;
+}
+
 TEST(BTreeTest, EmptyTree) {
   BTree bt;
   EXPECT_TRUE(bt.empty());
   EXPECT_EQ(bt.Height(), 1u);
-  size_t n = 0;
-  bt.ScanAll([&](const Row&, const Rid&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(Entries(bt).empty());
 }
 
 TEST(BTreeTest, InsertAndLookup) {
@@ -33,24 +56,13 @@ TEST(BTreeTest, InsertAndLookup) {
   bt.Insert(K("b"), Rid{0, 1});
   bt.Insert(K("a"), Rid{0, 2});
   bt.Insert(K("c"), Rid{0, 3});
-  std::vector<Rid> found;
-  bt.LookupEq(K("a"), [&](const Row&, const Rid& rid) {
-    found.push_back(rid);
-    return true;
-  });
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0], (Rid{0, 2}));
+  EXPECT_EQ(Lookup(bt, K("a")), (std::vector<Rid>{Rid{0, 2}}));
 }
 
 TEST(BTreeTest, DuplicateKeysAllSurface) {
   BTree bt;
   for (uint16_t i = 0; i < 10; ++i) bt.Insert(K("dup"), Rid{0, i});
-  size_t n = 0;
-  bt.LookupEq(K("dup"), [&](const Row&, const Rid&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 10u);
+  EXPECT_EQ(Lookup(bt, K("dup")).size(), 10u);
   // Exact duplicate (key, rid) pairs are idempotent.
   bt.Insert(K("dup"), Rid{0, 3});
   EXPECT_EQ(bt.size(), 10u);
@@ -62,10 +74,7 @@ TEST(BTreeTest, OrderedScan) {
     bt.Insert(K("k" + std::to_string(1000 + i)), Rid{0, 0});
   }
   std::vector<std::string> keys;
-  bt.ScanAll([&](const Row& k, const Rid&) {
-    keys.push_back(k[0].AsString());
-    return true;
-  });
+  for (const auto& [key, rid] : Entries(bt)) keys.push_back(key[0].AsString());
   ASSERT_EQ(keys.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_GT(bt.Height(), 1u);  // must actually have split
@@ -77,10 +86,10 @@ TEST(BTreeTest, ScanFromStartsAtLowerBound) {
     bt.Insert(K(int64_t{i * 2}), Rid{0, 0});  // even keys
   }
   std::vector<int64_t> seen;
-  bt.ScanFrom(K(int64_t{51}), [&](const Row& k, const Rid&) {
-    seen.push_back(k[0].AsInt());
-    return seen.size() < 3;
-  });
+  for (BTree::Cursor cur = bt.Seek(K(int64_t{51}));
+       cur.Valid() && seen.size() < 3; cur.Advance()) {
+    seen.push_back(cur.key()[0].AsInt());
+  }
   EXPECT_EQ(seen, (std::vector<int64_t>{52, 54, 56}));
 }
 
@@ -90,12 +99,7 @@ TEST(BTreeTest, EraseRemovesSpecificEntry) {
   bt.Insert(K("a"), Rid{0, 2});
   EXPECT_TRUE(bt.Erase(K("a"), Rid{0, 1}));
   EXPECT_FALSE(bt.Erase(K("a"), Rid{0, 1}));  // already gone
-  size_t n = 0;
-  bt.LookupEq(K("a"), [&](const Row&, const Rid&) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 1u);
+  EXPECT_EQ(Lookup(bt, K("a")), (std::vector<Rid>{Rid{0, 2}}));
 }
 
 // Property sweep: random interleaved inserts/erases stay consistent with
@@ -124,10 +128,9 @@ TEST_P(BTreeRandomTest, MatchesReferenceModel) {
 
   // Full ordered scan equals the model's ordering.
   std::vector<std::pair<std::string, uint16_t>> scanned;
-  bt.ScanAll([&](const Row& k, const Rid& rid) {
-    scanned.emplace_back(k[0].AsString(), rid.slot);
-    return true;
-  });
+  for (const auto& [key, rid] : Entries(bt)) {
+    scanned.emplace_back(key[0].AsString(), rid.slot);
+  }
   std::vector<std::pair<std::string, uint16_t>> expected(model.begin(),
                                                          model.end());
   ASSERT_EQ(scanned, expected);
@@ -136,10 +139,7 @@ TEST_P(BTreeRandomTest, MatchesReferenceModel) {
   for (int i = 0; i < 50; ++i) {
     std::string key = "k" + std::to_string(rng.NextBelow(500));
     std::set<uint16_t> got;
-    bt.LookupEq(K(key), [&](const Row&, const Rid& rid) {
-      got.insert(rid.slot);
-      return true;
-    });
+    for (const Rid& rid : Lookup(bt, K(key))) got.insert(rid.slot);
     std::set<uint16_t> want;
     for (uint16_t s = 0; s < 4; ++s) {
       if (model.count({key, s}) > 0) want.insert(s);
@@ -210,35 +210,36 @@ TEST(BTreeTest, PartialDrainKeepsRemainderScannable) {
   }
   bt.CheckInvariants();
   int64_t expect = 1;
-  bt.ScanAll([&](const Row& k, const Rid&) {
-    EXPECT_EQ(k[0].AsInt(), expect);
+  for (const auto& entry : IntEntries(bt)) {
+    EXPECT_EQ(entry.first, expect);
     expect += 2;
-    return true;
-  });
+  }
   EXPECT_EQ(expect, 10001);
 }
 
 TEST(BTreeTest, BulkLoadMatchesIncremental) {
-  // Unsorted input with exact (key, rid) duplicates: bulk load must sort,
-  // drop duplicates, and produce the same contents as Insert would.
+  // Unsorted input with exact (key, rid) duplicates: a bulk upsert into
+  // the empty tree must sort, drop duplicates, and produce the same
+  // contents as Insert would.
   std::vector<std::pair<Row, Rid>> items;
   for (int i = 9999; i >= 0; --i) {
     items.emplace_back(K(int64_t{i}), Rid{0, static_cast<uint16_t>(i % 3)});
   }
   items.emplace_back(K(int64_t{1234}), Rid{0, 1});  // duplicate of i=1234
+  BTree incremental;
+  for (const auto& [key, rid] : items) incremental.Insert(key, rid);
   BTree bt;
-  bt.BulkLoad(items);
+  EXPECT_EQ(bt.BulkUpsert(items), 10000u);
   EXPECT_EQ(bt.size(), 10000u);
   bt.CheckInvariants();
-  // Packed leaves give the minimum height for the data.
   EXPECT_GT(bt.Height(), 1u);
+  EXPECT_EQ(Entries(bt), Entries(incremental));
   int64_t expect = 0;
-  bt.ScanAll([&](const Row& k, const Rid& rid) {
-    EXPECT_EQ(k[0].AsInt(), expect);
-    EXPECT_EQ(rid.slot, static_cast<uint16_t>(expect % 3));
+  for (const auto& [key, slot] : IntEntries(bt)) {
+    EXPECT_EQ(key, expect);
+    EXPECT_EQ(slot, static_cast<uint16_t>(expect % 3));
     ++expect;
-    return true;
-  });
+  }
   EXPECT_EQ(expect, 10000);
 }
 
@@ -276,14 +277,9 @@ TEST(BTreeTest, BulkUpsertMergesIntoLiveTree) {
   bt.CheckInvariants();
 
   EXPECT_EQ(bt.size(), oracle.size());
-  auto it = oracle.begin();
-  bt.ScanAll([&](const Row& k, const Rid& rid) {
-    EXPECT_EQ(k[0].AsInt(), it->first);
-    EXPECT_EQ(rid.slot, it->second);
-    ++it;
-    return true;
-  });
-  EXPECT_TRUE(it == oracle.end());
+  EXPECT_EQ(IntEntries(bt),
+            (std::vector<std::pair<int64_t, uint16_t>>(oracle.begin(),
+                                                       oracle.end())));
 
   // The rebuilt tree still supports ordinary mutation.
   EXPECT_TRUE(bt.Erase(K(int64_t{4}), Rid{0, 0}));
@@ -292,26 +288,31 @@ TEST(BTreeTest, BulkUpsertMergesIntoLiveTree) {
 }
 
 TEST(BTreeTest, BulkUpsertIntoEmptyTreeMatchesBulkLoad) {
+  // Into an empty tree the run is bulk-loaded: leaves are packed full,
+  // giving the minimum height. 65 full leaves fit under one root, where
+  // per-key inserts leave half-full leaves and need another level.
+  constexpr int kEntries = 64 * 65;
   std::vector<std::pair<Row, Rid>> items;
-  for (int i = 999; i >= 0; --i) {
+  for (int i = kEntries - 1; i >= 0; --i) {
     items.emplace_back(K(int64_t{i}), Rid{0, 0});
   }
-  BTree upserted, loaded;
-  EXPECT_EQ(upserted.BulkUpsert(items), 1000u);
-  loaded.BulkLoad(items);
+  BTree upserted, inserted;
+  for (const auto& [key, rid] : items) inserted.Insert(key, rid);
+  EXPECT_EQ(upserted.BulkUpsert(items), static_cast<size_t>(kEntries));
   upserted.CheckInvariants();
-  EXPECT_EQ(upserted.size(), loaded.size());
-  EXPECT_EQ(upserted.Height(), loaded.Height());
+  EXPECT_EQ(upserted.size(), inserted.size());
+  EXPECT_EQ(upserted.Height(), 2u);
+  EXPECT_GT(inserted.Height(), upserted.Height());
 }
 
 TEST(BTreeTest, BulkLoadEmptyAndTiny) {
   BTree empty;
-  empty.BulkLoad({});
+  EXPECT_EQ(empty.BulkUpsert({}), 0u);
   EXPECT_TRUE(empty.empty());
   empty.CheckInvariants();
 
   BTree tiny;
-  tiny.BulkLoad({{K(int64_t{2}), Rid{0, 0}}, {K(int64_t{1}), Rid{0, 0}}});
+  tiny.BulkUpsert({{K(int64_t{2}), Rid{0, 0}}, {K(int64_t{1}), Rid{0, 0}}});
   EXPECT_EQ(tiny.size(), 2u);
   EXPECT_EQ(tiny.Height(), 1u);
   tiny.CheckInvariants();
@@ -323,7 +324,7 @@ TEST(BTreeTest, BulkLoadThenMutate) {
     items.emplace_back(K(int64_t{i * 2}), Rid{0, 0});  // even keys
   }
   BTree bt;
-  bt.BulkLoad(std::move(items));
+  bt.BulkUpsert(std::move(items));
   bt.CheckInvariants();
   // Inserting into fully packed leaves forces splits; erasing forces
   // borrows/merges against the packed layout.
@@ -336,8 +337,8 @@ TEST(BTreeTest, BulkLoadThenMutate) {
   bt.CheckInvariants();
 }
 
-// Satellite property test: ≥100k interleaved Insert/Erase/ScanFrom/
-// LookupEq calls checked against a std::multimap oracle. The multimap
+// Satellite property test: ≥100k interleaved Insert/Erase/Seek-scan/
+// lookup calls checked against a std::multimap oracle. The multimap
 // orders duplicates by insertion, the tree by rid, so per-key slot sets
 // are compared as sorted vectors.
 TEST(BTreeTest, MultimapOracleHundredThousandOps) {
@@ -380,18 +381,15 @@ TEST(BTreeTest, MultimapOracleHundredThousandOps) {
       ASSERT_EQ(erased, oracle_erased) << "step " << step << " key " << key;
     } else if (dice < 0.95) {
       std::vector<uint16_t> got;
-      bt.LookupEq(K(key), [&](const Row&, const Rid& rid) {
-        got.push_back(rid.slot);
-        return true;
-      });
+      for (const Rid& rid : Lookup(bt, K(key))) got.push_back(rid.slot);
       ASSERT_EQ(got, oracle_slots(key)) << "step " << step << " key " << key;
     } else {
       // Bounded ordered scan from a random lower bound.
       std::vector<std::pair<int64_t, uint16_t>> got;
-      bt.ScanFrom(K(key), [&](const Row& k, const Rid& rid) {
-        got.emplace_back(k[0].AsInt(), rid.slot);
-        return got.size() < 64;
-      });
+      for (BTree::Cursor cur = bt.Seek(K(key));
+           cur.Valid() && got.size() < 64; cur.Advance()) {
+        got.emplace_back(cur.key()[0].AsInt(), cur.rid().slot);
+      }
       std::vector<std::pair<int64_t, uint16_t>> want;
       for (auto it = oracle.lower_bound(key);
            it != oracle.end() && want.size() < 64;) {
@@ -417,11 +415,7 @@ TEST(BTreeTest, MultimapOracleHundredThousandOps) {
   ASSERT_EQ(bt.size(), oracle.size());
 
   // Final full-scan agreement.
-  std::vector<std::pair<int64_t, uint16_t>> scanned;
-  bt.ScanAll([&](const Row& k, const Rid& rid) {
-    scanned.emplace_back(k[0].AsInt(), rid.slot);
-    return true;
-  });
+  std::vector<std::pair<int64_t, uint16_t>> scanned = IntEntries(bt);
   std::vector<std::pair<int64_t, uint16_t>> expected;
   for (auto it = oracle.begin(); it != oracle.end();) {
     int64_t k = it->first;
@@ -443,23 +437,21 @@ TEST(BTreeCursorTest, EmptyTreeYieldsInvalidCursors) {
   EXPECT_FALSE(bt.Seek(K("a")).Valid());
 }
 
-TEST(BTreeCursorTest, FullTraversalMatchesScanAll) {
+TEST(BTreeCursorTest, FullTraversalMatchesSortedOracle) {
   BTree bt;
+  std::set<std::pair<int64_t, uint16_t>> oracle;
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) {
-    bt.Insert(K(static_cast<int64_t>(rng.NextIndex(2000))),
-              Rid{0, static_cast<uint16_t>(i)});
+    const int64_t key = static_cast<int64_t>(rng.NextIndex(2000));
+    bt.Insert(K(key), Rid{0, static_cast<uint16_t>(i)});
+    oracle.emplace(key, static_cast<uint16_t>(i));
   }
-  std::vector<std::pair<int64_t, uint16_t>> scanned;
-  bt.ScanAll([&](const Row& k, const Rid& rid) {
-    scanned.emplace_back(k[0].AsInt(), rid.slot);
-    return true;
-  });
   std::vector<std::pair<int64_t, uint16_t>> walked;
   for (BTree::Cursor cur = bt.SeekFirst(); cur.Valid(); cur.Advance()) {
     walked.emplace_back(cur.key()[0].AsInt(), cur.rid().slot);
   }
-  EXPECT_EQ(walked, scanned);
+  EXPECT_EQ(walked, (std::vector<std::pair<int64_t, uint16_t>>(
+                        oracle.begin(), oracle.end())));
   EXPECT_EQ(walked.size(), bt.size());
 }
 

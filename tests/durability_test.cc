@@ -5,6 +5,7 @@
 // sweeps (kill at every byte offset, torn records, bit flips at scale)
 // live in crash_recovery_test.cc.
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -141,11 +142,8 @@ Database MakeTwoTableDb() {
                  {"score", ColumnType::kDouble, true}});
   auto t1 = db.CreateTable("people", people);
   EXPECT_TRUE(t1.ok());
-  EXPECT_TRUE((*t1)->CreateIndex("pk", {0}, relstore::IndexKind::kBTree,
-                                 /*unique=*/true)
-                  .ok());
-  EXPECT_TRUE(
-      (*t1)->CreateIndex("by_name", {1}, relstore::IndexKind::kHash).ok());
+  EXPECT_TRUE((*t1)->CreateIndex("pk", {0}, /*unique=*/true).ok());
+  EXPECT_TRUE((*t1)->CreateIndex("by_name", {1}).ok());
   EXPECT_TRUE((*t1)->Insert(Row{Datum(int64_t{1}), Datum("ada"),
                                 Datum(2.5)}).ok());
   EXPECT_TRUE((*t1)->Insert(Row{Datum(int64_t{2}), Datum("grace"),
@@ -178,7 +176,7 @@ TEST(SnapshotTest, RoundTripRestoresSchemaIndexesAndRows) {
                   ->Insert(Row{Datum(int64_t{1}), Datum("dup"), Datum()})
                   .status()
                   .IsAlreadyExists());
-  // Point lookup through the restored hash index.
+  // Point lookup through the restored secondary index.
   size_t hits = 0;
   ASSERT_TRUE((*people)
                   ->LookupEq("by_name", Row{Datum("grace")},
@@ -250,6 +248,54 @@ TEST(LogFormatTest, IndexDefColumnCountPastInputIsRejected) {
   EXPECT_FALSE(storage::DecodeIndexDef(in, &pos, &def));
 }
 
+/// An index definition's bytes, written by hand: name(lp) | n_columns |
+/// columns | kind | unique. Kind 0 is a B+-tree; stores written before
+/// every index was one also carry kind 1, a hash index.
+std::string IndexDefBytes(const std::string& name,
+                          const std::vector<uint64_t>& columns, uint8_t kind,
+                          bool unique) {
+  std::string out;
+  PutLengthPrefixed(&out, name);
+  PutVarint64(&out, columns.size());
+  for (uint64_t c : columns) PutVarint64(&out, c);
+  out.push_back(static_cast<char>(kind));
+  out.push_back(unique ? 1 : 0);
+  return out;
+}
+
+constexpr uint64_t kColumnPastInt = (uint64_t{1} << 32) + 1;
+
+TEST(LogFormatTest, IndexDefColumnPastIntRangeIsRejected) {
+  // Narrowed to int, 2^32 + 1 would read as column 1.
+  const std::string in = IndexDefBytes("idx", {kColumnPastInt}, 0, false);
+  size_t pos = 0;
+  relstore::IndexDef def;
+  EXPECT_FALSE(storage::DecodeIndexDef(in, &pos, &def));
+  // The largest int column still decodes (CreateIndex range-checks it).
+  const std::string max_int =
+      IndexDefBytes("idx", {uint64_t{2147483647}}, 0, false);
+  pos = 0;
+  ASSERT_TRUE(storage::DecodeIndexDef(max_int, &pos, &def));
+  EXPECT_EQ(def.columns, std::vector<int>{2147483647});
+}
+
+TEST(LogFormatTest, IndexDefKindPastHashIsRejected) {
+  relstore::IndexDef def;
+  for (uint8_t kind : {0, 1}) {
+    const std::string in = IndexDefBytes("idx", {0, 2}, kind, true);
+    size_t pos = 0;
+    ASSERT_TRUE(storage::DecodeIndexDef(in, &pos, &def)) << int{kind};
+    EXPECT_EQ(pos, in.size());
+    EXPECT_EQ(def.columns, (std::vector<int>{0, 2}));
+    EXPECT_TRUE(def.unique);
+  }
+  for (uint8_t kind : {2, 7, 255}) {
+    const std::string in = IndexDefBytes("idx", {0}, kind, false);
+    size_t pos = 0;
+    EXPECT_FALSE(storage::DecodeIndexDef(in, &pos, &def)) << int{kind};
+  }
+}
+
 // ----- Database Open/Sync/Checkpoint/Close ---------------------------------
 
 TEST(DurableDatabaseTest, WalRowWithHostileColumnCountIsUndecodable) {
@@ -273,6 +319,148 @@ TEST(DurableDatabaseTest, WalRowWithHostileColumnCountIsUndecodable) {
   EXPECT_NE(db.status().ToString().find("undecodable commit record"),
             std::string::npos)
       << db.status();
+}
+
+/// Appends one journalled write to a hand-built commit record payload.
+void AppendWrite(std::string* payload, storage::LogOp op,
+                 const std::string& table, const std::string& body) {
+  payload->push_back(static_cast<char>(op));
+  PutLengthPrefixed(payload, table);
+  payload->append(body);
+}
+
+/// Writes `payload` as the only record of `dir`'s write-ahead log.
+void WriteWalRecord(const std::string& dir, const std::string& payload) {
+  auto wal = Wal::Open(Durability::WalPath(dir));
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  ASSERT_TRUE((*wal)->Append(payload).ok());
+  ASSERT_TRUE((*wal)->Sync().ok());
+}
+
+TEST(DurableDatabaseTest, WalIndexDefWithHostileColumnOrKindIsUndecodable) {
+  // CRC-valid commit records creating a two-column table and an index
+  // whose definition is malformed: a column past the int range (which
+  // would narrow to column 1) or a kind byte past hash.
+  const std::vector<std::string> bad_defs = {
+      IndexDefBytes("idx", {kColumnPastInt}, 0, false),
+      IndexDefBytes("idx", {1}, 7, false)};
+  for (size_t i = 0; i < bad_defs.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    std::string schema;
+    storage::EncodeSchema(Schema({{"k", ColumnType::kInt64, false},
+                                  {"v", ColumnType::kString, true}}),
+                          &schema);
+    std::string payload;
+    PutVarint64(&payload, 1);  // seq
+    PutVarint64(&payload, 2);  // two writes
+    AppendWrite(&payload, storage::LogOp::kCreateTable, "t", schema);
+    AppendWrite(&payload, storage::LogOp::kCreateIndex, "t", bad_defs[i]);
+    TempDir dir("db_hostile_index_" + std::to_string(i));
+    WriteWalRecord(dir.path(), payload);
+    auto db = Database::Open("d", dir.path());
+    ASSERT_FALSE(db.ok());
+    EXPECT_NE(db.status().ToString().find("undecodable commit record"),
+              std::string::npos)
+        << db.status();
+  }
+}
+
+// ----- Stores written when an index could be a hash index ------------------
+
+Schema PeopleSchema() {
+  return Schema({{"id", ColumnType::kInt64, false},
+                 {"name", ColumnType::kString, false}});
+}
+
+std::vector<Row> PeopleRows() {
+  return {Row{Datum(int64_t{1}), Datum("ada")},
+          Row{Datum(int64_t{2}), Datum("grace")},
+          Row{Datum(int64_t{3}), Datum("grace")}};
+}
+
+/// The people table's two indexes as a hash-index store recorded them.
+std::vector<std::string> HashIndexDefs() {
+  return {IndexDefBytes("pk", {0}, 1, /*unique=*/true),
+          IndexDefBytes("by_name", {1}, 1, /*unique=*/false)};
+}
+
+/// The recovered people table answers through both former hash indexes
+/// as B+-trees: point lookups, ordered cursors, and the unique key.
+void ExpectHashIndexesServeAsBTrees(Database* db) {
+  auto people = db->GetTable("people");
+  ASSERT_TRUE(people.ok()) << people.status();
+  relstore::Table* t = *people;
+  EXPECT_EQ(t->RowCount(), 3u);
+  size_t hits = 0;
+  ASSERT_TRUE(t->LookupEq("by_name", Row{Datum("grace")},
+                          [&](const relstore::Rid&, const Row& row) {
+                            EXPECT_EQ(row[1].AsString(), "grace");
+                            ++hits;
+                            return true;
+                          })
+                  .ok());
+  EXPECT_EQ(hits, 2u);
+  std::vector<int64_t> ids;
+  for (const char* index : {"by_name", "pk"}) {
+    relstore::ScanSpec spec;
+    spec.index = index;
+    auto cur = t->OpenScan(std::move(spec));
+    ASSERT_TRUE(cur.ok()) << cur.status();
+    for (Row row; cur->Next(&row);) ids.push_back(row[0].AsInt());
+    EXPECT_TRUE(cur->status().ok());
+  }
+  // by_name orders ada, grace, grace; pk orders 1, 2, 3.
+  EXPECT_EQ(ids, (std::vector<int64_t>{1, 2, 3, 1, 2, 3}));
+  EXPECT_TRUE(t->Insert(Row{Datum(int64_t{2}), Datum("dup")})
+                  .status()
+                  .IsAlreadyExists());
+}
+
+TEST(DurableDatabaseTest, HashIndexDefsInWalRecoverAsBTrees) {
+  std::string payload;
+  PutVarint64(&payload, 1);  // seq
+  PutVarint64(&payload, 1 + HashIndexDefs().size() + PeopleRows().size());
+  std::string schema;
+  storage::EncodeSchema(PeopleSchema(), &schema);
+  AppendWrite(&payload, storage::LogOp::kCreateTable, "people", schema);
+  for (const std::string& def : HashIndexDefs()) {
+    AppendWrite(&payload, storage::LogOp::kCreateIndex, "people", def);
+  }
+  for (const Row& row : PeopleRows()) {
+    std::string image;
+    relstore::EncodeRow(row, &image);
+    AppendWrite(&payload, storage::LogOp::kInsert, "people", image);
+  }
+  TempDir dir("db_hash_wal");
+  WriteWalRecord(dir.path(), payload);
+  auto db = Database::Open("d", dir.path());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db)->durability()->stats().replayed_commits, 1u);
+  ExpectHashIndexesServeAsBTrees(db->get());
+}
+
+TEST(DurableDatabaseTest, HashIndexDefsInCheckpointRecoverAsBTrees) {
+  std::string body(1, '\x01');  // format version
+  PutVarint64(&body, 5);         // seq
+  PutVarint64(&body, 1);         // one table
+  PutLengthPrefixed(&body, "people");
+  storage::EncodeSchema(PeopleSchema(), &body);
+  PutVarint64(&body, HashIndexDefs().size());
+  for (const std::string& def : HashIndexDefs()) body += def;
+  PutVarint64(&body, PeopleRows().size());
+  for (const Row& row : PeopleRows()) relstore::EncodeRow(row, &body);
+  std::string file = "CPDBCKPT" + body;
+  const uint32_t crc = Crc32(body);
+  char crc_buf[4];
+  std::memcpy(crc_buf, &crc, 4);
+  file.append(crc_buf, 4);
+
+  TempDir dir("db_hash_ckpt");
+  WriteFile(Durability::CheckpointPath(dir.path()), file);
+  auto db = Database::Open("d", dir.path());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_TRUE((*db)->durability()->stats().snapshot_loaded);
+  ExpectHashIndexesServeAsBTrees(db->get());
 }
 
 TEST(DurableDatabaseTest, SyncedWritesSurviveReopenUnsyncedAreLost) {
@@ -308,9 +496,7 @@ TEST(DurableDatabaseTest, DdlAndDeletesRecoverFromLogAlone) {
               {"v", ColumnType::kString, true}});
     auto t = (*db)->CreateTable("t", s);
     ASSERT_TRUE(t.ok());
-    ASSERT_TRUE((*t)->CreateIndex("pk", {0}, relstore::IndexKind::kBTree,
-                                  /*unique=*/true)
-                    .ok());
+    ASSERT_TRUE((*t)->CreateIndex("pk", {0}, /*unique=*/true).ok());
     auto rid = (*t)->Insert(Row{Datum(int64_t{1}), Datum("gone")});
     ASSERT_TRUE(rid.ok());
     ASSERT_TRUE((*t)->Insert(Row{Datum(int64_t{2}), Datum("kept")}).ok());
@@ -335,6 +521,41 @@ TEST(DurableDatabaseTest, DdlAndDeletesRecoverFromLogAlone) {
                              })
                   .ok());
   EXPECT_EQ(hits, 1u);
+}
+
+TEST(DurableDatabaseTest, DeletesFromUnindexedTableRecoverFromLog) {
+  // With no index to route through, replay finds a deleted row image by
+  // scanning the heap; of two identical rows it removes exactly one.
+  TempDir dir("db_unindexed_delete");
+  {
+    auto db = Database::Open("d", dir.path());
+    ASSERT_TRUE(db.ok());
+    Schema s({{"k", ColumnType::kInt64, false},
+              {"v", ColumnType::kString, true}});
+    auto t = (*db)->CreateTable("t", s);
+    ASSERT_TRUE(t.ok());
+    const Row twin{Datum(int64_t{1}), Datum("twin")};
+    auto rid = (*t)->Insert(twin);
+    ASSERT_TRUE(rid.ok());
+    ASSERT_TRUE((*t)->Insert(Row{Datum(int64_t{2}), Datum("kept")}).ok());
+    ASSERT_TRUE((*t)->Insert(twin).ok());
+    ASSERT_TRUE((*db)->Sync().ok());
+    ASSERT_TRUE((*t)->Delete(rid.value()).ok());
+    ASSERT_TRUE((*db)->Sync().ok());
+  }
+  auto db = Database::Open("d", dir.path());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db)->durability()->stats().replayed_commits, 2u);
+  auto t = (*db)->GetTable("t");
+  ASSERT_TRUE(t.ok());
+  EXPECT_TRUE((*t)->IndexDefs().empty());
+  std::vector<std::string> values;
+  (*t)->Scan([&](const relstore::Rid&, const Row& row) {
+    values.push_back(row[1].AsString());
+    return true;
+  });
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<std::string>{"kept", "twin"}));
 }
 
 TEST(DurableDatabaseTest, CheckpointTruncatesLogAndLaterCommitsReplay) {

@@ -193,21 +193,35 @@ TEST(TableTest, InsertAndScan) {
   EXPECT_EQ(n, 2u);
 }
 
+/// Column `col` of every row a cursor over `index` yields, in index order.
+std::vector<Datum> ScanColumn(const Table& t, const std::string& index,
+                              size_t col) {
+  ScanSpec spec;
+  spec.index = index;
+  auto cur = t.OpenScan(std::move(spec));
+  EXPECT_TRUE(cur.ok()) << cur.status();
+  std::vector<Datum> out;
+  if (!cur.ok()) return out;
+  Row row;
+  while (cur->Next(&row)) out.push_back(row[col]);
+  EXPECT_TRUE(cur->status().ok());
+  return out;
+}
+
 TEST(TableTest, BulkLoadBuildsIndexesAndEnforcesUnique) {
+  // A bulk load is one InsertBatch into the empty table.
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, IndexKind::kBTree, true).ok());
-  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}, IndexKind::kBTree).ok());
-  ASSERT_TRUE(t.CreateIndex("idx_tid", {0}, IndexKind::kHash).ok());
+  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_tid", {0}).ok());
   std::vector<Row> rows;
   for (int i = 199; i >= 0; --i) {  // unsorted on purpose
     rows.push_back({Datum(int64_t{i}), Datum("I"),
                     Datum("T/n" + std::to_string(i)), Datum()});
   }
-  auto loaded = t.BulkLoad(rows);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), 200u);
+  ASSERT_TRUE(t.InsertBatch(rows).ok());
   EXPECT_EQ(t.RowCount(), 200u);
-  // All index kinds answer lookups after the bulk build.
+  // Every index answers lookups after the bulk build.
   size_t hits = 0;
   auto count = [&](const Rid&, const Row&) {
     ++hits;
@@ -222,13 +236,12 @@ TEST(TableTest, BulkLoadBuildsIndexesAndEnforcesUnique) {
   hits = 0;
   ASSERT_TRUE(t.LookupEq("idx_tid", {Datum(int64_t{3})}, count).ok());
   EXPECT_EQ(hits, 1u);
-  // The B+tree index scans in key order and stays mutable afterwards.
-  int64_t prev = -1;
-  ASSERT_TRUE(t.ScanIndex("pk", [&](const Rid&, const Row& row) {
-                 EXPECT_GT(row[0].AsInt(), prev);
-                 prev = row[0].AsInt();
-                 return true;
-               }).ok());
+  // The index scans in key order and stays mutable afterwards.
+  std::vector<Datum> tids = ScanColumn(t, "pk", 0);
+  ASSERT_EQ(tids.size(), 200u);
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(tids[i], Datum(static_cast<int64_t>(i)));
+  }
   ASSERT_TRUE(
       t.Insert({Datum(int64_t{500}), Datum("I"), Datum("T/x"), Datum()})
           .ok());
@@ -237,27 +250,30 @@ TEST(TableTest, BulkLoadBuildsIndexesAndEnforcesUnique) {
 
 TEST(TableTest, BulkLoadRejectsBadBatchesAtomically) {
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, IndexKind::kBTree, true).ok());
+  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
   // In-batch unique violation: same {Tid, Loc} twice.
-  auto dup = t.BulkLoad(
+  Status dup = t.InsertBatch(
       {{Datum(int64_t{1}), Datum("I"), Datum("T/a"), Datum()},
        {Datum(int64_t{1}), Datum("D"), Datum("T/a"), Datum()}});
-  EXPECT_TRUE(dup.status().IsAlreadyExists());
+  EXPECT_TRUE(dup.IsAlreadyExists()) << dup;
   EXPECT_EQ(t.RowCount(), 0u);  // nothing stored
   // Schema violation anywhere in the batch rejects the whole batch.
-  auto bad = t.BulkLoad({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
-                          Datum()},
-                         {Datum("not-an-int"), Datum("I"), Datum("T/b"),
-                          Datum()}});
+  Status bad = t.InsertBatch({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
+                               Datum()},
+                              {Datum("not-an-int"), Datum("I"), Datum("T/b"),
+                               Datum()}});
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(t.RowCount(), 0u);
-  // A good batch then loads, and BulkLoad on a non-empty table fails.
-  ASSERT_TRUE(t.BulkLoad({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
-                           Datum()}})
+  // A good batch then loads; a later batch clashing with a stored key is
+  // rejected whole, its fresh row included.
+  ASSERT_TRUE(t.InsertBatch({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
+                              Datum()}})
                   .ok());
-  auto refill = t.BulkLoad({{Datum(int64_t{2}), Datum("I"), Datum("T/b"),
-                             Datum()}});
-  EXPECT_TRUE(refill.status().IsFailedPrecondition());
+  Status clash = t.InsertBatch(
+      {{Datum(int64_t{2}), Datum("I"), Datum("T/b"), Datum()},
+       {Datum(int64_t{1}), Datum("D"), Datum("T/a"), Datum()}});
+  EXPECT_TRUE(clash.IsAlreadyExists()) << clash;
+  EXPECT_EQ(t.RowCount(), 1u);
 }
 
 TEST(TableTest, BulkLoadRollsBackOnHeapFailure) {
@@ -265,12 +281,12 @@ TEST(TableTest, BulkLoadRollsBackOnHeapFailure) {
   // than a page fails inside the heap mid-batch. The rows stored before
   // it must be un-stored so the table stays empty and reloadable.
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, IndexKind::kBTree, true).ok());
+  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
   std::string huge(Page::kPageSize + 1, 'x');
-  auto bad = t.BulkLoad({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
-                          Datum()},
-                         {Datum(int64_t{2}), Datum("I"), Datum(huge),
-                          Datum()}});
+  Status bad = t.InsertBatch({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
+                               Datum()},
+                              {Datum(int64_t{2}), Datum("I"), Datum(huge),
+                               Datum()}});
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(t.RowCount(), 0u);
   size_t scanned = 0;
@@ -279,16 +295,16 @@ TEST(TableTest, BulkLoadRollsBackOnHeapFailure) {
     return true;
   });
   EXPECT_EQ(scanned, 0u);
-  // The table is still empty, so a fresh bulk load succeeds.
-  ASSERT_TRUE(t.BulkLoad({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
-                           Datum()}})
+  // No index kept an entry for the un-stored rows, so the same key loads.
+  ASSERT_TRUE(t.InsertBatch({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
+                              Datum()}})
                   .ok());
   EXPECT_EQ(t.RowCount(), 1u);
 }
 
 TEST(TableTest, UniqueIndexRejectsDuplicates) {
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, IndexKind::kBTree, true).ok());
+  ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
   ASSERT_TRUE(
       t.Insert({Datum(int64_t{1}), Datum("I"), Datum("T/a"), Datum()}).ok());
   // Same {Tid, Loc}: rejected (the paper's provenance-table key).
@@ -301,9 +317,10 @@ TEST(TableTest, UniqueIndexRejectsDuplicates) {
 }
 
 TEST(TableTest, LookupEqThroughBothIndexKinds) {
+  // A duplicate-key index and a distinct-key one.
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_tid", {0}, IndexKind::kHash).ok());
-  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}, IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_tid", {0}).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}).ok());
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(t.Insert({Datum(int64_t{i % 5}), Datum("I"),
                           Datum("T/n" + std::to_string(i)), Datum()})
@@ -325,30 +342,35 @@ TEST(TableTest, LookupEqThroughBothIndexKinds) {
                          })
                   .ok());
   EXPECT_EQ(hits, 1u);
+  // Bad index name and key arity are reported, not silently scanned.
+  auto never = [](const Rid&, const Row&) { return true; };
+  EXPECT_TRUE(t.LookupEq("no_such_index", {Datum("x")}, never).IsNotFound());
+  EXPECT_TRUE(t.LookupEq("idx_loc", {Datum("x"), Datum("y")}, never)
+                  .IsInvalidArgument());
 }
 
 TEST(TableTest, PrefixScanFindsDescendants) {
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}, IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}).ok());
   for (const char* loc :
        {"T/c1", "T/c1/x", "T/c1/y", "T/c10", "T/c2", "S/c1/x"}) {
     ASSERT_TRUE(
         t.Insert({Datum(int64_t{1}), Datum("I"), Datum(loc), Datum()}).ok());
   }
+  ScanSpec spec;
+  spec.index = "idx_loc";
+  spec.prefix = "T/c1/";
+  auto cur = t.OpenScan(std::move(spec));
+  ASSERT_TRUE(cur.ok());
   std::vector<std::string> found;
-  ASSERT_TRUE(t.ScanPrefix("idx_loc", "T/c1/",
-                           [&](const Rid&, const Row& row) {
-                             found.push_back(row[2].AsString());
-                             return true;
-                           })
-                  .ok());
+  for (Row row; cur->Next(&row);) found.push_back(row[2].AsString());
   // Strict descendants only: not T/c1 itself and not the sibling T/c10.
   EXPECT_EQ(found, (std::vector<std::string>{"T/c1/x", "T/c1/y"}));
 }
 
 TEST(TableTest, DeleteMaintainsIndexes) {
   Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}, IndexKind::kBTree).ok());
+  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}).ok());
   auto rid =
       t.Insert({Datum(int64_t{1}), Datum("I"), Datum("T/a"), Datum()});
   ASSERT_TRUE(rid.ok());
@@ -361,69 +383,6 @@ TEST(TableTest, DeleteMaintainsIndexes) {
                          })
                   .ok());
   EXPECT_EQ(hits, 0u);
-}
-
-TEST(TableTest, DeleteWhere) {
-  Table t("Prov", ProvSchema());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(t.Insert({Datum(int64_t{i}), Datum(i % 2 ? "I" : "D"),
-                          Datum("T/x"), Datum()})
-                    .ok());
-  }
-  size_t removed =
-      t.DeleteWhere([](const Row& row) { return row[1].AsString() == "D"; });
-  EXPECT_EQ(removed, 10u);
-  EXPECT_EQ(t.RowCount(), 10u);
-}
-
-TEST(TableTest, IndexedDeleteWhereRoutesThroughIndex) {
-  // Regression: with an equality predicate on an indexed column, the
-  // index-routed DeleteWhere must touch only the matching rows, not run
-  // the predicate over the whole heap (the old full-scan behavior).
-  Table t("Prov", ProvSchema());
-  ASSERT_TRUE(t.CreateIndex("idx_loc", {2}, IndexKind::kBTree).ok());
-  constexpr size_t kRows = 2000;
-  constexpr size_t kMatches = 5;
-  for (size_t i = 0; i < kRows; ++i) {
-    std::string loc =
-        i < kMatches ? "T/victim" : "T/other/n" + std::to_string(i);
-    ASSERT_TRUE(t.Insert({Datum(static_cast<int64_t>(i)), Datum("I"),
-                          Datum(loc), Datum()})
-                    .ok());
-  }
-  // Row cost pin: the residual predicate sees only the index matches —
-  // kMatches row fetches instead of a kRows-row heap scan.
-  size_t rows_examined = 0;
-  auto removed = t.DeleteWhere("idx_loc", {Datum("T/victim")},
-                               [&](const Row& row) {
-                                 ++rows_examined;
-                                 return row[1].AsString() == "I";
-                               });
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(removed.value(), kMatches);
-  EXPECT_EQ(rows_examined, kMatches);
-  EXPECT_EQ(t.RowCount(), kRows - kMatches);
-  // The key is gone from the index, and non-matching rows survived.
-  size_t hits = 0;
-  ASSERT_TRUE(t.LookupEq("idx_loc", {Datum("T/victim")},
-                         [&](const Rid&, const Row&) {
-                           ++hits;
-                           return true;
-                         })
-                  .ok());
-  EXPECT_EQ(hits, 0u);
-
-  // No-predicate form deletes all matches of the key outright.
-  ASSERT_TRUE(t.Insert({Datum(int64_t{90001}), Datum("I"),
-                        Datum("T/victim"), Datum()})
-                  .ok());
-  auto removed2 = t.DeleteWhere("idx_loc", {Datum("T/victim")});
-  ASSERT_TRUE(removed2.ok());
-  EXPECT_EQ(removed2.value(), 1u);
-
-  // Bad index name / key arity are reported, not silently scanned.
-  EXPECT_FALSE(t.DeleteWhere("no_such_index", {Datum("x")}).ok());
-  EXPECT_FALSE(t.DeleteWhere("idx_loc", {Datum("x"), Datum("y")}).ok());
 }
 
 TEST(TableTest, PhysicalBytesArePageMultiples) {
@@ -452,14 +411,14 @@ TEST(DatabaseTest, CatalogOperations) {
   EXPECT_TRUE(db.GetTable("Prov").status().IsNotFound());
 }
 
-// ----- Cursor scans / batched lookups ---------------------------------------
+// ----- Cursor scans ----------------------------------------------------------
 
 /// A Prov-shaped table with a composite {Loc, Tid} index, as the
 /// provenance backend builds it.
 Table MakeScanTable() {
   Table t("Prov", ProvSchema());
-  EXPECT_TRUE(t.CreateIndex("pk", {0, 2}, IndexKind::kBTree, true).ok());
-  EXPECT_TRUE(t.CreateIndex("loc_tid", {2, 0}, IndexKind::kBTree).ok());
+  EXPECT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
+  EXPECT_TRUE(t.CreateIndex("loc_tid", {2, 0}).ok());
   for (int64_t tid = 1; tid <= 3; ++tid) {
     for (const char* loc : {"T/a", "T/a/x", "T/a/y", "T/ab", "T/b"}) {
       EXPECT_TRUE(
@@ -503,48 +462,17 @@ TEST(TableCursorTest, StringPrefixScanExcludesSiblingsAndStrangers) {
   EXPECT_EQ(n, 6u);  // 2 locs x 3 tids; neither "T/a" nor "T/ab"
 }
 
-TEST(TableCursorTest, BatchNextHonoursCallerBufferAndLimit) {
+TEST(TableCursorTest, LowerBoundStartsMidRange) {
   Table t = MakeScanTable();
   ScanSpec spec;
   spec.index = "pk";
-  spec.limit = 7;
-  auto cur = t.OpenScan(std::move(spec));
-  ASSERT_TRUE(cur.ok());
-  std::vector<Row> batch;
-  EXPECT_EQ(cur->Next(&batch, 5), 5u);
-  EXPECT_EQ(batch.size(), 5u);
-  EXPECT_EQ(cur->Next(&batch, 5), 2u);  // limit 7 cuts the second batch
-  EXPECT_EQ(cur->Next(&batch, 5), 0u);
-  EXPECT_TRUE(cur->done());
-}
-
-TEST(TableCursorTest, PredicatePushdownFiltersServerSide) {
-  Table t = MakeScanTable();
-  ScanSpec spec;
-  spec.index = "pk";
-  spec.predicate = [](const Row& row) { return row[0].AsInt() == 2; };
+  spec.eq = {Datum(int64_t{2})};  // partial-arity bound inside the index
   auto cur = t.OpenScan(std::move(spec));
   ASSERT_TRUE(cur.ok());
   Row row;
   size_t n = 0;
   while (cur->Next(&row)) {
     EXPECT_EQ(row[0].AsInt(), 2);
-    ++n;
-  }
-  EXPECT_EQ(n, 5u);
-}
-
-TEST(TableCursorTest, LowerBoundStartsMidRange) {
-  Table t = MakeScanTable();
-  ScanSpec spec;
-  spec.index = "pk";
-  spec.lower = {Datum(int64_t{3})};  // partial-arity bound
-  auto cur = t.OpenScan(std::move(spec));
-  ASSERT_TRUE(cur.ok());
-  Row row;
-  size_t n = 0;
-  while (cur->Next(&row)) {
-    EXPECT_EQ(row[0].AsInt(), 3);
     ++n;
   }
   EXPECT_EQ(n, 5u);
@@ -599,13 +527,15 @@ TEST(TableCursorTest, KeysOnlyYieldsIndexKeysInOrder) {
   }
   EXPECT_EQ(DrainKeys(t, prefix), want);
 
-  // The primary index yields (Tid, Loc) keys; limit cuts the stream.
-  ScanSpec limited;
-  limited.index = "pk";
-  limited.limit = 2;
-  EXPECT_EQ(DrainKeys(t, limited),
-            (std::vector<Row>{{Datum(int64_t{1}), Datum("T/a")},
-                              {Datum(int64_t{1}), Datum("T/a/x")}}));
+  // The primary index yields (Tid, Loc) keys.
+  ScanSpec primary;
+  primary.index = "pk";
+  primary.eq = {Datum(int64_t{1})};
+  want.clear();
+  for (const char* loc : {"T/a", "T/a/x", "T/a/y", "T/ab", "T/b"}) {
+    want.push_back({Datum(int64_t{1}), Datum(loc)});
+  }
+  EXPECT_EQ(DrainKeys(t, primary), want);
 }
 
 TEST(TableCursorTest, KeysOnlyWatermarkSkipsYoungerEntriesFromTheKey) {
@@ -628,14 +558,6 @@ TEST(TableCursorTest, KeysOnlyWatermarkSkipsYoungerEntriesFromTheKey) {
 
 TEST(TableCursorTest, KeysOnlyRejectsFiltersOutsideTheKey) {
   Table t = MakeScanTable();
-  ScanSpec pred;
-  pred.index = "loc_tid";
-  pred.keys_only = true;
-  pred.predicate = [](const Row&) { return true; };
-  auto with_pred = t.OpenScan(std::move(pred));
-  ASSERT_FALSE(with_pred.ok());
-  EXPECT_TRUE(with_pred.status().IsInvalidArgument()) << with_pred.status();
-
   ScanSpec non_key;
   non_key.index = "loc_tid";
   non_key.keys_only = true;
@@ -644,39 +566,14 @@ TEST(TableCursorTest, KeysOnlyRejectsFiltersOutsideTheKey) {
   ASSERT_FALSE(off_key.ok());
   EXPECT_TRUE(off_key.status().IsInvalidArgument()) << off_key.status();
 
-  // A row scan may filter rows, but its bound is still decided on the
-  // key, so it too must name a key column.
-  ScanSpec row_pred;
-  row_pred.index = "loc_tid";
-  row_pred.predicate = [](const Row&) { return true; };
-  EXPECT_TRUE(t.OpenScan(std::move(row_pred)).ok());
+  // A row scan's bound is decided on the key too, so it must also name a
+  // key column.
   ScanSpec row_bound;
   row_bound.index = "loc_tid";
   row_bound.visible_col = 1;
   auto row_off_key = t.OpenScan(std::move(row_bound));
   ASSERT_FALSE(row_off_key.ok());
   EXPECT_TRUE(row_off_key.status().IsInvalidArgument());
-}
-
-TEST(TableMultiGetTest, ResolvesBatchGroupedByKeyOrder) {
-  Table t = MakeScanTable();
-  std::vector<Row> keys = {{Datum(int64_t{2}), Datum("T/b")},
-                           {Datum(int64_t{9}), Datum("T/zz")},  // miss
-                           {Datum(int64_t{1}), Datum("T/a")}};
-  std::vector<std::pair<size_t, std::string>> hits;
-  ASSERT_TRUE(t.MultiGet("pk", keys,
-                         [&](size_t i, const Rid&, const Row& row) {
-                           hits.emplace_back(i, row[2].AsString());
-                           return true;
-                         })
-                  .ok());
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0], (std::pair<size_t, std::string>{0, "T/b"}));
-  EXPECT_EQ(hits[1], (std::pair<size_t, std::string>{2, "T/a"}));
-  // Arity mismatch is refused.
-  EXPECT_FALSE(t.MultiGet("pk", {{Datum(int64_t{1})}},
-                          [](size_t, const Rid&, const Row&) { return true; })
-                   .ok());
 }
 
 TEST(CostModelTest, SnapshotDeltasCountRoundTrips) {

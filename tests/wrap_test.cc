@@ -220,20 +220,13 @@ TEST(RelationalTargetDbTest, IntKeyedTupleIsAddressedByItsRendering) {
 TEST(RelationalTargetDbTest, WrappedTableWithoutKeyIndexIsRejected) {
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, true}});
-  // No index at all, and three near misses: an index that is not unique,
-  // one that is not a B-tree, and one whose key is more than column 0.
+  // No index at all, and two near misses: an index that is not unique,
+  // and one whose key is more than column 0.
   const std::vector<std::function<Status(relstore::Table*)>> near_misses = {
       [](relstore::Table*) { return Status::OK(); },
+      [](relstore::Table* t) { return t->CreateIndex("by_id", {0}); },
       [](relstore::Table* t) {
-        return t->CreateIndex("by_id", {0}, relstore::IndexKind::kBTree);
-      },
-      [](relstore::Table* t) {
-        return t->CreateIndex("by_id", {0}, relstore::IndexKind::kHash,
-                              /*unique=*/true);
-      },
-      [](relstore::Table* t) {
-        return t->CreateIndex("by_id", {0, 1}, relstore::IndexKind::kBTree,
-                              /*unique=*/true);
+        return t->CreateIndex("by_id", {0, 1}, /*unique=*/true);
       },
   };
   for (size_t i = 0; i < near_misses.size(); ++i) {

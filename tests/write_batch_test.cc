@@ -1,4 +1,4 @@
-// Tests of the batched, group-committed write path: Table::ApplyBatch
+// Tests of the batched, group-committed write path: Table::InsertBatch
 // mechanics, per-op-vs-batched equivalence across all four strategies,
 // abort-mid-batch atomicity, and the O(1)-flush acceptance criteria
 // asserted through the CostModel's write-side counters.
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cpdb/cpdb.h"
-#include "relstore/write_batch.h"
 #include "test_util.h"
 
 namespace cpdb {
@@ -23,66 +22,30 @@ using relstore::Rid;
 using relstore::Row;
 using relstore::Schema;
 using relstore::Table;
-using relstore::WriteBatch;
 using testutil::Session;
 
 // ---------------------------------------------------------------------------
-// Table::ApplyBatch mechanics
+// Table::InsertBatch mechanics
 // ---------------------------------------------------------------------------
 
 Table MakeKvTable() {
   Table t("kv", Schema({{"K", ColumnType::kInt64, false},
                         {"V", ColumnType::kString, true}}));
-  EXPECT_TRUE(
-      t.CreateIndex("pk", {0}, relstore::IndexKind::kBTree, true).ok());
+  EXPECT_TRUE(t.CreateIndex("pk", {0}, /*unique=*/true).ok());
   return t;
 }
 
-TEST(TableApplyBatchTest, MixedInsertsAndDeletes) {
-  Table t = MakeKvTable();
-  std::vector<Rid> rids;
-  for (int64_t k = 0; k < 10; ++k) {
-    auto rid = t.Insert(Row{Datum(k), Datum("v" + std::to_string(k))});
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(rid.value());
-  }
-  WriteBatch batch;
-  batch.Delete(rids[3]);
-  batch.Delete(rids[7]);
-  for (int64_t k = 10; k < 15; ++k) {
-    batch.Insert(Row{Datum(k), Datum("v" + std::to_string(k))});
-  }
-  auto applied = t.ApplyBatch(batch);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied.value(), 7u);
-  EXPECT_EQ(t.RowCount(), 13u);
-  // Index is consistent: deleted keys gone, new keys present, in order.
+/// The keys of `t`'s pk index, in index order.
+std::vector<int64_t> PkKeys(const Table& t) {
+  relstore::ScanSpec spec;
+  spec.index = "pk";
+  spec.keys_only = true;
+  auto cur = t.OpenScan(std::move(spec));
+  EXPECT_TRUE(cur.ok()) << cur.status();
   std::vector<int64_t> keys;
-  ASSERT_TRUE(t.ScanIndex("pk", [&](const Rid&, const Row& row) {
-                 keys.push_back(row[0].AsInt());
-                 return true;
-               }).ok());
-  EXPECT_EQ(keys, (std::vector<int64_t>{0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 12,
-                                        13, 14}));
-}
-
-TEST(TableApplyBatchTest, ReinsertingDeletedUniqueKeyInOneBatchIsLegal) {
-  Table t = MakeKvTable();
-  auto rid = t.Insert(Row{Datum(int64_t{1}), Datum("old")});
-  ASSERT_TRUE(rid.ok());
-  WriteBatch batch;
-  batch.Delete(rid.value());
-  batch.Insert(Row{Datum(int64_t{1}), Datum("new")});
-  ASSERT_TRUE(t.ApplyBatch(batch).ok());
-  EXPECT_EQ(t.RowCount(), 1u);
-  std::string v;
-  ASSERT_TRUE(t.LookupEq("pk", Row{Datum(int64_t{1})},
-                         [&](const Rid&, const Row& row) {
-                           v = row[1].AsString();
-                           return true;
-                         })
-                  .ok());
-  EXPECT_EQ(v, "new");
+  if (!cur.ok()) return keys;
+  for (Row key; cur->Next(&key);) keys.push_back(key[0].AsInt());
+  return keys;
 }
 
 TEST(TableApplyBatchTest, FailedBatchLeavesTableUntouched) {
@@ -90,30 +53,19 @@ TEST(TableApplyBatchTest, FailedBatchLeavesTableUntouched) {
   ASSERT_TRUE(t.Insert(Row{Datum(int64_t{5}), Datum("keep")}).ok());
 
   // Duplicate unique key against the table.
-  WriteBatch clash;
-  clash.Insert(Row{Datum(int64_t{6}), Datum("a")});
-  clash.Insert(Row{Datum(int64_t{5}), Datum("dup")});
-  EXPECT_FALSE(t.ApplyBatch(clash).ok());
+  EXPECT_FALSE(t.InsertBatch({Row{Datum(int64_t{6}), Datum("a")},
+                              Row{Datum(int64_t{5}), Datum("dup")}})
+                   .ok());
   EXPECT_EQ(t.RowCount(), 1u);
 
   // Duplicate unique key within the batch.
-  WriteBatch twin;
-  twin.Insert(Row{Datum(int64_t{7}), Datum("a")});
-  twin.Insert(Row{Datum(int64_t{7}), Datum("b")});
-  EXPECT_FALSE(t.ApplyBatch(twin).ok());
-  EXPECT_EQ(t.RowCount(), 1u);
-
-  // Deleting a missing rid.
-  WriteBatch ghost;
-  ghost.Insert(Row{Datum(int64_t{8}), Datum("a")});
-  ghost.Delete(Rid{999, 0});
-  EXPECT_FALSE(t.ApplyBatch(ghost).ok());
+  EXPECT_FALSE(t.InsertBatch({Row{Datum(int64_t{7}), Datum("a")},
+                              Row{Datum(int64_t{7}), Datum("b")}})
+                   .ok());
   EXPECT_EQ(t.RowCount(), 1u);
 
   // Schema violation.
-  WriteBatch bad;
-  bad.Insert(Row{Datum("not-an-int"), Datum("a")});
-  EXPECT_FALSE(t.ApplyBatch(bad).ok());
+  EXPECT_FALSE(t.InsertBatch({Row{Datum("not-an-int"), Datum("a")}}).ok());
   EXPECT_EQ(t.RowCount(), 1u);
 
   // The surviving row is still indexed.
@@ -129,27 +81,19 @@ TEST(TableApplyBatchTest, FailedBatchLeavesTableUntouched) {
 
 TEST(TableApplyBatchTest, LargeBatchMatchesPerRowInserts) {
   // The sorted-run/bulk-upsert fast path must produce the same index
-  // contents as per-row insertion.
+  // contents as per-row insertion, into an empty table and a live one.
   Table batched = MakeKvTable();
   Table perrow = MakeKvTable();
-  WriteBatch batch;
+  std::vector<Row> first, second;
   for (int64_t k = 0; k < 2000; ++k) {
     Row row{Datum((k * 7919) % 65536), Datum("v" + std::to_string(k))};
-    batch.Insert(row);
+    (k < 1000 ? first : second).push_back(row);
     ASSERT_TRUE(perrow.Insert(row).ok());
   }
-  ASSERT_TRUE(batched.ApplyBatch(batch).ok());
+  ASSERT_TRUE(batched.InsertBatch(first).ok());
+  ASSERT_TRUE(batched.InsertBatch(second).ok());
   EXPECT_EQ(batched.RowCount(), perrow.RowCount());
-  std::vector<int64_t> a, b;
-  ASSERT_TRUE(batched.ScanIndex("pk", [&](const Rid&, const Row& row) {
-                 a.push_back(row[0].AsInt());
-                 return true;
-               }).ok());
-  ASSERT_TRUE(perrow.ScanIndex("pk", [&](const Rid&, const Row& row) {
-                 b.push_back(row[0].AsInt());
-                 return true;
-               }).ok());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(PkKeys(batched), PkKeys(perrow));
 }
 
 // ---------------------------------------------------------------------------
