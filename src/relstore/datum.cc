@@ -28,29 +28,6 @@ std::string Datum::ToString() const {
   return AsString();
 }
 
-size_t Datum::Hash() const {
-  size_t h = 0xcbf29ce484222325ULL;
-  auto mix_bytes = [&h](const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ULL;
-    }
-  };
-  size_t tag = v_.index();
-  mix_bytes(&tag, sizeof(tag));
-  if (is_int()) {
-    int64_t v = AsInt();
-    mix_bytes(&v, sizeof(v));
-  } else if (is_double()) {
-    double v = AsDouble();
-    mix_bytes(&v, sizeof(v));
-  } else if (is_string()) {
-    mix_bytes(AsString().data(), AsString().size());
-  }
-  return h;
-}
-
 namespace {
 
 void PutU32(std::string* out, uint32_t v) {

@@ -44,9 +44,6 @@ class Datum {
   bool operator<(const Datum& o) const { return v_ < o.v_; }
   bool operator<=(const Datum& o) const { return !(o < *this); }
 
-  /// FNV-1a hash of the typed value.
-  size_t Hash() const;
-
   /// Appends a length-prefixed binary encoding to `out`.
   void EncodeTo(std::string* out) const;
 

@@ -1,6 +1,9 @@
 #include "wrap/relational_target.h"
 
+#include <deque>
+#include <map>
 #include <optional>
+#include <utility>
 
 #include "util/str.h"
 #include "wrap/relational_source.h"
@@ -51,6 +54,16 @@ Result<Datum> LabelKey(const Table& table, const std::string& label) {
                                  " identifier");
 }
 
+/// The position of the non-key column `name` in `table`.
+Result<size_t> FieldColumn(const Table& table, const std::string& name) {
+  int col = table.schema().IndexOf(name);
+  if (col <= 0) {
+    return Status::NotSupported("no column '" + name + "' in table " +
+                                table.name());
+  }
+  return static_cast<size_t>(col);
+}
+
 }  // namespace
 
 Result<tree::Tree> RelationalTargetDb::TreeFromDb() {
@@ -80,32 +93,6 @@ Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {
                           name_);
 }
 
-Result<RelationalTargetDb::Tuple> RelationalTargetDb::FindRow(
-    const Table& table, const std::string& tid_label) {
-  CPDB_ASSIGN_OR_RETURN(std::string index, KeyIndex(table));
-  std::optional<Tuple> found;
-  if (Result<Datum> key = LabelKey(table, tid_label); key.ok()) {
-    CPDB_RETURN_IF_ERROR(table.LookupEq(
-        index, {std::move(key).value()}, [&](const Rid& rid, const Row& row) {
-          // A parsed label can render differently ("042" parses to 42);
-          // it names the tuple only as the identifier's own rendering.
-          if (row[0].ToString() == tid_label) found = Tuple{rid, row};
-          return false;  // a unique index holds one match at most
-        }));
-  }
-  if (!found.has_value()) {
-    return Status::NotFound("no tuple '" + tid_label + "' in table " +
-                            table.name());
-  }
-  return std::move(*found);
-}
-
-Status RelationalTargetDb::RewriteRow(Table* table, const Rid& rid,
-                                      Row row) {
-  CPDB_RETURN_IF_ERROR(table->Delete(rid));
-  return table->Insert(row).status();
-}
-
 Result<Datum> RelationalTargetDb::ValueToDatum(const tree::Value& v,
                                                ColumnType type) {
   if (v.is_null()) return Datum();
@@ -124,17 +111,132 @@ Result<Datum> RelationalTargetDb::ValueToDatum(const tree::Value& v,
                                  "' does not fit column type");
 }
 
+/// One batch's working set: every tuple its ops touch, in first-touch
+/// order, with the row the table stores for the tuple's identifier and the
+/// row the ops folded so far leave there.
+class RelationalTargetDb::NetEffect {
+ public:
+  struct Touched {
+    Table* table;
+    /// Where the stored row lives; absent for an identifier the table
+    /// does not hold.
+    std::optional<Rid> rid;
+    Row stored;
+    /// The working image; absent while the tuple is deleted.
+    std::optional<Row> image;
+  };
+
+  /// The tuple with identifier `key`, read through the key index on its
+  /// first touch.
+  Result<Touched*> Touch(Table* table, const Datum& key) {
+    auto slot = slots_.find({table, key});
+    if (slot != slots_.end()) return slot->second;
+    CPDB_ASSIGN_OR_RETURN(std::string index, KeyIndex(*table));
+    Touched t{table, std::nullopt, Row(), std::nullopt};
+    CPDB_RETURN_IF_ERROR(
+        table->LookupEq(index, {key}, [&](const Rid& rid, const Row& row) {
+          t.rid = rid;
+          t.stored = row;
+          return false;  // a unique index holds one match at most
+        }));
+    if (t.rid.has_value()) t.image = t.stored;
+    Touched* touched = &touched_.emplace_back(std::move(t));
+    slots_.emplace(std::make_pair(table, key), touched);
+    return touched;
+  }
+
+  /// The tuple labelled `label`: its image exists and its identifier
+  /// renders to exactly `label` (a parsed label can render differently:
+  /// "042" parses to 42).
+  Result<Touched*> Find(Table* table, const std::string& label) {
+    if (Result<Datum> key = LabelKey(*table, label); key.ok()) {
+      CPDB_ASSIGN_OR_RETURN(Touched * t, Touch(table, key.value()));
+      if (t->image.has_value() && (*t->image)[0].ToString() == label) {
+        return t;
+      }
+    }
+    return Status::NotFound("no tuple '" + label + "' in table " +
+                            table->name());
+  }
+
+  /// Adds `row` as a new tuple, checked as Table::Insert checks it: the
+  /// schema, then the identifier's uniqueness in the key index.
+  Status Add(Table* table, Row row) {
+    CPDB_RETURN_IF_ERROR(table->schema().Validate(row));
+    CPDB_ASSIGN_OR_RETURN(Touched * t, Touch(table, row[0]));
+    if (t->image.has_value()) {
+      CPDB_ASSIGN_OR_RETURN(std::string index, KeyIndex(*table));
+      return Status::AlreadyExists("duplicate key " +
+                                   relstore::RowToString({row[0]}) +
+                                   " in unique index '" + index + "'");
+    }
+    t->image = std::move(row);
+    return Status::OK();
+  }
+
+  /// Replaces `t`'s image with `row` once `row` passes the schema check.
+  static Status Replace(Touched* t, Row row) {
+    CPDB_RETURN_IF_ERROR(t->table->schema().Validate(row));
+    t->image = std::move(row);
+    return Status::OK();
+  }
+
+  /// Sets field `col` of `t`'s image to `value` if the image then passes
+  /// the schema check; otherwise the image keeps its old field.
+  static Status SetField(Touched* t, size_t col, Datum value) {
+    Row& image = *t->image;
+    std::swap(image[col], value);
+    Status valid = t->table->schema().Validate(image);
+    if (!valid.ok()) std::swap(image[col], value);
+    return valid;
+  }
+
+  /// Stores every tuple whose image differs from its stored row, in
+  /// first-touch order: the one rewrite per tuple.
+  Status Write() {
+    for (const Touched& t : touched_) {
+      if (t.rid.has_value() && t.image.has_value() &&
+          SameBytes(t.stored, *t.image)) {
+        continue;
+      }
+      if (t.rid.has_value()) CPDB_RETURN_IF_ERROR(t.table->Delete(*t.rid));
+      if (t.image.has_value()) {
+        CPDB_RETURN_IF_ERROR(t.table->Insert(*t.image).status());
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  /// Byte equality: Datum's == calls 0.0 and -0.0 equal, and they render
+  /// differently.
+  static bool SameBytes(const Row& a, const Row& b) {
+    std::string ea, eb;
+    relstore::EncodeRow(a, &ea);
+    relstore::EncodeRow(b, &eb);
+    return ea == eb;
+  }
+
+  /// Stable addresses: Touch hands out pointers while it keeps adding.
+  std::deque<Touched> touched_;
+  std::map<std::pair<const Table*, Datum>, Touched*> slots_;
+};
+
 Status RelationalTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
   if (ops.empty()) return Status::OK();
   cost().ChargeWrite(ops.size());
+  NetEffect net;
+  Status folded;
   for (const NativeOp& op : ops) {
-    CPDB_RETURN_IF_ERROR(ApplyOne(op.update, op.pasted));
+    folded = Fold(op.update, op.pasted, &net);
+    if (!folded.ok()) break;
   }
-  return Status::OK();
+  CPDB_RETURN_IF_ERROR(net.Write());
+  return folded;
 }
 
-Status RelationalTargetDb::ApplyOne(const update::Update& u,
-                                    const tree::Tree* copied_subtree) {
+Status RelationalTargetDb::Fold(const update::Update& u,
+                                const tree::Tree* pasted, NetEffect* net) {
   const tree::Path& p = u.target;
 
   switch (u.kind) {
@@ -148,27 +250,22 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
         }
         Row row(table->schema().NumColumns());
         CPDB_ASSIGN_OR_RETURN(row[0], LabelKey(*table, u.label));
-        return table->Insert(row).status();
+        return net->Add(table, std::move(row));
       }
       if (p.Depth() == 2) {
         // ins {F : v} into R/tid: set a field that is currently NULL.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        int col = table->schema().IndexOf(u.label);
-        if (col <= 0) {
-          return Status::NotSupported("no column '" + u.label +
-                                      "' in table " + p.At(0));
-        }
-        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
-        if (!t.row[static_cast<size_t>(col)].is_null()) {
+        CPDB_ASSIGN_OR_RETURN(size_t col, FieldColumn(*table, u.label));
+        CPDB_ASSIGN_OR_RETURN(NetEffect::Touched * t,
+                              net->Find(table, p.At(1)));
+        if (!(*t->image)[col].is_null()) {
           return Status::AlreadyExists("field '" + u.label +
                                        "' already set");
         }
-        tree::Value v = u.value.value_or(tree::Value());
         CPDB_ASSIGN_OR_RETURN(
-            t.row[static_cast<size_t>(col)],
-            ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
-                                .type));
-        return RewriteRow(table, t.rid, std::move(t.row));
+            Datum v, ValueToDatum(u.value.value_or(tree::Value()),
+                                  table->schema().column(col).type));
+        return NetEffect::SetField(t, col, std::move(v));
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid insert depths");
@@ -178,78 +275,57 @@ Status RelationalTargetDb::ApplyOne(const update::Update& u,
       if (p.Depth() == 1) {
         // del tid from R.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, u.label));
-        return table->Delete(t.rid);
+        CPDB_ASSIGN_OR_RETURN(NetEffect::Touched * t,
+                              net->Find(table, u.label));
+        t->image.reset();
+        return Status::OK();
       }
       if (p.Depth() == 2) {
         // del F from R/tid: NULL out the field.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        int col = table->schema().IndexOf(u.label);
-        if (col <= 0) {
-          return Status::NotSupported("no column '" + u.label +
-                                      "' in table " + p.At(0));
-        }
-        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
-        t.row[static_cast<size_t>(col)] = Datum();
-        return RewriteRow(table, t.rid, std::move(t.row));
+        CPDB_ASSIGN_OR_RETURN(size_t col, FieldColumn(*table, u.label));
+        CPDB_ASSIGN_OR_RETURN(NetEffect::Touched * t,
+                              net->Find(table, p.At(1)));
+        return NetEffect::SetField(t, col, Datum());
       }
       return Status::NotSupported(
           "relational target supports only R and R/tid delete depths");
     }
 
     case update::OpKind::kCopy: {
-      if (copied_subtree == nullptr) {
+      if (pasted == nullptr) {
         return Status::InvalidArgument("paste requires the copied subtree");
       }
       if (p.Depth() == 2) {
-        // copy ... into R/tid: upsert the whole tuple from the subtree's
-        // leaf children.
+        // copy ... into R/tid: the tuple becomes the subtree's leaf
+        // children, NULL elsewhere, as the pasted subtree replaces the
+        // whole node in the universe.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        Result<Tuple> existing = FindRow(*table, p.At(1));
-        if (!existing.ok() && !existing.status().IsNotFound()) {
-          return existing.status();
-        }
         Row row(table->schema().NumColumns());
-        if (existing.ok()) {
-          row = std::move(existing->row);
-        } else {
-          CPDB_ASSIGN_OR_RETURN(row[0], LabelKey(*table, p.At(1)));
-        }
-        for (const auto& [label, child] : copied_subtree->children()) {
-          int col = table->schema().IndexOf(label);
-          if (col <= 0) {
-            return Status::NotSupported("no column '" + label +
-                                        "' in table " + p.At(0));
-          }
-          tree::Value v =
-              child->HasValue() ? child->value() : tree::Value();
+        CPDB_ASSIGN_OR_RETURN(row[0], LabelKey(*table, p.At(1)));
+        for (const auto& [label, child] : pasted->children()) {
+          CPDB_ASSIGN_OR_RETURN(size_t col, FieldColumn(*table, label));
           CPDB_ASSIGN_OR_RETURN(
-              row[static_cast<size_t>(col)],
-              ValueToDatum(v, table->schema()
-                                  .column(static_cast<size_t>(col))
-                                  .type));
+              row[col],
+              ValueToDatum(child->HasValue() ? child->value() : tree::Value(),
+                           table->schema().column(col).type));
         }
-        if (existing.ok()) {
-          return RewriteRow(table, existing->rid, std::move(row));
-        }
-        return table->Insert(row).status();
+        Result<NetEffect::Touched*> existing = net->Find(table, p.At(1));
+        if (existing.ok()) return NetEffect::Replace(*existing, std::move(row));
+        if (!existing.status().IsNotFound()) return existing.status();
+        return net->Add(table, std::move(row));
       }
       if (p.Depth() == 3) {
         // copy ... into R/tid/F: field update.
         CPDB_ASSIGN_OR_RETURN(Table * table, TableFor(p.At(0)));
-        int col = table->schema().IndexOf(p.At(2));
-        if (col <= 0) {
-          return Status::NotSupported("no column '" + p.At(2) +
-                                      "' in table " + p.At(0));
-        }
-        CPDB_ASSIGN_OR_RETURN(Tuple t, FindRow(*table, p.At(1)));
-        tree::Value v = copied_subtree->HasValue() ? copied_subtree->value()
-                                                   : tree::Value();
+        CPDB_ASSIGN_OR_RETURN(size_t col, FieldColumn(*table, p.At(2)));
+        CPDB_ASSIGN_OR_RETURN(NetEffect::Touched * t,
+                              net->Find(table, p.At(1)));
         CPDB_ASSIGN_OR_RETURN(
-            t.row[static_cast<size_t>(col)],
-            ValueToDatum(v, table->schema().column(static_cast<size_t>(col))
-                                .type));
-        return RewriteRow(table, t.rid, std::move(t.row));
+            Datum v,
+            ValueToDatum(pasted->HasValue() ? pasted->value() : tree::Value(),
+                         table->schema().column(col).type));
+        return NetEffect::SetField(t, col, std::move(v));
       }
       return Status::NotSupported(
           "relational target supports pastes at R/tid and R/tid/F only");

@@ -18,19 +18,26 @@ namespace cpdb::wrap {
 ///   ins {F : v} into R/tid         -> UPDATE R SET F = v (F was NULL)
 ///   del tid from R                 -> DELETE FROM R WHERE key = tid
 ///   del F from R/tid               -> UPDATE R SET F = NULL
-///   copy ... into R/tid            -> upsert the whole tuple
+///   copy ... into R/tid            -> replace the whole tuple (key, the
+///                                     pasted fields, NULL elsewhere)
 ///   copy ... into R/tid/F          -> UPDATE R SET F = value
 /// Updates that do not fit the relational schema (new tables, extra
 /// nesting, unknown fields) fail with NotSupported/InvalidArgument —
 /// mirroring a real wrapper's schema mapping limits.
 ///
 /// Every wrapped table carries its *key index*: a unique index on exactly
-/// column 0, created together with the table. Replay finds the
-/// tuple `tid` with one descent of it: the label is parsed by the
-/// identifier's column type and names the tuple whose identifier renders
-/// to exactly that label, so an int64 `042` names no tuple. A racing
-/// duplicate tuple insert fails with AlreadyExists instead of storing a
-/// second row with the same identifier.
+/// column 0, created together with the table. The label `tid` is parsed
+/// by the identifier's column type and names the tuple whose identifier
+/// renders to exactly that label, so an int64 `042` names no tuple. A
+/// racing duplicate tuple insert fails with AlreadyExists instead of
+/// storing a second row with the same identifier.
+///
+/// A transaction is replayed by its net effect, as the transactional
+/// provenance strategies record it: each touched tuple is read once
+/// through the key index and rewritten at most once per batch, so the
+/// write-ahead log carries only the final row images. The key index is
+/// the only unique constraint the fold checks; a wrapped table carries no
+/// other unique index.
 class RelationalTargetDb : public TargetDb {
  public:
   /// Exposes `tables` of `db`; first column of each table is the tuple
@@ -54,8 +61,16 @@ class RelationalTargetDb : public TargetDb {
   /// right after creating a table this target will wrap.
   static Status CreateKeyIndex(relstore::Table* table);
 
-  /// One modelled SQL batch statement for the whole transaction: each
-  /// op's SQL mechanics run in order, one round trip charged in total.
+  /// One modelled SQL batch statement for the whole transaction, one
+  /// round trip charged in total, in two passes. The fold takes the ops in
+  /// order into one working row image per touched tuple, read once through
+  /// the key index; every op runs its checks against those images,
+  /// including the schema check Table::Insert would run on its result, so
+  /// an op that fails changes no image. The write then stores each tuple
+  /// whose image changed, in first-touch order: it deletes the stored row,
+  /// inserts the image, or both. A failing op's error is returned after
+  /// the net effect of the ops before it is written, as op-by-op replay
+  /// would leave it.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;
 
   /// Group-commit barrier of the backing store — one fsync per committed
@@ -67,24 +82,16 @@ class RelationalTargetDb : public TargetDb {
   relstore::CostModel& cost() override { return db_->cost(); }
 
  private:
-  /// The path-to-SQL mechanics of one update, with no cost charged.
-  Status ApplyOne(const update::Update& u, const tree::Tree* copied_subtree);
+  /// The tuples one batch touches, with their stored rows and working
+  /// images (relational_target.cc).
+  class NetEffect;
+
+  /// Folds one update into `net`: its path-to-SQL mechanics run against
+  /// the working images, with no cost charged and nothing written.
+  Status Fold(const update::Update& u, const tree::Tree* pasted,
+              NetEffect* net);
 
   Result<relstore::Table*> TableFor(const std::string& name);
-
-  /// A located tuple: where it lives and its decoded row.
-  struct Tuple {
-    relstore::Rid rid;
-    relstore::Row row;
-  };
-
-  /// Finds the tuple labelled `tid_label` through the key index.
-  static Result<Tuple> FindRow(const relstore::Table& table,
-                               const std::string& tid_label);
-
-  /// Replaces a row in place (delete + insert).
-  Status RewriteRow(relstore::Table* table, const relstore::Rid& rid,
-                    relstore::Row row);
 
   static Result<relstore::Datum> ValueToDatum(const tree::Value& v,
                                               relstore::ColumnType type);

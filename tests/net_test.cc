@@ -992,6 +992,45 @@ TEST(NetServerTest, DrainRecoversBitIdenticalStateThroughTheSocket) {
   }
 }
 
+TEST(NetServerTest, PasteOverATupleAnswersTheSameAcrossRestart) {
+  // A paste replaces the whole tuple in the universe, so the relational
+  // target must drop the columns the pasted subtree lacks: otherwise the
+  // acknowledged answer changes once the store is reopened.
+  TempDir dir("net_paste");
+  const Path table = Path::MustParse("T/data");
+  std::string before;
+  {
+    NetRig rig(dir.path());
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+    ASSERT_TRUE(client.Apply(Update::Insert(table, "k1")).ok());
+    ASSERT_TRUE(
+        client.Apply(Update::Insert(table.Child("k1"), "f1", Value("a"))).ok());
+    ASSERT_TRUE(client.Apply(Update::Insert(table, "k2")).ok());
+    ASSERT_TRUE(
+        client.Apply(Update::Insert(table.Child("k2"), "f1", Value("x"))).ok());
+    ASSERT_TRUE(
+        client.Apply(Update::Insert(table.Child("k2"), "f2", Value("y"))).ok());
+    ASSERT_TRUE(client.Commit().ok());
+    ASSERT_TRUE(
+        client.Apply(Update::Copy(table.Child("k1"), table.Child("k2"))).ok());
+    ASSERT_TRUE(client.Commit().ok());
+    auto got = client.Get(table.Child("k2"));
+    ASSERT_TRUE(got.ok());
+    before = *got;
+    EXPECT_NE(before.find("\"a\""), std::string::npos) << before;
+    EXPECT_EQ(before.find("\"y\""), std::string::npos) << before;
+    ASSERT_TRUE(client.Drain().ok());
+    rig.server->Wait();
+  }
+  NetRig rig(dir.path());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
+  auto after = client.Get(table.Child("k2"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, before);
+}
+
 // ----- Observability over the wire -------------------------------------------
 
 TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {

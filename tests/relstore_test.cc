@@ -55,12 +55,6 @@ TEST(DatumTest, DecodeRejectsColumnCountPastInput) {
   EXPECT_FALSE(DecodeRow(image, &pos, &back));
 }
 
-TEST(DatumTest, HashConsistency) {
-  EXPECT_EQ(Datum("x").Hash(), Datum("x").Hash());
-  EXPECT_NE(Datum("x").Hash(), Datum("y").Hash());
-  EXPECT_NE(Datum(int64_t{1}).Hash(), Datum(1.0).Hash());  // typed
-}
-
 // ----- Schema ----------------------------------------------------------------
 
 TEST(SchemaTest, Validate) {

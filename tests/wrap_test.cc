@@ -1,4 +1,10 @@
+#include <algorithm>
+#include <deque>
 #include <functional>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +139,20 @@ TEST(RelationalTargetDbTest, WholeTupleUpsertFromPaste) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->Find(Path::MustParse("prot/p7/name"))->value().AsString(),
             "CRP");
+
+  // A paste over an existing tuple replaces it, as the pasted subtree
+  // replaces the node in the universe: a column the subtree lacks reads
+  // NULL, not its old value.
+  auto partial = tree::ParseTree("{loc: nucleus}");
+  ASSERT_TRUE(Push(&target, Update::Copy(Path(), Path::MustParse("prot/p7")),
+                   &partial.value())
+                  .ok());
+  view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE(view->Find(Path::MustParse("prot/p7/name"))->value().is_null());
+  EXPECT_EQ(view->Find(Path::MustParse("prot/p7/loc"))->value().AsString(),
+            "nucleus");
+  EXPECT_EQ(view->Find(Path::MustParse("prot"))->ChildCount(), 1u);
 }
 
 TEST(RelationalTargetDbTest, SchemaMismatchesAreRejected) {
@@ -246,6 +266,404 @@ TEST(RelationalTargetDbTest, WrappedTableWithoutKeyIndexIsRejected) {
     EXPECT_TRUE(Editor::Create(&target, &backend, EditorOptions{})
                     .status()
                     .IsFailedPrecondition());
+  }
+}
+
+TEST(RelationalTargetDbTest, RewriteThatFailsValidationKeepsTheTuple) {
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kString, false},
+                           {"name", ColumnType::kString, false},
+                           {"loc", ColumnType::kString, true}});
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "prot", schema).ok());
+  RelationalTargetDb target("T", &db, {"prot"});
+  auto tuple = tree::ParseTree("{name: CRP}");
+  ASSERT_TRUE(Push(&target, Update::Copy(Path(), Path::MustParse("prot/p1")),
+                   &tuple.value())
+                  .ok());
+
+  Status cleared =
+      Push(&target, Update::Delete(Path::MustParse("prot/p1"), "name"));
+  EXPECT_TRUE(cleared.IsInvalidArgument()) << cleared;
+  EXPECT_EQ(cleared.message(), "NULL in non-nullable column 'name'");
+  // In a batch, the ops before the failing one still land.
+  tree::Tree leaf{tree::Value("membrane")};
+  Status batch = target.ApplyBatch(
+      {NativeOp{Update::Copy(Path(), Path::MustParse("prot/p1/loc")), &leaf},
+       NativeOp{Update::Delete(Path::MustParse("prot/p1"), "name")}});
+  EXPECT_TRUE(batch.IsInvalidArgument()) << batch;
+
+  auto view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  const tree::Tree* name = view->Find(Path::MustParse("prot/p1/name"));
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->value().AsString(), "CRP");
+  EXPECT_EQ(view->Find(Path::MustParse("prot/p1/loc"))->value().AsString(),
+            "membrane");
+}
+
+// ----- Net-effect replay -----------------------------------------------------
+
+/// Counts the row images a table reports to its journal.
+class CountingJournal : public relstore::Journal {
+ public:
+  void NoteCreateTable(const std::string&, const relstore::Schema&) override {}
+  void NoteDropTable(const std::string&) override {}
+  void NoteCreateIndex(const std::string&,
+                       const relstore::IndexDef&) override {}
+  void NoteInsert(const std::string&, const relstore::Row&) override {
+    ++inserts;
+  }
+  void NoteDelete(const std::string&, const relstore::Row&) override {
+    ++deletes;
+  }
+
+  int inserts = 0;
+  int deletes = 0;
+};
+
+TEST(RelationalTargetDbTest, BatchJournalsOnlyItsNetEffect) {
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kString, false},
+                           {"name", ColumnType::kString, true},
+                           {"loc", ColumnType::kString, true}});
+  auto table = testutil::CreateKeyedTable(&db, "prot", schema);
+  ASSERT_TRUE(table.ok());
+  RelationalTargetDb target("T", &db, {"prot"});
+  ASSERT_TRUE(
+      Push(&target, Update::Insert(Path::MustParse("prot"), "p1")).ok());
+  CountingJournal journal;
+  (*table)->set_journal(&journal);
+
+  // Eight field ops on one stored tuple: one delete image, one insert.
+  const Path p1 = Path::MustParse("prot/p1");
+  tree::Tree membrane{tree::Value("membrane")};
+  tree::Tree crp{tree::Value("CRP")};
+  ASSERT_TRUE(target
+                  .ApplyBatch({
+                      NativeOp{Update::Insert(p1, "name", tree::Value("A"))},
+                      NativeOp{Update::Delete(p1, "name")},
+                      NativeOp{Update::Insert(p1, "name", tree::Value("B"))},
+                      NativeOp{Update::Copy(Path(), p1.Child("loc")),
+                               &membrane},
+                      NativeOp{Update::Delete(p1, "loc")},
+                      NativeOp{Update::Insert(p1, "loc", tree::Value("C"))},
+                      NativeOp{Update::Copy(Path(), p1.Child("name")), &crp},
+                      NativeOp{Update::Delete(p1, "loc")},
+                  })
+                  .ok());
+  EXPECT_EQ(journal.deletes, 1);
+  EXPECT_EQ(journal.inserts, 1);
+  auto view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->Find(p1.Child("name"))->value().AsString(), "CRP");
+  EXPECT_TRUE(view->Find(p1.Child("loc"))->value().is_null());
+
+  // A tuple inserted and deleted in one batch journals nothing.
+  journal = CountingJournal();
+  ASSERT_TRUE(target
+                  .ApplyBatch({
+                      NativeOp{Update::Insert(Path::MustParse("prot"), "p2")},
+                      NativeOp{Update::Insert(Path::MustParse("prot/p2"),
+                                              "name", tree::Value("tmp"))},
+                      NativeOp{Update::Delete(Path::MustParse("prot"), "p2")},
+                  })
+                  .ok());
+  // A field set and then cleared journals nothing.
+  ASSERT_TRUE(target
+                  .ApplyBatch({
+                      NativeOp{Update::Insert(p1, "loc", tree::Value("X"))},
+                      NativeOp{Update::Delete(p1, "loc")},
+                  })
+                  .ok());
+  EXPECT_EQ(journal.deletes, 0);
+  EXPECT_EQ(journal.inserts, 0);
+  EXPECT_EQ((*table)->RowCount(), 1u);
+  (*table)->set_journal(nullptr);
+}
+
+TEST(RelationalTargetDbTest, NegativeZeroOverZeroIsRewritten) {
+  // Datum's == calls 0.0 and -0.0 equal, yet they render differently, so
+  // the write compares row bytes: pasting -0.0 over 0.0 is a change.
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kString, false},
+                           {"w", ColumnType::kDouble, true}});
+  auto table = testutil::CreateKeyedTable(&db, "m", schema);
+  ASSERT_TRUE(table.ok());
+  RelationalTargetDb target("T", &db, {"m"});
+  const Path m1 = Path::MustParse("m/m1");
+  ASSERT_TRUE(target
+                  .ApplyBatch({NativeOp{Update::Insert(Path::MustParse("m"),
+                                                       "m1")},
+                               NativeOp{Update::Insert(m1, "w",
+                                                       tree::Value(0.0))}})
+                  .ok());
+  tree::Tree negative_zero{tree::Value(-0.0)};
+  ASSERT_TRUE(
+      Push(&target, Update::Copy(Path(), m1.Child("w")), &negative_zero).ok());
+  auto view = target.TreeFromDb();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->Find(m1.Child("w"))->value().ToString(), "-0");
+}
+
+/// The two tables the replay property runs over: one string-keyed with
+/// nullable fields, one int64-keyed with a non-nullable field and an int
+/// field. Each carries only its key index, as every wrapped table does.
+Status CreateReplayTables(relstore::Database* db) {
+  relstore::Schema s({{"id", ColumnType::kString, false},
+                      {"a", ColumnType::kString, true},
+                      {"b", ColumnType::kString, true}});
+  relstore::Schema g({{"id", ColumnType::kInt64, false},
+                      {"name", ColumnType::kString, false},
+                      {"n", ColumnType::kInt64, true}});
+  CPDB_RETURN_IF_ERROR(testutil::CreateKeyedTable(db, "s", s).status());
+  CPDB_RETURN_IF_ERROR(testutil::CreateKeyedTable(db, "g", g).status());
+  return db->Sync();
+}
+
+/// Every row of `table`, in key order.
+std::vector<relstore::Row> RowsOf(relstore::Database* db,
+                                  const std::string& table) {
+  std::vector<relstore::Row> rows;
+  auto t = db->GetTable(table);
+  EXPECT_TRUE(t.ok());
+  (*t)->Scan([&](const relstore::Rid&, const relstore::Row& row) {
+    rows.push_back(row);
+    return true;
+  });
+  std::sort(rows.begin(), rows.end(), relstore::RowLess);
+  return rows;
+}
+
+/// A seeded stream of updates over the replay tables, each drawn against
+/// the rows a database holds when it is drawn: an op that succeeds there,
+/// or, when asked, one of the shapes that must fail.
+class ReplayOpGen {
+ public:
+  explicit ReplayOpGen(uint32_t seed) : rng_(seed) {}
+
+  NativeOp Next(relstore::Database* db, bool must_fail) {
+    const bool g = Pick(2) == 0;
+    const std::string rel = g ? "g" : "s";
+    const std::vector<std::string> fields =
+        g ? std::vector<std::string>{"name", "n"}
+          : std::vector<std::string>{"a", "b"};
+    const std::vector<relstore::Row> rows = RowsOf(db, rel);
+    std::vector<std::string> absent;
+    for (int i = 0; i < 4; ++i) {
+      std::string label = (g ? "" : "k") + std::to_string(i);
+      bool held = false;
+      for (const relstore::Row& row : rows) held |= row[0].ToString() == label;
+      if (!held) absent.push_back(label);
+    }
+    const relstore::Row* row =
+        rows.empty() ? nullptr : &rows[Pick(rows.size())];
+    const std::string label =
+        row != nullptr ? (*row)[0].ToString() : absent[Pick(absent.size())];
+    if (must_fail) return MustFail(g, rel, fields, row, absent);
+
+    const std::string fresh =
+        absent.empty() ? label : absent[Pick(absent.size())];
+    const Path tuple = Path::MustParse(rel).Child(label);
+    size_t shape = Pick(6);
+    if (row == nullptr) shape = 0;  // only a new tuple succeeds
+    switch (shape) {
+      case 0:  // a new tuple: ins {tid : {}} into R (g's NULL name would
+               // fail it, so g gets a whole-tuple paste).
+        if (!absent.empty() && !g) {
+          return {Update::Insert(Path::MustParse(rel), fresh)};
+        }
+        return PasteTuple(g, rel, fields, fresh, /*with_name=*/true);
+      case 1:  // ins {F : v} into R/tid on a NULL field, else a paste.
+        for (size_t col : {size_t{1}, size_t{2}}) {
+          if ((*row)[col].is_null()) {
+            return {Update::Insert(tuple, fields[col - 1],
+                                   ValueFor(fields[col - 1]))};
+          }
+        }
+        return PasteLeaf(tuple.Child(fields[1]), ValueFor(fields[1]));
+      case 2:  // del tid from R.
+        return {Update::Delete(Path::MustParse(rel), label)};
+      case 3:  // del F from R/tid (g's name cannot be NULL).
+        return {Update::Delete(tuple, g ? "n" : fields[Pick(2)])};
+      case 4:  // copy ... into R/tid, over a stored tuple.
+        return PasteTuple(g, rel, fields, label, /*with_name=*/true);
+      default: {  // copy ... into R/tid/F.
+        const std::string& field = fields[Pick(2)];
+        return PasteLeaf(tuple.Child(field), ValueFor(field));
+      }
+    }
+  }
+
+ private:
+  size_t Pick(size_t n) { return rng_() % n; }
+
+  tree::Value ValueFor(const std::string& field) {
+    if (field == "n") return tree::Value(static_cast<int64_t>(Pick(10)));
+    return tree::Value(std::string(1, static_cast<char>('x' + Pick(3))));
+  }
+
+  NativeOp PasteLeaf(Path target, tree::Value v) {
+    pasted_.emplace_back(std::move(v));
+    return {Update::Copy(Path(), std::move(target)), &pasted_.back()};
+  }
+
+  /// A whole-tuple paste of a random subset of `fields` (g's name kept
+  /// when `with_name`), with an unknown column when `unknown`.
+  NativeOp PasteTuple(bool g, const std::string& rel,
+                      const std::vector<std::string>& fields,
+                      const std::string& label, bool with_name,
+                      bool unknown = false) {
+    tree::Tree subtree;
+    for (const std::string& f : fields) {
+      const bool keep = (g && f == "name") ? with_name : Pick(2) == 0;
+      if (!keep) continue;
+      EXPECT_TRUE(subtree.AddChild(f, tree::Tree(ValueFor(f))).ok());
+    }
+    if (unknown) {
+      EXPECT_TRUE(subtree.AddChild("zz", tree::Tree(tree::Value("q"))).ok());
+    }
+    pasted_.push_back(std::move(subtree));
+    return {Update::Copy(Path(), Path::MustParse(rel).Child(label)),
+            &pasted_.back()};
+  }
+
+  /// One of the shapes that must fail. Those that need a stored tuple of
+  /// `rel` are drawn only when `row` is one; those that need g's
+  /// non-nullable name or int column, only on g.
+  NativeOp MustFail(bool g, const std::string& rel,
+                    const std::vector<std::string>& fields,
+                    const relstore::Row* row,
+                    const std::vector<std::string>& absent) {
+    const Path table = Path::MustParse(rel);
+    const std::string missing =
+        absent.empty() ? (g ? "9" : "k9") : absent[0];
+    if (row == nullptr || Pick(3) == 0) {
+      switch (Pick(5)) {
+        case 0:  // missing tuple.
+          return {Update::Delete(table.Child(missing), fields[1])};
+        case 1:  // an int64 label that does not parse.
+          return {Update::Insert(Path::MustParse("g"), "q")};
+        case 2:  // unknown table.
+          return {Update::Insert(Path::MustParse("zz"), "k0")};
+        case 3:  // a tuple node carrying a value.
+          return {Update::Insert(table, missing, tree::Value("v"))};
+        default:  // a path deeper than R/tid/F.
+          return {Update::Insert(table.Child(missing).Child(fields[1]),
+                                 "sub")};
+      }
+    }
+    const std::string label = (*row)[0].ToString();
+    const Path tuple = table.Child(label);
+    switch (Pick(g ? 6 : 3)) {
+      case 0:  // duplicate tuple: s by its label, g by a label that parses
+               // to the same identifier ("03" parses to 3).
+        if (g) return PasteTuple(true, rel, fields, "0" + label, true);
+        return {Update::Insert(table, label)};
+      case 1:  // field already set (g's name always is).
+        for (size_t col : {size_t{1}, size_t{2}}) {
+          if (!(*row)[col].is_null()) {
+            return {Update::Insert(tuple, fields[col - 1],
+                                   ValueFor(fields[col - 1]))};
+          }
+        }
+        return {Update::Insert(tuple, "zz", tree::Value("q"))};
+      case 2:  // unknown column, by insert or by a whole-tuple paste.
+        if (Pick(2) == 0) {
+          return {Update::Insert(tuple, "zz", tree::Value("q"))};
+        }
+        return PasteTuple(g, rel, fields, label, true, /*unknown=*/true);
+      case 3:  // an int64 label that is not the identifier's rendering.
+        if (Pick(2) == 0) {
+          return PasteLeaf(table.Child("0" + label).Child("n"),
+                           tree::Value(int64_t{1}));
+        }
+        return {Update::Delete(table, "0" + label)};
+      case 4:  // NULL into g's non-nullable name, three ways.
+        switch (Pick(3)) {
+          case 0:
+            return {Update::Delete(tuple, "name")};
+          case 1:
+            return PasteLeaf(tuple.Child("name"), tree::Value());
+          default:
+            return PasteTuple(true, rel, fields, label, /*with_name=*/false);
+        }
+      default:  // a value that does not fit the int column.
+        return PasteLeaf(tuple.Child("n"), tree::Value("x"));
+    }
+  }
+
+  std::mt19937 rng_;
+  /// Owns every pasted subtree: an op borrows its subtree until replayed.
+  std::deque<tree::Tree> pasted_;
+};
+
+TEST(RelationalTargetDbTest, FoldedReplayEqualsOpByOpReplay) {
+  // Database `folded` replays each sequence as one batch; `stepped` as one
+  // batch per op, stopping at the first failure. Both are durable, synced
+  // after every sequence, and recovered from their logs at the end.
+  testutil::TempDir folded_dir("replay_folded");
+  testutil::TempDir stepped_dir("replay_stepped");
+  auto folded_db = relstore::Database::Open("curated", folded_dir.path());
+  auto stepped_db = relstore::Database::Open("curated", stepped_dir.path());
+  ASSERT_TRUE(folded_db.ok() && stepped_db.ok());
+  ASSERT_TRUE(CreateReplayTables(folded_db->get()).ok());
+  ASSERT_TRUE(CreateReplayTables(stepped_db->get()).ok());
+  RelationalTargetDb folded("T", folded_db->get(), {"s", "g"});
+  RelationalTargetDb stepped("T", stepped_db->get(), {"s", "g"});
+
+  ReplayOpGen gen(20061);
+  std::set<std::string> failures;
+  for (int seq = 0; seq < 300; ++seq) {
+    SCOPED_TRACE("sequence " + std::to_string(seq));
+    std::vector<NativeOp> ops;
+    Status one_by_one;
+    const size_t length = 1 + seq % 12;
+    // One sequence in three carries an op that must fail, somewhere.
+    const size_t fail_at = seq % 3 == 0 ? (seq / 3) % length : length;
+    for (size_t i = 0; i < length; ++i) {
+      ops.push_back(gen.Next(stepped_db->get(), i == fail_at));
+      if (one_by_one.ok()) one_by_one = stepped.ApplyBatch({ops.back()});
+    }
+    Status batch = folded.ApplyBatch(ops);
+    EXPECT_EQ(batch.code(), one_by_one.code()) << batch << " vs " << one_by_one;
+    EXPECT_EQ(batch.message(), one_by_one.message());
+    if (!batch.ok()) failures.insert(batch.message());
+    ASSERT_TRUE((*folded_db)->Sync().ok());
+    ASSERT_TRUE((*stepped_db)->Sync().ok());
+    for (const char* rel : {"s", "g"}) {
+      ASSERT_EQ(RowsOf(folded_db->get(), rel), RowsOf(stepped_db->get(), rel))
+          << rel;
+    }
+  }
+
+  // Every failure shape came up: the property covered them all.
+  for (const char* shape :
+       {"duplicate key", "already set", "no tuple", "no column",
+        "is not a valid INT64", "NULL in non-nullable", "does not fit",
+        "not exposed", "cannot carry", "supports only"}) {
+    bool seen = false;
+    for (const std::string& message : failures) {
+      seen |= message.find(shape) != std::string::npos;
+    }
+    EXPECT_TRUE(seen) << shape;
+  }
+
+  // Recovered from the log alone (no checkpoint was written), the folded
+  // database's net row images rebuild the rows op-by-op replay left.
+  const std::vector<relstore::Row> s_rows = RowsOf(stepped_db->get(), "s");
+  const std::vector<relstore::Row> g_rows = RowsOf(stepped_db->get(), "g");
+  EXPECT_FALSE(s_rows.empty());
+  EXPECT_FALSE(g_rows.empty());
+  for (auto* db : {&folded_db, &stepped_db}) {
+    const std::string dir =
+        db == &folded_db ? folded_dir.path() : stepped_dir.path();
+    db->value().reset();  // a crash: no Close, no checkpoint
+    *db = relstore::Database::Open("curated", dir);
+    ASSERT_TRUE(db->ok());
+    EXPECT_FALSE((**db)->durability()->stats().snapshot_loaded);
+    EXPECT_EQ(RowsOf(db->value().get(), "s"), s_rows);
+    EXPECT_EQ(RowsOf(db->value().get(), "g"), g_rows);
+    EXPECT_TRUE((**db)->Close().ok());
   }
 }
 

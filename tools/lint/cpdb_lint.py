@@ -76,6 +76,17 @@ WRAP-KEYED-LOOKUP
     there puts a whole-table walk back under every replayed update, and
     commit cost grows with the table behind it.
 
+WRAP-NET-EFFECT
+    src/wrap/relational_target.cc calls `Insert(` and `Delete(` at
+    exactly one site each, ignoring comments (`InsertBatch(` and
+    `DeleteRowImage(` count as sites too). Those sites are the per-tuple
+    write of RelationalTargetDb::ApplyBatch, which stores each touched
+    tuple's net image once per batch after the fold has checked every
+    op. A second site means some op writes the table on its own again:
+    a transaction's replay goes back to one heap rewrite, its index
+    updates and two logged row images per op, and a rewrite can again
+    delete a row before its replacement is checked.
+
 BENCH-JSON
     Every figure bench in bench/*.cc must emit the harness JSON schema
     ({"bench":..., "config":..., "rows":[...]}) behind a --json flag,
@@ -313,6 +324,29 @@ def check_wrap_keyed_lookup(root):
                     "(Table::LookupEq), never by scanning the table")
 
 
+NET_EFFECT_RE = re.compile(r"\b(Insert|Delete)(?:Batch|RowImage)?\s*\(")
+
+
+def check_wrap_net_effect(root):
+    path = root / WRAP_TARGET_PATH
+    if not path.is_file():
+        return
+    sites = {"Insert": [], "Delete": []}
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for m in NET_EFFECT_RE.finditer(strip_comments(line)):
+            sites[m.group(1)].append(lineno)
+    for call, lines in sites.items():
+        if not lines:
+            finding("WRAP-NET-EFFECT", WRAP_TARGET_PATH, 1,
+                    f"no {call}() call; the per-tuple write must store "
+                    "each touched tuple's net image")
+        for lineno in lines[1:]:
+            finding("WRAP-NET-EFFECT", WRAP_TARGET_PATH, lineno,
+                    f"second {call}() call site (first at line "
+                    f"{lines[0]}); replay writes each touched tuple once, "
+                    "from the fold's net image")
+
+
 BENCH_EXEMPT = {"bench_micro.cc"}  # google-benchmark's own reporter
 
 
@@ -490,6 +524,7 @@ def main():
     check_editor_write_path(root)
     check_editor_one_seal(root)
     check_wrap_keyed_lookup(root)
+    check_wrap_net_effect(root)
     check_bench_json(root)
     check_net_framing(root)
     check_obs_metrics(root)
