@@ -87,6 +87,41 @@ void BM_BTreeBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeBulkLoad)->Arg(10000)->Arg(100000);
 
+// Read descent: a Seek into 14000 idx_loc_tid-shaped (loc, tid) keys with
+// a one-column loc probe, as a provenance Loc lookup makes, then a walk of
+// the location's four entries along the leaf chain.
+void BM_BTreeSeek(benchmark::State& state) {
+  constexpr int64_t kKeys = 14000;
+  constexpr int64_t kLocs = 3500;
+  std::vector<std::pair<relstore::Row, relstore::Rid>> items;
+  items.reserve(kKeys);
+  for (int64_t i = 0; i < kKeys; ++i) {
+    items.emplace_back(
+        relstore::Row{relstore::Datum("T/c" + std::to_string(i % kLocs)),
+                      relstore::Datum(i)},
+        relstore::Rid{static_cast<uint32_t>(i / 64),
+                      static_cast<uint16_t>(i % 64)});
+  }
+  relstore::BTree bt;
+  bt.BulkUpsert(std::move(items));
+  std::vector<relstore::Row> probes;
+  probes.reserve(kLocs);
+  for (int64_t j = 0; j < kLocs; ++j) {
+    // 1543 is coprime to kLocs: every location once, in scattered order.
+    probes.push_back(
+        {relstore::Datum("T/c" + std::to_string(j * 1543 % kLocs))});
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    relstore::BTree::Cursor cur = bt.Seek(probes[i++ % probes.size()]);
+    for (int step = 0; step < 4 && cur.Valid(); ++step, cur.Advance()) {
+      benchmark::DoNotOptimize(cur.rid());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BTreeSeek);
+
 void BM_TableBulkLoad(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   for (auto _ : state) {

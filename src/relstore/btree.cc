@@ -45,35 +45,43 @@ struct BTree::Node {
   Node* prev = nullptr;                         // leaf chain, for O(1) unlink
 };
 
-bool BTree::EntryLess(const Entry& a, const Entry& b) {
-  if (RowLess(a.key, b.key)) return true;
-  if (RowLess(b.key, a.key)) return false;
-  return a.rid < b.rid;
+int BTree::CompareEntry(const Row& key, const Rid& rid, const Entry& e) {
+  if (const int c = CompareRows(key, e.key); c != 0) return c;
+  return (e.rid < rid) - (rid < e.rid);
 }
 
-bool BTree::EntryEq(const Entry& a, const Entry& b) {
-  return !EntryLess(a, b) && !EntryLess(b, a);
+bool BTree::EntryLess(const Entry& a, const Entry& b) {
+  return CompareEntry(a.key, a.rid, b) < 0;
 }
 
 BTree::BTree() : root_(std::make_unique<Node>()) {}
 BTree::~BTree() = default;
 
 // Descent rule shared by lookup, insert, and erase: children[i] holds
-// entries < entries[i], so the probe goes into the child after the last
+// entries < entries[i], so (key, rid) goes into the child after the last
 // separator <= it.
-size_t BTree::ChildIndex(const Node& node, const Entry& probe) {
-  size_t i = 0;
-  while (i < node.entries.size() && !EntryLess(probe, node.entries[i])) {
-    ++i;
-  }
-  return i;
+size_t BTree::ChildIndex(const Node& node, const Row& key, const Rid& rid) {
+  auto it = std::upper_bound(
+      node.entries.begin(), node.entries.end(), key,
+      [&rid](const Row& k, const Entry& sep) {
+        return CompareEntry(k, rid, sep) < 0;
+      });
+  return static_cast<size_t>(it - node.entries.begin());
+}
+
+size_t BTree::LeafIndex(const Node& node, const Row& key, const Rid& rid) {
+  auto it = std::lower_bound(
+      node.entries.begin(), node.entries.end(), key,
+      [&rid](const Entry& e, const Row& k) {
+        return CompareEntry(k, rid, e) > 0;
+      });
+  return static_cast<size_t>(it - node.entries.begin());
 }
 
 BTree::Node* BTree::FindLeaf(const Row& key, const Rid& rid) const {
   Node* cur = root_.get();
-  Entry probe{key, rid};
   while (!cur->leaf) {
-    cur = cur->children[ChildIndex(*cur, probe)].get();
+    cur = cur->children[ChildIndex(*cur, key, rid)].get();
   }
   return cur;
 }
@@ -85,7 +93,8 @@ void BTree::SplitChild(Node* parent, size_t child_idx) {
   size_t mid = child->entries.size() / 2;
 
   if (child->leaf) {
-    right->entries.assign(child->entries.begin() + mid, child->entries.end());
+    right->entries.assign(std::make_move_iterator(child->entries.begin() + mid),
+                          std::make_move_iterator(child->entries.end()));
     child->entries.resize(mid);
     right->next = child->next;
     right->prev = child;
@@ -96,9 +105,10 @@ void BTree::SplitChild(Node* parent, size_t child_idx) {
                            right->entries.front());
   } else {
     // Middle entry moves up; children split around it.
-    Entry sep = child->entries[mid];
-    right->entries.assign(child->entries.begin() + mid + 1,
-                          child->entries.end());
+    Entry sep = std::move(child->entries[mid]);
+    right->entries.assign(
+        std::make_move_iterator(child->entries.begin() + mid + 1),
+        std::make_move_iterator(child->entries.end()));
     right->children.reserve(child->children.size() - mid - 1);
     for (size_t i = mid + 1; i < child->children.size(); ++i) {
       right->children.push_back(std::move(child->children[i]));
@@ -112,7 +122,7 @@ void BTree::SplitChild(Node* parent, size_t child_idx) {
                           std::move(right));
 }
 
-void BTree::Insert(const Row& key, const Rid& rid) {
+void BTree::Insert(Row key, const Rid& rid) {
   if (root_->entries.size() >= kMaxEntries) {
     auto new_root = std::make_unique<Node>();
     new_root->leaf = false;
@@ -121,29 +131,27 @@ void BTree::Insert(const Row& key, const Rid& rid) {
     SplitChild(root_.get(), 0);
   }
   Node* cur = root_.get();
-  Entry probe{key, rid};
   while (!cur->leaf) {
-    size_t i = ChildIndex(*cur, probe);
+    size_t i = ChildIndex(*cur, key, rid);
     if (cur->children[i]->entries.size() >= kMaxEntries) {
       SplitChild(cur, i);
       // Re-decide which side to descend.
-      if (!EntryLess(probe, cur->entries[i])) ++i;
+      if (CompareEntry(key, rid, cur->entries[i]) >= 0) ++i;
     }
     cur = cur->children[i].get();
   }
-  auto it = std::lower_bound(cur->entries.begin(), cur->entries.end(), probe,
-                             EntryLess);
-  if (it != cur->entries.end() && !EntryLess(probe, *it) &&
-      !EntryLess(*it, probe)) {
+  const size_t pos = LeafIndex(*cur, key, rid);
+  if (pos < cur->entries.size() &&
+      CompareEntry(key, rid, cur->entries[pos]) == 0) {
     return;  // exact duplicate (key, rid); ignore
   }
-  cur->entries.insert(it, std::move(probe));
+  cur->entries.insert(cur->entries.begin() + static_cast<ptrdiff_t>(pos),
+                      Entry{std::move(key), rid});
   ++size_;
 }
 
 bool BTree::Erase(const Row& key, const Rid& rid) {
-  Entry probe{key, rid};
-  if (!EraseRec(root_.get(), probe)) return false;
+  if (!EraseRec(root_.get(), key, rid)) return false;
   --size_;
   // Shrink the root while it is an internal node with a single child.
   while (!root_->leaf && root_->children.size() == 1) {
@@ -153,17 +161,19 @@ bool BTree::Erase(const Row& key, const Rid& rid) {
   return true;
 }
 
-bool BTree::EraseRec(Node* node, const Entry& probe) {
+bool BTree::EraseRec(Node* node, const Row& key, const Rid& rid) {
   if (node->leaf) {
-    auto it = std::lower_bound(node->entries.begin(), node->entries.end(),
-                               probe, EntryLess);
-    if (it == node->entries.end() || EntryLess(probe, *it)) return false;
-    node->entries.erase(it);
+    const size_t pos = LeafIndex(*node, key, rid);
+    if (pos == node->entries.size() ||
+        CompareEntry(key, rid, node->entries[pos]) != 0) {
+      return false;
+    }
+    node->entries.erase(node->entries.begin() + static_cast<ptrdiff_t>(pos));
     return true;
   }
-  size_t i = ChildIndex(*node, probe);
+  size_t i = ChildIndex(*node, key, rid);
   Node* child = node->children[i].get();
-  if (!EraseRec(child, probe)) return false;
+  if (!EraseRec(child, key, rid)) return false;
   size_t min_entries = child->leaf ? kMinLeafEntries : kMinInternalEntries;
   if (child->entries.size() < min_entries) FixUnderflow(node, i);
   return true;
@@ -251,7 +261,10 @@ size_t BTree::BulkUpsert(std::vector<std::pair<Row, Rid>> items) {
   run.reserve(items.size());
   for (auto& [key, rid] : items) run.push_back(Entry{std::move(key), rid});
   std::sort(run.begin(), run.end(), EntryLess);
-  run.erase(std::unique(run.begin(), run.end(), EntryEq), run.end());
+  auto same = [](const Entry& a, const Entry& b) {
+    return CompareEntry(a.key, a.rid, b) == 0;
+  };
+  run.erase(std::unique(run.begin(), run.end(), same), run.end());
   if (run.empty()) return 0;
   if (size_ == 0) {
     size_t added = run.size();
@@ -265,19 +278,22 @@ size_t BTree::BulkUpsert(std::vector<std::pair<Row, Rid>> items) {
     size_t added = 0;
     for (Entry& e : run) {
       size_t before = size_;
-      Insert(e.key, e.rid);
+      Insert(std::move(e.key), e.rid);
       added += size_ - before;
     }
     return added;
   }
   // Large run: one linear merge of the leaf chain with the sorted run,
-  // rebuilt through the packer — O(n + k) instead of k descents.
+  // rebuilt through the packer — O(n + k) instead of k descents. The
+  // rebuild replaces every node, so the entries move out of the leaves.
   std::vector<Entry> merged;
   merged.reserve(size_ + run.size());
   std::vector<Entry> existing;
   existing.reserve(size_);
-  for (Cursor cur = SeekFirst(); cur.Valid(); cur.Advance()) {
-    existing.push_back(Entry{cur.key(), cur.rid()});
+  Node* leaf = root_.get();
+  while (!leaf->leaf) leaf = leaf->children.front().get();
+  for (; leaf != nullptr; leaf = leaf->next) {
+    for (Entry& e : leaf->entries) existing.push_back(std::move(e));
   }
   size_t before = existing.size();
   std::merge(std::make_move_iterator(existing.begin()),
@@ -285,7 +301,7 @@ size_t BTree::BulkUpsert(std::vector<std::pair<Row, Rid>> items) {
              std::make_move_iterator(run.begin()),
              std::make_move_iterator(run.end()), std::back_inserter(merged),
              EntryLess);
-  merged.erase(std::unique(merged.begin(), merged.end(), EntryEq),
+  merged.erase(std::unique(merged.begin(), merged.end(), same),
                merged.end());
   size_t added = merged.size() - before;
   BuildFromSorted(std::move(merged));
@@ -352,7 +368,7 @@ void BTree::BuildFromSorted(std::vector<Entry> entries) {
         if (j > 0) node->entries.push_back(std::move(b.min));
         node->children.push_back(std::move(b.node));
       }
-      Entry min = level[i].min;
+      Entry min = std::move(level[i].min);
       next_level.push_back(Built{std::move(node), std::move(min)});
       i += take;
     }
@@ -400,13 +416,11 @@ BTree::Cursor BTree::SeekFirst() const {
 }
 
 BTree::Cursor BTree::Seek(const Row& lo) const {
-  const Node* leaf = FindLeaf(lo, Rid{0, 0});
-  Entry probe{lo, Rid{0, 0}};
-  auto it = std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
-                             probe, EntryLess);
+  const Rid first_rid{0, 0};  // the smallest rid: ties land on the run's start
+  const Node* leaf = FindLeaf(lo, first_rid);
   Cursor cur;
   cur.leaf_ = leaf;
-  cur.idx_ = static_cast<size_t>(it - leaf->entries.begin());
+  cur.idx_ = LeafIndex(*leaf, lo, first_rid);
   // Only the landing leaf can position past its last entry; later leaves
   // hold entries >= lo by the separator invariant.
   while (cur.leaf_ != nullptr && cur.idx_ >= cur.leaf_->entries.size()) {

@@ -17,6 +17,12 @@ namespace cpdb::relstore {
 /// for Loc-prefix lookups (every descendant of a path is a contiguous key
 /// range) — and for O(1) unlink when a leaf is merged away.
 ///
+/// Every node is searched by binary search, an upper bound over an
+/// internal node's separators and a lower bound over a leaf's entries,
+/// and each step makes one three-way (key, rid) comparison: CompareRows,
+/// then the rid on a tie. A descent compares the caller's key where it
+/// lies and copies no key; a key the tree keeps is moved in.
+///
 /// Deletion uses the standard B+tree rebalance: a leaf or internal node
 /// that drops below minimum occupancy borrows an entry from an adjacent
 /// sibling, or is merged with one, so the occupancy and height bounds hold
@@ -34,8 +40,9 @@ class BTree {
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
 
-  /// Inserts (key, rid). Duplicate (key, rid) pairs are ignored.
-  void Insert(const Row& key, const Rid& rid);
+  /// Inserts (key, rid), taking the key. Duplicate (key, rid) pairs are
+  /// ignored.
+  void Insert(Row key, const Rid& rid);
 
   /// Removes (key, rid); returns false if not present.
   bool Erase(const Row& key, const Rid& rid);
@@ -89,7 +96,8 @@ class BTree {
 
   /// Cursor on the first entry with key >= `lo` (ties resolved to the
   /// smallest rid); invalid if no such entry exists. The entries equal to
-  /// a full-arity `lo` are the run from here while !RowLess(lo, key()).
+  /// a full-arity `lo` are the run from here while
+  /// CompareRows(lo, key()) == 0.
   Cursor Seek(const Row& lo) const;
 
   size_t size() const { return size_; }
@@ -110,14 +118,20 @@ class BTree {
     Rid rid;
   };
 
+  /// Negative, zero or positive as (key, rid) sorts before, level with or
+  /// after `e`.
+  static int CompareEntry(const Row& key, const Rid& rid, const Entry& e);
   static bool EntryLess(const Entry& a, const Entry& b);
-  static bool EntryEq(const Entry& a, const Entry& b);
-  static size_t ChildIndex(const Node& node, const Entry& probe);
+  /// The child of internal `node` that holds (key, rid)'s position: the
+  /// number of separators <= (key, rid).
+  static size_t ChildIndex(const Node& node, const Row& key, const Rid& rid);
+  /// The position in leaf `node` of its first entry >= (key, rid).
+  static size_t LeafIndex(const Node& node, const Row& key, const Rid& rid);
 
   Node* FindLeaf(const Row& key, const Rid& rid) const;
   void BuildFromSorted(std::vector<Entry> entries);
   void SplitChild(Node* parent, size_t child_idx);
-  bool EraseRec(Node* node, const Entry& probe);
+  bool EraseRec(Node* node, const Row& key, const Rid& rid);
   void FixUnderflow(Node* parent, size_t child_idx);
   void MergeChildren(Node* parent, size_t left_idx);
   void CheckNode(const Node* node, const Entry* lo, const Entry* hi,

@@ -113,13 +113,19 @@ std::string RowToString(const Row& row) {
   return out;
 }
 
-bool RowLess(const Row& a, const Row& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
-
 void EncodeRow(const Row& row, std::string* out) {
   PutU32(out, static_cast<uint32_t>(row.size()));
   for (const Datum& d : row) d.EncodeTo(out);
+}
+
+size_t EncodedRowSize(const Row& row) {
+  size_t n = 4;  // column count
+  for (const Datum& d : row) {
+    n += 1;  // type tag
+    if (d.is_int() || d.is_double()) n += 8;
+    if (d.is_string()) n += 4 + d.AsString().size();
+  }
+  return n;
 }
 
 bool DecodeRow(const std::string& in, size_t* pos, Row* out) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -18,8 +19,12 @@ enum class ColumnType {
 const char* ColumnTypeName(ColumnType t);
 
 /// A single relational value (possibly NULL). Ordering places NULL first,
-/// then compares by value; cross-type comparison is by type index, which
-/// only matters for heterogeneous composite keys and is deterministic.
+/// then orders by type index (NULL, INT64, DOUBLE, STRING), then by value
+/// with `<`; cross-type order only matters for heterogeneous composite
+/// keys and is deterministic. Compare() is the three-way form of that
+/// order. A NaN is neither less nor greater than any DOUBLE, so it sorts
+/// level with every one: an index key must not hold it (the relational
+/// target refuses NaN identifiers).
 class Datum {
  public:
   Datum() : v_(std::monostate{}) {}
@@ -44,6 +49,30 @@ class Datum {
   bool operator<(const Datum& o) const { return v_ < o.v_; }
   bool operator<=(const Datum& o) const { return !(o < *this); }
 
+  /// Negative, zero or positive as this datum sorts before, level with or
+  /// after `o` in the order operator< defines, at one value comparison.
+  int Compare(const Datum& o) const {
+    const size_t type = v_.index();
+    if (type != o.v_.index()) return type < o.v_.index() ? -1 : 1;
+    switch (type) {
+      case 1: {
+        const int64_t a = *std::get_if<int64_t>(&v_);
+        const int64_t b = *std::get_if<int64_t>(&o.v_);
+        return (a > b) - (a < b);
+      }
+      case 2: {
+        const double a = *std::get_if<double>(&v_);
+        const double b = *std::get_if<double>(&o.v_);
+        return (a > b) - (a < b);
+      }
+      case 3:
+        return std::get_if<std::string>(&v_)->compare(
+            *std::get_if<std::string>(&o.v_));
+      default:
+        return 0;  // NULL and NULL
+    }
+  }
+
   /// Appends a length-prefixed binary encoding to `out`.
   void EncodeTo(std::string* out) const;
 
@@ -62,11 +91,26 @@ using Row = std::vector<Datum>;
 
 std::string RowToString(const Row& row);
 
-/// Lexicographic row comparison.
-bool RowLess(const Row& a, const Row& b);
+/// Three-way lexicographic row comparison, one Datum::Compare per column:
+/// the first column that differs decides, and a proper prefix sorts
+/// first. Inline because every B+-tree step runs it.
+inline int CompareRows(const Row& a, const Row& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (const int c = a[i].Compare(b[i]); c != 0) return c;
+  }
+  return (a.size() > b.size()) - (a.size() < b.size());
+}
+
+/// Lexicographic row order, for sorts.
+inline bool RowLess(const Row& a, const Row& b) {
+  return CompareRows(a, b) < 0;
+}
 
 /// Serialises a full row (column count + datums).
 void EncodeRow(const Row& row, std::string* out);
+/// The number of bytes EncodeRow appends for `row`.
+size_t EncodedRowSize(const Row& row);
 bool DecodeRow(const std::string& in, size_t* pos, Row* out);
 
 }  // namespace cpdb::relstore

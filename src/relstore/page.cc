@@ -18,7 +18,7 @@ bool Page::Fits(size_t len) const {
 }
 
 Result<uint16_t> Page::Insert(const std::string& record) {
-  if (record.size() > kPageSize - kHeaderSize - kSlotSize) {
+  if (record.size() > kMaxRecordSize) {
     return Status::InvalidArgument("record larger than page");
   }
   if (!Fits(record.size())) {

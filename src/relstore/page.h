@@ -38,6 +38,10 @@ class Page {
   static constexpr size_t kPageSize = 4096;
   static constexpr size_t kHeaderSize = 8;
   static constexpr size_t kSlotSize = 4;  // offset:u16 + len:u16
+  /// The largest record a page stores: the page less its header and the
+  /// record's slot.
+  static constexpr size_t kMaxRecordSize =
+      kPageSize - kHeaderSize - kSlotSize;
 
   Page();
 

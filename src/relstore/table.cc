@@ -16,7 +16,7 @@ namespace {
 /// True if `tree` holds an entry whose key equals the full-arity `key`.
 bool Contains(const BTree& tree, const Row& key) {
   BTree::Cursor cur = tree.Seek(key);
-  return cur.Valid() && !RowLess(key, cur.key());
+  return cur.Valid() && CompareRows(key, cur.key()) == 0;
 }
 
 }  // namespace
@@ -67,21 +67,34 @@ const Table::Index* Table::FindIndex(const std::string& name) const {
   return nullptr;
 }
 
-Result<Rid> Table::Insert(const Row& row) {
+Status Table::CheckRow(const Row& row) const {
   CPDB_RETURN_IF_ERROR(schema_.Validate(row));
-  // Unique-constraint checks before any mutation.
-  for (const auto& idx : indexes_) {
-    if (!idx.unique) continue;
-    Row key = ExtractKey(idx, row);
-    if (Contains(*idx.btree, key)) {
-      return Status::AlreadyExists("duplicate key " + RowToString(key) +
+  if (EncodedRowSize(row) > Page::kMaxRecordSize) {
+    return Status::InvalidArgument("record larger than page");
+  }
+  return Status::OK();
+}
+
+Result<Rid> Table::Insert(const Row& row) {
+  CPDB_RETURN_IF_ERROR(CheckRow(row));
+  // Each index's key, extracted once: the unique ones are checked before
+  // any mutation, then every key moves into its index.
+  std::vector<Row> keys;
+  keys.reserve(indexes_.size());
+  for (const Index& idx : indexes_) {
+    keys.push_back(ExtractKey(idx, row));
+    if (idx.unique && Contains(*idx.btree, keys.back())) {
+      return Status::AlreadyExists("duplicate key " +
+                                   RowToString(keys.back()) +
                                    " in unique index '" + idx.name + "'");
     }
   }
   std::string encoded;
   EncodeRow(row, &encoded);
   CPDB_ASSIGN_OR_RETURN(Rid rid, heap_.Insert(encoded));
-  for (auto& idx : indexes_) idx.btree->Insert(ExtractKey(idx, row), rid);
+  for (size_t ix = 0; ix < indexes_.size(); ++ix) {
+    indexes_[ix].btree->Insert(std::move(keys[ix]), rid);
+  }
   if (journal_ != nullptr) journal_->NoteInsert(name_, row);
   return rid;
 }
@@ -89,7 +102,7 @@ Result<Rid> Table::Insert(const Row& row) {
 Status Table::InsertBatch(const std::vector<Row>& rows) {
   // ---- Validation phase: nothing below may mutate until it all passes.
   for (const Row& row : rows) {
-    CPDB_RETURN_IF_ERROR(schema_.Validate(row));
+    CPDB_RETURN_IF_ERROR(CheckRow(row));
   }
   // Each index's keys, extracted once: checked here, fed to the index
   // below.
@@ -107,7 +120,7 @@ Status Table::InsertBatch(const std::vector<Row>& rows) {
     std::sort(sorted.begin(), sorted.end(),
               [](const Row* a, const Row* b) { return RowLess(*a, *b); });
     for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-      if (!RowLess(*sorted[i], *sorted[i + 1])) {
+      if (CompareRows(*sorted[i], *sorted[i + 1]) == 0) {
         return Status::AlreadyExists(
             "duplicate key " + RowToString(*sorted[i]) +
             " in unique index '" + idx.name + "' within one batch");
@@ -122,9 +135,9 @@ Status Table::InsertBatch(const std::vector<Row>& rows) {
     }
   }
 
-  // ---- Execution phase. Heap inserts first: an oversized record, which
-  // schema validation cannot see, fails here, and only the rows stored
-  // before it need un-storing (no index has been touched yet).
+  // ---- Execution phase. Heap inserts first: CheckRow bounded every
+  // record by a page, so none should fail; if one does, only the rows
+  // stored before it need un-storing (no index has been touched yet).
   std::vector<Rid> rids;
   rids.reserve(rows.size());
   std::string encoded;
@@ -291,7 +304,7 @@ Status Table::LookupEq(
                                    index_name + "'");
   }
   for (BTree::Cursor cur = idx->btree->Seek(key);
-       cur.Valid() && !RowLess(key, cur.key()); cur.Advance()) {
+       cur.Valid() && CompareRows(key, cur.key()) == 0; cur.Advance()) {
     CPDB_ASSIGN_OR_RETURN(Row row, Get(cur.rid()));
     if (!fn(cur.rid(), row)) break;
   }

@@ -69,19 +69,23 @@ class Table {
   /// successful mutation is reported to it; see relstore/journal.h.
   void set_journal(Journal* journal) { journal_ = journal; }
 
-  /// Validates and stores a row, maintaining all indexes.
+  /// OK if Insert would store `row` but for its unique keys: the schema
+  /// check, then InvalidArgument "record larger than page" when the row's
+  /// encoding exceeds one heap page (Page::kMaxRecordSize). A caller that
+  /// replaces a stored row checks the new one here before deleting the old.
+  Status CheckRow(const Row& row) const;
+
+  /// Checks (CheckRow) and stores a row, maintaining all indexes.
   Result<Rid> Insert(const Row& row);
 
   /// Inserts `rows` as one logical client statement. The whole batch is
-  /// validated up front — the schema of every row, and each unique key
+  /// validated up front — CheckRow on every row, and each unique key
   /// against the table and the rest of the batch — so a failing batch
-  /// leaves the table untouched (a record too large for a page, which
-  /// only the heap can see, un-stores the rows stored before it). Each
-  /// index then absorbs the batch as one sorted-run BTree::BulkUpsert,
-  /// which packs an empty index into full leaves: initial loads and
-  /// checkpoint restores are a batch into an empty table. Cost accounting
-  /// stays with the caller (one ChargeWrite per batch), like every other
-  /// Table method.
+  /// leaves the table untouched. Each index then absorbs the batch as one
+  /// sorted-run BTree::BulkUpsert, which packs an empty index into full
+  /// leaves: initial loads and checkpoint restores are a batch into an
+  /// empty table. Cost accounting stays with the caller (one ChargeWrite
+  /// per batch), like every other Table method.
   Status InsertBatch(const std::vector<Row>& rows);
 
   /// Reads the row at `rid`.

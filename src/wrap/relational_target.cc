@@ -1,5 +1,6 @@
 #include "wrap/relational_target.h"
 
+#include <cmath>
 #include <deque>
 #include <map>
 #include <optional>
@@ -31,7 +32,8 @@ Result<std::string> KeyIndex(const Table& table) {
 
 /// The identifier a tuple label names: the label parsed by the type of
 /// `table`'s identifier column. Tuples are created under it and found by
-/// it.
+/// it. A NaN is no identifier: it is neither less nor greater than any
+/// DOUBLE, so the key index would see it equal to every key.
 Result<Datum> LabelKey(const Table& table, const std::string& label) {
   const ColumnType type = table.schema().column(0).type;
   switch (type) {
@@ -42,7 +44,7 @@ Result<Datum> LabelKey(const Table& table, const std::string& label) {
     }
     case ColumnType::kDouble: {
       double v;
-      if (ParseDouble(label, &v)) return Datum(v);
+      if (ParseDouble(label, &v) && !std::isnan(v)) return Datum(v);
       break;
     }
     case ColumnType::kString:
@@ -159,10 +161,10 @@ class RelationalTargetDb::NetEffect {
                             table->name());
   }
 
-  /// Adds `row` as a new tuple, checked as Table::Insert checks it: the
-  /// schema, then the identifier's uniqueness in the key index.
+  /// Adds `row` as a new tuple, checked as Table::Insert checks it:
+  /// Table::CheckRow, then the identifier's uniqueness in the key index.
   Status Add(Table* table, Row row) {
-    CPDB_RETURN_IF_ERROR(table->schema().Validate(row));
+    CPDB_RETURN_IF_ERROR(table->CheckRow(row));
     CPDB_ASSIGN_OR_RETURN(Touched * t, Touch(table, row[0]));
     if (t->image.has_value()) {
       CPDB_ASSIGN_OR_RETURN(std::string index, KeyIndex(*table));
@@ -174,19 +176,19 @@ class RelationalTargetDb::NetEffect {
     return Status::OK();
   }
 
-  /// Replaces `t`'s image with `row` once `row` passes the schema check.
+  /// Replaces `t`'s image with `row` once `row` passes Table::CheckRow.
   static Status Replace(Touched* t, Row row) {
-    CPDB_RETURN_IF_ERROR(t->table->schema().Validate(row));
+    CPDB_RETURN_IF_ERROR(t->table->CheckRow(row));
     t->image = std::move(row);
     return Status::OK();
   }
 
   /// Sets field `col` of `t`'s image to `value` if the image then passes
-  /// the schema check; otherwise the image keeps its old field.
+  /// Table::CheckRow; otherwise the image keeps its old field.
   static Status SetField(Touched* t, size_t col, Datum value) {
     Row& image = *t->image;
     std::swap(image[col], value);
-    Status valid = t->table->schema().Validate(image);
+    Status valid = t->table->CheckRow(image);
     if (!valid.ok()) std::swap(image[col], value);
     return valid;
   }

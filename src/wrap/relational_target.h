@@ -29,15 +29,19 @@ namespace cpdb::wrap {
 /// column 0, created together with the table. The label `tid` is parsed
 /// by the identifier's column type and names the tuple whose identifier
 /// renders to exactly that label, so an int64 `042` names no tuple. A
-/// racing duplicate tuple insert fails with AlreadyExists instead of
-/// storing a second row with the same identifier.
+/// DOUBLE label that parses to NaN is refused as an invalid identifier:
+/// NaN is unordered, and the key index would take it as equal to every
+/// key. A racing duplicate tuple insert fails with AlreadyExists instead
+/// of storing a second row with the same identifier.
 ///
 /// A transaction is replayed by its net effect, as the transactional
 /// provenance strategies record it: each touched tuple is read once
 /// through the key index and rewritten at most once per batch, so the
 /// write-ahead log carries only the final row images. The key index is
 /// the only unique constraint the fold checks; a wrapped table carries no
-/// other unique index.
+/// other unique index. An op whose row image would not fit one heap page
+/// is refused in the fold, so no rewrite deletes a tuple it cannot store
+/// again.
 class RelationalTargetDb : public TargetDb {
  public:
   /// Exposes `tables` of `db`; first column of each table is the tuple
@@ -65,12 +69,13 @@ class RelationalTargetDb : public TargetDb {
   /// round trip charged in total, in two passes. The fold takes the ops in
   /// order into one working row image per touched tuple, read once through
   /// the key index; every op runs its checks against those images,
-  /// including the schema check Table::Insert would run on its result, so
-  /// an op that fails changes no image. The write then stores each tuple
-  /// whose image changed, in first-touch order: it deletes the stored row,
-  /// inserts the image, or both. A failing op's error is returned after
-  /// the net effect of the ops before it is written, as op-by-op replay
-  /// would leave it.
+  /// including Table::CheckRow on its result (the schema, and a row image
+  /// that fits one heap page), so an op that fails changes no image and no
+  /// stored row is deleted for an image the table would refuse. The write
+  /// then stores each tuple whose image changed, in first-touch order: it
+  /// deletes the stored row, inserts the image, or both. A failing op's
+  /// error is returned after the net effect of the ops before it is
+  /// written, as op-by-op replay would leave it.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;
 
   /// Group-commit barrier of the backing store — one fsync per committed

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -427,6 +430,148 @@ TEST(BTreeTest, MultimapOracleHundredThousandOps) {
     for (uint16_t s : slots) expected.emplace_back(k, s);
   }
   ASSERT_EQ(scanned, expected);
+}
+
+// Keys shaped like the provenance table's two indexes: pk_tid_loc is
+// (int tid, string loc), idx_loc_tid is (string loc, int tid). The oracle
+// orders entries as the tree did before its three-way comparison: the key
+// lexicographically by Datum::operator<, then the rid.
+struct OracleLess {
+  bool operator()(const std::pair<Row, Rid>& a,
+                  const std::pair<Row, Rid>& b) const {
+    const Row& ka = a.first;
+    const Row& kb = b.first;
+    if (std::lexicographical_compare(ka.begin(), ka.end(), kb.begin(),
+                                     kb.end())) {
+      return true;
+    }
+    if (std::lexicographical_compare(kb.begin(), kb.end(), ka.begin(),
+                                     ka.end())) {
+      return false;
+    }
+    return a.second < b.second;
+  }
+};
+using CompositeOracle = std::set<std::pair<Row, Rid>, OracleLess>;
+
+/// The oracle's entries from the first one >= (lo, 0:0) while `same`
+/// holds for their key, in order.
+std::vector<std::pair<Row, Rid>> OracleRun(
+    const CompositeOracle& oracle, const Row& lo,
+    const std::function<bool(const Row&)>& same) {
+  std::vector<std::pair<Row, Rid>> out;
+  for (auto it = oracle.lower_bound({lo, Rid{0, 0}});
+       it != oracle.end() && same(it->first); ++it) {
+    out.push_back(*it);
+  }
+  return out;
+}
+
+/// The tree's entries from Seek(lo) while `same` holds for their key.
+std::vector<std::pair<Row, Rid>> SeekRun(
+    const BTree& bt, const Row& lo,
+    const std::function<bool(const Row&)>& same) {
+  std::vector<std::pair<Row, Rid>> out;
+  for (BTree::Cursor cur = bt.Seek(lo); cur.Valid() && same(cur.key());
+       cur.Advance()) {
+    out.emplace_back(cur.key(), cur.rid());
+  }
+  return out;
+}
+
+TEST(BTreeTest, CompositeKeyOracle) {
+  for (const bool loc_first : {false, true}) {
+    SCOPED_TRACE(loc_first ? "idx_loc_tid" : "pk_tid_loc");
+    Rng rng(loc_first ? 4 : 3);
+    BTree bt;
+    CompositeOracle oracle;
+
+    // 120 tids x 40 locations, some of them prefixes of others, and rids
+    // over eight pages: collisions give duplicate keys under other rids.
+    auto random_entry = [&]() -> std::pair<Row, Rid> {
+      const Datum tid(static_cast<int64_t>(rng.NextBelow(120)));
+      std::string loc = "T/c" + std::to_string(rng.NextBelow(20));
+      if (rng.NextBool(0.5)) loc += "/f";
+      const Datum loc_datum(loc);
+      const Rid rid{static_cast<uint32_t>(rng.NextBelow(8)),
+                    static_cast<uint16_t>(rng.NextBelow(6))};
+      return {loc_first ? Row{loc_datum, tid} : Row{tid, loc_datum}, rid};
+    };
+    // Half the time an entry already stored, so erases hit.
+    auto pick_entry = [&]() -> std::pair<Row, Rid> {
+      if (oracle.empty() || rng.NextBool(0.5)) return random_entry();
+      auto it = oracle.begin();
+      std::advance(it, static_cast<ptrdiff_t>(rng.NextIndex(oracle.size())));
+      return *it;
+    };
+    auto bulk = [&](size_t n) {
+      std::vector<std::pair<Row, Rid>> run;
+      size_t fresh = 0;
+      CompositeOracle staged;
+      for (size_t i = 0; i < n; ++i) {
+        run.push_back(pick_entry());
+        if (oracle.count(run.back()) == 0 && staged.insert(run.back()).second) {
+          ++fresh;
+        }
+      }
+      EXPECT_EQ(bt.BulkUpsert(run), fresh);
+      oracle.insert(run.begin(), run.end());
+    };
+    auto mixed = [&](int ops, double insert_share) {
+      for (int i = 0; i < ops; ++i) {
+        auto [key, rid] = pick_entry();
+        if (rng.NextBool(insert_share)) {
+          oracle.emplace(key, rid);
+          bt.Insert(std::move(key), rid);
+        } else {
+          ASSERT_EQ(bt.Erase(key, rid), oracle.erase({key, rid}) > 0)
+              << RowToString(key) << " " << rid.ToString();
+        }
+      }
+    };
+    auto verify = [&](const char* phase) {
+      SCOPED_TRACE(phase);
+      bt.CheckInvariants();
+      ASSERT_EQ(bt.size(), oracle.size());
+      ASSERT_EQ(Entries(bt), (std::vector<std::pair<Row, Rid>>(
+                                 oracle.begin(), oracle.end())));
+      for (int i = 0; i < 200; ++i) {
+        const Row key = pick_entry().first;
+        // A full key: its run of rids.
+        auto same_key = [&key](const Row& k) {
+          return CompareRows(k, key) == 0;
+        };
+        ASSERT_EQ(SeekRun(bt, key, same_key), OracleRun(oracle, key, same_key))
+            << RowToString(key);
+        // A one-column prefix: every entry that starts with it.
+        const Row prefix{key[0]};
+        auto same_first = [&prefix](const Row& k) {
+          return k[0] == prefix[0];
+        };
+        ASSERT_EQ(SeekRun(bt, prefix, same_first),
+                  OracleRun(oracle, prefix, same_first))
+            << RowToString(prefix);
+        // Where Seek lands, whatever follows.
+        BTree::Cursor cur = bt.Seek(key);
+        auto want = oracle.lower_bound({key, Rid{0, 0}});
+        ASSERT_EQ(cur.Valid(), want != oracle.end()) << RowToString(key);
+        if (cur.Valid()) {
+          ASSERT_EQ(std::make_pair(cur.key(), cur.rid()), *want);
+        }
+      }
+    };
+
+    bulk(600);  // into the empty tree: packed leaves
+    verify("bulk load");
+    mixed(5000, 0.65);
+    verify("inserts and erases");
+    bulk(40);  // small against the tree: per-key descents
+    verify("small run");
+    bulk(4000);  // large against the tree: merge and rebuild
+    verify("large run");
+    mixed(9000, 0.25);  // mostly erases: borrows and merges
+    verify("drain");
+  }
 }
 
 // ----- Cursors ---------------------------------------------------------------

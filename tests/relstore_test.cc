@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "relstore/database.h"
 #include "relstore/datum.h"
 #include "relstore/heap_file.h"
 #include "relstore/page.h"
 #include "relstore/schema.h"
 #include "relstore/table.h"
+#include "util/rng.h"
 
 namespace cpdb::relstore {
 namespace {
@@ -33,6 +39,12 @@ TEST(DatumTest, RowEncodeDecode) {
   size_t pos = 0;
   ASSERT_TRUE(DecodeRow(buf, &pos, &back));
   EXPECT_EQ(back, row);
+  EXPECT_EQ(EncodedRowSize(row), buf.size());
+  for (const Row& other : {Row{}, Row{Datum(), Datum(2.5), Datum("")}}) {
+    buf.clear();
+    EncodeRow(other, &buf);
+    EXPECT_EQ(EncodedRowSize(other), buf.size());
+  }
 }
 
 TEST(DatumTest, DecodeRejectsTruncation) {
@@ -53,6 +65,74 @@ TEST(DatumTest, DecodeRejectsColumnCountPastInput) {
   Row back;
   size_t pos = 0;
   EXPECT_FALSE(DecodeRow(image, &pos, &back));
+}
+
+TEST(DatumTest, CompareAgreesWithOperatorLess) {
+  // One value of each kind an ordering bug would trip on: NULL, integer
+  // extremes, signed zeros and infinities, a prefix pair, an embedded NUL,
+  // a byte >= 0x80, and two long strings that differ in the last byte.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string long_a(40, 'q');
+  std::string long_b = long_a;
+  long_b.back() = 'r';
+  const std::vector<Datum> values = {
+      Datum(),
+      Datum(std::numeric_limits<int64_t>::min()),
+      Datum(int64_t{-1}),
+      Datum(int64_t{0}),
+      Datum(int64_t{1}),
+      Datum(std::numeric_limits<int64_t>::max()),
+      Datum(-inf),
+      Datum(-1.5),
+      Datum(-0.0),
+      Datum(0.0),
+      Datum(1e300),
+      Datum(inf),
+      Datum(""),
+      Datum("a"),
+      Datum("ab"),
+      Datum("b"),
+      Datum(std::string("a\0b", 3)),
+      Datum("\xff"),
+      Datum(long_a),
+      Datum(long_b),
+  };
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Datum& a : values) {
+    for (const Datum& b : values) {
+      const int want = a < b ? -1 : b < a ? 1 : 0;
+      EXPECT_EQ(sign(a.Compare(b)), want) << a << " vs " << b;
+    }
+  }
+
+  // Rows of 0-3 columns from the same values; half the pairs share a
+  // prefix, so ties on the leading columns and proper prefixes come up.
+  Rng rng(2006);
+  auto draw = [&](size_t n) {
+    Row row;
+    for (size_t i = 0; i < n; ++i) {
+      row.push_back(values[rng.NextIndex(values.size())]);
+    }
+    return row;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const Row a = draw(rng.NextIndex(4));
+    Row b = draw(rng.NextIndex(4));
+    if (rng.NextBool(0.5)) {
+      const size_t shared = std::min(a.size(), b.size());
+      std::copy(a.begin(), a.begin() + static_cast<ptrdiff_t>(shared),
+                b.begin());
+    }
+    const bool less =
+        std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+    const bool greater =
+        std::lexicographical_compare(b.begin(), b.end(), a.begin(), a.end());
+    const int want = less ? -1 : greater ? 1 : 0;
+    ASSERT_EQ(sign(CompareRows(a, b)), want)
+        << RowToString(a) << " vs " << RowToString(b);
+    ASSERT_EQ(RowLess(a, b), less)
+        << RowToString(a) << " vs " << RowToString(b);
+  }
 }
 
 // ----- Schema ----------------------------------------------------------------
@@ -271,9 +351,9 @@ TEST(TableTest, BulkLoadRejectsBadBatchesAtomically) {
 }
 
 TEST(TableTest, BulkLoadRollsBackOnHeapFailure) {
-  // Schema validation checks types, not encoded size; a record larger
-  // than a page fails inside the heap mid-batch. The rows stored before
-  // it must be un-stored so the table stays empty and reloadable.
+  // A record larger than a page, mid-batch: the validation phase refuses
+  // it (Table::CheckRow), so nothing is stored and the table stays empty
+  // and reloadable.
   Table t("Prov", ProvSchema());
   ASSERT_TRUE(t.CreateIndex("pk", {0, 2}, true).ok());
   std::string huge(Page::kPageSize + 1, 'x');
@@ -293,6 +373,28 @@ TEST(TableTest, BulkLoadRollsBackOnHeapFailure) {
   ASSERT_TRUE(t.InsertBatch({{Datum(int64_t{1}), Datum("I"), Datum("T/a"),
                               Datum()}})
                   .ok());
+  EXPECT_EQ(t.RowCount(), 1u);
+}
+
+TEST(TableTest, CheckRowBoundsTheEncodingByOnePage) {
+  // One STRING column encodes to 4 (count) + 1 (tag) + 4 (length) bytes
+  // plus the string: the longest row a page holds, and one byte more.
+  Table t("Blob", Schema({{"b", ColumnType::kString, false}}));
+  ASSERT_TRUE(t.CreateIndex("pk", {0}, true).ok());
+  const Row fits = {Datum(std::string(Page::kMaxRecordSize - 9, 'x'))};
+  const Row over = {Datum(std::string(Page::kMaxRecordSize - 8, 'x'))};
+  ASSERT_EQ(EncodedRowSize(fits), Page::kMaxRecordSize);
+  EXPECT_TRUE(t.CheckRow(fits).ok());
+  for (const Status& refused : {t.CheckRow(over), t.Insert(over).status(),
+                                t.InsertBatch({over})}) {
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
+    EXPECT_EQ(refused.message(), "record larger than page");
+  }
+  EXPECT_EQ(t.RowCount(), 0u);
+  // The schema check runs first.
+  EXPECT_EQ(t.CheckRow({Datum()}).message(),
+            "NULL in non-nullable column 'b'");
+  ASSERT_TRUE(t.Insert(fits).ok());
   EXPECT_EQ(t.RowCount(), 1u);
 }
 

@@ -274,7 +274,8 @@ TEST(RelationalTargetDbTest, RewriteThatFailsValidationKeepsTheTuple) {
   relstore::Schema schema({{"id", ColumnType::kString, false},
                            {"name", ColumnType::kString, false},
                            {"loc", ColumnType::kString, true}});
-  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "prot", schema).ok());
+  auto table = testutil::CreateKeyedTable(&db, "prot", schema);
+  ASSERT_TRUE(table.ok());
   RelationalTargetDb target("T", &db, {"prot"});
   auto tuple = tree::ParseTree("{name: CRP}");
   ASSERT_TRUE(Push(&target, Update::Copy(Path(), Path::MustParse("prot/p1")),
@@ -292,13 +293,55 @@ TEST(RelationalTargetDbTest, RewriteThatFailsValidationKeepsTheTuple) {
        NativeOp{Update::Delete(Path::MustParse("prot/p1"), "name")}});
   EXPECT_TRUE(batch.IsInvalidArgument()) << batch;
 
+  // A row image past one heap page is refused before the stored row is
+  // deleted: alone, and in a batch after an op that lands.
+  tree::Tree huge{tree::Value(std::string(5000, 'x'))};
+  Status oversize = Push(
+      &target, Update::Copy(Path(), Path::MustParse("prot/p1/loc")), &huge);
+  EXPECT_TRUE(oversize.IsInvalidArgument()) << oversize;
+  EXPECT_EQ(oversize.message(), "record larger than page");
+  EXPECT_EQ((*table)->RowCount(), 1u);
+  tree::Tree cytoplasm{tree::Value("cytoplasm")};
+  Status oversize_batch = target.ApplyBatch(
+      {NativeOp{Update::Copy(Path(), Path::MustParse("prot/p1/loc")),
+                &cytoplasm},
+       NativeOp{Update::Copy(Path(), Path::MustParse("prot/p1/name")),
+                &huge}});
+  EXPECT_TRUE(oversize_batch.IsInvalidArgument()) << oversize_batch;
+  EXPECT_EQ(oversize_batch.message(), "record larger than page");
+
   auto view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
   const tree::Tree* name = view->Find(Path::MustParse("prot/p1/name"));
   ASSERT_NE(name, nullptr);
   EXPECT_EQ(name->value().AsString(), "CRP");
   EXPECT_EQ(view->Find(Path::MustParse("prot/p1/loc"))->value().AsString(),
-            "membrane");
+            "cytoplasm");
+}
+
+TEST(RelationalTargetDbTest, NanIdentifierIsRefused) {
+  // NaN is neither less nor greater than any DOUBLE: a key index holding
+  // one would take every later identifier for a duplicate of it.
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kDouble, false},
+                           {"w", ColumnType::kString, true}});
+  auto table = testutil::CreateKeyedTable(&db, "m", schema);
+  ASSERT_TRUE(table.ok());
+  RelationalTargetDb target("T", &db, {"m"});
+  for (const std::string label : {"nan", "-nan", "NAN"}) {
+    Status refused = Push(&target, Update::Insert(Path::MustParse("m"), label));
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
+    EXPECT_EQ(refused.message(),
+              "tuple id '" + label + "' is not a valid DOUBLE identifier");
+    // Nor does a NaN label name a tuple.
+    EXPECT_TRUE(
+        Push(&target, Update::Delete(Path::MustParse("m"), label))
+            .IsNotFound());
+  }
+  ASSERT_TRUE(Push(&target, Update::Insert(Path::MustParse("m"), "5")).ok());
+  ASSERT_TRUE(Push(&target, Update::Insert(Path::MustParse("m"), "7.5")).ok());
+  ASSERT_TRUE(Push(&target, Update::Insert(Path::MustParse("m"), "inf")).ok());
+  EXPECT_EQ((*table)->RowCount(), 3u);
 }
 
 // ----- Net-effect replay -----------------------------------------------------

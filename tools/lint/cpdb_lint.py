@@ -87,6 +87,16 @@ WRAP-NET-EFFECT
     updates and two logged row images per op, and a rewrite can again
     delete a row before its replacement is checked.
 
+RELSTORE-ONE-COMPARE
+    src/relstore/ names no std::lexicographical_compare, and
+    src/relstore/btree.cc no RowLess (called or passed as a comparator),
+    comments ignored. Keys are ordered only through CompareRows
+    (relstore/datum.h): one Datum::Compare per column, and one
+    three-way (key, rid) comparison per step of the B+-tree's binary
+    searches. A lexicographical_compare over Datum's operator< makes up
+    to two value comparisons per column, and a RowLess pair in the tree
+    makes two row comparisons per step.
+
 BENCH-JSON
     Every figure bench in bench/*.cc must emit the harness JSON schema
     ({"bench":..., "config":..., "rows":[...]}) behind a --json flag,
@@ -347,6 +357,27 @@ def check_wrap_net_effect(root):
                     "from the fold's net image")
 
 
+LEXICOGRAPHICAL_RE = re.compile(r"\blexicographical_compare\b")
+ROW_LESS_RE = re.compile(r"\bRowLess\b")
+BTREE_PATH = pathlib.PurePath("src/relstore/btree.cc")
+
+
+def check_relstore_one_compare(root):
+    for path in iter_source(root, "src/relstore"):
+        rel = path.relative_to(root)
+        in_btree = pathlib.PurePath(rel) == BTREE_PATH
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            code = strip_comments(line)
+            if LEXICOGRAPHICAL_RE.search(code):
+                finding("RELSTORE-ONE-COMPARE", rel, lineno,
+                        "lexicographical_compare in relstore; order keys "
+                        "with CompareRows, one Datum::Compare per column")
+            if in_btree and ROW_LESS_RE.search(code):
+                finding("RELSTORE-ONE-COMPARE", rel, lineno,
+                        "RowLess in the B+-tree; each search step makes one "
+                        "three-way (key, rid) comparison (CompareEntry)")
+
+
 BENCH_EXEMPT = {"bench_micro.cc"}  # google-benchmark's own reporter
 
 
@@ -525,6 +556,7 @@ def main():
     check_editor_one_seal(root)
     check_wrap_keyed_lookup(root)
     check_wrap_net_effect(root)
+    check_relstore_one_compare(root)
     check_bench_json(root)
     check_net_framing(root)
     check_obs_metrics(root)
