@@ -135,11 +135,9 @@ struct RunResult {
   double wall_ms = 0;
   size_t fsyncs = 0;
   size_t log_bytes = 0;
-  // Engine registry counters and gauges (group commit, version chain).
+  // Engine registry counters and gauges (group commit, snapshots).
   size_t cohorts = 0, combined = 0, max_cohort = 0;
-  size_t versions_live = 0, versions_gced = 0;
   size_t snapshot_rebuilds = 0, snapshot_rebuild_rows = 0;
-  size_t snapshot_refreshes = 0;
   size_t sessions_built = 0;
   size_t sessions_refreshed = 0;
   relstore::CostSnapshot cost;  ///< engine aggregate over all sessions
@@ -241,11 +239,8 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   res.cohorts = count("cpdb_cohorts_total");
   res.combined = count("cpdb_combined_total");
   res.max_cohort = level("cpdb_max_cohort");
-  res.versions_live = level("cpdb_versions_live");
-  res.versions_gced = count("cpdb_versions_gced_total");
   res.snapshot_rebuilds = count("cpdb_snapshot_rebuilds_total");
   res.snapshot_rebuild_rows = count("cpdb_snapshot_rebuild_rows_total");
-  res.snapshot_refreshes = count("cpdb_snapshot_refreshes_total");
   res.sessions_built = count("cpdb_sessions_built_total");
   res.sessions_refreshed = count("cpdb_sessions_refreshed_total");
   res.cost = engine.cost_totals().Snap();
@@ -377,11 +372,8 @@ int main(int argc, char** argv) {
           .Set("rows_moved", r.cost.rows)
           .Set("write_round_trips", r.cost.write_calls)
           .Set("write_rows", r.cost.write_rows)
-          .Set("versions_live", r.versions_live)
-          .Set("versions_gced", r.versions_gced)
           .Set("snapshot_rebuilds", r.snapshot_rebuilds)
           .Set("snapshot_rebuild_rows", r.snapshot_rebuild_rows)
-          .Set("snapshot_refreshes", r.snapshot_refreshes)
           .Set("sessions_built", r.sessions_built)
           .Set("sessions_refreshed", r.sessions_refreshed);
       // Engine-side stage breakdown (obs registry histograms): where the

@@ -169,16 +169,29 @@
 /// cpdb_sessions_{built,reused,refreshed}_total from the engine's
 /// registry (same STATS keys, which now come before the server's).
 ///
-/// Snapshots are versioned, not copied (MVCC-lite): the committed state
-/// carries a commit-ordered tid watermark (Engine::CommittedTid), and a
-/// session opens a consistent view at Session::snapshot_tid() by pinning
-/// a copy-on-write version of the target at that watermark — O(1), no
-/// scan — with provenance reads bounded at the same tid.
+/// Snapshots are copy-on-write clones: the committed state carries a
+/// commit-ordered tid watermark (Engine::CommittedTid), and a session
+/// opens a consistent view at Session::snapshot_tid() by cloning the
+/// pool's snapshot of the target at that watermark, with provenance
+/// reads bounded at the same tid. The pool takes one snapshot per
+/// watermark (TargetDb::TreeFromDb) and shares it between every session
+/// it builds or refreshes there.
+///
+/// Migration note (one snapshot path): the engine's version chain is
+/// gone, and with it Engine::snapshots(), the session pins, TargetDb's
+/// cheap-snapshot query, and the cpdb_versions_live,
+/// cpdb_versions_published_total, cpdb_versions_gced_total and
+/// cpdb_snapshot_refreshes_total series with their STATS keys (read
+/// cpdb_sessions_refreshed_total for refreshes). A stale pooled session
+/// is now refreshed in place over every target, relational ones
+/// included. cpdb_snapshot_rebuilds_total counts every snapshot the pool
+/// takes from the target, and cpdb_snapshot_rebuild_rows_total the rows
+/// the target shipped for them (0 for a copy-on-write tree target).
 ///
 /// Migration note (epoch stamp -> tid watermark): sessions are no longer
 /// stamped with the latch epoch. Staleness is a tid comparison —
 /// snapshot_tid() < Engine::CommittedTid() — and a stale pooled session
-/// is refreshed in place by re-pinning, not torn down and rebuilt, so
+/// is refreshed in place, not torn down and rebuilt, so
 /// cpdb_sessions_built_total stays flat under churn. SharedLatch::Epoch()
 /// still advances per exclusive release (the latch's own bookkeeping)
 /// but no session-visible semantics hang off it anymore; code that

@@ -44,8 +44,8 @@ Status Editor::ResetTargetSnapshot(tree::Tree snapshot) {
         "cannot refresh the target snapshot with a transaction staged");
   }
   // O(1): unlink the old subtree, link the new one. The old nodes stay
-  // alive exactly as long as some version (or another session) shares
-  // them — copy-on-write reference counting is the deallocation policy.
+  // alive exactly as long as a snapshot (or another session) shares them
+  // — copy-on-write reference counting is the deallocation policy.
   return universe_.ReplaceAt(target_root_, std::move(snapshot));
 }
 

@@ -90,15 +90,15 @@ class Editor {
 
   /// Service-layer variant: mounts the supplied committed snapshot of the
   /// target instead of calling target->TreeFromDb(). The session pool
-  /// passes a clone of a pinned SnapshotManager version — O(1) by
-  /// copy-on-write structural sharing — so building a session never scans
-  /// the target database.
+  /// passes a clone of the snapshot it took at the committed watermark —
+  /// O(1) by copy-on-write structural sharing — so sessions built at one
+  /// watermark share one read of the target database.
   static Result<std::unique_ptr<Editor>> CreateWithSnapshot(
       wrap::TargetDb* target, provenance::ProvBackend* backend,
       tree::Tree target_snapshot, EditorOptions options);
 
   /// Swaps the universe's target subtree for a newer committed snapshot
-  /// — the O(1) refresh behind SessionPool reuse (no rebuild, no scan).
+  /// — the O(1) refresh behind SessionPool reuse (no editor rebuild).
   /// Only legal between transactions; fails with FailedPrecondition when
   /// anything is staged.
   Status ResetTargetSnapshot(tree::Tree snapshot);

@@ -45,6 +45,10 @@ void Respond(int fd, const char* status_line, const std::string& content_type,
 
 Status MetricsHttpServer::Start() {
   if (listen_fd_ >= 0) return Status::FailedPrecondition("already started");
+  if (port_ < 0 || port_ > 65535) {
+    return Status::InvalidArgument("metrics port must be in [0, 65535], got " +
+                                   std::to_string(port_));
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));

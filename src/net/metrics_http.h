@@ -34,7 +34,8 @@ class MetricsHttpServer {
   MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
 
   /// Binds and spawns the serving thread. Port 0 binds ephemeral
-  /// (port() reports the real one).
+  /// (port() reports the real one); a port outside [0, 65535] is
+  /// InvalidArgument, refused before any descriptor or thread exists.
   Status Start();
 
   /// Closes the listener and joins the thread. Idempotent.

@@ -104,6 +104,16 @@ Server::~Server() {
 }
 
 Status Server::Start() {
+  if (options_.workers < 1 || options_.workers > ServerOptions::kMaxWorkers) {
+    return Status::InvalidArgument(
+        "workers must be in [1, " +
+        std::to_string(ServerOptions::kMaxWorkers) + "], got " +
+        std::to_string(options_.workers));
+  }
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port must be in [0, 65535], got " +
+                                   std::to_string(options_.port));
+  }
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) return Errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
@@ -144,9 +154,8 @@ Status Server::Start() {
 
   RegisterMetrics();
   started_.store(true, std::memory_order_release);
-  size_t n = options_.workers == 0 ? 1 : options_.workers;
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  workers_.reserve(options_.workers);
+  for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   // A drain begun before the eventfd existed (a signal during start-up)

@@ -22,12 +22,14 @@ namespace cpdb::net {
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
-  /// TCP port; 0 binds an ephemeral port (port() reports the real one).
+  /// TCP port, 0 to 65535; 0 binds an ephemeral port (port() reports the
+  /// real one).
   int port = 0;
-  /// Worker threads. A commit occupies the worker that runs it until its
-  /// cohort seals, so this is also the maximum number of transactions
-  /// combining into one cohort from the network side.
+  /// Worker threads, 1 to kMaxWorkers. A commit occupies the worker that
+  /// runs it until its cohort seals, so this is also the maximum number
+  /// of transactions combining into one cohort from the network side.
   size_t workers = 4;
+  static constexpr size_t kMaxWorkers = 256;
   /// Admission control: APPLY/COMMIT requests are answered with a typed
   /// RETRY (not executed, not queued) while more than this many
   /// committers are already waiting in the engine's commit queue.
@@ -78,7 +80,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the workers.
+  /// Binds, listens, and spawns the workers. Options out of range are
+  /// InvalidArgument, refused before any descriptor or thread exists.
   Status Start();
 
   /// The bound TCP port (valid after Start()).

@@ -25,13 +25,12 @@ namespace cpdb::service {
 /// the closures via the engine's allocator, so tid order and apply order
 /// coincide by construction), seals the whole cohort with ONE call to the
 /// engine's seal function (Database::Sync + TargetDb::Sync: one WAL
-/// record, one fsync), publishes the new committed version
-/// (SnapshotManager), releases the latch, and wakes every follower with
-/// its own result —
-/// each on its OWN condition variable, so a cohort's completion costs one
-/// targeted wakeup per member instead of a thundering herd on a shared
-/// CondVar. A leader serves exactly one cohort; if the queue refilled
-/// meanwhile, the front waiter is promoted so no thread combines forever.
+/// record, one fsync), publishes the new committed watermark, releases
+/// the latch, and wakes every follower with its own result — each on its
+/// OWN condition variable, so a cohort's completion costs one targeted
+/// wakeup per member instead of a thundering herd on a shared CondVar. A
+/// leader serves exactly one cohort; if the queue refilled meanwhile, the
+/// front waiter is promoted so no thread combines forever.
 ///
 /// Error semantics: each member keeps its own apply error (one failed
 /// transaction does not poison its cohort-mates — their writes are
@@ -73,8 +72,8 @@ class CommitQueue {
                 obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
       CPDB_EXCLUDES(mu_, *latch_);
 
-  /// After the cohort's applies, before its seal, with the exclusive
-  /// latch held: the engine publishes the new committed version here.
+  /// After the cohort's applies and its seal, with the exclusive latch
+  /// held: the engine advances its committed watermark here.
   void set_publish(std::function<void()> publish) { publish_ = std::move(publish); }
 
   /// Monotonic count of the engine's durability barriers (SyncShared

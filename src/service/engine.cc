@@ -81,26 +81,12 @@ void Engine::WireMetrics() {
      [this] { return static_cast<double>(CommittedTid()); }, "committed_tid");
   cb("cpdb_latch_epoch", "Exclusive latch sections completed", false,
      [this] { return static_cast<double>(latch_.Epoch()); }, "epoch");
-  SnapshotManager::Metrics sm;
-  sm.versions_live = gauge("cpdb_versions_live",
-                           "Committed-state versions in the chain",
-                           "versions_live");
-  sm.versions_published = counter("cpdb_versions_published_total",
-                                  "Committed-state versions published",
-                                  "versions_published");
-  sm.versions_gced = counter("cpdb_versions_gced_total",
-                             "Committed-state versions garbage-collected",
-                             "versions_gced");
-  sm.snapshot_rebuilds = counter("cpdb_snapshot_rebuilds_total",
-                                 "Full snapshot materializations",
-                                 "snapshot_rebuilds");
-  sm.snapshot_rebuild_rows = counter("cpdb_snapshot_rebuild_rows_total",
-                                     "Rows scanned by full rebuilds",
-                                     "snapshot_rebuild_rows");
-  sm.snapshot_refreshes = counter("cpdb_snapshot_refreshes_total",
-                                  "O(1) session snapshot re-pins",
-                                  "snapshot_refreshes");
-  snapshots_.set_metrics(sm);
+  // The snapshot counters are bumped by the session pool, which takes
+  // the snapshots; they are registered here to keep their STATS position.
+  counter("cpdb_snapshot_rebuilds_total", "Snapshots taken from the target",
+          "snapshot_rebuilds");
+  counter("cpdb_snapshot_rebuild_rows_total",
+          "Rows the target shipped for snapshots", "snapshot_rebuild_rows");
   // The two slow counters are bumped by the network server, which knows
   // whether a slow span tree was a write or a read; they are registered
   // here to keep their STATS position.

@@ -11,7 +11,6 @@
 #include "relstore/cost_model.h"
 #include "service/commit_queue.h"
 #include "service/latch.h"
-#include "service/snapshots.h"
 #include "storage/durable.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -23,21 +22,16 @@ namespace cpdb::service {
 /// backend (over one — possibly durable — relstore::Database), served to
 /// N concurrent curator sessions.
 ///
-/// Four shared facilities (see README "Service layer"):
+/// Three shared facilities (see README "Service layer"):
 ///
 ///  * the SharedLatch — read-only sessions hold shared grants; committed
 ///    transactions apply under the commit queue's exclusive grant;
 ///  * the CommitQueue — leader/follower group commit, ONE WAL record and
 ///    ONE fsync per cohort via SyncShared(), every member applied in
-///    enqueue order on the leader's thread;
-///  * the SnapshotManager — the version chain of committed target states.
-///    Cohorts advance the committed tid watermark; the session pool
-///    publishes the tree at that watermark lazily, on the first acquire
-///    that needs it (O(1) for cheap-snapshot targets: a copy-on-write
-///    clone). Sessions pin the version they read, and versions older than
-///    the oldest live pin are garbage-collected. Session staleness is a
-///    tid comparison (CommittedTid()), replacing the latch-epoch stamp of
-///    earlier revisions;
+///    enqueue order on the leader's thread. Each cohort advances the
+///    committed tid watermark (CommittedTid()); session staleness is a
+///    comparison against it, and the session pool snapshots the target
+///    at most once per watermark;
 ///  * engine-wide monotonic tid allocation — NextTid() is an atomic
 ///    counter fed once at attach from ProvBackend::MaxTid() (which also
 ///    consults TxnMeta), replacing the per-store sequential counters that
@@ -64,7 +58,7 @@ class Engine {
         next_tid_(base_tid_ + 1),
         committed_tid_(base_tid_),
         queue_(&latch_, [this](size_t) { return SyncShared(); }) {
-    queue_.set_publish([this] { PublishSnapshot(); });
+    queue_.set_publish([this] { PublishWatermark(); });
     queue_.set_sync_probe(
         [this] { return sync_calls_.load(std::memory_order_relaxed); });
     WireMetrics();
@@ -147,7 +141,6 @@ class Engine {
 
   SharedLatch& latch() CPDB_RETURN_CAPABILITY(latch_) { return latch_; }
   CommitQueue& commit_queue() { return queue_; }
-  SnapshotManager& snapshots() { return snapshots_; }
   provenance::ProvBackend* backend() { return backend_; }
   wrap::TargetDb* target() { return target_; }
   relstore::Database* db() { return backend_->db(); }
@@ -157,7 +150,7 @@ class Engine {
   relstore::CostAggregate& cost_totals() { return cost_totals_; }
 
   /// The engine's metrics registry — the storage of every counter the
-  /// service keeps (commits, cohorts, versions, rebuilds, ...) and of
+  /// service keeps (commits, cohorts, snapshots, sessions, ...) and of
   /// every commit-pipeline series (WAL/fsync latency, queue stage
   /// timings, latch waits, snapshot and cohort distributions). All are
   /// registered here at construction, and the server/pool/tools layers
@@ -184,13 +177,11 @@ class Engine {
  private:
   /// Runs on the commit queue's leader thread after a cohort's applies
   /// and seal, exclusive latch held: advances the committed watermark.
-  /// Versions are published LAZILY — by the session pool, on the first
-  /// acquire/refresh that needs this watermark — not here. Eager
-  /// publishing would share the target's tree with a version after every
-  /// cohort, making every subsequent commit's native replay re-privatize
-  /// its copy-on-write path (one child-map clone per node per cohort);
-  /// lazy publishing pays that wave once per session acquire instead.
-  void PublishSnapshot() {
+  /// Nothing is snapshotted here: the session pool takes the tree at a
+  /// watermark on the first acquire that needs it, so a tree target's
+  /// content is shared with a snapshot only when a session reads it, and
+  /// the commit path never pays for snapshots nobody opens.
+  void PublishWatermark() {
     committed_tid_.store(LastAllocatedTid(), std::memory_order_release);
   }
 
@@ -202,8 +193,8 @@ class Engine {
 
   provenance::ProvBackend* backend_;
   wrap::TargetDb* target_;
-  /// Declared before (so destroyed after) the latch, the version chain
-  /// and the queue, which hold raw pointers to its sinks.
+  /// Declared before (so destroyed after) the latch and the queue, which
+  /// hold raw pointers to its sinks.
   obs::Registry metrics_;
   obs::SpanStore spans_;
   std::atomic<uint64_t> trace_id_seq_{1};
@@ -212,7 +203,6 @@ class Engine {
   std::atomic<int64_t> committed_tid_;
   std::atomic<uint64_t> sync_calls_{0};
   SharedLatch latch_;
-  SnapshotManager snapshots_;
   CommitQueue queue_;
   relstore::CostAggregate cost_totals_;
 };

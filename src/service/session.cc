@@ -4,10 +4,6 @@
 
 namespace cpdb::service {
 
-Session::~Session() {
-  if (engine_ != nullptr) engine_->snapshots().Unpin(pin_);
-}
-
 Status Session::Apply(const update::Update& u) {
   if (per_op_) {
     // One op = one transaction (N/H): apply under the exclusive grant and
@@ -38,7 +34,10 @@ Status Session::CommitTraced(std::function<Status()> apply) {
   const uint64_t span =
       trace != nullptr ? trace->Open("commit.execute", trace_parent_) : 0;
   Status st = engine_->Commit(std::move(apply), trace, span);
-  if (st.ok()) AdvanceReadWatermark();
+  // Hiding a curator's own committed work from their queries would be
+  // absurd: the provenance view's bound moves to the new watermark. The
+  // tree stays as acquired; swapping it is the pool's refresh.
+  if (st.ok()) backend_view_.set_read_watermark(engine_->CommittedTid());
   if (obs::Span* s = trace != nullptr ? trace->Find(span) : nullptr) {
     // The queue filled in the stage children and the cohort detail; the
     // tid is the session's to know (minted inside the apply closure).
@@ -46,25 +45,6 @@ Status Session::CommitTraced(std::function<Status()> apply) {
     trace->Close(span);
   }
   return st;
-}
-
-void Session::AdvanceReadWatermark() {
-  // The session just committed: its own records are younger than its
-  // pinned snapshot, and hiding a curator's own committed work from their
-  // queries would be absurd. Advance the provenance view's bound to the
-  // new committed watermark (the pinned TREE stays as acquired — swapping
-  // it is the pool's refresh, not the commit path).
-  backend_view_.set_read_watermark(engine_->CommittedTid());
-  // March the pin forward too. The universe's copy-on-write nodes are
-  // owned by the universe itself, so the old pin's only effect was to
-  // hold the version chain's GC back — a job for idle READERS at old
-  // snapshots, not for a session that just advanced the committed state.
-  SnapshotManager& snaps = engine_->snapshots();
-  SnapshotManager::Pin fresh = snaps.PinLatest();
-  if (fresh.seq != 0) {
-    snaps.Unpin(pin_);
-    pin_ = std::move(fresh);
-  }
 }
 
 Status Session::Abort() { return editor_->Abort(); }
@@ -80,129 +60,73 @@ SessionPool::SessionPool(Engine* engine, SessionOptions options)
                                            "", "sessions_reused")),
       refreshed_(engine->metrics().GetCounter(
           "cpdb_sessions_refreshed_total",
-          "Stale pooled sessions re-pinned O(1)", "", "sessions_refreshed")) {}
+          "Stale pooled sessions refreshed in place", "",
+          "sessions_refreshed")),
+      rebuilds_(engine->metrics().GetCounter("cpdb_snapshot_rebuilds_total",
+                                             "")),
+      rebuild_rows_(engine->metrics().GetCounter(
+          "cpdb_snapshot_rebuild_rows_total", "")) {}
 
 Result<std::unique_ptr<Session>> SessionPool::Acquire() {
-  for (;;) {
-    std::unique_ptr<Session> s;
-    {
-      MutexLock l(mu_);
-      if (free_.empty()) break;
+  std::unique_ptr<Session> s;
+  {
+    MutexLock l(mu_);
+    if (!free_.empty()) {
       s = std::move(free_.back());
       free_.pop_back();
     }
-    // Pooled sessions hold no pin (idle inventory must never hold back
-    // version GC), so even the fresh-session fast path re-pins on the
-    // way out. When the pin lands exactly at the session's watermark the
-    // tree is current and handed back untouched; a race past the
-    // staleness check just falls into the refresh below.
-    if (s->snapshot_tid_ == engine_->CommittedTid()) {
-      SnapshotManager::Pin pin;
-      if (EnsureLatestPinned(&pin)) {
-        if (pin.tid == s->snapshot_tid_) {
-          s->pin_ = std::move(pin);
-          reused_->Inc();
-          return s;
-        }
-        engine_->snapshots().Unpin(pin);
-      }
+  }
+  if (s == nullptr) return Build();
+  if (s->snapshot_tid_ != engine_->CommittedTid()) {
+    // Stale: transactions committed since this session was pooled. Swap
+    // its target subtree for the committed snapshot instead of tearing
+    // the session down. The swap frees the old subtree and touches only
+    // this session, so it runs after build_mu_ is released: the sessions
+    // queued behind this one reach the cached snapshot sooner.
+    tree::Tree snapshot;
+    {
+      MutexLock build_lock(build_mu_);
+      CPDB_ASSIGN_OR_RETURN(snapshot, Snapshot(s.get()));
     }
-    // Stale: committed transactions landed since this session was
-    // pooled. Re-pin the committed version and swap the target subtree —
-    // O(1), no scan — instead of tearing the session down. Runs outside
-    // mu_: a lazy publish takes a read grant, and the pool must not stall
-    // behind an in-flight cohort.
-    if (Refresh(s.get())) {
-      reused_->Inc();
-      refreshed_->Inc();
-      return s;
-    }
-    // The chain could not serve (target without cheap snapshots, or a
-    // transaction left staged). Drop; the destructor releases the pin.
+    CPDB_RETURN_IF_ERROR(s->editor_->ResetTargetSnapshot(std::move(snapshot)));
+    refreshed_->Inc();
   }
-  return Build();
+  reused_->Inc();
+  return s;
 }
 
-bool SessionPool::EnsureLatestPinned(SnapshotManager::Pin* pin) {
-  SnapshotManager& snaps = engine_->snapshots();
-  // Read the watermark BEFORE pinning: the chain only advances, so a pin
-  // at least as new as `committed` is current — the reverse order would
-  // misread a commit that lands in between as a lagging chain.
-  int64_t committed = engine_->CommittedTid();
-  *pin = snaps.PinLatest();
-  if (pin->seq != 0 && pin->tid >= committed) return true;
-  snaps.Unpin(*pin);
-  if (!engine_->target()->CheapSnapshots()) return false;
-  // Lazy publish: cohorts only advance the watermark (see
-  // Engine::PublishSnapshot for why), so the first acquire at a new
-  // watermark materializes the version — an O(1) copy-on-write clone for
-  // cheap-snapshot targets — under a shared grant, so the tree and the
-  // watermark come from the same committed state.
-  auto guard = engine_->Read();
-  committed = engine_->CommittedTid();
-  auto t = engine_->target()->TreeFromDb();
-  if (!t.ok()) return false;
-  snaps.Publish(committed, std::move(*t));
-  *pin = snaps.PinLatest();
-  return pin->seq != 0;
-}
-
-bool SessionPool::Refresh(Session* s) {
-  SnapshotManager& snaps = engine_->snapshots();
-  SnapshotManager::Pin pin;
-  if (!EnsureLatestPinned(&pin)) return false;
-  Status st = s->editor_->ResetTargetSnapshot(pin.root->Clone());
-  if (!st.ok()) {
-    snaps.Unpin(pin);
-    return false;
+Result<tree::Tree> SessionPool::Snapshot(Session* s) {
+  if (cached_ == nullptr || cached_tid_ != engine_->CommittedTid()) {
+    // A new watermark. Under a shared grant the tree and the watermark
+    // come from one committed state, and the target's cost model (a
+    // relational target charges the shared database's from TreeFromDb)
+    // moves only for this read; build_mu_ keeps other snapshots off it.
+    auto guard = engine_->Read();
+    const int64_t committed = engine_->CommittedTid();
+    relstore::CostModel& cost = engine_->target()->cost();
+    const size_t rows_before = cost.RowsMoved();
+    CPDB_ASSIGN_OR_RETURN(tree::Tree t, engine_->target()->TreeFromDb());
+    rebuilds_->Inc();
+    rebuild_rows_->Inc(cost.RowsMoved() - rows_before);
+    cached_ = std::make_shared<const tree::Tree>(std::move(t));
+    cached_tid_ = committed;
   }
-  snaps.Unpin(s->pin_);
-  s->pin_ = std::move(pin);
-  s->snapshot_tid_ = s->pin_.tid;
-  s->backend_view_.set_read_watermark(s->snapshot_tid_);
-  snaps.NoteRefresh();
-  return true;
-}
-
-Result<tree::Tree> SessionPool::AcquireSnapshot(Session* s) {
-  SnapshotManager& snaps = engine_->snapshots();
-  SnapshotManager::Pin pin;
-  if (EnsureLatestPinned(&pin)) {
-    // The chain serves (directly or via a lazy publish): a CoW clone of
-    // the pinned root is O(fanout), not O(database).
-    s->pin_ = std::move(pin);
-    s->snapshot_tid_ = s->pin_.tid;
-    return s->pin_.root->Clone();
-  }
-
-  // No cheap snapshots: materialize the committed state with a full scan,
-  // under a shared grant so the tree and the watermark come from the same
-  // committed state. The scan is counted (NodeCount is the modelled row
-  // transfer); the warm-pool acceptance test asserts this counter stays
-  // flat under write traffic. Still published: until the next commit,
-  // other builds can pin it instead of re-scanning.
-  auto guard = engine_->Read();
-  int64_t tid = engine_->CommittedTid();
-  CPDB_ASSIGN_OR_RETURN(tree::Tree t, engine_->target()->TreeFromDb());
-  snaps.NoteRebuild(t.NodeCount());
-  snaps.Publish(tid, t.Clone());
-  SnapshotManager::Pin seeded = snaps.PinLatest();
-  if (seeded.seq != 0 && seeded.tid == tid) {
-    s->pin_ = std::move(seeded);
-  } else {
-    snaps.Unpin(seeded);
-  }
-  s->snapshot_tid_ = tid;
-  return t;
+  // The cached tree is the committed state at cached_tid_, and nothing
+  // writes it, so cloning it takes no grant: a session acquired while a
+  // cohort is in flight shares the snapshot instead of waiting for the
+  // cohort and then reading the target again. The provenance half of the
+  // snapshot: reads through the session's view stop at the same
+  // watermark (ScanSpec::visible_col).
+  s->snapshot_tid_ = cached_tid_;
+  s->backend_view_.set_read_watermark(cached_tid_);
+  return cached_->Clone();
 }
 
 Result<std::unique_ptr<Session>> SessionPool::Build() {
-  // One builder at a time: a bootstrap materialization reads the shared
-  // wrappers, and a relational target/source charges the shared database's
-  // CostModel from TreeFromDb — safe against committers via the read
-  // grant in AcquireSnapshot, and against other builders only by this
-  // serialization (Release and Acquire stay on mu_ so they never block
-  // behind a slow snapshot).
+  // One builder at a time: mounting a relational source charges the
+  // shared database's CostModel from its TreeFromDb, which only this
+  // serialization keeps race-free (Release and Acquire's reuse stay on
+  // mu_ so they never block behind a slow build).
   MutexLock build_lock(build_mu_);
   std::unique_ptr<Session> s(new Session());
   s->engine_ = engine_;
@@ -213,10 +137,7 @@ Result<std::unique_ptr<Session>> SessionPool::Build() {
   s->backend_view_ =
       provenance::ProvBackend::View(engine_->backend(), &s->cost_);
 
-  CPDB_ASSIGN_OR_RETURN(tree::Tree snapshot, AcquireSnapshot(s.get()));
-  // The relational half of the snapshot: provenance reads through this
-  // session's view stop at the pinned watermark (ScanSpec::visible_col).
-  s->backend_view_.set_read_watermark(s->snapshot_tid_);
+  CPDB_ASSIGN_OR_RETURN(tree::Tree snapshot, Snapshot(s.get()));
   EditorOptions opts;
   opts.strategy = options_.strategy;
   opts.first_tid = s->snapshot_tid_ + 1;
@@ -238,14 +159,6 @@ void SessionPool::Release(std::unique_ptr<Session> session) {
   if (session->editor_->PendingOps() > 0) (void)session->Abort();
   engine_->cost_totals().Add(session->cost_.Snap());
   session->cost_.Reset();
-  // A pooled session is not a live reader: drop its pin entirely so idle
-  // inventory never holds back version GC — a pooled session that is
-  // never re-acquired would otherwise pin its release-time version
-  // forever. The tree stays valid regardless (the universe owns its
-  // copy-on-write nodes); Acquire re-pins before handing the session
-  // back out.
-  engine_->snapshots().Unpin(session->pin_);
-  session->pin_ = SnapshotManager::Pin{};
   MutexLock l(mu_);
   free_.push_back(std::move(session));
 }

@@ -19,7 +19,7 @@ struct SessionOptions {
 };
 
 /// One curator's session against a shared Engine: an Editor over a
-/// pinned committed version of the target, wired into the engine's tid
+/// committed snapshot of the target, wired into the engine's tid
 /// allocator, group-commit queue, and per-session cost accounting.
 ///
 /// Concurrency contract (README "Service layer"):
@@ -36,25 +36,23 @@ struct SessionOptions {
 ///  * Reads take a shared grant. Wrap every batch of queries/scans in
 ///    `auto g = session->ReadLock();` and drain cursors before releasing
 ///    it. Never commit while holding a grant.
-///  * The snapshot is versioned, not copied. The universe's target
-///    subtree is a copy-on-write clone of the SnapshotManager version the
-///    session PINS at acquire (snapshot_tid()); other sessions' commits
-///    never appear in it, and the pinned version stays readable — bit
-///    identical — until the session releases the pin, no matter how far
-///    the committed state advances. The session is *stale* once
-///    snapshot_tid() < Engine::CommittedTid(); re-acquiring from the pool
-///    refreshes it O(1) by re-pinning the newest version and swapping the
-///    target subtree (no scan, no copy). Disjoint-subtree curation is
-///    exact under this model; sessions racing updates to the SAME path
-///    see first-committer-wins at the store level, not merged views.
+///  * The snapshot is a copy-on-write clone. The universe's target subtree
+///    is a clone of the committed target at the watermark the session was
+///    handed out at (snapshot_tid()); it owns its nodes, so other
+///    sessions' commits never appear in it and it stays readable — bit
+///    identical — however far the committed state advances. The session
+///    is *stale* once snapshot_tid() < Engine::CommittedTid();
+///    re-acquiring from the pool refreshes it in place by swapping the
+///    target subtree for the pool's snapshot at the new watermark.
+///    Disjoint-subtree curation is exact under this model; sessions racing
+///    updates to the SAME path see first-committer-wins at the store
+///    level, not merged views.
 ///
 /// All modelled charges (backend round trips, rows, local work) land on
 /// the session's private CostModel — race-free by construction — and fold
 /// into Engine::cost_totals() when the pool takes the session back.
 class Session {
  public:
-  ~Session();
-
   /// Stages (T/HT) or commits (N/H) one update.
   Status Apply(const update::Update& u);
 
@@ -116,14 +114,11 @@ class Session {
   friend class SessionPool;
   Session() = default;
 
-  /// After a successful commit: unhide the session's own records (and its
-  /// cohort's watermark) from the provenance view.
-  void AdvanceReadWatermark();
-
   /// The shared tail of every commit unit: ships `apply` through the
-  /// engine's group-commit queue and advances the read watermark. With a
-  /// collector attached (set_trace), the unit is also one commit.execute
-  /// span tree.
+  /// engine's group-commit queue and, once it committed, unhides the
+  /// session's own records (and its cohort's) from the provenance view by
+  /// advancing the read watermark. With a collector attached (set_trace),
+  /// the unit is also one commit.execute span tree.
   Status CommitTraced(std::function<Status()> apply);
 
   bool per_op_ = false;
@@ -132,12 +127,6 @@ class Session {
   relstore::CostModel cost_;
   provenance::ProvBackend backend_view_;
   std::unique_ptr<Editor> editor_;
-  /// The pinned committed version backing the universe's target subtree.
-  /// Held only while the session is checked out — the pool drops it on
-  /// Release so idle inventory never holds back version GC. pin_.seq == 0
-  /// while pooled, and when the target cannot publish versions (no cheap
-  /// snapshots) and the session runs on a private materialization.
-  SnapshotManager::Pin pin_;
   int64_t snapshot_tid_ = -1;
   obs::SpanCollector* trace_sink_ = nullptr;
   uint64_t trace_parent_ = 0;
@@ -145,22 +134,25 @@ class Session {
 
 /// Hands out Sessions against one Engine and takes them back.
 ///
-/// Acquire() reuses a pooled session outright when its pinned version is
-/// still the committed state; a stale pooled session is *refreshed* in
-/// O(1) — re-pin the newest version, swap the editor's target subtree —
-/// instead of being torn down. Build() (first acquires, cold pool) pins
-/// the newest version too; only when the version chain cannot serve —
-/// bootstrap, or a target without cheap snapshots — does it materialize
-/// the target with a full scan, and that scan is counted
-/// (cpdb_snapshot_rebuilds_total). A warm pool under write
-/// traffic therefore copies nothing and scans nothing. Release() folds
-/// the session's CostModel into the engine's totals and pools the session
-/// for reuse. Thread-safe; building is serialized on the pool's mutex.
+/// Acquire() reuses a pooled session outright when its snapshot is still
+/// the committed state, and refreshes a stale one in place — swap the
+/// editor's target subtree for the committed snapshot — instead of
+/// tearing it down. Build() (first acquires, cold pool) builds a session
+/// around the same snapshot. Both take it from Snapshot(), which keeps
+/// the newest snapshot the pool took: every build and refresh at one
+/// watermark clones that one tree, and only a new watermark asks the
+/// target for a new one (TargetDb::TreeFromDb — O(1) copy-on-write for a
+/// tree target, a table scan for a relational one). Release() folds the
+/// session's CostModel into the engine's totals and pools the session
+/// for reuse. Thread-safe; snapshots and builds are serialized on
+/// build_mu_.
 ///
 /// The pool counts its work in the engine's registry:
 /// cpdb_sessions_built_total, cpdb_sessions_reused_total and
-/// cpdb_sessions_refreshed_total (a refresh also counts as a reuse).
-/// Pools sharing one engine share the counters.
+/// cpdb_sessions_refreshed_total (a refresh also counts as a reuse), and
+/// per snapshot taken from the target cpdb_snapshot_rebuilds_total and
+/// cpdb_snapshot_rebuild_rows_total (the rows the target shipped for
+/// it). Pools sharing one engine share the counters.
 class SessionPool {
  public:
   SessionPool(Engine* engine, SessionOptions options);
@@ -176,33 +168,29 @@ class SessionPool {
  private:
   Result<std::unique_ptr<Session>> Build() CPDB_EXCLUDES(mu_, build_mu_);
 
-  /// Pins a committed version for `s` and returns a CoW clone of it for
-  /// the editor's universe; falls back to (and counts) a full
-  /// materialization when the chain cannot serve. Sets s->pin_ /
-  /// s->snapshot_tid_.
-  Result<tree::Tree> AcquireSnapshot(Session* s) CPDB_EXCLUDES(mu_);
-
-  /// Pins the version at the committed watermark, lazily publishing it
-  /// (O(1), under a read grant) when the chain lags — cohorts only
-  /// advance the watermark. False when only a full scan could serve
-  /// (target without cheap snapshots and no current version).
-  bool EnsureLatestPinned(SnapshotManager::Pin* pin);
-
-  /// O(1) refresh of a stale pooled session: re-pin at the watermark,
-  /// swap the target subtree. False when the chain cannot serve (caller
-  /// drops the session and builds instead).
-  bool Refresh(Session* s);
+  /// A clone of the committed target for `s`, which it stamps with the
+  /// watermark the clone is at: a clone of the cached snapshot while its
+  /// watermark is still CommittedTid(), else of a new one taken from the
+  /// target under a read grant, counted and cached.
+  Result<tree::Tree> Snapshot(Session* s) CPDB_REQUIRES(build_mu_)
+      CPDB_EXCLUDES(mu_);
 
   Engine* engine_;
   SessionOptions options_;
   Mutex mu_;  ///< guards the freelist
-  /// Serializes Build (see session.cc); always taken before mu_.
+  /// Serializes Build and Snapshot (see session.cc); always taken before
+  /// mu_.
   Mutex build_mu_ CPDB_ACQUIRED_BEFORE(mu_);
   std::vector<std::unique_ptr<Session>> free_ CPDB_GUARDED_BY(mu_);
+  /// The newest snapshot taken from the target, and its watermark.
+  int64_t cached_tid_ CPDB_GUARDED_BY(build_mu_) = -1;
+  std::shared_ptr<const tree::Tree> cached_ CPDB_GUARDED_BY(build_mu_);
   /// The pool's counters, stored in the engine's registry.
   obs::Counter* built_;
   obs::Counter* reused_;
   obs::Counter* refreshed_;
+  obs::Counter* rebuilds_;
+  obs::Counter* rebuild_rows_;
 };
 
 }  // namespace cpdb::service

@@ -94,8 +94,8 @@ class Tree {
   }
 
   /// True if `other` is the same physical node or shares this node's
-  /// children map entry-for-entry (diagnostic; used by CoW tests and the
-  /// snapshot-cost accounting).
+  /// children map entry-for-entry (diagnostic; used by the copy-on-write
+  /// and session-pool tests).
   bool SharesAllChildrenWith(const Tree& other) const;
 
   /// Adds edge `label` to `subtree`. Fails with AlreadyExists if the label

@@ -44,7 +44,10 @@ class TargetDb {
   /// The label under which the target mounts in the universe (e.g. "T").
   virtual const std::string& name() const = 0;
 
-  /// Initial content (fully-keyed tree view).
+  /// The committed content as a fully-keyed tree view: an editor's
+  /// initial target, and the service pool's snapshot at each committed
+  /// watermark. The rows it ships are charged to cost(), so a scanning
+  /// wrapper's snapshot is counted and a copy-on-write one is free.
   virtual Result<tree::Tree> TreeFromDb() = 0;
 
   /// Mirrors a whole transaction's updates, in order, in one modelled
@@ -62,13 +65,6 @@ class TargetDb {
   /// forwards to Database::Sync); the default is the in-memory no-op, so
   /// existing wrappers stay correct unmodified.
   virtual Status Sync() { return Status::OK(); }
-
-  /// True when TreeFromDb is O(1) — a copy-on-write clone rather than a
-  /// scan — so the service layer can publish a version after every commit
-  /// cohort (service::SnapshotManager). Wrappers whose TreeFromDb walks
-  /// the native store keep the default: sessions then materialize on
-  /// demand and the engine counts each scan as a snapshot rebuild.
-  virtual bool CheapSnapshots() const { return false; }
 
   /// Accumulated simulated interaction cost.
   virtual relstore::CostModel& cost() = 0;
@@ -100,7 +96,6 @@ class TreeTargetDb : public TargetDb {
   /// O(1): a copy-on-write clone sharing every node with the live content
   /// (tree::Tree structural sharing), so snapshotting never copies data.
   Result<tree::Tree> TreeFromDb() override { return content_.Clone(); }
-  bool CheapSnapshots() const override { return true; }
   /// Applies every update, charging one round trip for the whole batch
   /// (rows = total nodes moved) instead of one per op.
   Status ApplyBatch(const std::vector<NativeOp>& ops) override;

@@ -10,6 +10,7 @@
 // transactions atomically, and the graceful-drain + reopen round trip
 // recovering bit-identical state through the socket.
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -412,10 +413,9 @@ TEST(NetServerTest, PingApplyCommitQuery) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("\"last_tid\":1"), std::string::npos) << *stats;
-  // The MVCC surface is visible to operators: the committed watermark
-  // and the version chain ride STATS.
+  // The snapshot surface is visible to operators: the committed
+  // watermark and the pool's snapshot count ride STATS.
   EXPECT_NE(stats->find("\"committed_tid\":1"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"versions_live\":"), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"snapshot_rebuilds\":"), std::string::npos)
       << *stats;
 
@@ -854,7 +854,7 @@ TEST(NetServerTest, PooledSessionTracesRowsCommittedByOthers) {
   // connections' commits; TRACEBACK through it must see them.
   NetRig rig;
   Path row = Path::MustParse("T/data/k1");
-  Client writer, publisher;
+  Client writer;
   ASSERT_TRUE(writer.Connect("127.0.0.1", rig.port()).ok());
   {
     Client idle;
@@ -864,10 +864,6 @@ TEST(NetServerTest, PooledSessionTracesRowsCommittedByOthers) {
     ASSERT_TRUE(
         writer.Apply(Update::Insert(Path::MustParse("T/data"), "k1")).ok());
     ASSERT_TRUE(writer.Commit().ok());
-    // A session built now publishes the committed version, which is what
-    // lets the pool refresh a stale session instead of rebuilding it.
-    ASSERT_TRUE(publisher.Connect("127.0.0.1", rig.port()).ok());
-    ASSERT_TRUE(publisher.Get(row).ok());
   }  // idle closes; its session goes back to the pool
   auto closed = [&] { return Count(rig, "cpdb_connections_closed_total"); };
   for (int i = 0; i < 500 && closed() == 0; ++i) {
@@ -880,12 +876,42 @@ TEST(NetServerTest, PooledSessionTracesRowsCommittedByOthers) {
   auto got = third.Get(row);
   ASSERT_TRUE(got.ok());
   EXPECT_NE(*got, "<absent>");
-  // The idle connection's session, refreshed, not a new one.
-  EXPECT_EQ(Count(rig, "cpdb_sessions_built_total"), 3u);
+  // The idle connection's session, refreshed in place over the
+  // relational target, not a new one.
+  EXPECT_EQ(Count(rig, "cpdb_sessions_built_total"), 2u);
   EXPECT_EQ(Count(rig, "cpdb_sessions_refreshed_total"), 1u);
   auto trace = third.TraceBack(row);
   ASSERT_TRUE(trace.ok());
   EXPECT_NE(trace->find("tid=1 op=I"), std::string::npos) << *trace;
+}
+
+TEST(NetServerTest, StartRefusesOutOfRangeOptions) {
+  // Start refuses each option before it opens a descriptor or starts a
+  // worker, so no thread is started for any of these counts.
+  relstore::Database db("curated");
+  provenance::ProvBackend backend(&db);
+  wrap::TreeTargetDb target("T", tree::Tree());
+  Engine engine(&backend, &target);
+  SessionPool pool(&engine, service::SessionOptions{});
+  auto refused = [&](ServerOptions opts) {
+    Server server(&engine, &pool, opts);
+    return server.Start();
+  };
+  for (size_t workers : {size_t{0}, SIZE_MAX}) {
+    ServerOptions opts;
+    opts.workers = workers;
+    Status st = refused(opts);
+    EXPECT_TRUE(st.IsInvalidArgument()) << workers << ": " << st.ToString();
+  }
+  for (int port : {-1, 70000}) {
+    ServerOptions opts;
+    opts.port = port;
+    Status st = refused(opts);
+    EXPECT_TRUE(st.IsInvalidArgument()) << port << ": " << st.ToString();
+    net::MetricsHttpServer http(&engine.metrics(), "127.0.0.1", port);
+    st = http.Start();
+    EXPECT_TRUE(st.IsInvalidArgument()) << port << ": " << st.ToString();
+  }
 }
 
 TEST(NetServerTest, DrainAnswersTheCommitAlreadyRunning) {
@@ -1045,8 +1071,8 @@ TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   const std::string& m = *metrics;
   // The acceptance surface: commit pipeline, cohort distribution, latch
-  // waits, snapshot gauges, and per-verb request latency all expose as
-  // properly typed series.
+  // waits, gauges, and per-verb request latency all expose as properly
+  // typed series.
   EXPECT_NE(m.find("# TYPE cpdb_commits_total counter\n"), std::string::npos)
       << m;
   EXPECT_NE(m.find("cpdb_commits_total 1\n"), std::string::npos);
@@ -1058,7 +1084,7 @@ TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {
   EXPECT_NE(m.find("cpdb_commit_cohort_size_count 1\n"), std::string::npos);
   EXPECT_NE(m.find("# TYPE cpdb_latch_excl_wait_us histogram\n"),
             std::string::npos);
-  EXPECT_NE(m.find("# TYPE cpdb_versions_live gauge\n"), std::string::npos);
+  EXPECT_NE(m.find("# TYPE cpdb_max_cohort gauge\n"), std::string::npos);
   EXPECT_NE(m.find("cpdb_request_us_bucket{verb=\"COMMIT\",le=\"+Inf\"} 1\n"),
             std::string::npos)
       << m;
@@ -1136,10 +1162,9 @@ std::vector<std::string> StatsContract(bool durable) {
   }
   keys.insert(keys.end(),
               {"queue_depth", "commits", "cohorts", "combined", "max_cohort",
-               "last_tid", "committed_tid", "epoch", "versions_live",
-               "versions_published", "versions_gced", "snapshot_rebuilds",
-               "snapshot_rebuild_rows", "snapshot_refreshes", "slow_commits",
-               "traces_recorded", "slow_queries", "durable"});
+               "last_tid", "committed_tid", "epoch", "snapshot_rebuilds",
+               "snapshot_rebuild_rows", "slow_commits", "traces_recorded",
+               "slow_queries", "durable"});
   if (durable) {
     keys.insert(keys.end(), {"fsyncs", "log_bytes", "replayed_commits"});
   }

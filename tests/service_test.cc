@@ -407,8 +407,8 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
   std::vector<std::vector<CommittedUnit>> committed(kWriters);
   std::atomic<int> writers_done{0};
 
-  // Reader 0 pins the bootstrap version BEFORE any writer starts: it is
-  // guaranteed stale by the end, so the "old snapshot stays bit
+  // Reader 0 takes the bootstrap snapshot BEFORE any writer starts: it
+  // is guaranteed stale by the end, so the "old snapshot stays bit
   // identical" leg always runs even if the later acquires race past the
   // writers.
   std::vector<std::unique_ptr<Session>> pinned;
@@ -438,8 +438,8 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
     });
   }
 
-  // Pin more readers at whatever watermarks the race hands out; they
-  // HOLD their pins until after the writers finish.
+  // Open more readers at whatever watermarks the race hands out; they
+  // HOLD their sessions until after the writers finish.
   while (writers_done.load(std::memory_order_relaxed) < kWriters &&
          pinned.size() < kMaxReaders) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -481,7 +481,7 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
     }
 
     // Target subtree: bit-identical to the oracle's content, no matter
-    // how many younger versions were committed (and GCed) since.
+    // how many younger transactions were committed since.
     const tree::Tree* view =
         reader->editor()->universe().Find(Path::MustParse("T"));
     ASSERT_NE(view, nullptr);
@@ -521,7 +521,7 @@ TEST(ServiceVersionedReadTest, PinnedReadersMatchTidOrderReplayAtWatermark) {
 TEST(ServiceVersionGcTest, OldestPinHoldsBackGcUntilReleased) {
   Rig rig(Strategy::kHierarchicalTransactional);
 
-  // s_old pins the bootstrap version and holds it across the commit.
+  // s_old takes the bootstrap snapshot and holds it across the commit.
   auto s_old = rig.pool->Acquire();
   ASSERT_TRUE(s_old.ok());
 
@@ -532,34 +532,24 @@ TEST(ServiceVersionGcTest, OldestPinHoldsBackGcUntilReleased) {
   ASSERT_TRUE((*s_w)->Commit().ok());
   rig.pool->Release(std::move(*s_w));
 
-  // Re-acquiring publishes the version at the new watermark; the old one
-  // survives because s_old still pins it.
+  // Re-acquiring refreshes the pooled session to the new watermark.
   auto s_new = rig.pool->Acquire();
   ASSERT_TRUE(s_new.ok());
-  EXPECT_EQ(Level(*rig.engine, "cpdb_versions_live"), 2);
-  EXPECT_EQ(Count(*rig.engine, "cpdb_versions_gced_total"), 0u);
 
-  // The pinned version is not just retained, it still ANSWERS as of its
-  // watermark; the refreshed session sees the commit.
+  // The old snapshot still ANSWERS as of its watermark (the session owns
+  // its copy-on-write nodes); the refreshed session sees the commit.
   EXPECT_EQ((*s_old)->editor()->universe().Find(Path::MustParse("T/fresh")),
             nullptr);
   EXPECT_NE((*s_new)->editor()->universe().Find(Path::MustParse("T/fresh")),
             nullptr);
 
-  // Releasing the oldest pin unblocks collection of the superseded
-  // version (Release marches the pooled session's pin to the newest
-  // version precisely so idle inventory never holds GC back).
   rig.pool->Release(std::move(*s_old));
-  EXPECT_EQ(Level(*rig.engine, "cpdb_versions_live"), 1);
-  EXPECT_EQ(Count(*rig.engine, "cpdb_versions_gced_total"), 1u);
-  EXPECT_EQ(rig.engine->snapshots().LatestTid(), rig.engine->CommittedTid());
   rig.pool->Release(std::move(*s_new));
 }
 
-// Version chains are a runtime structure, not a durable one: after a
-// crash, recovery rebuilds the provenance store from the WAL and the
-// engine starts over with a single version at the recovered watermark —
-// no history is resurrected.
+// Snapshots are a runtime structure, not a durable one: after a crash,
+// recovery rebuilds the provenance store from the WAL and the pool takes
+// one snapshot at the recovered watermark — no history is resurrected.
 TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   TempDir dir("svc_recover");
   int64_t final_tid = 0;
@@ -575,8 +565,7 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
     opts.strategy = Strategy::kHierarchicalTransactional;
     SessionPool pool(&engine, opts);
 
-    // Churn versions: every re-acquire after a commit publishes a new
-    // one (and GCs what no pin holds).
+    // Churn snapshots: every re-acquire after a commit takes a new one.
     for (int i = 0; i < 4; ++i) {
       auto s = pool.Acquire();
       ASSERT_TRUE(s.ok());
@@ -587,10 +576,9 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
       ASSERT_TRUE((*s)->Commit().ok());
       pool.Release(std::move(*s));
     }
-    EXPECT_GT(Count(engine, "cpdb_versions_published_total"), 1u);
     final_tid = engine.CommittedTid();
     final_target = target.content().Clone();
-  }  // crash: every in-memory structure (chain included) is gone
+  }  // crash: every in-memory structure (the pool's snapshot included) is gone
 
   auto reopened = relstore::Database::Open("provdb", dir.path());
   ASSERT_TRUE(reopened.ok());
@@ -608,11 +596,9 @@ TEST(ServiceRecoveryTest, RecoveryMaterializesLatestVersionOnly) {
   auto s = pool.Acquire();
   ASSERT_TRUE(s.ok());
   EXPECT_EQ((*s)->snapshot_tid(), final_tid);
-  // Exactly one version, at the recovered watermark, materialized O(1).
-  EXPECT_EQ(Count(engine, "cpdb_versions_published_total"), 1u);
-  EXPECT_EQ(Level(engine, "cpdb_versions_live"), 1);
-  EXPECT_EQ(engine.snapshots().LatestTid(), final_tid);
-  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
+  // Exactly one snapshot, at the recovered watermark, taken O(1).
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 1u);
+  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
   // The recovered rows are all visible through the session's view.
   {
     auto guard = (*s)->ReadLock();
@@ -854,7 +840,7 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   rig.pool->Release(std::move(*s));
   EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 1u);
 
-  // No commits in between: the pinned version is still the committed
+  // No commits in between: the session's snapshot is still the committed
   // state and the session is handed back out untouched.
   auto again = rig.pool->Acquire();
   ASSERT_TRUE(again.ok());
@@ -863,8 +849,8 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   EXPECT_EQ(Count(engine, "cpdb_sessions_refreshed_total"), 0u);
 
   // A commit advances the watermark; the pooled session is stale, but the
-  // pool refreshes it in place — re-pin the newest version, swap the
-  // target subtree — instead of building a second one.
+  // pool refreshes it in place — swap the target subtree for the
+  // committed snapshot — instead of building a second one.
   ASSERT_TRUE(
       (*again)->Apply(Update::Insert(Path::MustParse("T"), "fresh")).ok());
   ASSERT_TRUE((*again)->Commit().ok());
@@ -880,18 +866,19 @@ TEST(ServicePoolTest, ReusesFreshSessionsRefreshesStaleOnes) {
   EXPECT_NE(
       (*refreshed)->editor()->universe().Find(Path::MustParse("T/fresh")),
       nullptr);
-  // And the refresh was a version swap, not a materialization: a
-  // cheap-snapshot target never pays a full scan, bootstrap included.
-  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
-  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
-  EXPECT_EQ(Count(engine, "cpdb_snapshot_refreshes_total"), 1u);
+  // And the refresh copied nothing: the swapped-in subtree shares every
+  // child with the live target content (copy-on-write).
+  const tree::Tree* view =
+      (*refreshed)->editor()->universe().Find(Path::MustParse("T"));
+  ASSERT_NE(view, nullptr);
+  EXPECT_TRUE(view->SharesAllChildrenWith(rig.target->content()));
   rig.pool->Release(std::move(*refreshed));
 }
 
-// The warm-pool acceptance criterion for the versioned-snapshot design:
-// a pool cycling sessions under sustained write traffic must never pay a
-// full materialization — zero rebuild rows — because every re-acquire is
-// an O(1) re-pin + subtree swap.
+// The warm-pool acceptance criterion: a pool cycling sessions under
+// sustained write traffic builds no new sessions and copies nothing —
+// zero rebuild rows — because every re-acquire of a stale session is a
+// subtree swap to a copy-on-write snapshot of the tree target.
 TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
   Rig rig(Strategy::kHierarchicalTransactional);
   Engine& engine = *rig.engine;
@@ -930,19 +917,83 @@ TEST(ServicePoolTest, WarmPoolCopiesNothingUnderWriteTraffic) {
             static_cast<uint64_t>(kThreads));
   EXPECT_EQ(Count(engine, "cpdb_sessions_reused_total"),
             static_cast<uint64_t>(kThreads * kTxnsPerThread));
-  // ...and no acquire, refresh, or commit scanned the target: the chain
-  // served every snapshot. This is the number the whole subsystem exists
-  // to hold at zero.
-  EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuilds_total"), 0u);
+  // ...stale ones were refreshed in place, at most one snapshot was taken
+  // per watermark (the warm-up's plus one per commit), and no snapshot
+  // shipped a row.
+  EXPECT_GT(Count(engine, "cpdb_sessions_refreshed_total"), 0u);
+  EXPECT_LE(Count(engine, "cpdb_snapshot_rebuilds_total"),
+            static_cast<uint64_t>(1 + kThreads * kTxnsPerThread));
   EXPECT_EQ(Count(engine, "cpdb_snapshot_rebuild_rows_total"), 0u);
-  EXPECT_GT(Count(engine, "cpdb_snapshot_refreshes_total"), 0u);
-  // Idle inventory marches its pins forward, so the chain stays pruned.
-  EXPECT_EQ(Level(engine, "cpdb_versions_live"), 1)
-      << "published=" << Count(engine, "cpdb_versions_published_total")
-      << " gced=" << Count(engine, "cpdb_versions_gced_total")
-      << " refreshes=" << Count(engine, "cpdb_snapshot_refreshes_total")
-      << " reused=" << Count(engine, "cpdb_sessions_reused_total")
-      << " refreshed=" << Count(engine, "cpdb_sessions_refreshed_total");
+}
+
+/// Two builds at one watermark, then a commit and a re-acquire of both
+/// stale sessions: the pool must take exactly one snapshot per watermark,
+/// for which the target ships `rows_before` and then `rows_after` rows.
+/// `insert` adds the node at `added`.
+void ExpectOneSnapshotPerWatermark(wrap::TargetDb* target,
+                                   provenance::ProvBackend* backend,
+                                   const Update& insert, const Path& added,
+                                   uint64_t rows_before, uint64_t rows_after) {
+  Engine engine(backend, target);
+  SessionPool pool(&engine, service::SessionOptions{});  // HT
+  auto snapshots = [&] {
+    return Count(engine, "cpdb_snapshot_rebuilds_total");
+  };
+  auto rows = [&] { return Count(engine, "cpdb_snapshot_rebuild_rows_total"); };
+
+  auto a = pool.Acquire();
+  auto b = pool.Acquire();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 2u);
+  EXPECT_EQ(snapshots(), 1u);
+  EXPECT_EQ(rows(), rows_before);
+
+  ASSERT_TRUE((*a)->Apply(insert).ok());
+  ASSERT_TRUE((*a)->Commit().ok());
+  pool.Release(std::move(*a));
+  pool.Release(std::move(*b));
+  auto c = pool.Acquire();
+  auto d = pool.Acquire();
+  ASSERT_TRUE(c.ok() && d.ok());
+  EXPECT_EQ(Count(engine, "cpdb_sessions_built_total"), 2u);
+  EXPECT_EQ(Count(engine, "cpdb_sessions_refreshed_total"), 2u);
+  EXPECT_EQ(snapshots(), 2u);
+  EXPECT_EQ(rows(), rows_before + rows_after);
+  EXPECT_TRUE((*c)->editor()->universe().Contains(added));
+  EXPECT_TRUE((*d)->editor()->universe().Contains(added));
+  pool.Release(std::move(*c));
+  pool.Release(std::move(*d));
+}
+
+TEST(ServicePoolTest, OneSnapshotPerWatermark) {
+  {
+    SCOPED_TRACE("tree target");
+    // A copy-on-write clone ships no rows.
+    relstore::Database prov_db("provdb");
+    provenance::ProvBackend backend(&prov_db);
+    wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+    ExpectOneSnapshotPerWatermark(
+        &target, &backend, Update::Insert(Path::MustParse("T"), "d"),
+        Path::MustParse("T/d"), 0, 0);
+  }
+  {
+    SCOPED_TRACE("relational target");
+    // A table scan ships one row per tuple: 3 before the commit, 4 after.
+    relstore::Database db("curated");
+    relstore::Schema schema({{"id", relstore::ColumnType::kString, false},
+                             {"f1", relstore::ColumnType::kString, true}});
+    auto table = testutil::CreateKeyedTable(&db, "data", schema);
+    ASSERT_TRUE(table.ok());
+    for (const char* id : {"a", "b", "c"}) {
+      ASSERT_TRUE(
+          (*table)->Insert({relstore::Datum(id), relstore::Datum()}).ok());
+    }
+    provenance::ProvBackend backend(&db);
+    wrap::RelationalTargetDb target("T", &db, {"data"});
+    ExpectOneSnapshotPerWatermark(
+        &target, &backend, Update::Insert(Path::MustParse("T/data"), "d"),
+        Path::MustParse("T/data/d"), 3, 4);
+  }
 }
 
 TEST(ServiceCostTest, SessionChargesLandOnPrivateModelsAndAggregate) {

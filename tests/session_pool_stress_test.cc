@@ -1,11 +1,12 @@
-// TSan stress for SessionPool's reuse-vs-rebuild path: threads acquire,
-// commit (advancing the latch epoch so every pooled snapshot goes
-// stale), read under a shared grant, and release — racing the pool's
-// freelist, the serialized Build path, and the engine's epoch stamp all
-// at once. Under the `tsan` preset (label: concurrency) this is the
-// data-race probe for the annotated pool internals; in a plain build it
-// still checks the pool's conservation law: every Acquire is counted as
-// exactly one reuse or one build.
+// TSan stress for SessionPool's reuse, refresh and build paths: threads
+// acquire, commit (advancing the committed watermark so every pooled
+// session goes stale), read under a shared grant, and release — racing
+// the pool's freelist, the serialized build-and-snapshot path with its
+// cached snapshot, and the engine's watermark all at once. Under the
+// `tsan` preset (label: concurrency) this is the data-race probe for the
+// annotated pool internals; in a plain build it still checks the pool's
+// conservation law: every Acquire is counted as exactly one reuse or one
+// build.
 
 #include <atomic>
 #include <memory>
@@ -51,8 +52,9 @@ TEST(SessionPoolStressTest, ReuseVsRebuildUnderChurn) {
         }
         if ((t + r) % 3 == 0) {
           // Writer round: one committed insert. The commit advances the
-          // epoch, so every session parked in the pool is now stale and
-          // the next Acquire on any thread takes the rebuild path.
+          // watermark, so every session parked in the pool is now stale
+          // and the next Acquire on any thread refreshes it from a new
+          // snapshot.
           std::string name =
               "t" + std::to_string(t) + "_r" + std::to_string(r);
           if (!(*session)->Apply(Update::Insert(Path::MustParse("T"), name))

@@ -13,12 +13,15 @@
 //   --dir=DIR              durable store directory ("" = in-memory, for
 //                          smoke tests; nothing survives a restart)
 //   --host=ADDR            bind address            (default 127.0.0.1)
-//   --port=N               TCP port; 0 = ephemeral (default 7170)
+//   --port=N               TCP port, 0..65535; 0 = ephemeral (default 7170)
 //   --strategy=N|H|T|HT    provenance strategy     (default HT)
-//   --workers=N            request worker threads  (default 4)
+//   --workers=N            request worker threads, 1..256 (default 4)
 //   --max-queue-depth=N    admission bound: RETRY writes while more than
-//                          N committers wait in the commit queue
+//                          N >= 0 committers wait in the commit queue
 //   --wipe                 remove --dir before opening (fresh start)
+//
+// A value outside those ranges, or any other strategy name, exits 1 with
+// a message and serves nothing.
 //
 // Observability flags (README "Observability", OPERATOR_GUIDE.md):
 //   --metrics-port=N       serve Prometheus text exposition as plain HTTP
@@ -42,10 +45,13 @@
 // which the CI socket smoke test checks through the wire (GetMod/Get
 // digests before SIGTERM == after restart). See OPERATOR_GUIDE.md.
 
+#include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -62,11 +68,27 @@ using namespace cpdb;
 
 namespace {
 
-provenance::Strategy ParseStrategy(const std::string& s) {
-  if (s == "N") return provenance::Strategy::kNaive;
-  if (s == "H") return provenance::Strategy::kHierarchical;
-  if (s == "T") return provenance::Strategy::kTransactional;
-  return provenance::Strategy::kHierarchicalTransactional;
+/// --name as an int. A value past int's range is clamped to it rather
+/// than wrapped, so the range checks downstream still refuse it.
+int IntFlag(const Flags& flags, const std::string& name, int def) {
+  return static_cast<int>(std::clamp<int64_t>(
+      flags.GetInt(name, def), std::numeric_limits<int>::min(),
+      std::numeric_limits<int>::max()));
+}
+
+/// The strategy whose short name is `s` (N, H, T or HT); false for any
+/// other name.
+bool ParseStrategy(const std::string& s, provenance::Strategy* out) {
+  for (provenance::Strategy st :
+       {provenance::Strategy::kNaive, provenance::Strategy::kHierarchical,
+        provenance::Strategy::kTransactional,
+        provenance::Strategy::kHierarchicalTransactional}) {
+    if (s == provenance::StrategyShortName(st)) {
+      *out = st;
+      return true;
+    }
+  }
+  return false;
 }
 
 /// The curated table every cpdb_serve instance fronts: one string key
@@ -96,7 +118,23 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::string dir = flags.GetString("dir", "serve-db");
   const std::string host = flags.GetString("host", "127.0.0.1");
-  const int port = static_cast<int>(flags.GetInt("port", 7170));
+  const int port = IntFlag(flags, "port", 7170);
+  // Server::Start refuses an out-of-range port or worker count; the
+  // strategy and the queue depth are checked here.
+  service::SessionOptions sopts;
+  const std::string strategy = flags.GetString("strategy", "HT");
+  if (!ParseStrategy(strategy, &sopts.strategy)) {
+    std::fprintf(stderr,
+                 "cpdb_serve: unknown --strategy=%s (want N, H, T or HT)\n",
+                 strategy.c_str());
+    return 1;
+  }
+  const int64_t max_queue_depth = flags.GetInt("max-queue-depth", 64);
+  if (max_queue_depth < 0) {
+    std::fprintf(stderr, "cpdb_serve: --max-queue-depth=%lld is negative\n",
+                 static_cast<long long>(max_queue_depth));
+    return 1;
+  }
 
   if (flags.GetBool("wipe", false) && !dir.empty()) {
     std::error_code ec;
@@ -144,16 +182,13 @@ int main(int argc, char** argv) {
   service::Engine engine(&backend, &target);
   const double slow_ms = flags.GetDouble("slow-ms", 0);
   if (slow_ms > 0) engine.spans().SetSlowThresholdUs(slow_ms * 1000.0);
-  service::SessionOptions sopts;
-  sopts.strategy = ParseStrategy(flags.GetString("strategy", "HT"));
   service::SessionPool pool(&engine, sopts);
 
   net::ServerOptions nopts;
   nopts.host = host;
   nopts.port = port;
   nopts.workers = static_cast<size_t>(flags.GetInt("workers", 4));
-  nopts.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("max-queue-depth", 64));
+  nopts.max_queue_depth = static_cast<size_t>(max_queue_depth);
   net::Server server(&engine, &pool, nopts);
 
   g_server = &server;
@@ -170,7 +205,7 @@ int main(int argc, char** argv) {
   // Observability sidecars: the HTTP scrape endpoint and the periodic
   // JSON reporter both read the engine's registry — the same objects the
   // STATS and METRICS verbs render.
-  const int metrics_port = static_cast<int>(flags.GetInt("metrics-port", -1));
+  const int metrics_port = IntFlag(flags, "metrics-port", -1);
   std::unique_ptr<net::MetricsHttpServer> metrics_http;
   if (metrics_port >= 0) {
     metrics_http = std::make_unique<net::MetricsHttpServer>(&engine.metrics(),

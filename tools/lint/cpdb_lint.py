@@ -124,9 +124,9 @@ OBS-METRICS
     members: the registry is the single typed surface behind STATS,
     METRICS, /metrics, and the bench JSON, and a counter living outside
     it is invisible to all four. The allowlist names the std::atomic
-    members that are NOT metrics — engine tid allocation and seal
-    probes, the latch's epoch, the snapshot chain's watermark, and the
-    server's lifecycle flags — each of which is load-bearing
+    members that are NOT metrics — engine tid allocation, the committed
+    watermark and seal probes, the latch's epoch, and the server's
+    lifecycle flags — each of which is load-bearing
     synchronization state with its own reader, not telemetry. The same
     layers may not declare a `struct Stats` either: a private counter
     block under the component's mutex, re-exported to the registry by a
@@ -146,6 +146,17 @@ OBS-TRACE
     must open the "server."-prefixed root span. A verb handler that
     bypasses the choke point is invisible to TRACES, EXPLAIN, and the
     slow-request log all at once.
+
+SERVICE-ONE-SNAPSHOT
+    src/service/ has exactly one `TreeFromDb(` call site, comments
+    ignored, and no `SnapshotManager` or `CheapSnapshots` appears
+    anywhere under src/. A session's snapshot is a copy-on-write clone
+    that owns its nodes, so the service keeps one snapshot path:
+    SessionPool::Snapshot takes the target's tree at a committed
+    watermark, caches it, and every build and refresh at that watermark
+    clones it. A second call site reads the target again for a state
+    the pool already holds (a relational target scans its table each
+    time), and a version chain has nothing left to protect.
 
 NET-NO-HANDOFF
     src/net/server.h and src/net/server.cc declare and use no CondVar.
@@ -432,7 +443,6 @@ OBS_METRICS_ALLOWED = {
     ("src/service/engine.h", "committed_tid_"),  # MVCC watermark
     ("src/service/engine.h", "sync_calls_"),     # ONE-seal probe
     ("src/service/latch.h", "epoch_"),           # exclusive-section count
-    ("src/service/snapshots.h", "latest_tid_"),  # version-chain watermark
     ("src/net/server.h", "draining_"),           # lifecycle flag
     ("src/net/server.h", "started_"),            # lifecycle flag
     ("src/net/metrics_http.h", "stopping_"),     # lifecycle flag
@@ -525,6 +535,37 @@ NET_SERVER_FILES = ("src/net/server.h", "src/net/server.cc")
 CONDVAR_RE = re.compile(r"\bCondVar\b")
 
 
+TREE_FROM_DB_RE = re.compile(r"\bTreeFromDb\s*\(")
+RETIRED_SNAPSHOT_RE = re.compile(r"\b(?:SnapshotManager|CheapSnapshots)\b")
+
+
+def check_service_one_snapshot(root):
+    sites = []
+    for path in iter_source(root, "src/service"):
+        rel = path.relative_to(root)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for _ in TREE_FROM_DB_RE.finditer(strip_comments(line)):
+                sites.append((rel, lineno))
+    if not sites:
+        finding("SERVICE-ONE-SNAPSHOT", "src/service", 1,
+                "no TreeFromDb() call; the session pool takes its "
+                "snapshots from the target")
+    for rel, lineno in sites[1:]:
+        finding("SERVICE-ONE-SNAPSHOT", rel, lineno,
+                f"second TreeFromDb() call site (first at {sites[0][0]}:"
+                f"{sites[0][1]}); builds and refreshes share "
+                "SessionPool::Snapshot")
+    for path in iter_source(root, "src"):
+        rel = path.relative_to(root)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = RETIRED_SNAPSHOT_RE.search(line)
+            if m:
+                finding("SERVICE-ONE-SNAPSHOT", rel, lineno,
+                        f"{m.group(0)} is retired; sessions own their "
+                        "copy-on-write snapshots and the pool caches one "
+                        "per watermark")
+
+
 def check_net_no_handoff(root):
     for name in NET_SERVER_FILES:
         path = root / name
@@ -561,6 +602,7 @@ def main():
     check_net_framing(root)
     check_obs_metrics(root)
     check_obs_trace(root)
+    check_service_one_snapshot(root)
     check_net_no_handoff(root)
 
     for f in FINDINGS:
