@@ -167,7 +167,7 @@
 /// and reads `cohort_size=N leader=0|1`. SessionPool's built(),
 /// reused() and refreshed() getters are gone as well: read
 /// cpdb_sessions_{built,reused,refreshed}_total from the engine's
-/// registry (same STATS keys, which now come before the server's).
+/// registry.
 ///
 /// Snapshots are copy-on-write clones: the committed state carries a
 /// commit-ordered tid watermark (Engine::CommittedTid), and a session
@@ -188,15 +188,26 @@
 /// takes from the target, and cpdb_snapshot_rebuild_rows_total the rows
 /// the target shipped for them (0 for a copy-on-write tree target).
 ///
-/// Migration note (epoch stamp -> tid watermark): sessions are no longer
-/// stamped with the latch epoch. Staleness is a tid comparison —
-/// snapshot_tid() < Engine::CommittedTid() — and a stale pooled session
-/// is refreshed in place, not torn down and rebuilt, so
-/// cpdb_sessions_built_total stays flat under churn. SharedLatch::Epoch()
-/// still advances per exclusive release (the latch's own bookkeeping)
-/// but no session-visible semantics hang off it anymore; code that
-/// compared epochs to detect "committed state moved" should compare tid
-/// watermarks instead.
+/// Session staleness is a tid comparison — snapshot_tid() <
+/// Engine::CommittedTid() — and a stale pooled session is refreshed in
+/// place, not torn down and rebuilt, so cpdb_sessions_built_total stays
+/// flat under churn.
+///
+/// Migration note (one metrics format): the registry renders only the
+/// Prometheus text exposition (METRICS, /metrics), and every series has
+/// one name. Removed: the STATS verb with its Request and Client helpers
+/// and cpdb_bench_client's stats mode (tag 8 now decodes to a typed
+/// "unknown type" error); the registry's flat JSON rendering, its
+/// sampling and windowed-delta helpers, and the JSON-name argument of
+/// every registration call; the histogram snapshot's difference and
+/// merge operators; the periodic JSON reporter and the two cpdb_serve
+/// flags that drove it; and the latch's exclusive-section count with its
+/// cpdb_latch_epoch series (it counted cohorts plus checkpoints;
+/// cpdb_cohorts_total counts the cohorts). Read a former STATS field
+/// from METRICS under its series name (OPERATOR_GUIDE.md, "Metrics
+/// catalogue"). The session pool now registers the snapshot counters and
+/// the network server the slow-request counters, each where it bumps
+/// them.
 ///
 /// Migration note (sessions vs standalone Editor): a directly created
 /// Editor is unchanged — private sequential tids from first_tid, its own

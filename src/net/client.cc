@@ -220,12 +220,6 @@ Result<std::string> Client::Get(const tree::Path& p) {
   return std::move(resp.body);
 }
 
-Result<std::string> Client::Stats() {
-  CPDB_ASSIGN_OR_RETURN(Response resp, Call(Request::Stats()));
-  CPDB_RETURN_IF_ERROR(ToStatus(resp));
-  return std::move(resp.body);
-}
-
 Result<std::string> Client::Metrics() {
   CPDB_ASSIGN_OR_RETURN(Response resp, Call(Request::Metrics()));
   CPDB_RETURN_IF_ERROR(ToStatus(resp));

@@ -112,7 +112,6 @@ class Client {
   /// Deterministic rendering of the subtree at `p` in the server-side
   /// session's snapshot ("<absent>" if no such node).
   Result<std::string> Get(const tree::Path& p);
-  Result<std::string> Stats();
   /// Full metrics registry in Prometheus text exposition format.
   Result<std::string> Metrics();
   /// Assembled trace trees, slow commits and queries included (JSON; see

@@ -1,6 +1,8 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "util/crc32.h"
 
@@ -124,8 +126,6 @@ const char* ReqTypeName(ReqType t) {
       return "TRACEBACK";
     case ReqType::kGet:
       return "GET";
-    case ReqType::kStats:
-      return "STATS";
     case ReqType::kCheckpoint:
       return "CHECKPOINT";
     case ReqType::kDrain:
@@ -143,7 +143,8 @@ const char* ReqTypeName(ReqType t) {
 bool IsReqType(uint64_t tag) {
   return tag >= static_cast<uint64_t>(ReqType::kPing) &&
          tag <= static_cast<uint64_t>(ReqType::kExplain) &&
-         tag != kRetiredTag;
+         std::find(std::begin(kRetiredTags), std::end(kRetiredTags), tag) ==
+             std::end(kRetiredTags);
 }
 
 const char* RespCodeName(RespCode c) {

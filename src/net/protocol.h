@@ -24,7 +24,7 @@ namespace cpdb::net {
 //   trace    ::= varint(trace_id) varint(parent_span_id) sampled:byte
 //   body     ::= APPLY update | GETMOD path | TRACEBACK path | GET path
 //              | EXPLAIN verb:varint lp(path)
-//              | COMMIT | ABORT | PING | STATS | CHECKPOINT | DRAIN
+//              | COMMIT | ABORT | PING | CHECKPOINT | DRAIN
 //              | METRICS | TRACES
 //   update   ::= kind:varint lp(target) lp(label) value lp(source)
 //   value    ::= 0 | 1 | 2 zigzag | 3 f64le | 4 lp(bytes)
@@ -48,23 +48,24 @@ enum class ReqType : uint8_t {
   kGetMod = 5,      ///< Mod(p): tids that modified the subtree under p
   kTraceBack = 6,   ///< full backwards provenance walk from p
   kGet = 7,         ///< current subtree at p in this session's snapshot
-  kStats = 8,       ///< admin: server/engine counters as JSON text
+  // 8 is retired (see kRetiredTags).
   kCheckpoint = 9,  ///< admin: checkpoint the store under the latch
   kDrain = 10,      ///< admin: begin graceful drain (like SIGTERM)
   kMetrics = 11,    ///< admin: full registry, Prometheus text exposition
-  // 12 is retired (see kRetiredTag).
+  // 12 is retired (see kRetiredTags).
   kTraces = 13,     ///< admin: assembled trace trees as JSON
   kExplain = 14,    ///< run a GETMOD/TRACEBACK/GET, return its span tree
 };
 
-/// Tag 12 once named a slow-commit verb whose records now live in
-/// TRACES. It stays unassigned, and the decoder rejects it like any
-/// unknown tag, so an old client's request fails with a typed error
-/// instead of meaning something else.
-constexpr uint64_t kRetiredTag = 12;
+/// Tags of retired verbs: 8 named STATS, a JSON rendering of the metrics
+/// that METRICS now exports alone, and 12 a slow-commit verb whose
+/// records now live in TRACES. They stay unassigned, and the decoder
+/// rejects them like any unknown tag, so an old client's request fails
+/// with a typed error instead of meaning something else.
+constexpr uint64_t kRetiredTags[] = {8, 12};
 
 /// True for the tags of live request types: kPing..kExplain minus the
-/// retired tag. The decoder's admission test, and the server's per-verb
+/// retired tags. The decoder's admission test, and the server's per-verb
 /// metric loop.
 bool IsReqType(uint64_t tag);
 
@@ -122,7 +123,6 @@ struct Request {
     req.path = std::move(p);
     return req;
   }
-  static Request Stats() { return Of(ReqType::kStats); }
   static Request Checkpoint() { return Of(ReqType::kCheckpoint); }
   static Request Drain() { return Of(ReqType::kDrain); }
   static Request Metrics() { return Of(ReqType::kMetrics); }
@@ -138,7 +138,7 @@ struct Request {
 struct Response {
   RespCode code = RespCode::kOk;
   /// kOk: result payload (type-specific; see EncodeTids/DecodeTids for
-  /// kGetMod, text for kStats/kTraceBack/kGet). Otherwise: the error text.
+  /// kGetMod, text for kMetrics/kTraceBack/kGet). Otherwise: the error text.
   std::string body;
 
   static Response Ok(std::string body = "") {

@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -185,69 +184,38 @@ void Server::Stop() {
 
 void Server::RegisterMetrics() {
   obs::Registry& reg = engine_->metrics();
-  auto counter = [&reg](const char* name, const char* help,
-                        const char* json_key) {
-    return reg.GetCounter(name, help, "", json_key);
-  };
-  auto cb = [&reg](const char* name, const char* help, bool monotonic,
-                   std::function<double()> fn, const char* json_key) {
-    reg.SetCallback(name, help, monotonic, std::move(fn), "", json_key);
-  };
-  cb("cpdb_server_draining", "1 while a graceful drain is in progress",
-     false, [this] { return draining() ? 1.0 : 0.0; }, "draining");
-  accepted_ = counter("cpdb_connections_accepted_total",
-                      "Connections accepted", "accepted");
-  closed_ = counter("cpdb_connections_closed_total", "Connections closed",
-                    "closed");
-  requests_ = counter("cpdb_requests_total", "Requests executed (all verbs)",
-                      "requests");
-  retries_ = counter("cpdb_retries_total", "Transactions shed with RETRY",
-                     "retries");
-  bad_frames_ = counter("cpdb_bad_frames_total",
-                        "Framing violations (CRC/length/varint)",
-                        "bad_frames");
-  bad_requests_ = counter("cpdb_bad_requests_total",
-                          "Well-framed but undecodable requests",
-                          "bad_requests");
-  // Registered by the engine (their STATS position); bumped here.
-  slow_commits_ = reg.GetCounter("cpdb_slow_commits_total", "");
-  slow_queries_ = reg.GetCounter("cpdb_slow_queries_total", "");
+  reg.SetCallback("cpdb_server_draining",
+                  "1 while a graceful drain is in progress", false,
+                  [this] { return draining() ? 1.0 : 0.0; });
+  accepted_ = reg.GetCounter("cpdb_connections_accepted_total",
+                             "Connections accepted");
+  closed_ = reg.GetCounter("cpdb_connections_closed_total",
+                           "Connections closed");
+  requests_ = reg.GetCounter("cpdb_requests_total",
+                             "Requests executed (all verbs)");
+  retries_ = reg.GetCounter("cpdb_retries_total",
+                            "Transactions shed with RETRY");
+  bad_frames_ = reg.GetCounter("cpdb_bad_frames_total",
+                               "Framing violations (CRC/length/varint)");
+  bad_requests_ = reg.GetCounter("cpdb_bad_requests_total",
+                                 "Well-framed but undecodable requests");
+  slow_commits_ = reg.GetCounter(
+      "cpdb_slow_commits_total",
+      "APPLY/COMMIT requests past the --slow-ms threshold");
+  slow_queries_ = reg.GetCounter("cpdb_slow_queries_total",
+                                 "Read requests past the --slow-ms threshold");
   inflight_bytes_ = reg.GetGauge("cpdb_inflight_bytes",
-                                 "Request bytes being executed", "",
-                                 "inflight_bytes");
+                                 "Request bytes being executed");
 
   // Per-verb request latency: one labelled series timing ExecuteTraced
   // alone, recorded in Serve (decode, encode and the send are not in
-  // it). Data verbs also land in the flat JSON (the admin verbs would
-  // be scrape-measuring-the-scraper noise there, but are still separable
-  // in Prometheus). The retired tag gets no series.
+  // it). The retired tags get no series.
   for (uint8_t t = static_cast<uint8_t>(ReqType::kPing);
        t <= static_cast<uint8_t>(ReqType::kExplain); ++t) {
     if (!IsReqType(t)) continue;
-    ReqType type = static_cast<ReqType>(t);
-    std::string verb = ReqTypeName(type);
-    std::string json_key;
-    switch (type) {
-      case ReqType::kApply:
-      case ReqType::kCommit:
-      case ReqType::kAbort:
-      case ReqType::kGetMod:
-      case ReqType::kTraceBack:
-      case ReqType::kGet: {
-        json_key = "req_";
-        for (char ch : verb) {
-          json_key.push_back(
-              static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
-        }
-        json_key += "_us";
-        break;
-      }
-      default:
-        break;  // admin verbs: Prometheus only
-    }
-    verb_us_[t] = reg.GetHistogram("cpdb_request_us",
-                                   "Request execute latency by verb (us)",
-                                   "verb=\"" + verb + "\"", json_key);
+    verb_us_[t] = reg.GetHistogram(
+        "cpdb_request_us", "Request execute latency by verb (us)",
+        std::string("verb=\"") + ReqTypeName(static_cast<ReqType>(t)) + "\"");
   }
 }
 
@@ -468,8 +436,6 @@ Response Server::Execute(Conn* conn, const Request& req,
   switch (req.type) {
     case ReqType::kPing:
       return Response::Ok("pong");
-    case ReqType::kStats:
-      return Response::Ok(StatsJson());
     case ReqType::kMetrics:
       return Response::Ok(engine_->metrics().RenderPrometheus());
     case ReqType::kTraces:
@@ -639,7 +605,5 @@ Response Server::ExecuteQuery(ReqType verb, const tree::Path& path,
   }
   return resp;
 }
-
-std::string Server::StatsJson() { return engine_->metrics().RenderJson(); }
 
 }  // namespace cpdb::net

@@ -159,18 +159,13 @@ class Server {
                         service::Session* s, obs::SpanCollector* tracer);
 
   /// Registers the server's counters (connection/request totals, protocol
-  /// violations), the in-flight-bytes gauge and the per-verb latency
-  /// histograms into the ENGINE's registry — one registry per engine is
-  /// the whole point, so `STATS`, `METRICS`, and `/metrics` all read the
-  /// same objects. Runs in Start(), before any worker exists; callbacks
-  /// re-registered by a later Server replace this one's, counters and
-  /// gauges carry on.
+  /// violations, slow requests), the in-flight-bytes gauge and the
+  /// per-verb latency histograms into the ENGINE's registry — one
+  /// registry per engine is the whole point, so `METRICS` and `/metrics`
+  /// read the same objects. Runs in Start(), before any worker exists;
+  /// callbacks re-registered by a later Server replace this one's,
+  /// counters and gauges carry on.
   void RegisterMetrics();
-
-  /// Renders the flat stats object from the engine registry. The field
-  /// names are the OPERATOR_GUIDE contract; they live in the registry's
-  /// json_key column now, so STATS cannot drift from METRICS.
-  std::string StatsJson();
 
   service::Engine* engine_;
   service::SessionPool* pool_;

@@ -16,22 +16,6 @@ double NowMicros() {
       .count();
 }
 
-Histogram::Snapshot& Histogram::Snapshot::operator+=(const Snapshot& o) {
-  count += o.count;
-  sum_ns += o.sum_ns;
-  for (size_t i = 0; i < kBuckets; ++i) buckets[i] += o.buckets[i];
-  return *this;
-}
-
-Histogram::Snapshot Histogram::Snapshot::Delta(const Snapshot& prev) const {
-  Snapshot d;
-  d.count = count - prev.count;
-  d.sum_ns = sum_ns - prev.sum_ns;
-  for (size_t i = 0; i < kBuckets; ++i)
-    d.buckets[i] = buckets[i] - prev.buckets[i];
-  return d;
-}
-
 double Histogram::Snapshot::Percentile(double q) const {
   if (count == 0) return 0.0;
   if (q < 0.0) q = 0.0;
@@ -77,7 +61,7 @@ void AppendJsonNumber(std::string* out, double v) {
   }
   char buf[64];
   // Counters and gauges come through as integral doubles; render them as
-  // JSON integers so textual consumers ("\"commits\":12") keep working.
+  // integers, so a counter reads "cpdb_commits_total 12", not "12.000".
   if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
     std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<int64_t>(v));
   } else {
@@ -110,24 +94,6 @@ void AppendSeries(std::string* out, const std::string& name,
   }
 }
 
-void AppendHistKeys(std::string* out, const std::string& key,
-                    const Histogram::Snapshot& s, bool* first) {
-  auto emit = [&](const char* suffix, double v) {
-    if (!*first) out->push_back(',');
-    *first = false;
-    out->push_back('"');
-    out->append(key);
-    out->append(suffix);
-    out->append("\":");
-    AppendJsonNumber(out, v);
-  };
-  emit("_count", static_cast<double>(s.count));
-  emit("_p50_us", s.Percentile(0.50));
-  emit("_p99_us", s.Percentile(0.99));
-  emit("_p999_us", s.Percentile(0.999));
-  emit("_mean_us", s.MeanMicros());
-}
-
 }  // namespace
 
 Registry::Metric* Registry::Find(const std::string& name,
@@ -138,79 +104,62 @@ Registry::Metric* Registry::Find(const std::string& name,
   return nullptr;
 }
 
-Counter* Registry::GetCounter(const std::string& name, const std::string& help,
-                              const std::string& labels,
-                              const std::string& json_key) {
-  MutexLock l(mu_);
-  if (Metric* m = Find(name, labels)) return m->counter.get();
+Registry::Metric* Registry::Add(const std::string& name,
+                                const std::string& labels,
+                                const std::string& help, Kind kind) {
   auto m = std::make_unique<Metric>();
   m->name = name;
   m->labels = labels;
   m->help = help;
-  m->json_key = json_key;
-  m->kind = Kind::kCounter;
-  m->counter = std::make_unique<Counter>();
-  Counter* out = m->counter.get();
+  m->kind = kind;
   metrics_.push_back(std::move(m));
-  return out;
+  return metrics_.back().get();
+}
+
+Counter* Registry::GetCounter(const std::string& name, const std::string& help,
+                              const std::string& labels) {
+  MutexLock l(mu_);
+  Metric* m = Find(name, labels);
+  if (m == nullptr) {
+    m = Add(name, labels, help, Kind::kCounter);
+    m->counter = std::make_unique<Counter>();
+  }
+  return m->counter.get();
 }
 
 Gauge* Registry::GetGauge(const std::string& name, const std::string& help,
-                          const std::string& labels,
-                          const std::string& json_key) {
+                          const std::string& labels) {
   MutexLock l(mu_);
-  if (Metric* m = Find(name, labels)) return m->gauge.get();
-  auto m = std::make_unique<Metric>();
-  m->name = name;
-  m->labels = labels;
-  m->help = help;
-  m->json_key = json_key;
-  m->kind = Kind::kGauge;
-  m->gauge = std::make_unique<Gauge>();
-  Gauge* out = m->gauge.get();
-  metrics_.push_back(std::move(m));
-  return out;
+  Metric* m = Find(name, labels);
+  if (m == nullptr) {
+    m = Add(name, labels, help, Kind::kGauge);
+    m->gauge = std::make_unique<Gauge>();
+  }
+  return m->gauge.get();
 }
 
 Histogram* Registry::GetHistogram(const std::string& name,
                                   const std::string& help,
-                                  const std::string& labels,
-                                  const std::string& json_key) {
+                                  const std::string& labels) {
   MutexLock l(mu_);
-  if (Metric* m = Find(name, labels)) return m->hist.get();
-  auto m = std::make_unique<Metric>();
-  m->name = name;
-  m->labels = labels;
-  m->help = help;
-  m->json_key = json_key;
-  m->kind = Kind::kHistogram;
-  m->hist = std::make_unique<Histogram>();
-  Histogram* out = m->hist.get();
-  metrics_.push_back(std::move(m));
-  return out;
+  Metric* m = Find(name, labels);
+  if (m == nullptr) {
+    m = Add(name, labels, help, Kind::kHistogram);
+    m->hist = std::make_unique<Histogram>();
+  }
+  return m->hist.get();
 }
 
 void Registry::SetCallback(const std::string& name, const std::string& help,
                            bool monotonic, std::function<double()> fn,
-                           const std::string& labels,
-                           const std::string& json_key) {
+                           const std::string& labels) {
   MutexLock l(mu_);
-  if (Metric* m = Find(name, labels)) {
-    // Re-registration rebinds: a restarted Server (tests spin several up
-    // against one Engine) replaces its predecessor's dangling closure.
-    m->fn = std::move(fn);
-    m->monotonic = monotonic;
-    return;
-  }
-  auto m = std::make_unique<Metric>();
-  m->name = name;
-  m->labels = labels;
-  m->help = help;
-  m->json_key = json_key;
-  m->kind = Kind::kCallback;
-  m->monotonic = monotonic;
+  // Re-registration rebinds: a restarted Server (tests spin several up
+  // against one Engine) replaces its predecessor's dangling closure.
+  Metric* m = Find(name, labels);
+  if (m == nullptr) m = Add(name, labels, help, Kind::kCallback);
   m->fn = std::move(fn);
-  metrics_.push_back(std::move(m));
+  m->monotonic = monotonic;
 }
 
 std::string Registry::RenderPrometheus() const {
@@ -300,106 +249,6 @@ std::string Registry::RenderPrometheus() const {
       }
     }
   }
-  return out;
-}
-
-std::string Registry::RenderJson() const {
-  MutexLock l(mu_);
-  std::string out;
-  out.reserve(1024);
-  out.push_back('{');
-  bool first = true;
-  for (const auto& mp : metrics_) {
-    const Metric& m = *mp;
-    if (m.json_key.empty()) continue;
-    if (m.kind == Kind::kHistogram) {
-      AppendHistKeys(&out, m.json_key, m.hist->Snap(), &first);
-      continue;
-    }
-    double v = 0;
-    switch (m.kind) {
-      case Kind::kCounter:
-        v = static_cast<double>(m.counter->Value());
-        break;
-      case Kind::kGauge:
-        v = static_cast<double>(m.gauge->Value());
-        break;
-      case Kind::kCallback:
-        v = m.fn ? m.fn() : 0.0;
-        break;
-      case Kind::kHistogram:
-        break;  // handled above
-    }
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(m.json_key);
-    out.append("\":");
-    AppendJsonNumber(&out, v);
-  }
-  out.push_back('}');
-  return out;
-}
-
-Sample Registry::TakeSample() const {
-  MutexLock l(mu_);
-  Sample s;
-  for (const auto& mp : metrics_) {
-    const Metric& m = *mp;
-    if (m.json_key.empty()) continue;
-    switch (m.kind) {
-      case Kind::kCounter:
-        s.scalars.push_back(
-            {m.json_key, static_cast<double>(m.counter->Value()), true});
-        break;
-      case Kind::kGauge:
-        s.scalars.push_back(
-            {m.json_key, static_cast<double>(m.gauge->Value()), false});
-        break;
-      case Kind::kCallback:
-        s.scalars.push_back({m.json_key, m.fn ? m.fn() : 0.0, m.monotonic});
-        break;
-      case Kind::kHistogram:
-        s.hists.emplace_back(m.json_key, m.hist->Snap());
-        break;
-    }
-  }
-  return s;
-}
-
-std::string Registry::DeltaJson(const Sample& prev, const Sample& cur) {
-  std::string out;
-  out.push_back('{');
-  bool first = true;
-  auto find_prev = [&](const std::string& key) -> const SampleEntry* {
-    for (const auto& e : prev.scalars) {
-      if (e.key == key) return &e;
-    }
-    return nullptr;
-  };
-  for (const auto& e : cur.scalars) {
-    double v = e.value;
-    if (e.monotonic) {
-      if (const SampleEntry* p = find_prev(e.key)) v -= p->value;
-    }
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(e.key);
-    out.append("\":");
-    AppendJsonNumber(&out, v);
-  }
-  for (const auto& [key, snap] : cur.hists) {
-    Histogram::Snapshot d = snap;
-    for (const auto& [pkey, psnap] : prev.hists) {
-      if (pkey == key) {
-        d = snap.Delta(psnap);
-        break;
-      }
-    }
-    AppendHistKeys(&out, key, d, &first);
-  }
-  out.push_back('}');
   return out;
 }
 

@@ -41,7 +41,7 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// Fixed-bucket log-scale latency histogram with mergeable snapshots.
+/// Fixed-bucket log-scale latency histogram.
 ///
 /// Buckets are powers of two in MICROSECONDS: bucket 0 holds values in
 /// [0, 1us), bucket i holds [2^(i-1), 2^i) us, and the last bucket is the
@@ -52,9 +52,7 @@ class Gauge {
 ///
 /// Record() is wait-free: one bit-scan plus two relaxed fetch_adds, no
 /// locks, safe from any thread (the TSan-labeled obs stress test hammers
-/// one histogram from 8 threads). Snapshots are copies and can be merged
-/// (operator+= adds bucket-wise) and differenced (Delta) to scope
-/// percentiles to a measurement window.
+/// one histogram from 8 threads). Snapshots are point-in-time copies.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 28;
@@ -74,10 +72,6 @@ class Histogram {
     uint64_t sum_ns = 0;
     std::array<uint64_t, kBuckets> buckets{};
 
-    Snapshot& operator+=(const Snapshot& o);
-    /// this - prev, bucket-wise (for windowed percentiles). Counters only
-    /// grow, so a same-histogram delta is never negative.
-    Snapshot Delta(const Snapshot& prev) const;
     /// q in [0,1]. Linear interpolation inside the winning bucket; exact
     /// enough for p50/p99/p999 at 2x bucket resolution. 0 when empty.
     double Percentile(double q) const;
@@ -107,30 +101,14 @@ class Histogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
-/// One entry of a Registry::Sample — a flattened scalar keyed by its
-/// JSON name. `monotonic` drives windowed reporting: counters are
-/// differenced between samples, gauges are reported as-is.
-struct SampleEntry {
-  std::string key;
-  double value = 0;
-  bool monotonic = false;
-};
-
-/// A point-in-time read of every JSON-exported metric in a registry.
-struct Sample {
-  std::vector<SampleEntry> scalars;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> hists;
-};
-
 /// The metrics registry: the ONE typed surface every subsystem exports
 /// through (cpdb_lint's OBS-METRICS rule bans ad-hoc atomic counters in
 /// src/service and src/net so this cannot silently drift from reality).
 ///
-/// Each metric has a Prometheus name (+ optional label set) and an
-/// optional JSON key. The same registry renders both export paths —
-/// the `METRICS` wire verb / `--metrics-port` HTTP endpoint
-/// (RenderPrometheus) and the `STATS` verb / bench rows (RenderJson) —
-/// so the two can never disagree about a value's source.
+/// Each metric has one name, its Prometheus series name (+ optional
+/// label set), and one rendering, the text exposition (RenderPrometheus)
+/// that the `METRICS` wire verb and the `--metrics-port` HTTP endpoint
+/// both return.
 ///
 /// Registration is mutex-guarded and idempotent (same name+labels+kind
 /// returns the same object); record paths on the returned objects are
@@ -143,44 +121,24 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// `name` is the Prometheus series name (e.g. "cpdb_commits_total"),
-  /// `labels` an optional `k="v"[,...]` set rendered inside the braces,
-  /// `json_key` the flat STATS/bench field name ("" = not in JSON).
+  /// `labels` an optional `k="v"[,...]` set rendered inside the braces.
   Counter* GetCounter(const std::string& name, const std::string& help,
-                      const std::string& labels = "",
-                      const std::string& json_key = "") CPDB_EXCLUDES(mu_);
+                      const std::string& labels = "") CPDB_EXCLUDES(mu_);
   Gauge* GetGauge(const std::string& name, const std::string& help,
-                  const std::string& labels = "",
-                  const std::string& json_key = "") CPDB_EXCLUDES(mu_);
+                  const std::string& labels = "") CPDB_EXCLUDES(mu_);
   Histogram* GetHistogram(const std::string& name, const std::string& help,
-                          const std::string& labels = "",
-                          const std::string& json_key = "")
-      CPDB_EXCLUDES(mu_);
+                          const std::string& labels = "") CPDB_EXCLUDES(mu_);
 
   /// A metric whose value is computed at scrape time — the bridge for
   /// state that already has an owner (queue stats, pool counters,
   /// durability stats). `monotonic` selects counter vs gauge semantics.
   void SetCallback(const std::string& name, const std::string& help,
                    bool monotonic, std::function<double()> fn,
-                   const std::string& labels = "",
-                   const std::string& json_key = "") CPDB_EXCLUDES(mu_);
+                   const std::string& labels = "") CPDB_EXCLUDES(mu_);
 
   /// Prometheus text exposition format, one HELP/TYPE block per series
   /// name, histograms as cumulative `_bucket{le=...}` + `_sum`/`_count`.
   std::string RenderPrometheus() const CPDB_EXCLUDES(mu_);
-
-  /// One flat JSON object over every metric with a json_key. Scalars
-  /// render as numbers; a histogram `k` renders as `k_count`, `k_p50_us`,
-  /// `k_p99_us`, `k_p999_us`, `k_mean_us`.
-  std::string RenderJson() const CPDB_EXCLUDES(mu_);
-
-  /// Point-in-time sample of the JSON-exported surface, for windowed
-  /// reporting (obs::Reporter folds sample deltas into bench rows).
-  Sample TakeSample() const CPDB_EXCLUDES(mu_);
-
-  /// Renders `cur - prev` as one flat JSON object: monotonic scalars are
-  /// differenced, gauges reported at `cur`, histograms differenced then
-  /// percentiled. Samples must come from the same registry.
-  static std::string DeltaJson(const Sample& prev, const Sample& cur);
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram, kCallback };
@@ -188,7 +146,6 @@ class Registry {
     std::string name;
     std::string labels;
     std::string help;
-    std::string json_key;
     Kind kind;
     bool monotonic = false;  ///< callbacks only
     std::unique_ptr<Counter> counter;
@@ -199,15 +156,17 @@ class Registry {
 
   Metric* Find(const std::string& name, const std::string& labels)
       CPDB_REQUIRES(mu_);
+  /// Appends a new metric of `kind` with no sink yet; the caller sets it.
+  Metric* Add(const std::string& name, const std::string& labels,
+              const std::string& help, Kind kind) CPDB_REQUIRES(mu_);
 
   mutable Mutex mu_;
-  /// Registration order preserved: exposition groups by first-seen name
-  /// and STATS keeps a stable field order across scrapes.
+  /// Registration order preserved: exposition groups by first-seen name.
   std::vector<std::unique_ptr<Metric>> metrics_ CPDB_GUARDED_BY(mu_);
 };
 
 /// Appends one JSON number, trimming to integer rendering when the value
-/// is integral (STATS consumers compare counters textually).
+/// is integral (span JSON and the exposition's sample values).
 void AppendJsonNumber(std::string* out, double v);
 
 }  // namespace cpdb::obs

@@ -237,12 +237,12 @@ class ProvBackend {
 
   /// Bounds every read through THIS handle to records with Tid <= `tid`
   /// (-1 = unbounded, the default). The service layer stamps each
-  /// session's view with its pinned snapshot watermark, so a reader at an
-  /// old version queries provenance as of that version — the relational
-  /// half of the MVCC-lite snapshot (the tree half is the pinned CoW
-  /// root). Pushed into the relstore scan as ScanSpec::visible_col, not
-  /// filtered client-side; out-of-band stats (RowCount, MaxTid) stay
-  /// unbounded.
+  /// session's view with its snapshot watermark, so a session queries
+  /// provenance as of the state its target snapshot shows — the
+  /// relational half of the session's snapshot (the tree half is its
+  /// copy-on-write clone). Pushed into the relstore scan as
+  /// ScanSpec::visible_col, not filtered client-side; out-of-band stats
+  /// (RowCount, MaxTid) stay unbounded.
   void set_read_watermark(int64_t tid) { read_watermark_ = tid; }
   int64_t read_watermark() const { return read_watermark_; }
 

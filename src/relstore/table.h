@@ -31,10 +31,10 @@ struct ScanSpec {
   std::string prefix;
   /// MVCC-lite visibility bound (the service layer's snapshot reads):
   /// when `visible_col` >= 0, rows whose int64 column `visible_col`
-  /// exceeds `visible_max` are invisible to this scan — a reader pinned
-  /// at a commit watermark never sees younger versions. Never surfaced,
-  /// so never charged as transferred. Non-int values in the bound column
-  /// stay visible. `visible_col` must be one of the index's columns: the
+  /// exceeds `visible_max` are invisible to this scan — a reader bounded
+  /// at a commit watermark never sees rows committed after it. Never
+  /// surfaced, so never charged as transferred. Non-int values in the
+  /// bound column stay visible. `visible_col` must be one of the index's columns: the
   /// bound is decided on the index key, before any heap read.
   int visible_col = -1;
   int64_t visible_max = 0;

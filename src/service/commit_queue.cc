@@ -70,26 +70,32 @@ void CommitQueue::RunCohort() {
   // One leader-side stamp per stage boundary, shared by every member:
   // the cohort moves through the pipeline as a unit.
   const double lead_us = obs::NowMicros();
-  uint64_t syncs_before = sync_probe_ ? sync_probe_() : 0;
+  const uint64_t records_before = wal_probe_ ? wal_probe_() : 0;
   // In enqueue order, on this thread: tids are minted inside the
   // closures, so tid order and apply order coincide.
   for (Request* r : cohort) r->result = r->apply();
+  const uint64_t records_applied = wal_probe_ ? wal_probe_() : 0;
   const double applied_us = obs::NowMicros();
   if (hooks.before_seal) hooks.before_seal(cohort.size());
   Status sealed = seal_(cohort.size());
   if (hooks.after_seal) hooks.after_seal(cohort.size());
   const double sealed_us = obs::NowMicros();
-  if (sync_probe_ && sync_probe_() != syncs_before + 1) {
+  const uint64_t records_sealed = wal_probe_ ? wal_probe_() : 0;
+  if (records_applied != records_before ||
+      records_sealed > records_applied + 1) {
     // The ONE-seal contract is load-bearing for both durability (cohort =
     // one WAL record) and the perf model (fsyncs_per_commit = 1/cohort);
     // a member's apply closure running its own barrier silently breaks
     // crash atomicity, so this is a fail-stop.
     std::fprintf(stderr,
-                 "CommitQueue: cohort of %zu sealed with %llu barriers, "
-                 "expected exactly 1\n",
+                 "CommitQueue: cohort of %zu logged %llu WAL records during "
+                 "its applies and %llu in its seal, expected 0 and at most "
+                 "1\n",
                  cohort.size(),
-                 static_cast<unsigned long long>(sync_probe_() -
-                                                 syncs_before));
+                 static_cast<unsigned long long>(records_applied -
+                                                 records_before),
+                 static_cast<unsigned long long>(records_sealed -
+                                                 records_applied));
     std::abort();
   }
   if (publish_) publish_();

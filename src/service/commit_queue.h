@@ -76,13 +76,14 @@ class CommitQueue {
   /// held: the engine advances its committed watermark here.
   void set_publish(std::function<void()> publish) { publish_ = std::move(publish); }
 
-  /// Monotonic count of the engine's durability barriers (SyncShared
-  /// calls). When set, RunCohort asserts the ONE-seal contract: exactly
-  /// one barrier per cohort — a member's apply closure sneaking its own
-  /// Database::Sync past the group commit is a fail-stop bug, not a perf
-  /// footnote.
-  void set_sync_probe(std::function<uint64_t()> probe) {
-    sync_probe_ = std::move(probe);
+  /// Monotonic count of the records appended to the engine's WAL (set on
+  /// durable engines only). When set, RunCohort asserts the ONE-seal
+  /// contract: no record during the applies and at most one across the
+  /// seal — a member's apply closure sneaking its own Database::Sync past
+  /// the group commit splits the cohort over two records, a fail-stop
+  /// bug, not a perf footnote.
+  void set_wal_probe(std::function<uint64_t()> probe) {
+    wal_probe_ = std::move(probe);
   }
 
   /// The queue's registry sinks. Stage latencies are commit-weighted:
@@ -150,7 +151,7 @@ class CommitQueue {
   SharedLatch* latch_;
   std::function<Status(size_t)> seal_;
   std::function<void()> publish_;
-  std::function<uint64_t()> sync_probe_;
+  std::function<uint64_t()> wal_probe_;
   Metrics metrics_;  ///< set once before committers start
 
   mutable Mutex mu_;

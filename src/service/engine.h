@@ -59,8 +59,10 @@ class Engine {
         committed_tid_(base_tid_),
         queue_(&latch_, [this](size_t) { return SyncShared(); }) {
     queue_.set_publish([this] { PublishWatermark(); });
-    queue_.set_sync_probe(
-        [this] { return sync_calls_.load(std::memory_order_relaxed); });
+    if (db()->durable()) {
+      queue_.set_wal_probe(
+          [this] { return db()->durability()->stats().commits; });
+    }
     WireMetrics();
   }
 
@@ -81,8 +83,7 @@ class Engine {
   int64_t base_tid() const { return base_tid_; }
 
   /// Watermark of the committed state: the last tid of the newest sealed
-  /// cohort. A session whose snapshot_tid() matches is current — this tid
-  /// comparison replaced the latch-epoch staleness stamp.
+  /// cohort. A session whose snapshot_tid() matches is current.
   int64_t CommittedTid() const {
     return committed_tid_.load(std::memory_order_acquire);
   }
@@ -131,10 +132,8 @@ class Engine {
   /// Database or is in-memory). Runs on the commit queue's leader thread
   /// with the exclusive latch held; the contract crosses a std::function
   /// boundary the analysis cannot see through, so it is enforced by the
-  /// CommitQueue's own annotations rather than a REQUIRES here. The call
-  /// count feeds the queue's ONE-seal-per-cohort assertion.
+  /// CommitQueue's own annotations rather than a REQUIRES here.
   Status SyncShared() {
-    sync_calls_.fetch_add(1, std::memory_order_relaxed);
     CPDB_RETURN_IF_ERROR(backend_->db()->Sync());
     return target_->Sync();
   }
@@ -155,9 +154,9 @@ class Engine {
   /// timings, latch waits, snapshot and cohort distributions). All are
   /// registered here at construction, and the server/pool/tools layers
   /// add theirs on top. Readers look a counter up by name:
-  /// `metrics().GetCounter("cpdb_commits_total", "")->Value()`. One
-  /// registry renders both export surfaces: Prometheus (`METRICS`,
-  /// `/metrics`) and the flat STATS/bench JSON.
+  /// `metrics().GetCounter("cpdb_commits_total", "")->Value()`. The
+  /// registry renders one export format, the Prometheus text exposition
+  /// that `METRICS` and `/metrics` return.
   obs::Registry& metrics() { return metrics_; }
 
   /// The one store of assembled trace trees: the network server records
@@ -201,7 +200,6 @@ class Engine {
   int64_t base_tid_;  ///< initialized before next_tid_ (declaration order)
   std::atomic<int64_t> next_tid_;
   std::atomic<int64_t> committed_tid_;
-  std::atomic<uint64_t> sync_calls_{0};
   SharedLatch latch_;
   CommitQueue queue_;
   relstore::CostAggregate cost_totals_;

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 
 #include "obs/metrics.h"
 #include "util/mutex.h"
@@ -9,17 +8,16 @@
 
 namespace cpdb::service {
 
-/// The engine's epoch-based shared/exclusive latch.
+/// The engine's shared/exclusive latch.
 ///
 /// Read-only sessions (GetMod, Lookup, cursor scans) run concurrently
 /// under shared grants; the commit queue's leader applies a whole cohort
-/// of committed transactions under one exclusive grant. Every exclusive
-/// release advances the *epoch* — the version number of the shared
-/// engine state. Sessions stamp the epoch when they snapshot the target
-/// (SessionPool::Acquire) and compare it on reuse: a stale stamp means
-/// committed transactions have landed since, so the snapshot must be
-/// rebuilt. Cursors obey the same rule as in the single-session world —
-/// drain them under one shared grant; any epoch advance invalidates them.
+/// of committed transactions under one exclusive grant, and
+/// Engine::Checkpoint takes the only other one. Cursors obey the same
+/// rule as in the single-session world — drain them under one shared
+/// grant; an exclusive section in between may invalidate them. (Session
+/// staleness is a comparison against the engine's committed tid
+/// watermark, not a latch property.)
 ///
 /// Writer preference: once a committer is waiting, new shared requests
 /// queue behind it. This bounds group-commit latency under a heavy read
@@ -73,14 +71,9 @@ class CPDB_CAPABILITY("SharedLatch") SharedLatch {
   void UnlockExclusive() CPDB_RELEASE() {
     MutexLock l(mu_);
     writer_ = false;
-    epoch_.fetch_add(1, std::memory_order_release);
     can_write_.NotifyOne();
     can_read_.NotifyAll();
   }
-
-  /// Number of exclusive sections ever completed — the version of the
-  /// shared state. Readable without the latch.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Wait-latency sinks: `shared_wait` records how long contended shared
   /// acquires blocked (uncontended ones record nothing — see LockShared),
@@ -135,7 +128,6 @@ class CPDB_CAPABILITY("SharedLatch") SharedLatch {
   size_t readers_ CPDB_GUARDED_BY(mu_) = 0;
   size_t writers_waiting_ CPDB_GUARDED_BY(mu_) = 0;
   bool writer_ CPDB_GUARDED_BY(mu_) = false;
-  std::atomic<uint64_t> epoch_{0};
   /// Set once before concurrent use (set_metrics); read-only after.
   obs::Histogram* shared_wait_us_ = nullptr;
   obs::Histogram* excl_wait_us_ = nullptr;

@@ -53,19 +53,17 @@ SessionPool::SessionPool(Engine* engine, SessionOptions options)
     : engine_(engine),
       options_(std::move(options)),
       built_(engine->metrics().GetCounter("cpdb_sessions_built_total",
-                                          "Sessions built from scratch", "",
-                                          "sessions_built")),
+                                          "Sessions built from scratch")),
       reused_(engine->metrics().GetCounter("cpdb_sessions_reused_total",
-                                           "Pooled sessions handed back out",
-                                           "", "sessions_reused")),
+                                           "Pooled sessions handed back out")),
       refreshed_(engine->metrics().GetCounter(
           "cpdb_sessions_refreshed_total",
-          "Stale pooled sessions refreshed in place", "",
-          "sessions_refreshed")),
-      rebuilds_(engine->metrics().GetCounter("cpdb_snapshot_rebuilds_total",
-                                             "")),
+          "Stale pooled sessions refreshed in place")),
+      rebuilds_(engine->metrics().GetCounter(
+          "cpdb_snapshot_rebuilds_total", "Snapshots taken from the target")),
       rebuild_rows_(engine->metrics().GetCounter(
-          "cpdb_snapshot_rebuild_rows_total", "")) {}
+          "cpdb_snapshot_rebuild_rows_total",
+          "Rows the target shipped for snapshots")) {}
 
 Result<std::unique_ptr<Session>> SessionPool::Acquire() {
   std::unique_ptr<Session> s;

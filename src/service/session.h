@@ -91,8 +91,7 @@ class Session {
 
   /// Commit-ordered watermark the session's snapshot was opened at: the
   /// target subtree reflects exactly the transactions with tid <= this.
-  /// Stale when Engine::CommittedTid() has moved past it. (Replaces the
-  /// latch-epoch stamp of earlier revisions — see cpdb.h migration notes.)
+  /// Stale when Engine::CommittedTid() has moved past it.
   int64_t snapshot_tid() const { return snapshot_tid_; }
 
   Engine* engine() { return engine_; }

@@ -77,9 +77,8 @@ class CondVar {
   }
 
   /// Timed Wait: returns false if `timeout_ms` elapsed without a notify
-  /// (the predicate loop still applies — recheck it either way). For
-  /// periodic threads that must also wake promptly on shutdown
-  /// (obs::Reporter's sample loop).
+  /// (the predicate loop still applies — recheck it either way). For a
+  /// bounded wait that must still wake promptly on a notify.
   bool WaitFor(Mutex& mu, int64_t timeout_ms) CPDB_REQUIRES(mu) {
     std::unique_lock<std::mutex> l(mu.mu_, std::adopt_lock);
     auto st = cv_.wait_for(l, std::chrono::milliseconds(timeout_ms));

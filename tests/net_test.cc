@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +66,7 @@ std::string Framed(const std::string& payload) {
 }
 
 TEST(FrameTest, RoundTripsPayloads) {
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("x"), std::string(1000, 'q'),
         std::string("\x00\xff\x7f", 3)}) {
     FrameReader reader;
@@ -146,7 +147,6 @@ TEST(ProtocolTest, RequestRoundTrip) {
       Request::GetMod(Path::MustParse("T/data/k1")),
       Request::TraceBack(Path::MustParse("T")),
       Request::Get(Path::MustParse("T/data")),
-      Request::Stats(),
       Request::Checkpoint(),
       Request::Drain(),
   };
@@ -190,26 +190,33 @@ TEST(ProtocolTest, DecodersAreStrict) {
 }
 
 TEST(ProtocolTest, RetiredTagIsRejectedLikeAnUnknownOne) {
-  // Tag 12 named a verb whose records now live in TRACES. It decodes to
-  // the same typed error as an out-of-range tag, bare or with a trace
-  // context, so it can never reach the server's verb dispatch.
-  EXPECT_FALSE(net::IsReqType(net::kRetiredTag));
+  // Tag 8 named STATS, whose metrics METRICS exports alone, and tag 12 a
+  // verb whose records now live in TRACES. Each decodes to the same typed
+  // error as an out-of-range tag, bare or with a trace context, so it can
+  // never reach the server's verb dispatch.
   auto unknown = net::DecodeRequest("\x7f");
   ASSERT_FALSE(unknown.ok());
-  std::string bare(1, static_cast<char>(net::kRetiredTag));
-  std::string traced;
-  PutVarint64(&traced, net::kRetiredTag | 0x80);
-  traced += std::string("\x05\x00\x01", 3);  // trace 5, parent 0, sampled
-  for (const std::string& wire : {bare, traced}) {
-    auto retired = net::DecodeRequest(wire);
-    ASSERT_FALSE(retired.ok());
-    EXPECT_EQ(retired.status().code(), unknown.status().code());
-    EXPECT_NE(retired.status().ToString().find("unknown type 12"),
-              std::string::npos)
-        << retired.status().ToString();
+  for (uint64_t tag : {uint64_t{8}, uint64_t{12}}) {
+    SCOPED_TRACE(tag);
+    EXPECT_FALSE(net::IsReqType(tag));
+    std::string bare(1, static_cast<char>(tag));
+    std::string traced;
+    PutVarint64(&traced, tag | 0x80);
+    traced += std::string("\x05\x00\x01", 3);  // trace 5, parent 0, sampled
+    for (const std::string& wire : {bare, traced}) {
+      auto retired = net::DecodeRequest(wire);
+      ASSERT_FALSE(retired.ok());
+      EXPECT_EQ(retired.status().code(), unknown.status().code());
+      EXPECT_NE(retired.status().ToString().find("unknown type " +
+                                                 std::to_string(tag)),
+                std::string::npos)
+          << retired.status().ToString();
+    }
   }
-  // Its neighbours are live verbs.
-  for (Request req : {Request::Metrics(), Request::Traces()}) {
+  // Their neighbours are live verbs.
+  for (Request req : {Request::Get(Path::MustParse("T")),
+                      Request::Checkpoint(), Request::Metrics(),
+                      Request::Traces()}) {
     std::string wire;
     net::EncodeRequest(req, &wire);
     EXPECT_TRUE(net::DecodeRequest(wire).ok()) << net::ReqTypeName(req.type);
@@ -285,7 +292,7 @@ TEST(ProtocolTest, ExplainRoundTripAndVerbValidation) {
   // EXPLAIN only explains the query verbs: COMMIT (or worse, EXPLAIN
   // itself) as the inner verb is rejected at decode time.
   for (net::ReqType verb : {net::ReqType::kCommit, net::ReqType::kExplain,
-                            net::ReqType::kStats}) {
+                            net::ReqType::kMetrics}) {
     std::string wire;
     net::EncodeRequest(Request::Explain(verb, Path::MustParse("T/x")), &wire);
     EXPECT_FALSE(net::DecodeRequest(wire).ok()) << net::ReqTypeName(verb);
@@ -355,7 +362,9 @@ struct NetRig {
     engine.reset();
     target.reset();
     backend.reset();
-    if (db != nullptr) EXPECT_TRUE(db->Close().ok());
+    if (db != nullptr) {
+      EXPECT_TRUE(db->Close().ok());
+    }
   }
 
   int port() const { return server->port(); }
@@ -410,14 +419,17 @@ TEST(NetServerTest, PingApplyCommitQuery) {
   ASSERT_TRUE(trace.ok());
   EXPECT_NE(trace->find("tid=1"), std::string::npos);
 
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"last_tid\":1"), std::string::npos) << *stats;
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->find("\ncpdb_last_tid 1\n"), std::string::npos)
+      << *metrics;
   // The snapshot surface is visible to operators: the committed
-  // watermark and the pool's snapshot count ride STATS.
-  EXPECT_NE(stats->find("\"committed_tid\":1"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"snapshot_rebuilds\":"), std::string::npos)
-      << *stats;
+  // watermark and the pool's snapshot count ride METRICS.
+  EXPECT_NE(metrics->find("\ncpdb_committed_tid 1\n"), std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("\ncpdb_snapshot_rebuilds_total "),
+            std::string::npos)
+      << *metrics;
 
   // A fresh connection (fresh snapshot) sees the committed row rendered
   // EXACTLY like the committing session did: GET's canonical rendering
@@ -522,9 +534,11 @@ TEST(NetRobustnessTest, UndecodableRequestGetsErrorAndClose) {
   NetRig rig;
   ExpectErrorThenClose(&rig, Framed("\x7f not a request"));
   EXPECT_GE(Count(rig, "cpdb_bad_requests_total"), 1u);
-  // The retired tag 12 is just as undecodable over the wire.
-  ExpectErrorThenClose(&rig, Framed(std::string(1, '\x0c')));
+  // The retired tags 8 and 12 are just as undecodable over the wire.
+  ExpectErrorThenClose(&rig, Framed(std::string(1, '\x08')));
   EXPECT_GE(Count(rig, "cpdb_bad_requests_total"), 2u);
+  ExpectErrorThenClose(&rig, Framed(std::string(1, '\x0c')));
+  EXPECT_GE(Count(rig, "cpdb_bad_requests_total"), 3u);
 }
 
 TEST(NetRobustnessTest, ViolationMidPipelineNeverPartiallyApplies) {
@@ -798,7 +812,7 @@ TEST(NetServerTest, PingIsAnsweredWhileALeaderIsParkedInItsSeal) {
   // A's commit occupies one worker; the others keep serving. (Only verbs
   // that take no latch: the parked leader holds it exclusively.)
   EXPECT_TRUE(b.Ping().ok());
-  EXPECT_TRUE(b.Stats().ok());
+  EXPECT_TRUE(b.Metrics().ok());
   stall.Release();
   for (int i = 0; i < 2; ++i) {
     auto resp = a.Recv();
@@ -1089,19 +1103,11 @@ TEST(NetObservabilityTest, MetricsVerbServesPrometheusExposition) {
             std::string::npos)
       << m;
   EXPECT_NE(m.find("cpdb_requests_total"), std::string::npos);
-  // Every per-verb series names a live verb: the retired tag has none.
+  // Every per-verb series names a live verb: the retired tags have none.
   EXPECT_EQ(m.find("verb=\"?\""), std::string::npos) << m;
   // In-memory rig: the durability series must be ABSENT, not zero.
   EXPECT_EQ(m.find("cpdb_fsyncs_total"), std::string::npos);
   EXPECT_NE(m.find("cpdb_durable 0\n"), std::string::npos);
-
-  // STATS renders from the same registry: a counter visible in the
-  // exposition appears under its JSON name with the same value.
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"commits\":1"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"commit_total_us_count\":1"), std::string::npos)
-      << *stats;
 }
 
 TEST(NetObservabilityTest, DurableServerExposesWalSeries) {
@@ -1120,80 +1126,77 @@ TEST(NetObservabilityTest, DurableServerExposesWalSeries) {
       << *metrics;
   EXPECT_NE(metrics->find("cpdb_durable 1\n"), std::string::npos);
   // One commit at one thread = exactly one seal = one fsync series point.
-  EXPECT_NE(metrics->find("cpdb_fsyncs_total"), std::string::npos);
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"fsyncs\":"), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("\"wal_fsync_us_count\":"), std::string::npos);
+  EXPECT_NE(metrics->find("\ncpdb_wal_fsync_us_count 1\n"), std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("\ncpdb_fsyncs_total "), std::string::npos);
 }
 
-/// The keys of a flat STATS object, in render order (every STATS value
-/// is a number, so every quoted token is a key).
-std::vector<std::string> StatsKeys(const std::string& json) {
-  std::vector<std::string> keys;
-  for (size_t at = json.find('"'); at != std::string::npos;
-       at = json.find('"', at)) {
-    size_t end = json.find('"', at + 1);
-    keys.push_back(json.substr(at + 1, end - at - 1));
-    at = end + 1;
+/// The `# TYPE <name> <type>` lines of an exposition.
+std::set<std::string> TypeLines(const std::string& exposition) {
+  std::set<std::string> lines;
+  for (size_t at = exposition.find("# TYPE "); at != std::string::npos;
+       at = exposition.find("# TYPE ", at + 1)) {
+    lines.insert(exposition.substr(at, exposition.find('\n', at) - at));
   }
-  return keys;
+  return lines;
 }
 
-/// The OPERATOR_GUIDE STATS contract: every key, in order. Histogram `k`
-/// renders as k_count, k_p50_us, k_p99_us, k_p999_us, k_mean_us.
-std::vector<std::string> StatsContract(bool durable) {
-  std::vector<std::string> keys;
-  auto hist = [&keys](const std::string& k) {
-    for (const char* suffix :
-         {"_count", "_p50_us", "_p99_us", "_p999_us", "_mean_us"}) {
-      keys.push_back(k + suffix);
-    }
+/// The OPERATOR_GUIDE metrics catalogue: every series a server exports,
+/// with its type.
+std::set<std::string> MetricsContract(bool durable) {
+  std::set<std::string> lines;
+  auto type = [&lines](const std::string& name, const char* kind) {
+    lines.insert("# TYPE " + name + " " + kind);
   };
   for (const char* h :
-       {"latch_excl_wait_us", "latch_shared_wait_us", "commit_queue_us",
-        "commit_apply_us", "commit_seal_us", "commit_wake_us",
-        "commit_total_us", "cohort_size"}) {
-    hist(h);
+       {"cpdb_latch_excl_wait_us", "cpdb_latch_shared_wait_us",
+        "cpdb_commit_stage_us", "cpdb_commit_cohort_size",
+        "cpdb_request_us"}) {
+    type(h, "histogram");
+  }
+  for (const char* c :
+       {"cpdb_commits_total", "cpdb_cohorts_total", "cpdb_combined_total",
+        "cpdb_snapshot_rebuilds_total", "cpdb_snapshot_rebuild_rows_total",
+        "cpdb_slow_commits_total", "cpdb_traces_recorded_total",
+        "cpdb_slow_queries_total", "cpdb_sessions_built_total",
+        "cpdb_sessions_reused_total", "cpdb_sessions_refreshed_total",
+        "cpdb_connections_accepted_total", "cpdb_connections_closed_total",
+        "cpdb_requests_total", "cpdb_retries_total", "cpdb_bad_frames_total",
+        "cpdb_bad_requests_total"}) {
+    type(c, "counter");
+  }
+  for (const char* g :
+       {"cpdb_commit_queue_depth", "cpdb_max_cohort", "cpdb_last_tid",
+        "cpdb_committed_tid", "cpdb_durable", "cpdb_server_draining",
+        "cpdb_inflight_bytes"}) {
+    type(g, "gauge");
   }
   if (durable) {
-    hist("wal_fsync_us");
-    hist("wal_append_us");
+    type("cpdb_wal_fsync_us", "histogram");
+    type("cpdb_wal_append_us", "histogram");
+    type("cpdb_fsyncs_total", "counter");
+    type("cpdb_log_bytes_total", "counter");
+    type("cpdb_replayed_commits_total", "counter");
   }
-  keys.insert(keys.end(),
-              {"queue_depth", "commits", "cohorts", "combined", "max_cohort",
-               "last_tid", "committed_tid", "epoch", "snapshot_rebuilds",
-               "snapshot_rebuild_rows", "slow_commits", "traces_recorded",
-               "slow_queries", "durable"});
-  if (durable) {
-    keys.insert(keys.end(), {"fsyncs", "log_bytes", "replayed_commits"});
-  }
-  keys.insert(keys.end(),
-              {"sessions_built", "sessions_reused", "sessions_refreshed",
-               "draining", "accepted", "closed", "requests", "retries",
-               "bad_frames", "bad_requests", "inflight_bytes"});
-  for (const char* verb :
-       {"apply", "commit", "abort", "getmod", "traceback", "get"}) {
-    hist(std::string("req_") + verb + "_us");
-  }
-  return keys;
+  return lines;
 }
 
-TEST(NetObservabilityTest, StatsKeysAreTheOperatorGuideContract) {
+TEST(NetObservabilityTest, MetricsSeriesAreTheOperatorGuideContract) {
   for (bool durable : {true, false}) {
     SCOPED_TRACE(durable ? "durable" : "in-memory");
-    TempDir dir("net_stats_contract");
+    TempDir dir("net_metrics_contract");
     NetRig rig(durable ? dir.path() : "");
     Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
     ASSERT_TRUE(
         client.Apply(Update::Insert(Path::MustParse("T/data"), "g1")).ok());
     ASSERT_TRUE(client.Commit().ok());
-    auto stats = client.Stats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    // Exact list, so the durable keys are also pinned ABSENT in memory.
-    EXPECT_EQ(StatsKeys(*stats), StatsContract(durable)) << *stats;
-    EXPECT_NE(stats->find("\"commits\":1,"), std::string::npos) << *stats;
+    auto metrics = client.Metrics();
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    // Exact set, so the durable series are also pinned ABSENT in memory.
+    EXPECT_EQ(TypeLines(*metrics), MetricsContract(durable)) << *metrics;
+    EXPECT_NE(metrics->find("\ncpdb_commits_total 1\n"), std::string::npos)
+        << *metrics;
   }
 }
 

@@ -24,20 +24,18 @@ constexpr size_t kPerThread = 20000;
 
 TEST(ObsStressTest, ConcurrentRecordsAllLand) {
   Registry reg;
-  Counter* counter = reg.GetCounter("cpdb_ops_total", "h", "", "ops");
-  Gauge* gauge = reg.GetGauge("cpdb_level", "h", "", "level");
-  Histogram* hist = reg.GetHistogram("cpdb_lat_us", "h", "", "lat_us");
+  Counter* counter = reg.GetCounter("cpdb_ops_total", "h");
+  Gauge* gauge = reg.GetGauge("cpdb_level", "h");
+  Histogram* hist = reg.GetHistogram("cpdb_lat_us", "h");
 
   std::atomic<bool> stop{false};
-  // Scraper: renders both surfaces concurrently with the writers. The
-  // renders must be internally consistent enough to not crash or tear;
+  // Scraper: renders the exposition concurrently with the writers. The
+  // render must be internally consistent enough to not crash or tear;
   // values are statistical by contract.
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
       std::string p = reg.RenderPrometheus();
-      std::string j = reg.RenderJson();
       EXPECT_NE(p.find("cpdb_ops_total"), std::string::npos);
-      EXPECT_NE(j.find("\"ops\":"), std::string::npos);
     }
   });
 
@@ -71,7 +69,7 @@ TEST(ObsStressTest, ConcurrentRegistrationIsIdempotent) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
-        seen[t] = reg.GetCounter("cpdb_same_total", "h", "", "same");
+        seen[t] = reg.GetCounter("cpdb_same_total", "h");
         seen[t]->Inc();
       }
     });

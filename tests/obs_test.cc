@@ -1,26 +1,21 @@
-// The observability layer (src/obs/): histogram bucketing and snapshot
-// algebra, registry rendering on both export surfaces (Prometheus text
-// exposition and the flat STATS JSON), the windowed Reporter, and the
-// span collector and store with its slow-request capture.
+// The observability layer (src/obs/): histogram bucketing and
+// percentiles, the registry's one rendering (the Prometheus text
+// exposition), and the span collector and store with its slow-request
+// capture.
 //
-// The contract under test: the SAME registry objects back every export
-// path, Prometheus output parses (HELP/TYPE blocks, cumulative buckets,
-// _count == sum of bucket increments), JSON counters render as integers
-// (net_test matches them textually), and snapshot Delta/merge arithmetic
-// is exact so windowed percentiles cannot drift from the raw counts.
+// The contract under test: registration is idempotent per name and label
+// set, and the exposition parses (HELP/TYPE blocks, cumulative buckets,
+// _count == sum of bucket increments) with integral values rendered as
+// integers (net_test matches them textually), as the JSON number renderer
+// they share with span JSON does.
 
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace cpdb::obs {
@@ -72,32 +67,11 @@ TEST(HistogramTest, PercentileInterpolatesWithinBucketResolution) {
   EXPECT_EQ(Histogram::Snapshot{}.Percentile(0.5), 0.0);
 }
 
-TEST(HistogramTest, SnapshotMergeAndDeltaAreExact) {
-  Histogram h;
-  h.Record(5);
-  h.Record(50);
-  Histogram::Snapshot first = h.Snap();
-  h.Record(500);
-  Histogram::Snapshot second = h.Snap();
-
-  Histogram::Snapshot window = second.Delta(first);
-  EXPECT_EQ(window.count, 1u);
-  EXPECT_EQ(window.buckets[Histogram::BucketOf(500)], 1u);
-
-  Histogram::Snapshot merged = first;
-  merged += window;
-  EXPECT_EQ(merged.count, second.count);
-  EXPECT_EQ(merged.sum_ns, second.sum_ns);
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(merged.buckets[i], second.buckets[i]) << "bucket " << i;
-  }
-}
-
 // ----- Registry rendering ----------------------------------------------------
 
 TEST(RegistryTest, SameNameAndLabelsReturnsSameObject) {
   Registry reg;
-  Counter* a = reg.GetCounter("cpdb_x_total", "help", "", "x");
+  Counter* a = reg.GetCounter("cpdb_x_total", "help");
   Counter* b = reg.GetCounter("cpdb_x_total", "other help");
   EXPECT_EQ(a, b);
   // Distinct labels are distinct series.
@@ -108,14 +82,15 @@ TEST(RegistryTest, SameNameAndLabelsReturnsSameObject) {
 
 TEST(RegistryTest, PrometheusExpositionParses) {
   Registry reg;
-  reg.GetCounter("cpdb_commits_total", "Transactions committed", "", "")
-      ->Inc(7);
+  reg.GetCounter("cpdb_commits_total", "Transactions committed")->Inc(7);
   reg.GetGauge("cpdb_depth", "Queue depth")->Set(-3);
+  reg.GetGauge("cpdb_tid", "Last tid")->Set(17);
   Histogram* h = reg.GetHistogram("cpdb_lat_us", "Latency", "op=\"get\"");
   h->Record(3.0);   // bucket [2,4us)
   h->Record(100.0);
   reg.SetCallback("cpdb_cb_total", "Callback counter", true,
                   [] { return 42.0; });
+  reg.SetCallback("cpdb_frac", "Fractional gauge", false, [] { return 0.5; });
 
   std::string out = reg.RenderPrometheus();
   EXPECT_NE(out.find("# HELP cpdb_commits_total Transactions committed\n"),
@@ -136,6 +111,10 @@ TEST(RegistryTest, PrometheusExpositionParses) {
             std::string::npos);
   EXPECT_NE(out.find("cpdb_lat_us_count{op=\"get\"} 2\n"), std::string::npos);
   EXPECT_NE(out.find("cpdb_cb_total 42\n"), std::string::npos);
+  // Integral values render with no decimal point, fractions with three
+  // places.
+  EXPECT_NE(out.find("cpdb_tid 17\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("cpdb_frac 0.500\n"), std::string::npos) << out;
 
   // Minimal line discipline: every non-comment line is `name[{labels}]
   // value`, every series name appears after a HELP and a TYPE.
@@ -154,96 +133,34 @@ TEST(RegistryTest, PrometheusExpositionParses) {
 }
 
 TEST(RegistryTest, JsonRendersIntegersWithoutDecimalPoint) {
-  Registry reg;
-  reg.GetCounter("cpdb_commits_total", "h", "", "commits")->Inc(3);
-  reg.GetGauge("cpdb_tid", "h", "", "last_tid")->Set(17);
-  reg.SetCallback("cpdb_frac", "h", false, [] { return 0.5; }, "", "frac");
-  reg.GetCounter("cpdb_hidden_total", "no json key")->Inc();
-  Histogram* h = reg.GetHistogram("cpdb_lat_us", "h", "", "lat_us");
-  h->Record(10);
+  auto json = [](double v) {
+    std::string out;
+    AppendJsonNumber(&out, v);
+    return out;
+  };
+  EXPECT_EQ(json(3), "3");
+  EXPECT_EQ(json(17), "17");
+  EXPECT_EQ(json(-3), "-3");
+  EXPECT_EQ(json(0), "0");
+  EXPECT_EQ(json(0.5), "0.500");
+  EXPECT_EQ(json(2.25), "2.250");
+  // JSON has no NaN or Infinity literal.
+  EXPECT_EQ(json(std::nan("")), "0");
+  EXPECT_EQ(json(HUGE_VAL), "0");
 
-  std::string out = reg.RenderJson();
-  EXPECT_NE(out.find("\"commits\":3"), std::string::npos) << out;
-  EXPECT_NE(out.find("\"last_tid\":17"), std::string::npos);
-  EXPECT_NE(out.find("\"frac\":0.5"), std::string::npos);
-  EXPECT_EQ(out.find("cpdb_hidden"), std::string::npos);
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  // Histograms flatten to derived scalar fields.
-  EXPECT_NE(out.find("\"lat_us_count\":1"), std::string::npos) << out;
-  EXPECT_NE(out.find("\"lat_us_p99_us\":"), std::string::npos);
+  // Span JSON takes its timings through the same renderer.
+  Span span;
+  span.span_id = 5;
+  span.kind = "commit.seal";
+  span.start_us = 100;
+  span.dur_us = 2.5;
+  span.cost_us = 7;
+  std::string out = SpanStore::SpanJson(span);
+  EXPECT_NE(out.find("\"start_us\":100,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"dur_us\":2.500,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"cost_us\":7"), std::string::npos) << out;
   EXPECT_EQ(out.front(), '{');
   EXPECT_EQ(out.back(), '}');
-}
-
-TEST(RegistryTest, DeltaJsonDifferencesCountersButNotGauges) {
-  Registry reg;
-  Counter* c = reg.GetCounter("cpdb_reqs_total", "h", "", "requests");
-  Gauge* g = reg.GetGauge("cpdb_depth", "h", "", "depth");
-  Histogram* h = reg.GetHistogram("cpdb_lat_us", "h", "", "lat_us");
-  c->Inc(10);
-  g->Set(5);
-  h->Record(100);
-  Sample prev = reg.TakeSample();
-  c->Inc(4);
-  g->Set(2);
-  h->Record(200);
-  h->Record(300);
-  Sample cur = reg.TakeSample();
-
-  std::string out = Registry::DeltaJson(prev, cur);
-  EXPECT_NE(out.find("\"requests\":4"), std::string::npos) << out;  // 14-10
-  EXPECT_NE(out.find("\"depth\":2"), std::string::npos);            // as-is
-  EXPECT_NE(out.find("\"lat_us_count\":2"), std::string::npos);     // window
-}
-
-// ----- Reporter --------------------------------------------------------------
-
-/// Sum of the "ticks" field over every reporter row.
-uint64_t SumTicks(const std::vector<std::string>& rows) {
-  uint64_t total = 0;
-  for (const std::string& row : rows) {
-    size_t at = row.find("\"ticks\":");
-    EXPECT_NE(at, std::string::npos) << row;
-    if (at == std::string::npos) continue;
-    total += std::strtoull(row.c_str() + at + std::strlen("\"ticks\":"),
-                           nullptr, 10);
-  }
-  return total;
-}
-
-TEST(ReporterTest, FoldsWindowsAndFinalPartialWindow) {
-  Registry reg;
-  Counter* c = reg.GetCounter("cpdb_ticks_total", "h", "", "ticks");
-  Reporter rep(&reg, 10);
-  rep.Start();
-  c->Inc(3);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  c->Inc(2);
-  rep.Stop();
-
-  std::vector<std::string> rows = rep.Rows();
-  ASSERT_FALSE(rows.empty());
-  for (const std::string& row : rows) {
-    EXPECT_NE(row.find("\"interval_seq\":"), std::string::npos) << row;
-    EXPECT_NE(row.find("\"interval_ms\":"), std::string::npos);
-  }
-  // Windowed deltas partition the counter: no tick lost, none double
-  // counted, including across the final partial window.
-  EXPECT_EQ(SumTicks(rows), 5u);
-  // Stop() is idempotent and Start/Stop cycles do not crash.
-  rep.Stop();
-}
-
-TEST(ReporterTest, StopRightAfterStartKeepsItsTicks) {
-  // The final window folds however short it is: ticks recorded just
-  // before Stop() must reach the rows.
-  Registry reg;
-  Counter* c = reg.GetCounter("cpdb_ticks_total", "h", "", "ticks");
-  Reporter rep(&reg, 10);
-  rep.Start();
-  c->Inc(2);
-  rep.Stop();
-  EXPECT_EQ(SumTicks(rep.Rows()), 2u);
 }
 
 // ----- SpanCollector / SpanStore (request tracing) ---------------------------

@@ -17,6 +17,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -238,10 +240,35 @@ TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
     EXPECT_EQ(Count(engine, "cpdb_combined_total"), 2u);
     // The whole cohort sealed under ONE fsync barrier.
     EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
-    // One exclusive grant -> one epoch advance.
-    EXPECT_EQ(engine.latch().Epoch(), 1u);
     EXPECT_EQ(backend.RowCount(), 3u);
   }
+}
+
+// The one-seal contract is a fail-stop: an apply closure that runs its
+// own Database::Sync logs its writes in a WAL record of their own, which
+// would split a cohort over two records, so the leader aborts.
+TEST(ServiceCommitQueueTest, ApplyThatSealsOnItsOwnAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TempDir dir("svc_own_seal");
+        auto opened = relstore::Database::Open("provdb", dir.path());
+        ASSERT_TRUE(opened.ok());
+        std::unique_ptr<relstore::Database> db = std::move(opened).value();
+        // The dying process runs no destructors: unlink the store now
+        // (the open log stays writable), so it leaves nothing behind.
+        std::filesystem::remove_all(dir.path());
+        provenance::ProvBackend backend(db.get());
+        wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+        Engine engine(&backend, &target);
+        Status st = engine.Commit([&]() -> Status {
+          CPDB_RETURN_IF_ERROR(backend.WriteRecords(
+              {ProvRecord::Insert(engine.NextTid(), Path::MustParse("T/x"))}));
+          return db->Sync();
+        });
+        std::fprintf(stderr, "commit returned %s\n", st.ToString().c_str());
+      },
+      "logged 1 WAL records during its applies");
 }
 
 // A cohort applies its members in queue order on the leader's thread, so

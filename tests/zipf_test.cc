@@ -35,7 +35,9 @@ TEST(ZipfTest, ProbabilityIsANormalizedDecreasingMass) {
   double sum = 0;
   for (uint64_t r = 0; r < gen.n(); ++r) {
     sum += gen.Probability(r);
-    if (r > 0) EXPECT_LT(gen.Probability(r), gen.Probability(r - 1));
+    if (r > 0) {
+      EXPECT_LT(gen.Probability(r), gen.Probability(r - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

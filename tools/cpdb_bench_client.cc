@@ -17,10 +17,10 @@
 //                  before SIGTERM and after restart, diff for equality
 //   --mode=ping    retries PING until the server answers or
 //                  --timeout-sec expires (CI readiness gate)
-//   --mode=stats / --mode=metrics / --mode=traces
-//                  one admin verb round-trip, body to stdout (flat JSON,
-//                  Prometheus text exposition, assembled trace trees —
-//                  the "slow" array holds slow commits and queries alike)
+//   --mode=metrics / --mode=traces
+//                  one admin verb round-trip, body to stdout (Prometheus
+//                  text exposition, assembled trace trees — the "slow"
+//                  array holds slow commits and queries alike)
 //   --mode=explain run one query with EXPLAIN (--explain=getmod|
 //                  traceback|get --path=T/...) and print its span tree +
 //                  cost counters as JSON
@@ -528,10 +528,10 @@ int RunDigest(const Options& opt) {
   return 0;
 }
 
-/// One admin verb round-trip, body printed to stdout. Covers STATS
-/// (flat JSON), METRICS (Prometheus text exposition), and TRACES
-/// (assembled trace trees, slow requests included) so an operator with
-/// only this binary can read every telemetry surface.
+/// One admin verb round-trip, body printed to stdout. Covers METRICS
+/// (Prometheus text exposition) and TRACES (assembled trace trees, slow
+/// requests included) so an operator with only this binary can read
+/// every telemetry surface.
 int RunAdminVerb(const Options& opt) {
   net::Client client;
   Status st = client.Connect(opt.host, opt.port);
@@ -539,9 +539,8 @@ int RunAdminVerb(const Options& opt) {
     std::fprintf(stderr, "%s: %s\n", opt.mode.c_str(), st.ToString().c_str());
     return 1;
   }
-  Result<std::string> body = opt.mode == "stats"     ? client.Stats()
-                             : opt.mode == "metrics" ? client.Metrics()
-                                                     : client.Traces();
+  Result<std::string> body =
+      opt.mode == "metrics" ? client.Metrics() : client.Traces();
   if (!body.ok()) {
     std::fprintf(stderr, "%s: %s\n", opt.mode.c_str(),
                  body.status().ToString().c_str());
@@ -633,7 +632,7 @@ int main(int argc, char** argv) {
   if (opt.mode == "digest") return RunDigest(opt);
   if (opt.mode == "ping") return RunPing(opt);
   if (opt.mode == "explain") return RunExplain(opt);
-  if (opt.mode == "stats" || opt.mode == "metrics" || opt.mode == "traces") {
+  if (opt.mode == "metrics" || opt.mode == "traces") {
     return RunAdminVerb(opt);
   }
   if (opt.mode != "load") {

@@ -33,10 +33,6 @@
 //                          in the trace store's slow ring (TRACES verb,
 //                          "slow" array) and logged to stderr as one
 //                          "cpdb slow-request:" JSON line (default 0 = off)
-//   --metrics-json=PATH    sample the registry every --metrics-interval-ms
-//                          (default 1000) and, at drain, write the window
-//                          deltas to PATH in the bench harness --json
-//                          schema (bench "serve_report")
 //
 // Shutdown: SIGTERM or SIGINT triggers the graceful drain — stop
 // accepting, finish and flush every parsed request, checkpoint the store
@@ -58,10 +54,8 @@
 #include <vector>
 
 #include "cpdb/cpdb.h"
-#include "harness.h"
 #include "net/metrics_http.h"
 #include "net/server.h"
-#include "obs/report.h"
 #include "util/flags.h"
 
 using namespace cpdb;
@@ -202,9 +196,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Observability sidecars: the HTTP scrape endpoint and the periodic
-  // JSON reporter both read the engine's registry — the same objects the
-  // STATS and METRICS verbs render.
+  // Observability sidecar: the HTTP scrape endpoint reads the engine's
+  // registry — the same objects the METRICS verb renders.
   const int metrics_port = IntFlag(flags, "metrics-port", -1);
   std::unique_ptr<net::MetricsHttpServer> metrics_http;
   if (metrics_port >= 0) {
@@ -215,13 +208,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cpdb_serve: metrics: %s\n", ms.ToString().c_str());
       return 1;
     }
-  }
-  const std::string metrics_json = flags.GetString("metrics-json", "");
-  std::unique_ptr<obs::Reporter> reporter;
-  if (!metrics_json.empty()) {
-    reporter = std::make_unique<obs::Reporter>(
-        &engine.metrics(), flags.GetInt("metrics-interval-ms", 1000));
-    reporter->Start();
   }
 
   std::printf("cpdb_serve: listening on %s:%d (dir=%s strategy=%s "
@@ -239,34 +225,6 @@ int main(int argc, char** argv) {
   server.Wait();  // until a drain completes (SIGTERM/SIGINT or DRAIN verb)
   g_server = nullptr;
   if (metrics_http != nullptr) metrics_http->Stop();
-  if (reporter != nullptr) {
-    reporter->Stop();  // folds the final partial window
-    std::string doc = "{\"bench\":\"serve_report\"";
-    doc += "," + bench::JsonReport::MetaFragment();
-    bench::JsonDict cfg;
-    cfg.Set("host", host)
-        .Set("port", server.port())
-        .Set("workers", nopts.workers)
-        .Set("interval_ms",
-             static_cast<int64_t>(flags.GetInt("metrics-interval-ms", 1000)));
-    doc += ",\"config\":" + cfg.ToString() + ",\"rows\":[";
-    const std::vector<std::string> rows = reporter->Rows();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (i > 0) doc += ",";
-      doc += rows[i];
-    }
-    doc += "]}\n";
-    std::FILE* f = std::fopen(metrics_json.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(doc.data(), 1, doc.size(), f);
-      std::fclose(f);
-      std::printf("cpdb_serve: metrics report written to %s\n",
-                  metrics_json.c_str());
-    } else {
-      std::fprintf(stderr, "cpdb_serve: cannot write %s\n",
-                   metrics_json.c_str());
-    }
-  }
 
   auto count = [&engine](const char* name) {
     return static_cast<unsigned long long>(

@@ -121,18 +121,20 @@ NET-FRAMING
 OBS-METRICS
     src/service/ and src/net/ must export operational counters through
     the obs::Registry (src/obs/metrics.h), not ad-hoc std::atomic
-    members: the registry is the single typed surface behind STATS,
-    METRICS, /metrics, and the bench JSON, and a counter living outside
-    it is invisible to all four. The allowlist names the std::atomic
-    members that are NOT metrics — engine tid allocation, the committed
-    watermark and seal probes, the latch's epoch, and the server's
-    lifecycle flags — each of which is load-bearing
+    members: the registry is the single typed surface behind METRICS and
+    /metrics, and a counter living outside it is invisible to both. The
+    allowlist names the std::atomic members that are NOT metrics —
+    engine tid and trace-id allocation, the committed watermark, and the
+    server's lifecycle flags — each of which is load-bearing
     synchronization state with its own reader, not telemetry. The same
     layers may not declare a `struct Stats` either: a private counter
     block under the component's mutex, re-exported to the registry by a
     scrape callback, is the second copy of every counter this rule
     exists to prevent — components bump registry counters handed in
-    through set_metrics instead.
+    through set_metrics instead. And every series has one name: the
+    registry (src/obs/metrics.h) declares exactly one Render method, the
+    Prometheus text exposition, and no `json_key` appears under src/. A
+    second renderer gives each series a second name to keep in step.
 
 OBS-TRACE
     Every protocol verb the server executes must pass through the ONE
@@ -435,14 +437,13 @@ def check_net_framing(root):
 
 ATOMIC_DECL_RE = re.compile(r"std::atomic(?:<|_)")
 STATS_STRUCT_RE = re.compile(r"\bstruct\s+Stats\b")
+RENDER_DECL_RE = re.compile(r"\bRender\w*\s*\(")
 # Synchronization state, not telemetry: each entry is (file, member) for a
 # std::atomic whose readers are correctness logic rather than a scrape.
 OBS_METRICS_ALLOWED = {
     ("src/service/engine.h", "next_tid_"),       # tid allocator
     ("src/service/engine.h", "trace_id_seq_"),   # trace-id allocator
     ("src/service/engine.h", "committed_tid_"),  # MVCC watermark
-    ("src/service/engine.h", "sync_calls_"),     # ONE-seal probe
-    ("src/service/latch.h", "epoch_"),           # exclusive-section count
     ("src/net/server.h", "draining_"),           # lifecycle flag
     ("src/net/server.h", "started_"),            # lifecycle flag
     ("src/net/metrics_http.h", "stopping_"),     # lifecycle flag
@@ -472,9 +473,26 @@ def check_obs_metrics(root):
                 finding("OBS-METRICS", rel, lineno,
                         f"ad-hoc std::atomic '{member}' in an instrumented "
                         "layer; operational counters must register in the "
-                        "obs::Registry (src/obs/metrics.h) so STATS/METRICS/"
-                        "/metrics/bench JSON all see them (extend the "
-                        "allowlist only for synchronization state)")
+                        "obs::Registry (src/obs/metrics.h) so METRICS and "
+                        "/metrics see them (extend the allowlist only for "
+                        "synchronization state)")
+    metrics_h = root / "src" / "obs" / "metrics.h"
+    if metrics_h.is_file():
+        renders = [lineno for lineno, line in
+                   enumerate(metrics_h.read_text().splitlines(), 1)
+                   if RENDER_DECL_RE.search(strip_comments(line))]
+        if len(renders) != 1:
+            finding("OBS-METRICS", metrics_h.relative_to(root),
+                    renders[1] if len(renders) > 1 else 1,
+                    f"the registry declares {len(renders)} Render methods; "
+                    "it renders one format, the Prometheus text exposition, "
+                    "so every series has one name")
+    for path in iter_source(root, "src"):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if "json_key" in line:
+                finding("OBS-METRICS", path.relative_to(root), lineno,
+                        "json_key: a series has one name, its Prometheus "
+                        "series name")
 
 
 def check_obs_trace(root):
