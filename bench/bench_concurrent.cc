@@ -173,8 +173,7 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
   opts.strategy = strategy;
   service::SessionPool pool(&engine, opts);
 
-  size_t fsyncs0 = db->cost().Fsyncs();
-  size_t log0 = db->cost().LogBytes();
+  const storage::DurabilityStats durable0 = DurableStats(db.get());
 
   std::vector<std::vector<double>> latencies(threads);
   Stopwatch wall;
@@ -227,8 +226,9 @@ RunResult RunOnce(provenance::Strategy strategy, size_t threads,
 
   res.commits = threads * txns_per_thread;
   res.ops = res.commits * txn_len;
-  res.fsyncs = db->cost().Fsyncs() - fsyncs0;
-  res.log_bytes = db->cost().LogBytes() - log0;
+  const storage::DurabilityStats durable1 = DurableStats(db.get());
+  res.fsyncs = durable1.fsyncs - durable0.fsyncs;
+  res.log_bytes = durable1.log_bytes - durable0.log_bytes;
   obs::Registry& reg = engine.metrics();
   auto count = [&reg](const char* name) {
     return static_cast<size_t>(reg.GetCounter(name, "")->Value());

@@ -314,6 +314,13 @@ struct RunStats {
   std::unique_ptr<Editor> editor;
 };
 
+/// The durability engine's counters (WAL records, fsyncs, log bytes), or
+/// zeros for an in-memory database.
+inline storage::DurabilityStats DurableStats(relstore::Database* db) {
+  return db->durability() != nullptr ? db->durability()->stats()
+                                     : storage::DurabilityStats{};
+}
+
 inline RunStats RunWorkload(const RunConfig& cfg) {
   RunStats st;
   Stopwatch wall;
@@ -428,8 +435,9 @@ inline RunStats RunWorkload(const RunConfig& cfg) {
   st.prov_rows_moved = st.prov_db->cost().RowsMoved();
   st.prov_write_trips = st.prov_db->cost().WriteCalls();
   st.prov_write_rows = st.prov_db->cost().WriteRows();
-  st.prov_fsyncs = st.prov_db->cost().Fsyncs();
-  st.prov_log_bytes = st.prov_db->cost().LogBytes();
+  const storage::DurabilityStats durable = DurableStats(st.prov_db.get());
+  st.prov_fsyncs = durable.fsyncs;
+  st.prov_log_bytes = durable.log_bytes;
   st.target_write_trips = st.target->cost().WriteCalls();
   st.target_write_rows = st.target->cost().WriteRows();
   st.prov_us = prov_cost();

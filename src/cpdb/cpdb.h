@@ -39,11 +39,8 @@
 /// ProvBackend::LookupMany(tid, locs), one round trip for the whole
 /// batch.
 ///
-/// Migration note (reads): ProvStore's vector-returning read methods
-/// (RecordsUnder, RecordsAtAncestors, RecordsForTid, AllRecords) and the
-/// one-shot vector shims that later stood in for them on ProvBackend are
-/// gone. Read through the cursors — ScanUnder, ScanAtLocOrAncestors,
-/// ScanForTid, ScanAtLoc, ScanAll — or LookupMany for (tid, loc) points.
+/// The cursors and LookupMany are the only provenance read API; no read
+/// returns a whole result vector.
 ///
 /// Writes are batched and group-committed, symmetric with the reads
 /// (README "Write path"):
@@ -60,33 +57,24 @@
 /// provenance::ProvStore::TrackBatch group-commits a staged script with
 /// per-op semantics (tids, records, and H's per-insert probe) unchanged.
 ///
-/// Migration note (writes): ProvStore::TrackBatch is the only tracking
-/// call and TargetDb::ApplyBatch the only native write call; both are
-/// pure virtual. The per-op tracking calls (one per update kind) and the
-/// per-op native write are gone — track or mirror a single op as a batch
-/// of one, which costs what the per-op call did.
-/// ProvBackend::WriteRecords is atomic: a duplicate {Tid, Loc} rejects
-/// the whole batch instead of leaving a partial insert prefix. Write
-/// round trips are counted on CostModel's write-side counters
+/// ProvStore::TrackBatch is the only tracking call and
+/// TargetDb::ApplyBatch the only native write call; a single op is
+/// tracked or mirrored as a batch of one. ProvBackend::WriteRecords is
+/// atomic: a duplicate {Tid, Loc} rejects the whole batch. Write round
+/// trips are counted on CostModel's write-side counters
 /// (WriteCalls/WriteRows, also in CostSnapshot), which ChargeWrite bumps
 /// alongside the totals.
 ///
-/// Migration note (one seal): every strategy stages into one unit that
-/// either seals or unwinds as a whole (README "Write path").
-/// ProvStore's pending-provlist probe and TxnStore's override of it are
-/// gone: Editor::PendingOps() alone says whether anything is staged. A
-/// T/HT Commit() whose provenance write fails now unwinds its
-/// transaction, as Abort() would, instead of keeping it for the next
-/// Commit() to publish. A bulk copy's glob record is stamped at the seal
-/// with the tids its unit committed under, so an aborted T/HT bulk leaves
-/// none. Editor::TotalOps() counts committed ops for T/HT too, as it did
-/// for N/H; it used to count staged ones, aborted ones included.
-/// service::SessionOptions lost record_txn_meta and user, which nothing
-/// set; pool-built editors keep the EditorOptions defaults. A seal that
-/// fails hands its tids back: LastCommittedTid() and CurrentTid() return
-/// to where they were, so the next unit commits under the same tid and
-/// an archived session's versions stay consecutive (engine sessions
-/// still burn the allocator's tid; gaps are allowed there).
+/// Every strategy stages into one unit that either seals or unwinds as a
+/// whole (README "Write path"); Editor::PendingOps() says whether
+/// anything is staged. A T/HT Commit() whose provenance write fails
+/// unwinds its transaction, as Abort() would. A bulk copy's glob record
+/// is stamped at the seal with the tids its unit committed under, so an
+/// aborted T/HT bulk leaves none. Editor::TotalOps() counts committed
+/// ops. A seal that fails hands its tids back: LastCommittedTid() stays
+/// where it was, so the next unit commits under the same tid and an
+/// archived session's versions stay consecutive (engine sessions still
+/// burn the allocator's tid; gaps are allowed there).
 ///
 /// Durability (README "Durability"; storage/):
 ///
@@ -110,27 +98,23 @@
 /// committed transaction (TargetDb::Sync is the target-side hook — a
 /// no-op by default, Database::Sync for relational wrappers; when target
 /// and provenance share one durable Database, both recover to the same
-/// transaction). Migration note for in-memory callers: nothing changes —
-/// a directly constructed Database has no log, Sync()/Close() are free
-/// no-ops, Checkpoint() fails with FailedPrecondition, and the editor's
+/// transaction). A directly constructed Database is in-memory: it has
+/// no log and no durability engine, Sync()/Close() are free no-ops,
+/// Checkpoint() fails with FailedPrecondition, and the editor's
 /// per-commit barrier costs one null check. ProvBackend's constructor
-/// now ADOPTS existing Prov/TxnMeta tables (recovered databases) instead
-/// of failing; fresh databases are created as before.
+/// adopts existing Prov/TxnMeta tables (recovered databases) and creates
+/// them in a fresh one.
 ///
-/// Migration note (keyed target tables): every table a
-/// wrap::RelationalTargetDb wraps needs its key index, a unique B-tree
-/// index on the identifier column (column 0), created with the table
-/// through RelationalTargetDb::CreateKeyIndex as above. The target finds
-/// each tuple it replays through that index and no longer scans the
-/// table. RelationalTargetDb::TreeFromDb, and with it Editor::Create and
+/// Every table a wrap::RelationalTargetDb wraps needs its key index, a
+/// unique B-tree index on the identifier column (column 0), created with
+/// the table through RelationalTargetDb::CreateKeyIndex as above; the
+/// target finds each tuple it replays through that index.
+/// RelationalTargetDb::TreeFromDb, and with it Editor::Create and
 /// SessionPool::Build, rejects a wrapped table without the index with
 /// FailedPrecondition naming the table; CheckKeyIndexes() runs the same
-/// check up front. Stores written by an older cpdb_serve have an
-/// unindexed `data` table, which the server now refuses at startup:
-/// re-create them (an index can only be added to an empty table). A
-/// racing duplicate tuple insert now fails the second COMMIT with
-/// AlreadyExists, where both used to commit and leave the table with two
-/// rows for one identifier.
+/// check up front, and cpdb_serve refuses such a `data` table at startup
+/// (an index can only be added to an empty table). A racing duplicate
+/// tuple insert fails the second COMMIT with AlreadyExists.
 ///
 /// Concurrency (README "Service layer"; src/service/): N curator
 /// sessions over ONE shared engine —
@@ -154,20 +138,9 @@
 /// scans) run concurrently under shared grants; never commit while
 /// holding one.
 ///
-/// Migration note (one apply order): the disjoint-subtree apply pool is
-/// gone, and every cohort applies in enqueue order on the leader's
-/// thread. Removed with it: the Engine/CommitQueue call that enabled the
-/// pool and the queue's parallel-prepare hook; the writeset (`claims`)
-/// argument of Engine::Commit, CommitQueue::Commit and the Session
-/// commit path; Editor's staged-writeset probe and the parallel-apply
-/// preparation hook of TargetDb and TreeTargetDb; the cpdb_parallel_*
-/// counters, the parallel batch-size histogram, and their STATS keys;
-/// bench_concurrent's apply-worker flag and its two pool columns. The
-/// commit.execute span detail lost its `parallel=` and `claims=` fields
-/// and reads `cohort_size=N leader=0|1`. SessionPool's built(),
-/// reused() and refreshed() getters are gone as well: read
-/// cpdb_sessions_{built,reused,refreshed}_total from the engine's
-/// registry.
+/// A commit's commit.execute span detail reads `cohort_size=N
+/// leader=0|1`, and the pool counts its sessions in the engine's
+/// registry (cpdb_sessions_{built,reused,refreshed}_total).
 ///
 /// Snapshots are copy-on-write clones: the committed state carries a
 /// commit-ordered tid watermark (Engine::CommittedTid), and a session
@@ -177,54 +150,51 @@
 /// watermark (TargetDb::TreeFromDb) and shares it between every session
 /// it builds or refreshes there.
 ///
-/// Migration note (one snapshot path): the engine's version chain is
-/// gone, and with it Engine::snapshots(), the session pins, TargetDb's
-/// cheap-snapshot query, and the cpdb_versions_live,
-/// cpdb_versions_published_total, cpdb_versions_gced_total and
-/// cpdb_snapshot_refreshes_total series with their STATS keys (read
-/// cpdb_sessions_refreshed_total for refreshes). A stale pooled session
-/// is now refreshed in place over every target, relational ones
-/// included. cpdb_snapshot_rebuilds_total counts every snapshot the pool
-/// takes from the target, and cpdb_snapshot_rebuild_rows_total the rows
-/// the target shipped for them (0 for a copy-on-write tree target).
-///
 /// Session staleness is a tid comparison — snapshot_tid() <
 /// Engine::CommittedTid() — and a stale pooled session is refreshed in
-/// place, not torn down and rebuilt, so cpdb_sessions_built_total stays
-/// flat under churn.
+/// place over every target, not torn down and rebuilt, so
+/// cpdb_sessions_built_total stays flat under churn.
+/// cpdb_snapshot_rebuilds_total counts every snapshot the pool takes
+/// from the target, and cpdb_snapshot_rebuild_rows_total the rows the
+/// target shipped for them (0 for a copy-on-write tree target).
 ///
-/// Migration note (one metrics format): the registry renders only the
-/// Prometheus text exposition (METRICS, /metrics), and every series has
-/// one name. Removed: the STATS verb with its Request and Client helpers
-/// and cpdb_bench_client's stats mode (tag 8 now decodes to a typed
-/// "unknown type" error); the registry's flat JSON rendering, its
-/// sampling and windowed-delta helpers, and the JSON-name argument of
-/// every registration call; the histogram snapshot's difference and
-/// merge operators; the periodic JSON reporter and the two cpdb_serve
-/// flags that drove it; and the latch's exclusive-section count with its
-/// cpdb_latch_epoch series (it counted cohorts plus checkpoints;
-/// cpdb_cohorts_total counts the cohorts). Read a former STATS field
-/// from METRICS under its series name (OPERATOR_GUIDE.md, "Metrics
-/// catalogue"). The session pool now registers the snapshot counters and
-/// the network server the slow-request counters, each where it bumps
-/// them.
+/// Metrics have one format: the registry renders only the Prometheus
+/// text exposition (METRICS, /metrics), and every series has one name
+/// (OPERATOR_GUIDE.md, "Metrics catalogue"). Each component registers
+/// the counters it bumps.
 ///
-/// Migration note (sessions vs standalone Editor): a directly created
-/// Editor is unchanged — private sequential tids from first_tid, its own
-/// per-commit fsync — and remains the right tool for single-session use.
-/// Acquire sessions from a SessionPool whenever more than one session
-/// shares a backend; the pool wires EditorOptions::tid_allocator and
-/// ::defer_sync (both new, default-off) so the engine owns numbering and
-/// the durability barrier. Never mix the two against one live backend:
-/// a standalone editor's writes would bypass the engine's latch.
+/// Sessions vs standalone Editor: a directly created Editor draws private
+/// sequential tids from first_tid and runs its own per-commit fsync, the
+/// right tool for single-session use. Acquire sessions from a
+/// SessionPool whenever more than one session shares a backend; the pool
+/// wires EditorOptions::tid_allocator and ::defer_sync (both default-off)
+/// so the engine owns numbering and the durability barrier. Never mix the
+/// two against one live backend: a standalone editor's writes would
+/// bypass the engine's latch.
+///
+/// Migration note (one frame codec, one count): EncodeFrame and
+/// FrameReader moved from net/frame.h to util/crc32.h, where the WAL and
+/// the wire share them with one fixed32 pair (PutFixed32/GetFixed32). A
+/// FrameReader takes its payload bound as a constructor argument
+/// (net::kMaxFramePayload on the wire, the log's size in WAL replay) and
+/// reports consumed(). storage::DurabilityStats
+/// (Database::durability()->stats(); none for an in-memory database) is
+/// the only count of WAL records, fsyncs and log bytes: the CostModel's
+/// log-byte charge and its fsync and log-byte counters (with their
+/// CostSnapshot fields) and the Wal's own byte and sync counters are
+/// gone, while ChargeFsync keeps its modelled clock charge. The DRAINING
+/// response code (a draining server closes connections) and the client's
+/// retrying call and re-dial are gone too: retry a RETRY in the caller's
+/// own loop with RetryBackoffMs.
 ///
 /// Network service (README "Network service"; src/net/): the service
-/// layer on a socket. cpdb_serve fronts one Engine over TCP with
-/// checksummed length-prefixed frames (net/frame.h, the WAL's framing
-/// discipline), one pooled Session per connection, transaction-atomic
-/// RETRY shedding under commit-queue overload, and a graceful
-/// SIGTERM/DRAIN path (finish in-flight, checkpoint, exit 0; a restart
-/// serves bit-identical state). net/client.h is the pipelining client
+/// layer on a socket. cpdb_serve fronts one Engine over TCP with the
+/// WAL's checksummed length-prefixed frame (util/crc32.h), one pooled
+/// Session per connection, transaction-atomic RETRY shedding under
+/// commit-queue overload (a T/HT transaction is shed whole; under N/H
+/// each APPLY faces admission on its own), and a graceful SIGTERM/DRAIN
+/// path (finish in-flight, checkpoint, exit 0; a restart serves
+/// bit-identical state). net/client.h is the pipelining client
 /// library; tools/cpdb_bench_client drives it (QD sweeps, zipf keys,
 /// open-loop pacing, p50/p99/p999). Deliberately NOT exported here:
 /// servers and clients include net/ headers directly; embedding callers

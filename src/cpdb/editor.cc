@@ -30,8 +30,8 @@ Result<std::unique_ptr<Editor>> Editor::CreateWithSnapshot(
   if (ed->options_.tid_allocator) {
     ed->store_->set_tid_allocator(ed->options_.tid_allocator);
   }
-  ed->query_ = std::make_unique<query::QueryEngine>(
-      ed->store_.get(), ed->target_root_, &ed->universe_);
+  ed->query_ = std::make_unique<query::QueryEngine>(ed->store_.get(),
+                                                    ed->target_root_);
   if (ed->options_.enable_approx) {
     ed->approx_ = std::make_unique<query::ApproxProvStore>();
   }

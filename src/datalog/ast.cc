@@ -39,15 +39,4 @@ std::ostream& operator<<(std::ostream& os, const Rule& r) {
   return os << r.ToString();
 }
 
-std::string TupleToString(const Tuple& t) {
-  std::ostringstream os;
-  os << "(";
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << t[i];
-  }
-  os << ")";
-  return os.str();
-}
-
 }  // namespace cpdb::datalog

@@ -46,6 +46,4 @@ std::ostream& operator<<(std::ostream& os, const Rule& r);
 /// A ground tuple in a relation.
 using Tuple = std::vector<std::string>;
 
-std::string TupleToString(const Tuple& t);
-
 }  // namespace cpdb::datalog

@@ -239,13 +239,4 @@ bool Evaluator::Holds(const std::string& pred, const Tuple& tuple) const {
   return Get(pred).count(tuple) > 0;
 }
 
-size_t Evaluator::TotalTuples() const {
-  size_t n = 0;
-  for (const auto& [pred, rel] : relations_) {
-    (void)pred;
-    n += rel.size();
-  }
-  return n;
-}
-
 }  // namespace cpdb::datalog

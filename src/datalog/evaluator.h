@@ -39,9 +39,6 @@ class Evaluator {
   /// True if the ground tuple is derivable (call after Evaluate()).
   bool Holds(const std::string& pred, const Tuple& tuple) const;
 
-  /// Number of derived + base tuples across all predicates.
-  size_t TotalTuples() const;
-
  private:
   Status CheckSafety(const Rule& rule) const;
   Result<std::vector<std::vector<std::string>>> Stratify() const;

@@ -6,7 +6,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,11 +20,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-void SleepMs(uint64_t ms) {
-  if (ms == 0) return;
-  ::poll(nullptr, 0, static_cast<int>(ms));
 }
 
 }  // namespace
@@ -68,16 +62,7 @@ Status Client::Connect(const std::string& host, int port) {
   }
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  reader_ = FrameReader();
-  inflight_ = 0;
-  host_ = host;
-  port_ = port;
   return Status::OK();
-}
-
-Status Client::Reconnect() {
-  if (host_.empty()) return Status::FailedPrecondition("never connected");
-  return Connect(host_, port_);
 }
 
 void Client::Close() {
@@ -88,7 +73,7 @@ void Client::Close() {
   inflight_ = 0;
   // A torn partial frame (or a poisoned reader) from the old transport
   // must not bleed into the next connection's stream.
-  reader_ = FrameReader{};
+  reader_ = FrameReader(kMaxFramePayload);
 }
 
 bool Client::Traceable(ReqType t) {
@@ -145,37 +130,12 @@ Result<Response> Client::Call(const Request& req) {
   return Recv();
 }
 
-Result<Response> Client::CallRetrying(const Request& req,
-                                      const RetryPolicy& policy,
-                                      size_t* retries) {
-  const uint64_t salt = static_cast<uint64_t>(req.type);
-  for (size_t attempt = 1;; ++attempt) {
-    Result<Response> got = connected()
-                               ? Call(req)
-                               : Result<Response>(Status::Unavailable(
-                                     "not connected"));
-    if (got.ok()) {
-      if (got->code != RespCode::kRetry) return got;  // OK/ERROR/DRAINING
-      if (attempt >= policy.max_attempts) return got;
-    } else {
-      // Transport broke. Re-dial; if even that fails, the endpoint is
-      // gone — report the original error.
-      if (attempt >= policy.max_attempts) return got;
-      if (!Reconnect().ok()) return got;
-    }
-    if (retries != nullptr) ++*retries;
-    SleepMs(RetryBackoffMs(policy, attempt, salt));
-  }
-}
-
 Status Client::ToStatus(const Response& resp) {
   switch (resp.code) {
     case RespCode::kOk:
       return Status::OK();
     case RespCode::kRetry:
       return Status::Unavailable("RETRY: " + resp.body);
-    case RespCode::kDraining:
-      return Status::Unavailable("DRAINING: " + resp.body);
     case RespCode::kError:
       return Status::Internal(resp.body);
   }

@@ -11,10 +11,11 @@
 namespace cpdb::net {
 
 /// Client-side retry policy for typed RETRY answers (admission-control
-/// sheds) and broken transports: capped exponential backoff with
-/// deterministic jitter. The defaults give 2, 4, 8, ... ms doubling up to
-/// the cap — long enough for a saturated commit queue to drain a cohort,
-/// short enough that a load driver's tail latency stays bounded.
+/// sheds), for callers that run their own retry loop (cpdb_bench_client's
+/// retry pass): capped exponential backoff with deterministic jitter. The
+/// defaults give 2, 4, 8, ... ms doubling up to the cap — long enough for
+/// a saturated commit queue to drain a cohort, short enough that a load
+/// driver's tail latency stays bounded.
 struct RetryPolicy {
   size_t max_attempts = 8;      ///< total tries, first included
   uint64_t base_backoff_ms = 2;
@@ -58,10 +59,6 @@ class Client {
   void Close();
   bool connected() const { return fd_ >= 0; }
 
-  /// Re-dials the endpoint of the last successful Connect(). Used by
-  /// CallRetrying when the transport broke mid-conversation.
-  Status Reconnect();
-
   /// Issues one request without waiting for its response. Increments the
   /// in-flight count; match responses by calling Recv() once per Send().
   /// When sampling is armed and `req` is a traceable verb without a
@@ -73,16 +70,6 @@ class Client {
 
   /// Send + Recv for the callers that do not pipeline.
   Result<Response> Call(const Request& req);
-
-  /// Call() that retries typed RETRY answers with capped exponential
-  /// backoff and re-dials broken transports. Returns the final response
-  /// (which may still be RETRY when attempts ran out) or the transport
-  /// error that persisted across a reconnect. DRAINING is returned
-  /// immediately — the endpoint is going away; backing off at it is
-  /// wasted time. `retries` (optional) accumulates the number of
-  /// re-sends performed, for the load report.
-  Result<Response> CallRetrying(const Request& req, const RetryPolicy& policy,
-                                size_t* retries = nullptr);
 
   /// Arms 1-in-N deterministic trace sampling (0 disarms). The choice of
   /// which requests to sample is a simple modular counter — deterministic
@@ -97,8 +84,6 @@ class Client {
   /// yet) — the handle a test or operator uses to find the trace in the
   /// TRACES dump.
   uint64_t last_trace_id() const { return last_trace_id_; }
-
-  size_t inflight() const { return inflight_; }
 
   // ----- One-shot conveniences (no pipelining) -----------------------------
 
@@ -125,8 +110,8 @@ class Client {
   Status Drain();
 
  private:
-  /// Maps a non-kOk response onto a Status (RETRY/DRAINING ->
-  /// Unavailable, ERROR -> Internal), so the sync helpers stay terse.
+  /// Maps a non-kOk response onto a Status (RETRY -> Unavailable,
+  /// ERROR -> Internal), so the sync helpers stay terse.
   static Status ToStatus(const Response& resp);
 
   /// True for the verbs sampling applies to: the reads the span tree
@@ -134,12 +119,8 @@ class Client {
   static bool Traceable(ReqType t);
 
   int fd_ = -1;
-  FrameReader reader_;
+  FrameReader reader_{kMaxFramePayload};
   size_t inflight_ = 0;
-
-  // Endpoint of the last successful Connect(), for Reconnect().
-  std::string host_;
-  int port_ = 0;
 
   uint64_t trace_every_n_ = 0;
   uint64_t trace_seed_ = 1;

@@ -7,98 +7,12 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "util/crc32.h"
-
 namespace cpdb::net {
-
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-uint32_t GetU32(const std::string& in, size_t pos) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(in[pos])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[pos + 1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[pos + 2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(in[pos + 3])) << 24;
-}
-
-}  // namespace
-
-void EncodeFrame(const std::string& payload, std::string* out) {
-  out->reserve(out->size() + payload.size() + kMaxVarint64Bytes + 4);
-  PutVarint64(out, payload.size());
-  PutU32(out, Crc32(payload));
-  out->append(payload);
-}
-
-FrameReader::Event FrameReader::Next(std::string* payload) {
-  if (poisoned_) return poison_event_;
-  // Compact lazily so pathological pipelining cannot grow buf_ forever.
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > (64u << 10) && pos_ > buf_.size() / 2) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-  size_t p = pos_;
-  uint64_t len;
-  if (!GetVarint64(buf_, &p, &len)) {
-    // A varint never spans more than kMaxVarint64Bytes: if that many
-    // bytes are buffered and it still does not parse, the prefix is
-    // garbage, not a short read.
-    if (buf_.size() - pos_ >= kMaxVarint64Bytes) {
-      poisoned_ = true;
-      poison_event_ = Event::kMalformed;
-      return poison_event_;
-    }
-    return Event::kNeedMore;
-  }
-  if (len > kMaxFramePayload) {
-    poisoned_ = true;
-    poison_event_ = Event::kTooLarge;
-    return poison_event_;
-  }
-  if (buf_.size() - p < 4 + len) return Event::kNeedMore;
-  uint32_t crc = GetU32(buf_, p);
-  p += 4;
-  payload->assign(buf_, p, len);
-  if (Crc32(*payload) != crc) {
-    poisoned_ = true;
-    poison_event_ = Event::kBadCrc;
-    return poison_event_;
-  }
-  pos_ = p + len;
-  return Event::kFrame;
-}
 
 Status WriteFrame(int fd, const std::string& payload) {
   std::string frame;
   EncodeFrame(payload, &frame);
-  size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n = ::send(fd, frame.data() + off, frame.size() - off,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return Status::Unavailable("peer closed the connection");
-      }
-      return Status::Internal(std::string("send: ") + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return WriteRaw(fd, frame);
 }
 
 Status ReadFrame(int fd, FrameReader* reader, std::string* payload) {
@@ -115,17 +29,10 @@ Status ReadFrame(int fd, FrameReader* reader, std::string* payload) {
       case FrameReader::Event::kNeedMore:
         break;
     }
-    char buf[16384];
-    ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n == 0) return Status::Unavailable("connection closed mid-frame");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        return Status::Unavailable("connection reset mid-frame");
-      }
-      return Status::Internal(std::string("recv: ") + std::strerror(errno));
-    }
-    reader->Append(buf, static_cast<size_t>(n));
+    size_t n = 0;
+    bool eof = false;
+    CPDB_RETURN_IF_ERROR(ReadAvailable(fd, reader, &n, &eof));
+    if (eof) return Status::Unavailable("connection closed mid-frame");
   }
 }
 
@@ -155,24 +62,9 @@ Status ReadAvailable(int fd, FrameReader* reader, size_t* n_read, bool* eof) {
 
 Status WriteRaw(int fd, const std::string& bytes) {
   size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return Status::Unavailable("peer closed the connection");
-      }
-      return Status::Internal(std::string("send: ") + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  CPDB_RETURN_IF_ERROR(WriteAvailable(fd, bytes, &off));
+  return off == bytes.size() ? Status::OK()
+                             : Status::Unavailable("send would block");
 }
 
 Status WriteAvailable(int fd, const std::string& buf, size_t* off) {

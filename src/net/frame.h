@@ -1,69 +1,34 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace cpdb::net {
 
-// Wire framing for the network service: every message travels as
+// Wire framing for the network service: every message travels as one
+// frame of the shared codec in util/crc32.h (EncodeFrame / FrameReader),
 //
 //   varint(payload length) | crc32(payload, 4 bytes LE) | payload
 //
-// — the same framing discipline as the write-ahead log (storage/wal.cc),
-// built on the shared varint/CRC helpers in util/crc32.h. A frame that
-// does not parse (truncated varint, oversized length, CRC mismatch) is a
-// protocol violation: the peer must answer with a typed error where it
-// still can and close the connection; it must never crash or apply a
-// partial message (tests/net_test.cc).
+// — the same frame the write-ahead log writes, with the wire's own bound
+// on a payload. A frame that does not parse (truncated varint, oversized
+// length, CRC mismatch) is a protocol violation: the peer must answer
+// with a typed error where it still can and close the connection; it must
+// never crash or apply a partial message (tests/net_test.cc).
 //
 // LINT NET-FRAMING: this file (and its .cc) is the ONLY place in src/net
 // and tools/ allowed to move raw bytes over a socket (send/recv/
 // ::read/::write). Everything else speaks in whole frames through the
 // helpers below, so no unframed payload can ever reach the wire.
 
-/// Hard ceiling on one frame's payload. Large enough for any realistic
-/// request/response (a whole pipelined script fits in well under 1 MiB),
-/// small enough that a hostile or corrupt length prefix cannot make the
-/// server allocate unbounded memory.
+/// Hard ceiling on one frame's payload, the bound every wire FrameReader
+/// is built with. Large enough for any realistic request/response (a
+/// whole pipelined script fits in well under 1 MiB), small enough that a
+/// hostile or corrupt length prefix cannot make the server allocate
+/// unbounded memory.
 inline constexpr size_t kMaxFramePayload = 8u << 20;  // 8 MiB
-
-/// Appends the frame encoding of `payload` to `*out`.
-void EncodeFrame(const std::string& payload, std::string* out);
-
-/// Incremental frame decoder: feed raw bytes in, take whole payloads out.
-///
-/// Usage: Append() whatever arrived from the socket, then call Next()
-/// until it returns something other than kFrame. The reader buffers a
-/// partial frame across Append() calls (kNeedMore), so torn reads are
-/// invisible to the caller; kBadCrc/kTooLarge/kMalformed are terminal for
-/// the connection.
-class FrameReader {
- public:
-  enum class Event {
-    kFrame,      ///< *payload holds one complete frame's payload
-    kNeedMore,   ///< no complete frame buffered; feed more bytes
-    kBadCrc,     ///< framed payload failed its checksum
-    kTooLarge,   ///< length prefix exceeds kMaxFramePayload
-    kMalformed,  ///< length prefix is not a valid varint
-  };
-
-  void Append(const char* data, size_t n) { buf_.append(data, n); }
-
-  /// Extracts the next complete frame. After a terminal event the reader
-  /// is poisoned and keeps returning that event.
-  Event Next(std::string* payload);
-
-  /// Bytes buffered but not yet consumed (partial frame).
-  size_t buffered() const { return buf_.size() - pos_; }
-
- private:
-  std::string buf_;
-  size_t pos_ = 0;
-  bool poisoned_ = false;
-  Event poison_event_ = Event::kNeedMore;
-};
 
 // ----- Socket transfer (the only raw send/recv in the tree) -----------------
 
@@ -76,10 +41,11 @@ Status WriteFrame(int fd, const std::string& payload);
 /// framing violation (CRC, length, varint), Internal on socket errors.
 Status ReadFrame(int fd, FrameReader* reader, std::string* payload);
 
-/// Non-blocking-friendly single read(2) into `reader`: reads whatever is
+/// Non-blocking-friendly single recv(2) into `reader`: reads whatever is
 /// available (up to one internal buffer) and reports it via `*n_read`.
-/// `*eof` is set when the peer closed. Returns Internal on socket errors
-/// (EAGAIN/EWOULDBLOCK/EINTR are reported as ok with *n_read == 0).
+/// `*eof` is set when the peer closed or reset. Returns Internal on
+/// socket errors (EAGAIN/EWOULDBLOCK/EINTR are reported as ok with
+/// *n_read == 0).
 Status ReadAvailable(int fd, FrameReader* reader, size_t* n_read, bool* eof);
 
 /// Writes as much of `buf` starting at `*off` as the socket accepts
@@ -87,10 +53,11 @@ Status ReadAvailable(int fd, FrameReader* reader, size_t* n_read, bool* eof);
 /// error (peer reset) returns non-ok.
 Status WriteAvailable(int fd, const std::string& buf, size_t* off);
 
-/// Sends `bytes` verbatim — NO framing. Fault-injection only: the
-/// robustness tests use this to put torn, oversized, and bit-flipped
-/// garbage on the wire; being here keeps even deliberate violations
-/// inside this file's NET-FRAMING jurisdiction.
+/// Sends `bytes` verbatim on a blocking socket — NO framing. WriteFrame
+/// sends through it; otherwise fault-injection only: the robustness tests
+/// use it to put torn, oversized, and bit-flipped garbage on the wire, and
+/// being here keeps even deliberate violations inside this file's
+/// NET-FRAMING jurisdiction.
 Status WriteRaw(int fd, const std::string& bytes);
 
 }  // namespace cpdb::net

@@ -155,8 +155,6 @@ const char* RespCodeName(RespCode c) {
       return "ERROR";
     case RespCode::kRetry:
       return "RETRY";
-    case RespCode::kDraining:
-      return "DRAINING";
   }
   return "?";
 }
@@ -285,7 +283,7 @@ Result<Response> DecodeResponse(const std::string& in) {
   if (!GetVarint64(in, &pos, &code)) {
     return Status::InvalidArgument("response: truncated code");
   }
-  if (code > static_cast<uint64_t>(RespCode::kDraining)) {
+  if (code > static_cast<uint64_t>(RespCode::kRetry)) {
     return Status::InvalidArgument("response: unknown code " +
                                    std::to_string(code));
   }

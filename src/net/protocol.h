@@ -71,15 +71,15 @@ bool IsReqType(uint64_t tag);
 
 const char* ReqTypeName(ReqType t);
 
-/// Response status. kRetry and kDraining are *typed overload answers*:
-/// the request was not executed and the client should back off and retry
-/// (kRetry) or move to another endpoint (kDraining) — the server sheds
-/// load instead of parking its workers behind a saturated commit queue.
+/// Response status. kRetry is the *typed overload answer*: the request
+/// was not executed and the client should back off and retry — the
+/// server sheds load instead of parking its workers behind a saturated
+/// commit queue. A draining server answers nothing new; it closes its
+/// connections instead. Any other code fails to decode.
 enum class RespCode : uint8_t {
   kOk = 0,
-  kError = 1,     ///< request executed or parsed with an error; body = status text
-  kRetry = 2,     ///< shed by admission control; retry after backoff
-  kDraining = 3,  ///< server is draining; no new work accepted
+  kError = 1,  ///< request executed or parsed with an error; body = status text
+  kRetry = 2,  ///< shed by admission control; retry after backoff
 };
 
 const char* RespCodeName(RespCode c);
@@ -149,9 +149,6 @@ struct Response {
   }
   static Response Retry(std::string msg) {
     return Response{RespCode::kRetry, std::move(msg)};
-  }
-  static Response Draining(std::string msg) {
-    return Response{RespCode::kDraining, std::move(msg)};
   }
 };
 

@@ -82,13 +82,12 @@ bool Arm(int epoll_fd, int op, int fd, uint32_t events, void* tag) {
 struct Server::Conn {
   int fd = -1;
   Mutex mu;
-  FrameReader reader;
+  FrameReader reader{kMaxFramePayload};
   std::unique_ptr<service::Session> session;
   std::string out;        ///< encoded responses not yet sent
   size_t out_off = 0;     ///< bytes of `out` already sent
   bool closing = false;   ///< answered a violation; flush, then close
-  bool in_txn = false;    ///< an APPLY has been accepted since last C/A
-  bool shed_txn = false;  ///< this transaction was shed; RETRY until C/A
+  bool shed_txn = false;  ///< T/HT transaction shed; RETRY until C/A
 };
 
 Server::Server(service::Engine* engine, service::SessionPool* pool,
@@ -452,24 +451,29 @@ Response Server::Execute(Conn* conn, const Request& req,
   }
 
   // Admission control, transaction-atomic, BEFORE session acquisition:
-  // the decision is made at a transaction's FIRST APPLY — while the
-  // commit queue is deeper than the bound, the whole incoming
-  // transaction is shed with typed RETRYs (every later APPLY and its
-  // COMMIT included), so a pipelined client can never land a partially
-  // admitted transaction. Deciding before Acquire matters: building a
-  // session snapshots the target under a shared latch grant, which
-  // would park this worker behind the very exclusive-latch saturation
-  // the RETRY exists to dodge.
+  // the decision is made at a transaction's FIRST APPLY, i.e. one that
+  // finds nothing staged — while the commit queue is deeper than the
+  // bound, the whole incoming transaction is shed with typed RETRYs. A
+  // T/HT transaction's every later APPLY and its COMMIT are shed with it,
+  // so a pipelined client can never land a partially admitted
+  // transaction; under N/H each APPLY is a whole transaction, so each
+  // faces admission on its own and a shed ends with its APPLY. Deciding
+  // before Acquire matters: building a session snapshots the target
+  // under a shared latch grant, which would park this worker behind the
+  // very exclusive-latch saturation the RETRY exists to dodge.
   if (req.type == ReqType::kApply) {
     if (conn->shed_txn) return Response::Retry("transaction shed");
-    if (!conn->in_txn &&
-        engine_->CommitQueueDepth() > options_.max_queue_depth) {
-      conn->shed_txn = true;
+    const bool in_txn = conn->session != nullptr &&
+                        conn->session->editor()->PendingOps() > 0;
+    if (!in_txn && engine_->CommitQueueDepth() > options_.max_queue_depth) {
+      const provenance::Strategy strategy = pool_->strategy();
+      conn->shed_txn =
+          strategy == provenance::Strategy::kTransactional ||
+          strategy == provenance::Strategy::kHierarchicalTransactional;
       return Response::Retry("commit queue depth over limit");
     }
   } else if (req.type == ReqType::kCommit && conn->shed_txn) {
     conn->shed_txn = false;
-    conn->in_txn = false;
     // Nothing of THIS transaction was staged (it was shed from its first
     // APPLY); the abort is defensive for any pre-shed leftovers.
     if (conn->session != nullptr) (void)conn->session->Abort();
@@ -498,17 +502,14 @@ Response Server::Execute(Conn* conn, const Request& req,
   switch (req.type) {
     case ReqType::kApply: {
       Status st = s->Apply(req.update);
-      if (st.ok()) conn->in_txn = true;
       return st.ok() ? Response::Ok() : Response::Error(st.ToString());
     }
     case ReqType::kCommit: {
-      conn->in_txn = false;
       Status st = s->Commit();
       return st.ok() ? Response::Ok() : Response::Error(st.ToString());
     }
     case ReqType::kAbort: {
       conn->shed_txn = false;
-      conn->in_txn = false;
       Status st = s->Abort();
       return st.ok() ? Response::Ok() : Response::Error(st.ToString());
     }

@@ -72,7 +72,6 @@ class SpanCollector {
         next_id_(ctx.parent_span_id + 1) {}
 
   bool active() const { return ctx_.trace_id != 0; }
-  const TraceContext& context() const { return ctx_; }
 
   /// Opens a span (start stamped now). Returns its id, or 0 when the
   /// collector is inactive or full.

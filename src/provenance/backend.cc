@@ -352,9 +352,11 @@ size_t ProvBackend::PhysicalBytes() const { return prov_->PhysicalBytes(); }
 
 int64_t ProvBackend::MaxTid() const {
   // The largest (Tid, Loc) key leads with the largest Tid: one O(log n)
-  // rightmost descent per index, no heap reads. TxnMeta is consulted too
-  // — a committed tid can outlive its Prov rows (deletion patterns prune
-  // them; a transaction may record only metadata) and must not be reused.
+  // rightmost descent per index, no heap reads. TxnMeta is consulted too:
+  // Prov is append-only, but a committed transaction may have written no
+  // Prov row (an H insert whose provenance is inferable, or a T/HT
+  // transaction whose net effect is empty) and recorded only metadata,
+  // and its tid must not be reused.
   int64_t max_tid = 0;
   auto last_prov = prov_->LastKey("pk_tid_loc");
   if (last_prov.ok()) max_tid = (*last_prov)[0].AsInt();

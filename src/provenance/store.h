@@ -125,9 +125,6 @@ class ProvStore {
   /// Tid of the last committed transaction (tnow for queries).
   int64_t LastCommittedTid() const { return last_tid_; }
 
-  /// Tid that the next (or current open) transaction will commit as.
-  int64_t CurrentTid() const { return next_tid_; }
-
   /// First tid ever used by this store.
   int64_t FirstTid() const { return first_tid_committed_; }
 
@@ -135,9 +132,8 @@ class ProvStore {
   size_t PhysicalBytes() const { return backend_->PhysicalBytes(); }
   ProvBackend* backend() { return backend_; }
 
-  /// Routes tid allocation through `alloc` (service sessions). With an
-  /// allocator set, CurrentTid() is only a lower bound — the engine hands
-  /// out the real number when the transaction applies.
+  /// Routes tid allocation through `alloc` (service sessions): the engine
+  /// hands out the real number when the transaction applies.
   void set_tid_allocator(TidAllocator alloc) {
     tid_allocator_ = std::move(alloc);
   }

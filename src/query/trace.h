@@ -44,14 +44,8 @@ struct TraceResult {
 /// they stay under it and reported as external when they leave.
 class QueryEngine {
  public:
-  /// `universe` (optional) lets GetMod enumerate current descendants for
-  /// hierarchical stores ("each query must process all the descendants of
-  /// a node, including ones not listed in the provenance store").
-  QueryEngine(provenance::ProvStore* store, tree::Path target_root,
-              const tree::Tree* universe = nullptr)
-      : store_(store),
-        target_root_(std::move(target_root)),
-        universe_(universe) {}
+  QueryEngine(provenance::ProvStore* store, tree::Path target_root)
+      : store_(store), target_root_(std::move(target_root)) {}
 
   /// Full backwards walk from the data currently at `p`, as of the newest
   /// transaction this view sees: the backend's read watermark when one is
@@ -120,7 +114,6 @@ class QueryEngine {
 
   provenance::ProvStore* store_;
   tree::Path target_root_;
-  const tree::Tree* universe_;
   obs::SpanCollector* tracer_ = nullptr;
   uint64_t tracer_parent_ = 0;
 };

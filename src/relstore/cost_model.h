@@ -44,10 +44,6 @@ struct CostSnapshot {
   size_t rows = 0;
   size_t write_calls = 0;
   size_t write_rows = 0;
-  /// Durability counters (zero for in-memory stores): fsync barriers
-  /// issued and bytes appended to the write-ahead log.
-  size_t fsyncs = 0;
-  size_t log_bytes = 0;
 };
 
 /// Accumulates simulated interaction time for one store.
@@ -86,15 +82,10 @@ class CostModel {
   /// Charges pure local CPU work (no round trip), e.g. provlist upkeep.
   void ChargeLocal(double micros) { clock_.Advance(micros); }
 
-  /// Records `bytes` appended to the write-ahead log. No clock charge of
-  /// its own: the log append rides the commit's fsync barrier below.
-  void ChargeLog(size_t bytes) { log_bytes_ += bytes; }
-
-  /// Charges one fsync barrier (durable group commit).
-  void ChargeFsync() {
-    ++fsyncs_;
-    clock_.Advance(params_.fsync_us);
-  }
+  /// Charges one fsync barrier's modelled time (durable group commit). The
+  /// barriers themselves, and the log bytes they cover, are counted once,
+  /// in storage::DurabilityStats.
+  void ChargeFsync() { clock_.Advance(params_.fsync_us); }
 
   double ElapsedMicros() const { return clock_.ElapsedMicros(); }
   double ElapsedMillis() const { return clock_.ElapsedMillis(); }
@@ -102,12 +93,10 @@ class CostModel {
   size_t RowsMoved() const { return rows_; }
   size_t WriteCalls() const { return write_calls_; }
   size_t WriteRows() const { return write_rows_; }
-  size_t Fsyncs() const { return fsyncs_; }
-  size_t LogBytes() const { return log_bytes_; }
 
   CostSnapshot Snap() const {
     return {clock_.ElapsedMicros(), calls_, rows_, write_calls_,
-            write_rows_, fsyncs_, log_bytes_};
+            write_rows_};
   }
 
   void Reset() {
@@ -116,8 +105,6 @@ class CostModel {
     rows_ = 0;
     write_calls_ = 0;
     write_rows_ = 0;
-    fsyncs_ = 0;
-    log_bytes_ = 0;
   }
 
   const CostParams& params() const { return params_; }
@@ -130,8 +117,6 @@ class CostModel {
   size_t rows_ = 0;
   size_t write_calls_ = 0;
   size_t write_rows_ = 0;
-  size_t fsyncs_ = 0;
-  size_t log_bytes_ = 0;
 };
 
 /// Race-free accumulator of CostSnapshots from many threads — the
@@ -156,8 +141,6 @@ class CostAggregate {
     rows_.fetch_add(s.rows, std::memory_order_relaxed);
     write_calls_.fetch_add(s.write_calls, std::memory_order_relaxed);
     write_rows_.fetch_add(s.write_rows, std::memory_order_relaxed);
-    fsyncs_.fetch_add(s.fsyncs, std::memory_order_relaxed);
-    log_bytes_.fetch_add(s.log_bytes, std::memory_order_relaxed);
   }
 
   CostSnapshot Snap() const {
@@ -167,8 +150,6 @@ class CostAggregate {
     s.rows = rows_.load(std::memory_order_relaxed);
     s.write_calls = write_calls_.load(std::memory_order_relaxed);
     s.write_rows = write_rows_.load(std::memory_order_relaxed);
-    s.fsyncs = fsyncs_.load(std::memory_order_relaxed);
-    s.log_bytes = log_bytes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -178,8 +159,6 @@ class CostAggregate {
     rows_.store(0, std::memory_order_relaxed);
     write_calls_.store(0, std::memory_order_relaxed);
     write_rows_.store(0, std::memory_order_relaxed);
-    fsyncs_.store(0, std::memory_order_relaxed);
-    log_bytes_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -196,8 +175,6 @@ class CostAggregate {
   std::atomic<uint64_t> rows_{0};
   std::atomic<uint64_t> write_calls_{0};
   std::atomic<uint64_t> write_rows_{0};
-  std::atomic<uint64_t> fsyncs_{0};
-  std::atomic<uint64_t> log_bytes_{0};
 };
 
 }  // namespace cpdb::relstore

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/crc32.h"
+
 namespace cpdb::relstore {
 
 const char* ColumnTypeName(ColumnType t) {
@@ -28,23 +30,6 @@ std::string Datum::ToString() const {
   return AsString();
 }
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-bool GetU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (*pos + 4 > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-}  // namespace
-
 void Datum::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(v_.index()));
   if (is_int()) {
@@ -58,7 +43,7 @@ void Datum::EncodeTo(std::string* out) const {
     std::memcpy(buf, &v, 8);
     out->append(buf, 8);
   } else if (is_string()) {
-    PutU32(out, static_cast<uint32_t>(AsString().size()));
+    PutFixed32(out, static_cast<uint32_t>(AsString().size()));
     out->append(AsString());
   }
 }
@@ -88,7 +73,7 @@ bool Datum::DecodeFrom(const std::string& in, size_t* pos, Datum* out) {
     }
     case 3: {
       uint32_t len;
-      if (!GetU32(in, pos, &len)) return false;
+      if (!GetFixed32(in, pos, &len)) return false;
       if (*pos + len > in.size()) return false;
       *out = Datum(in.substr(*pos, len));
       *pos += len;
@@ -114,7 +99,7 @@ std::string RowToString(const Row& row) {
 }
 
 void EncodeRow(const Row& row, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(row.size()));
+  PutFixed32(out, static_cast<uint32_t>(row.size()));
   for (const Datum& d : row) d.EncodeTo(out);
 }
 
@@ -130,7 +115,7 @@ size_t EncodedRowSize(const Row& row) {
 
 bool DecodeRow(const std::string& in, size_t* pos, Row* out) {
   uint32_t n;
-  if (!GetU32(in, pos, &n)) return false;
+  if (!GetFixed32(in, pos, &n)) return false;
   if (n > in.size() - *pos) return false;  // every datum is >= 1 byte
   out->clear();
   out->reserve(n);

@@ -164,6 +164,9 @@ class SessionPool {
   /// matching a curator closing their editor mid-edit.
   void Release(std::unique_ptr<Session> session) CPDB_EXCLUDES(mu_);
 
+  /// The strategy every session of this pool curates under.
+  provenance::Strategy strategy() const { return options_.strategy; }
+
  private:
   Result<std::unique_ptr<Session>> Build() CPDB_EXCLUDES(mu_, build_mu_);
 

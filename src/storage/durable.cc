@@ -154,7 +154,6 @@ Status Durability::SyncLocked() {
   ++stats_.commits;
   ++stats_.fsyncs;
   stats_.log_bytes += framed;
-  db_->cost().ChargeLog(framed);
   db_->cost().ChargeFsync();
   return Status::OK();
 }

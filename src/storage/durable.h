@@ -15,9 +15,11 @@
 
 namespace cpdb::storage {
 
-/// Counters of one durability engine's session (see also the CostModel's
-/// fsync/log-bytes counters, which benches difference the same way they
-/// difference round trips).
+/// Counters of one durability engine's session: the only count of WAL
+/// records, fsync barriers and log bytes. The registry's
+/// cpdb_fsyncs_total and cpdb_log_bytes_total read it, and benches and
+/// tests difference it the way they difference the CostModel's round
+/// trips (an in-memory database has no engine and counts 0).
 struct DurabilityStats {
   uint64_t last_seq = 0;        ///< newest durable commit sequence
   size_t commits = 0;           ///< log records appended this session

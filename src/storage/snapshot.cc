@@ -40,10 +40,7 @@ Status WriteSnapshot(const relstore::Database& db, uint64_t seq,
 
   std::string file(kMagic, sizeof kMagic);
   file += body;
-  uint32_t crc = Crc32(body);
-  char crc_buf[4];
-  std::memcpy(crc_buf, &crc, 4);
-  file.append(crc_buf, 4);
+  PutFixed32(&file, Crc32(body));
 
   // Temp-write + fsync + atomic rename: a crash at any point leaves
   // either the old checkpoint or the new one, never a torn file.
@@ -93,9 +90,9 @@ Result<uint64_t> LoadSnapshot(relstore::Database* db,
   }
   const std::string body = file.substr(
       sizeof kMagic, file.size() - sizeof kMagic - 4);
+  size_t crc_pos = file.size() - 4;
   uint32_t stored_crc;
-  std::memcpy(&stored_crc, file.data() + file.size() - 4, 4);
-  if (Crc32(body) != stored_crc) {
+  if (!GetFixed32(file, &crc_pos, &stored_crc) || Crc32(body) != stored_crc) {
     return Status::Internal("checkpoint '" + path + "' fails its checksum");
   }
 

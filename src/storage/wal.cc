@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "util/crc32.h"
 
@@ -17,12 +16,6 @@ namespace {
 Status Errno(const std::string& what, const std::string& path) {
   return Status::Internal(what + " '" + path +
                           "': " + std::strerror(errno));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
 }
 
 }  // namespace
@@ -79,10 +72,7 @@ Status Wal::Append(const std::string& payload, size_t* framed_bytes) {
   }
   const double start_us = append_us_ ? obs::NowMicros() : 0;
   std::string frame;
-  frame.reserve(payload.size() + kMaxVarint64Bytes + 4);
-  PutVarint64(&frame, payload.size());
-  PutU32(&frame, Crc32(payload));
-  frame.append(payload);
+  EncodeFrame(payload, &frame);
   size_t off = 0;
   while (off < frame.size()) {
     ssize_t n = ::write(fd_, frame.data() + off, frame.size() - off);
@@ -100,7 +90,6 @@ Status Wal::Append(const std::string& payload, size_t* framed_bytes) {
     off += static_cast<size_t>(n);
   }
   file_size_ += frame.size();
-  appended_bytes_ += frame.size();
   if (framed_bytes != nullptr) *framed_bytes = frame.size();
   if (append_us_) append_us_->Record(obs::NowMicros() - start_us);
   return Status::OK();
@@ -112,7 +101,6 @@ Status Wal::Sync() {
   const double start_us = fsync_us_ ? obs::NowMicros() : 0;
   if (::fsync(fd_) != 0) return Errno("WAL fsync failed", path_);
   if (fsync_us_) fsync_us_->Record(obs::NowMicros() - start_us);
-  ++sync_count_;
   return Status::OK();
 }
 
@@ -123,68 +111,53 @@ Status Wal::TruncateAll() {
   file_size_ = 0;
   poisoned_ = false;  // a fresh, empty log is clean again
   if (::fsync(fd_) != 0) return Errno("WAL fsync failed", path_);
-  ++sync_count_;
   return Status::OK();
 }
 
 Result<size_t> Wal::Replay(
     const std::string& path,
     const std::function<Status(const std::string&)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return size_t{0};  // no log yet: nothing to replay
-  in.seekg(0, std::ios::end);
-  const size_t file_size = static_cast<size_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  size_t consumed = 0;  // end offset of the last fully verified record
-  size_t records = 0;
-  // One record buffer, reused: recovery memory is bounded by the largest
-  // record, not the log size (a session that never checkpoints can grow
-  // the log without bound).
-  std::string payload;
-  std::string header;
-  while (consumed < file_size) {
-    // Pull the length's bytes off the stream, then decode them with the
-    // one canonical varint decoder — the replay loop must never drift
-    // from the encoder's wire contract.
-    header.clear();
-    while (header.size() < kMaxVarint64Bytes) {
-      int c = in.get();
-      if (c == std::char_traits<char>::eof()) break;  // torn length
-      header.push_back(static_cast<char>(c));
-      if ((c & 0x80) == 0) break;
-    }
-    uint64_t len;
-    size_t header_pos = 0;
-    if (!GetVarint64(header, &header_pos, &len) ||
-        header_pos != header.size()) {
-      break;  // torn or overlong length varint
-    }
-    char crc_buf[4];
-    if (!in.read(crc_buf, 4)) break;  // torn header
-    uint32_t crc;
-    std::memcpy(&crc, crc_buf, 4);
-    const size_t body_off = consumed + header.size() + 4;
-    // Also guards the resize below against an absurd corrupt length.
-    if (len > file_size - body_off) break;  // torn payload
-    payload.resize(len);
-    if (len > 0 &&
-        !in.read(payload.data(), static_cast<std::streamsize>(len))) {
-      break;
-    }
-    if (Crc32(payload) != crc) break;  // corrupt payload
-    CPDB_RETURN_IF_ERROR(fn(payload));
-    consumed = body_off + len;
-    ++records;
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return size_t{0};  // no log yet: nothing to replay
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Errno("cannot stat WAL", path);
   }
-  in.close();
-  if (consumed < file_size) {
-    // Torn or corrupt tail: cut the file back to the last good commit so
-    // subsequent appends extend a clean log. Anything past the first bad
-    // frame is unreachable anyway (frames only parse in sequence).
-    if (::truncate(path.c_str(), static_cast<off_t>(consumed)) != 0) {
-      return Errno("WAL tail truncate failed", path);
+  const auto file_size = static_cast<uint64_t>(st.st_size);
+  // The log's own size bounds a record: one cohort's record can be larger
+  // than any wire frame. Reading in chunks keeps recovery memory to the
+  // record being decoded (buffered, and its payload handed to fn) plus one
+  // chunk, however long a log that never checkpoints grew.
+  FrameReader reader(file_size);
+  std::string chunk(kReplayChunkBytes, '\0');
+  std::string payload;
+  size_t records = 0;
+  Status failed;
+  for (;;) {
+    const FrameReader::Event ev = reader.Next(&payload);
+    if (ev == FrameReader::Event::kFrame) {
+      failed = fn(payload);
+      if (!failed.ok()) break;
+      ++records;
+      continue;
     }
+    // A torn or corrupt frame, or a length past the file, ends the log.
+    if (ev != FrameReader::Event::kNeedMore) break;
+    ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) failed = Errno("WAL read failed", path);
+    if (n <= 0) break;
+    reader.Append(chunk.data(), static_cast<size_t>(n));
+  }
+  ::close(fd);
+  CPDB_RETURN_IF_ERROR(failed);
+  // Torn or corrupt tail: cut the file back to the last good commit so
+  // subsequent appends extend a clean log. Anything past the first bad
+  // frame is unreachable anyway (frames only parse in sequence).
+  if (reader.consumed() < file_size &&
+      ::truncate(path.c_str(), static_cast<off_t>(reader.consumed())) != 0) {
+    return Errno("WAL tail truncate failed", path);
   }
   return records;
 }

@@ -11,10 +11,10 @@
 
 namespace cpdb::storage {
 
-/// Append-only write-ahead log file with checksummed, length-prefixed
-/// framing:
+/// Append-only write-ahead log file of checksummed, length-prefixed
+/// records, each one frame of the shared codec (util/crc32.h):
 ///
-///   record := varint(payload_len) | u32 crc32(payload) | payload
+///   record := varint(payload_len) | fixed32 crc32(payload) | payload
 ///
 /// One framed record per committed transaction (group commit): the caller
 /// encodes everything the transaction changed into one payload, Append()s
@@ -62,19 +62,11 @@ class Wal {
   /// first. Idempotent.
   void Close() CPDB_EXCLUDES(mu_);
 
-  size_t AppendedBytes() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return appended_bytes_;
-  }
-  size_t SyncCount() const CPDB_EXCLUDES(mu_) {
-    MutexLock l(mu_);
-    return sync_count_;
-  }
-
   /// Wires latency histograms onto the write path: every Append records
-  /// its wall time into `append_us`, every fsync (Sync and TruncateAll's
-  /// barrier) into `fsync_us`. Either may be null (unmetered). Owned by
-  /// the caller's registry, which must outlive the log.
+  /// its wall time into `append_us`, every Sync its fsync into
+  /// `fsync_us`; TruncateAll's fsync is not timed. Either may be null
+  /// (unmetered). Owned by the caller's registry, which must outlive the
+  /// log.
   void SetMetricSinks(obs::Histogram* append_us, obs::Histogram* fsync_us)
       CPDB_EXCLUDES(mu_) {
     MutexLock l(mu_);
@@ -87,9 +79,13 @@ class Wal {
   /// at the first torn or corrupt frame and truncates the file to the
   /// last good record boundary. Returns the number of records surfaced,
   /// or the first error `fn` reported. A missing file replays 0 records.
+  /// The log is read kReplayChunkBytes at a time into one FrameReader
+  /// bounded by the file's size, so a record of any length replays.
   static Result<size_t> Replay(
       const std::string& path,
       const std::function<Status(const std::string&)>& fn);
+
+  static constexpr size_t kReplayChunkBytes = 64u << 10;
 
  private:
   Wal(int fd, std::string path, size_t file_size)
@@ -101,8 +97,6 @@ class Wal {
   /// Last known-good record boundary.
   size_t file_size_ CPDB_GUARDED_BY(mu_) = 0;
   bool poisoned_ CPDB_GUARDED_BY(mu_) = false;
-  size_t appended_bytes_ CPDB_GUARDED_BY(mu_) = 0;
-  size_t sync_count_ CPDB_GUARDED_BY(mu_) = 0;
   obs::Histogram* append_us_ CPDB_GUARDED_BY(mu_) = nullptr;
   obs::Histogram* fsync_us_ CPDB_GUARDED_BY(mu_) = nullptr;
 };

@@ -74,8 +74,6 @@ class Tree {
 
   /// Sets the leaf value. Fails if this node has children.
   Status SetValue(Value v);
-  /// Removes the leaf value (node becomes the empty tree if childless).
-  void ClearValue() { value_.reset(); }
 
   bool HasChildren() const { return !children_.empty(); }
   size_t ChildCount() const { return children_.size(); }

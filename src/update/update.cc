@@ -4,18 +4,6 @@
 
 namespace cpdb::update {
 
-const char* OpKindName(OpKind k) {
-  switch (k) {
-    case OpKind::kInsert:
-      return "insert";
-    case OpKind::kDelete:
-      return "delete";
-    case OpKind::kCopy:
-      return "copy";
-  }
-  return "?";
-}
-
 Update Update::Insert(tree::Path p, std::string a,
                       std::optional<tree::Value> v) {
   Update u;

@@ -20,8 +20,6 @@ enum class OpKind {
   kCopy,
 };
 
-const char* OpKindName(OpKind k);
-
 /// One atomic update.
 ///
 /// All paths are *absolute* within a universe tree whose top-level edges

@@ -69,4 +69,47 @@ bool GetLengthPrefixed(const std::string& in, size_t* pos, std::string* out) {
   return true;
 }
 
+void EncodeFrame(const std::string& payload, std::string* out) {
+  out->reserve(out->size() + payload.size() + kMaxVarint64Bytes + 4);
+  PutVarint64(out, payload.size());
+  PutFixed32(out, Crc32(payload));
+  out->append(payload);
+}
+
+void FrameReader::Append(const char* data, size_t n) {
+  // Drop the decoded prefix first, so a long pipelined stream (or a whole
+  // log) never accumulates in the buffer.
+  buf_.erase(0, pos_);
+  pos_ = 0;
+  buf_.append(data, n);
+}
+
+FrameReader::Event FrameReader::Next(std::string* payload) {
+  if (poisoned_) return poison_event_;
+  size_t p = pos_;
+  uint64_t len;
+  uint32_t crc;
+  if (!GetVarint64(buf_, &p, &len)) {
+    // A varint never spans more than kMaxVarint64Bytes: if that many
+    // bytes are buffered and it still does not parse, the prefix is
+    // garbage, not a short read.
+    if (buffered() < kMaxVarint64Bytes) return Event::kNeedMore;
+    poison_event_ = Event::kMalformed;
+  } else if (len > max_payload_) {
+    poison_event_ = Event::kTooLarge;
+  } else if (!GetFixed32(buf_, &p, &crc) || buf_.size() - p < len) {
+    return Event::kNeedMore;
+  } else {
+    payload->assign(buf_, p, len);
+    if (Crc32(*payload) == crc) {
+      consumed_ += p + len - pos_;
+      pos_ = p + len;
+      return Event::kFrame;
+    }
+    poison_event_ = Event::kBadCrc;
+  }
+  poisoned_ = true;
+  return poison_event_;
+}
+
 }  // namespace cpdb

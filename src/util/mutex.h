@@ -25,7 +25,6 @@ class CPDB_CAPABILITY("mutex") Mutex {
 
   void Lock() CPDB_ACQUIRE() { mu_.lock(); }
   void Unlock() CPDB_RELEASE() { mu_.unlock(); }
-  bool TryLock() CPDB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

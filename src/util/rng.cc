@@ -61,13 +61,4 @@ bool Rng::NextBool(double p) {
   return NextDouble() < p;
 }
 
-std::string Rng::NextIdent(size_t length) {
-  std::string out;
-  out.reserve(length);
-  for (size_t i = 0; i < length; ++i) {
-    out.push_back(static_cast<char>('a' + NextBelow(26)));
-  }
-  return out;
-}
-
 }  // namespace cpdb

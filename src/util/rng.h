@@ -31,9 +31,6 @@ class Rng {
   /// True with probability p (clamped to [0,1]).
   bool NextBool(double p = 0.5);
 
-  /// Random lowercase identifier of the given length, e.g. "qzkfam".
-  std::string NextIdent(size_t length);
-
   /// Picks a uniformly random element index of a non-empty container size.
   size_t NextIndex(size_t size) { return static_cast<size_t>(NextBelow(size)); }
 

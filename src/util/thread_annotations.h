@@ -26,7 +26,6 @@
 //   CPDB_ACQUIRE_SHARED(mu)    on a function: acquires mu shared
 //   CPDB_RELEASE(mu)           on a function: releases mu (either mode)
 //   CPDB_RELEASE_SHARED(mu)    on a function: releases a shared hold
-//   CPDB_TRY_ACQUIRE(ok, mu)   on a function: acquires mu iff it returns ok
 //   CPDB_EXCLUDES(mu)          on a function: caller must NOT hold mu
 //   CPDB_ASSERT_CAPABILITY(mu) on a function: asserts mu is held at runtime
 //   CPDB_RETURN_CAPABILITY(mu) on a function: returns a reference to mu
@@ -74,9 +73,6 @@
 
 #define CPDB_RELEASE_GENERIC(...) \
   CPDB_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
-
-#define CPDB_TRY_ACQUIRE(...) \
-  CPDB_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 
 #define CPDB_EXCLUDES(...) CPDB_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 

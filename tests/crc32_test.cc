@@ -121,5 +121,136 @@ TEST(LengthPrefixedTest, TruncatedPayloadFails) {
   EXPECT_EQ(pos, 0u);
 }
 
+// ----- Frame codec -----------------------------------------------------------
+
+/// A bound on one frame's payload for the reader tests.
+constexpr size_t kBound = 8u << 20;
+
+/// `payload` as one frame.
+std::string Framed(const std::string& payload) {
+  std::string out;
+  EncodeFrame(payload, &out);
+  return out;
+}
+
+TEST(FrameTest, RoundTripsPayloads) {
+  for (const std::string& payload :
+       {std::string(), std::string("x"), std::string(1000, 'q'),
+        std::string("\x00\xff\x7f", 3)}) {
+    FrameReader reader(kBound);
+    std::string wire = Framed(payload);
+    reader.Append(wire.data(), wire.size());
+    std::string got;
+    ASSERT_EQ(reader.Next(&got), FrameReader::Event::kFrame);
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(reader.Next(&got), FrameReader::Event::kNeedMore);
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
+}
+
+TEST(FrameTest, ReassemblesTornDelivery) {
+  // Feed a pipelined pair of frames one byte at a time: every prefix is a
+  // legal torn read and must parse to exactly the two payloads.
+  std::string wire = Framed("first payload") + Framed("second");
+  FrameReader reader(kBound);
+  std::vector<std::string> got;
+  std::string payload;
+  for (char c : wire) {
+    reader.Append(&c, 1);
+    while (reader.Next(&payload) == FrameReader::Event::kFrame) {
+      got.push_back(payload);
+    }
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], "first payload");
+  EXPECT_EQ(got[1], "second");
+}
+
+TEST(FrameTest, BitFlipFailsCrcAndPoisons) {
+  std::string wire = Framed("the payload under test");
+  wire[wire.size() - 3] ^= 0x20;  // flip one payload bit
+  FrameReader reader(kBound);
+  reader.Append(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kBadCrc);
+  // Terminal: even appending a pristine frame cannot revive the stream.
+  std::string good = Framed("good");
+  reader.Append(good.data(), good.size());
+  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kBadCrc);
+}
+
+TEST(FrameTest, OversizedLengthRejectedWithoutAllocating) {
+  std::string wire;
+  PutVarint64(&wire, kBound + 1);
+  wire += std::string(4, '\0');
+  FrameReader reader(kBound);
+  reader.Append(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kTooLarge);
+}
+
+TEST(FrameTest, GarbageVarintIsMalformed) {
+  std::string wire(kMaxVarint64Bytes + 2, '\xff');
+  FrameReader reader(kBound);
+  reader.Append(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kMalformed);
+}
+
+TEST(FrameTest, GoldenBytes) {
+  // varint(3) | crc32("abc") = 0x352441C2, least significant byte first |
+  // "abc".
+  EXPECT_EQ(Framed("abc"), std::string("\x03\xc2\x41\x24\x35" "abc", 8));
+}
+
+TEST(FrameTest, ConsumedCountsWholeFramesOnly) {
+  const std::string first = Framed("first");
+  const std::string wire = first + Framed("second");
+  FrameReader reader(kBound);
+  reader.Append(wire.data(), wire.size() - 1);
+  std::string payload;
+  ASSERT_EQ(reader.Next(&payload), FrameReader::Event::kFrame);
+  EXPECT_EQ(reader.consumed(), first.size());
+  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kNeedMore);
+  EXPECT_EQ(reader.consumed(), first.size());
+  reader.Append(&wire.back(), 1);
+  ASSERT_EQ(reader.Next(&payload), FrameReader::Event::kFrame);
+  EXPECT_EQ(payload, "second");
+  EXPECT_EQ(reader.consumed(), wire.size());
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+TEST(FrameTest, BoundIsTheReadersOwn) {
+  // The same frame is kTooLarge or a frame depending only on the bound
+  // its reader was built with.
+  const std::string wire = Framed(std::string(100, 'x'));
+  FrameReader tight(99);
+  tight.Append(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_EQ(tight.Next(&payload), FrameReader::Event::kTooLarge);
+  EXPECT_EQ(tight.consumed(), 0u);
+  FrameReader exact(100);
+  exact.Append(wire.data(), wire.size());
+  EXPECT_EQ(exact.Next(&payload), FrameReader::Event::kFrame);
+}
+
+TEST(Fixed32Test, LittleEndianRoundTripAndTruncation) {
+  std::string buf;
+  PutFixed32(&buf, 0x01020304u);
+  PutFixed32(&buf, 0xFFFFFFFFu);
+  EXPECT_EQ(buf.substr(0, 4), std::string("\x04\x03\x02\x01", 4));
+  size_t pos = 0;
+  uint32_t a = 0, b = 0, c = 0;
+  ASSERT_TRUE(GetFixed32(buf, &pos, &a));
+  ASSERT_TRUE(GetFixed32(buf, &pos, &b));
+  EXPECT_EQ(a, 0x01020304u);
+  EXPECT_EQ(b, 0xFFFFFFFFu);
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_FALSE(GetFixed32(buf, &pos, &c));
+  pos = buf.size() - 3;
+  EXPECT_FALSE(GetFixed32(buf, &pos, &c));
+  EXPECT_EQ(pos, buf.size() - 3);
+}
+
 }  // namespace
 }  // namespace cpdb

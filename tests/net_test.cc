@@ -44,7 +44,6 @@ namespace cpdb {
 namespace {
 
 using net::Client;
-using net::FrameReader;
 using net::Request;
 using net::RespCode;
 using net::Response;
@@ -57,76 +56,11 @@ using tree::Path;
 using tree::Value;
 using update::Update;
 
-// ----- Frame unit tests ------------------------------------------------------
-
+/// `payload` as one wire frame.
 std::string Framed(const std::string& payload) {
   std::string out;
-  net::EncodeFrame(payload, &out);
+  EncodeFrame(payload, &out);
   return out;
-}
-
-TEST(FrameTest, RoundTripsPayloads) {
-  for (const std::string& payload :
-       {std::string(), std::string("x"), std::string(1000, 'q'),
-        std::string("\x00\xff\x7f", 3)}) {
-    FrameReader reader;
-    std::string wire = Framed(payload);
-    reader.Append(wire.data(), wire.size());
-    std::string got;
-    ASSERT_EQ(reader.Next(&got), FrameReader::Event::kFrame);
-    EXPECT_EQ(got, payload);
-    EXPECT_EQ(reader.Next(&got), FrameReader::Event::kNeedMore);
-    EXPECT_EQ(reader.buffered(), 0u);
-  }
-}
-
-TEST(FrameTest, ReassemblesTornDelivery) {
-  // Feed a pipelined pair of frames one byte at a time: every prefix is a
-  // legal torn read and must parse to exactly the two payloads.
-  std::string wire = Framed("first payload") + Framed("second");
-  FrameReader reader;
-  std::vector<std::string> got;
-  std::string payload;
-  for (char c : wire) {
-    reader.Append(&c, 1);
-    while (reader.Next(&payload) == FrameReader::Event::kFrame) {
-      got.push_back(payload);
-    }
-  }
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], "first payload");
-  EXPECT_EQ(got[1], "second");
-}
-
-TEST(FrameTest, BitFlipFailsCrcAndPoisons) {
-  std::string wire = Framed("the payload under test");
-  wire[wire.size() - 3] ^= 0x20;  // flip one payload bit
-  FrameReader reader;
-  reader.Append(wire.data(), wire.size());
-  std::string payload;
-  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kBadCrc);
-  // Terminal: even appending a pristine frame cannot revive the stream.
-  std::string good = Framed("good");
-  reader.Append(good.data(), good.size());
-  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kBadCrc);
-}
-
-TEST(FrameTest, OversizedLengthRejectedWithoutAllocating) {
-  std::string wire;
-  PutVarint64(&wire, net::kMaxFramePayload + 1);
-  wire += std::string(4, '\0');
-  FrameReader reader;
-  reader.Append(wire.data(), wire.size());
-  std::string payload;
-  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kTooLarge);
-}
-
-TEST(FrameTest, GarbageVarintIsMalformed) {
-  std::string wire(kMaxVarint64Bytes + 2, '\xff');
-  FrameReader reader;
-  reader.Append(wire.data(), wire.size());
-  std::string payload;
-  EXPECT_EQ(reader.Next(&payload), FrameReader::Event::kMalformed);
 }
 
 // ----- Protocol unit tests ---------------------------------------------------
@@ -164,8 +98,7 @@ TEST(ProtocolTest, RequestRoundTrip) {
 TEST(ProtocolTest, ResponseRoundTrip) {
   for (const Response& resp :
        {Response::Ok(), Response::Ok("body text"),
-        Response::Error("it broke"), Response::Retry("busy"),
-        Response::Draining("bye")}) {
+        Response::Error("it broke"), Response::Retry("busy")}) {
     std::string wire;
     net::EncodeResponse(resp, &wire);
     auto back = net::DecodeResponse(wire);
@@ -187,6 +120,8 @@ TEST(ProtocolTest, DecodersAreStrict) {
   net::EncodeResponse(Response::Ok("abc"), &resp);
   EXPECT_FALSE(net::DecodeResponse(resp + "y").ok());
   EXPECT_FALSE(net::DecodeResponse("\x09").ok());  // out-of-range code
+  // Code 3 named DRAINING, which no server sends: refused like code 9.
+  EXPECT_FALSE(net::DecodeResponse(std::string("\x03\x00", 2)).ok());
 }
 
 TEST(ProtocolTest, RetiredTagIsRejectedLikeAnUnknownOne) {
@@ -490,7 +425,7 @@ TEST(NetServerTest, PipelinedResponsesArriveInOrder) {
 void ExpectErrorThenClose(NetRig* rig, const std::string& bytes) {
   int fd = RawConnect(rig->port());
   ASSERT_TRUE(net::WriteRaw(fd, bytes).ok());
-  FrameReader reader;
+  FrameReader reader(net::kMaxFramePayload);
   std::string payload;
   Status st = net::ReadFrame(fd, &reader, &payload);
   ASSERT_TRUE(st.ok()) << st.ToString();
@@ -552,7 +487,7 @@ TEST(NetRobustnessTest, ViolationMidPipelineNeverPartiallyApplies) {
   std::string apply;
   net::EncodeRequest(Request::Apply(Update::Insert(table, "torn")), &apply);
   ASSERT_TRUE(net::WriteRaw(fd, Framed(apply) + std::string(64, '\xff')).ok());
-  FrameReader reader;
+  FrameReader reader(net::kMaxFramePayload);
   std::string payload;
   ASSERT_TRUE(net::ReadFrame(fd, &reader, &payload).ok());
   auto first = net::DecodeResponse(payload);
@@ -707,6 +642,108 @@ TEST(NetServerTest, OverloadShedsWholeTransactionsWithRetry) {
   EXPECT_NE(got->find("b1"), std::string::npos);
 }
 
+/// A per-op (strategy H) rig whose commit queue sheds as soon as any
+/// committer waits.
+NetRig PerOpSheddingRig() {
+  ServerOptions opts;
+  opts.max_queue_depth = 0;
+  service::SessionOptions sopts;
+  sopts.strategy = provenance::Strategy::kHierarchical;
+  return NetRig("", opts, sopts);
+}
+
+/// Parks `leader`'s APPLY in its seal and queues `follower`'s behind it,
+/// so the commit queue stays at depth 1 until the stall is released.
+void ParkLeaderAndQueueFollower(NetRig* rig, LeaderStall* stall,
+                                Client* leader, Client* follower) {
+  const Path table = Path::MustParse("T/data");
+  ASSERT_TRUE(leader->Send(Request::Apply(Update::Insert(table, "l1"))).ok());
+  ASSERT_TRUE(stall->WaitStalled());
+  ASSERT_TRUE(
+      follower->Send(Request::Apply(Update::Insert(table, "f1"))).ok());
+  for (int i = 0; i < 500 && rig->engine->CommitQueueDepth() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(rig->engine->CommitQueueDepth(), 1u);
+}
+
+TEST(NetServerTest, PerOpShedEndsWithItsApply) {
+  // Under N/H every APPLY is a whole transaction, so a shed one leaves
+  // nothing open: once the queue drains, the next APPLY is admitted
+  // without a COMMIT or ABORT first.
+  NetRig rig = PerOpSheddingRig();
+  const Path table = Path::MustParse("T/data");
+  Client a, b, c;
+  for (Client* client : {&a, &b, &c}) {
+    ASSERT_TRUE(client->Connect("127.0.0.1", rig.port()).ok());
+  }
+  // Lease A's and B's sessions before the stall (see
+  // OverloadShedsWholeTransactionsWithRetry); C stays fresh.
+  ASSERT_TRUE(a.Get(table).ok());
+  ASSERT_TRUE(b.Get(table).ok());
+  LeaderStall stall(&rig);
+  ASSERT_NO_FATAL_FAILURE(ParkLeaderAndQueueFollower(&rig, &stall, &a, &b));
+  auto shed = c.Call(Request::Apply(Update::Insert(table, "c1")));
+  ASSERT_TRUE(shed.ok());
+  EXPECT_EQ(shed->code, RespCode::kRetry) << shed->body;
+
+  stall.Release();
+  for (Client* stalled : {&a, &b}) {
+    auto resp = stalled->Recv();
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->code, RespCode::kOk) << resp->body;
+  }
+  rig.engine->commit_queue().set_test_hooks({});
+  ASSERT_EQ(rig.engine->CommitQueueDepth(), 0u);
+
+  auto retried = c.Call(Request::Apply(Update::Insert(table, "c1")));
+  ASSERT_TRUE(retried.ok());
+  EXPECT_EQ(retried->code, RespCode::kOk) << retried->body;
+  auto got = c.Get(table);
+  ASSERT_TRUE(got.ok());
+  EXPECT_NE(got->find("c1"), std::string::npos) << *got;
+}
+
+TEST(NetServerTest, PerOpApplyFacesAdmissionEveryTime) {
+  // A connection whose earlier APPLY was admitted has no transaction open
+  // under N/H, so its next APPLY faces the queue bound like any other.
+  NetRig rig = PerOpSheddingRig();
+  const Path table = Path::MustParse("T/data");
+  Client a, b, c;
+  for (Client* client : {&a, &b, &c}) {
+    ASSERT_TRUE(client->Connect("127.0.0.1", rig.port()).ok());
+  }
+  ASSERT_TRUE(a.Get(table).ok());
+  ASSERT_TRUE(b.Get(table).ok());
+  ASSERT_TRUE(c.Apply(Update::Insert(table, "c1")).ok());
+  const uint64_t retries0 = Count(rig, "cpdb_retries_total");
+  LeaderStall stall(&rig);
+  ASSERT_NO_FATAL_FAILURE(ParkLeaderAndQueueFollower(&rig, &stall, &a, &b));
+  ASSERT_TRUE(c.Send(Request::Apply(Update::Insert(table, "c2"))).ok());
+  // Wait for C's answer to be counted as a RETRY, or for its APPLY to
+  // join the queue behind the parked leader.
+  for (int i = 0; i < 500 && Count(rig, "cpdb_retries_total") == retries0 &&
+                  rig.engine->CommitQueueDepth() < 2;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(rig.engine->CommitQueueDepth(), 1u);
+
+  stall.Release();
+  for (Client* stalled : {&a, &b}) {
+    auto resp = stalled->Recv();
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->code, RespCode::kOk) << resp->body;
+  }
+  rig.engine->commit_queue().set_test_hooks({});
+  auto shed = c.Recv();
+  ASSERT_TRUE(shed.ok());
+  EXPECT_EQ(shed->code, RespCode::kRetry) << shed->body;
+  auto got = c.Get(table);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->find("c2"), std::string::npos) << *got;
+}
+
 // ----- Leader/followers: each request runs on the worker that reads it -------
 
 /// One request's frame, as a client puts it on the wire.
@@ -749,7 +786,7 @@ TEST(NetServerTest, BurstLargerThanOneReadIsAnsweredInOrder) {
 
   int fd = RawConnect(rig.port());
   ASSERT_TRUE(net::WriteRaw(fd, wire).ok());
-  FrameReader reader;
+  FrameReader reader(net::kMaxFramePayload);
   for (int i = 0; i < 2 * kRows + 1; ++i) {
     Response resp = ReadResponse(fd, &reader);
     ASSERT_EQ(resp.code, RespCode::kOk) << i << ": " << resp.body;
@@ -1626,99 +1663,6 @@ TEST(NetRetryTest, BackoffIsCappedJitteredAndDeterministic) {
               net::RetryBackoffMs(policy, attempt, 5);
   }
   EXPECT_TRUE(differs);
-}
-
-TEST(NetRetryTest, CallRetryingGivesUpAfterMaxAttemptsOnShed) {
-  ServerOptions opts;
-  opts.max_queue_depth = 0;  // any waiting committer triggers shedding
-  NetRig rig("", opts);
-  Path table = Path::MustParse("T/data");
-
-  Client a, b, c;
-  ASSERT_TRUE(a.Connect("127.0.0.1", rig.port()).ok());
-  ASSERT_TRUE(b.Connect("127.0.0.1", rig.port()).ok());
-  ASSERT_TRUE(c.Connect("127.0.0.1", rig.port()).ok());
-  // Lease A's and B's sessions before stalling the leader (building one
-  // later would park the worker behind the stalled exclusive holder).
-  for (Client* warm : {&a, &b}) {
-    ASSERT_TRUE(warm->Apply(Update::Insert(table, "warm")).ok());
-    ASSERT_TRUE(warm->Abort().ok());
-  }
-
-  LeaderStall stall(&rig);
-
-  // A commits and stalls as the leader; B enqueues behind it, keeping
-  // the queue over its (zero) bound for as long as we hold the stall, so
-  // C's transaction is shed on every attempt — CallRetrying must bound
-  // the loop and return the RETRY.
-  ASSERT_TRUE(a.Send(Request::Apply(Update::Insert(table, "a1"))).ok());
-  ASSERT_TRUE(a.Send(Request::Commit()).ok());
-  ASSERT_TRUE(stall.WaitStalled());
-  ASSERT_TRUE(b.Send(Request::Apply(Update::Insert(table, "b1"))).ok());
-  ASSERT_TRUE(b.Send(Request::Commit()).ok());
-  for (int i = 0; i < 500 && rig.engine->CommitQueueDepth() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_GT(rig.engine->CommitQueueDepth(), 0u);
-
-  net::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_ms = 1;
-  policy.max_backoff_ms = 4;
-  size_t retries = 0;
-  auto resp = c.CallRetrying(Request::Apply(Update::Insert(table, "c1")),
-                             policy, &retries);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp->code, RespCode::kRetry) << resp->body;
-  EXPECT_EQ(retries, policy.max_attempts - 1);
-
-  stall.Release();
-  for (Client* stalled : {&a, &b}) {
-    for (int i = 0; i < 2; ++i) {
-      auto done = stalled->Recv();
-      ASSERT_TRUE(done.ok());
-      EXPECT_EQ(done->code, RespCode::kOk) << done->body;
-    }
-  }
-  rig.engine->commit_queue().set_test_hooks({});
-
-  // The shed transaction is gone transaction-atomically: after COMMIT
-  // clears the shed state, C retries the WHOLE pipeline and lands it —
-  // the retry unit the load driver uses.
-  auto commit = c.Call(Request::Commit());
-  ASSERT_TRUE(commit.ok());
-  EXPECT_EQ(commit->code, RespCode::kRetry);  // the shed txn's COMMIT
-  ASSERT_TRUE(c.Apply(Update::Insert(table, "c1")).ok());
-  ASSERT_TRUE(c.Commit().ok());
-  auto got = c.Get(table.Child("c1"));
-  ASSERT_TRUE(got.ok());
-}
-
-TEST(NetRetryTest, CallRetryingReconnectsAcrossServerRestart) {
-  Client client;
-  int port;
-  {
-    auto rig = std::make_unique<NetRig>();
-    port = rig->port();
-    ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
-    ASSERT_TRUE(client.Ping().ok());
-  }  // server (and the client's transport) torn down here
-
-  ServerOptions opts;
-  opts.port = port;  // SO_REUSEADDR: the revived server takes the port
-  NetRig revived("", opts);
-  net::RetryPolicy policy;
-  policy.base_backoff_ms = 1;
-  policy.max_backoff_ms = 8;
-  size_t retries = 0;
-  auto resp = client.CallRetrying(Request::Ping(), policy, &retries);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  EXPECT_EQ(resp->code, RespCode::kOk);
-  EXPECT_GE(retries, 1u);
-  // The re-dialed transport is fully usable, not just for the ping.
-  ASSERT_TRUE(
-      client.Apply(Update::Insert(Path::MustParse("T/data"), "r1")).ok());
-  ASSERT_TRUE(client.Commit().ok());
 }
 
 TEST(NetServerTest, DrainingServerRejectsNewWork) {

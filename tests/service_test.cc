@@ -202,7 +202,7 @@ TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
     opts.strategy = strategy;
     SessionPool pool(&engine, opts);
 
-    size_t fsyncs_before = db->cost().Fsyncs();
+    size_t fsyncs_before = db->durability()->stats().fsyncs;
 
     // Stage three sessions up front (staging is latch-free for T/HT), then
     // pin the engine in a read grant so the first committer (the leader)
@@ -239,7 +239,7 @@ TEST(ServiceCommitQueueTest, CohortCombinesUnderOneExclusiveGrantAndFsync) {
     EXPECT_EQ(Level(engine, "cpdb_max_cohort"), 3);
     EXPECT_EQ(Count(engine, "cpdb_combined_total"), 2u);
     // The whole cohort sealed under ONE fsync barrier.
-    EXPECT_EQ(db->cost().Fsyncs(), fsyncs_before + 1);
+    EXPECT_EQ(db->durability()->stats().fsyncs, fsyncs_before + 1);
     EXPECT_EQ(backend.RowCount(), 3u);
   }
 }

@@ -220,8 +220,7 @@ bool CompleteOldest(net::Client* client, std::deque<InflightTxn>* window,
       stats->transport_errors++;
       return false;  // connection is gone; caller stops this thread
     }
-    if (resp->code == net::RespCode::kRetry ||
-        resp->code == net::RespCode::kDraining) {
+    if (resp->code == net::RespCode::kRetry) {
       any_retry = true;
     } else if (resp->code == net::RespCode::kError) {
       any_error = true;
@@ -279,8 +278,7 @@ void RetryShedTxns(const Options& opt, size_t conn, net::Client* client,
           stats->transport_errors++;
           return;
         }
-        if (resp->code == net::RespCode::kRetry ||
-            resp->code == net::RespCode::kDraining) {
+        if (resp->code == net::RespCode::kRetry) {
           any_retry = true;
         } else if (resp->code == net::RespCode::kError) {
           any_error = true;

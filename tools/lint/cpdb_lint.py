@@ -11,10 +11,21 @@ Rules
 -----
 DURABILITY-FSYNC
     fsync/fdatasync may appear only under src/storage/. The durability
-    story (one group-commit fsync per cohort, counted in
-    DurabilityStats and charged on the CostModel) depends on every
-    barrier going through Wal::Sync; a stray fsync elsewhere silently
-    breaks both the perf model and the crash-consistency argument.
+    story (one group-commit fsync per cohort, counted once in
+    DurabilityStats, its modelled time charged by CostModel::ChargeFsync)
+    depends on every barrier going through Wal::Sync; a stray fsync
+    elsewhere silently breaks both the perf model and the
+    crash-consistency argument.
+
+FRAME-CODEC
+    One frame codec: the `varint(len) | fixed32 crc32 | payload` frame
+    is encoded and parsed only by EncodeFrame/FrameReader in
+    src/util/crc32.cc, which the write-ahead log and the wire both call.
+    So in src/ and tools/, `Crc32(` may be called only under src/util/
+    and in src/storage/snapshot.cc (the checkpoint's CRC trailer), and a
+    fixed32 helper (`PutU32`/`GetU32`, `PutFixed32`/`GetFixed32`) may be
+    defined only under src/util/. A second framer is a second decoder to
+    fuzz and a second place for the on-disk and on-wire bytes to drift.
 
 ANNOTATED-MUTEX
     src/service/ and src/storage/ must use the annotated primitives
@@ -108,7 +119,7 @@ NET-FRAMING
     Raw socket byte movement (send/recv/sendto/recvfrom/sendmsg/
     recvmsg) may appear only in src/net/frame.cc: every wire byte in
     src/net/ and tools/ travels as a `varint(len)|crc32|payload` frame
-    through the helpers there, so no unframed payload can ever reach
+    (FRAME-CODEC's one codec) through the helpers there, so no unframed payload can ever reach
     the wire and the robustness guarantees (torn/oversized/bit-flipped
     input -> typed error + close, never a crash or partial apply) hold
     at a single choke point. Even the tests' deliberate violations go
@@ -198,8 +209,8 @@ def iter_source(root, subdir, suffixes=(".cc", ".h")):
 
 
 FSYNC_RE = re.compile(r"\b(?:::)?f(?:data)?sync\s*\(")
-# ChargeFsync()/Fsyncs() are cost-model accounting, not barriers.
-FSYNC_OK_RE = re.compile(r"(?:ChargeFsync|Fsyncs)\s*\(")
+# ChargeFsync() is cost-model accounting, not a barrier.
+FSYNC_OK_RE = re.compile(r"ChargeFsync\s*\(")
 
 
 def check_fsync(root):
@@ -215,6 +226,32 @@ def check_fsync(root):
                 finding("DURABILITY-FSYNC", rel, lineno,
                         "fsync/fdatasync outside src/storage/ "
                         "(barriers must go through Wal::Sync)")
+
+
+CRC_CALL_RE = re.compile(r"\bCrc32\s*\(")
+FIXED32_DEF_RE = re.compile(
+    r"^\s*(?:(?:static|inline|constexpr)\s+)*[\w:<>]+\s+"
+    r"(?:PutU32|GetU32|PutFixed32|GetFixed32)\s*\(")
+CRC_CALL_ALLOWED = {pathlib.PurePath("src/storage/snapshot.cc")}
+
+
+def check_frame_codec(root):
+    for subdir in ("src", "tools"):
+        for path in iter_source(root, subdir):
+            rel = path.relative_to(root)
+            in_util = rel.parts[:2] == ("src", "util")
+            crc_ok = in_util or pathlib.PurePath(rel) in CRC_CALL_ALLOWED
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                code = strip_comments(line)
+                if not crc_ok and CRC_CALL_RE.search(code):
+                    finding("FRAME-CODEC", rel, lineno,
+                            "Crc32 outside src/util/ and the checkpoint "
+                            "trailer; frame records with EncodeFrame/"
+                            "FrameReader (util/crc32.h)")
+                if not in_util and FIXED32_DEF_RE.search(code):
+                    finding("FRAME-CODEC", rel, lineno,
+                            "fixed32 helper defined outside src/util/; "
+                            "use PutFixed32/GetFixed32 (util/crc32.h)")
 
 
 RAW_SYNC_RE = re.compile(
@@ -608,6 +645,7 @@ def main():
         return 2
 
     check_fsync(root)
+    check_frame_codec(root)
     check_annotated_mutex(root)
     check_service_no_threads(root)
     check_prov_table_writes(root)
