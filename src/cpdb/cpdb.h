@@ -187,6 +187,18 @@
 /// retrying call and re-dial are gone too: retry a RETRY in the caller's
 /// own loop with RetryBackoffMs.
 ///
+/// Migration note (one sorted vector of children): tree::Tree::children()
+/// now returns const Tree::Children&, a std::vector of
+/// std::pair<std::string, std::shared_ptr<Tree>> sorted by label, in
+/// place of a std::map. Range-for loops and structured bindings over it
+/// read as before, in the same order. Code that called find, at or count
+/// on it looks a child up with GetChild (through std::as_const when the
+/// tree is not const, so the lookup does not privatize). Build a node with
+/// many children through Tree::FromChildren, one sort, instead of one
+/// AddChild per child: each AddChild shifts the children that sort after
+/// its label. A durable Database refuses Sync() with FailedPrecondition
+/// once closed, so an editor commit over a closed store fails.
+///
 /// Network service (README "Network service"; src/net/): the service
 /// layer on a socket. cpdb_serve fronts one Engine over TCP with the
 /// WAL's checksummed length-prefixed frame (util/crc32.h), one pooled

@@ -120,10 +120,14 @@ ProvBackend::ProvBackend(relstore::Database* db, bool use_indexes)
   }
 }
 
-Row ProvBackend::ToRow(const ProvRecord& rec) {
+Row ProvBackend::ToRow(const ProvRecord& rec, size_t* bytes) {
+  std::string loc = rec.loc.ToString();
+  std::string src = rec.src.ToString();
+  // The modelled payload: both rendered paths plus a fixed 16 bytes.
+  *bytes += loc.size() + src.size() + 16;
   return Row{Datum(rec.tid), Datum(std::string(1, ProvOpChar(rec.op))),
-             Datum(rec.loc.ToString()),
-             rec.op == ProvOp::kCopy ? Datum(rec.src.ToString()) : Datum()};
+             Datum(std::move(loc)),
+             rec.op == ProvOp::kCopy ? Datum(std::move(src)) : Datum()};
 }
 
 Result<ProvRecord> ProvBackend::FromRow(const Row& row) {
@@ -140,10 +144,6 @@ Result<ProvRecord> ProvBackend::FromRow(const Row& row) {
     CPDB_ASSIGN_OR_RETURN(rec.src, tree::Path::Parse(row[3].AsString()));
   }
   return rec;
-}
-
-size_t ProvBackend::ApproxBytes(const ProvRecord& rec) {
-  return rec.loc.ToString().size() + rec.src.ToString().size() + 16;
 }
 
 // ----- ProvCursor ----------------------------------------------------------
@@ -216,10 +216,7 @@ Status ProvBackend::WriteRecords(const std::vector<ProvRecord>& records) {
   std::vector<Row> rows;
   rows.reserve(records.size());
   size_t bytes = 0;
-  for (const ProvRecord& rec : records) {
-    rows.push_back(ToRow(rec));
-    bytes += ApproxBytes(rec);
-  }
+  for (const ProvRecord& rec : records) rows.push_back(ToRow(rec, &bytes));
   // One statement, validated up front: a duplicate {Tid, Loc} rejects the
   // whole batch with nothing written. Each index absorbs the batch as one
   // sorted run.

@@ -267,8 +267,9 @@ class ProvBackend {
     return spec;
   }
   static Result<ProvRecord> FromRow(const relstore::Row& row);
-  static relstore::Row ToRow(const ProvRecord& rec);
-  static size_t ApproxBytes(const ProvRecord& rec);
+  /// The Prov row of `rec`, rendering each path once; adds the record's
+  /// modelled payload bytes to `*bytes`.
+  static relstore::Row ToRow(const ProvRecord& rec, size_t* bytes);
 
   relstore::Database* db_ = nullptr;
   relstore::Table* prov_ = nullptr;

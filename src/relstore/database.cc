@@ -113,7 +113,9 @@ bool Database::durable() const {
 }
 
 Status Database::Sync() {
-  return durable() ? durability_->Sync() : Status::OK();
+  if (durability_ == nullptr) return Status::OK();
+  if (!durability_->open()) return Closed();
+  return durability_->Sync();
 }
 
 Status Database::Checkpoint() {
@@ -121,17 +123,19 @@ Status Database::Checkpoint() {
     return Status::FailedPrecondition("database '" + name_ +
                                       "' is in-memory");
   }
-  if (!durability_->open()) {
-    return Status::FailedPrecondition("database '" + name_ +
-                                      "' was closed");
-  }
+  if (!durability_->open()) return Closed();
   return durability_->Checkpoint();
+}
+
+Status Database::Closed() const {
+  return Status::FailedPrecondition("database '" + name_ + "' was closed");
 }
 
 Status Database::Close() {
   if (durability_ == nullptr) return Status::OK();
   Status st = durability_->Close();
-  // Detach the journal: post-Close mutations are in-memory only.
+  // Detach the journal: nothing after Close reaches the log, and Sync
+  // refuses from now on, so no later commit is acknowledged as durable.
   for (auto& [table_name, table] : tables_) {
     (void)table_name;
     table->set_journal(nullptr);

@@ -85,15 +85,19 @@ class Database {
   /// Group-commit barrier: seals every mutation since the previous Sync
   /// into ONE checksummed log record and fsyncs it — the transaction
   /// boundary of crash recovery. A no-op (OK, no fsync) when nothing is
-  /// pending or the database is in-memory.
+  /// pending or the database is in-memory. Fails with FailedPrecondition
+  /// once a durable database is closed: nothing written after Close can
+  /// be made durable, so no commit may be acknowledged as if it were.
   Status Sync();
 
   /// Writes a full checkpoint and truncates the log. Implies Sync().
-  /// Fails with FailedPrecondition for in-memory databases.
+  /// Fails with FailedPrecondition for in-memory or closed databases.
   Status Checkpoint();
 
-  /// Clean shutdown: Sync() then release the log. Further mutations stay
-  /// in memory only. OK and a no-op for in-memory databases.
+  /// Clean shutdown: Sync() then release the log. Later mutations still
+  /// change the tables in memory but are never logged, and every later
+  /// Sync() or Checkpoint() fails with FailedPrecondition. OK and a no-op
+  /// for in-memory databases.
   Status Close();
 
   /// The attached durability engine (stats, test hooks), or nullptr.
@@ -103,6 +107,9 @@ class Database {
   const CostModel& cost() const { return cost_; }
 
  private:
+  /// The FailedPrecondition a closed durable database answers.
+  Status Closed() const;
+
   std::string name_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   CostModel cost_;

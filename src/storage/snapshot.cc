@@ -21,26 +21,27 @@ constexpr uint8_t kVersion = 1;
 
 Status WriteSnapshot(const relstore::Database& db, uint64_t seq,
                      const std::string& path) {
-  std::string body;
-  body.push_back(static_cast<char>(kVersion));
-  PutVarint64(&body, seq);
-  PutVarint64(&body, db.TableCount());
+  // The body is encoded straight after the magic, in the one buffer that
+  // is written out.
+  std::string file(kMagic, sizeof kMagic);
+  file.push_back(static_cast<char>(kVersion));
+  PutVarint64(&file, seq);
+  PutVarint64(&file, db.TableCount());
   db.ForEachTable([&](const relstore::Table& table) {
-    PutLengthPrefixed(&body, table.name());
-    EncodeSchema(table.schema(), &body);
+    PutLengthPrefixed(&file, table.name());
+    EncodeSchema(table.schema(), &file);
     std::vector<relstore::IndexDef> defs = table.IndexDefs();
-    PutVarint64(&body, defs.size());
-    for (const relstore::IndexDef& def : defs) EncodeIndexDef(def, &body);
-    PutVarint64(&body, table.RowCount());
+    PutVarint64(&file, defs.size());
+    for (const relstore::IndexDef& def : defs) EncodeIndexDef(def, &file);
+    PutVarint64(&file, table.RowCount());
     table.Scan([&](const relstore::Rid&, const relstore::Row& row) {
-      relstore::EncodeRow(row, &body);
+      relstore::EncodeRow(row, &file);
       return true;
     });
   });
 
-  std::string file(kMagic, sizeof kMagic);
-  file += body;
-  PutFixed32(&file, Crc32(body));
+  PutFixed32(&file, Crc32(file.data() + sizeof kMagic,
+                          file.size() - sizeof kMagic));
 
   // Temp-write + fsync + atomic rename: a crash at any point leaves
   // either the old checkpoint or the new one, never a torn file.
@@ -88,53 +89,58 @@ Result<uint64_t> LoadSnapshot(relstore::Database* db,
       std::memcmp(file.data(), kMagic, sizeof kMagic) != 0) {
     return Status::Internal("checkpoint '" + path + "' has a bad header");
   }
-  const std::string body = file.substr(
-      sizeof kMagic, file.size() - sizeof kMagic - 4);
+  // The body lies between the magic and the CRC trailer. Cut the trailer
+  // off in place, then check and decode the body where it lies, from
+  // offset sizeof kMagic: `file.size()` is then the body's end and bounds
+  // every decoder below, and the checkpoint is held once.
   size_t crc_pos = file.size() - 4;
-  uint32_t stored_crc;
-  if (!GetFixed32(file, &crc_pos, &stored_crc) || Crc32(body) != stored_crc) {
+  uint32_t stored_crc = 0;
+  const bool crc_read = GetFixed32(file, &crc_pos, &stored_crc);
+  file.resize(file.size() - 4);
+  if (!crc_read || Crc32(file.data() + sizeof kMagic,
+                         file.size() - sizeof kMagic) != stored_crc) {
     return Status::Internal("checkpoint '" + path + "' fails its checksum");
   }
 
-  size_t pos = 0;
+  size_t pos = sizeof kMagic;
   auto corrupt = [&path]() {
     return Status::Internal("checkpoint '" + path + "' is malformed");
   };
-  if (pos >= body.size() ||
-      static_cast<uint8_t>(body[pos++]) != kVersion) {
+  if (pos >= file.size() ||
+      static_cast<uint8_t>(file[pos++]) != kVersion) {
     return corrupt();
   }
   uint64_t seq, n_tables;
-  if (!GetVarint64(body, &pos, &seq)) return corrupt();
-  if (!GetVarint64(body, &pos, &n_tables)) return corrupt();
+  if (!GetVarint64(file, &pos, &seq)) return corrupt();
+  if (!GetVarint64(file, &pos, &n_tables)) return corrupt();
   for (uint64_t t = 0; t < n_tables; ++t) {
     std::string name;
     relstore::Schema schema;
-    if (!GetLengthPrefixed(body, &pos, &name)) return corrupt();
-    if (!DecodeSchema(body, &pos, &schema)) return corrupt();
+    if (!GetLengthPrefixed(file, &pos, &name)) return corrupt();
+    if (!DecodeSchema(file, &pos, &schema)) return corrupt();
     CPDB_ASSIGN_OR_RETURN(relstore::Table * table,
                           db->CreateTable(name, std::move(schema)));
     uint64_t n_indexes;
-    if (!GetVarint64(body, &pos, &n_indexes)) return corrupt();
+    if (!GetVarint64(file, &pos, &n_indexes)) return corrupt();
     for (uint64_t i = 0; i < n_indexes; ++i) {
       relstore::IndexDef def;
-      if (!DecodeIndexDef(body, &pos, &def)) return corrupt();
+      if (!DecodeIndexDef(file, &pos, &def)) return corrupt();
       CPDB_RETURN_IF_ERROR(
           table->CreateIndex(def.name, def.columns, def.unique));
     }
     uint64_t n_rows;
-    if (!GetVarint64(body, &pos, &n_rows)) return corrupt();
-    if (n_rows > body.size() - pos) return corrupt();  // rows are >= 1 byte
+    if (!GetVarint64(file, &pos, &n_rows)) return corrupt();
+    if (n_rows > file.size() - pos) return corrupt();  // rows are >= 1 byte
     std::vector<relstore::Row> rows;
     rows.reserve(n_rows);
     for (uint64_t r = 0; r < n_rows; ++r) {
       relstore::Row row;
-      if (!relstore::DecodeRow(body, &pos, &row)) return corrupt();
+      if (!relstore::DecodeRow(file, &pos, &row)) return corrupt();
       rows.push_back(std::move(row));
     }
     CPDB_RETURN_IF_ERROR(table->InsertBatch(rows));
   }
-  if (pos != body.size()) return corrupt();
+  if (pos != file.size()) return corrupt();
   return seq;
 }
 

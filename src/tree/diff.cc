@@ -37,7 +37,7 @@ void DiffRec(const Tree& before, const Tree& after, const Path& at,
     out->push_back(std::move(e));
   }
 
-  // Merge-walk the sorted child maps.
+  // Merge-walk the two label-sorted child vectors.
   auto bi = before.children().begin();
   auto ai = after.children().begin();
   while (bi != before.children().end() || ai != after.children().end()) {

@@ -51,9 +51,9 @@ class Parser {
   Result<Tree> ParseTreeNode() {
     SkipSpace();
     if (Consume('{')) {
-      Tree node;
       SkipSpace();
-      if (Consume('}')) return node;
+      if (Consume('}')) return Tree();
+      std::vector<std::pair<std::string, Tree>> children;
       for (;;) {
         SkipSpace();
         auto label = ParseToken();
@@ -62,13 +62,13 @@ class Parser {
         if (!Consume(':')) return Err("expected ':' after label");
         auto child = ParseTreeNode();
         if (!child.ok()) return child;
-        Status st = node.AddChild(label.value(), std::move(child).value());
-        if (!st.ok()) return st;
+        children.emplace_back(std::move(label).value(),
+                              std::move(child).value());
         SkipSpace();
         if (Consume('}')) break;
         if (!Consume(',')) return Err("expected ',' or '}'");
       }
-      return node;
+      return Tree::FromChildren(std::move(children));
     }
     if (Peek('"')) {
       auto s = ParseQuoted();

@@ -1,13 +1,60 @@
 #include "tree/tree.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cpdb::tree {
 
+namespace {
+
+/// First child whose label is not below `label`: where `label` is, or
+/// where it would be inserted.
+template <typename It>
+It LowerBound(It first, It last, const std::string& label) {
+  return std::lower_bound(
+      first, last, label,
+      [](const Tree::Child& c, const std::string& l) { return c.first < l; });
+}
+
+/// The child labelled `label`, or `children.end()`.
+template <typename Vec>
+auto FindChild(Vec& children, const std::string& label) {
+  auto it = LowerBound(children.begin(), children.end(), label);
+  return it != children.end() && it->first == label ? it : children.end();
+}
+
+Status DuplicateEdge(const std::string& label) {
+  return Status::AlreadyExists("edge '" + label + "' already exists");
+}
+
+Status InvalidLabel(const std::string& label) {
+  return Status::InvalidArgument("invalid edge label '" + label + "'");
+}
+
+}  // namespace
+
+Result<Tree> Tree::FromChildren(
+    std::vector<std::pair<std::string, Tree>> children) {
+  Tree out;
+  out.children_.reserve(children.size());
+  for (auto& [label, subtree] : children) {
+    if (!IsValidLabel(label)) return InvalidLabel(label);
+    out.children_.emplace_back(std::move(label),
+                               std::make_shared<Tree>(std::move(subtree)));
+  }
+  std::sort(out.children_.begin(), out.children_.end(),
+            [](const Child& a, const Child& b) { return a.first < b.first; });
+  auto dup = std::adjacent_find(
+      out.children_.begin(), out.children_.end(),
+      [](const Child& a, const Child& b) { return a.first == b.first; });
+  if (dup != out.children_.end()) return DuplicateEdge(dup->first);
+  return out;
+}
+
 Tree Tree::Clone() const {
   // Structural sharing: the clone references the same child nodes; either
-  // side privatizes on its first mutation (MutableChild). Copying the map
-  // is O(fanout) of this node only — no recursion.
+  // side privatizes on its first mutation (MutableChild). Copying the
+  // children array is O(fanout) of this node only — no recursion.
   Tree out;
   out.value_ = value_;
   out.children_ = children_;
@@ -15,7 +62,7 @@ Tree Tree::Clone() const {
 }
 
 Tree* Tree::MutableChild(const std::string& label) {
-  auto it = children_.find(label);
+  auto it = FindChild(children_, label);
   if (it == children_.end()) return nullptr;
   if (it->second.use_count() > 1) {
     // Shared with another clone: replace with a private shallow copy. The
@@ -36,38 +83,35 @@ Status Tree::SetValue(Value v) {
 }
 
 const Tree* Tree::GetChild(const std::string& label) const {
-  auto it = children_.find(label);
+  auto it = FindChild(children_, label);
   return it == children_.end() ? nullptr : it->second.get();
 }
 
 Tree* Tree::GetChild(const std::string& label) { return MutableChild(label); }
 
 Status Tree::AddChild(const std::string& label, Tree subtree) {
-  if (!IsValidLabel(label)) {
-    return Status::InvalidArgument("invalid edge label '" + label + "'");
-  }
+  if (!IsValidLabel(label)) return InvalidLabel(label);
   if (value_.has_value()) {
     return Status::InvalidArgument(
         "cannot add child '" + label + "' to a leaf carrying a value");
   }
-  auto [it, inserted] =
-      children_.emplace(label, std::make_shared<Tree>(std::move(subtree)));
-  (void)it;
-  if (!inserted) {
-    return Status::AlreadyExists("edge '" + label + "' already exists");
-  }
+  auto it = LowerBound(children_.begin(), children_.end(), label);
+  if (it != children_.end() && it->first == label) return DuplicateEdge(label);
+  children_.emplace(it, label, std::make_shared<Tree>(std::move(subtree)));
   return Status::OK();
 }
 
 Status Tree::RemoveChild(const std::string& label) {
-  if (children_.erase(label) == 0) {
+  auto it = FindChild(children_, label);
+  if (it == children_.end()) {
     return Status::NotFound("edge '" + label + "' does not exist");
   }
+  children_.erase(it);
   return Status::OK();
 }
 
 Result<Tree> Tree::TakeChild(const std::string& label) {
-  auto it = children_.find(label);
+  auto it = FindChild(children_, label);
   if (it == children_.end()) {
     return Status::NotFound("edge '" + label + "' does not exist");
   }
@@ -80,7 +124,13 @@ Result<Tree> Tree::TakeChild(const std::string& label) {
 }
 
 void Tree::PutChild(const std::string& label, Tree subtree) {
-  children_[label] = std::make_shared<Tree>(std::move(subtree));
+  auto node = std::make_shared<Tree>(std::move(subtree));
+  auto it = LowerBound(children_.begin(), children_.end(), label);
+  if (it != children_.end() && it->first == label) {
+    it->second = std::move(node);
+  } else {
+    children_.emplace(it, label, std::move(node));
+  }
   value_.reset();
 }
 
@@ -105,14 +155,8 @@ Tree* Tree::Find(const Path& p) {
 }
 
 bool Tree::SharesAllChildrenWith(const Tree& other) const {
-  if (this == &other) return true;
-  if (children_.size() != other.children_.size()) return false;
-  auto it = children_.begin();
-  auto jt = other.children_.begin();
-  for (; it != children_.end(); ++it, ++jt) {
-    if (it->first != jt->first || it->second != jt->second) return false;
-  }
-  return true;
+  // Pairs compare label by label and shared_ptr by address.
+  return this == &other || children_ == other.children_;
 }
 
 Status Tree::ReplaceAt(const Path& p, Tree subtree) {

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tree/path.h"
@@ -45,11 +45,23 @@ namespace cpdb::tree {
 /// readers of OTHER clones (CoW isolates them) but, as with any
 /// container, not against concurrent access to the same clone.
 ///
-/// Children are kept in a std::map so iteration order is deterministic,
-/// which the model permits (trees are unordered, so any canonical order is
-/// sound) and which makes serialization, hashing, and tests reproducible.
+/// A node keeps its children in one vector of (label, subtree) pairs,
+/// sorted by label with no label twice, and finds a label by binary
+/// search. Iteration order is therefore deterministic, which the model
+/// permits (trees are unordered, so any canonical order is sound) and
+/// which makes serialization, hashing, and tests reproducible. A clone
+/// copies that one array, and a lookup walks contiguous memory. An edit
+/// (AddChild, RemoveChild, PutChild, TakeChild) shifts the entries after
+/// its label, so it is O(fanout) in a wide node, as a clone already is;
+/// appending a label that sorts last shifts nothing. Build a wide node in
+/// one sort with FromChildren rather than one AddChild per child.
 class Tree {
  public:
+  /// One labelled edge and the subtree it leads to.
+  using Child = std::pair<std::string, std::shared_ptr<Tree>>;
+  /// A node's children: sorted by label, each label once.
+  using Children = std::vector<Child>;
+
   /// Constructs the empty tree {}.
   Tree() = default;
 
@@ -60,6 +72,14 @@ class Tree {
   Tree& operator=(Tree&&) = default;
   Tree(const Tree&) = delete;
   Tree& operator=(const Tree&) = delete;
+
+  /// A node with `children` and no value, built with one sort however the
+  /// children arrive: O(n log n) for n children, where n AddChild calls
+  /// would shift the array up to n times. Fails with InvalidArgument
+  /// naming the first malformed label, and with AlreadyExists naming a
+  /// label that appears twice.
+  static Result<Tree> FromChildren(
+      std::vector<std::pair<std::string, Tree>> children);
 
   /// Copy of this subtree. Semantically a deep copy; physically O(fanout)
   /// — the clone shares child nodes with this tree until one side mutates
@@ -86,19 +106,18 @@ class Tree {
   const Tree* GetChild(const std::string& label) const;
   Tree* GetChild(const std::string& label);
 
-  /// Deterministic (sorted) iteration over children.
-  const std::map<std::string, std::shared_ptr<Tree>>& children() const {
-    return children_;
-  }
+  /// Deterministic (sorted by label) iteration over children.
+  const Children& children() const { return children_; }
 
   /// True if `other` is the same physical node or shares this node's
-  /// children map entry-for-entry (diagnostic; used by the copy-on-write
-  /// and session-pool tests).
+  /// children entry-for-entry (diagnostic; used by the copy-on-write and
+  /// session-pool tests).
   bool SharesAllChildrenWith(const Tree& other) const;
 
   /// Adds edge `label` to `subtree`. Fails with AlreadyExists if the label
   /// is present (the paper's t ] t' union) and InvalidArgument if this node
   /// holds a value (values live only at leaves) or the label is malformed.
+  /// Shifts the children that sort after `label` (none when it sorts last).
   Status AddChild(const std::string& label, Tree subtree);
 
   /// Removes edge `label` and its subtree. Fails with NotFound if absent
@@ -179,7 +198,7 @@ class Tree {
   /// exclusively owned) child, or nullptr if the label is absent.
   Tree* MutableChild(const std::string& label);
 
-  std::map<std::string, std::shared_ptr<Tree>> children_;
+  Children children_;
   std::optional<Value> value_;
 };
 

@@ -140,7 +140,7 @@ class XmlParser {
     if (pos_ >= text_.size()) return Err("unterminated tag");
     ++pos_;  // consume '>'
 
-    Tree node;
+    std::vector<std::pair<std::string, Tree>> children;
     std::string text_content;
     std::map<std::string, int> tag_counts;
     for (;;) {
@@ -168,8 +168,7 @@ class XmlParser {
         int n = ++tag_counts[child_tag];
         std::string label =
             n == 1 ? child_tag : child_tag + "{" + std::to_string(n) + "}";
-        Status st = node.AddChild(label, std::move(child).value());
-        if (!st.ok()) return st;
+        children.emplace_back(std::move(label), std::move(child).value());
       } else {
         size_t start = pos_;
         while (pos_ < text_.size() && text_[pos_] != '<') ++pos_;
@@ -177,22 +176,14 @@ class XmlParser {
       }
     }
 
-    if (!node.HasChildren()) {
-      std::string trimmed;
-      {
-        size_t b = text_content.find_first_not_of(" \t\r\n");
-        size_t e = text_content.find_last_not_of(" \t\r\n");
-        if (b != std::string::npos) {
-          trimmed = text_content.substr(b, e - b + 1);
-        }
-      }
-      if (!trimmed.empty()) {
-        Status st = node.SetValue(Value::FromString(XmlUnescape(trimmed)));
-        if (!st.ok()) return st;
-      }
-    }
     *tag_out = tag;
-    return node;
+    // Text beside child elements is dropped: values live only at leaves.
+    if (!children.empty()) return Tree::FromChildren(std::move(children));
+    size_t b = text_content.find_first_not_of(" \t\r\n");
+    if (b == std::string::npos) return Tree();
+    size_t e = text_content.find_last_not_of(" \t\r\n");
+    return Tree(
+        Value::FromString(XmlUnescape(text_content.substr(b, e - b + 1))));
   }
 
   std::string ParseName() {

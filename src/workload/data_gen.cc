@@ -24,11 +24,18 @@ std::string ProteinName(Rng* rng) {
   return name;
 }
 
+/// The root over `entries`, built in one sort (its labels are distinct
+/// and well-formed, so the build cannot fail).
+tree::Tree Root(std::vector<std::pair<std::string, tree::Tree>> entries) {
+  return std::move(tree::Tree::FromChildren(std::move(entries))).value();
+}
+
 }  // namespace
 
 tree::Tree GenMimiLike(size_t entries, uint64_t seed) {
   Rng rng(seed);
-  tree::Tree root;
+  std::vector<std::pair<std::string, tree::Tree>> root;
+  root.reserve(entries);
   for (size_t i = 0; i < entries; ++i) {
     tree::Tree entry;
     (void)entry.AddChild("name", tree::Tree(tree::Value(ProteinName(&rng))));
@@ -51,14 +58,15 @@ tree::Tree GenMimiLike(size_t entries, uint64_t seed) {
                                   std::move(inter));
     }
     (void)entry.AddChild("interactions", std::move(interactions));
-    (void)root.AddChild("prot" + std::to_string(i + 1), std::move(entry));
+    root.emplace_back("prot" + std::to_string(i + 1), std::move(entry));
   }
-  return root;
+  return Root(std::move(root));
 }
 
 tree::Tree GenOrganelleLike(size_t entries, uint64_t seed) {
   Rng rng(seed);
-  tree::Tree root;
+  std::vector<std::pair<std::string, tree::Tree>> root;
+  root.reserve(entries);
   for (size_t i = 0; i < entries; ++i) {
     tree::Tree entry;
     // Exactly three leaf children: the size-four copy unit.
@@ -69,9 +77,9 @@ tree::Tree GenOrganelleLike(size_t entries, uint64_t seed) {
         tree::Tree(tree::Value(kOrganelles[rng.NextBelow(10)])));
     (void)entry.AddChild(
         "species", tree::Tree(tree::Value(kSpecies[rng.NextBelow(6)])));
-    (void)root.AddChild("o" + std::to_string(i + 1), std::move(entry));
+    root.emplace_back("o" + std::to_string(i + 1), std::move(entry));
   }
-  return root;
+  return Root(std::move(root));
 }
 
 Result<std::string> FillOrganelleRelational(relstore::Database* db,

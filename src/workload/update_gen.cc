@@ -157,9 +157,7 @@ std::optional<Update> UpdateGenerator::NextDelete() {
         const tree::Tree* node = universe_->Find(*root);
         if (node != nullptr && node->HasChildren()) {
           size_t k = rng_.NextIndex(node->ChildCount());
-          auto it = node->children().begin();
-          std::advance(it, static_cast<long>(k));
-          victim = root->Child(it->first);
+          victim = root->Child(node->children()[k].first);
         }
       }
       break;

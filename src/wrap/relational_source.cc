@@ -1,5 +1,7 @@
 #include "wrap/relational_source.h"
 
+#include <set>
+
 namespace cpdb::wrap {
 
 tree::Value RelationalSourceDb::DatumToValue(const relstore::Datum& d) {
@@ -28,24 +30,34 @@ Result<tree::Tree> RelationalSourceDb::TreeFromDb() {
     CPDB_ASSIGN_OR_RETURN(const relstore::Table* table,
                           static_cast<const relstore::Database*>(db_)
                               ->GetTable(table_name));
-    tree::Tree rel;
-    Status inner = Status::OK();
+    // Heap order is not label order: collect the tuples, then build the
+    // table's node in one sort.
+    std::vector<std::pair<std::string, tree::Tree>> tuples;
+    tuples.reserve(table->RowCount());
     table->Scan([&](const relstore::Rid&, const relstore::Row& row) {
-      if (row.empty()) return true;
-      std::string label = row[0].ToString();
-      Status st = rel.AddChild(label, RowToTree(table->schema(), row));
-      if (!st.ok()) {
-        // Duplicate first-column keys break path uniqueness; surface it.
-        inner = Status::InvalidArgument(
-            "table '" + table_name +
-            "' has duplicate tuple identifier: " + label);
-        return false;
+      if (!row.empty()) {
+        tuples.emplace_back(row[0].ToString(), RowToTree(table->schema(), row));
       }
-      ++rows;
       return true;
     });
-    CPDB_RETURN_IF_ERROR(inner);
-    CPDB_RETURN_IF_ERROR(root.AddChild(table_name, std::move(rel)));
+    Result<tree::Tree> rel = tree::Tree::FromChildren(std::move(tuples));
+    if (rel.status().IsAlreadyExists()) {
+      // Duplicate first-column keys break path uniqueness; name the first
+      // identifier the scan meets twice.
+      std::set<std::string> seen;
+      std::string label;
+      table->Scan([&](const relstore::Rid&, const relstore::Row& row) {
+        if (row.empty()) return true;
+        label = row[0].ToString();
+        return seen.insert(label).second;
+      });
+      return Status::InvalidArgument("table '" + table_name +
+                                     "' has duplicate tuple identifier: " +
+                                     label);
+    }
+    CPDB_RETURN_IF_ERROR(rel.status());
+    rows += rel->ChildCount();
+    CPDB_RETURN_IF_ERROR(root.AddChild(table_name, std::move(rel).value()));
   }
   // One client call shipping the whole exposed view.
   db_->cost().ChargeCall(rows);

@@ -728,6 +728,41 @@ TEST(DurableDatabaseTest, CloseIsCleanShutdownAndInMemoryNoops) {
   EXPECT_EQ(mem.cost().ElapsedMicros(), 0.0);
 }
 
+TEST(DurableDatabaseTest, SyncAfterCloseIsRefusedAndReachesTheEditor) {
+  TempDir dir("db_closed_sync");
+  auto db = Database::Open("d", dir.path());
+  ASSERT_TRUE(db.ok()) << db.status();
+  provenance::ProvBackend backend(db->get());
+  auto t = (*db)->CreateTable("t", Schema({{"k", ColumnType::kInt64, false}}));
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE((*db)->Sync().ok());
+  ASSERT_TRUE((*db)->Close().ok());
+
+  // The row lands in memory only, so no barrier may acknowledge it.
+  ASSERT_TRUE((*t)->Insert(Row{Datum(int64_t{1})}).ok());
+  Status synced = (*db)->Sync();
+  EXPECT_TRUE(synced.IsFailedPrecondition()) << synced;
+  EXPECT_TRUE((*db)->Checkpoint().IsFailedPrecondition());
+
+  // A standalone strategy-H editor commits each update with its own
+  // barrier: the refusal comes back from ApplyUpdate.
+  wrap::TreeTargetDb target("T", testutil::Figure4TargetT());
+  EditorOptions opts;
+  opts.strategy = Strategy::kHierarchical;
+  auto editor = Editor::Create(&target, &backend, opts);
+  ASSERT_TRUE(editor.ok()) << editor.status();
+  Status applied = (*editor)->ApplyUpdate(
+      update::Update::Insert(tree::Path::MustParse("T"), "fresh"));
+  EXPECT_TRUE(applied.IsFailedPrecondition()) << applied;
+
+  // Nothing written after Close reached the log.
+  auto reopened = Database::Open("d", dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto t2 = (*reopened)->GetTable("t");
+  ASSERT_TRUE(t2.ok());
+  EXPECT_EQ((*t2)->RowCount(), 0u);
+}
+
 TEST(DurableDatabaseTest, SecondLiveSessionOnSameDirIsRejected) {
   TempDir dir("db_lock");
   auto first = Database::Open("d", dir.path());

@@ -1,9 +1,17 @@
 #include "tree/tree.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tree/serialize.h"
 #include "tree/value.h"
+#include "util/rng.h"
 
 namespace cpdb::tree {
 namespace {
@@ -185,7 +193,7 @@ TEST(TreeCowTest, CloneSharesStructure) {
   Tree c = t.Clone();
   // Physically shared: same child nodes, not copies.
   EXPECT_TRUE(t.SharesAllChildrenWith(c));
-  EXPECT_EQ(t.children().at("a").get(), c.children().at("a").get());
+  EXPECT_EQ(std::as_const(t).GetChild("a"), std::as_const(c).GetChild("a"));
   EXPECT_TRUE(t.Equals(c));
 }
 
@@ -197,8 +205,8 @@ TEST(TreeCowTest, MutationPrivatizesOnlyThePath) {
   EXPECT_FALSE(t.Contains(Path({"a", "w"})));
   EXPECT_TRUE(c.Contains(Path({"a", "w"})));
   // ...and untouched siblings stay physically shared.
-  EXPECT_NE(t.children().at("a").get(), c.children().at("a").get());
-  EXPECT_EQ(t.children().at("b").get(), c.children().at("b").get());
+  EXPECT_NE(std::as_const(t).GetChild("a"), std::as_const(c).GetChild("a"));
+  EXPECT_EQ(std::as_const(t).GetChild("b"), std::as_const(c).GetChild("b"));
 }
 
 TEST(TreeCowTest, MutatingOriginalLeavesCloneIntact) {
@@ -228,7 +236,7 @@ TEST(TreeCowTest, ConstLookupsDoNotPrivatize) {
   ASSERT_NE(tc.Find(Path({"a", "x"})), nullptr);
   ASSERT_NE(tc.GetChild("a"), nullptr);
   // Reads through the const interface must leave sharing intact.
-  EXPECT_EQ(t.children().at("a").get(), c.children().at("a").get());
+  EXPECT_EQ(std::as_const(t).GetChild("a"), std::as_const(c).GetChild("a"));
 }
 
 TEST(TreeCowTest, MutableFindPrivatizesThePath) {
@@ -258,6 +266,203 @@ TEST(TreeCowTest, DeepCloneChainStaysIsolated) {
               static_cast<size_t>(i));
   }
   EXPECT_EQ(base.Find(Path({"T"}))->ChildCount(), 8u);
+}
+
+// ----- Child operations against a std::map model ---------------------------
+
+/// The model of a node whose children are int leaves: label -> value.
+using Model = std::map<std::string, int64_t>;
+
+/// `t`'s children are exactly `m`'s, in `m`'s (sorted) order, and each is
+/// found by label.
+void ExpectMatches(const Tree& t, const Model& m) {
+  ASSERT_EQ(t.ChildCount(), m.size());
+  auto it = m.begin();
+  for (const auto& [label, child] : t.children()) {
+    ASSERT_EQ(label, it->first);
+    ASSERT_EQ(child->value().AsInt(), it->second) << label;
+    ++it;
+  }
+  for (const auto& [label, v] : m) {
+    const Tree* child = t.GetChild(label);
+    ASSERT_NE(child, nullptr) << label;
+    EXPECT_EQ(child->value().AsInt(), v) << label;
+  }
+}
+
+/// Applies one random child operation to `t` and to its model `m` and
+/// checks that both agree on the outcome. Values come from `*next`, so no
+/// value is written twice and a mutation leaking into a clone shows.
+void RandomChildOp(Rng* rng, int64_t* next, Tree* t, Model* m) {
+  const std::string label = "k" + std::to_string(rng->NextBelow(40));
+  const bool present = m->count(label) > 0;
+  const int64_t v = (*next)++;
+  switch (rng->NextBelow(6)) {
+    case 0: {
+      Status st = t->AddChild(label, Tree(Value(v)));
+      if (present) {
+        EXPECT_TRUE(st.IsAlreadyExists()) << label;
+      } else {
+        EXPECT_TRUE(st.ok()) << st;
+        (*m)[label] = v;
+      }
+      break;
+    }
+    case 1: {
+      Status st = t->RemoveChild(label);
+      if (present) {
+        EXPECT_TRUE(st.ok()) << st;
+        m->erase(label);
+      } else {
+        EXPECT_TRUE(st.IsNotFound()) << label;
+      }
+      break;
+    }
+    case 2:
+      t->PutChild(label, Tree(Value(v)));
+      (*m)[label] = v;
+      break;
+    case 3: {
+      Result<Tree> taken = t->TakeChild(label);
+      ASSERT_EQ(taken.ok(), present) << label;
+      if (present) {
+        EXPECT_EQ(taken->value().AsInt(), (*m)[label]);
+        m->erase(label);
+      } else {
+        EXPECT_TRUE(taken.status().IsNotFound());
+      }
+      break;
+    }
+    case 4: {
+      // The mutable lookup privatizes a shared child before the write.
+      Tree* child = t->GetChild(label);
+      ASSERT_EQ(child != nullptr, present) << label;
+      if (child != nullptr) {
+        ASSERT_TRUE(child->SetValue(Value(v)).ok());
+        (*m)[label] = v;
+      }
+      break;
+    }
+    default: {
+      const std::string bad = rng->NextBool() ? "" : label + "/x";
+      EXPECT_TRUE(t->AddChild(bad, Tree()).IsInvalidArgument()) << bad;
+      break;
+    }
+  }
+}
+
+TEST(TreeChildrenModelTest, SeededOpsMatchAStdMapAndClonesStayIsolated) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    int64_t next = 0;
+    Tree t;
+    Model m;
+    for (int step = 1; step <= 300; ++step) {
+      RandomChildOp(&rng, &next, &t, &m);
+      ExpectMatches(t, m);
+      if (step % 50 != 0) continue;
+
+      // Clone, then mutate the clone: the original keeps its children.
+      Tree c = t.Clone();
+      Model cm = m;
+      EXPECT_TRUE(t.SharesAllChildrenWith(c));
+      for (const auto& [label, v] : m) {
+        (void)v;
+        ASSERT_NE(std::as_const(c).GetChild(label), nullptr);
+      }
+      EXPECT_TRUE(t.SharesAllChildrenWith(c));  // const reads share
+      for (int i = 0; i < 20; ++i) RandomChildOp(&rng, &next, &c, &cm);
+      ExpectMatches(c, cm);
+      ExpectMatches(t, m);
+      if (cm != m) {
+        EXPECT_FALSE(t.SharesAllChildrenWith(c));
+      }
+
+      // Clone, then mutate the original: the clone keeps its children.
+      Tree d = t.Clone();
+      const Model dm = m;
+      EXPECT_TRUE(d.SharesAllChildrenWith(t));
+      for (int i = 0; i < 20; ++i) RandomChildOp(&rng, &next, &t, &m);
+      ExpectMatches(t, m);
+      ExpectMatches(d, dm);
+      if (dm != m) {
+        EXPECT_FALSE(d.SharesAllChildrenWith(t));
+      }
+    }
+  }
+}
+
+// ----- Tree::FromChildren ---------------------------------------------------
+
+TEST(TreeFromChildrenTest, UnsortedInputIteratesSorted) {
+  const std::vector<std::string> labels = {"m", "b", "z", "a", "k9", "k10"};
+  std::vector<std::pair<std::string, Tree>> in;
+  Tree by_edges;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    in.emplace_back(labels[i], Tree(Value(static_cast<int64_t>(i))));
+    ASSERT_TRUE(
+        by_edges.AddChild(labels[i], Tree(Value(static_cast<int64_t>(i))))
+            .ok());
+  }
+  Result<Tree> t = Tree::FromChildren(std::move(in));
+  ASSERT_TRUE(t.ok()) << t.status();
+  std::vector<std::string> order;
+  for (const auto& [label, child] : t->children()) order.push_back(label);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"a", "b", "k10", "k9", "m", "z"}));
+  EXPECT_EQ(std::as_const(*t).GetChild("k9")->value().AsInt(), 4);
+  EXPECT_TRUE(t->Equals(by_edges));
+  EXPECT_TRUE(Tree::FromChildren({}).value().IsEmpty());
+}
+
+TEST(TreeFromChildrenTest, DuplicateLabelIsAlreadyExistsNamingIt) {
+  std::vector<std::pair<std::string, Tree>> in;
+  for (const char* label : {"b", "twice", "a", "twice"}) {
+    in.emplace_back(label, Tree());
+  }
+  Result<Tree> t = Tree::FromChildren(std::move(in));
+  ASSERT_FALSE(t.ok());
+  EXPECT_TRUE(t.status().IsAlreadyExists()) << t.status();
+  EXPECT_NE(t.status().message().find("'twice'"), std::string::npos)
+      << t.status();
+}
+
+TEST(TreeFromChildrenTest, InvalidLabelIsInvalidArgument) {
+  for (const std::string bad : {"", "a/b"}) {
+    std::vector<std::pair<std::string, Tree>> in;
+    in.emplace_back("ok", Tree());
+    in.emplace_back(bad, Tree());
+    Result<Tree> t = Tree::FromChildren(std::move(in));
+    ASSERT_FALSE(t.ok()) << "'" << bad << "'";
+    EXPECT_TRUE(t.status().IsInvalidArgument()) << t.status();
+  }
+}
+
+TEST(TreeFromChildrenTest, FiftyThousandReverseOrderedChildren) {
+  constexpr int kChildren = 50000;
+  auto label_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "c%05d", i);
+    return std::string(buf);
+  };
+  std::vector<std::pair<std::string, Tree>> in;
+  in.reserve(kChildren);
+  for (int i = kChildren - 1; i >= 0; --i) {
+    in.emplace_back(label_of(i), Tree(Value(int64_t{i})));
+  }
+  Result<Tree> t = Tree::FromChildren(std::move(in));
+  ASSERT_TRUE(t.ok()) << t.status();
+  ASSERT_EQ(t->ChildCount(), static_cast<size_t>(kChildren));
+  EXPECT_EQ(t->children().front().first, label_of(0));
+  EXPECT_EQ(t->children().back().first, label_of(kChildren - 1));
+  EXPECT_TRUE(std::is_sorted(
+      t->children().begin(), t->children().end(),
+      [](const Tree::Child& a, const Tree::Child& b) {
+        return a.first < b.first;
+      }));
+  EXPECT_EQ(std::as_const(*t).GetChild(label_of(12345))->value().AsInt(),
+            12345);
 }
 
 }  // namespace

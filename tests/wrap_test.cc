@@ -76,6 +76,24 @@ TEST(RelationalSourceDbTest, ChargesCostPerCall) {
   EXPECT_GT(db.cost().ElapsedMicros(), before);
 }
 
+TEST(RelationalSourceDbTest, DuplicateTupleIdentifierIsRefused) {
+  relstore::Database db("dupdb");
+  // No unique index on the identifier, so the table lets it repeat.
+  auto table = db.CreateTable(
+      "r", relstore::Schema({{"id", ColumnType::kString, false},
+                             {"v", ColumnType::kInt64, true}}));
+  ASSERT_TRUE(table.ok());
+  for (const char* id : {"k3", "k1", "k2", "k1"}) {
+    ASSERT_TRUE((*table)->Insert({Datum(id), Datum(int64_t{1})}).ok());
+  }
+  RelationalSourceDb src("S", &db, {"r"});
+  auto view = src.TreeFromDb();
+  ASSERT_FALSE(view.ok());
+  EXPECT_TRUE(view.status().IsInvalidArgument()) << view.status();
+  EXPECT_EQ(view.status().message(),
+            "table 'r' has duplicate tuple identifier: k1");
+}
+
 TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
   relstore::Database db("targetdb");
   relstore::Schema schema({{"id", ColumnType::kString, false},

@@ -328,6 +328,30 @@ TEST(WriteBatchRoundTripTest, PerOpApplyUpdateCostsOneWriteCallEach) {
 // Abort-mid-batch atomicity
 // ---------------------------------------------------------------------------
 
+TEST(WriteBatchRoundTripTest, WriteRecordsChargesEachRecordsRenderedPaths) {
+  relstore::Database db("provdb");
+  provenance::ProvBackend backend(&db);
+  const relstore::CostSnapshot c0 = db.cost().Snap();
+  // Payload bytes are both rendered paths plus 16 per record:
+  // 3+16, 5+16, 3+6+16 and 13+23+16, 117 bytes in all.
+  ASSERT_TRUE(
+      backend
+          .WriteRecords(
+              {ProvRecord::Insert(7, tree::Path::MustParse("T/a")),
+               ProvRecord::Delete(7, tree::Path::MustParse("T/b/c")),
+               ProvRecord::Copy(7, tree::Path::MustParse("T/d"),
+                                tree::Path::MustParse("S1/x/y")),
+               ProvRecord::Copy(8, tree::Path::MustParse("T/data/k1/f1"),
+                                tree::Path::MustParse(
+                                    "S1/organelle/o17/protein"))})
+          .ok());
+  const relstore::CostSnapshot c1 = db.cost().Snap();
+  EXPECT_EQ(c1.write_calls - c0.write_calls, 1u);
+  EXPECT_EQ(c1.write_rows - c0.write_rows, 4u);
+  // One round trip (60) + 4 rows (4 x 10) + 117 B at 1 us per KiB.
+  EXPECT_DOUBLE_EQ(c1.micros - c0.micros, 100.0 + 117.0 / 1024.0);
+}
+
 TEST(WriteBatchAbortTest, AbortDiscardsStagedBatchAtomically) {
   for (Strategy strategy : {Strategy::kTransactional,
                             Strategy::kHierarchicalTransactional}) {

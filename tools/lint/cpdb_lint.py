@@ -171,6 +171,16 @@ SERVICE-ONE-SNAPSHOT
     the pool already holds (a relational target scans its table each
     time), and a version chain has nothing left to protect.
 
+TREE-FLAT-CHILDREN
+    src/tree/tree.h and src/tree/tree.cc name no std::map or
+    std::unordered_map and include neither header, comments ignored. A
+    node keeps its children in one label-sorted vector of (label,
+    shared_ptr) pairs: a copy-on-write clone copies one array instead of
+    allocating a node per child, and a lookup is a binary search over
+    contiguous memory. A map beside or instead of it is a second
+    container to keep in step, and brings back the per-child allocations
+    behind every clone.
+
 NET-NO-HANDOFF
     src/net/server.h and src/net/server.cc declare and use no CondVar.
     The server is leader/followers over one epoll set: the worker that
@@ -621,6 +631,24 @@ def check_service_one_snapshot(root):
                         "per watermark")
 
 
+TREE_FILES = ("src/tree/tree.h", "src/tree/tree.cc")
+TREE_MAP_RE = re.compile(
+    r"\bstd::(?:unordered_)?map\b|#\s*include\s*<(?:unordered_)?map>")
+
+
+def check_tree_flat_children(root):
+    for name in TREE_FILES:
+        path = root / name
+        if not path.is_file():
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = TREE_MAP_RE.search(strip_comments(line))
+            if m:
+                finding("TREE-FLAT-CHILDREN", name, lineno,
+                        f"{m.group(0)} in the tree node; children live in "
+                        "one label-sorted vector (Tree::Children)")
+
+
 def check_net_no_handoff(root):
     for name in NET_SERVER_FILES:
         path = root / name
@@ -659,6 +687,7 @@ def main():
     check_obs_metrics(root)
     check_obs_trace(root)
     check_service_one_snapshot(root)
+    check_tree_flat_children(root)
     check_net_no_handoff(root)
 
     for f in FINDINGS:
