@@ -101,9 +101,14 @@
 /// transaction). A directly constructed Database is in-memory: it has
 /// no log and no durability engine, Sync()/Close() are free no-ops,
 /// Checkpoint() fails with FailedPrecondition, and the editor's
-/// per-commit barrier costs one null check. ProvBackend's constructor
-/// adopts existing Prov/TxnMeta tables (recovered databases) and creates
-/// them in a fresh one.
+/// per-commit barrier costs one null check. A closed durable Database
+/// refuses Sync() with FailedPrecondition, so an editor commit over a
+/// closed store fails. storage::DurabilityStats
+/// (Database::durability()->stats(); none for an in-memory database) is
+/// the only count of WAL records, fsyncs and log bytes; the CostModel's
+/// ChargeFsync only advances the modelled clock. ProvBackend's
+/// constructor adopts existing Prov/TxnMeta tables (recovered databases)
+/// and creates them in a fresh one.
 ///
 /// Every table a wrap::RelationalTargetDb wraps needs its key index, a
 /// unique B-tree index on the identifier column (column 0), created with
@@ -136,7 +141,10 @@
 /// members one after another on its own thread, in enqueue order, so tid
 /// order, apply order and commit order coincide. Reads (queries, cursor
 /// scans) run concurrently under shared grants; never commit while
-/// holding one.
+/// holding one. Only a sealed cohort advances the committed watermark. A
+/// failed seal stops the engine (Engine::Running): the shared state is
+/// then ahead of the log, so Commit and SessionPool::Acquire answer
+/// Unavailable from then on.
 ///
 /// A commit's commit.execute span detail reads `cohort_size=N
 /// leader=0|1`, and the pool counts its sessions in the engine's
@@ -172,33 +180,6 @@
 /// two against one live backend: a standalone editor's writes would
 /// bypass the engine's latch.
 ///
-/// Migration note (one frame codec, one count): EncodeFrame and
-/// FrameReader moved from net/frame.h to util/crc32.h, where the WAL and
-/// the wire share them with one fixed32 pair (PutFixed32/GetFixed32). A
-/// FrameReader takes its payload bound as a constructor argument
-/// (net::kMaxFramePayload on the wire, the log's size in WAL replay) and
-/// reports consumed(). storage::DurabilityStats
-/// (Database::durability()->stats(); none for an in-memory database) is
-/// the only count of WAL records, fsyncs and log bytes: the CostModel's
-/// log-byte charge and its fsync and log-byte counters (with their
-/// CostSnapshot fields) and the Wal's own byte and sync counters are
-/// gone, while ChargeFsync keeps its modelled clock charge. The DRAINING
-/// response code (a draining server closes connections) and the client's
-/// retrying call and re-dial are gone too: retry a RETRY in the caller's
-/// own loop with RetryBackoffMs.
-///
-/// Migration note (one sorted vector of children): tree::Tree::children()
-/// now returns const Tree::Children&, a std::vector of
-/// std::pair<std::string, std::shared_ptr<Tree>> sorted by label, in
-/// place of a std::map. Range-for loops and structured bindings over it
-/// read as before, in the same order. Code that called find, at or count
-/// on it looks a child up with GetChild (through std::as_const when the
-/// tree is not const, so the lookup does not privatize). Build a node with
-/// many children through Tree::FromChildren, one sort, instead of one
-/// AddChild per child: each AddChild shifts the children that sort after
-/// its label. A durable Database refuses Sync() with FailedPrecondition
-/// once closed, so an editor commit over a closed store fails.
-///
 /// Network service (README "Network service"; src/net/): the service
 /// layer on a socket. cpdb_serve fronts one Engine over TCP with the
 /// WAL's checksummed length-prefixed frame (util/crc32.h), one pooled
@@ -208,7 +189,9 @@
 /// path (finish in-flight, checkpoint, exit 0; a restart serves
 /// bit-identical state). net/client.h is the pipelining client
 /// library; tools/cpdb_bench_client drives it (QD sweeps, zipf keys,
-/// open-loop pacing, p50/p99/p999). Deliberately NOT exported here:
+/// open-loop pacing, p50/p99/p999). The client neither retries nor
+/// re-dials: a caller retries a RETRY answer in its own loop with
+/// net::RetryBackoffMs. Deliberately NOT exported here:
 /// servers and clients include net/ headers directly; embedding callers
 /// never pay for the socket layer.
 ///
@@ -237,7 +220,6 @@
 #include "storage/wal.h"              // IWYU pragma: export
 #include "tree/serialize.h"           // IWYU pragma: export
 #include "tree/tree.h"                // IWYU pragma: export
-#include "tree/xml.h"                 // IWYU pragma: export
 #include "update/bulk.h"              // IWYU pragma: export
 #include "update/parser.h"            // IWYU pragma: export
 #include "update/semantics.h"         // IWYU pragma: export

@@ -24,11 +24,11 @@ Status Errno(const char* what) {
 }
 
 // GET renders trees canonically: children carrying an explicit null are
-// omitted. A snapshot rebuilt from the relational store materializes
-// NULL columns as null leaves, while a session that staged the same row
-// in-memory never creates them; rendering both forms identically is
-// what lets a digest taken before a drain compare bit-equal to one
-// taken after the reopen.
+// omitted. A client may insert an explicit null (`ins {f: null} into
+// R/tid`); the session that staged it holds a null leaf, while the
+// relational store keeps a NULL column, which a snapshot rebuilt from it
+// leaves out. Rendering both forms identically is what lets a digest
+// taken before a drain compare bit-equal to one taken after the reopen.
 std::string RenderCanonical(const tree::Tree* t) {
   if (t->HasValue()) return t->ToString();
   std::string out = "{";
@@ -448,6 +448,12 @@ Response Server::Execute(Conn* conn, const Request& req,
       return Response::Ok("draining");
     default:
       break;
+  }
+
+  // A stopped engine (a failed commit seal) runs no session verb: its
+  // shared state is ahead of the log. The admin verbs above still answer.
+  if (Status st = engine_->Running(); !st.ok()) {
+    return Response::Error(st.ToString());
   }
 
   // Admission control, transaction-atomic, BEFORE session acquisition:

@@ -65,6 +65,12 @@ struct ServerOptions {
 /// typed ERROR response followed by connection close — never a crash and
 /// never a partially applied message.
 ///
+/// Once a commit's seal has failed, the engine is stopped
+/// (service::Engine::Running): APPLY, COMMIT, ABORT, GETMOD, TRACEBACK,
+/// GET and EXPLAIN answer its Unavailable error without touching the
+/// connection's session, while PING, METRICS, TRACES, CHECKPOINT and
+/// DRAIN still answer.
+///
 /// Graceful drain (SIGTERM -> BeginDrain): stop accepting, read nothing
 /// new, answer every request already read and flush its response, close
 /// connections, checkpoint the store under the exclusive latch, and

@@ -7,8 +7,9 @@ namespace cpdb::provenance {
 /// Hierarchical provenance (Section 2.1.3 / 3.2.3): stores at most one
 /// record per operation — the link for the *root* of the affected subtree.
 /// Children's provenance is inferred from the closest ancestor's record
-/// by the recursive view of Section 2.1.3, implemented on the fly by
-/// Lookup(). Each operation is its own transaction.
+/// by the recursive view of Section 2.1.3, which queries apply on the fly
+/// (query::QueryEngine::NewestApplicable). Each operation is its own
+/// transaction.
 ///
 /// Faithful to the paper's observed costs, inserts perform an existence
 /// probe against the provenance store before writing ("we must first

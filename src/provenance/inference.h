@@ -34,8 +34,9 @@ using VersionFn = std::function<const tree::Tree*(int64_t tid)>;
 /// `hier`.
 ///
 /// The result is ordered by (tid, loc) and, for a store produced by
-/// single-operation transactions, equals the naive store's table — a
-/// property test in tests/inference_test.cc checks exactly that.
+/// single-operation transactions, equals the naive store's table —
+/// RandomWorkloadTest.HierarchicalExpandsToNaive (tests/property_test.cc)
+/// checks exactly that.
 Result<std::vector<ProvRecord>> ExpandToFull(
     const std::vector<ProvRecord>& hier, const VersionFn& versions);
 

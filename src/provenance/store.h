@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,26 +97,15 @@ class ProvStore {
   // ----- Read interface (query-facing) -------------------------------------
   //
   // Reads go through the backend's cursor/batch API: stream ranges with
-  // backend()->ScanUnder / ScanAtLoc / ScanAtLocOrAncestors / ScanAll,
-  // and resolve point batches with backend()->LookupMany. The store layer
-  // only keeps Lookup(), which layers hierarchical inference on top.
-  //
-  // Migration note: the vector-returning RecordsUnder / RecordsAtAncestors
-  // / RecordsForTid / AllRecords methods were removed with the cursor
-  // redesign, and so were ProvBackend's one-shot Get* shims that stood in
-  // for them. Read through the cursors: ScanUnder, ScanAtLocOrAncestors,
-  // ScanForTid and ScanAll (one round trip per batch fetched), or
-  // LookupMany for a point.
+  // backend()->ScanUnder / ScanAtLoc / ScanAtLocOrAncestors / ScanForTid
+  // / ScanAll (one round trip per batch fetched), and resolve point
+  // batches with backend()->LookupMany. No read returns a whole result
+  // vector.
 
-  /// Effective provenance of `loc` in transaction `tid`, applying the
-  /// hierarchical inference rules where the strategy requires it
-  /// (closest-ancestor rule, Section 2.1.3). std::nullopt = unchanged.
-  /// One backend round trip: a point lookup for the flat strategies, a
-  /// batched (tid, ancestor-chain) LookupMany for the hierarchical ones.
-  virtual Result<std::optional<ProvRecord>> Lookup(int64_t tid,
-                                                   const tree::Path& loc);
-
-  /// Whether Lookup must apply hierarchical inference.
+  /// Whether the store keeps hierarchical records (subtree roots only),
+  /// so a node's provenance may come from its closest ancestor's record
+  /// (Section 2.1.3). Queries then read the ancestor chain too
+  /// (query::QueryEngine::NewestApplicable).
   virtual bool IsHierarchical() const { return false; }
 
   // ----- Stats / transaction counters --------------------------------------

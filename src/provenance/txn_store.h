@@ -43,7 +43,7 @@ struct TxnStoreOptions {
 /// per batch.
 ///
 /// With options.hierarchical, the provlist holds hierarchical records
-/// (subtree roots only) and Lookup() applies closest-ancestor inference.
+/// (subtree roots only), and queries apply closest-ancestor inference.
 class TxnStore : public ProvStore {
  public:
   TxnStore(ProvBackend* backend, TxnStoreOptions options,

@@ -98,7 +98,7 @@ void CommitQueue::RunCohort() {
                                                  records_applied));
     std::abort();
   }
-  if (publish_) publish_();
+  if (sealed.ok() && publish_) publish_();
   latch_->UnlockExclusive();
 
   if (metrics_.cohort_size) {

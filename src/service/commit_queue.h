@@ -25,19 +25,20 @@ namespace cpdb::service {
 /// the closures via the engine's allocator, so tid order and apply order
 /// coincide by construction), seals the whole cohort with ONE call to the
 /// engine's seal function (Database::Sync + TargetDb::Sync: one WAL
-/// record, one fsync), publishes the new committed watermark, releases
-/// the latch, and wakes every follower with its own result — each on its
-/// OWN condition variable, so a cohort's completion costs one targeted
-/// wakeup per member instead of a thundering herd on a shared CondVar. A
-/// leader serves exactly one cohort; if the queue refilled meanwhile, the
-/// front waiter is promoted so no thread combines forever.
+/// record, one fsync), publishes the new committed watermark if the seal
+/// succeeded, releases the latch, and wakes every follower with its own
+/// result — each on its OWN condition variable, so a cohort's completion
+/// costs one targeted wakeup per member instead of a thundering herd on a
+/// shared CondVar. A leader serves exactly one cohort; if the queue
+/// refilled meanwhile, the front waiter is promoted so no thread combines
+/// forever.
 ///
 /// Error semantics: each member keeps its own apply error (one failed
 /// transaction does not poison its cohort-mates — their writes are
 /// independent and still seal). A seal failure is reported to every
-/// member whose apply succeeded: their writes did not become durable, and
-/// the durability engine fail-stops (storage::Durability::Sync), so no
-/// later cohort can leapfrog the gap.
+/// member whose apply succeeded: their writes did not become durable, so
+/// the cohort is not published, and the engine fail-stops
+/// (Engine::Running), so no later cohort can leapfrog the gap.
 ///
 /// Crash atomicity: the cohort's writes ride one WAL record, so recovery
 /// sees all of them or none — a crash after the leader's fsync keeps the
@@ -72,8 +73,9 @@ class CommitQueue {
                 obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
       CPDB_EXCLUDES(mu_, *latch_);
 
-  /// After the cohort's applies and its seal, with the exclusive latch
-  /// held: the engine advances its committed watermark here.
+  /// After the cohort's applies and a successful seal, with the exclusive
+  /// latch held: the engine advances its committed watermark here. A
+  /// cohort whose seal failed is not published.
   void set_publish(std::function<void()> publish) { publish_ = std::move(publish); }
 
   /// Monotonic count of the records appended to the engine's WAL (set on

@@ -28,8 +28,8 @@ namespace cpdb::service {
 ///    transactions apply under the commit queue's exclusive grant;
 ///  * the CommitQueue — leader/follower group commit, ONE WAL record and
 ///    ONE fsync per cohort via SyncShared(), every member applied in
-///    enqueue order on the leader's thread. Each cohort advances the
-///    committed tid watermark (CommittedTid()); session staleness is a
+///    enqueue order on the leader's thread. Each sealed cohort advances
+///    the committed tid watermark (CommittedTid()); session staleness is a
 ///    comparison against it, and the session pool snapshots the target
 ///    at most once per watermark;
 ///  * engine-wide monotonic tid allocation — NextTid() is an atomic
@@ -57,7 +57,11 @@ class Engine {
         base_tid_(backend->MaxTid()),
         next_tid_(base_tid_ + 1),
         committed_tid_(base_tid_),
-        queue_(&latch_, [this](size_t) { return SyncShared(); }) {
+        queue_(&latch_, [this](size_t) {
+          Status st = SyncShared();
+          if (!st.ok()) seal_failed_.store(true, std::memory_order_release);
+          return st;
+        }) {
     queue_.set_publish([this] { PublishWatermark(); });
     if (db()->durable()) {
       queue_.set_wal_probe(
@@ -88,6 +92,17 @@ class Engine {
     return committed_tid_.load(std::memory_order_acquire);
   }
 
+  /// OK until a cohort's seal fails, Unavailable from then on. A failed
+  /// seal leaves the shared target and provenance tables holding writes
+  /// that the log lacks, so the engine fail-stops: the watermark stays
+  /// put (the queue publishes only a sealed cohort), and Commit,
+  /// SessionPool::Acquire and the server's session verbs answer this
+  /// status.
+  Status Running() const {
+    if (!seal_failed_.load(std::memory_order_acquire)) return Status::OK();
+    return Status::Unavailable("engine stopped after a failed commit seal");
+  }
+
   /// Shared grant for a batch of reads (queries, scans, snapshots).
   /// Never commit while holding one — the commit would deadlock behind
   /// the leader waiting for the grant to drain (and the analysis flags
@@ -105,6 +120,7 @@ class Engine {
   Status Commit(std::function<Status()> apply,
                 obs::SpanCollector* trace = nullptr, uint64_t parent = 0)
       CPDB_EXCLUDES(latch_) {
+    CPDB_RETURN_IF_ERROR(Running());
     return queue_.Commit(std::move(apply), trace, parent);
   }
 
@@ -175,7 +191,8 @@ class Engine {
 
  private:
   /// Runs on the commit queue's leader thread after a cohort's applies
-  /// and seal, exclusive latch held: advances the committed watermark.
+  /// and successful seal, exclusive latch held: advances the committed
+  /// watermark.
   /// Nothing is snapshotted here: the session pool takes the tree at a
   /// watermark on the first acquire that needs it, so a tree target's
   /// content is shared with a snapshot only when a session reads it, and
@@ -200,6 +217,7 @@ class Engine {
   int64_t base_tid_;  ///< initialized before next_tid_ (declaration order)
   std::atomic<int64_t> next_tid_;
   std::atomic<int64_t> committed_tid_;
+  std::atomic<bool> seal_failed_{false};
   SharedLatch latch_;
   CommitQueue queue_;
   relstore::CostAggregate cost_totals_;

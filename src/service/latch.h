@@ -10,7 +10,7 @@ namespace cpdb::service {
 
 /// The engine's shared/exclusive latch.
 ///
-/// Read-only sessions (GetMod, Lookup, cursor scans) run concurrently
+/// Read-only sessions (GetMod, TraceBack, cursor scans) run concurrently
 /// under shared grants; the commit queue's leader applies a whole cohort
 /// of committed transactions under one exclusive grant, and
 /// Engine::Checkpoint takes the only other one. Cursors obey the same

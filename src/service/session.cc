@@ -66,6 +66,7 @@ SessionPool::SessionPool(Engine* engine, SessionOptions options)
           "Rows the target shipped for snapshots")) {}
 
 Result<std::unique_ptr<Session>> SessionPool::Acquire() {
+  CPDB_RETURN_IF_ERROR(engine_->Running());
   std::unique_ptr<Session> s;
   {
     MutexLock l(mu_);

@@ -156,7 +156,8 @@ class SessionPool {
  public:
   SessionPool(Engine* engine, SessionOptions options);
 
-  /// A session over the current committed state.
+  /// A session over the current committed state; the engine's status
+  /// once it has stopped (Engine::Running).
   Result<std::unique_ptr<Session>> Acquire() CPDB_EXCLUDES(mu_, build_mu_);
 
   /// Returns a session to the pool. The session must have no staged

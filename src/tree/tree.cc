@@ -227,33 +227,6 @@ bool Tree::Equals(const Tree& other) const {
   return true;
 }
 
-uint64_t Tree::Hash() const {
-  // FNV-1a over a canonical encoding; children are visited in sorted order
-  // so the hash is independent of insertion order, matching the unordered
-  // tree model.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 0x100000001b3ULL;
-    }
-    h ^= 0xff;
-    h *= 0x100000001b3ULL;
-  };
-  if (value_.has_value()) {
-    mix("v:" + value_->ToString());
-  }
-  for (const auto& [label, child] : children_) {
-    mix("l:" + label);
-    uint64_t ch = child->Hash();
-    for (int i = 0; i < 8; ++i) {
-      h ^= (ch >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
-
 void Tree::Visit(
     const std::function<void(const Path&, const Tree&)>& fn) const {
   struct Walker {
@@ -267,20 +240,6 @@ void Tree::Visit(
   };
   Walker w{fn};
   w.Walk(Path(), *this);
-}
-
-std::vector<Path> Tree::AllPaths() const {
-  std::vector<Path> out;
-  Visit([&out](const Path& p, const Tree&) { out.push_back(p); });
-  return out;
-}
-
-std::vector<Path> Tree::LeafPaths() const {
-  std::vector<Path> out;
-  Visit([&out](const Path& p, const Tree& t) {
-    if (!t.HasChildren()) out.push_back(p);
-  });
-  return out;
 }
 
 std::string Tree::ToString() const {

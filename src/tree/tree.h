@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -173,20 +172,10 @@ class Tree {
   /// Structural equality (labels, shape, and leaf values).
   bool Equals(const Tree& other) const;
 
-  /// Order-independent structural hash (FNV over canonical encoding).
-  uint64_t Hash() const;
-
   /// Calls `fn(path, node)` for every node in preorder; `path` is relative
   /// to this node (the root gets the empty path).
   void Visit(
       const std::function<void(const Path&, const Tree&)>& fn) const;
-
-  /// All node paths in this subtree (preorder), relative to this node,
-  /// including the empty path for this node itself.
-  std::vector<Path> AllPaths() const;
-
-  /// All leaf paths (nodes with values or empty trees).
-  std::vector<Path> LeafPaths() const;
 
   /// Compact one-line rendering: {a: {x: 1}, b: "s"} — parseable by
   /// ParseTree() in serialize.h.

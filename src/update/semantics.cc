@@ -117,19 +117,6 @@ Status ApplySequence(tree::Tree* universe, const Script& script,
   return Status::OK();
 }
 
-Status ApplyAtomically(tree::Tree* universe, const Script& script) {
-  UndoLog undo;
-  for (const Update& u : script) {
-    Status st = undo.ApplyTracked(universe, u);
-    if (!st.ok()) {
-      Status revert = undo.RevertAll(universe);
-      if (!revert.ok()) return revert;
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
 Status UndoLog::ApplyTracked(tree::Tree* universe, const Update& u,
                              ApplyEffect* effect) {
   Entry e;

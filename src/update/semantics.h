@@ -49,10 +49,6 @@ Status Apply(tree::Tree* universe, const Update& u,
 Status ApplySequence(tree::Tree* universe, const Script& script,
                      size_t* failed_at = nullptr);
 
-/// Applies the whole script or nothing: on failure the universe is
-/// restored to its pre-call state via the undo log.
-Status ApplyAtomically(tree::Tree* universe, const Script& script);
-
 /// Log of inverse actions sufficient to revert applied updates in reverse
 /// order. Used to abort editor transactions without snapshotting the
 /// whole database.

@@ -17,9 +17,6 @@ std::string Join(const std::vector<std::string>& parts,
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 

@@ -23,14 +23,6 @@ const char* PatternName(Pattern p) {
   return "?";
 }
 
-Result<Pattern> PatternFromName(const std::string& name) {
-  for (Pattern p : {Pattern::kAdd, Pattern::kDelete, Pattern::kCopy,
-                    Pattern::kAcMix, Pattern::kMix, Pattern::kReal}) {
-    if (name == PatternName(p)) return p;
-  }
-  return Status::InvalidArgument("unknown update pattern '" + name + "'");
-}
-
 const char* DeletePolicyName(DeletePolicy p) {
   switch (p) {
     case DeletePolicy::kRandom:
@@ -45,15 +37,6 @@ const char* DeletePolicyName(DeletePolicy p) {
       return "del-real";
   }
   return "?";
-}
-
-Result<DeletePolicy> DeletePolicyFromName(const std::string& name) {
-  for (DeletePolicy p :
-       {DeletePolicy::kRandom, DeletePolicy::kAdded, DeletePolicy::kCopied,
-        DeletePolicy::kMix, DeletePolicy::kReal}) {
-    if (name == DeletePolicyName(p)) return p;
-  }
-  return Status::InvalidArgument("unknown deletion pattern '" + name + "'");
 }
 
 UpdateGenerator::UpdateGenerator(const tree::Tree* universe,

@@ -7,7 +7,6 @@
 #include "tree/tree.h"
 #include "update/semantics.h"
 #include "update/update.h"
-#include "util/result.h"
 #include "util/rng.h"
 
 namespace cpdb::workload {
@@ -23,7 +22,6 @@ enum class Pattern {
 };
 
 const char* PatternName(Pattern p);
-Result<Pattern> PatternFromName(const std::string& name);
 
 /// Deletion patterns of the paper's Table 3 (victim selection for the
 /// delete slots of a mix run).
@@ -36,7 +34,6 @@ enum class DeletePolicy {
 };
 
 const char* DeletePolicyName(DeletePolicy p);
-Result<DeletePolicy> DeletePolicyFromName(const std::string& name);
 
 struct GenOptions {
   Pattern pattern = Pattern::kMix;

@@ -15,6 +15,7 @@ tree::Tree RelationalSourceDb::RowToTree(const relstore::Schema& schema,
                                          const relstore::Row& row) {
   tree::Tree tuple;
   for (size_t c = 1; c < row.size(); ++c) {
+    if (row[c].is_null()) continue;
     // Field labels come from the schema; tables with duplicate column
     // names are rejected at schema level, so AddChild cannot collide.
     (void)tuple.AddChild(schema.column(c).name,

@@ -11,8 +11,8 @@ namespace cpdb::wrap {
 /// Fully-keyed tree view of a relational database (the paper's
 /// OrganelleDB-on-MySQL source): the data values are addressed by
 /// four-level paths DB/R/tid/F — field F of the tuple with key `tid` in
-/// table R (Section 2). Only listed tables are exposed (typically the
-/// "catalog" relation, Section 3.1).
+/// table R (Section 2); a NULL field has no edge. Only listed tables are
+/// exposed (typically the "catalog" relation, Section 3.1).
 ///
 /// Each wrapper call charges the database's CostModel with one client
 /// round trip, since in the paper's deployment the wrapper talks to a
@@ -34,7 +34,9 @@ class RelationalSourceDb : public SourceDb {
 
  private:
   /// Renders one tuple as a subtree {field: value, ...} of its non-key
-  /// columns.
+  /// columns. A NULL column is an absent field: the target maps
+  /// `ins {F: v} into R/tid` to "set F, which was NULL", so the view
+  /// holds exactly the edges the updates that built the tuple made.
   static tree::Tree RowToTree(const relstore::Schema& schema,
                               const relstore::Row& row);
   static tree::Value DatumToValue(const relstore::Datum& d);

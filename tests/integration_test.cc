@@ -1,6 +1,6 @@
 // End-to-end integration: relational source -> wrapper -> editor with
-// archiving -> provenance queries -> XML export -> archive replay, plus
-// failure injection along the way.
+// archiving -> provenance queries -> archive replay, plus failure
+// injection along the way.
 
 #include <gtest/gtest.h>
 
@@ -83,12 +83,6 @@ TEST(IntegrationTest, FullCurationPipeline) {
   auto v2 = arch->GetVersion(2);
   ASSERT_TRUE(v2.ok());
   EXPECT_TRUE(v2->Equals(ed.universe()));
-
-  // XML round trip of the curated database.
-  std::string xml = tree::ToXml(*ed.TargetView(), "MyDB");
-  auto back = tree::FromXml(xml);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->Equals(*ed.TargetView()));
 
   // TxnMeta was recorded for each commit with the session user.
   auto meta_table = prov_db.GetTable(provenance::ProvBackend::kMetaTable);

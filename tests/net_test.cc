@@ -10,9 +10,12 @@
 // transactions atomically, and the graceful-drain + reopen round trip
 // recovering bit-identical state through the socket.
 
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -21,6 +24,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1676,6 +1680,73 @@ TEST(NetServerTest, DrainingServerRejectsNewWork) {
   Client late;
   EXPECT_FALSE(late.Connect("127.0.0.1", rig.port()).ok() &&
                late.Ping().ok());
+}
+
+// A failed seal publishes nothing and stops the engine: the watermark
+// stays put, the pool hands out no session, and every session verb
+// answers Unavailable while the admin verbs still answer. The WAL append
+// fails on a file-size limit, set in a child process so that no other
+// test runs under it.
+TEST(NetServerTest, FailedSealPublishesNothingAndStopsTheEngine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        auto check = [](bool ok, const char* what) {
+          if (ok) return;
+          std::fprintf(stderr, "check failed: %s\n", what);
+          std::_Exit(1);
+        };
+        TempDir dir("net_failed_seal");
+        NetRig rig(dir.path());
+        Client client;
+        check(client.Connect("127.0.0.1", rig.port()).ok(), "connect");
+        const Path table = Path::MustParse("T/data");
+        check(client.Apply(Update::Insert(table, "kept")).ok() &&
+                  client.Commit().ok(),
+              "the first commit succeeds");
+        check(rig.engine->CommittedTid() == 1, "the first commit is published");
+
+        // Cap this process's files at the log's size, so the next seal's
+        // append fails (EFBIG, with SIGXFSZ ignored); lift the cap again
+        // once the commit has answered.
+        const uint64_t wal_size = std::filesystem::file_size(
+            storage::Durability::WalPath(dir.path()));
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit saved{};
+        check(::getrlimit(RLIMIT_FSIZE, &saved) == 0, "getrlimit");
+        rlimit cap = saved;
+        cap.rlim_cur = static_cast<rlim_t>(wal_size);
+        check(::setrlimit(RLIMIT_FSIZE, &cap) == 0, "setrlimit");
+        check(client.Apply(Update::Insert(table, "lost")).ok(), "the apply");
+        Status commit = client.Commit();
+        check(::setrlimit(RLIMIT_FSIZE, &saved) == 0, "setrlimit");
+        check(!commit.ok(), "the capped commit fails");
+
+        check(rig.engine->CommittedTid() == 1,
+              "the failed cohort is not published");
+        check(rig.pool->Acquire().status().IsUnavailable(),
+              "the pool refuses sessions");
+        Client fresh;
+        check(fresh.Connect("127.0.0.1", rig.port()).ok(), "connect");
+        const Path lost = table.Child("lost");
+        for (Client* c : {&client, &fresh}) {
+          for (const Request& req :
+               {Request::Apply(Update::Insert(table, "k")), Request::Commit(),
+                Request::Abort(), Request::GetMod(lost),
+                Request::TraceBack(lost), Request::Get(lost),
+                Request::Explain(net::ReqType::kGet, lost)}) {
+            auto resp = c->Call(req);
+            check(resp.ok() && resp->code == RespCode::kError &&
+                      resp->body.rfind("Unavailable", 0) == 0,
+                  "a session verb answers Unavailable");
+          }
+          check(c->Ping().ok() && c->Metrics().ok() && c->Traces().ok(),
+                "the admin verbs answer");
+        }
+        std::fprintf(stderr, "engine stopped\n");
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "engine stopped");
 }
 
 }  // namespace

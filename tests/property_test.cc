@@ -117,48 +117,6 @@ TEST_P(RandomWorkloadTest, HierarchicalExpandsToNaive) {
   }
 }
 
-TEST_P(RandomWorkloadTest, LookupAgreesAcrossPerOpStrategies) {
-  // The effective (inferred) provenance that H reports for every node and
-  // transaction equals N's explicit records.
-  auto [seed, pattern] = GetParam();
-  auto n = RunPattern(Strategy::kNaive, pattern, seed, 80, 5);
-  auto h = RunPattern(Strategy::kHierarchical, pattern, seed, 80, 5);
-  ASSERT_EQ(n.applied, h.applied);
-
-  auto* ns = n.session->editor->store();
-  auto* hs = h.session->editor->store();
-  const tree::Tree* target = n.session->editor->TargetView();
-  ASSERT_NE(target, nullptr);
-
-  std::vector<tree::Path> probes;
-  target->Visit([&](const tree::Path& rel, const tree::Tree&) {
-    if (probes.size() < 40) {
-      probes.push_back(tree::Path({std::string("T")}).Concat(rel));
-    }
-  });
-  auto versions = h.session->editor->archive()->MakeVersionFn();
-  for (const tree::Path& p : probes) {
-    for (int64_t tid = ns->FirstTid(); tid <= ns->LastCommittedTid();
-         tid += 7) {  // sample transactions
-      // Inference is only defined for locations that exist in the
-      // transaction's output version (store-only lookups over-approximate
-      // elsewhere — combinations that backward traces never visit).
-      const tree::Tree* post = versions(tid);
-      ASSERT_NE(post, nullptr);
-      if (post->Find(p) == nullptr) continue;
-      auto rn = ns->Lookup(tid, p);
-      auto rh = hs->Lookup(tid, p);
-      ASSERT_TRUE(rn.ok());
-      ASSERT_TRUE(rh.ok());
-      ASSERT_EQ(rn->has_value(), rh->has_value())
-          << p.ToString() << " tid " << tid;
-      if (rn->has_value()) {
-        EXPECT_EQ(**rn, **rh) << p.ToString() << " tid " << tid;
-      }
-    }
-  }
-}
-
 TEST_P(RandomWorkloadTest, TraceAgreesAcrossAllStrategies) {
   auto [seed, pattern] = GetParam();
   // Per-op pair (N, H) must agree exactly; transactional pair (T, HT)

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "tree/diff.h"
 #include "tree/serialize.h"
-#include "tree/xml.h"
 
 namespace cpdb::tree {
 namespace {
@@ -32,89 +30,6 @@ TEST(SerializeTest, PrettyOutputIsIndented) {
   EXPECT_NE(pretty.find("a\n"), std::string::npos);
   EXPECT_NE(pretty.find("  b = 1"), std::string::npos);
   EXPECT_NE(pretty.find("c = 2"), std::string::npos);
-}
-
-TEST(XmlTest, RoundTrip) {
-  Tree t = T("{entry: {name: ABC1, weight: 112}, note: \"a & b <c>\"}");
-  std::string xml = ToXml(t, "db");
-  auto back = FromXml(xml);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_TRUE(back->Equals(t)) << xml;
-}
-
-TEST(XmlTest, EscapingSpecialCharacters) {
-  EXPECT_EQ(XmlEscape("a<b>&\"c\""), "a&lt;b&gt;&amp;&quot;c&quot;");
-  Tree t = T("{v: \"x<y&z\"}");
-  auto back = FromXml(ToXml(t));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->Find(Path::MustParse("v"))->value().AsString(), "x<y&z");
-}
-
-TEST(XmlTest, RepeatedSiblingTagsGetKeyedLabels) {
-  // Keyed-XML convention: repeated tags become Citation, Citation{2}, ...
-  auto t = FromXml(
-      "<db><Citation>a</Citation><Citation>b</Citation>"
-      "<Citation>c</Citation></db>");
-  ASSERT_TRUE(t.ok()) << t.status();
-  EXPECT_EQ(t->Find(Path::MustParse("Citation"))->value().AsString(), "a");
-  EXPECT_EQ(t->Find(Path::MustParse("Citation{2}"))->value().AsString(),
-            "b");
-  EXPECT_EQ(t->Find(Path::MustParse("Citation{3}"))->value().AsString(),
-            "c");
-}
-
-TEST(XmlTest, PrologCommentsAttributesSelfClosing) {
-  auto t = FromXml(
-      "<?xml version=\"1.0\"?>\n"
-      "<!-- a comment -->\n"
-      "<db attr=\"ignored\"><a/><b>1</b><!-- inner --></db>");
-  ASSERT_TRUE(t.ok()) << t.status();
-  EXPECT_TRUE(t->Find(Path::MustParse("a"))->IsEmpty());
-  EXPECT_EQ(t->Find(Path::MustParse("b"))->value().AsInt(), 1);
-}
-
-TEST(XmlTest, MalformedInputRejected) {
-  EXPECT_FALSE(FromXml("<a><b></a></b>").ok());
-  EXPECT_FALSE(FromXml("<a>").ok());
-  EXPECT_FALSE(FromXml("no xml at all").ok());
-}
-
-TEST(DiffTest, DetectsAddRemoveChange) {
-  Tree before = T("{a: 1, b: {x: 2}, c: 3}");
-  Tree after = T("{a: 9, b: {y: 4}, d: 5}");
-  auto diff = DiffTrees(before, after);
-  auto stats = SummarizeDiff(diff);
-  // a changed; b/x removed; b/y added; c removed; d added.
-  EXPECT_EQ(stats.changed, 1u);
-  EXPECT_EQ(stats.removed, 2u);
-  EXPECT_EQ(stats.added, 2u);
-  // Deterministic order and printable.
-  std::ostringstream os;
-  for (const auto& e : diff) os << e << "\n";
-  EXPECT_NE(os.str().find("~ a : 1 -> 9"), std::string::npos);
-}
-
-TEST(DiffTest, IdenticalTreesProduceEmptyDiff) {
-  Tree t = T("{a: {b: 1}}");
-  EXPECT_TRUE(DiffTrees(t, t.Clone()).empty());
-}
-
-TEST(DiffTest, SubtreeAdditionListsEveryNode) {
-  Tree before = T("{}");
-  Tree after = T("{a: {x: 1, y: 2}}");
-  auto diff = DiffTrees(before, after);
-  ASSERT_EQ(diff.size(), 3u);  // a, a/x, a/y
-  EXPECT_EQ(diff[0].path.ToString(), "a");
-  EXPECT_EQ(diff[1].path.ToString(), "a/x");
-}
-
-TEST(DiffTest, ValuePresenceChanges) {
-  // Leaf gaining / losing a value counts as a change.
-  Tree before = T("{a: {}}");
-  Tree after = T("{a: 5}");
-  auto diff = DiffTrees(before, after);
-  ASSERT_EQ(diff.size(), 1u);
-  EXPECT_EQ(diff[0].kind, DiffEntry::Kind::kValueChanged);
 }
 
 }  // namespace

@@ -1108,5 +1108,47 @@ TEST(ServiceRelationalTargetTest, RacingDuplicateTupleInsertFailsSecondCommit) {
   pool.Release(std::move(*later));
 }
 
+// A NULL column is an absent field. A session whose snapshot the pool
+// took from the store holds the same target subtree as the session that
+// staged the rows, so setting a field that is still NULL succeeds on
+// both.
+TEST(ServiceRelationalTargetTest, NullColumnIsAnAbsentFieldInANewSession) {
+  relstore::Database db("curated");
+  relstore::Schema schema({{"id", relstore::ColumnType::kString, false},
+                           {"f1", relstore::ColumnType::kString, true},
+                           {"f2", relstore::ColumnType::kString, true}});
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "data", schema).ok());
+  provenance::ProvBackend backend(&db);
+  wrap::RelationalTargetDb target("T", &db, {"data"});
+  Engine engine(&backend, &target);
+  SessionPool pool(&engine, service::SessionOptions{});  // HT
+
+  auto staged = pool.Acquire();
+  ASSERT_TRUE(staged.ok());
+  const Path row = Path::MustParse("T/data/k1");
+  ASSERT_TRUE((*staged)->Apply(Update::Insert(row.Parent(), "k1")).ok());
+  ASSERT_TRUE(
+      (*staged)->Apply(Update::Insert(row, "f1", tree::Value("a"))).ok());
+  ASSERT_TRUE((*staged)->Commit().ok());
+
+  auto fresh = pool.Acquire();  // built from the store's rows
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ((*fresh)->snapshot_tid(), engine.CommittedTid());
+  const Path t = Path::MustParse("T");
+  const tree::Tree* want = (*staged)->editor()->universe().Find(t);
+  const tree::Tree* got = (*fresh)->editor()->universe().Find(t);
+  ASSERT_TRUE(want != nullptr && got != nullptr);
+  EXPECT_TRUE(got->Equals(*want))
+      << got->ToString() << " != " << want->ToString();
+
+  const Update set_f2 = Update::Insert(row, "f2", tree::Value("b"));
+  Status on_fresh = (*fresh)->Apply(set_f2);
+  EXPECT_TRUE(on_fresh.ok()) << on_fresh;
+  Status on_staged = (*staged)->Apply(set_f2);
+  EXPECT_TRUE(on_staged.ok()) << on_staged;
+  pool.Release(std::move(*staged));
+  pool.Release(std::move(*fresh));
+}
+
 }  // namespace
 }  // namespace cpdb

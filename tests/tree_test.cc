@@ -140,27 +140,11 @@ TEST(TreeTest, EqualsIsStructuralAndValueSensitive) {
   EXPECT_FALSE(T("{a: {}}").Equals(T("{a: 1}")));
 }
 
-TEST(TreeTest, HashAgreesWithEquals) {
-  Tree a = T("{a: 1, b: {c: 2}}");
-  Tree b = T("{b: {c: 2}, a: 1}");
-  EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_NE(a.Hash(), T("{a: 1, b: {c: 3}}").Hash());
-}
-
 TEST(TreeTest, VisitIsPreorder) {
   Tree t = T("{a: {b: 1}, c: 2}");
   std::vector<std::string> seen;
   t.Visit([&](const Path& p, const Tree&) { seen.push_back(p.ToString()); });
   EXPECT_EQ(seen, (std::vector<std::string>{"", "a", "a/b", "c"}));
-}
-
-TEST(TreeTest, AllPathsAndLeafPaths) {
-  Tree t = T("{a: {b: 1}, c: {}}");
-  EXPECT_EQ(t.AllPaths().size(), 4u);  // root, a, a/b, c
-  auto leaves = t.LeafPaths();
-  ASSERT_EQ(leaves.size(), 2u);
-  EXPECT_EQ(leaves[0].ToString(), "a/b");
-  EXPECT_EQ(leaves[1].ToString(), "c");
 }
 
 TEST(TreeTest, TakeChildMovesSubtree) {

@@ -153,17 +153,6 @@ TEST(SemanticsTest, SequenceStopsAtFirstFailure) {
   EXPECT_FALSE(u.Contains(P("T/b")));  // third never ran
 }
 
-TEST(SemanticsTest, ApplyAtomicallyRollsBack) {
-  tree::Tree u = T("{T: {c: 1}}");
-  tree::Tree before = u.Clone();
-  Script script = {Update::Insert(P("T"), "a"),
-                   Update::Delete(P("T"), "c"),
-                   Update::Delete(P("T"), "zz")};  // fails
-  Status st = ApplyAtomically(&u, script);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(u.Equals(before));
-}
-
 // ----- Undo log -----------------------------------------------------------
 
 TEST(UndoLogTest, RevertsInsertDeleteCopy) {

@@ -47,23 +47,6 @@ TEST(DataGenTest, RelationalOrganelleMatchesTreeShape) {
   EXPECT_EQ((*t)->schema().NumColumns(), 4u);  // id + 3 fields
 }
 
-TEST(PatternNamesTest, RoundTrip) {
-  for (Pattern p : {Pattern::kAdd, Pattern::kDelete, Pattern::kCopy,
-                    Pattern::kAcMix, Pattern::kMix, Pattern::kReal}) {
-    auto back = PatternFromName(PatternName(p));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, p);
-  }
-  EXPECT_FALSE(PatternFromName("bogus").ok());
-  for (DeletePolicy p :
-       {DeletePolicy::kRandom, DeletePolicy::kAdded, DeletePolicy::kCopied,
-        DeletePolicy::kMix, DeletePolicy::kReal}) {
-    auto back = DeletePolicyFromName(DeletePolicyName(p));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, p);
-  }
-}
-
 class GeneratorPatternTest : public ::testing::TestWithParam<Pattern> {};
 
 TEST_P(GeneratorPatternTest, GeneratedOpsAlwaysApply) {

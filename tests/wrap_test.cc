@@ -125,14 +125,14 @@ TEST(RelationalTargetDbTest, AtomicUpdatesMapToRowOperations) {
             "ABC1");
   EXPECT_EQ(view->Find(Path::MustParse("prot/p1/loc"))->value().AsString(),
             "membrane");
-  // del name from prot/p1 -> NULLed field disappears from the view? No:
-  // NULL fields render as null leaves; the tuple keeps its arity.
+  // del name from prot/p1 -> the NULLed field disappears from the view,
+  // as the edge does from the tree.
   ASSERT_TRUE(
       Push(&target, Update::Delete(Path::MustParse("prot/p1"), "name")).ok());
   view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
-  EXPECT_TRUE(
-      view->Find(Path::MustParse("prot/p1/name"))->value().is_null());
+  EXPECT_EQ(view->Find(Path::MustParse("prot/p1/name")), nullptr);
+  EXPECT_NE(view->Find(Path::MustParse("prot/p1/loc")), nullptr);
   // del p1 from prot -> tuple gone.
   ASSERT_TRUE(
       Push(&target, Update::Delete(Path::MustParse("prot"), "p1")).ok());
@@ -159,15 +159,15 @@ TEST(RelationalTargetDbTest, WholeTupleUpsertFromPaste) {
             "CRP");
 
   // A paste over an existing tuple replaces it, as the pasted subtree
-  // replaces the node in the universe: a column the subtree lacks reads
-  // NULL, not its old value.
+  // replaces the node in the universe: a column the subtree lacks is
+  // NULL, an absent field, not its old value.
   auto partial = tree::ParseTree("{loc: nucleus}");
   ASSERT_TRUE(Push(&target, Update::Copy(Path(), Path::MustParse("prot/p7")),
                    &partial.value())
                   .ok());
   view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
-  EXPECT_TRUE(view->Find(Path::MustParse("prot/p7/name"))->value().is_null());
+  EXPECT_EQ(view->Find(Path::MustParse("prot/p7/name")), nullptr);
   EXPECT_EQ(view->Find(Path::MustParse("prot/p7/loc"))->value().AsString(),
             "nucleus");
   EXPECT_EQ(view->Find(Path::MustParse("prot"))->ChildCount(), 1u);
@@ -417,7 +417,7 @@ TEST(RelationalTargetDbTest, BatchJournalsOnlyItsNetEffect) {
   auto view = target.TreeFromDb();
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->Find(p1.Child("name"))->value().AsString(), "CRP");
-  EXPECT_TRUE(view->Find(p1.Child("loc"))->value().is_null());
+  EXPECT_EQ(view->Find(p1.Child("loc")), nullptr);
 
   // A tuple inserted and deleted in one batch journals nothing.
   journal = CountingJournal();

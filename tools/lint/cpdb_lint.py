@@ -136,7 +136,7 @@ OBS-METRICS
     /metrics, and a counter living outside it is invisible to both. The
     allowlist names the std::atomic members that are NOT metrics —
     engine tid and trace-id allocation, the committed watermark, and the
-    server's lifecycle flags — each of which is load-bearing
+    engine's and server's lifecycle flags — each of which is load-bearing
     synchronization state with its own reader, not telemetry. The same
     layers may not declare a `struct Stats` either: a private counter
     block under the component's mutex, re-exported to the registry by a
@@ -491,6 +491,7 @@ OBS_METRICS_ALLOWED = {
     ("src/service/engine.h", "next_tid_"),       # tid allocator
     ("src/service/engine.h", "trace_id_seq_"),   # trace-id allocator
     ("src/service/engine.h", "committed_tid_"),  # MVCC watermark
+    ("src/service/engine.h", "seal_failed_"),    # lifecycle flag
     ("src/net/server.h", "draining_"),           # lifecycle flag
     ("src/net/server.h", "started_"),            # lifecycle flag
     ("src/net/metrics_http.h", "stopping_"),     # lifecycle flag
