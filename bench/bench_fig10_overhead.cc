@@ -10,7 +10,7 @@
 // trip carrying the run's average rows per op — reconstructed from the
 // cost parameters rather than taken from the measured average, because
 // since the batched write path T/HT's measured target time is amortized
-// over one ApplyBatch per commit (fig9) and would inflate their
+// over one native write per commit (fig9) and would inflate their
 // percentages against the paper's per-op baseline.
 
 #include <cstdio>

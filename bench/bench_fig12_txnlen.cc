@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     // provenance side already group-committed (one WriteRecords per
     // non-empty commit — unchanged), but every committed op used to reach
     // the target as its own per-op write round trip, where the batched
-    // path issues one target ApplyBatch per commit. Mirrors fig13's
+    // path issues one target native write per commit. Mirrors fig13's
     // measured-vs-legacy read comparison, on the write side.
     size_t write_rts = st.prov_write_trips + st.target_write_trips;
     size_t write_rts_legacy = st.prov_write_trips + st.applied;

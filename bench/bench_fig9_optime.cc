@@ -10,7 +10,7 @@
 // costs stay tiny.
 //
 // Batched write path: for T/HT the committed transaction's native target
-// writes ride ONE ApplyBatch round trip per commit instead of one per
+// writes ride ONE native write round trip per commit instead of one per
 // op, so their dataset-update average sits well below N/H's per-op
 // figure — the write-side analogue of the paper's "reduced number of
 // round-trips" win. The JSON report carries the measured write round
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       "\nShape check vs paper: T per-op ~0 with a commit ~25%% of a per-op\n"
       "dataset update; H copies cheaper than N but inserts dearer (probe);\n"
       "HT per-op costs small. T/HT dataset-upd is amortized over batched\n"
-      "commit-time native writes (one ApplyBatch round trip per commit),\n"
+      "commit-time native writes (one write round trip per commit),\n"
       "so it sits below N/H's per-op figure.\n");
   report.WriteTo(flags.GetString("json", ""));
   return 0;

@@ -296,7 +296,7 @@ struct RunStats {
   size_t prov_rows_moved = 0;   ///< rows transferred over those round trips
   size_t prov_write_trips = 0;  ///< write-side subset (WriteRecords etc.)
   size_t prov_write_rows = 0;   ///< rows carried by those write trips
-  size_t target_write_trips = 0;  ///< target ApplyBatch calls
+  size_t target_write_trips = 0;  ///< target native write calls
   size_t target_write_rows = 0;   ///< rows/nodes carried by target writes
   size_t prov_fsyncs = 0;     ///< durable mode: fsync barriers issued
   size_t prov_log_bytes = 0;  ///< durable mode: bytes appended to the WAL

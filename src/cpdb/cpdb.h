@@ -28,8 +28,8 @@
 /// Each fetch is one modelled round trip; a result that fits one batch
 /// costs exactly one, and Next(&batch, ProvCursor::kNoLimit) drains a
 /// whole scan in one. Ordering guarantees: ScanAll streams the table key
-/// order (Tid, Loc); ScanForTid orders by Loc; the Loc-side scans
-/// (ScanAtLoc, ScanUnder, ScanAtLocOrAncestors) order by (Loc, Tid).
+/// order (Tid, Loc); the Loc-side scans (ScanAtLoc, ScanUnder,
+/// ScanAtLocOrAncestors) order by (Loc, Tid).
 /// ScanUnder and ScanAtLocOrAncestors also take ProvFields::kTid, which
 /// fills only each record's tid straight from the (Loc, Tid) index key.
 /// Consistency: a cursor borrows a position inside the store's indexes
@@ -46,19 +46,20 @@
 /// (README "Write path"):
 ///
 ///   editor->ApplyScriptText(script);   // N/H: ONE WriteRecords +
-///                                      // ONE target ApplyBatch flush
+///                                      // ONE target write flush
 ///   editor->ApplyUpdate(u);            // N/H: the same flush, batch of 1
 ///   editor->Commit();                  // T/HT: same, per transaction
 ///
 /// relstore::Table::InsertBatch is the storage statement (insert-only,
 /// as provenance is append-only; validated up front, indexes fed one
-/// sorted run per batch via BTree::BulkUpsert); wrap::TargetDb::ApplyBatch
-/// ships a committed transaction's native writes in one modelled call;
+/// sorted run per batch via BTree::BulkUpsert); wrap::TargetDb::Prepare
+/// checks a transaction's native writes before its provenance is written,
+/// and the write it returns ships them in one modelled call;
 /// provenance::ProvStore::TrackBatch group-commits a staged script with
 /// per-op semantics (tids, records, and H's per-insert probe) unchanged.
 ///
 /// ProvStore::TrackBatch is the only tracking call and
-/// TargetDb::ApplyBatch the only native write call; a single op is
+/// TargetDb::Prepare the only native write call; a single op is
 /// tracked or mirrored as a batch of one. ProvBackend::WriteRecords is
 /// atomic: a duplicate {Tid, Loc} rejects the whole batch. Write round
 /// trips are counted on CostModel's write-side counters
@@ -67,14 +68,16 @@
 ///
 /// Every strategy stages into one unit that either seals or unwinds as a
 /// whole (README "Write path"); Editor::PendingOps() says whether
-/// anything is staged. A T/HT Commit() whose provenance write fails
-/// unwinds its transaction, as Abort() would. A bulk copy's glob record
-/// is stamped at the seal with the tids its unit committed under, so an
-/// aborted T/HT bulk leaves none. Editor::TotalOps() counts committed
-/// ops. A seal that fails hands its tids back: LastCommittedTid() stays
-/// where it was, so the next unit commits under the same tid and an
-/// archived session's versions stay consecutive (engine sessions still
-/// burn the allocator's tid; gaps are allowed there).
+/// anything is staged. A unit whose native replay the target refuses, or
+/// whose provenance write fails, unwinds whole before anything is
+/// written: a T/HT Commit() as Abort() would, an N/H script reporting 0
+/// applied. A bulk copy's glob record is stamped at the seal with the
+/// tids its unit committed under, so an aborted T/HT bulk leaves none.
+/// Editor::TotalOps() counts committed ops. A seal that fails hands its
+/// tids back: LastCommittedTid() stays where it was, so the next unit
+/// commits under the same tid and an archived session's versions stay
+/// consecutive (engine sessions still burn the allocator's tid when the
+/// provenance write fails; gaps are allowed there).
 ///
 /// Durability (README "Durability"; storage/):
 ///
@@ -166,10 +169,10 @@
 /// from the target, and cpdb_snapshot_rebuild_rows_total the rows the
 /// target shipped for them (0 for a copy-on-write tree target).
 ///
-/// Metrics have one format: the registry renders only the Prometheus
-/// text exposition (METRICS, /metrics), and every series has one name
-/// (OPERATOR_GUIDE.md, "Metrics catalogue"). Each component registers
-/// the counters it bumps.
+/// Metrics have one format and one export: the registry renders only the
+/// Prometheus text exposition, which the METRICS verb returns, and every
+/// series has one name (OPERATOR_GUIDE.md, "Metrics catalogue"). Each
+/// component registers the counters it bumps.
 ///
 /// Sessions vs standalone Editor: a directly created Editor draws private
 /// sequential tids from first_tid and runs its own per-commit fsync, the

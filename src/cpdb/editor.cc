@@ -151,6 +151,13 @@ Status Editor::Seal() {
     unit_.Clear();
     return Status::OK();
   }
+  // The target checks the unit's whole native replay first: a replay it
+  // refuses unwinds the unit before anything is written, as a refused
+  // provenance write does.
+  Result<std::vector<wrap::NativeOp>> native = BuildNativeOps();
+  if (!native.ok()) return Unwind(native.status());
+  Result<wrap::NativeWrite> write = target_->Prepare(*native);
+  if (!write.ok()) return Unwind(write.status());
   // Group commit: the whole unit reaches the provenance backend in one
   // WriteRecords — N/H's TrackBatch with per-op tids and records, T/HT's
   // provlist flush — and a failure there writes nothing.
@@ -168,13 +175,12 @@ Status Editor::Seal() {
     glob.last_tid = unit_.tids.back();
     approx_->Track(std::move(glob));
   }
-  // A failure from here on is a native replay of committed updates going
-  // wrong: the native store then needs a reload (universe and provenance
-  // remain consistent). The whole unit rides one fsync either way.
+  // A failure from here on is a checked native write or a later step
+  // going wrong: the native store then needs a reload (universe and
+  // provenance remain consistent). The whole unit rides one fsync either
+  // way.
   Status tail = [&]() -> Status {
-    CPDB_ASSIGN_OR_RETURN(std::vector<wrap::NativeOp> native,
-                          BuildNativeOps());
-    CPDB_RETURN_IF_ERROR(target_->ApplyBatch(native));
+    CPDB_RETURN_IF_ERROR((*write)());
     if (archive_ != nullptr) {
       // One version per tid, the unit's post-state closing the run.
       std::vector<update::Script> versions;

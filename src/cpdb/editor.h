@@ -75,12 +75,13 @@ struct EditorOptions {
 /// "no interaction with the target database or provenance store".
 ///
 /// Every strategy writes through one staged unit: updates are staged into
-/// it, and the unit either seals — one provenance flush, one native
-/// ApplyBatch, one durability barrier — or unwinds as a whole. N/H seal
-/// the unit before each update, script or bulk copy returns; T/HT seal it
-/// at Commit(). A provenance write that fails unwinds the whole unit, so
-/// the universe, the provenance store and the native target never
-/// disagree about what committed.
+/// it, and the unit either seals — one checked native replay, one
+/// provenance flush, one native write, one durability barrier — or
+/// unwinds as a whole. N/H seal the unit before each update, script or
+/// bulk copy returns; T/HT seal it at Commit(). A native replay the
+/// target refuses, or a provenance write that fails, unwinds the whole
+/// unit before anything is written, so the universe, the provenance store
+/// and the native target never disagree about what committed.
 class Editor {
  public:
   /// Builds a session around a target database and a provenance backend.
@@ -129,14 +130,15 @@ class Editor {
   /// Batched write path: for the per-operation strategies (N, H) the
   /// script is one unit, sealed as one group commit — one TrackBatch (a
   /// single WriteRecords round trip; H's per-insert probes excepted) and
-  /// one TargetDb::ApplyBatch (a single native round trip) — while
-  /// per-op semantics (one tid per op, identical records) are preserved;
-  /// an archived session records the script's versions as one run. A
-  /// mid-script failure seals the applied prefix, matching the per-op
+  /// one native write (a single round trip) — while per-op semantics (one
+  /// tid per op, identical records) are preserved; an archived session
+  /// records the script's versions as one run. An op that fails to stage
+  /// ends the script and the applied prefix seals, matching the per-op
   /// contract. For T/HT the ops join the open transaction and seal at
-  /// Commit(). A failed provenance write unwinds the whole unit and
-  /// reports 0 applied; a native-replay failure after the provenance
-  /// committed reports its error with the committed ops applied.
+  /// Commit(). A native replay the target refuses, or a failed provenance
+  /// write, unwinds the whole unit and reports 0 applied; a native write
+  /// failure after the provenance committed reports its error with the
+  /// committed ops applied.
   Status ApplyScript(const update::Script& script, size_t* applied = nullptr);
 
   /// Parses and applies a script in the paper's concrete syntax
@@ -151,10 +153,11 @@ class Editor {
   Result<size_t> BulkCopy(const update::BulkCopySpec& spec);
 
   /// Seals the open transaction (T/HT): its provenance flushes in one
-  /// WriteRecords and its native target writes in one TargetDb::ApplyBatch
-  /// call, whatever its length. If the provenance write fails, the
-  /// transaction unwinds as Abort() would and the error is returned.
-  /// A harmless no-op for N/H, which seal every unit at once.
+  /// WriteRecords and its native target writes in one checked native
+  /// write, whatever its length. If the target refuses the replay or the
+  /// provenance write fails, the transaction unwinds as Abort() would and
+  /// the error is returned. A harmless no-op for N/H, which seal every
+  /// unit at once.
   Status Commit();
 
   /// Reverts all uncommitted operations (universe + provlist + staged
@@ -206,13 +209,14 @@ class Editor {
   /// failure unwinds the whole unit.
   Status Stage(const update::Update& u);
 
-  /// Commits the staged unit. N/H track it in one TrackBatch (one tid per
-  /// op); T/HT commit the provlist under the transaction's one tid. If
-  /// that provenance write fails nothing was written and the unit
-  /// unwinds. Otherwise the unit is committed and never unwound: its
-  /// native writes go out in one ApplyBatch, an archived session records
-  /// one version per tid, TxnMeta (when enabled) gets one row per tid,
-  /// and the unit's glob records are stamped with its [first, last] tid.
+  /// Commits the staged unit. The target first checks the unit's native
+  /// replay (TargetDb::Prepare); then N/H track it in one TrackBatch (one
+  /// tid per op) and T/HT commit the provlist under the transaction's one
+  /// tid. If either refuses, nothing was written and the unit unwinds.
+  /// Otherwise the unit is committed and never unwound: its checked
+  /// native write runs, an archived session records one version per tid,
+  /// TxnMeta (when enabled) gets one row per tid, and the unit's glob
+  /// records are stamped with its [first, last] tid.
   /// The durability barrier then ALWAYS runs — even when that tail fails,
   /// because the unit is committed in the provenance store and must seal
   /// into its own log record, not fuse into a later unit's. The tail's

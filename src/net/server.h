@@ -167,8 +167,8 @@ class Server {
   /// Registers the server's counters (connection/request totals, protocol
   /// violations, slow requests), the in-flight-bytes gauge and the
   /// per-verb latency histograms into the ENGINE's registry — one
-  /// registry per engine is the whole point, so `METRICS` and `/metrics`
-  /// read the same objects. Runs in Start(), before any worker exists;
+  /// registry per engine is the whole point, so `METRICS` renders every
+  /// layer's series together. Runs in Start(), before any worker exists;
   /// callbacks re-registered by a later Server replace this one's,
   /// counters and gauges carry on.
   void RegisterMetrics();

@@ -107,8 +107,7 @@ class Histogram {
 ///
 /// Each metric has one name, its Prometheus series name (+ optional
 /// label set), and one rendering, the text exposition (RenderPrometheus)
-/// that the `METRICS` wire verb and the `--metrics-port` HTTP endpoint
-/// both return.
+/// that the `METRICS` wire verb returns.
 ///
 /// Registration is mutex-guarded and idempotent (same name+labels+kind
 /// returns the same object); record paths on the returned objects are

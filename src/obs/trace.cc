@@ -83,14 +83,13 @@ Span* SpanCollector::Find(uint64_t id) {
   return nullptr;
 }
 
-void SpanStore::RingPushTrace(Ring* ring, size_t cap,
-                              std::vector<Span> spans) {
-  if (ring->traces.size() < cap) {
+void SpanStore::RingPushTrace(Ring* ring, std::vector<Span> spans) {
+  if (ring->traces.size() < kRingCapacity) {
     ring->traces.push_back(std::move(spans));
   } else {
     ring->traces[ring->next] = std::move(spans);
   }
-  ring->next = (ring->next + 1) % cap;
+  ring->next = (ring->next + 1) % kRingCapacity;
 }
 
 bool SpanStore::Record(std::vector<Span> spans, bool sampled) {
@@ -104,14 +103,14 @@ bool SpanStore::Record(std::vector<Span> spans, bool sampled) {
     MutexLock l(mu_);
     if (slow) {
       ++slow_recorded_;
-      RingPushTrace(&slow_, slow_cap_, spans);
+      RingPushTrace(&slow_, spans);
     }
     if (sampled) {
       ++recorded_;
       // Pick the ring BEFORE handing the spans over: the map-subscript
       // argument and the move are indeterminately sequenced otherwise.
       Ring* ring = &recent_[spans.front().kind];
-      RingPushTrace(ring, cap_, std::move(spans));
+      RingPushTrace(ring, std::move(spans));
     }
   }
   // Rendered and written outside the lock, rate-unlimited: a server
@@ -187,11 +186,19 @@ std::string SpanStore::TreeJson(const std::vector<Span>& spans) {
   return out;
 }
 
-std::string SpanStore::TracesJson(size_t max_per_kind) const {
+std::string SpanStore::TracesJson() const {
   double threshold;
   uint64_t total, slow_total;
   std::vector<std::vector<Span>> traces;
   std::vector<std::vector<Span>> slow;
+  // A ring's trees, newest first: the newest sits just behind `next`.
+  auto newest_first = [](const Ring& ring,
+                         std::vector<std::vector<Span>>* out) {
+    const size_t n = ring.traces.size();
+    for (size_t i = 0; i < n; ++i) {
+      out->push_back(ring.traces[(ring.next + n - 1 - i) % n]);
+    }
+  };
   {
     MutexLock l(mu_);
     threshold = SlowThresholdUs();
@@ -199,22 +206,9 @@ std::string SpanStore::TracesJson(size_t max_per_kind) const {
     slow_total = slow_recorded_;
     for (const auto& [kind, ring] : recent_) {
       (void)kind;
-      size_t n = ring.traces.size() < max_per_kind ? ring.traces.size()
-                                                   : max_per_kind;
-      for (size_t i = 0; i < n; ++i) {
-        // Newest element sits just behind `next`, wrapping.
-        size_t idx = (ring.next + ring.traces.size() - 1 - i) %
-                     ring.traces.size();
-        traces.push_back(ring.traces[idx]);
-      }
+      newest_first(ring, &traces);
     }
-    size_t n = slow_.traces.size() < max_per_kind ? slow_.traces.size()
-                                                  : max_per_kind;
-    for (size_t i = 0; i < n; ++i) {
-      size_t idx =
-          (slow_.next + slow_.traces.size() - 1 - i) % slow_.traces.size();
-      slow.push_back(slow_.traces[idx]);
-    }
+    newest_first(slow_, &slow);
   }
   std::string out = "{\"slow_threshold_us\":";
   AppendJsonNumber(&out, threshold);

@@ -112,13 +112,13 @@ class SpanCollector {
 /// Engine-level store of assembled traces — the ONE trace store: a slow
 /// commit and a slow query are both a span tree here. Per-root-kind
 /// recent rings hold sampled requests, one more ring holds slow
-/// offenders. Backs the TRACES verb, the EXPLAIN verb's inline render,
+/// offenders, each the newest kRingCapacity trees: exactly what TRACES
+/// renders. Backs the TRACES verb, the EXPLAIN verb's inline render,
 /// and the slow-request stderr log (--slow-ms).
 class SpanStore {
  public:
-  explicit SpanStore(size_t capacity = 64, size_t slow_capacity = 64)
-      : cap_(capacity == 0 ? 1 : capacity),
-        slow_cap_(slow_capacity == 0 ? 1 : slow_capacity) {}
+  /// Trees kept per ring.
+  static constexpr size_t kRingCapacity = 8;
 
   /// <= 0 disables the slow-request log (the default).
   void SetSlowThresholdUs(double us) {
@@ -157,10 +157,9 @@ class SpanStore {
   /// is ever silently dropped from the render.
   static std::string TreeJson(const std::vector<Span>& spans);
 
-  /// Every ring rendered: {"slow_threshold_us":...,"recorded":N,
-  /// "slow_recorded":M,"traces":[tree,...],"slow":[tree,...]} with up to
-  /// `max_per_kind` most-recent trees per root kind.
-  std::string TracesJson(size_t max_per_kind = 8) const CPDB_EXCLUDES(mu_);
+  /// Every ring rendered, newest tree first: {"slow_threshold_us":...,
+  /// "recorded":N,"slow_recorded":M,"traces":[tree,...],"slow":[tree,...]}.
+  std::string TracesJson() const CPDB_EXCLUDES(mu_);
 
  private:
   struct Ring {
@@ -168,10 +167,8 @@ class SpanStore {
     size_t next = 0;
   };
 
-  static void RingPushTrace(Ring* ring, size_t cap, std::vector<Span> spans);
+  static void RingPushTrace(Ring* ring, std::vector<Span> spans);
 
-  const size_t cap_;
-  const size_t slow_cap_;
   mutable Mutex mu_;
   /// Recent sampled traces, keyed by root span kind ("server.GETMOD",
   /// "server.COMMIT", ...), so a burst of one verb cannot evict the

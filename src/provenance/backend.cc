@@ -246,15 +246,6 @@ ProvCursor ProvBackend::ScanAll() {
   return cur;
 }
 
-ProvCursor ProvBackend::ScanForTid(int64_t tid) {
-  ProvCursor cur = MakeCursor();
-  ScanSpec spec;
-  spec.index = "pk_tid_loc";
-  spec.eq = Row{Datum(tid)};
-  cur.AddSegment(Bounded(std::move(spec)));
-  return cur;
-}
-
 ProvCursor ProvBackend::ScanAtLoc(const tree::Path& loc) {
   ProvCursor cur = MakeCursor();
   ScanSpec spec;

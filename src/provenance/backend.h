@@ -40,11 +40,10 @@ enum class ProvFields { kRecord, kTid };
 /// exactly like a kRecord one: the field selector changes what the client
 /// decodes, not what the modelled statement returns.
 ///
-/// Ordering: every cursor yields records in its index-key order —
-/// ScanAll/ScanForTid by (Tid, Loc), the Loc-side scans by (Loc, Tid) —
-/// where Loc compares as its slash-joined string rendering (the form the
-/// index stores). The concrete guarantee is documented on each
-/// ProvBackend factory.
+/// Ordering: every cursor yields records in its index-key order — ScanAll
+/// by (Tid, Loc), the Loc-side scans by (Loc, Tid) — where Loc compares
+/// as its slash-joined string rendering (the form the index stores). The
+/// concrete guarantee is documented on each ProvBackend factory.
 ///
 /// Consistency: the cursor borrows a position inside the store's indexes;
 /// any provenance write invalidates it. Readers drain cursors before the
@@ -189,9 +188,6 @@ class ProvBackend {
   /// Everything, ordered by (Tid, Loc) — the table-key order the full
   /// table prints in (Figure 5).
   ProvCursor ScanAll();
-
-  /// One transaction's records, ordered by Loc.
-  ProvCursor ScanForTid(int64_t tid);
 
   /// All records at exactly `loc`, ordered by Tid.
   ProvCursor ScanAtLoc(const tree::Path& loc);

@@ -97,10 +97,9 @@ class ProvStore {
   // ----- Read interface (query-facing) -------------------------------------
   //
   // Reads go through the backend's cursor/batch API: stream ranges with
-  // backend()->ScanUnder / ScanAtLoc / ScanAtLocOrAncestors / ScanForTid
-  // / ScanAll (one round trip per batch fetched), and resolve point
-  // batches with backend()->LookupMany. No read returns a whole result
-  // vector.
+  // backend()->ScanUnder / ScanAtLoc / ScanAtLocOrAncestors / ScanAll
+  // (one round trip per batch fetched), and resolve point batches with
+  // backend()->LookupMany. No read returns a whole result vector.
 
   /// Whether the store keeps hierarchical records (subtree roots only),
   /// so a node's provenance may come from its closest ancestor's record

@@ -36,7 +36,7 @@ struct CostParams {
 /// differencing: `calls` is the modelled round-trip count (the paper's
 /// unit of query cost), `rows` the transferred-row count. `write_calls`
 /// and `write_rows` are the write-side subset — round trips issued by
-/// ChargeWrite (WriteRecords, target ApplyBatch) — so benches can
+/// ChargeWrite (WriteRecords, the target's native write) — so benches can
 /// difference write round trips the same way reads do.
 struct CostSnapshot {
   double micros = 0;

@@ -172,7 +172,7 @@ class Engine {
   /// add theirs on top. Readers look a counter up by name:
   /// `metrics().GetCounter("cpdb_commits_total", "")->Value()`. The
   /// registry renders one export format, the Prometheus text exposition
-  /// that `METRICS` and `/metrics` return.
+  /// that `METRICS` returns.
   obs::Registry& metrics() { return metrics_; }
 
   /// The one store of assembled trace trees: the network server records

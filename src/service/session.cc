@@ -16,7 +16,7 @@ Status Session::Apply(const update::Update& u) {
 Status Session::ApplyScript(const update::Script& script, size_t* applied) {
   if (per_op_) {
     // The whole staged batch (one tid per op, one WriteRecords, one
-    // native ApplyBatch) is one commit unit.
+    // native write) is one commit unit.
     return CommitTraced(
         [&] { return editor_->ApplyScript(script, applied); });
   }

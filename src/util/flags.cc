@@ -20,6 +20,42 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+namespace {
+
+/// True when `value` is a valid value of a `kind` flag.
+bool Parses(Flags::Kind kind, const std::string& value) {
+  int64_t i;
+  double d;
+  switch (kind) {
+    case Flags::Kind::kString:
+      return true;
+    case Flags::Kind::kInt:
+      return ParseInt64(value, &i);
+    case Flags::Kind::kDouble:
+      return ParseDouble(value, &d);
+    case Flags::Kind::kBool:
+      return value.empty() || value == "true" || value == "false" ||
+             value == "1" || value == "0";
+  }
+  return false;
+}
+
+}  // namespace
+
+Status Flags::Check(const std::map<std::string, Kind>& known) const {
+  for (const auto& [name, value] : values_) {
+    auto it = known.find(name);
+    if (it == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    if (!Parses(it->second, value)) {
+      return Status::InvalidArgument("malformed value in --" + name + "=" +
+                                     value);
+    }
+  }
+  return Status::OK();
+}
+
 bool Flags::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }

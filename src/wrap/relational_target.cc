@@ -3,6 +3,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -183,14 +184,11 @@ class RelationalTargetDb::NetEffect {
     return Status::OK();
   }
 
-  /// Sets field `col` of `t`'s image to `value` if the image then passes
-  /// Table::CheckRow; otherwise the image keeps its old field.
+  /// Sets field `col` of `t`'s image to `value`; the image must then pass
+  /// Table::CheckRow.
   static Status SetField(Touched* t, size_t col, Datum value) {
-    Row& image = *t->image;
-    std::swap(image[col], value);
-    Status valid = t->table->CheckRow(image);
-    if (!valid.ok()) std::swap(image[col], value);
-    return valid;
+    (*t->image)[col] = std::move(value);
+    return t->table->CheckRow(*t->image);
   }
 
   /// Stores every tuple whose image differs from its stored row, in
@@ -224,17 +222,17 @@ class RelationalTargetDb::NetEffect {
   std::map<std::pair<const Table*, Datum>, Touched*> slots_;
 };
 
-Status RelationalTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
-  if (ops.empty()) return Status::OK();
-  cost().ChargeWrite(ops.size());
-  NetEffect net;
-  Status folded;
+Result<NativeWrite> RelationalTargetDb::Prepare(
+    const std::vector<NativeOp>& ops) {
+  if (ops.empty()) return NativeWrite([] { return Status::OK(); });
+  auto net = std::make_shared<NetEffect>();
   for (const NativeOp& op : ops) {
-    folded = Fold(op.update, op.pasted, &net);
-    if (!folded.ok()) break;
+    CPDB_RETURN_IF_ERROR(Fold(op.update, op.pasted, net.get()));
   }
-  CPDB_RETURN_IF_ERROR(net.Write());
-  return folded;
+  return NativeWrite([this, net, rows = ops.size()] {
+    cost().ChargeWrite(rows);
+    return net->Write();
+  });
 }
 
 Status RelationalTargetDb::Fold(const update::Update& u,

@@ -40,8 +40,7 @@ namespace cpdb::wrap {
 /// write-ahead log carries only the final row images. The key index is
 /// the only unique constraint the fold checks; a wrapped table carries no
 /// other unique index. An op whose row image would not fit one heap page
-/// is refused in the fold, so no rewrite deletes a tuple it cannot store
-/// again.
+/// is refused in the fold, which refuses its whole transaction.
 class RelationalTargetDb : public TargetDb {
  public:
   /// Exposes `tables` of `db`; first column of each table is the tuple
@@ -65,18 +64,16 @@ class RelationalTargetDb : public TargetDb {
   /// right after creating a table this target will wrap.
   static Status CreateKeyIndex(relstore::Table* table);
 
-  /// One modelled SQL batch statement for the whole transaction, one
-  /// round trip charged in total, in two passes. The fold takes the ops in
-  /// order into one working row image per touched tuple, read once through
-  /// the key index; every op runs its checks against those images,
-  /// including Table::CheckRow on its result (the schema, and a row image
-  /// that fits one heap page), so an op that fails changes no image and no
-  /// stored row is deleted for an image the table would refuse. The write
-  /// then stores each tuple whose image changed, in first-touch order: it
-  /// deletes the stored row, inserts the image, or both. A failing op's
-  /// error is returned after the net effect of the ops before it is
-  /// written, as op-by-op replay would leave it.
-  Status ApplyBatch(const std::vector<NativeOp>& ops) override;
+  /// One modelled SQL batch statement for the whole transaction, in two
+  /// passes. Prepare folds the ops in order into one working row image
+  /// per touched tuple, read once through the key index; every op runs
+  /// its checks against those images, including Table::CheckRow on its
+  /// result (the schema, and a row image that fits one heap page). The
+  /// first op that fails is Prepare's error, and nothing is written. The
+  /// write then charges one round trip and stores each tuple whose image
+  /// changed, in first-touch order: it deletes the stored row, inserts
+  /// the image, or both. The table must not change between the two.
+  Result<NativeWrite> Prepare(const std::vector<NativeOp>& ops) override;
 
   /// Group-commit barrier of the backing store — one fsync per committed
   /// transaction when `db` is durable, a no-op otherwise. When the target

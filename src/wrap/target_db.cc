@@ -33,18 +33,20 @@ Status TreeTargetDb::ApplyOne(const update::Update& u,
   return Status::Internal("unknown update kind");
 }
 
-Status TreeTargetDb::ApplyBatch(const std::vector<NativeOp>& ops) {
-  size_t total_rows = 0;
-  for (const NativeOp& op : ops) {
-    size_t rows = 0;
-    CPDB_RETURN_IF_ERROR(ApplyOne(op.update, op.pasted, &rows));
-    total_rows += rows;
-  }
-  if (!ops.empty()) {
-    MutexLock l(cost_mu_);
-    cost_.ChargeWrite(total_rows);
-  }
-  return Status::OK();
+Result<NativeWrite> TreeTargetDb::Prepare(const std::vector<NativeOp>& ops) {
+  return NativeWrite([this, batch = &ops]() -> Status {
+    size_t total_rows = 0;
+    for (const NativeOp& op : *batch) {
+      size_t rows = 0;
+      CPDB_RETURN_IF_ERROR(ApplyOne(op.update, op.pasted, &rows));
+      total_rows += rows;
+    }
+    if (!batch->empty()) {
+      MutexLock l(cost_mu_);
+      cost_.ChargeWrite(total_rows);
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace cpdb::wrap

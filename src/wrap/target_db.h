@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,27 +17,33 @@ using cpdb::MutexLock;
 
 /// One update of a committed transaction, ready for the native store:
 /// paths already rebased to the target's root, and for copies the
-/// materialised subtree (borrowed; must outlive the call it is passed
-/// to), because the native store cannot see the editor's universe.
+/// materialised subtree (borrowed; must outlive the write it is replayed
+/// by), because the native store cannot see the editor's universe.
 struct NativeOp {
   update::Update update;
   const tree::Tree* pasted = nullptr;
 };
 
+/// A transaction's checked replay: running it stores the native writes
+/// TargetDb::Prepare checked, and charges their one modelled round trip.
+using NativeWrite = std::function<Status()>;
+
 /// Wrapper a target database must implement (paper Figure 6): initial
 /// tree view plus the update methods addNode / deleteNode / pasteNode,
-/// here unified as ApplyBatch over update-language ops since the three
+/// here unified as Prepare over update-language ops since the three
 /// update verbs map 1:1 onto the atomic update language.
 ///
-/// The editor keeps the authoritative universe tree; ApplyBatch mirrors
-/// each committed transaction's updates into the native store so it
-/// stays in sync, and charges the target's interaction cost (the
-/// dominant "dataset update" time of Figure 9 — Timber-over-SOAP in the
-/// paper). It is the only native write call: a T/HT transaction arrives
-/// as one batch at Commit(), an N/H script as one batch, and a single
-/// N/H update as a batch of one. Wrappers charge each call as ONE
-/// modelled client call carrying all its rows — the write-side analogue
-/// of the cursor read API's one-round-trip-per-batch contract.
+/// The editor keeps the authoritative universe tree; each sealed unit's
+/// updates are mirrored into the native store so it stays in sync, and
+/// charge the target's interaction cost (the dominant "dataset update"
+/// time of Figure 9 — Timber-over-SOAP in the paper). Prepare is the
+/// only native write call, in two steps: it checks the whole unit before
+/// the editor writes its provenance, and the NativeWrite it returns
+/// stores the unit after. A T/HT transaction arrives as one batch at
+/// Commit(), an N/H script as one batch, and a single N/H update as a
+/// batch of one. Wrappers charge each write as ONE modelled client call
+/// carrying all its rows — the write-side analogue of the cursor read
+/// API's one-round-trip-per-batch contract.
 class TargetDb {
  public:
   virtual ~TargetDb() = default;
@@ -50,14 +57,14 @@ class TargetDb {
   /// wrapper's snapshot is counted and a copy-on-write one is free.
   virtual Result<tree::Tree> TreeFromDb() = 0;
 
-  /// Mirrors a whole transaction's updates, in order, in one modelled
-  /// round trip. Each op's paths are relative to this database's root
-  /// (the mount label stripped), and a copy carries its materialised
-  /// subtree. `ops` must be a replay of updates already validated
-  /// against the editor's universe; a mid-batch failure aborts the
-  /// remainder and is reported — like a failed commit replay, the native
-  /// store then needs a reload.
-  virtual Status ApplyBatch(const std::vector<NativeOp>& ops) = 0;
+  /// Checks a whole transaction's updates, in order, and returns the
+  /// write that stores them in one modelled round trip. Each op's paths
+  /// are relative to this database's root (the mount label stripped), and
+  /// a copy carries its materialised subtree. `ops` must be a replay of
+  /// updates already validated against the editor's universe, and must
+  /// outlive the write. Nothing is written or charged before the write
+  /// runs, so an op the store refuses fails the whole transaction here.
+  virtual Result<NativeWrite> Prepare(const std::vector<NativeOp>& ops) = 0;
 
   /// Durability barrier, called by the editor once per committed
   /// transaction after the transaction's native writes. Wrappers over a
@@ -71,9 +78,10 @@ class TargetDb {
 };
 
 /// A native tree/XML target database — the stand-in for MiMI-on-Timber.
-/// Content mirrors the editor's universe; ApplyBatch re-applies the
-/// updates locally and charges one round trip per batch plus per-node
-/// costs for pastes.
+/// Content mirrors the editor's universe, which staging already checked
+/// under the same tree semantics, so Prepare checks nothing more; its
+/// write re-applies the updates locally and charges one round trip per
+/// batch plus per-node costs for pastes.
 class TreeTargetDb : public TargetDb {
  public:
   TreeTargetDb(std::string name, tree::Tree initial,
@@ -96,9 +104,9 @@ class TreeTargetDb : public TargetDb {
   /// O(1): a copy-on-write clone sharing every node with the live content
   /// (tree::Tree structural sharing), so snapshotting never copies data.
   Result<tree::Tree> TreeFromDb() override { return content_.Clone(); }
-  /// Applies every update, charging one round trip for the whole batch
-  /// (rows = total nodes moved) instead of one per op.
-  Status ApplyBatch(const std::vector<NativeOp>& ops) override;
+  /// A write that applies every update, charging one round trip for the
+  /// whole batch (rows = total nodes moved) instead of one per op.
+  Result<NativeWrite> Prepare(const std::vector<NativeOp>& ops) override;
   relstore::CostModel& cost() override { return cost_; }
 
   const tree::Tree& content() const { return content_; }
@@ -111,7 +119,7 @@ class TreeTargetDb : public TargetDb {
   std::string name_;
   tree::Tree content_;
   relstore::CostModel cost_;
-  /// Serializes cost charges across ApplyBatch callers. The engine's
+  /// Serializes cost charges across concurrent writes. The engine's
   /// exclusive latch already runs them one at a time; the lock keeps the
   /// (not thread-safe) CostModel safe without relying on that.
   Mutex cost_mu_;

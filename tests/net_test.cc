@@ -32,7 +32,6 @@
 
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/metrics_http.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "provenance/store.h"
@@ -963,9 +962,6 @@ TEST(NetServerTest, StartRefusesOutOfRangeOptions) {
     opts.port = port;
     Status st = refused(opts);
     EXPECT_TRUE(st.IsInvalidArgument()) << port << ": " << st.ToString();
-    net::MetricsHttpServer http(&engine.metrics(), "127.0.0.1", port);
-    st = http.Start();
-    EXPECT_TRUE(st.IsInvalidArgument()) << port << ": " << st.ToString();
   }
 }
 
@@ -1239,49 +1235,6 @@ TEST(NetObservabilityTest, MetricsSeriesAreTheOperatorGuideContract) {
     EXPECT_NE(metrics->find("\ncpdb_commits_total 1\n"), std::string::npos)
         << *metrics;
   }
-}
-
-TEST(NetObservabilityTest, HttpMetricsEndpointAnswersScrapers) {
-  NetRig rig;
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", rig.port()).ok());
-  ASSERT_TRUE(
-      client.Apply(Update::Insert(Path::MustParse("T/data"), "h1")).ok());
-  ASSERT_TRUE(client.Commit().ok());
-
-  net::MetricsHttpServer http(&rig.engine->metrics(), "127.0.0.1", 0);
-  ASSERT_TRUE(http.Start().ok());
-  ASSERT_GT(http.port(), 0);
-
-  auto http_get = [&](const std::string& request) {
-    int fd = RawConnect(http.port());
-    EXPECT_EQ(::write(fd, request.data(), request.size()),
-              static_cast<ssize_t>(request.size()));
-    std::string response;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof buf)) > 0) {
-      response.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return response;
-  };
-
-  std::string ok = http_get("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-  EXPECT_NE(ok.find("HTTP/1.1 200 OK"), std::string::npos) << ok;
-  EXPECT_NE(ok.find("Content-Type: text/plain"), std::string::npos);
-  EXPECT_NE(ok.find("cpdb_commits_total 1\n"), std::string::npos) << ok;
-  EXPECT_NE(ok.find("# TYPE cpdb_commit_stage_us histogram"),
-            std::string::npos);
-
-  std::string miss = http_get("GET /nope HTTP/1.1\r\n\r\n");
-  EXPECT_NE(miss.find("404"), std::string::npos) << miss;
-  std::string post = http_get("POST /metrics HTTP/1.1\r\n\r\n");
-  EXPECT_NE(post.find("405"), std::string::npos) << post;
-
-  http.Stop();
-  // Stop() is idempotent and the port is released for reuse.
-  http.Stop();
 }
 
 // ----- End-to-end request tracing --------------------------------------------

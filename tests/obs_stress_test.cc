@@ -86,12 +86,12 @@ TEST(ObsStressTest, SpanStoreUnderConcurrentRecordAndRender) {
   constexpr size_t kWriters = 4;
   constexpr size_t kTraces = 2000;
   constexpr size_t kSlowEvery = 100;  // slow trees also print to stderr
-  SpanStore store(/*capacity=*/16, /*slow_capacity=*/8);
+  SpanStore store;
   store.SetSlowThresholdUs(1000);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      std::string json = store.TracesJson(4);
+      std::string json = store.TracesJson();
       EXPECT_EQ(json.rfind("{\"slow_threshold_us\":1000,", 0), 0u) << json;
       EXPECT_EQ(json.back(), '}');
     }

@@ -257,27 +257,34 @@ TEST(SpanStoreTest, TreeJsonNestsChildrenAndAdoptsOrphans) {
 }
 
 TEST(SpanStoreTest, RecordsSampledTracesPerRootKind) {
-  SpanStore store(/*capacity=*/2, /*slow_capacity=*/2);
+  SpanStore store;
   // Unsampled + fast records nothing at all.
   store.Record(MakeTrace(1, 10), /*sampled=*/false);
   EXPECT_EQ(store.recorded(), 0u);
   EXPECT_EQ(store.slow_recorded(), 0u);
 
-  for (uint64_t id = 2; id <= 5; ++id) {
+  for (uint64_t id = 2; id <= 11; ++id) {
     store.Record(MakeTrace(id, 10), /*sampled=*/true);
   }
-  EXPECT_EQ(store.recorded(), 4u);
+  EXPECT_EQ(store.recorded(), 10u);
   std::string json = store.TracesJson();
-  // The ring holds 2 per root kind; the two newest survive.
-  EXPECT_EQ(json.find("\"trace_id\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"trace_id\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"trace_id\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"recorded\":4"), std::string::npos);
+  auto at = [&](uint64_t id) {
+    return json.find("{\"trace_id\":" + std::to_string(id) + ",");
+  };
+  // The ring holds SpanStore::kRingCapacity = 8 per root kind; the eight
+  // newest of the ten survive, rendered newest first.
+  EXPECT_EQ(at(2), std::string::npos) << json;
+  EXPECT_EQ(at(3), std::string::npos) << json;
+  for (uint64_t id = 4; id <= 11; ++id) {
+    EXPECT_NE(at(id), std::string::npos) << id << ": " << json;
+  }
+  EXPECT_LT(at(11), at(4));
+  EXPECT_NE(json.find("\"recorded\":10"), std::string::npos);
   EXPECT_NE(json.find("\"slow\":[]"), std::string::npos);
 }
 
 TEST(SpanStoreTest, SlowThresholdCapturesEvenUnsampledTraces) {
-  SpanStore store(4, 4);
+  SpanStore store;
   store.SetSlowThresholdUs(1000);
   EXPECT_EQ(store.SlowThresholdUs(), 1000);
   // Record reports a slow capture, so the caller can count it by class.

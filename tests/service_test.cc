@@ -25,6 +25,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1095,17 +1096,101 @@ TEST(ServiceRelationalTargetTest, RacingDuplicateTupleInsertFailsSecondCommit) {
   Status lost = (*second)->Commit();
   EXPECT_TRUE(lost.IsAlreadyExists()) << lost;
   EXPECT_EQ((*table)->RowCount(), 1u);
+  // The target refused the loser's replay before its provenance write:
+  // only the winner's `I T/data/k` row is in the store.
+  EXPECT_EQ(backend.RowCount(), 1u);
   pool.Release(std::move(*first));
   pool.Release(std::move(*second));
 
   // The committed state still has one tuple per identifier, so sessions
-  // keep building. (The losing commit's provenance rows stay behind:
-  // first-committer-wins validation before the seal is not done yet.)
+  // keep building.
   auto later = pool.Acquire();
   ASSERT_TRUE(later.ok()) << later.status();
   EXPECT_TRUE((*later)->editor()->universe().Contains(
       Path::MustParse("T/data/k")));
   pool.Release(std::move(*later));
+}
+
+// A unit the relational target refuses writes nothing: no provenance
+// row, no tid, and none of its earlier ops' rows. The staging session
+// unwinds to the committed state a fresh session reads, and commits again
+// from there. The target's refusals are ones tree staging cannot see: a
+// field outside the table's schema, and a row image past one heap page.
+TEST(ServiceRelationalTargetTest, RefusedReplayWritesNothing) {
+  for (Strategy strategy :
+       {Strategy::kHierarchical, Strategy::kHierarchicalTransactional}) {
+    SCOPED_TRACE(provenance::StrategyShortName(strategy));
+    relstore::Database db("curated");
+    relstore::Schema schema({{"id", relstore::ColumnType::kString, false},
+                             {"f1", relstore::ColumnType::kString, true},
+                             {"f2", relstore::ColumnType::kString, true},
+                             {"f3", relstore::ColumnType::kString, true}});
+    ASSERT_TRUE(testutil::CreateKeyedTable(&db, "data", schema).ok());
+    provenance::ProvBackend backend(&db);
+    wrap::RelationalTargetDb target("T", &db, {"data"});
+    Engine engine(&backend, &target);
+    service::SessionOptions opts;
+    opts.strategy = strategy;
+    SessionPool pool(&engine, opts);
+
+    auto staging = pool.Acquire();
+    ASSERT_TRUE(staging.ok());
+    Session* s = staging->get();
+    const Path row = Path::MustParse("T/data/k1");
+    ASSERT_TRUE(s->ApplyScript({Update::Insert(row.Parent(), "k1"),
+                                Update::Insert(row, "f1", tree::Value("a"))})
+                    .ok());
+    ASSERT_TRUE(s->Commit().ok());
+    const size_t prov_rows = backend.RowCount();
+    const int64_t committed = engine.CommittedTid();
+    auto stored = target.TreeFromDb();
+    ASSERT_TRUE(stored.ok());
+
+    // Each unit opens with an op the target accepts.
+    const Update accepted = Update::Insert(row, "f2", tree::Value("b"));
+    const std::vector<std::pair<Update, std::string>> refusals = {
+        {Update::Insert(row, "bogus", tree::Value("x")),
+         "no column 'bogus' in table data"},
+        {Update::Insert(row, "f3", tree::Value(std::string(5000, 'x'))),
+         "record larger than page"}};
+    for (const auto& [refused, why] : refusals) {
+      SCOPED_TRACE(why);
+      Status st;
+      if (PerOp(strategy)) {
+        size_t applied = 99;
+        st = s->ApplyScript({accepted, refused}, &applied);
+        EXPECT_EQ(applied, 0u);
+      } else {
+        ASSERT_TRUE(s->Apply(accepted).ok());
+        ASSERT_TRUE(s->Apply(refused).ok());  // tree staging accepts it
+        st = s->Commit();
+      }
+      EXPECT_EQ(st.message(), why) << st;
+      EXPECT_EQ(s->editor()->PendingOps(), 0u);
+      EXPECT_EQ(backend.RowCount(), prov_rows);
+      EXPECT_EQ(engine.CommittedTid(), committed);
+      auto now = target.TreeFromDb();
+      ASSERT_TRUE(now.ok());
+      EXPECT_TRUE(now->Equals(*stored));
+
+      auto fresh = pool.Acquire();
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_TRUE(s->editor()->TargetView()->Equals(
+          *(*fresh)->editor()->TargetView()));
+      pool.Release(std::move(*fresh));
+    }
+
+    // The unwound session commits the accepted op on its own.
+    ASSERT_TRUE(s->Apply(accepted).ok());
+    ASSERT_TRUE(s->Commit().ok());
+    EXPECT_GT(engine.CommittedTid(), committed);
+    auto after = target.TreeFromDb();
+    ASSERT_TRUE(after.ok());
+    const tree::Tree* f2 = after->Find(Path::MustParse("data/k1/f2"));
+    ASSERT_NE(f2, nullptr);
+    EXPECT_EQ(f2->value().AsString(), "b");
+    pool.Release(std::move(*staging));
+  }
 }
 
 // A NULL column is an absent field. A session whose snapshot the pool

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/flags.h"
@@ -130,6 +132,35 @@ TEST(FlagsTest, ParsesBothForms) {
   EXPECT_TRUE(flags.GetBool("verbose", false));
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_FALSE(flags.Has("missing"));
+}
+
+TEST(FlagsTest, CheckRefusesUnknownFlagsAndMalformedValues) {
+  const std::map<std::string, Flags::Kind> known = {
+      {"dir", Flags::Kind::kString},
+      {"port", Flags::Kind::kInt},
+      {"slow-ms", Flags::Kind::kDouble},
+      {"wipe", Flags::Kind::kBool}};
+  auto check = [&](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return Flags(static_cast<int>(args.size()),
+                 const_cast<char**>(args.data()))
+        .Check(known);
+  };
+  EXPECT_TRUE(check({}).ok());
+  EXPECT_TRUE(check({"--dir=", "--port=0", "--slow-ms=2.5", "--wipe"}).ok());
+  EXPECT_TRUE(check({"--port", "-1", "--wipe=false"}).ok());
+  // Each refusal names the flag: a retired or misspelled name, and a
+  // value the flag's accessor would otherwise replace by its default.
+  for (const char* bad :
+       {"--metrics-json=m.json", "--prot=7170", "--port=abc", "--port=1.5",
+        "--port", "--slow-ms=fast", "--wipe=yes"}) {
+    Status st = check({"--dir=x", bad});
+    const std::string flag(bad);
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad << ": " << st.ToString();
+    EXPECT_NE(st.message().find(flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(GlobSegmentsTest, UtilLevelMatcher) {

@@ -257,7 +257,7 @@ TEST(WriteBatchRoundTripTest, CommittedHtTransactionFlushesInOneCallEach) {
   relstore::CostSnapshot prov1 = s->prov_db->cost().Snap();
   relstore::CostSnapshot tgt1 = s->target->cost().Snap();
   // The k-op transaction reaches the provenance backend in exactly one
-  // WriteRecords and the target in exactly one ApplyBatch.
+  // WriteRecords and the target in exactly one native write.
   EXPECT_EQ(prov1.write_calls - prov0.write_calls, 1u);
   EXPECT_EQ(tgt1.write_calls - tgt0.write_calls, 1u);
   EXPECT_GT(s->editor->store()->RecordCount(), 0u);
@@ -276,7 +276,7 @@ TEST(WriteBatchRoundTripTest, PerOpScriptGroupCommitsInOneCallEach) {
           s->editor->ApplyScriptText(testutil::Figure3ScriptText()).ok());
       relstore::CostSnapshot prov1 = s->prov_db->cost().Snap();
       relstore::CostSnapshot tgt1 = s->target->cost().Snap();
-      // One group-commit WriteRecords and one target ApplyBatch for the
+      // One group-commit WriteRecords and one target native write for the
       // whole 10-op script, even though each op kept its own tid (and,
       // archived, its own version).
       EXPECT_EQ(prov1.write_calls - prov0.write_calls, 1u);

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Scrape a cpdb /metrics endpoint and validate the exposition.
+"""Validate a cpdb metrics exposition, as the METRICS verb returns it.
 
-    python3 tools/ci/scrape_metrics.py http://127.0.0.1:7192/metrics \
-        --out=scrape.txt [--prev=earlier.txt] [--require=cpdb_commits_total]...
+    ./build/cpdb_bench_client --port=7170 --mode=metrics > scrape.txt
+    python3 tools/ci/scrape_metrics.py "file://$PWD/scrape.txt" \
+        [--out=copy.txt] [--prev=earlier.txt] [--require=cpdb_commits_total]...
+
+The URL is opened with urllib and must answer Content-Type text/plain,
+which a file URL does for a .txt name.
 
 Checks, in order:
 
@@ -18,7 +22,7 @@ Checks, in order:
    dropped or reset state mid-run.
 
 Exit 0 on success; nonzero with a message on any violation. Used by the
-CI socket smoke (scrape under load, scrape after, diff) and handy for
+CI socket smokes (scrape under load, scrape after, diff) and handy for
 manual poking at a live server.
 """
 

@@ -20,19 +20,17 @@
 //                          N >= 0 committers wait in the commit queue
 //   --wipe                 remove --dir before opening (fresh start)
 //
-// A value outside those ranges, or any other strategy name, exits 1 with
-// a message and serves nothing.
-//
-// Observability flags (README "Observability", OPERATOR_GUIDE.md):
-//   --metrics-port=N       serve Prometheus text exposition as plain HTTP
-//                          GET /metrics on this port (0 = ephemeral;
-//                          default -1 = off). The METRICS wire verb
-//                          returns the same render without this flag.
 //   --slow-ms=X            APPLY/COMMIT and GETMOD/TRACEBACK/GET requests
 //                          slower than X ms have their span tree captured
 //                          in the trace store's slow ring (TRACES verb,
 //                          "slow" array) and logged to stderr as one
 //                          "cpdb slow-request:" JSON line (default 0 = off)
+//
+// A flag not listed here, a number that does not parse, a value outside
+// those ranges, or any other strategy name exits 1 with a message and
+// serves nothing. The port is the server's only socket: metrics are read
+// through the METRICS verb (`cpdb_bench_client --mode=metrics`), traces
+// through TRACES (README "Observability", OPERATOR_GUIDE.md).
 //
 // Shutdown: SIGTERM or SIGINT triggers the graceful drain — stop
 // accepting, finish and flush every parsed request, checkpoint the store
@@ -54,7 +52,6 @@
 #include <vector>
 
 #include "cpdb/cpdb.h"
-#include "net/metrics_http.h"
 #include "net/server.h"
 #include "util/flags.h"
 
@@ -110,6 +107,18 @@ extern "C" void HandleSignal(int) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  Status usable = flags.Check({{"dir", Flags::Kind::kString},
+                               {"host", Flags::Kind::kString},
+                               {"port", Flags::Kind::kInt},
+                               {"strategy", Flags::Kind::kString},
+                               {"workers", Flags::Kind::kInt},
+                               {"max-queue-depth", Flags::Kind::kInt},
+                               {"wipe", Flags::Kind::kBool},
+                               {"slow-ms", Flags::Kind::kDouble}});
+  if (!usable.ok()) {
+    std::fprintf(stderr, "cpdb_serve: %s\n", usable.message().c_str());
+    return 1;
+  }
   const std::string dir = flags.GetString("dir", "serve-db");
   const std::string host = flags.GetString("host", "127.0.0.1");
   const int port = IntFlag(flags, "port", 7170);
@@ -196,35 +205,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Observability sidecar: the HTTP scrape endpoint reads the engine's
-  // registry — the same objects the METRICS verb renders.
-  const int metrics_port = IntFlag(flags, "metrics-port", -1);
-  std::unique_ptr<net::MetricsHttpServer> metrics_http;
-  if (metrics_port >= 0) {
-    metrics_http = std::make_unique<net::MetricsHttpServer>(&engine.metrics(),
-                                                            host, metrics_port);
-    Status ms = metrics_http->Start();
-    if (!ms.ok()) {
-      std::fprintf(stderr, "cpdb_serve: metrics: %s\n", ms.ToString().c_str());
-      return 1;
-    }
-  }
-
   std::printf("cpdb_serve: listening on %s:%d (dir=%s strategy=%s "
               "workers=%zu max-queue-depth=%zu)\n",
               host.c_str(), server.port(),
               dir.empty() ? "<in-memory>" : dir.c_str(),
               provenance::StrategyShortName(sopts.strategy), nopts.workers,
               nopts.max_queue_depth);
-  if (metrics_http != nullptr) {
-    std::printf("cpdb_serve: metrics on http://%s:%d/metrics\n", host.c_str(),
-                metrics_http->port());
-  }
   std::fflush(stdout);
 
   server.Wait();  // until a drain completes (SIGTERM/SIGINT or DRAIN verb)
   g_server = nullptr;
-  if (metrics_http != nullptr) metrics_http->Stop();
 
   auto count = [&engine](const char* name) {
     return static_cast<unsigned long long>(

@@ -69,13 +69,13 @@ EDITOR-WRITE-PATH
 EDITOR-ONE-SEAL
     Every strategy commits through one seal: src/cpdb/editor.cc stages
     updates into one unit and Editor::Seal is the only place that ships
-    it. So each of the seal's steps — the native replay
-    (`target_->ApplyBatch(`), the archive run (`archive_->Record(`), the
-    TxnMeta rows (`WriteTxnMeta(`) and the durability barrier
-    (`SyncDurable()`) — must have exactly one call site in that file;
-    definitions and comments do not count. A second commit tail would
-    let strategies drift apart again in what they write and in how they
-    fail.
+    it. So each of the seal's steps — the checked native replay
+    (`target_->Prepare(`, whose write the seal runs after the provenance
+    write), the archive run (`archive_->Record(`), the TxnMeta rows
+    (`WriteTxnMeta(`) and the durability barrier (`SyncDurable()`) —
+    must have exactly one call site in that file; definitions and
+    comments do not count. A second commit tail would let strategies
+    drift apart again in what they write and in how they fail.
 
 WRAP-KEYED-LOOKUP
     src/wrap/relational_target.cc calls no scan: no `Scan(` call,
@@ -91,9 +91,9 @@ WRAP-NET-EFFECT
     src/wrap/relational_target.cc calls `Insert(` and `Delete(` at
     exactly one site each, ignoring comments (`InsertBatch(` and
     `DeleteRowImage(` count as sites too). Those sites are the per-tuple
-    write of RelationalTargetDb::ApplyBatch, which stores each touched
-    tuple's net image once per batch after the fold has checked every
-    op. A second site means some op writes the table on its own again:
+    write that RelationalTargetDb::Prepare returns, which stores each
+    touched tuple's net image once per batch after the fold has checked
+    every op. A second site means some op writes the table on its own again:
     a transaction's replay goes back to one heap rewrite, its index
     updates and two logged row images per op, and a rewrite can again
     delete a row before its replacement is checked.
@@ -124,16 +124,13 @@ NET-FRAMING
     input -> typed error + close, never a crash or partial apply) hold
     at a single choke point. Even the tests' deliberate violations go
     through frame.cc's WriteRaw. Pipe/file read(2)/write(2) are fine —
-    the rule names only the socket verbs. (src/net/metrics_http.cc's
-    plain-HTTP GET /metrics endpoint speaks read(2)/write(2) by design:
-    standard Prometheus scrapers do not speak the cpdb frame protocol,
-    and keeping it off the framed path is exactly what this rule wants.)
+    the rule names only the socket verbs.
 
 OBS-METRICS
     src/service/ and src/net/ must export operational counters through
     the obs::Registry (src/obs/metrics.h), not ad-hoc std::atomic
-    members: the registry is the single typed surface behind METRICS and
-    /metrics, and a counter living outside it is invisible to both. The
+    members: the registry is the single typed surface behind METRICS, the
+    one metrics export, and a counter living outside it is invisible. The
     allowlist names the std::atomic members that are NOT metrics —
     engine tid and trace-id allocation, the committed watermark, and the
     engine's and server's lifecycle flags — each of which is load-bearing
@@ -350,7 +347,7 @@ def check_editor_write_path(root):
 
 
 ONE_SEAL_PATH = pathlib.PurePath("src/cpdb/editor.cc")
-ONE_SEAL_CALLS = ("target_->ApplyBatch", "archive_->Record", "WriteTxnMeta",
+ONE_SEAL_CALLS = ("target_->Prepare", "archive_->Record", "WriteTxnMeta",
                   "SyncDurable")
 # `(?<!::)` skips definitions such as `Status Editor::SyncDurable() {`.
 ONE_SEAL_RE = re.compile(r"(?<!::)\b(" +
@@ -494,7 +491,6 @@ OBS_METRICS_ALLOWED = {
     ("src/service/engine.h", "seal_failed_"),    # lifecycle flag
     ("src/net/server.h", "draining_"),           # lifecycle flag
     ("src/net/server.h", "started_"),            # lifecycle flag
-    ("src/net/metrics_http.h", "stopping_"),     # lifecycle flag
 }
 
 
@@ -521,8 +517,8 @@ def check_obs_metrics(root):
                 finding("OBS-METRICS", rel, lineno,
                         f"ad-hoc std::atomic '{member}' in an instrumented "
                         "layer; operational counters must register in the "
-                        "obs::Registry (src/obs/metrics.h) so METRICS and "
-                        "/metrics see them (extend the allowlist only for "
+                        "obs::Registry (src/obs/metrics.h) so METRICS "
+                        "sees them (extend the allowlist only for "
                         "synchronization state)")
     metrics_h = root / "src" / "obs" / "metrics.h"
     if metrics_h.is_file():
