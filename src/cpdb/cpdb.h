@@ -19,6 +19,11 @@
 ///   editor->Commit();
 ///   auto hist = editor->query()->GetHist(Path::MustParse("T/c1/y"));
 ///
+/// A tree::Path is stored as its rendering ("T/c1/y"): ToString() returns
+/// a reference to it, At(i) and Leaf() return a label by value in
+/// O(depth), and there is no labels() vector. Paths sort label by label,
+/// not as strings, so "T/c1/x" < "T/c1-x".
+///
 /// Provenance reads are cursor- and batch-oriented (provenance/backend.h):
 ///
 ///   provenance::ProvCursor scan = backend.ScanUnder(p);   // subtree range

@@ -24,11 +24,13 @@ Status Errno(const char* what) {
 }
 
 // GET renders trees canonically: children carrying an explicit null are
-// omitted. A client may insert an explicit null (`ins {f: null} into
-// R/tid`); the session that staged it holds a null leaf, while the
-// relational store keeps a NULL column, which a snapshot rebuilt from it
-// leaves out. Rendering both forms identically is what lets a digest
-// taken before a drain compare bit-equal to one taken after the reopen.
+// omitted, as a snapshot rebuilt from the relational store omits a NULL
+// column. The relational target refuses every write that would store one
+// (`ins {f: null} into R/tid`, `ins {f: {}} into R/tid`, or a paste of a
+// null leaf, an empty node or a subtree at a field answers
+// InvalidArgument), so the session that staged a write and one rebuilt
+// from the store hold the same fields, and a digest taken before a drain
+// compares bit-equal to one taken after the reopen.
 std::string RenderCanonical(const tree::Tree* t) {
   if (t->HasValue()) return t->ToString();
   std::string out = "{";

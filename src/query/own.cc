@@ -22,7 +22,7 @@ Result<std::vector<OwnLink>> OwnRegistry::OwnChain(const tree::Path& p) {
       last_truncated_ = true;
       return chain;
     }
-    const std::string& db = cur.At(0);
+    const std::string db = cur.At(0);
     auto it = engines_.find(db);
     if (it == engines_.end()) {
       // Data came from a database that does not track/publish provenance;

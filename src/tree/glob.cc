@@ -7,6 +7,16 @@
 
 namespace cpdb::tree {
 
+namespace {
+
+/// The labels of `p`, root first.
+std::vector<std::string> Labels(const Path& p) {
+  if (p.IsRoot()) return {};
+  return Split(p.ToString(), '/');
+}
+
+}  // namespace
+
 Result<PathGlob> PathGlob::Parse(const std::string& text) {
   PathGlob g;
   if (text.empty()) return g;
@@ -27,12 +37,12 @@ PathGlob PathGlob::MustParse(const std::string& text) {
 
 PathGlob PathGlob::Exact(const Path& p) {
   PathGlob g;
-  g.segments_ = p.labels();
+  g.segments_ = Labels(p);
   return g;
 }
 
 bool PathGlob::Matches(const Path& p) const {
-  return GlobMatchSegments(segments_, p.labels());
+  return GlobMatchSegments(segments_, Labels(p));
 }
 
 std::optional<std::vector<std::string>> PathGlob::Capture(
@@ -40,7 +50,7 @@ std::optional<std::vector<std::string>> PathGlob::Capture(
   // Backtracking match that records '*' bindings. '**' participates in
   // matching but contributes no captures.
   std::vector<std::string> bindings;
-  const auto& subject = p.labels();
+  const std::vector<std::string> subject = Labels(p);
 
   std::function<bool(size_t, size_t)> rec = [&](size_t gi,
                                                 size_t si) -> bool {
@@ -88,7 +98,7 @@ Result<Path> PathGlob::Substitute(
     return Status::InvalidArgument("too many bindings for glob '" +
                                    ToString() + "'");
   }
-  return Path(std::move(labels));
+  return Path(labels);
 }
 
 size_t PathGlob::StarCount() const {

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -9,41 +10,56 @@
 namespace cpdb::tree {
 
 /// A path p in Sigma* addressing a unique node of an edge-labeled tree
-/// (paper Section 2). Rendered as slash-separated labels, e.g. "T/c1/y".
+/// (paper Section 2), e.g. "T/c1/y".
 ///
-/// The empty path addresses the root. Labels may not contain '/' and may
-/// not be empty. Paths are small value types ordered lexicographically by
-/// their label sequence, which makes ancestor ranges contiguous in sorted
-/// containers and B-trees (used by prefix scans in the provenance store).
+/// A path is stored as its rendering: its labels joined by '/', "" for
+/// the root. That is the form the Prov table, the wire and the update
+/// language carry, so ToString() hands it out without work, Parse keeps
+/// the text it checked, and building a path (Child, Concat, Parent,
+/// RelativeTo, Rebase) makes one string. Access by label index (Depth,
+/// At, Leaf) scans the rendering, so it is O(depth).
+///
+/// Labels may not be empty and may not contain '/'. A '/' inside a label
+/// would silently split it and change the path's depth, so labels are
+/// checked where they enter from outside: Parse, Tree::AddChild and
+/// Tree::FromChildren refuse them; the label-taking members here assert.
+///
+/// Paths are ordered by their label sequence, not by their rendering:
+/// labels compare byte by byte (bytes unsigned), and a label or path that
+/// ends sorts before any byte that continues the other. So "T/c1/x" sorts
+/// before "T/c1-x" although '-' sorts before '/' in the rendering. This
+/// order keeps a subtree contiguous in sorted containers (used by the
+/// provenance store's ancestor scans).
 class Path {
  public:
   /// The root (empty) path.
   Path() = default;
 
   /// Builds a path from explicit labels. Precondition: labels are valid.
-  explicit Path(std::vector<std::string> labels);
+  explicit Path(const std::vector<std::string>& labels);
 
   /// Parses "a/b/c". Empty string yields the root path. Fails on empty
   /// labels (e.g. "a//b") or leading/trailing slashes.
-  static Result<Path> Parse(const std::string& text);
+  static Result<Path> Parse(std::string text);
 
   /// Parses, aborting on error. Only for use with trusted literals in
   /// tests/examples.
   static Path MustParse(const std::string& text);
 
-  bool IsRoot() const { return labels_.empty(); }
-  size_t Depth() const { return labels_.size(); }
-  const std::vector<std::string>& labels() const { return labels_; }
-  const std::string& At(size_t i) const { return labels_[i]; }
+  bool IsRoot() const { return text_.empty(); }
+  /// Number of labels; O(depth).
+  size_t Depth() const;
+  /// Label `i`, counted from the root. Precondition: i < Depth().
+  std::string At(size_t i) const;
 
   /// Final label. Precondition: !IsRoot().
-  const std::string& Leaf() const { return labels_.back(); }
+  std::string Leaf() const;
 
   /// Path with the final label removed. Precondition: !IsRoot().
   Path Parent() const;
 
-  /// This path extended by one label.
-  Path Child(const std::string& label) const;
+  /// This path extended by one label. Precondition: the label is valid.
+  Path Child(std::string_view label) const;
 
   /// This path followed by all labels of `suffix`.
   Path Concat(const Path& suffix) const;
@@ -65,19 +81,23 @@ class Path {
   Path Rebase(const Path& from, const Path& to) const;
 
   /// Slash-joined rendering; "" for the root.
-  std::string ToString() const;
+  const std::string& ToString() const { return text_; }
 
-  bool operator==(const Path& other) const { return labels_ == other.labels_; }
+  bool operator==(const Path& other) const { return text_ == other.text_; }
   bool operator!=(const Path& other) const { return !(*this == other); }
-  bool operator<(const Path& other) const { return labels_ < other.labels_; }
+  /// Label-sequence order (see the class comment).
+  bool operator<(const Path& other) const;
 
  private:
-  std::vector<std::string> labels_;
+  /// A path whose rendering is `text`, which the caller has checked.
+  static Path FromText(std::string text);
+
+  std::string text_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Path& p);
 
 /// Validates a single edge label: non-empty and without '/'.
-bool IsValidLabel(const std::string& label);
+bool IsValidLabel(std::string_view label);
 
 }  // namespace cpdb::tree

@@ -10,17 +10,28 @@ namespace {
 /// First child whose label is not below `label`: where `label` is, or
 /// where it would be inserted.
 template <typename It>
-It LowerBound(It first, It last, const std::string& label) {
-  return std::lower_bound(
-      first, last, label,
-      [](const Tree::Child& c, const std::string& l) { return c.first < l; });
+It LowerBound(It first, It last, std::string_view label) {
+  return std::lower_bound(first, last, label,
+                          [](const Tree::Child& c, std::string_view l) {
+                            return std::string_view(c.first) < l;
+                          });
 }
 
 /// The child labelled `label`, or `children.end()`.
 template <typename Vec>
-auto FindChild(Vec& children, const std::string& label) {
+auto FindChild(Vec& children, std::string_view label) {
   auto it = LowerBound(children.begin(), children.end(), label);
   return it != children.end() && it->first == label ? it : children.end();
+}
+
+/// Cuts the first label off `rest`, a non-empty path rendering, together
+/// with the '/' after it, and returns it.
+std::string_view NextLabel(std::string_view* rest) {
+  const size_t slash = rest->find('/');
+  std::string_view label = rest->substr(0, slash);
+  rest->remove_prefix(slash == std::string_view::npos ? rest->size()
+                                                      : slash + 1);
+  return label;
 }
 
 Status DuplicateEdge(const std::string& label) {
@@ -61,7 +72,7 @@ Tree Tree::Clone() const {
   return out;
 }
 
-Tree* Tree::MutableChild(const std::string& label) {
+Tree* Tree::MutableChild(std::string_view label) {
   auto it = FindChild(children_, label);
   if (it == children_.end()) return nullptr;
   if (it->second.use_count() > 1) {
@@ -82,12 +93,12 @@ Status Tree::SetValue(Value v) {
   return Status::OK();
 }
 
-const Tree* Tree::GetChild(const std::string& label) const {
+const Tree* Tree::GetChild(std::string_view label) const {
   auto it = FindChild(children_, label);
   return it == children_.end() ? nullptr : it->second.get();
 }
 
-Tree* Tree::GetChild(const std::string& label) { return MutableChild(label); }
+Tree* Tree::GetChild(std::string_view label) { return MutableChild(label); }
 
 Status Tree::AddChild(const std::string& label, Tree subtree) {
   if (!IsValidLabel(label)) return InvalidLabel(label);
@@ -136,9 +147,8 @@ void Tree::PutChild(const std::string& label, Tree subtree) {
 
 const Tree* Tree::Find(const Path& p) const {
   const Tree* cur = this;
-  for (const auto& label : p.labels()) {
-    cur = cur->GetChild(label);
-    if (cur == nullptr) return nullptr;
+  for (std::string_view rest = p.ToString(); cur != nullptr && !rest.empty();) {
+    cur = cur->GetChild(NextLabel(&rest));
   }
   return cur;
 }
@@ -147,9 +157,8 @@ Tree* Tree::Find(const Path& p) {
   // Copy-on-write descent: every shared node on the path is privatized so
   // the caller may mutate the result without other clones observing it.
   Tree* cur = this;
-  for (const auto& label : p.labels()) {
-    cur = cur->MutableChild(label);
-    if (cur == nullptr) return nullptr;
+  for (std::string_view rest = p.ToString(); cur != nullptr && !rest.empty();) {
+    cur = cur->MutableChild(NextLabel(&rest));
   }
   return cur;
 }

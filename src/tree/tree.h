@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -102,8 +103,8 @@ class Tree {
 
   /// Child by label, or nullptr. The mutable overload privatizes a shared
   /// child (copy-on-write) before returning it.
-  const Tree* GetChild(const std::string& label) const;
-  Tree* GetChild(const std::string& label);
+  const Tree* GetChild(std::string_view label) const;
+  Tree* GetChild(std::string_view label);
 
   /// Deterministic (sorted by label) iteration over children.
   const Children& children() const { return children_; }
@@ -131,7 +132,8 @@ class Tree {
 
   // ----- Path-addressed operations (relative to this node) ---------------
 
-  /// Node at `p`, or nullptr if the path does not exist. The mutable
+  /// Node at `p`, or nullptr if the path does not exist. Walks the labels
+  /// as slices of the path's rendering, allocating nothing. The mutable
   /// overload privatizes every shared node along the path (copy-on-write),
   /// so use the const overload (e.g. via std::as_const) for pure reads.
   const Tree* Find(const Path& p) const;
@@ -185,7 +187,7 @@ class Tree {
   /// Replaces a shared child entry with a private shallow copy so in-place
   /// mutation cannot be observed through other clones. Returns the (now
   /// exclusively owned) child, or nullptr if the label is absent.
-  Tree* MutableChild(const std::string& label);
+  Tree* MutableChild(std::string_view label);
 
   Children children_;
   std::optional<Value> value_;

@@ -96,21 +96,27 @@ Result<Table*> RelationalTargetDb::TableFor(const std::string& name) {
                           name_);
 }
 
-Result<Datum> RelationalTargetDb::ValueToDatum(const tree::Value& v,
-                                               ColumnType type) {
-  if (v.is_null()) return Datum();
+Result<Datum> RelationalTargetDb::FieldDatum(const tree::Value* v,
+                                             const std::string& field,
+                                             ColumnType type) {
+  if (v == nullptr || v->is_null()) {
+    return Status::InvalidArgument(
+        "field '" + field +
+        "' needs a non-null data value: a NULL column reads back as no "
+        "field");
+  }
   switch (type) {
     case ColumnType::kInt64:
-      if (v.is_int()) return Datum(v.AsInt());
+      if (v->is_int()) return Datum(v->AsInt());
       break;
     case ColumnType::kDouble:
-      if (v.is_double()) return Datum(v.AsDouble());
-      if (v.is_int()) return Datum(static_cast<double>(v.AsInt()));
+      if (v->is_double()) return Datum(v->AsDouble());
+      if (v->is_int()) return Datum(static_cast<double>(v->AsInt()));
       break;
     case ColumnType::kString:
-      return Datum(v.ToString());
+      return Datum(v->ToString());
   }
-  return Status::InvalidArgument("value '" + v.ToString() +
+  return Status::InvalidArgument("value '" + v->ToString() +
                                  "' does not fit column type");
 }
 
@@ -263,8 +269,8 @@ Status RelationalTargetDb::Fold(const update::Update& u,
                                        "' already set");
         }
         CPDB_ASSIGN_OR_RETURN(
-            Datum v, ValueToDatum(u.value.value_or(tree::Value()),
-                                  table->schema().column(col).type));
+            Datum v, FieldDatum(u.value.has_value() ? &*u.value : nullptr,
+                                u.label, table->schema().column(col).type));
         return NetEffect::SetField(t, col, std::move(v));
       }
       return Status::NotSupported(
@@ -307,8 +313,8 @@ Status RelationalTargetDb::Fold(const update::Update& u,
           CPDB_ASSIGN_OR_RETURN(size_t col, FieldColumn(*table, label));
           CPDB_ASSIGN_OR_RETURN(
               row[col],
-              ValueToDatum(child->HasValue() ? child->value() : tree::Value(),
-                           table->schema().column(col).type));
+              FieldDatum(child->HasValue() ? &child->value() : nullptr, label,
+                         table->schema().column(col).type));
         }
         Result<NetEffect::Touched*> existing = net->Find(table, p.At(1));
         if (existing.ok()) return NetEffect::Replace(*existing, std::move(row));
@@ -323,8 +329,8 @@ Status RelationalTargetDb::Fold(const update::Update& u,
                               net->Find(table, p.At(1)));
         CPDB_ASSIGN_OR_RETURN(
             Datum v,
-            ValueToDatum(pasted->HasValue() ? pasted->value() : tree::Value(),
-                         table->schema().column(col).type));
+            FieldDatum(pasted->HasValue() ? &pasted->value() : nullptr,
+                       p.At(2), table->schema().column(col).type));
         return NetEffect::SetField(t, col, std::move(v));
       }
       return Status::NotSupported(

@@ -15,7 +15,8 @@ namespace cpdb::wrap {
 ///
 /// Path-to-SQL mapping of the atomic updates:
 ///   ins {tid : {}} into R          -> INSERT a fresh tuple (NULL fields)
-///   ins {F : v} into R/tid         -> UPDATE R SET F = v (F was NULL)
+///   ins {F : v} into R/tid         -> UPDATE R SET F = v (F was NULL;
+///                                     v is a non-null data value)
 ///   del tid from R                 -> DELETE FROM R WHERE key = tid
 ///   del F from R/tid               -> UPDATE R SET F = NULL
 ///   copy ... into R/tid            -> replace the whole tuple (key, the
@@ -23,7 +24,10 @@ namespace cpdb::wrap {
 ///   copy ... into R/tid/F          -> UPDATE R SET F = value
 /// Updates that do not fit the relational schema (new tables, extra
 /// nesting, unknown fields) fail with NotSupported/InvalidArgument —
-/// mirroring a real wrapper's schema mapping limits.
+/// mirroring a real wrapper's schema mapping limits. A field is a column,
+/// and a NULL column is an absent field, so a field must hold a non-null
+/// data value: an insert of null or {}, and a paste that puts a null leaf,
+/// an empty node or a subtree at a field, fail with InvalidArgument.
 ///
 /// Every wrapped table carries its *key index*: a unique index on exactly
 /// column 0, created together with the table. The label `tid` is parsed
@@ -95,8 +99,14 @@ class RelationalTargetDb : public TargetDb {
 
   Result<relstore::Table*> TableFor(const std::string& name);
 
-  static Result<relstore::Datum> ValueToDatum(const tree::Value& v,
-                                              relstore::ColumnType type);
+  /// The column value of field `field` holding data value `v` (nullptr
+  /// for a field node with no data value: {} or a subtree). A NULL column
+  /// reads back as an absent field, so a null, {} or subtree is refused
+  /// with InvalidArgument: storing it would keep the edge only in the
+  /// session that staged it.
+  static Result<relstore::Datum> FieldDatum(const tree::Value* v,
+                                            const std::string& field,
+                                            relstore::ColumnType type);
 
   std::string name_;
   relstore::Database* db_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <vector>
 
 namespace cpdb::tree {
@@ -102,16 +104,115 @@ TEST(PathTest, Rebase) {
 TEST(PathTest, OrderingGroupsSubtrees) {
   std::vector<Path> paths = {
       Path::MustParse("T/c2"),   Path::MustParse("T/c1/y"),
-      Path::MustParse("T/c1"),   Path::MustParse("T/c1/x"),
-      Path::MustParse("T/c10"),
+      Path::MustParse("T/c1"),   Path::MustParse("T/c1-x"),
+      Path::MustParse("T/c1/x"), Path::MustParse("T/c10"),
+      Path::MustParse("T/c1!"),
   };
   std::sort(paths.begin(), paths.end());
   // Lexicographic order on label sequences keeps a subtree contiguous.
-  EXPECT_EQ(paths[0].ToString(), "T/c1");
-  EXPECT_EQ(paths[1].ToString(), "T/c1/x");
-  EXPECT_EQ(paths[2].ToString(), "T/c1/y");
-  EXPECT_EQ(paths[3].ToString(), "T/c10");
-  EXPECT_EQ(paths[4].ToString(), "T/c2");
+  // It is not string order on the renderings: '!' and '-' sort before
+  // '/', yet "c1!" and "c1-x" are labels that sort after "c1", so both
+  // follow every path under T/c1.
+  std::vector<std::string> rendered;
+  for (const Path& p : paths) rendered.push_back(p.ToString());
+  EXPECT_EQ(rendered,
+            (std::vector<std::string>{"T/c1", "T/c1/x", "T/c1/y", "T/c1!",
+                                      "T/c1-x", "T/c10", "T/c2"}));
+}
+
+/// A path's labels, root first, kept as a vector: the reference model the
+/// property test checks Path against.
+using Labels = std::vector<std::string>;
+
+std::string Render(const Labels& labels) {
+  std::string out;
+  for (const std::string& l : labels) {
+    if (!out.empty()) out += '/';
+    out += l;
+  }
+  return out;
+}
+
+bool IsPrefix(const Labels& a, const Labels& b) {
+  return a.size() <= b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+TEST(PathTest, MatchesLabelVectorModel) {
+  // Labels drawn from bytes that sort below '/' ('!', '-', '.'), bytes
+  // with the high bit set, and letters, short enough that labels and
+  // prefixes often coincide.
+  const std::string alphabet = "!-.ab\x80\xc3\xff";
+  std::mt19937 rng(2006);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto draw_label = [&] {
+    std::string l;
+    for (size_t n = 1 + pick(2); n > 0; --n) {
+      l += alphabet[pick(alphabet.size())];
+    }
+    return l;
+  };
+  auto draw = [&](size_t max_depth) {
+    Labels labels;
+    for (size_t n = pick(max_depth + 1); n > 0; --n) {
+      labels.push_back(draw_label());
+    }
+    return labels;
+  };
+
+  for (int i = 0; i < 3000; ++i) {
+    const Labels a = draw(4);
+    // Half the time b extends a prefix of a, so prefix relations hold
+    // often enough to test.
+    Labels b = draw(3);
+    if (pick(2) == 0) {
+      Labels head = a;
+      head.resize(pick(a.size() + 1));
+      head.insert(head.end(), b.begin(), b.end());
+      b = head;
+    }
+    const Path p(a);
+    const Path q(b);
+    SCOPED_TRACE("a=" + Render(a) + " b=" + Render(b));
+
+    ASSERT_EQ(p.ToString(), Render(a));
+    auto parsed = Path::Parse(p.ToString());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(*parsed, p);
+    EXPECT_EQ(p.IsRoot(), a.empty());
+    ASSERT_EQ(p.Depth(), a.size());
+    for (size_t d = 0; d < a.size(); ++d) EXPECT_EQ(p.At(d), a[d]);
+    if (!a.empty()) {
+      EXPECT_EQ(p.Leaf(), a.back());
+      EXPECT_EQ(p.Parent(), Path(Labels(a.begin(), a.end() - 1)));
+    }
+    const std::string label = draw_label();
+    Labels child = a;
+    child.push_back(label);
+    EXPECT_EQ(p.Child(label), Path(child));
+    Labels both = a;
+    both.insert(both.end(), b.begin(), b.end());
+    EXPECT_EQ(p.Concat(q), Path(both));
+
+    EXPECT_EQ(p.IsPrefixOf(q), IsPrefix(a, b));
+    EXPECT_EQ(q.IsPrefixOf(p), IsPrefix(b, a));
+    EXPECT_EQ(p.IsStrictPrefixOf(q), IsPrefix(a, b) && a.size() < b.size());
+    EXPECT_EQ(q.IsStrictPrefixOf(p), IsPrefix(b, a) && b.size() < a.size());
+    auto rel = q.RelativeTo(p);
+    EXPECT_EQ(rel.ok(), IsPrefix(a, b));
+    if (IsPrefix(a, b)) {
+      const Labels rest(b.begin() + static_cast<long>(a.size()), b.end());
+      EXPECT_EQ(*rel, Path(rest));
+      const Labels to = draw(2);
+      Labels rebased = to;
+      rebased.insert(rebased.end(), rest.begin(), rest.end());
+      EXPECT_EQ(q.Rebase(p, Path(to)), Path(rebased));
+    }
+
+    EXPECT_EQ(p == q, a == b);
+    EXPECT_EQ(p != q, a != b);
+    EXPECT_EQ(p < q, a < b);
+    EXPECT_EQ(q < p, b < a);
+  }
 }
 
 TEST(PathTest, EqualityAndStreaming) {

@@ -1235,5 +1235,77 @@ TEST(ServiceRelationalTargetTest, NullColumnIsAnAbsentFieldInANewSession) {
   pool.Release(std::move(*fresh));
 }
 
+// An insert of null or {} at a field would store a NULL column, which a
+// session built from the store reads as no field at all. The target
+// refuses it before the provenance write, so the unit unwinds with no
+// Prov row and no tid, and afterwards the session that staged it and a
+// fresh one both read the row without the field and both set it.
+TEST(ServiceRelationalTargetTest, NullFieldInsertIsRefusedForEverySession) {
+  for (Strategy strategy :
+       {Strategy::kHierarchical, Strategy::kHierarchicalTransactional}) {
+    for (bool empty_tree : {false, true}) {
+      SCOPED_TRACE(std::string(provenance::StrategyShortName(strategy)) +
+                   (empty_tree ? " ins {f1: {}}" : " ins {f1: null}"));
+      relstore::Database db("curated");
+      relstore::Schema schema(
+          {{"id", relstore::ColumnType::kString, false},
+           {"f1", relstore::ColumnType::kString, true},
+           {"f2", relstore::ColumnType::kString, true}});
+      ASSERT_TRUE(testutil::CreateKeyedTable(&db, "data", schema).ok());
+      provenance::ProvBackend backend(&db);
+      wrap::RelationalTargetDb target("T", &db, {"data"});
+      Engine engine(&backend, &target);
+      service::SessionOptions opts;
+      opts.strategy = strategy;
+      SessionPool pool(&engine, opts);
+
+      auto staged = pool.Acquire();
+      ASSERT_TRUE(staged.ok());
+      Session* s = staged->get();
+      const Path row = Path::MustParse("T/data/k1");
+      ASSERT_TRUE(s->ApplyScript({Update::Insert(row.Parent(), "k1"),
+                                  Update::Insert(row, "f2", tree::Value("b"))})
+                      .ok());
+      ASSERT_TRUE(s->Commit().ok());
+      const size_t prov_rows = backend.RowCount();
+      const int64_t committed = engine.CommittedTid();
+
+      const Update refused =
+          empty_tree ? Update::Insert(row, "f1")
+                     : Update::Insert(row, "f1", tree::Value());
+      Status st;
+      if (PerOp(strategy)) {
+        st = s->Apply(refused);
+      } else {
+        ASSERT_TRUE(s->Apply(refused).ok());  // tree staging accepts it
+        st = s->Commit();
+      }
+      EXPECT_TRUE(st.IsInvalidArgument()) << st;
+      EXPECT_EQ(backend.RowCount(), prov_rows);
+      EXPECT_EQ(engine.CommittedTid(), committed);
+
+      auto fresh = pool.Acquire();  // built from the store's rows
+      ASSERT_TRUE(fresh.ok());
+      for (Session* reader : {s, fresh->get()}) {
+        SCOPED_TRACE(reader == s ? "staging session" : "fresh session");
+        const tree::Tree* got = reader->editor()->universe().Find(row);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->ToString(), "{f2: \"b\"}");
+        Status set =
+            reader->Apply(Update::Insert(row, "f1", tree::Value("x")));
+        EXPECT_TRUE(set.ok()) << set;
+        // Leave f1 unset for the other session: a per-op session has
+        // committed the insert, so it deletes the field again.
+        Status undo = PerOp(strategy)
+                          ? reader->Apply(Update::Delete(row, "f1"))
+                          : reader->Abort();
+        EXPECT_TRUE(undo.ok()) << undo;
+      }
+      pool.Release(std::move(*staged));
+      pool.Release(std::move(*fresh));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cpdb

@@ -344,6 +344,53 @@ TEST(RelationalTargetDbTest, RewriteThatFailsValidationKeepsTheTuple) {
   EXPECT_EQ(view->Find(Path::MustParse("prot/p1/loc")), nullptr);
 }
 
+TEST(RelationalTargetDbTest, FieldWithoutDataValueIsRefused) {
+  // A NULL column reads back as no field, so a write that would store one
+  // for a field the update names keeps its edge only in the tree that
+  // staged it. Every shape is refused, and the tuple keeps its row.
+  relstore::Database db("targetdb");
+  relstore::Schema schema({{"id", ColumnType::kString, false},
+                           {"f1", ColumnType::kString, true},
+                           {"f2", ColumnType::kString, true}});
+  ASSERT_TRUE(testutil::CreateKeyedTable(&db, "data", schema).ok());
+  RelationalTargetDb target("T", &db, {"data"});
+  const Path row = Path::MustParse("data/k1");
+  ASSERT_TRUE(Push(&target, Update::Insert(row.Parent(), "k1")).ok());
+  ASSERT_TRUE(Push(&target, Update::Insert(row, "f2", tree::Value("b"))).ok());
+  auto stored = target.TreeFromDb();
+  ASSERT_TRUE(stored.ok());
+
+  tree::Tree null_leaf{tree::Value()};
+  tree::Tree empty;
+  auto subtree = tree::ParseTree("{x: 1}");
+  auto null_child = tree::ParseTree("{f1: null, f2: b}");
+  auto empty_child = tree::ParseTree("{f1: {}, f2: b}");
+  ASSERT_TRUE(subtree.ok() && null_child.ok() && empty_child.ok());
+  const Path f1 = row.Child("f1");
+  const std::vector<NativeOp> refused = {
+      {Update::Insert(row, "f1", tree::Value())},
+      {Update::Insert(row, "f1")},
+      {Update::Copy(Path(), f1), &null_leaf},
+      {Update::Copy(Path(), f1), &empty},
+      {Update::Copy(Path(), f1), &subtree.value()},
+      {Update::Copy(Path(), row), &null_child.value()},
+      {Update::Copy(Path(), row), &empty_child.value()},
+  };
+  for (const NativeOp& op : refused) {
+    SCOPED_TRACE(op.update.ToString());
+    Status st = Replay(&target, {op});
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_EQ(st.message(),
+              "field 'f1' needs a non-null data value: a NULL column reads "
+              "back as no field");
+    auto now = target.TreeFromDb();
+    ASSERT_TRUE(now.ok());
+    EXPECT_TRUE(now->Equals(*stored)) << now->ToString();
+  }
+  // A data value sets the field.
+  ASSERT_TRUE(Push(&target, Update::Insert(row, "f1", tree::Value("x"))).ok());
+}
+
 TEST(RelationalTargetDbTest, NanIdentifierIsRefused) {
   // NaN is neither less nor greater than any DOUBLE: a key index holding
   // one would take every later identifier for a duplicate of it.

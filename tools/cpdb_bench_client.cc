@@ -30,7 +30,9 @@
 // txns/sec across all connections; 0 = closed loop) --read-frac --seed
 // --json --trace-sample=N (stamp a TraceContext on every Nth traceable
 // request per connection; 0 = off) --retry-max=N. Digest flags:
-// --connections --keys --digest. See OPERATOR_GUIDE.md for recipes.
+// --connections --keys --digest. See OPERATOR_GUIDE.md for recipes. A flag
+// not named here, or a number that does not parse, exits 1 before
+// connecting.
 //
 // Overload is part of the contract, not an error: shed transactions
 // (typed RETRY from admission control) are counted and reported as
@@ -46,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -601,6 +604,25 @@ int RunPing(const Options& opt) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  // A misspelled flag or a malformed number must not fall back to its
+  // default (and, say, ping the default port): refuse before connecting.
+  std::map<std::string, Flags::Kind> known;
+  for (const char* name :
+       {"host", "mode", "dist", "json", "digest", "explain", "path", "qd"}) {
+    known[name] = Flags::Kind::kString;
+  }
+  for (const char* name : {"port", "connections", "txns", "txn-len", "keys",
+                           "seed", "trace-sample", "retry-max"}) {
+    known[name] = Flags::Kind::kInt;
+  }
+  for (const char* name : {"theta", "rate", "read-frac", "timeout-sec"}) {
+    known[name] = Flags::Kind::kDouble;
+  }
+  Status usable = flags.Check(known);
+  if (!usable.ok()) {
+    std::fprintf(stderr, "cpdb_bench_client: %s\n", usable.message().c_str());
+    return 1;
+  }
   Options opt;
   opt.host = flags.GetString("host", opt.host);
   opt.port = static_cast<int>(flags.GetInt("port", opt.port));

@@ -178,6 +178,17 @@ TREE-FLAT-CHILDREN
     container to keep in step, and brings back the per-child allocations
     behind every clone.
 
+TREE-FLAT-PATH
+    Class Path in src/tree/path.h has exactly one non-static data member, a
+    std::string, and src/tree/path.cc calls neither `Split(` nor
+    `Join(`, comments ignored. A path is stored as its rendering ("T/c1/y"),
+    the form the Prov table, the wire and the update language carry: a
+    copy is one allocation, ToString() is free, Parse validates in place,
+    and a prefix test is a byte comparison. A vector of labels beside or
+    instead of it brings back one allocation per label for every path
+    built or copied, and a join or split wherever a path meets a row or a
+    frame.
+
 NET-NO-HANDOFF
     src/net/server.h and src/net/server.cc declare and use no CondVar.
     The server is leader/followers over one epoll set: the worker that
@@ -646,6 +657,86 @@ def check_tree_flat_children(root):
                         "one label-sorted vector (Tree::Children)")
 
 
+PATH_HEADER = "src/tree/path.h"
+PATH_SOURCE = "src/tree/path.cc"
+SPLIT_JOIN_RE = re.compile(r"\b(?:Split|Join)\s*\(")
+ACCESS_LABEL_RE = re.compile(r"\s*(?:public|private|protected)\s*")
+NOT_DATA_RE = re.compile(
+    r"\s*(?:using|typedef|friend|static|template|enum|struct|class|union)\b")
+STRING_MEMBER_RE = re.compile(r"\s*std::string\s+\w+\s*(?:=.*|\{.*\})?\s*",
+                              re.S)
+
+
+def data_members(text, cls):
+    """(line, declaration) of every non-static data member of class `cls`
+    in `text`, whose comments are stripped: the statements at the top level
+    of the class body that hold no parenthesis, other than access labels,
+    aliases, friends and nested types. None if the class is not found."""
+    m = re.search(r"\bclass\s+" + cls + r"\b[^;{]*\{", text)
+    if m is None:
+        return None
+    members = []
+    depth = 0
+    stmt = ""
+    line = text.count("\n", 0, m.end()) + 1
+    stmt_line = line
+    for c in text[m.end():]:
+        if c == "\n":
+            line += 1
+        if depth == 0 and c == "}":
+            break  # the end of the class body
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth == 0 and "(" in stmt:
+                stmt = ""  # a member function's body ends its declaration
+                continue
+        if depth > 0:
+            if "(" not in stmt:
+                stmt += c  # a brace initializer is part of the declaration
+            continue
+        if c == ";":
+            if "(" not in stmt and not NOT_DATA_RE.match(stmt):
+                members.append((stmt_line, " ".join(stmt.split())))
+            stmt = ""
+        elif c == ":" and ACCESS_LABEL_RE.fullmatch(stmt):
+            stmt = ""
+        else:
+            if not stmt.strip() and not c.isspace():
+                stmt_line = line
+            stmt += c
+    return members
+
+
+def check_tree_flat_path(root):
+    header = root / PATH_HEADER
+    if header.is_file():
+        code = "\n".join(strip_comments(line)
+                         for line in header.read_text().splitlines())
+        members = data_members(code, "Path")
+        if members is None:
+            finding("TREE-FLAT-PATH", PATH_HEADER, 1, "no class Path")
+            members = []
+        elif not members:
+            finding("TREE-FLAT-PATH", PATH_HEADER, 1,
+                    "class Path has no data member; it holds its rendering "
+                    "in one std::string")
+        for lineno, decl in members:
+            if len(members) > 1 or not STRING_MEMBER_RE.fullmatch(decl):
+                finding("TREE-FLAT-PATH", PATH_HEADER, lineno,
+                        f"data member `{decl}` in Path; a path is one "
+                        "std::string holding its rendering, its only member")
+    source = root / PATH_SOURCE
+    if source.is_file():
+        for lineno, line in enumerate(source.read_text().splitlines(), 1):
+            m = SPLIT_JOIN_RE.search(strip_comments(line))
+            if m:
+                finding("TREE-FLAT-PATH", PATH_SOURCE, lineno,
+                        f"{m.group(0)} in path.cc; a path is its rendering, "
+                        "built and checked in place")
+
+
 def check_net_no_handoff(root):
     for name in NET_SERVER_FILES:
         path = root / name
@@ -685,6 +776,7 @@ def main():
     check_obs_trace(root)
     check_service_one_snapshot(root)
     check_tree_flat_children(root)
+    check_tree_flat_path(root)
     check_net_no_handoff(root)
 
     for f in FINDINGS:
